@@ -12,8 +12,8 @@ from .perm import (CosetSpace, FiniteGroup, LambdaEmbedding, Permutation,
                    is_regular, left_translation_embedding, metacyclic_group,
                    opposite)
 from .transition import (CosetVariableMatrix, IntPolynomial,
-                         build_transition_matrix, canonical_det, det_symbolic,
-                         verify_det_identity)
+                         build_transition_matrix, canonical_det, det_identity,
+                         det_symbolic)
 from .numberfield import (FieldElement, GaloisContext, NumberField, Subfield,
                           check_irreducible, fixed_subfield, load_field)
 from .descent import (DescendedAlgebra, GroupAlgebraElement, MapAlgebraElement,

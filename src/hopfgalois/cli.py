@@ -11,8 +11,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import integral, transition
-from .descent import (descend, is_generator, is_separable, verify_commuting,
+from . import integral, linalg, transition
+from .descent import (coset_apply, descend, is_generator, is_separable,
+                      transition_matrix_values, verify_commuting,
                       verify_hopf_galois)
 from .errors import FixtureValidationError, HopfGaloisError, TheoremViolationError
 from .fixtures import BUNDLED, Fixture, bundled_path, parse
@@ -128,12 +129,6 @@ def _structure_label(fx: Fixture, index: int) -> str:
     return f"structure[{index}] orders={list(profile)}"
 
 
-def _opposite_index(fx: Fixture, index: int) -> int:
-    structs = fx.structures()
-    opp = opposite(structs[index], fx.coset_space())
-    return next(i for i, n in enumerate(structs) if n == opp)
-
-
 def _classical_index(fx: Fixture) -> int:
     if fx.stabilizer.order() == 1:
         rho = right_translation_subgroup(fx.coset_space())
@@ -182,15 +177,13 @@ def _check_assertions(fx: Fixture, report: Report):
 
 
 def cmd_enumerate(fx: Fixture, args, report: Report):
-    structs = fx.structures()
-    for i, n in enumerate(structs):
+    for i, n in enumerate(fx.structures()):
         facts = group_queries(n.as_group())
-        opp = _opposite_index(fx, i)
         report.add(
             f"structure[{i}]", "PASS", "computed",
             order_profile=list(facts.iso_class[1]),
             abelian=facts.abelian,
-            opposite=opp,
+            opposite=fx.opposite_indices()[i],
             center_order=facts.center.order(),
             normal_subgroup_orders=sorted(h.order() for h in facts.normal_subgroups))
     _check_assertions(fx, report)
@@ -248,9 +241,7 @@ def cmd_det_identity(fx: Fixture, args, report: Report):
                else list(range(len(structs))))
     space = fx.coset_space()
     for i in targets:
-        n = structs[i]
-        ok = transition.verify_det_identity(n, space)
-        poly = transition.canonical_det(n, space)
+        ok, poly = transition.det_identity(structs[i], space)
         report.add(f"det-identity[{i}]", "PASS" if ok else "FAIL", "theorem",
                    determinant=str(poly))
 
@@ -273,9 +264,10 @@ def cmd_verify(fx: Fixture, args, report: Report, rng: random.Random):
     what = args.property
     structs = fx.structures()
     if what == "commuting":
+        opposites = fx.opposite_indices()
         for i in range(len(structs)):
             for j in range(len(structs)):
-                expected = _opposite_index(fx, i) == j
+                expected = opposites[i] == j
                 actual = verify_commuting(fx.algebra(i), fx.algebra(j))
                 report.add(f"commuting[{i},{j}]",
                            "PASS" if actual == expected else "FAIL", "theorem",
@@ -290,7 +282,8 @@ def cmd_verify(fx: Fixture, args, report: Report, rng: random.Random):
             report.add(f"separable[{i}]", "PASS" if ok else "FAIL", "theorem")
     elif what == "generators":
         sub = fx.subfield()
-        pairs = sorted({tuple(sorted((i, _opposite_index(fx, i))))
+        opposites = fx.opposite_indices()
+        pairs = sorted({tuple(sorted((i, opposites[i])))
                         for i in range(len(structs))})
         samples = [sub.random_element(rng) for _ in range(GENERATOR_SAMPLES)]
         for i, j in pairs:
@@ -330,7 +323,7 @@ def cmd_freeness(fx: Fixture, args, report: Report):
 def cmd_theorem11(fx: Fixture, args, report: Report):
     index = (_structure_index(fx, args.n) if args.n is not None
              else _classical_index(fx))
-    partner = _opposite_index(fx, index)
+    partner = fx.opposite_indices()[index]
     ideal = fx.ideal(args.ideal)
     try:
         cert = integral.freeness_certificate(
@@ -380,8 +373,6 @@ def _specialization_checks(fx: Fixture, report: Report, rng: random.Random,
                            points: int = 20):
     """Symbolic determinant evaluated at coset-representative images must match
     the numeric transition determinant."""
-    from . import linalg
-    from .descent import transition_matrix_values
     space = fx.coset_space()
     sub = fx.subfield()
     ctx = fx.context
@@ -391,10 +382,7 @@ def _specialization_checks(fx: Fixture, report: Report, rng: random.Random,
         ok = True
         for _ in range(points):
             x = sub.random_element(rng)
-            values = [None] * space.size
-            from .descent import coset_apply
-            for c in range(space.size):
-                values[c] = coset_apply(ctx, space, c, x)
+            values = [coset_apply(ctx, space, c, x) for c in range(space.size)]
             numeric = linalg.det(transition_matrix_values(ctx, space, n, x))
             if poly.evaluate(values, ctx.field.one()) != numeric:
                 ok = False

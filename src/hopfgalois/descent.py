@@ -343,11 +343,13 @@ def _identity_of(n: RegularSubgroup) -> Permutation:
 def verify_hopf_galois(algebra: DescendedAlgebra) -> bool:
     """Bijectivity of the canonical map L (x) H -> End(L): the m^2 x m^2 exact
     matrix of y -> b_i * (h_k . y) must have full rank."""
-    return _canonical_map_rank(algebra.action_matrices, algebra.subfield) \
+    return canonical_map_rank(algebra.action_matrices, algebra.subfield) \
         == algebra.subfield.dim ** 2
 
 
-def _canonical_map_rank(action_matrices, subfield: Subfield) -> int:
+def canonical_map_rank(action_matrices, subfield: Subfield) -> int:
+    """Rank of the canonical map for arbitrary action matrices, so negative
+    controls (for example the zero action) use the same computation."""
     m = subfield.dim
     mult_mats = [subfield.multiplication_matrix(b) for b in subfield.basis]
     columns = []
@@ -356,12 +358,6 @@ def _canonical_map_rank(action_matrices, subfield: Subfield) -> int:
             prod = linalg.mat_mul(mm, [list(r) for r in act])
             columns.append([prod[i][j] for j in range(m) for i in range(m)])
     return linalg.rank(columns)
-
-
-def canonical_map_rank_for(action_matrices, subfield: Subfield) -> int:
-    """Rank of the canonical map for arbitrary action matrices; lets negative
-    controls (for example the zero action) reuse the same computation."""
-    return _canonical_map_rank(action_matrices, subfield)
 
 
 def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:

@@ -21,7 +21,7 @@ from .integral import FractionalIdeal, Lattice
 from .numberfield import FieldElement, GaloisContext, Subfield, load_field
 from .perm import (CosetSpace, FiniteGroup, LambdaEmbedding, Permutation,
                    build_coset_space, enumerate_regular_normalized,
-                   left_translation_embedding, metacyclic_group)
+                   left_translation_embedding, metacyclic_group, opposite)
 
 BUNDLED = ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic",
            "metacyclic21")
@@ -73,6 +73,7 @@ class Fixture:
         self._lam = None
         self._subfield = None
         self._structures = None
+        self._opposites = None
         self._algebras = {}
         self._ideals = {}
 
@@ -99,11 +100,21 @@ class Fixture:
             self._subfield = self.context.fixed_subfield(self.stabilizer)
         return self._subfield
 
-    def structures(self, bound: int = 8):
+    def structures(self):
         if self._structures is None:
             self._structures = enumerate_regular_normalized(
-                self.coset_space(), self.translation_embedding(), bound)
+                self.coset_space(), self.translation_embedding())
         return self._structures
+
+    def opposite_indices(self) -> list[int]:
+        """Position in structures() of each structure's opposite."""
+        if self._opposites is None:
+            structs = self.structures()
+            space = self.coset_space()
+            opposites = [opposite(n, space) for n in structs]
+            self._opposites = [next(i for i, m in enumerate(structs) if m == opp)
+                               for opp in opposites]
+        return self._opposites
 
     def algebra(self, index: int):
         if index not in self._algebras:

@@ -177,9 +177,6 @@ class FiniteGroup:
         gens = [self.elements[i] for i in self.generators]
         return all(a * b == b * a for a in gens for b in gens)
 
-    def is_subgroup_of(self, other: "FiniteGroup") -> bool:
-        return all(p in other for p in self.elements)
-
     def center(self) -> "FiniteGroup":
         central = [p for p in self.elements
                    if all(p * q == q * p for q in self.elements)]

@@ -7,14 +7,12 @@ coefficient sparse polynomials in y_0 .. y_{m-1}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import CapabilityError
 from .perm import CosetSpace, RegularSubgroup, opposite
 
 DET_SIZE_BOUND = 8
-LEIBNIZ_SIZE_BOUND = 6
 
 
 def _term_sort_key(exponents: tuple[int, ...]):
@@ -25,9 +23,9 @@ def _term_sort_key(exponents: tuple[int, ...]):
             tuple(-e for e in exponents))
 
 
-def _division_key(exponents: tuple[int, ...]):
-    # graded lex; compatible with monomial multiplication, which the exact
-    # division in the fraction-free elimination relies on
+def _leading_key(exponents: tuple[int, ...]):
+    # sign convention of canonical_det: the leading term is the first in
+    # graded lex order (highest total degree, then lex on the exponents)
     return (-sum(exponents), tuple(-e for e in exponents))
 
 
@@ -38,30 +36,17 @@ class IntPolynomial:
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if coeff:
-                    clean[tuple(exps)] = clean.get(tuple(exps), 0) + coeff
-        self.terms = {e: c for e, c in clean.items() if c}
+        self.terms = {tuple(e): c for e, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls, nvars: int) -> "IntPolynomial":
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, value: int) -> "IntPolynomial":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
     def variable(cls, nvars: int, k: int) -> "IntPolynomial":
         exps = [0] * nvars
         exps[k] = 1
         return cls(nvars, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, nvars: int, exponents, coeff: int = 1) -> "IntPolynomial":
-        return cls(nvars, {tuple(exponents): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -105,27 +90,8 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def leading_term(self) -> tuple[tuple[int, ...], int]:
-        exps = min(self.terms, key=_division_key)
+        exps = min(self.terms, key=_leading_key)
         return exps, self.terms[exps]
-
-    def exact_divide(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Quotient self / divisor when the division is exact; used by the
-        fraction-free elimination, where exactness is guaranteed."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        remainder = self
-        quotient = {}
-        d_exps, d_coeff = divisor.leading_term()
-        while remainder.terms:
-            r_exps, r_coeff = remainder.leading_term()
-            q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
-            if any(e < 0 for e in q_exps) or r_coeff % d_coeff:
-                raise ArithmeticError("polynomial division is not exact")
-            q_coeff = r_coeff // d_coeff
-            quotient[q_exps] = quotient.get(q_exps, 0) + q_coeff
-            remainder = remainder - divisor * IntPolynomial.monomial(
-                self.nvars, q_exps, q_coeff)
-        return IntPolynomial(self.nvars, quotient)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _term_sort_key(item[0]))
@@ -208,64 +174,32 @@ def build_transition_matrix(n: RegularSubgroup, space: CosetSpace) -> CosetVaria
 
 
 def det_symbolic(matrix: CosetVariableMatrix) -> IntPolynomial:
-    """Exact determinant: Leibniz expansion up to size 6, fraction-free
-    elimination over the polynomial ring for sizes 7 and 8."""
+    """Exact determinant by Laplace expansion along the rows, memoized over
+    column sets: the minor on the bottom k rows and a k-column set is built
+    once, so the expansion visits 2^m minors instead of m! permutations."""
     m = matrix.size
     if m > DET_SIZE_BOUND:
         raise CapabilityError(
             f"matrix size {m} exceeds the symbolic determinant bound {DET_SIZE_BOUND}")
-    if m <= LEIBNIZ_SIZE_BOUND:
-        return _det_leibniz(matrix)
-    return _det_bareiss(matrix)
-
-
-def _det_leibniz(matrix: CosetVariableMatrix) -> IntPolynomial:
-    m = matrix.size
-    terms: dict[tuple[int, ...], int] = {}
-    for perm in itertools.permutations(range(m)):
-        sign = 1
-        seen = [False] * m
-        for start in range(m):
-            if seen[start]:
-                continue
-            length = 0
-            cur = start
-            while not seen[cur]:
-                seen[cur] = True
-                cur = perm[cur]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        exps = [0] * m
-        for i in range(m):
-            exps[matrix.rows[i][perm[i]]] += 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + sign
-    return IntPolynomial(m, terms)
-
-
-def _det_bareiss(matrix: CosetVariableMatrix) -> IntPolynomial:
-    m = matrix.size
-    work = [[IntPolynomial.variable(m, matrix.rows[i][j]) for j in range(m)]
-            for i in range(m)]
-    sign = 1
-    prev = IntPolynomial.constant(m, 1)
-    for k in range(m - 1):
-        if work[k][k].is_zero():
-            swap = next((i for i in range(k + 1, m) if not work[i][k].is_zero()), None)
-            if swap is None:
-                return IntPolynomial.zero(m)
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                work[i][j] = (work[i][j] * pivot
-                              - work[i][k] * work[k][j]).exact_divide(prev)
-            work[i][k] = IntPolynomial.zero(m)
-        prev = pivot
-    result = work[m - 1][m - 1]
-    return -result if sign < 0 else result
+    # column bitmask -> {exponents: coefficient} of the minor on those columns
+    minors = {0: {(0,) * m: 1}}
+    for row in reversed(matrix.rows):
+        grown: dict[int, dict[tuple[int, ...], int]] = {}
+        for cols, minor in minors.items():
+            for c in range(m):
+                bit = 1 << c
+                if cols & bit:
+                    continue
+                # cofactor sign: parity of the columns of the minor left of c
+                sign = -1 if (cols & (bit - 1)).bit_count() % 2 else 1
+                k = row[c]
+                target = grown.setdefault(cols | bit, {})
+                for exps, coeff in minor.items():
+                    key = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
+                    target[key] = target.get(key, 0) + sign * coeff
+        minors = {cols: {e: c for e, c in poly.items() if c}
+                  for cols, poly in grown.items()}
+    return IntPolynomial(m, minors[(1 << m) - 1])
 
 
 def canonical_det(n: RegularSubgroup, space: CosetSpace) -> IntPolynomial:
@@ -280,21 +214,24 @@ def canonical_det(n: RegularSubgroup, space: CosetSpace) -> IntPolynomial:
     return poly
 
 
-def reindexing_witness(n: RegularSubgroup, space: CosetSpace) -> bool:
+def reindexing_witness(n: RegularSubgroup, n_opp: RegularSubgroup,
+                       space: CosetSpace) -> bool:
     """The structural fact behind the determinant identity: relabelling the
     columns of each transition matrix through the simple-transitivity tables
     turns one matrix into the transpose of the other."""
     base = space.base_point
-    n_opp = opposite(n, space)
     left = [[eta(etap(base)) for etap in n_opp.elements] for eta in n.elements]
     right = [[etap(eta(base)) for eta in n.elements] for etap in n_opp.elements]
     return all(left[i][j] == right[j][i]
                for i in range(space.size) for j in range(space.size))
 
 
-def verify_det_identity(n: RegularSubgroup, space: CosetSpace) -> bool:
-    """Exact polynomial equality of the canonical transition determinants of N
-    and its opposite, plus the row/column reindexing fact used to prove it."""
-    if not reindexing_witness(n, space):
-        return False
-    return canonical_det(n, space) == canonical_det(opposite(n, space), space)
+def det_identity(n: RegularSubgroup,
+                 space: CosetSpace) -> tuple[bool, IntPolynomial]:
+    """Check the exact polynomial equality of the canonical transition
+    determinants of N and its opposite, plus the row/column reindexing fact
+    used to prove it.  Returns (holds, canonical determinant of N)."""
+    n_opp = opposite(n, space)
+    witnessed = reindexing_witness(n, n_opp, space)
+    poly = canonical_det(n, space)
+    return witnessed and poly == canonical_det(n_opp, space), poly

@@ -70,8 +70,8 @@ def regular_normalized_oracle(space, lam):
 
 
 def cofactor_det(matrix_rows, nvars):
-    """Recursive cofactor expansion of a coset-variable matrix; independent of
-    both determinant paths in the package."""
+    """Recursive cofactor expansion of a coset-variable matrix, with no
+    memoization of minors; independent of the package's determinant."""
     size = len(matrix_rows)
 
     def var(k):

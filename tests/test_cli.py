@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -65,10 +66,26 @@ def test_enumerate_json_schema(capsys):
         assert set(check) <= {"name", "verdict", "provenance", "details"}
 
 
-def test_det_identity_emits_polynomial(capsys):
-    code, out = run(capsys, "det-identity", "qzeta3")
+# sha256 of each bundled fixture's `--json det-identity` report: reports are
+# deterministic, and a change of algorithm must leave these bytes alone
+DET_IDENTITY_SHA256 = {
+    "qi": "f1eaaed31216f1a6ad29957d16ed1f9dea36ca9e22edf6cd5e7b7634d5981f68",
+    "qzeta3": "6ee95e9b1f0f4452c71ef8074a71dd851bfabec7ee61ce2a3a3972e9f0824728",
+    "c4quartic": "58796f5fa99ea15c5255b6ca27783de0a422f2dfd86b29e575dbcc07dd77b8f2",
+    "v4biquad": "70db484458a6a0d816219d55eba055aad7de3a31361c0b2ef5d2339ed8ff873b",
+    "qcbrt2": "2eaf95c71fb4edb7a359ddfe2df320032a63a6e6fe401be497717de8c93cb307",
+    "s3sextic": "2ee67e820cc59745adafc8e4faa6da343ae6be4cb08766474fdcad492616093d",
+    "metacyclic21": "19ad6ba1147c3b80d7d513b12a3b8524b654fbed9b2886fa6e864b54987ae815",
+}
+
+
+@pytest.mark.parametrize("name", DET_IDENTITY_SHA256)
+def test_det_identity_emits_polynomial(capsys, name):
+    code, out = run(capsys, "--json", "det-identity", name)
     assert code == 0
-    assert "y0^2 - y1^2" in out
+    for check in json.loads(out)["checks"]:
+        assert check["details"]["determinant"].startswith("y0^")
+    assert hashlib.sha256(out.encode()).hexdigest() == DET_IDENTITY_SHA256[name]
 
 
 def test_descend_emits_basis_and_matrices(capsys):

@@ -7,8 +7,7 @@ from hopfgalois.perm import (FiniteGroup, Permutation, RegularSubgroup,
                              opposite, right_translation_subgroup)
 from hopfgalois.transition import (CosetVariableMatrix, IntPolynomial,
                                    build_transition_matrix, canonical_det,
-                                   det_symbolic, verify_det_identity,
-                                   _det_leibniz)
+                                   det_identity, det_symbolic)
 
 from .oracles import cofactor_det
 
@@ -36,15 +35,6 @@ def test_polynomial_arithmetic_and_zero_pruning():
     assert str((x + y) * (x - y)) == "y0^2 - y1^2"
     assert (x - x).is_zero()
     assert ((x + y) * (x - y)) == x * x - y * y
-
-
-def test_exact_division_round_trip():
-    x = IntPolynomial.variable(2, 0)
-    y = IntPolynomial.variable(2, 1)
-    product = (x + y) * (x * x - 3 * y)
-    assert product.exact_divide(x + y) == x * x - 3 * y
-    with pytest.raises(ArithmeticError):
-        (x * x + y).exact_divide(x + y)
 
 
 def test_polynomial_evaluation_over_rationals():
@@ -87,8 +77,7 @@ def test_a3_circulant_determinant():
 
 def test_permutation_pattern_determinant():
     matrix = CosetVariableMatrix(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), (None,) * 3)
-    by_leibniz = _det_leibniz(matrix)
-    assert by_leibniz == cofactor_det(matrix.rows, 3)
+    assert det_symbolic(matrix) == cofactor_det(matrix.rows, 3)
 
 
 def test_det_symbolic_independent_of_orderings_up_to_sign():
@@ -101,13 +90,22 @@ def test_det_symbolic_independent_of_orderings_up_to_sign():
     assert det_symbolic(reordered) in (base, -base)
 
 
-def test_bareiss_path_matches_leibniz_on_seven_points():
+def test_det_symbolic_matches_cofactor_oracle_on_seven_and_eight_points():
     group, s, t = metacyclic_group(7, 3, 2)
     space = build_coset_space(group, FiniteGroup.generated_by([t]))
-    lam = left_translation_embedding(space)
-    [n] = enumerate_regular_normalized(space, lam)
-    matrix = build_transition_matrix(n, space)
-    assert det_symbolic(matrix) == _det_leibniz(matrix)
+    [n] = enumerate_regular_normalized(space, left_translation_embedding(space))
+    cases = [(n, space)]
+    c8 = [Permutation([1, 2, 3, 4, 5, 6, 7, 0])]
+    c2_cubed = [Permutation([1, 0, 3, 2, 5, 4, 7, 6]),
+                Permutation([2, 3, 0, 1, 6, 7, 4, 5]),
+                Permutation([4, 5, 6, 7, 0, 1, 2, 3])]
+    for gens in (c8, c2_cubed):
+        space = build_coset_space(FiniteGroup.generated_by(gens),
+                                  FiniteGroup.trivial(8))
+        cases.append((right_translation_subgroup(space), space))
+    for n, space in cases:
+        matrix = build_transition_matrix(n, space)
+        assert det_symbolic(matrix) == cofactor_det(matrix.rows, matrix.size)
 
 
 def test_size_bound_enforced():
@@ -122,14 +120,17 @@ def test_size_bound_enforced():
 def test_identity_for_every_structure_on_sextic_shape(s3sextic):
     space = s3sextic.coset_space()
     for n in s3sextic.structures():
-        assert verify_det_identity(n, space)
+        holds, poly = det_identity(n, space)
+        assert holds
+        assert poly == canonical_det(n, space)
 
 
 def test_identity_trivial_for_abelian(qcbrt2):
     space = qcbrt2.coset_space()
     [n] = qcbrt2.structures()
     assert opposite(n, space) == n
-    assert verify_det_identity(n, space)
+    holds, _ = det_identity(n, space)
+    assert holds
 
 
 def test_identity_with_reindexing_witness_for_translations(s3sextic):
