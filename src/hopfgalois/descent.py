@@ -371,12 +371,37 @@ def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
     return True
 
 
+def coset_values(context: GaloisContext, space: CosetSpace,
+                 x: FieldElement) -> list[FieldElement]:
+    """x under each coset's representative, in coset order."""
+    return [coset_apply(context, space, c, x) for c in range(space.size)]
+
+
+def transition_matrix_of(n: RegularSubgroup, values):
+    """Entry (eta, g) is values[eta(g)]."""
+    return [[values[eta(g)] for g in range(len(values))] for eta in n.elements]
+
+
 def transition_matrix_values(context: GaloisContext, space: CosetSpace,
                              n: RegularSubgroup, x: FieldElement):
     """The numeric transition matrix: entry (eta, g) is eta(g)-representative
     applied to x."""
-    values = [coset_apply(context, space, c, x) for c in range(space.size)]
-    return [[values[eta(g)] for g in range(space.size)] for eta in n.elements]
+    return transition_matrix_of(n, coset_values(context, space, x))
+
+
+def transition_det_nonzero(n: RegularSubgroup, values) -> bool:
+    """Whether the transition matrix on these coset values has a nonzero
+    determinant over E.  Certified mod p first: t -> r (see
+    NumberField.reduction_root) is a ring map to F_p on the elements whose
+    denominators are prime to p, so a nonzero determinant of the reduced
+    matrix proves the exact one nonzero.  A zero mod p, or a denominator
+    divisible by p, falls back to the exact determinant over E."""
+    p, r = values[0].field.reduction_root()
+    residues = [v.residue(p, r) for v in values]
+    if None not in residues and linalg.det_mod_p(
+            transition_matrix_of(n, residues), p):
+        return True
+    return bool(linalg.det(transition_matrix_of(n, values)))
 
 
 def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:
@@ -388,9 +413,8 @@ def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:
         [Fraction(int(i == k)) for i in range(algebra.dim)], xc)
         for k in range(algebra.dim)]
     by_rank = linalg.rank(orbit) == algebra.subfield.dim
-    numeric = transition_matrix_values(
-        algebra.context, algebra.space, algebra.subgroup, x)
-    by_det = bool(linalg.det(numeric))
+    values = coset_values(algebra.context, algebra.space, x)
+    by_det = transition_det_nonzero(algebra.subgroup, values)
     if by_rank != by_det:
         raise ConsistencyError(
             "orbit rank and transition determinant disagree on a generator test")

@@ -22,6 +22,7 @@ from .numberfield import FieldElement, GaloisContext, Subfield, load_field
 from .perm import (CosetSpace, FiniteGroup, LambdaEmbedding, Permutation,
                    build_coset_space, enumerate_regular_normalized,
                    left_translation_embedding, metacyclic_group, opposite)
+from .transition import signed_canonical_det
 
 BUNDLED = ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic",
            "metacyclic21")
@@ -74,6 +75,7 @@ class Fixture:
         self._subfield = None
         self._structures = None
         self._opposites = None
+        self._dets = {}
         self._algebras = {}
         self._ideals = {}
 
@@ -115,6 +117,15 @@ class Fixture:
             self._opposites = [next(i for i, m in enumerate(structs) if m == opp)
                                for opp in opposites]
         return self._opposites
+
+    def transition_det(self, index: int):
+        """transition.signed_canonical_det of structures()[index]: the
+        canonical determinant and the sign relating it to the unsorted
+        transition matrix's determinant."""
+        if index not in self._dets:
+            self._dets[index] = signed_canonical_det(
+                self.structures()[index], self.coset_space())
+        return self._dets[index]
 
     def algebra(self, index: int):
         if index not in self._algebras:

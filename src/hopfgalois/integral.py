@@ -241,10 +241,11 @@ def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
     return FreenessResult("UNKNOWN")
 
 
-def transfer_element(algebra: DescendedAlgebra, partner: DescendedAlgebra,
-                     a_coords, x) -> list[Fraction]:
-    """The unique partner element acting on the generator x exactly as the
-    given element does; solves z . x = a . x in the partner's coordinates."""
+def _transfer_rows(algebra: DescendedAlgebra, partner: DescendedAlgebra,
+                   elements, x) -> list[list[Fraction]]:
+    """For each given element a, the unique partner element z acting on the
+    generator x exactly as a does: one generator test of x and one solver
+    for z . x = a . x in the partner's coordinates, shared by every a."""
     if not is_generator(partner, x):
         raise DomainError("transfer needs the witness to generate over the partner")
     xc = partner.subfield.coords(x)
@@ -252,11 +253,21 @@ def transfer_element(algebra: DescendedAlgebra, partner: DescendedAlgebra,
         [Fraction(int(i == k)) for i in range(partner.dim)], xc)
         for k in range(partner.dim)]
     solver = linalg.LinearSolver(columns)
-    target = algebra.act_coords(list(a_coords), algebra.subfield.coords(x))
-    z = solver.solve(target)
-    if z is None:
-        raise ConsistencyError("transfer system is inconsistent")
-    return z
+    xc_here = algebra.subfield.coords(x)
+    rows = []
+    for a_coords in elements:
+        z = solver.solve(algebra.act_coords(list(a_coords), xc_here))
+        if z is None:
+            raise ConsistencyError("transfer system is inconsistent")
+        rows.append(z)
+    return rows
+
+
+def transfer_element(algebra: DescendedAlgebra, partner: DescendedAlgebra,
+                     a_coords, x) -> list[Fraction]:
+    """The unique partner element acting on the generator x exactly as the
+    given element does; solves z . x = a . x in the partner's coordinates."""
+    return _transfer_rows(algebra, partner, [a_coords], x)[0]
 
 
 @dataclass(frozen=True)
@@ -306,8 +317,8 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
         witness_transfers = True
 
         x = side_here.subfield.from_coords(result.witness_subfield_coords)
-        z_rows = [transfer_element(side_here, side_there, a, x)
-                  for a in order_here.basis_coords()]
+        basis = order_here.basis_coords()
+        z_rows = _transfer_rows(side_here, side_there, basis, x)
         z_lattice = Lattice.from_rational_rows(z_rows)
         same = z_lattice == order_there.lattice
         lattice_matches = same if lattice_matches is None else (lattice_matches and same)
@@ -317,10 +328,8 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
                 "associated order")
 
         xc_here = side_here.subfield.coords(x)
-        basis = order_here.basis_coords()
         ok = True
-        for a in basis:
-            z = transfer_element(side_here, side_there, a, x)
+        for z in z_rows:
             z_of_x = side_there.act_coords(z, xc_here)
             for w in basis:
                 left = side_there.act_coords(z, side_here.act_coords(w, xc_here))

@@ -1,5 +1,6 @@
 """Exact linear algebra: Gaussian elimination over Q (or any exact field),
-fraction-free integer determinants, and the row Hermite normal form."""
+fraction-free integer determinants, determinants modulo a prime, and the row
+Hermite normal form."""
 
 from __future__ import annotations
 
@@ -130,6 +131,28 @@ def det(mat):
     for p in pivots[1:]:
         acc = acc * p
     return -acc if sign < 0 else acc
+
+
+def det_mod_p(mat, p: int) -> int:
+    """Determinant of an integer matrix modulo the prime p, in [0, p)."""
+    n = len(mat)
+    m = [[v % p for v in row] for row in mat]
+    acc = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            acc = -acc
+        row_c = m[c]
+        acc = acc * row_c[c] % p
+        inv = pow(row_c[c], -1, p)
+        for i in range(c + 1, n):
+            f = m[i][c] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row_c)]
+    return acc
 
 
 def int_det(mat) -> int:

@@ -4,6 +4,9 @@ fixed subfields, and traces.  No floating point anywhere."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import count
+from math import isqrt
 
 from . import linalg
 from .errors import ConsistencyError, DomainError, StructureError
@@ -11,6 +14,8 @@ from .perm import FiniteGroup
 
 MAX_DEGREE = 12
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the mod-p certificates reduce at a prime no smaller than this
+REDUCTION_PRIME_MIN = 10007
 
 
 class NumberField:
@@ -84,6 +89,15 @@ class NumberField:
             cols.append(cur.coords)
             cur = cur * t
         return [[cols[j][i] for j in range(self.degree)] for i in range(self.degree)]
+
+    def reduction_root(self) -> tuple[int, int]:
+        """A pair (p, r): p >= REDUCTION_PRIME_MIN the least prime at which
+        the modulus is squarefree and has a root mod p, r its least root.
+        t -> r is a ring map from the elements whose denominators are prime
+        to p onto F_p (see FieldElement.residue).  Computed once per modulus.
+        The search ends: a degree-n polynomial has a root modulo a set of
+        primes of density at least 1/n (Chebotarev)."""
+        return _reduction_root(self.modulus)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -173,6 +187,19 @@ class FieldElement:
     def __hash__(self):
         return hash((self.field.modulus, self.coords))
 
+    def residue(self, p: int, r: int) -> int | None:
+        """Image in F_p under t -> r, for r a root of the modulus mod p; None
+        when a coordinate's denominator is divisible by p."""
+        acc = 0
+        for c in reversed(self.coords):
+            num, den = c.numerator, c.denominator
+            if den != 1:
+                if den % p == 0:
+                    return None
+                num *= pow(den, -1, p)
+            acc = (acc * r + num) % p
+        return acc
+
     def is_rational(self) -> bool:
         return not any(self.coords[1:])
 
@@ -254,17 +281,41 @@ def _polygcd_p(a, b, p):
     return a
 
 
+def _polypow_p(base, e, m, p):
+    """base^e modulo the polynomial m, over F_p."""
+    acc = [1]
+    while e:
+        if e & 1:
+            acc = _polymod_p(_polymul_p(acc, base, p), m, p)
+        base = _polymod_p(_polymul_p(base, base, p), m, p)
+        e >>= 1
+    return acc
+
+
+def _minus_monomial_p(a, k, p):
+    """a - x^k over F_p."""
+    out = list(a) + [0] * (k + 1 - len(a))
+    out[k] = (out[k] - 1) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _is_squarefree_p(f, p) -> bool:
+    deriv = [(i * c) % p for i, c in enumerate(f)][1:]
+    while deriv and deriv[-1] == 0:
+        deriv.pop()
+    return bool(deriv) and len(_polygcd_p(f, deriv, p)) == 1
+
+
 def _factor_degrees_mod_p(coeffs, p):
     """Multiset of irreducible factor degrees of a squarefree poly mod p, via
     distinct-degree splitting; None when the reduction is not usable."""
     f = _poly_mod_p(coeffs, p)
     if len(f) != len(coeffs):
         return None  # leading coefficient vanished (cannot happen: monic)
-    deriv = [(i * c) % p for i, c in enumerate(f)][1:]
-    while deriv and deriv[-1] == 0:
-        deriv.pop()
-    if not deriv or len(_polygcd_p(f, deriv, p)) > 1:
-        return None  # not squarefree mod p
+    if not _is_squarefree_p(f, p):
+        return None
     degrees = []
     work = list(f)
     xq = [0, 1]  # x
@@ -274,23 +325,8 @@ def _factor_degrees_mod_p(coeffs, p):
         if d > (len(work) - 1) // 2:
             degrees.extend([len(work) - 1])
             break
-        # xq := xq^p mod work
-        acc = [1]
-        base = list(xq)
-        e = p
-        while e:
-            if e & 1:
-                acc = _polymod_p(_polymul_p(acc, base, p), work, p)
-            base = _polymod_p(_polymul_p(base, base, p), work, p)
-            e >>= 1
-        xq = acc
-        diff = list(xq)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        g = _polygcd_p(work, diff, p)
+        xq = _polypow_p(xq, p, work, p)
+        g = _polygcd_p(work, _minus_monomial_p(xq, 1, p), p)
         if len(g) > 1:
             degrees.extend([d] * ((len(g) - 1) // d))
             quotient = _poly_divexact_p(work, g, p)
@@ -314,6 +350,41 @@ def _poly_divexact_p(a, b, p):
         if not a:
             break
     return out
+
+
+def _roots_mod_p(f, p) -> list[int]:
+    """Sorted roots in F_p of a monic squarefree f (p odd): the linear part
+    gcd(f, x^p - x), split by gcd with (x + a)^((p-1)/2) - 1 for
+    a = 0, 1, ... until every factor is linear."""
+    x_to_p = _polypow_p([0, 1], p, f, p)
+    pending = [_polygcd_p(f, _minus_monomial_p(x_to_p, 1, p), p)]
+    roots = []
+    while pending:
+        h = pending.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2:
+            for a in count():
+                half = _polypow_p([a, 1], (p - 1) // 2, h, p)
+                d = _polygcd_p(h, _minus_monomial_p(half, 0, p), p)
+                if 1 < len(d) < len(h):
+                    pending += [d, _poly_divexact_p(h, d, p)]
+                    break
+    return sorted(roots)
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+@cache
+def _reduction_root(modulus: tuple[int, ...]) -> tuple[int, int]:
+    for p in filter(_is_prime, count(REDUCTION_PRIME_MIN)):
+        f = _poly_mod_p(modulus, p)
+        if _is_squarefree_p(f, p):
+            roots = _roots_mod_p(f, p)
+            if roots:
+                return p, roots[0]
 
 
 def check_irreducible(coeffs) -> bool | None:

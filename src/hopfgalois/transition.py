@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapabilityError
-from .perm import CosetSpace, RegularSubgroup, opposite
+from .perm import CosetSpace, RegularSubgroup
 
 DET_SIZE_BOUND = 8
 
@@ -158,12 +158,24 @@ class CosetVariableMatrix:
     rows: tuple[tuple[int, ...], ...]
     row_elements: tuple  # the subgroup elements, in row order
 
-    def row_sorted(self) -> "CosetVariableMatrix":
+    def row_sorted(self) -> tuple["CosetVariableMatrix", int]:
+        """The matrix with its rows in ascending order, and the sign of that
+        row permutation."""
         order = sorted(range(self.size), key=lambda i: self.rows[i])
+        sign = 1
+        seen = [False] * self.size
+        for start in range(self.size):
+            i, length = start, 0
+            while not seen[i]:
+                seen[i] = True
+                i = order[i]
+                length += 1
+            if length and length % 2 == 0:  # an even cycle is an odd permutation
+                sign = -sign
         return CosetVariableMatrix(
             self.size,
             tuple(self.rows[i] for i in order),
-            tuple(self.row_elements[i] for i in order))
+            tuple(self.row_elements[i] for i in order)), sign
 
 
 def build_transition_matrix(n: RegularSubgroup, space: CosetSpace) -> CosetVariableMatrix:
@@ -202,16 +214,25 @@ def det_symbolic(matrix: CosetVariableMatrix) -> IntPolynomial:
     return IntPolynomial(m, minors[(1 << m) - 1])
 
 
+def signed_canonical_det(n: RegularSubgroup,
+                         space: CosetSpace) -> tuple[IntPolynomial, int]:
+    """The canonical determinant together with the sign s for which the
+    determinant of build_transition_matrix(n, space) is s times it: the sign
+    of the row sort times the leading-term flip."""
+    matrix, sign = build_transition_matrix(n, space).row_sorted()
+    poly = det_symbolic(matrix)
+    if poly.terms:
+        _, lead = poly.leading_term()
+        if lead < 0:
+            poly, sign = -poly, -sign
+    return poly, sign
+
+
 def canonical_det(n: RegularSubgroup, space: CosetSpace) -> IntPolynomial:
     """Determinant of the transition matrix with rows sorted canonically and
     the sign fixed so the leading term is positive; independent of any chosen
     row or column ordering."""
-    poly = det_symbolic(build_transition_matrix(n, space).row_sorted())
-    if poly.terms:
-        _, lead = poly.leading_term()
-        if lead < 0:
-            poly = -poly
-    return poly
+    return signed_canonical_det(n, space)[0]
 
 
 def reindexing_witness(n: RegularSubgroup, n_opp: RegularSubgroup,
@@ -226,12 +247,9 @@ def reindexing_witness(n: RegularSubgroup, n_opp: RegularSubgroup,
                for i in range(space.size) for j in range(space.size))
 
 
-def det_identity(n: RegularSubgroup,
-                 space: CosetSpace) -> tuple[bool, IntPolynomial]:
-    """Check the exact polynomial equality of the canonical transition
-    determinants of N and its opposite, plus the row/column reindexing fact
-    used to prove it.  Returns (holds, canonical determinant of N)."""
-    n_opp = opposite(n, space)
-    witnessed = reindexing_witness(n, n_opp, space)
-    poly = canonical_det(n, space)
-    return witnessed and poly == canonical_det(n_opp, space), poly
+def det_identity(n: RegularSubgroup, n_opp: RegularSubgroup, space: CosetSpace,
+                 det_n: IntPolynomial, det_opp: IntPolynomial) -> bool:
+    """The determinant identity for N and its opposite, given their canonical
+    transition determinants: exact polynomial equality of the two, plus the
+    row/column reindexing fact used to prove it."""
+    return reindexing_witness(n, n_opp, space) and det_n == det_opp

@@ -88,6 +88,45 @@ def test_det_identity_emits_polynomial(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == DET_IDENTITY_SHA256[name]
 
 
+# sha256 and exit code of each `--json --seed 0 suite` report: a faster
+# route to the same checks must leave these alone (s3sextic is left out for
+# time)
+SUITE_SHA256 = {
+    "qi": ("a58995ffccac942990454dea0311203de139f94a559d983e1cbc947124df893a", 0),
+    "qzeta3": ("46c6356006441baa57f0738ceec010cd3a933c29922d302673cc574c7550f0b1", 0),
+    "c4quartic": ("a3fac64fce7437c7e7a92191e3d1357729260342d4a39c51b078055883ebd4ca", 0),
+    "v4biquad": ("32bc68251a0f8256e56e4134f702fa47bd1d48fa68012eabb31711e1f5ccea30", 3),
+    "qcbrt2": ("479b7dfaabe60e6141d94d3355a01f945fd8dd6ad8669d2db9322a0e0f9926ec", 0),
+    "metacyclic21": ("a1aa62822ab787e0d8614778690a94dc979674d030597fc55e061abd90a190d4", 0),
+}
+
+
+@pytest.mark.parametrize("name", SUITE_SHA256)
+def test_suite_report_bytes_are_pinned(capsys, name):
+    code, out = run(capsys, "--json", "--seed", "0", "suite", name)
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == SUITE_SHA256[name]
+
+
+def test_suite_computes_each_determinant_and_opposite_once(capsys, monkeypatch):
+    from hopfgalois import cli, fixtures, transition
+    counts = {"det_symbolic": 0, "opposite": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(transition, "det_symbolic",
+                        counting("det_symbolic", transition.det_symbolic))
+    monkeypatch.setattr(fixtures, "opposite", counting("opposite", fixtures.opposite))
+    monkeypatch.setattr(cli, "opposite", counting("opposite", cli.opposite))
+    code, _ = run(capsys, "suite", "c4quartic")
+    assert code == 0
+    # two structures: one determinant each; one opposite each for the
+    # pairing, plus the opposite suite's own construction and involution check
+    assert counts == {"det_symbolic": 2, "opposite": 6}
+
+
 def test_descend_emits_basis_and_matrices(capsys):
     code, out = run(capsys, "descend", "qi", "--n", "0")
     assert code == 0

@@ -11,8 +11,9 @@ from hopfgalois.descent import (GroupAlgebraElement, MapAlgebraElement,
                                 generates_map_algebra_over_group_algebra,
                                 idempotent, is_generator, is_separable,
                                 permutation_act_on_map, sum_over_subgroup,
-                                transition_matrix_values,
-                                trace_form_nondegenerate, verify_commuting,
+                                trace_form_nondegenerate,
+                                transition_det_nonzero,
+                                transition_matrix_values, verify_commuting,
                                 verify_hopf_galois)
 from hopfgalois.errors import DomainError, StructureError
 from hopfgalois.perm import (FiniteGroup, Permutation, RegularSubgroup,
@@ -255,15 +256,59 @@ def test_generator_transfer_on_samples(s3sextic):
                 is_generator(s3sextic.algebra(j), x)
 
 
-def test_generator_matches_numeric_transition_determinant(qcbrt2):
-    ctx = qcbrt2.context
-    space = qcbrt2.coset_space()
-    algebra = qcbrt2.algebra(0)
-    rng = random.Random(7)
-    for _ in range(20):
-        x = algebra.subfield.random_element(rng)
-        numeric = transition_matrix_values(ctx, space, algebra.subgroup, x)
-        assert is_generator(algebra, x) == bool(linalg.det(numeric))
+def test_generator_matches_numeric_transition_determinant(field_fixtures):
+    for fx in field_fixtures:
+        ctx, space = fx.context, fx.coset_space()
+        count = len(fx.structures())
+        rng = random.Random(7)
+        for k in range(20):
+            algebra = fx.algebra(k % count)
+            x = algebra.subfield.random_element(rng)
+            numeric = transition_matrix_values(ctx, space, algebra.subgroup, x)
+            assert is_generator(algebra, x) == bool(linalg.det(numeric))
+
+
+def _counting_exact_det(monkeypatch):
+    calls = []
+    exact = linalg.det
+
+    def det(mat):
+        calls.append(mat)
+        return exact(mat)
+    monkeypatch.setattr(linalg, "det", det)
+    return calls
+
+
+def test_nonzero_mod_p_certifies_without_the_exact_determinant(qi, monkeypatch):
+    calls = _counting_exact_det(monkeypatch)
+    field = qi.context.field
+    n = qi.structures()[0]
+    # [[y0, y1], [y1, y0]] at (2, 1): determinant 3
+    assert transition_det_nonzero(n, [field.from_rational(2), field.one()])
+    assert calls == []
+
+
+def test_planted_zero_mod_p_falls_back_to_the_exact_determinant(qi, monkeypatch):
+    calls = _counting_exact_det(monkeypatch)
+    field = qi.context.field
+    p, _ = field.reduction_root()
+    n = qi.structures()[0]
+    # (p + 1)^2 - 1 = p (p + 2): nonzero, but zero mod p
+    values = [field.from_rational(p + 1), field.one()]
+    assert transition_det_nonzero(n, values)
+    assert len(calls) == 1
+    # a genuine zero goes the same way
+    assert not transition_det_nonzero(n, [field.one(), field.one()])
+    assert len(calls) == 2
+
+
+def test_denominator_divisible_by_p_takes_the_exact_route(qi, monkeypatch):
+    calls = _counting_exact_det(monkeypatch)
+    field = qi.context.field
+    p, _ = field.reduction_root()
+    n = qi.structures()[0]
+    assert transition_det_nonzero(n, [field.from_rational(F(1, p)), field.zero()])
+    assert len(calls) == 1
 
 
 def test_function_algebra_generator_lemma(qcbrt2):

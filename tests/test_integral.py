@@ -246,6 +246,25 @@ def test_certificate_on_the_sextic_classical_pair(s3sextic):
                            list(cert.verdict_main.witness_ideal_coords))
 
 
+def test_certificate_tests_each_witness_once(s3sextic, monkeypatch):
+    from hopfgalois import integral
+    calls = []
+    original = integral.is_generator
+
+    def is_generator(algebra, x):
+        calls.append((algebra, x))
+        return original(algebra, x)
+    monkeypatch.setattr(integral, "is_generator", is_generator)
+    algebra = _classical_algebra(s3sextic)
+    index = next(i for i in range(len(s3sextic.structures()))
+                 if s3sextic.algebra(i) is algebra)
+    partner = s3sextic.algebra(_opposite_index(s3sextic, index))
+    cert = freeness_certificate(algebra, partner, s3sextic.ideal("OE"), 3)
+    assert cert.consistent and cert.commuting_transport_holds
+    # one generator test per side's witness, on the commuting side
+    assert [a for a, _ in calls] == [partner, algebra]
+
+
 def test_certificate_trivial_for_commutative_structures(qzeta3):
     algebra = _classical_algebra(qzeta3)
     cert = freeness_certificate(algebra, algebra, qzeta3.ideal("OL"), 3)

@@ -135,3 +135,19 @@ def test_xgcd():
         x, y, g = linalg.xgcd(a, b)
         assert x * a + y * b == g
         assert g >= 0
+
+
+def test_det_mod_p_matches_int_det():
+    rng = random.Random(11)
+    p = 10007
+    for n in (1, 2, 3, 5, 7):
+        for _ in range(20):
+            mat = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:  # make it singular
+                mat[-1] = [3 * a for a in mat[0]]
+            got = linalg.det_mod_p(mat, p)
+            assert got == linalg.int_det(mat) % p
+            assert 0 <= got < p
+    # singular mod p only: the exact determinant is p
+    assert linalg.det_mod_p([[p, 0], [0, 1]], p) == 0
+    assert linalg.det_mod_p([[0, 1], [1, 0]], 7) == 6

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from hopfgalois import linalg
 from hopfgalois.errors import StructureError
-from hopfgalois.numberfield import (NumberField, check_irreducible,
+from hopfgalois.fixtures import load_bundled
+from hopfgalois.numberfield import (REDUCTION_PRIME_MIN, NumberField,
+                                    _reduction_root, check_irreducible,
                                     fixed_subfield, load_field)
 from hopfgalois.perm import FiniteGroup, Permutation
 
@@ -235,3 +238,64 @@ def test_trace_matches_multiplication_matrix_oracle(s3sextic):
     for _ in range(20):
         x = ctx.field.element([rng.randint(-9, 9) for _ in range(6)])
         assert ctx.trace(x) == multiplication_trace(ctx.field, x)
+
+
+# --- the reduction prime of the mod-p certificates
+
+def _roots_by_scan(modulus, p):
+    return [r for r in range(p)
+            if sum(c * pow(r, k, p) for k, c in enumerate(modulus)) % p == 0]
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def _resultant_with_derivative(modulus):
+    """Resultant of f and f' (the discriminant up to sign), as the
+    determinant of their Sylvester matrix."""
+    f = list(reversed(modulus))
+    d = [k * c for k, c in enumerate(modulus)][1:][::-1]
+    n = len(f) - 1
+    size = 2 * n - 1
+    rows = [[0] * i + f + [0] * (size - n - 1 - i) for i in range(n - 1)]
+    rows += [[0] * i + d + [0] * (size - n - i) for i in range(n)]
+    return linalg.int_det(rows)
+
+
+def test_reduction_root_is_the_least_usable_prime_and_root(field_fixtures):
+    for fx in field_fixtures:
+        modulus = fx.context.field.modulus
+        p, r = fx.context.field.reduction_root()
+        assert NumberField(modulus).reduction_root() == (p, r)
+        assert _reduction_root.__wrapped__(modulus) == (p, r)
+        assert p >= REDUCTION_PRIME_MIN and _is_prime(p)
+        assert r == _roots_by_scan(modulus, p)[0]
+        # f is squarefree mod q exactly when q does not divide the resultant
+        res = _resultant_with_derivative(modulus)
+        assert res % p
+        for q in filter(_is_prime, range(REDUCTION_PRIME_MIN, p)):
+            assert res % q == 0 or not _roots_by_scan(modulus, q)
+
+
+def test_residue_is_a_ring_map_onto_f_p(s3sextic):
+    field = s3sextic.context.field
+    p, r = field.reduction_root()
+    rng = random.Random(12)
+    for _ in range(20):
+        x = field.element([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)])
+        y = field.element([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)])
+        assert (x * y).residue(p, r) == x.residue(p, r) * y.residue(p, r) % p
+        assert (x + y).residue(p, r) == (x.residue(p, r) + y.residue(p, r)) % p
+    assert field.generator().residue(p, r) == r
+    assert field.from_rational(F(1, p)).residue(p, r) is None
+
+
+def test_reduction_root_is_computed_lazily():
+    _reduction_root.cache_clear()
+    fx = load_bundled("c4quartic")
+    for i in range(len(fx.structures())):
+        fx.algebra(i)
+    assert _reduction_root.cache_info().currsize == 0
+    fx.context.field.reduction_root()
+    assert _reduction_root.cache_info().currsize == 1

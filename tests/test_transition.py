@@ -7,7 +7,8 @@ from hopfgalois.perm import (FiniteGroup, Permutation, RegularSubgroup,
                              opposite, right_translation_subgroup)
 from hopfgalois.transition import (CosetVariableMatrix, IntPolynomial,
                                    build_transition_matrix, canonical_det,
-                                   det_identity, det_symbolic)
+                                   det_identity, det_symbolic,
+                                   signed_canonical_det)
 
 from .oracles import cofactor_det
 
@@ -108,6 +109,24 @@ def test_det_symbolic_matches_cofactor_oracle_on_seven_and_eight_points():
         assert det_symbolic(matrix) == cofactor_det(matrix.rows, matrix.size)
 
 
+def test_signed_canonical_det_recovers_the_unsorted_determinant(all_fixtures):
+    for fx in all_fixtures:
+        space = fx.coset_space()
+        for n in fx.structures():
+            poly, sign = signed_canonical_det(n, space)
+            assert poly == canonical_det(n, space)
+            assert det_symbolic(build_transition_matrix(n, space)) == poly * sign
+
+
+def test_row_sort_sign_is_the_permutation_sign():
+    rows = ((2, 0, 1), (0, 1, 2), (1, 2, 0))
+    matrix = CosetVariableMatrix(3, rows, (None,) * 3)
+    assert matrix.row_sorted() == (CosetVariableMatrix(
+        3, tuple(sorted(rows)), (None,) * 3), 1)  # a 3-cycle
+    swapped = CosetVariableMatrix(3, (rows[1], rows[0], rows[2]), (None,) * 3)
+    assert swapped.row_sorted()[1] == -1
+
+
 def test_size_bound_enforced():
     matrix = CosetVariableMatrix(9, tuple(tuple(range(9)) for _ in range(9)),
                                  (None,) * 9)
@@ -120,17 +139,25 @@ def test_size_bound_enforced():
 def test_identity_for_every_structure_on_sextic_shape(s3sextic):
     space = s3sextic.coset_space()
     for n in s3sextic.structures():
-        holds, poly = det_identity(n, space)
-        assert holds
-        assert poly == canonical_det(n, space)
+        n_opp = opposite(n, space)
+        assert det_identity(n, n_opp, space, canonical_det(n, space),
+                            canonical_det(n_opp, space))
+
+
+def test_identity_fails_on_unequal_determinants(s3sextic):
+    space = s3sextic.coset_space()
+    n = s3sextic.structures()[1]
+    n_opp = opposite(n, space)
+    det_n = canonical_det(n, space)
+    assert not det_identity(n, n_opp, space, det_n, -det_n)
 
 
 def test_identity_trivial_for_abelian(qcbrt2):
     space = qcbrt2.coset_space()
     [n] = qcbrt2.structures()
     assert opposite(n, space) == n
-    holds, _ = det_identity(n, space)
-    assert holds
+    det_n = canonical_det(n, space)
+    assert det_identity(n, n, space, det_n, det_n)
 
 
 def test_identity_with_reindexing_witness_for_translations(s3sextic):
