@@ -90,10 +90,6 @@ def _vector_str(vec) -> str:
     return "[" + ", ".join(_fraction_str(v) for v in vec) + "]"
 
 
-def _matrix_rows(mat) -> list[str]:
-    return [_vector_str(row) for row in mat]
-
-
 def lattice_block(lattice: integral.Lattice) -> dict:
     return {"denominator": lattice.denominator,
             "hnf_rows": [list(r) for r in lattice.rows]}
@@ -122,11 +118,6 @@ def _load(path_text: str) -> Fixture | None:
         for problem in err.problems:
             print(f"  - {problem}")
         return None
-
-
-def _structure_label(fx: Fixture, index: int) -> str:
-    profile = fx.structures()[index].as_group().order_profile()
-    return f"structure[{index}] orders={list(profile)}"
 
 
 def _classical_index(fx: Fixture) -> int:

@@ -186,12 +186,9 @@ class DescendedAlgebra:
         return total
 
     def coords_of(self, element: GroupAlgebraElement):
-        flat = []
-        for c in element.coefficients:
-            flat.extend(c.coords)
         solver = linalg.LinearSolver(
-            [_flatten(b) for b in self.basis])
-        coords = solver.solve([Fraction(v) for v in flat])
+            [_flatten(b.coefficients) for b in self.basis])
+        coords = solver.solve(_flatten(element.coefficients))
         if coords is None:
             raise DomainError("element does not lie in the descended algebra")
         return coords
@@ -236,11 +233,9 @@ class DescendedAlgebra:
         return linalg.mat_vec(self.action_matrix_of(h_coords), list(x_coords))
 
 
-def _flatten(element: GroupAlgebraElement):
-    flat = []
-    for c in element.coefficients:
-        flat.extend(c.coords)
-    return [Fraction(v) for v in flat]
+def _flatten(values) -> list[Fraction]:
+    """Rational coordinates of the given field elements, concatenated."""
+    return [Fraction(v) for c in values for v in c.coords]
 
 
 def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
@@ -309,11 +304,11 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
         action_matrices.append(tuple(
             tuple(cols[j][i] for j in range(m)) for i in range(m)))
 
-    solver = linalg.LinearSolver([_flatten(b) for b in basis])
+    solver = linalg.LinearSolver([_flatten(b.coefficients) for b in basis])
     one = [context.field.zero()] * m
     one[index[_identity_of(n)]] = context.field.one()
     unit = GroupAlgebraElement(n, one)
-    identity_coords = solver.solve(_flatten(unit))
+    identity_coords = solver.solve(_flatten(unit.coefficients))
     if identity_coords is None:
         raise ConsistencyError("unit of the group algebra escaped the descent")
 
@@ -321,7 +316,7 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
     for bi in basis:
         row = []
         for bj in basis:
-            coords = solver.solve(_flatten(bi * bj))
+            coords = solver.solve(_flatten((bi * bj).coefficients))
             if coords is None:
                 raise ConsistencyError(
                     "descended algebra is not closed under multiplication")
@@ -459,11 +454,5 @@ def generates_fixed_map_algebra(algebra: DescendedAlgebra,
                                 f: MapAlgebraElement) -> bool:
     """Whether the descended algebra's orbit of f spans the rational form of
     the function algebra: exact rank over Q."""
-    rows = []
-    for b in algebra.basis:
-        moved = b.act_on_map(f)
-        flat = []
-        for v in moved.values:
-            flat.extend(v.coords)
-        rows.append([Fraction(c) for c in flat])
+    rows = [_flatten(b.act_on_map(f).values) for b in algebra.basis]
     return linalg.rank(rows) == algebra.dim

@@ -4,14 +4,19 @@ tying the two commuting structures together."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import linalg
-from .errors import ConsistencyError, DomainError, StructureError, TheoremViolationError
+from .errors import (CapabilityError, ConsistencyError, DomainError,
+                     StructureError, TheoremViolationError)
 from .descent import DescendedAlgebra, is_generator
+from .transition import IntPolynomial, det_symbolic
+
+# the default bound's box, 7^m candidates, at the size-8 limit
+FREENESS_BOX_BOUND = 7 ** 8
 
 
 @dataclass(frozen=True)
@@ -181,63 +186,83 @@ class FreenessResult:
         return self.status == "FREE"
 
 
-def _box_vectors(m: int, bound: int):
-    """Integer vectors with sup-norm at most `bound`, in lexicographic order."""
-    return itertools.product(range(-bound, bound + 1), repeat=m)
-
-
 def witness_matrix(order: AssociatedOrder, v):
     """Columns are the ideal-coordinates of (order basis element) . x for the
     candidate x with ideal-coordinates v; integer by construction."""
-    m = len(v)
-    cols = [[sum(f[i][j] * v[j] for j in range(m)) for i in range(m)]
+    cols = [[sum(map(mul, row, v)) for row in f]
             for f in order.ideal_action_matrices]
-    return [[cols[k][i] for k in range(m)] for i in range(m)]
+    return [list(row) for row in zip(*cols)]
 
 
 def is_free_witness(order: AssociatedOrder, v) -> bool:
     return abs(linalg.int_det(witness_matrix(order, v))) == 1
 
 
+def norm_form(order: AssociatedOrder) -> IntPolynomial:
+    """The form N with N(v) = det witness_matrix(order, v): entry (i, k) of
+    the witness matrix is the linear form with coefficients row i of F_k."""
+    mats = order.ideal_action_matrices
+    return det_symbolic([[f[i] for f in mats] for i in range(len(mats))])
+
+
+def _unit_points(poly: IntPolynomial, bound: int):
+    """(v, poly(v)) for the v of sup-norm at most `bound` with poly(v) = +-1,
+    in lexicographic order, by nested substitution: fixing y_0 leaves a
+    polynomial in y_1 .., and so on down to one variable."""
+    points = range(-bound, bound + 1)
+    top = max(map(sum, poly.terms), default=0)
+    powers = {t: [t ** d for d in range(top + 1)] for t in points}
+    monomials, plans = list(poly.terms), []
+    for _ in range(poly.nvars - 1):
+        rest = sorted({e[1:] for e in monomials})
+        index = {e: i for i, e in enumerate(rest)}
+        plans.append((len(rest), [(e[0], index[e[1:]]) for e in monomials]))
+        monomials = rest
+    last = {t: [powers[t][e[0]] for e in monomials] for t in points}
+
+    def walk(level, coeffs, prefix):
+        for t in points:
+            if level == len(plans):
+                value = sum(map(mul, coeffs, last[t]))
+                if value == 1 or value == -1:
+                    yield prefix + (t,), value
+                continue
+            size, plan = plans[level]
+            pw, out = powers[t], [0] * size
+            for (d, j), c in zip(plan, coeffs):
+                out[j] += c * pw[d]
+            yield from walk(level + 1, out, prefix + (t,))
+
+    yield from walk(0, list(poly.terms.values()), ())
+
+
 def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
                     bound: int = 3) -> FreenessResult:
     """Scan the integer box of ideal-coordinates for an element whose order
     orbit is exactly the ideal; the first (lexicographically smallest) witness
-    wins.  An exhausted box is reported as UNKNOWN, never as a refutation."""
+    wins.  An exhausted box is reported as UNKNOWN, never as a refutation.
+    The scan evaluates the norm form; its hit is confirmed by the integer
+    determinant and the Hermite normal form of the witness matrix."""
     if bound < 1:
         return FreenessResult("UNKNOWN")
     m = len(order.ideal_action_matrices)
-    mats = order.ideal_action_matrices
-    cols = [[0] * m for _ in range(m)]
-    prev = None
-    for v in _box_vectors(m, bound):
-        if prev is None:
-            for k, f in enumerate(mats):
-                for i in range(m):
-                    cols[k][i] = sum(f[i][j] * v[j] for j in range(m))
-        else:
-            for j in range(m):
-                delta = v[j] - prev[j]
-                if delta:
-                    for k, f in enumerate(mats):
-                        col_k, f_col = cols[k], f
-                        for i in range(m):
-                            col_k[i] += delta * f_col[i][j]
-        prev = v
-        if not any(v):
-            continue
-        matrix = [[cols[k][i] for k in range(m)] for i in range(m)]
-        if abs(linalg.int_det(matrix)) == 1:
-            hull = linalg.hnf([list(cols[k]) for k in range(m)])
-            if len(hull) != m or any(
-                    hull[i][j] != (1 if i == j else 0)
-                    for i in range(m) for j in range(m)):
-                raise ConsistencyError(
-                    "unit determinant without lattice equality; witness check "
-                    "is inconsistent")
-            w = _ideal_basis_matrix(ideal)
-            subfield_coords = linalg.mat_vec(w, [Fraction(x) for x in v])
-            return FreenessResult("FREE", tuple(v), tuple(subfield_coords))
+    if (2 * bound + 1) ** m > FREENESS_BOX_BOUND:
+        raise CapabilityError(f"freeness box of {2 * bound + 1}^{m} candidates "
+                              f"exceeds the bound {FREENESS_BOX_BOUND}")
+    # N is homogeneous of degree m, so the zero vector is never a hit
+    for v, value in _unit_points(norm_form(order), bound):
+        matrix = witness_matrix(order, v)
+        if linalg.int_det(matrix) != value:
+            raise ConsistencyError(
+                "norm form disagrees with the witness determinant")
+        unit = [[int(i == j) for j in range(m)] for i in range(m)]
+        if linalg.hnf(linalg.transpose(matrix)) != unit:
+            raise ConsistencyError(
+                "unit determinant without lattice equality; witness check "
+                "is inconsistent")
+        w = _ideal_basis_matrix(ideal)
+        subfield_coords = linalg.mat_vec(w, [Fraction(x) for x in v])
+        return FreenessResult("FREE", tuple(v), tuple(subfield_coords))
     return FreenessResult("UNKNOWN")
 
 
@@ -328,13 +353,14 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
                 "associated order")
 
         xc_here = side_here.subfield.coords(x)
+        w_mats = [side_here.action_matrix_of(w) for w in basis]
+        w_of_x = [linalg.mat_vec(a, xc_here) for a in w_mats]
         ok = True
         for z in z_rows:
-            z_of_x = side_there.act_coords(z, xc_here)
-            for w in basis:
-                left = side_there.act_coords(z, side_here.act_coords(w, xc_here))
-                right = side_here.act_coords(w, z_of_x)
-                if left != right:
+            z_mat = side_there.action_matrix_of(z)
+            z_of_x = linalg.mat_vec(z_mat, xc_here)
+            for w_mat, wx in zip(w_mats, w_of_x):
+                if linalg.mat_vec(z_mat, wx) != linalg.mat_vec(w_mat, z_of_x):
                     ok = False
         transport_holds = ok if transport_holds is None else (transport_holds and ok)
 

@@ -2,7 +2,8 @@
 
 Entries of the transition matrix are indices k standing for the indeterminate
 y_k ("apply the representative of coset k"); determinants are integer-
-coefficient sparse polynomials in y_0 .. y_{m-1}.
+coefficient sparse polynomials in y_0 .. y_{m-1}.  The same determinant takes
+matrices of integer linear forms, such as the norm form of a freeness search.
 """
 
 from __future__ import annotations
@@ -185,17 +186,25 @@ def build_transition_matrix(n: RegularSubgroup, space: CosetSpace) -> CosetVaria
     return CosetVariableMatrix(space.size, rows, tuple(n.elements))
 
 
-def det_symbolic(matrix: CosetVariableMatrix) -> IntPolynomial:
+def det_symbolic(matrix) -> IntPolynomial:
     """Exact determinant by Laplace expansion along the rows, memoized over
     column sets: the minor on the bottom k rows and a k-column set is built
-    once, so the expansion visits 2^m minors instead of m! permutations."""
-    m = matrix.size
+    once, so the expansion visits 2^m minors instead of m! permutations.
+    Entries are integer linear forms in y_0 .. y_{n-1}: the coset index k of
+    a CosetVariableMatrix is the form y_k, and a square list of rows holds
+    each form as its coefficient vector (a_0, .., a_{n-1})."""
+    if isinstance(matrix, CosetVariableMatrix):
+        matrix = [[[int(j == k) for j in range(matrix.size)] for k in row]
+                  for row in matrix.rows]
+    m, nvars = len(matrix), len(matrix[0][0])
+    rows = [[[(j, a) for j, a in enumerate(form) if a] for form in row]
+            for row in matrix]
     if m > DET_SIZE_BOUND:
         raise CapabilityError(
             f"matrix size {m} exceeds the symbolic determinant bound {DET_SIZE_BOUND}")
     # column bitmask -> {exponents: coefficient} of the minor on those columns
-    minors = {0: {(0,) * m: 1}}
-    for row in reversed(matrix.rows):
+    minors = {0: {(0,) * nvars: 1}}
+    for row in reversed(rows):
         grown: dict[int, dict[tuple[int, ...], int]] = {}
         for cols, minor in minors.items():
             for c in range(m):
@@ -204,14 +213,15 @@ def det_symbolic(matrix: CosetVariableMatrix) -> IntPolynomial:
                     continue
                 # cofactor sign: parity of the columns of the minor left of c
                 sign = -1 if (cols & (bit - 1)).bit_count() % 2 else 1
-                k = row[c]
                 target = grown.setdefault(cols | bit, {})
-                for exps, coeff in minor.items():
-                    key = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
-                    target[key] = target.get(key, 0) + sign * coeff
+                for k, a in row[c]:
+                    a *= sign
+                    for exps, coeff in minor.items():
+                        key = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
+                        target[key] = target.get(key, 0) + a * coeff
         minors = {cols: {e: c for e, c in poly.items() if c}
                   for cols, poly in grown.items()}
-    return IntPolynomial(m, minors[(1 << m) - 1])
+    return IntPolynomial(nvars, minors[(1 << m) - 1])
 
 
 def signed_canonical_det(n: RegularSubgroup,

@@ -70,12 +70,19 @@ def regular_normalized_oracle(space, lam):
 
 
 def cofactor_det(matrix_rows, nvars):
-    """Recursive cofactor expansion of a coset-variable matrix, with no
-    memoization of minors; independent of the package's determinant."""
+    """Recursive cofactor expansion of a coset-variable matrix (entry k is
+    y_k) or of a matrix of integer linear forms (entry (a_0, .., a_{n-1}) is
+    a_0*y_0 + ..), with no memoization of minors; independent of the
+    package's determinant."""
     size = len(matrix_rows)
 
-    def var(k):
-        return IntPolynomial.variable(nvars, k)
+    def var(entry):
+        if isinstance(entry, int):
+            return IntPolynomial.variable(nvars, entry)
+        total = IntPolynomial.zero(nvars)
+        for j, a in enumerate(entry):
+            total = total + IntPolynomial.variable(nvars, j) * a
+        return total
 
     def expand(rows, cols):
         if len(rows) == 1:
@@ -90,6 +97,18 @@ def cofactor_det(matrix_rows, nvars):
         return total
 
     return expand(list(range(size)), list(range(size)))
+
+
+def first_free_witness(order, bound):
+    """The lexicographically first nonzero vector of sup-norm at most `bound`
+    that passes is_free_witness, testing every candidate in turn; None when
+    there is none."""
+    from hopfgalois.integral import is_free_witness
+    m = len(order.ideal_action_matrices)
+    for v in itertools.product(range(-bound, bound + 1), repeat=m):
+        if any(v) and is_free_witness(order, list(v)):
+            return v
+    return None
 
 
 def multiplication_trace(field, x):

@@ -107,6 +107,62 @@ def test_suite_report_bytes_are_pinned(capsys, name):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == SUITE_SHA256[name]
 
 
+# sha256 and exit code of `--json` freeness and theorem11 reports on the
+# boxes the suite gate leaves out, recorded with the per-candidate integer
+# determinant scan: the norm-form scan must find the same witnesses
+FREENESS_SHA256 = {
+    "freeness s3sextic --n 0 --ideal OE --bound 3":
+        ("2919feda51c32bc9e6658d48f38b15545255ee0dd2a9db28a134d6314120a904", 3),
+    "freeness s3sextic --n 0 --ideal OL --bound 3":
+        ("ff71f56d0992bc0d77c5d05a26a8927a005148408ad486712d5cb4b64dcabfb2", 3),
+    "freeness s3sextic --n 1 --ideal OE --bound 3":
+        ("b813ab41b81a84481aa69187b1ed5bbd218b3fcd75a4aece21b352a56100b10a", 0),
+    "freeness s3sextic --n 1 --ideal OL --bound 3":
+        ("a78468e9c5f9fd7d5fabcceb45df89d4a9401a7c23b19321390b4da4544becfa", 0),
+    "freeness s3sextic --n 2 --ideal OE --bound 3":
+        ("dd6e5ae5f9a83c314ce459a4bf05597b2a89626021da56263e34733039b80014", 0),
+    "freeness s3sextic --n 2 --ideal OL --bound 3":
+        ("8fc6d759baf19673c21a698fce76fe119af5e8bc5d6a18293d737bf3db0254dc", 0),
+    "freeness s3sextic --n 3 --ideal OE --bound 3":
+        ("34bc5be399888957bc4b866b886683b901dd10b3ad9db615afa04ef4999f5ec8", 3),
+    "freeness s3sextic --n 3 --ideal OL --bound 3":
+        ("fa3772592733bece9e04b8cc371fc423dbf644c4ac43d2ccf090459579bcf8df", 3),
+    "freeness s3sextic --n 4 --ideal OE --bound 3":
+        ("aef04ccb93f096e83731f8ee5166591733400abc7e4ba1a1a3c8533f0f310756", 3),
+    "freeness s3sextic --n 4 --ideal OL --bound 3":
+        ("61356bdcc56bd4ddd47760326b5561f1db18d23d11f2eb53ed9a7fcccdcc07d2", 3),
+    "freeness v4biquad --n 0 --ideal OL --bound 6":
+        ("2d1bf4e5f3ca6ffc7d5d533b1fb75068195e8115760cc6bb72e1525fe86e4cc8", 0),
+    "freeness v4biquad --n 1 --ideal OL --bound 6":
+        ("3d77bb59a141a8682ba742d1e88769e991856b3afe73096130395e8c6cbcdc97", 0),
+    "freeness v4biquad --n 2 --ideal OL --bound 6":
+        ("86215534b86c64c947d8df3539719f85ac0b2e93c88942f27e0d07626956fb51", 0),
+    "freeness v4biquad --n 3 --ideal OL --bound 6":
+        ("95823401b3bf39cee9104aebf5629b0161c8a7f34bf691bcc70bb83a07cae5ac", 0),
+    "theorem11 s3sextic --ideal OE":
+        ("3ce8c275895558cd13e58123a382ce7e63907f1e649275ab0be5976eb5322c24", 0),
+    "theorem11 s3sextic --ideal OL":
+        ("b861b8f13190a438e01b1b3b5e507946bf23846218cd9dbda379fe82469c9355", 0),
+}
+
+
+@pytest.mark.parametrize("argv", FREENESS_SHA256)
+def test_freeness_report_bytes_are_pinned(capsys, argv):
+    code, out = run(capsys, "--json", *argv.split())
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == FREENESS_SHA256[argv]
+
+
+@pytest.mark.parametrize("command", ["freeness s3sextic --n 0 --ideal OE",
+                                     "theorem11 s3sextic --ideal OE"])
+def test_oversized_box_is_a_capability_error(capsys, command):
+    code = main([*command.split(), "--bound", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: freeness box of 15^6 candidates")
+    assert "5764801" in captured.err and "Traceback" not in captured.err
+
+
 def test_suite_computes_each_determinant_and_opposite_once(capsys, monkeypatch):
     from hopfgalois import cli, fixtures, transition
     counts = {"det_symbolic": 0, "opposite": 0}

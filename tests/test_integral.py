@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from hopfgalois.errors import DomainError
-from hopfgalois.integral import (FractionalIdeal, FreenessResult, Lattice,
-                                 associated_order, freeness_certificate,
-                                 freeness_search, is_free_witness,
-                                 transfer_element, witness_matrix)
+from hopfgalois import integral, linalg
+from hopfgalois.errors import CapabilityError, ConsistencyError, DomainError
+from hopfgalois.integral import (FREENESS_BOX_BOUND, FractionalIdeal,
+                                 FreenessResult, Lattice, associated_order,
+                                 freeness_certificate, freeness_search,
+                                 is_free_witness, norm_form, transfer_element,
+                                 witness_matrix)
 from hopfgalois.perm import opposite, right_translation_subgroup
+from hopfgalois.transition import IntPolynomial
+
+from .oracles import first_free_witness
 
 F = Fraction
 
@@ -173,6 +178,96 @@ def test_biquadratic_default_bound_is_unknown_but_six_finds_it(v4biquad):
     assert freeness_search(order, ideal, 3).status == "UNKNOWN"
     result = freeness_search(order, ideal, 6)
     assert result.free
+
+
+def test_norm_form_is_the_witness_determinant(field_fixtures):
+    rng = random.Random(3)
+    for fx in field_fixtures:
+        for name in sorted(fx.ideal_vectors):
+            ideal = fx.ideal(name)
+            for i in range(len(fx.structures())):
+                order = associated_order(fx.algebra(i), ideal)
+                norm = norm_form(order)
+                m = len(order.ideal_action_matrices)
+                for _ in range(5):
+                    v = [rng.randint(-4, 4) for _ in range(m)]
+                    assert norm.evaluate(v, 1) == linalg.int_det(
+                        witness_matrix(order, v))
+
+
+def _assert_first_witness_is_the_naive_one(order, ideal, bound):
+    expected = first_free_witness(order, bound)
+    result = freeness_search(order, ideal, bound)
+    assert result.witness_ideal_coords == expected
+    assert result.status == ("UNKNOWN" if expected is None else "FREE")
+    return result.status
+
+
+def test_first_witness_matches_the_naive_scan_at_bound_two(field_fixtures):
+    for fx in field_fixtures:
+        cases = [(i, name) for i in range(len(fx.structures()))
+                 for name in sorted(fx.ideal_vectors)]
+        if fx.name == "s3sextic":
+            # its ten boxes cost the naive scan about 8 s; the two
+            # structures of the bound-3 test below stand for them
+            cases = [(0, "OE"), (1, "OE")]
+        for i, name in cases:
+            ideal = fx.ideal(name)
+            _assert_first_witness_is_the_naive_one(
+                associated_order(fx.algebra(i), ideal), ideal, 2)
+
+
+@pytest.mark.parametrize("index, status", [(1, "FREE"), (0, "UNKNOWN")])
+def test_sextic_first_witness_matches_the_naive_scan_at_bound_three(
+        s3sextic, index, status):
+    ideal = s3sextic.ideal("OE")
+    order = associated_order(s3sextic.algebra(index), ideal)
+    assert _assert_first_witness_is_the_naive_one(order, ideal, 3) == status
+
+
+def _classical_order(fx, ideal_name):
+    ideal = fx.ideal(ideal_name)
+    return associated_order(_classical_algebra(fx), ideal), ideal
+
+
+def test_negated_norm_form_is_caught_at_the_hit(qzeta3, monkeypatch):
+    # same hits, opposite values: the integer determinant disagrees
+    order, ideal = _classical_order(qzeta3, "OL")
+    honest = norm_form(order)
+    monkeypatch.setattr(integral, "norm_form", lambda order: -honest)
+    with pytest.raises(ConsistencyError, match="norm form disagrees"):
+        freeness_search(order, ideal, 3)
+
+
+def test_constant_norm_form_is_caught_at_the_hit(qzeta3, monkeypatch):
+    # every candidate is a hit; the first, (-3, -3), has a determinant
+    # divisible by 9
+    order, ideal = _classical_order(qzeta3, "OL")
+    monkeypatch.setattr(integral, "norm_form",
+                        lambda order: IntPolynomial(2, {(0, 0): 1}))
+    with pytest.raises(ConsistencyError, match="norm form disagrees"):
+        freeness_search(order, ideal, 3)
+
+
+def test_wrong_hermite_form_is_caught_at_the_hit(qzeta3, monkeypatch):
+    order, ideal = _classical_order(qzeta3, "OL")
+    monkeypatch.setattr(linalg, "hnf", lambda mat: [[2, 0], [0, 1]])
+    with pytest.raises(ConsistencyError, match="lattice equality"):
+        freeness_search(order, ideal, 3)
+
+
+def test_box_cap_admits_the_tested_boxes_and_refuses_larger_ones(
+        s3sextic, v4biquad):
+    assert FREENESS_BOX_BOUND == 7 ** 8
+    for fx, bound in ((s3sextic, 3), (v4biquad, 6)):
+        order, _ = _classical_order(fx, "OL")
+        m = len(order.ideal_action_matrices)
+        assert (2 * bound + 1) ** m <= FREENESS_BOX_BOUND
+    order, ideal = _classical_order(s3sextic, "OE")
+    assert 13 ** 6 <= FREENESS_BOX_BOUND < 15 ** 6  # bound 6 fits, 7 does not
+    with pytest.raises(CapabilityError, match=str(FREENESS_BOX_BOUND)):
+        freeness_search(order, ideal, 7)
+    assert freeness_search(order, ideal, -1) == FreenessResult("UNKNOWN")
 
 
 # --- transfer

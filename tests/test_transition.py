@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hopfgalois.errors import CapabilityError
@@ -107,6 +109,26 @@ def test_det_symbolic_matches_cofactor_oracle_on_seven_and_eight_points():
     for n, space in cases:
         matrix = build_transition_matrix(n, space)
         assert det_symbolic(matrix) == cofactor_det(matrix.rows, matrix.size)
+
+
+def test_det_symbolic_matches_cofactor_oracle_on_linear_forms():
+    rng = random.Random(7)
+    for size, nvars in ((1, 2), (2, 3), (3, 3), (4, 2), (5, 4)):
+        rows = [[tuple(rng.randint(-3, 3) for _ in range(nvars))
+                 for _ in range(size)] for _ in range(size)]
+        assert det_symbolic(rows) == cofactor_det(rows, nvars)
+    rows[1] = rows[0]  # two equal rows: the zero polynomial
+    assert det_symbolic(rows).is_zero()
+
+
+def test_coset_index_is_the_unit_linear_form(all_fixtures):
+    for fx in all_fixtures:
+        space = fx.coset_space()
+        for n in fx.structures():
+            matrix = build_transition_matrix(n, space)
+            forms = [[tuple(int(j == k) for j in range(matrix.size)) for k in row]
+                     for row in matrix.rows]
+            assert det_symbolic(forms) == det_symbolic(matrix)
 
 
 def test_signed_canonical_det_recovers_the_unsorted_determinant(all_fixtures):
