@@ -8,15 +8,17 @@ import json
 import random
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from . import integral, linalg, transition
+from . import integral, transition
 from .descent import (coset_values, descend, is_generator, is_separable,
                       transition_matrix_of, verify_commuting,
                       verify_hopf_galois)
 from .errors import FixtureValidationError, HopfGaloisError, TheoremViolationError
 from .fixtures import BUNDLED, Fixture, bundled_path, parse
+from .numberfield import field_det
 from .perm import (Permutation, centralizer_bruteforce, group_queries, opposite,
                    right_translation_subgroup)
 
@@ -24,6 +26,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 GENERATOR_SAMPLES = 200
 
@@ -281,10 +284,12 @@ def cmd_verify(fx: Fixture, args, report: Report, rng: random.Random):
         pairs = sorted({tuple(sorted((i, opposites[i])))
                         for i in range(len(structs))})
         samples = [sub.random_element(rng) for _ in range(GENERATOR_SAMPLES)]
+        # one test per structure and sample: a self-opposite structure is
+        # both sides of its pair
+        verdicts = {i: [is_generator(fx.algebra(i), x) for x in samples]
+                    for i in sorted({k for pair in pairs for k in pair})}
         for i, j in pairs:
-            a1, a2 = fx.algebra(i), fx.algebra(j)
-            agree = sum(1 for x in samples
-                        if is_generator(a1, x) == is_generator(a2, x))
+            agree = sum(a == b for a, b in zip(verdicts[i], verdicts[j]))
             report.add(f"generator-transfer[{i},{j}]",
                        "PASS" if agree == len(samples) else "FAIL", "theorem",
                        samples=len(samples), agreeing=agree)
@@ -378,7 +383,7 @@ def _specialization_checks(fx: Fixture, report: Report, rng: random.Random,
         for _ in range(points):
             x = sub.random_element(rng)
             values = coset_values(ctx, space, x)
-            numeric = linalg.det(transition_matrix_of(n, values))
+            numeric = field_det(transition_matrix_of(n, values))
             if poly.evaluate(values, ctx.field.one()) * sign != numeric:
                 ok = False
                 break
@@ -448,34 +453,43 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
+    try:
+        return _run(args)
+    except HopfGaloisError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as err:
+        # a bug, not a verdict: exit 1 is reserved for a failed check
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
+
+
+def _run(args) -> int:
     fx = _load(args.fixture)
     if fx is None:
         return EXIT_USAGE
     report = Report([args.command, args.fixture], fx.name, args.seed)
     rng = random.Random(args.seed)
-    try:
-        if args.command == "validate":
-            cmd_validate(fx, args, report)
-            _check_assertions(fx, report)
-        elif args.command == "enumerate":
-            cmd_enumerate(fx, args, report)
-        elif args.command == "det-identity":
-            cmd_det_identity(fx, args, report)
-        elif args.command == "descend":
-            cmd_descend(fx, args, report)
-        elif args.command == "verify":
-            cmd_verify(fx, args, report, rng)
-        elif args.command == "assoc-order":
-            cmd_assoc_order(fx, args, report)
-        elif args.command == "freeness":
-            cmd_freeness(fx, args, report)
-        elif args.command == "theorem11":
-            cmd_theorem11(fx, args, report)
-        elif args.command == "suite":
-            cmd_suite(fx, args, report, rng)
-    except HopfGaloisError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.command == "validate":
+        cmd_validate(fx, args, report)
+        _check_assertions(fx, report)
+    elif args.command == "enumerate":
+        cmd_enumerate(fx, args, report)
+    elif args.command == "det-identity":
+        cmd_det_identity(fx, args, report)
+    elif args.command == "descend":
+        cmd_descend(fx, args, report)
+    elif args.command == "verify":
+        cmd_verify(fx, args, report, rng)
+    elif args.command == "assoc-order":
+        cmd_assoc_order(fx, args, report)
+    elif args.command == "freeness":
+        cmd_freeness(fx, args, report)
+    elif args.command == "theorem11":
+        cmd_theorem11(fx, args, report)
+    elif args.command == "suite":
+        cmd_suite(fx, args, report, rng)
     if args.json:
         sys.stdout.write(report.to_json())
     else:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ConsistencyError, DomainError, StructureError
-from .numberfield import FieldElement, GaloisContext, Subfield
+from .numberfield import FieldElement, GaloisContext, Subfield, field_det
 from .perm import (CosetSpace, LambdaEmbedding, Permutation, RegularSubgroup,
                    is_normalized_by)
 
@@ -232,6 +232,11 @@ class DescendedAlgebra:
     def act_coords(self, h_coords, x_coords):
         return linalg.mat_vec(self.action_matrix_of(h_coords), list(x_coords))
 
+    def orbit(self, x_coords):
+        """Subfield coordinates of b_k . x for each basis element b_k, given
+        the subfield coordinates of x."""
+        return [linalg.mat_vec(a, x_coords) for a in self.action_matrices]
+
 
 def _flatten(values) -> list[Fraction]:
     """Rational coordinates of the given field elements, concatenated."""
@@ -283,7 +288,7 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
 
     # full E[N] is recovered over E: the basis must have full rank over E
     e_matrix = [list(b.coefficients) for b in basis]
-    if linalg.det(e_matrix) == context.field.zero():
+    if not field_det(e_matrix):
         raise ConsistencyError("descended basis does not span E[N] over E")
 
     base = space.base_point
@@ -390,23 +395,20 @@ def transition_det_nonzero(n: RegularSubgroup, values) -> bool:
     NumberField.reduction_root) is a ring map to F_p on the elements whose
     denominators are prime to p, so a nonzero determinant of the reduced
     matrix proves the exact one nonzero.  A zero mod p, or a denominator
-    divisible by p, falls back to the exact determinant over E."""
+    divisible by p, falls back to the exact determinant over E (field_det)."""
     p, r = values[0].field.reduction_root()
     residues = [v.residue(p, r) for v in values]
     if None not in residues and linalg.det_mod_p(
             transition_matrix_of(n, residues), p):
         return True
-    return bool(linalg.det(transition_matrix_of(n, values)))
+    return bool(field_det(transition_matrix_of(n, values)))
 
 
 def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:
     """Whether the orbit of x under the descended algebra spans the subfield.
     Computed two ways (exact rank of the orbit, nonvanishing of the numeric
     transition determinant); the two must agree."""
-    xc = algebra.subfield.coords(x)
-    orbit = [algebra.act_coords(
-        [Fraction(int(i == k)) for i in range(algebra.dim)], xc)
-        for k in range(algebra.dim)]
+    orbit = algebra.orbit(algebra.subfield.coords(x))
     by_rank = linalg.rank(orbit) == algebra.subfield.dim
     values = coset_values(algebra.context, algebra.space, x)
     by_det = transition_det_nonzero(algebra.subgroup, values)
@@ -447,7 +449,7 @@ def generates_map_algebra_over_group_algebra(
     the subgroup elements."""
     rows = [list(permutation_act_on_map(eta, f).values)
             for eta in algebra.subgroup.elements]
-    return bool(linalg.det(rows))
+    return bool(field_det(rows))
 
 
 def generates_fixed_map_algebra(algebra: DescendedAlgebra,

@@ -186,6 +186,9 @@ def _build_group(block, problems):
         return None, {}
     if "presentation" in block:
         pres = block["presentation"]
+        if not isinstance(pres, dict):
+            problems.append("group.presentation: expected an object")
+            return None, {}
         if pres.get("kind") != "metacyclic":
             problems.append(
                 f"group.presentation.kind: unsupported kind {pres.get('kind')!r}; "
@@ -272,6 +275,9 @@ def _evaluate_word(word: str, group: FiniteGroup, names, problems, where):
 
 
 def _build_stabilizer(block, group, names, problems):
+    if block is not None and not isinstance(block, dict):
+        problems.append("subgroup: expected an object")
+        return None
     gens = []
     entries = (block or {}).get("generators", [])
     if not isinstance(entries, list):
@@ -325,7 +331,10 @@ def parse_text(text: str) -> Fixture:
     context = None
     integral_basis = None
     ideal_vectors: dict[str, list[FieldElement]] = {}
-    if "field" in raw:
+    fblock = raw.get("field")
+    if "field" in raw and not isinstance(fblock, dict):
+        problems.append("field: expected an object")
+    elif "field" in raw:
         core = [p for p in stabilizer.elements
                 if all(q * p * q.inverse() in stabilizer
                        for q in group.elements)]
@@ -333,9 +342,18 @@ def parse_text(text: str) -> Fixture:
             problems.append(
                 "subgroup: its core in the group is nontrivial, so the field "
                 "is larger than the Galois closure of the fixed subfield")
-        fblock = raw["field"]
         min_poly = fblock.get("min_poly")
+        if isinstance(min_poly, list):
+            min_poly = _parse_vector(min_poly, problems, "field.min_poly")
+            if any(c.denominator != 1 for c in min_poly):
+                problems.append("field.min_poly: coefficients must be integers")
+        else:
+            problems.append("field.min_poly: an array of integer coefficients "
+                            "is required")
         autos = fblock.get("automorphisms", {})
+        if not isinstance(autos, dict):
+            problems.append("field.automorphisms: expected an object")
+            autos = {}
         images = {}
         for gname, coeffs in autos.items():
             if gname not in names:
@@ -359,7 +377,11 @@ def parse_text(text: str) -> Fixture:
             sub = context.fixed_subfield(stabilizer)
             integral_basis = _validate_integral_basis(
                 raw.get("integral_basis"), context, sub, problems)
-            for iname, vectors in (raw.get("ideals") or {}).items():
+            ideals = raw.get("ideals") or {}
+            if not isinstance(ideals, dict):
+                problems.append("ideals: expected an object")
+                ideals = {}
+            for iname, vectors in ideals.items():
                 elems = _validate_ideal_vectors(
                     iname, vectors, context, sub, problems)
                 if elems is not None:
@@ -375,6 +397,9 @@ def parse_text(text: str) -> Fixture:
 def _validate_integral_basis(block, context, sub: Subfield, problems):
     if block is None:
         problems.append("integral_basis: required when a field block is present")
+        return None
+    if not isinstance(block, list):
+        problems.append("integral_basis: expected an array")
         return None
     elems = []
     for i, vec in enumerate(block):
@@ -414,6 +439,9 @@ def _validate_integral_basis(block, context, sub: Subfield, problems):
 
 
 def _validate_ideal_vectors(name, vectors, context, sub: Subfield, problems):
+    if not isinstance(vectors, list):
+        problems.append(f"ideals.{name}: expected an array of vectors")
+        return None
     elems = []
     for i, vec in enumerate(vectors):
         coords = _parse_vector(vec, problems, f"ideals.{name}[{i}]")
@@ -444,6 +472,9 @@ _KNOWN_ASSERTIONS = {"coset_count", "structure_count", "center_order",
 
 def _validate_assertions(block, problems):
     if block is None:
+        return {}
+    if not isinstance(block, dict):
+        problems.append("assertions: expected an object")
         return {}
     out = {}
     for key, spec in block.items():

@@ -273,11 +273,7 @@ def _transfer_rows(algebra: DescendedAlgebra, partner: DescendedAlgebra,
     for z . x = a . x in the partner's coordinates, shared by every a."""
     if not is_generator(partner, x):
         raise DomainError("transfer needs the witness to generate over the partner")
-    xc = partner.subfield.coords(x)
-    columns = [partner.act_coords(
-        [Fraction(int(i == k)) for i in range(partner.dim)], xc)
-        for k in range(partner.dim)]
-    solver = linalg.LinearSolver(columns)
+    solver = linalg.LinearSolver(partner.orbit(partner.subfield.coords(x)))
     xc_here = algebra.subfield.coords(x)
     rows = []
     for a_coords in elements:
@@ -317,11 +313,15 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
     """Run the bounded search on both commuting structures and verify that a
     witness on either side is a witness on the other, that the transferred
     order elements span exactly the partner's associated order, and that the
-    transport commutes with the order action."""
+    transport commutes with the order action.  A self-opposite structure
+    (partner is algebra) is one side computed once."""
     order_main = associated_order(algebra, ideal)
-    order_partner = associated_order(partner, ideal)
     res_main = freeness_search(order_main, ideal, bound)
-    res_partner = freeness_search(order_partner, ideal, bound)
+    if partner is algebra:
+        order_partner, res_partner = order_main, res_main
+    else:
+        order_partner = associated_order(partner, ideal)
+        res_partner = freeness_search(order_partner, ideal, bound)
 
     witness_transfers = None
     lattice_matches = None
@@ -330,7 +330,7 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
     pairs = []
     if res_main.free:
         pairs.append((res_main, order_main, order_partner, algebra, partner))
-    if res_partner.free:
+    if res_partner.free and partner is not algebra:
         pairs.append((res_partner, order_partner, order_main, partner, algebra))
 
     for result, order_here, order_there, side_here, side_there in pairs:

@@ -108,7 +108,8 @@ def invert(mat):
 
 
 def det(mat):
-    """Determinant over an exact field by Gaussian elimination."""
+    """Determinant over an exact field by Gaussian elimination; the toolkit
+    uses it over Q (determinants over E go through numberfield.field_det)."""
     n = len(mat)
     m = [list(r) for r in mat]
     zero = mat[0][0] - mat[0][0]

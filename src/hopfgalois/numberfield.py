@@ -6,16 +6,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import isqrt
+from math import isqrt, lcm
 
 from . import linalg
-from .errors import ConsistencyError, DomainError, StructureError
+from .errors import CapabilityError, ConsistencyError, DomainError, StructureError
 from .perm import FiniteGroup
 
 MAX_DEGREE = 12
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the mod-p certificates reduce at a prime no smaller than this
 REDUCTION_PRIME_MIN = 10007
+# determinants over E are taken of matrices indexed by a coset space, whose
+# size is bounded by 8 (perm.ENUMERATION_BOUND)
+FIELD_DET_SIZE_BOUND = 8
 
 
 class NumberField:
@@ -210,6 +213,59 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({[str(c) for c in self.coords]})"
+
+
+def field_det(matrix) -> FieldElement:
+    """Determinant over E of a square matrix of field elements, without
+    division until the end.  Every coordinate is scaled by the matrix's common
+    denominator D, so the entries lie in Z[t]/(f); the scaled determinant is a
+    Laplace expansion along the rows, memoized over column sets (2^m minors),
+    with integer convolution reduced by the monic f once per minor.  The
+    result is that determinant divided by D^m."""
+    m = len(matrix)
+    if m > FIELD_DET_SIZE_BOUND:
+        raise CapabilityError(f"matrix size {m} exceeds the field determinant "
+                              f"bound {FIELD_DET_SIZE_BOUND}")
+    field = matrix[0][0].field
+    n, modulus = field.degree, field.modulus
+    den = lcm(*(c.denominator for row in matrix for x in row for c in x.coords))
+    rows = [[[c.numerator * (den // c.denominator) for c in x.coords]
+             for x in row] for row in matrix]
+    # column bitmask -> coordinates of the minor on the bottom rows and
+    # those columns; zero minors are dropped
+    minors = {0: [1] + [0] * (n - 1)}
+    for row in reversed(rows):
+        grown: dict[int, list[int]] = {}
+        for cols, minor in minors.items():
+            for c, entry in enumerate(row):
+                bit = 1 << c
+                if cols & bit:
+                    continue
+                acc = grown.get(cols | bit)
+                if acc is None:
+                    acc = grown[cols | bit] = [0] * (2 * n - 1)
+                # cofactor sign: parity of the columns of the minor left of c
+                sign = -1 if (cols & (bit - 1)).bit_count() % 2 else 1
+                for i, a in enumerate(entry):
+                    if a:
+                        a *= sign
+                        for j, b in enumerate(minor):
+                            if b:
+                                acc[i + j] += a * b
+        minors = {}
+        for cols, acc in grown.items():
+            for k in range(2 * n - 2, n - 1, -1):
+                top = acc[k]
+                if top:
+                    for i in range(n):
+                        acc[k - n + i] -= top * modulus[i]
+            if any(acc[:n]):
+                minors[cols] = acc[:n]
+    full = minors.get((1 << m) - 1)
+    if full is None:
+        return field.zero()
+    scale = den ** m
+    return FieldElement(field, tuple(Fraction(c, scale) for c in full))
 
 
 def _poly_eval_mod(f_coeffs, x: FieldElement) -> FieldElement:

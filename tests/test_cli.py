@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from hopfgalois.cli import main
+from hopfgalois import cli
+from hopfgalois.cli import EXIT_INTERNAL, main
+from hopfgalois.fixtures import bundled_path
 
 
 def run(capsys, *argv):
@@ -181,6 +183,86 @@ def test_suite_computes_each_determinant_and_opposite_once(capsys, monkeypatch):
     # two structures: one determinant each; one opposite each for the
     # pairing, plus the opposite suite's own construction and involution check
     assert counts == {"det_symbolic": 2, "opposite": 6}
+
+
+def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
+        capsys, monkeypatch):
+    from hopfgalois import integral, linalg
+    from hopfgalois.numberfield import FieldElement
+    counts = {"is_generator": 0, "associated_order": 0}
+    det_entries = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    exact_det = linalg.det
+
+    def det(mat):
+        det_entries.append(mat[0][0])
+        return exact_det(mat)
+    monkeypatch.setattr(linalg, "det", det)
+    for module in (cli, integral):
+        monkeypatch.setattr(module, "is_generator",
+                            counting("is_generator", module.is_generator))
+    monkeypatch.setattr(integral, "associated_order",
+                        counting("associated_order", integral.associated_order))
+    code, _ = run(capsys, "suite", "c4quartic")
+    assert code == 0
+    # the trace-form determinants of the separability checks are over Q
+    assert det_entries and not any(isinstance(e, FieldElement)
+                                   for e in det_entries)
+    # both structures are self-opposite: 200 samples each, plus the
+    # certificate's one witness test (802 when each pair tested both sides)
+    assert counts["is_generator"] == 401
+    # assoc-order, then the certificate's one side (3 when it built both)
+    assert counts["associated_order"] == 2
+
+
+def _c4quartic_descriptor():
+    return json.loads(bundled_path("c4quartic").read_text(encoding="utf-8"))
+
+
+MALFORMED = {
+    "field given as a list":
+        (lambda doc: doc.update(field=[1, 1, 1, 1, 1]), "field: expected an object"),
+    "field without min_poly":
+        (lambda doc: doc["field"].pop("min_poly"), "field.min_poly: an array"),
+    "min_poly given as a string":
+        (lambda doc: doc["field"].update(min_poly="11111"), "field.min_poly: an array"),
+    "assertions given as a list":
+        (lambda doc: doc.update(assertions=["coset_count"]),
+         "assertions: expected an object"),
+    "ideals given as a string":
+        (lambda doc: doc.update(ideals="OL"), "ideals: expected an object"),
+}
+
+
+@pytest.mark.parametrize("shape", MALFORMED)
+def test_malformed_block_is_a_validation_problem(tmp_path, capsys, shape):
+    mutate, problem = MALFORMED[shape]
+    doc = _c4quartic_descriptor()
+    mutate(doc)
+    path = tmp_path / "bad.hgx"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "failed validation" in captured.out
+    assert f"  - {problem}" in captured.out
+    assert captured.err == ""
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("planted")
+    monkeypatch.setattr(cli, "cmd_enumerate", broken)
+    code = main(["enumerate", "qi"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError: planted\n")
 
 
 def test_descend_emits_basis_and_matrices(capsys):

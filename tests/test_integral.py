@@ -360,6 +360,28 @@ def test_certificate_tests_each_witness_once(s3sextic, monkeypatch):
     assert [a for a, _ in calls] == [partner, algebra]
 
 
+def test_self_opposite_certificate_computes_one_side(qzeta3, monkeypatch):
+    from hopfgalois import integral
+    counts = {"associated_order": 0, "freeness_search": 0, "is_generator": 0}
+
+    def counting(name):
+        original = getattr(integral, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(integral, name, wrapper)
+    for name in counts:
+        counting(name)
+    algebra = _classical_algebra(qzeta3)
+    cert = freeness_certificate(algebra, algebra, qzeta3.ideal("OL"), 3)
+    assert cert.verdict_main.free and cert.verdict_main == cert.verdict_partner
+    assert cert.witness_transfers and cert.transferred_lattice_matches
+    assert cert.commuting_transport_holds
+    assert counts == {"associated_order": 1, "freeness_search": 1,
+                      "is_generator": 1}
+
+
 def test_certificate_trivial_for_commutative_structures(qzeta3):
     algebra = _classical_algebra(qzeta3)
     cert = freeness_certificate(algebra, algebra, qzeta3.ideal("OL"), 3)

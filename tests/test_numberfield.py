@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from hopfgalois import linalg
-from hopfgalois.errors import StructureError
+from hopfgalois.errors import CapabilityError, StructureError
 from hopfgalois.fixtures import load_bundled
-from hopfgalois.numberfield import (REDUCTION_PRIME_MIN, NumberField,
-                                    _reduction_root, check_irreducible,
+from hopfgalois.numberfield import (FIELD_DET_SIZE_BOUND, REDUCTION_PRIME_MIN,
+                                    NumberField, _reduction_root,
+                                    check_irreducible, field_det,
                                     fixed_subfield, load_field)
 from hopfgalois.perm import FiniteGroup, Permutation
 
@@ -299,3 +300,60 @@ def test_reduction_root_is_computed_lazily():
     assert _reduction_root.cache_info().currsize == 0
     fx.context.field.reduction_root()
     assert _reduction_root.cache_info().currsize == 1
+
+
+# --- the fraction-free determinant over E, against Gaussian elimination
+
+def _random_matrix(field, m, rng, denominators=(1, 2, 3, 5)):
+    return [[field.element([F(rng.randint(-9, 9), rng.choice(denominators))
+                            for _ in range(field.degree)])
+             for _ in range(m)] for _ in range(m)]
+
+
+def test_field_det_matches_gaussian_elimination(field_fixtures):
+    rng = random.Random(21)
+    for fx in field_fixtures:
+        field = fx.context.field
+        for m in range(1, 7):
+            for _ in range(2):
+                matrix = _random_matrix(field, m, rng)
+                assert field_det(matrix) == linalg.det(matrix)
+
+
+def test_field_det_at_the_size_bound_on_a_quartic_field(c4quartic):
+    field = c4quartic.context.field
+    matrix = _random_matrix(field, FIELD_DET_SIZE_BOUND, random.Random(22))
+    assert field_det(matrix) == linalg.det(matrix)
+
+
+def test_field_det_with_denominators_divisible_by_the_reduction_prime(
+        field_fixtures):
+    rng = random.Random(23)
+    for fx in field_fixtures:
+        field = fx.context.field
+        p, _ = field.reduction_root()
+        matrix = _random_matrix(field, 3, rng, denominators=(1, p, p * p, 2 * p))
+        assert field_det(matrix) == linalg.det(matrix)
+
+
+def test_field_det_of_singular_matrices(field_fixtures):
+    rng = random.Random(24)
+    for fx in field_fixtures:
+        field = fx.context.field
+        for m in (2, 4):
+            repeated = _random_matrix(field, m, rng)
+            repeated[-1] = list(repeated[0])
+            assert not field_det(repeated)
+            zero_row = _random_matrix(field, m, rng)
+            zero_row[1] = [field.zero()] * m
+            assert not field_det(zero_row)
+            assert field_det(zero_row) == field.zero()
+
+
+def test_field_det_above_the_size_bound_is_a_capability_error(qi):
+    field = qi.context.field
+    size = FIELD_DET_SIZE_BOUND + 1
+    identity = [[field.one() if i == j else field.zero() for j in range(size)]
+                for i in range(size)]
+    with pytest.raises(CapabilityError, match="field determinant bound"):
+        field_det(identity)
