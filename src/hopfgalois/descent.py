@@ -85,18 +85,6 @@ def permutation_act_on_map(eta: Permutation, f: MapAlgebraElement) -> MapAlgebra
     return MapAlgebraElement(out)
 
 
-def galois_act_on_map(context: GaloisContext, space: CosetSpace, g_index: int,
-                      f: MapAlgebraElement) -> MapAlgebraElement:
-    """The group action on Map(X, E): Galois on values, left translation on
-    subscripts."""
-    lam_images = [space.coset_of[space.group.mul(g_index, space.representatives[c])]
-                  for c in range(space.size)]
-    out = [None] * space.size
-    for c, v in enumerate(f.values):
-        out[lam_images[c]] = context.apply(g_index, v)
-    return MapAlgebraElement(out)
-
-
 class GroupAlgebraElement:
     """Element of E[N]: one field coefficient per subgroup element, indexed in
     the subgroup's canonical element order."""
@@ -124,19 +112,6 @@ class GroupAlgebraElement:
                     continue
                 out[index[elems[i] * elems[j]]] += a * b
         return GroupAlgebraElement(self.subgroup, out)
-
-    def act_on_map(self, f: MapAlgebraElement) -> MapAlgebraElement:
-        """sum of c_eta times (eta acting on f)."""
-        total = None
-        for eta, c in zip(self.subgroup.elements, self.coefficients):
-            if not c:
-                continue
-            piece = permutation_act_on_map(eta, f).scale(c)
-            total = piece if total is None else total + piece
-        if total is None:
-            zero = self.coefficients[0].field.zero()
-            return MapAlgebraElement([zero] * len(f.values))
-        return total
 
     def __eq__(self, other):
         return (isinstance(other, GroupAlgebraElement)
@@ -382,40 +357,64 @@ def transition_matrix_of(n: RegularSubgroup, values):
     return [[values[eta(g)] for g in range(len(values))] for eta in n.elements]
 
 
-def transition_matrix_values(context: GaloisContext, space: CosetSpace,
-                             n: RegularSubgroup, x: FieldElement):
-    """The numeric transition matrix: entry (eta, g) is eta(g)-representative
-    applied to x."""
-    return transition_matrix_of(n, coset_values(context, space, x))
-
-
-def transition_det_nonzero(n: RegularSubgroup, values) -> bool:
-    """Whether the transition matrix on these coset values has a nonzero
-    determinant over E.  Certified mod p first: t -> r (see
-    NumberField.reduction_root) is a ring map to F_p on the elements whose
-    denominators are prime to p, so a nonzero determinant of the reduced
-    matrix proves the exact one nonzero.  A zero mod p, or a denominator
-    divisible by p, falls back to the exact determinant over E (field_det)."""
+def residues_mod_p(values) -> list[int] | None:
+    """The residues of the given field elements under t -> r mod p, for the
+    field's (p, r) = NumberField.reduction_root(); None when p divides a
+    denominator."""
     p, r = values[0].field.reduction_root()
     residues = [v.residue(p, r) for v in values]
-    if None not in residues and linalg.det_mod_p(
+    return None if None in residues else residues
+
+
+def transition_det_nonzero(n: RegularSubgroup, values, residues) -> bool:
+    """Whether the transition matrix on these coset values has a nonzero
+    determinant over E, given residues_mod_p(values).  Certified mod p first:
+    t -> r is a ring map to F_p on the elements whose denominators are prime
+    to p, so a nonzero determinant of the reduced matrix proves the exact one
+    nonzero.  A zero mod p, or a denominator divisible by p (no residues),
+    falls back to the exact determinant over E (field_det)."""
+    p, _ = values[0].field.reduction_root()
+    if residues is not None and linalg.det_mod_p(
             transition_matrix_of(n, residues), p):
         return True
     return bool(field_det(transition_matrix_of(n, values)))
 
 
-def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:
-    """Whether the orbit of x under the descended algebra spans the subfield.
-    Computed two ways (exact rank of the orbit, nonvanishing of the numeric
-    transition determinant); the two must agree."""
-    orbit = algebra.orbit(algebra.subfield.coords(x))
-    by_rank = linalg.rank(orbit) == algebra.subfield.dim
-    values = coset_values(algebra.context, algebra.space, x)
-    by_det = transition_det_nonzero(algebra.subgroup, values)
+@dataclass(frozen=True)
+class GeneratorSample:
+    """A subfield element with what every generator test of it shares,
+    whatever the structure: its subfield coordinates, its coset values and
+    their residues_mod_p."""
+
+    coords: list[Fraction]
+    values: list[FieldElement]
+    residues: list[int] | None
+
+
+def generator_sample(subfield: Subfield, space: CosetSpace,
+                     x: FieldElement) -> GeneratorSample:
+    coords = subfield.coords(x)
+    values = coset_values(subfield.context, space, x)
+    return GeneratorSample(coords, values, residues_mod_p(values))
+
+
+def generates(algebra: DescendedAlgebra, sample: GeneratorSample) -> bool:
+    """Whether the orbit of the sampled element under the descended algebra
+    spans the subfield.  Computed two ways (exact rank of the orbit,
+    nonvanishing of the numeric transition determinant); the two must
+    agree."""
+    by_rank = linalg.rank(algebra.orbit(sample.coords)) == algebra.subfield.dim
+    by_det = transition_det_nonzero(algebra.subgroup, sample.values,
+                                    sample.residues)
     if by_rank != by_det:
         raise ConsistencyError(
             "orbit rank and transition determinant disagree on a generator test")
     return by_rank
+
+
+def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:
+    """generates() on the sample of x, for a single test."""
+    return generates(algebra, generator_sample(algebra.subfield, algebra.space, x))
 
 
 def trace_form_nondegenerate(left_mult_matrices) -> bool:
@@ -434,27 +433,3 @@ def trace_form_nondegenerate(left_mult_matrices) -> bool:
 
 def is_separable(algebra: DescendedAlgebra) -> bool:
     return trace_form_nondegenerate(algebra.left_multiplication_matrices())
-
-
-def sum_over_subgroup(algebra: DescendedAlgebra) -> GroupAlgebraElement:
-    """The element with every coefficient 1; always survives the descent."""
-    one = algebra.context.field.one()
-    return GroupAlgebraElement(
-        algebra.subgroup, [one] * len(algebra.subgroup.elements))
-
-
-def generates_map_algebra_over_group_algebra(
-        algebra: DescendedAlgebra, f: MapAlgebraElement) -> bool:
-    """Whether E[N] f = Map(X, E): exact rank over E of the orbit of f under
-    the subgroup elements."""
-    rows = [list(permutation_act_on_map(eta, f).values)
-            for eta in algebra.subgroup.elements]
-    return bool(field_det(rows))
-
-
-def generates_fixed_map_algebra(algebra: DescendedAlgebra,
-                                f: MapAlgebraElement) -> bool:
-    """Whether the descended algebra's orbit of f spans the rational form of
-    the function algebra: exact rank over Q."""
-    rows = [_flatten(b.act_on_map(f).values) for b in algebra.basis]
-    return linalg.rank(rows) == algebra.dim

@@ -309,13 +309,16 @@ class CertificateReport:
 
 
 def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
-                         ideal: FractionalIdeal, bound: int = 3) -> CertificateReport:
+                         ideal: FractionalIdeal, bound: int = 3,
+                         order_main: AssociatedOrder | None = None) -> CertificateReport:
     """Run the bounded search on both commuting structures and verify that a
     witness on either side is a witness on the other, that the transferred
     order elements span exactly the partner's associated order, and that the
     transport commutes with the order action.  A self-opposite structure
-    (partner is algebra) is one side computed once."""
-    order_main = associated_order(algebra, ideal)
+    (partner is algebra) is one side computed once.  `order_main`, when
+    given, is associated_order(algebra, ideal), already built by the caller."""
+    if order_main is None:
+        order_main = associated_order(algebra, ideal)
     res_main = freeness_search(order_main, ideal, bound)
     if partner is algebra:
         order_partner, res_partner = order_main, res_main

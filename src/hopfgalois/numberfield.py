@@ -215,6 +215,43 @@ class FieldElement:
         return f"FieldElement({[str(c) for c in self.coords]})"
 
 
+def _int_mul(a, b, modulus) -> list[int]:
+    """Product in Z[t]/(f) of two integer coordinate vectors, f the monic
+    modulus: integer convolution, then reduction by f."""
+    acc = [0] * (2 * (len(modulus) - 1) - 1)
+    _convolve_into(acc, a, b)
+    return _reduce_int(acc, modulus)
+
+
+def _convolve_into(acc, a, b):
+    """acc += a * b as polynomials in t, unreduced."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    acc[i + j] += x * y
+
+
+def _reduce_int(acc, modulus) -> list[int]:
+    """The coordinates of acc (length at most 2n - 1) modulo the monic f of
+    degree n, by subtracting multiples of f from the top down."""
+    n = len(modulus) - 1
+    for k in range(len(acc) - 1, n - 1, -1):
+        top = acc[k]
+        if top:
+            for i in range(n):
+                acc[k - n + i] -= top * modulus[i]
+    return acc[:n]
+
+
+def _scaled(elements):
+    """(D, the integer coordinates of D * x for each x), D the common
+    denominator of every coordinate: the scaled elements lie in Z[t]/(f)."""
+    den = lcm(*(c.denominator for x in elements for c in x.coords))
+    return den, [[c.numerator * (den // c.denominator) for c in x.coords]
+                 for x in elements]
+
+
 def field_det(matrix) -> FieldElement:
     """Determinant over E of a square matrix of field elements, without
     division until the end.  Every coordinate is scaled by the matrix's common
@@ -228,13 +265,13 @@ def field_det(matrix) -> FieldElement:
                               f"bound {FIELD_DET_SIZE_BOUND}")
     field = matrix[0][0].field
     n, modulus = field.degree, field.modulus
-    den = lcm(*(c.denominator for row in matrix for x in row for c in x.coords))
-    rows = [[[c.numerator * (den // c.denominator) for c in x.coords]
-             for x in row] for row in matrix]
+    den, flat = _scaled([x for row in matrix for x in row])
+    rows = [flat[r * m:(r + 1) * m] for r in range(m)]
     # column bitmask -> coordinates of the minor on the bottom rows and
     # those columns; zero minors are dropped
     minors = {0: [1] + [0] * (n - 1)}
     for row in reversed(rows):
+        negated = [[-a for a in entry] for entry in row]
         grown: dict[int, list[int]] = {}
         for cols, minor in minors.items():
             for c, entry in enumerate(row):
@@ -245,27 +282,48 @@ def field_det(matrix) -> FieldElement:
                 if acc is None:
                     acc = grown[cols | bit] = [0] * (2 * n - 1)
                 # cofactor sign: parity of the columns of the minor left of c
-                sign = -1 if (cols & (bit - 1)).bit_count() % 2 else 1
-                for i, a in enumerate(entry):
-                    if a:
-                        a *= sign
-                        for j, b in enumerate(minor):
-                            if b:
-                                acc[i + j] += a * b
+                odd = (cols & (bit - 1)).bit_count() % 2
+                _convolve_into(acc, negated[c] if odd else entry, minor)
         minors = {}
         for cols, acc in grown.items():
-            for k in range(2 * n - 2, n - 1, -1):
-                top = acc[k]
-                if top:
-                    for i in range(n):
-                        acc[k - n + i] -= top * modulus[i]
-            if any(acc[:n]):
-                minors[cols] = acc[:n]
+            reduced = _reduce_int(acc, modulus)
+            if any(reduced):
+                minors[cols] = reduced
     full = minors.get((1 << m) - 1)
     if full is None:
         return field.zero()
     scale = den ** m
     return FieldElement(field, tuple(Fraction(c, scale) for c in full))
+
+
+def polynomial_value(terms, values) -> FieldElement:
+    """Value at the field elements values[k] of the integer polynomial whose
+    terms map exponents (e_0, .., e_{m-1}) to c in the sum of c * y_0^e_0 * ..
+    * y_{m-1}^e_{m-1}, without division until the end.  The values are scaled
+    by their common denominator D and raised to powers in Z[t]/(f), and each
+    term is scaled by D^(d - its degree) for d the top degree, so the sum is
+    D^d times the value; the last product of each term is added unreduced,
+    and the sum is reduced by f once."""
+    field = values[0].field
+    n, modulus = field.degree, field.modulus
+    den, scaled = _scaled(values)
+    top = max(map(sum, terms), default=0)
+    powers = []
+    for k, x in enumerate(scaled):
+        row = [[1]]
+        for _ in range(max((e[k] for e in terms), default=0)):
+            row.append(_int_mul(row[-1], x, modulus))
+        powers.append(row)
+    total = [0] * (2 * n - 1)
+    for exps, coeff in terms.items():
+        *inner, last = [powers[k][e] for k, e in enumerate(exps) if e] or [[1]]
+        term = [coeff * den ** (top - sum(exps))]
+        for factor in inner:
+            term = _int_mul(term, factor, modulus)
+        _convolve_into(total, term, last)
+    scale = den ** top
+    return FieldElement(field, tuple(Fraction(c, scale)
+                                     for c in _reduce_int(total, modulus)))
 
 
 def _poly_eval_mod(f_coeffs, x: FieldElement) -> FieldElement:

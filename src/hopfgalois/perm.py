@@ -193,36 +193,19 @@ class FiniteGroup:
             classes.append(cls)
         return classes
 
-    def subgroups(self) -> list["FiniteGroup"]:
-        """Every subgroup, by closure of incrementally extended generator sets."""
-        trivial = frozenset({self.elements[self.identity_index]})
-        found = {trivial}
-        frontier = [trivial]
-        while frontier:
-            new = []
-            for sub in frontier:
-                for p in self.elements:
-                    if p in sub:
-                        continue
-                    closure = _close_tuples(
-                        [q.images for q in sub | {p}], self.degree, None)
-                    bigger = frozenset(Permutation(t) for t in closure)
-                    if bigger not in found:
-                        found.add(bigger)
-                        new.append(bigger)
-            frontier = new
-        groups = [FiniteGroup(s) for s in found]
+    def normal_subgroups(self) -> list["FiniteGroup"]:
+        """Every normal subgroup, in the order of (order, element images).  A
+        normal subgroup is a union of conjugacy classes, so it is the join of
+        the normal closures <C> of the classes C it contains; the joins of
+        every set of closures are built one closure at a time."""
+        found = {frozenset([tuple(range(self.degree))])}
+        for cls in self.conjugacy_classes():
+            closure = frozenset(_close_tuples([p.images for p in cls], self.degree))
+            found |= {frozenset(_close_tuples(list(sub | closure), self.degree))
+                      for sub in found if not closure <= sub}
+        groups = [FiniteGroup(Permutation(t) for t in s) for s in found]
         groups.sort(key=lambda g: (g.order(), [p.images for p in g.elements]))
         return groups
-
-    def normal_subgroups(self) -> list["FiniteGroup"]:
-        out = []
-        for sub in self.subgroups():
-            members = set(sub.elements)
-            if all(q * p * q.inverse() in members
-                   for p in sub.elements for q in self.elements):
-                out.append(sub)
-        return out
 
     def is_isomorphic_to(self, other: "FiniteGroup") -> bool:
         """Exhaustive generator-image search with order-profile pruning."""

@@ -97,32 +97,6 @@ class IntPolynomial:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _term_sort_key(item[0]))
 
-    def evaluate(self, values, one):
-        """Evaluate at ring elements `values`; `one` is that ring's unit."""
-        max_exp = [0] * self.nvars
-        for exps in self.terms:
-            for k, e in enumerate(exps):
-                max_exp[k] = max(max_exp[k], e)
-        powers = []
-        for k, top in enumerate(max_exp):
-            row = [one]
-            for _ in range(top):
-                row.append(row[-1] * values[k])
-            powers.append(row)
-        total = None
-        for exps, coeff in self.terms.items():
-            term = None
-            for k, e in enumerate(exps):
-                if e:
-                    term = powers[k][e] if term is None else term * powers[k][e]
-            if term is None:
-                term = one
-            term = coeff * term
-            total = term if total is None else total + term
-        if total is None:
-            return one - one
-        return total
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -4,7 +4,12 @@ deliberately naive: different algorithms than the code under test."""
 import itertools
 from fractions import Fraction
 
-from hopfgalois.perm import Permutation
+from hopfgalois import linalg
+from hopfgalois.descent import (GroupAlgebraElement, MapAlgebraElement,
+                                coset_values, permutation_act_on_map,
+                                transition_matrix_of)
+from hopfgalois.numberfield import field_det
+from hopfgalois.perm import FiniteGroup, Permutation, _close_tuples
 from hopfgalois.transition import IntPolynomial
 
 
@@ -38,6 +43,42 @@ def all_subgroups_sym(degree):
         for b in elements:
             found.add(closure_of_pair(a, b, degree))
     return found
+
+
+def all_subgroups(group):
+    """Every subgroup of a FiniteGroup, by closure of incrementally extended
+    generator sets, sorted by (order, element images)."""
+    trivial = frozenset({group.elements[group.identity_index]})
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for sub in frontier:
+            for p in group.elements:
+                if p in sub:
+                    continue
+                closure = _close_tuples(
+                    [q.images for q in sub | {p}], group.degree, None)
+                bigger = frozenset(Permutation(t) for t in closure)
+                if bigger not in found:
+                    found.add(bigger)
+                    new.append(bigger)
+        frontier = new
+    groups = [FiniteGroup(s) for s in found]
+    groups.sort(key=lambda g: (g.order(), [p.images for p in g.elements]))
+    return groups
+
+
+def normal_subgroups_by_filter(group):
+    """The subgroups closed under conjugation by every element, in the order
+    of all_subgroups."""
+    out = []
+    for sub in all_subgroups(group):
+        members = set(sub.elements)
+        if all(q * p * q.inverse() in members
+               for p in sub.elements for q in group.elements):
+            out.append(sub)
+    return out
 
 
 def regular_normalized_oracle(space, lam):
@@ -99,6 +140,35 @@ def cofactor_det(matrix_rows, nvars):
     return expand(list(range(size)), list(range(size)))
 
 
+def evaluate(poly, values, one):
+    """Value of an IntPolynomial at ring elements `values`, `one` being that
+    ring's unit: power tables and a sum of products, in the ring's own
+    arithmetic."""
+    max_exp = [0] * poly.nvars
+    for exps in poly.terms:
+        for k, e in enumerate(exps):
+            max_exp[k] = max(max_exp[k], e)
+    powers = []
+    for k, top in enumerate(max_exp):
+        row = [one]
+        for _ in range(top):
+            row.append(row[-1] * values[k])
+        powers.append(row)
+    total = None
+    for exps, coeff in poly.terms.items():
+        term = None
+        for k, e in enumerate(exps):
+            if e:
+                term = powers[k][e] if term is None else term * powers[k][e]
+        if term is None:
+            term = one
+        term = coeff * term
+        total = term if total is None else total + term
+    if total is None:
+        return one - one
+    return total
+
+
 def first_free_witness(order, bound):
     """The lexicographically first nonzero vector of sup-norm at most `bound`
     that passes is_free_witness, testing every candidate in turn; None when
@@ -137,3 +207,59 @@ def stabilizer_scan_order(algebra, ideal, max_denominator):
             if all(v.denominator == 1 for row in mat for v in row):
                 members.append((c0, c1))
     return members
+
+
+# --- definitional counterparts of the descent layer
+
+def transition_matrix_values(context, space, n, x):
+    """The numeric transition matrix: entry (eta, g) is eta(g)-representative
+    applied to x."""
+    return transition_matrix_of(n, coset_values(context, space, x))
+
+
+def galois_act_on_map(context, space, g_index, f):
+    """The group action on Map(X, E): Galois on values, left translation on
+    subscripts."""
+    lam_images = [space.coset_of[space.group.mul(g_index, space.representatives[c])]
+                  for c in range(space.size)]
+    out = [None] * space.size
+    for c, v in enumerate(f.values):
+        out[lam_images[c]] = context.apply(g_index, v)
+    return MapAlgebraElement(out)
+
+
+def group_algebra_act_on_map(h, f):
+    """sum of c_eta times (eta acting on f), for h in E[N]."""
+    total = None
+    for eta, c in zip(h.subgroup.elements, h.coefficients):
+        if not c:
+            continue
+        piece = permutation_act_on_map(eta, f).scale(c)
+        total = piece if total is None else total + piece
+    if total is None:
+        zero = h.coefficients[0].field.zero()
+        return MapAlgebraElement([zero] * len(f.values))
+    return total
+
+
+def sum_over_subgroup(algebra):
+    """The element with every coefficient 1; always survives the descent."""
+    one = algebra.context.field.one()
+    return GroupAlgebraElement(
+        algebra.subgroup, [one] * len(algebra.subgroup.elements))
+
+
+def generates_map_algebra_over_group_algebra(algebra, f):
+    """Whether E[N] f = Map(X, E): exact rank over E of the orbit of f under
+    the subgroup elements."""
+    rows = [list(permutation_act_on_map(eta, f).values)
+            for eta in algebra.subgroup.elements]
+    return bool(field_det(rows))
+
+
+def generates_fixed_map_algebra(algebra, f):
+    """Whether the descended algebra's orbit of f spans the rational form of
+    the function algebra: exact rank over Q."""
+    rows = [[Fraction(v) for c in group_algebra_act_on_map(b, f).values
+             for v in c.coords] for b in algebra.basis]
+    return linalg.rank(rows) == algebra.dim

@@ -91,8 +91,7 @@ def test_det_identity_emits_polynomial(capsys, name):
 
 
 # sha256 and exit code of each `--json --seed 0 suite` report: a faster
-# route to the same checks must leave these alone (s3sextic is left out for
-# time)
+# route to the same checks must leave these alone
 SUITE_SHA256 = {
     "qi": ("a58995ffccac942990454dea0311203de139f94a559d983e1cbc947124df893a", 0),
     "qzeta3": ("46c6356006441baa57f0738ceec010cd3a933c29922d302673cc574c7550f0b1", 0),
@@ -100,6 +99,7 @@ SUITE_SHA256 = {
     "v4biquad": ("32bc68251a0f8256e56e4134f702fa47bd1d48fa68012eabb31711e1f5ccea30", 3),
     "qcbrt2": ("479b7dfaabe60e6141d94d3355a01f945fd8dd6ad8669d2db9322a0e0f9926ec", 0),
     "metacyclic21": ("a1aa62822ab787e0d8614778690a94dc979674d030597fc55e061abd90a190d4", 0),
+    "s3sextic": ("f26ccaa5869289a470ff1479291550105bc5661ec41c61eed19a2f3c39221d97", 0),
 }
 
 
@@ -187,9 +187,9 @@ def test_suite_computes_each_determinant_and_opposite_once(capsys, monkeypatch):
 
 def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
         capsys, monkeypatch):
-    from hopfgalois import integral, linalg
+    from hopfgalois import descent, integral, linalg
     from hopfgalois.numberfield import FieldElement
-    counts = {"is_generator": 0, "associated_order": 0}
+    counts = {"generates": 0, "associated_order": 0, "coset_values": 0}
     det_entries = []
 
     def counting(name, fn):
@@ -203,9 +203,10 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
         det_entries.append(mat[0][0])
         return exact_det(mat)
     monkeypatch.setattr(linalg, "det", det)
-    for module in (cli, integral):
-        monkeypatch.setattr(module, "is_generator",
-                            counting("is_generator", module.is_generator))
+    # is_generator (the certificate's witness test) reaches descent.generates
+    for module in (cli, descent):
+        monkeypatch.setattr(module, "generates",
+                            counting("generates", module.generates))
     monkeypatch.setattr(integral, "associated_order",
                         counting("associated_order", integral.associated_order))
     code, _ = run(capsys, "suite", "c4quartic")
@@ -215,9 +216,49 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
                                    for e in det_entries)
     # both structures are self-opposite: 200 samples each, plus the
     # certificate's one witness test (802 when each pair tested both sides)
-    assert counts["is_generator"] == 401
-    # assoc-order, then the certificate's one side (3 when it built both)
-    assert counts["associated_order"] == 2
+    assert counts["generates"] == 401
+    # assoc-order, whose order the certificate reuses (3 when the
+    # certificate built both sides, 2 when it built its own)
+    assert counts["associated_order"] == 1
+    # a sample's coset values are computed once, not once per structure
+    monkeypatch.setattr(descent, "coset_values",
+                        counting("coset_values", descent.coset_values))
+    counts.update(generates=0)
+    code, _ = run(capsys, "verify", "generators", "c4quartic")
+    assert code == 0
+    assert counts["generates"] == 2 * cli.GENERATOR_SAMPLES
+    assert counts["coset_values"] == cli.GENERATOR_SAMPLES
+
+
+def _planted_value_fault(fault):
+    """polynomial_value with one planted fault: a coefficient off by one, the
+    sign flipped, or the result divided by D^(d-1) in place of D^d."""
+    from hopfgalois.numberfield import _scaled, polynomial_value
+
+    def planted(terms, values):
+        if fault == "coefficient":
+            exps = next(iter(terms))
+            terms = {**terms, exps: terms[exps] + 1}
+        value = polynomial_value(terms, values)
+        if fault == "sign":
+            return -value
+        if fault == "scale":
+            return value * _scaled(values)[0]
+        return value
+    return planted
+
+
+@pytest.mark.parametrize("fault", [None, "coefficient", "sign", "scale"])
+def test_det_specialization_fails_on_a_planted_fault(monkeypatch, fault):
+    import random
+    from hopfgalois.fixtures import load_bundled
+    monkeypatch.setattr(cli, "polynomial_value", _planted_value_fault(fault))
+    # qcbrt2's sampled coset values have denominators, so D > 1 occurs
+    fx = load_bundled("qcbrt2")
+    report = cli.Report(["suite", "qcbrt2"], fx.name, 0)
+    cli._specialization_checks(fx, report, random.Random(0))
+    verdicts = {c["verdict"] for c in report.checks}
+    assert verdicts == ({"PASS"} if fault is None else {"FAIL"})
 
 
 def _c4quartic_descriptor():

@@ -6,19 +6,20 @@ import pytest
 from hopfgalois import descent, linalg
 from hopfgalois.descent import (GroupAlgebraElement, MapAlgebraElement,
                                 canonical_map_rank, descend,
-                                embed_in_map_algebra, galois_act_on_map,
-                                generates_fixed_map_algebra,
-                                generates_map_algebra_over_group_algebra,
-                                idempotent, is_generator, is_separable,
-                                permutation_act_on_map, sum_over_subgroup,
+                                embed_in_map_algebra, idempotent,
+                                is_generator, is_separable,
+                                permutation_act_on_map, residues_mod_p,
                                 trace_form_nondegenerate,
-                                transition_det_nonzero,
-                                transition_matrix_values, verify_commuting,
+                                transition_det_nonzero, verify_commuting,
                                 verify_hopf_galois)
 from hopfgalois.errors import DomainError, StructureError
 from hopfgalois.perm import (FiniteGroup, Permutation, RegularSubgroup,
                              build_coset_space, left_translation_embedding,
                              opposite, right_translation_subgroup)
+
+from .oracles import (galois_act_on_map, generates_fixed_map_algebra,
+                      generates_map_algebra_over_group_algebra,
+                      sum_over_subgroup, transition_matrix_values)
 
 F = Fraction
 
@@ -284,7 +285,8 @@ def test_nonzero_mod_p_certifies_without_the_exact_determinant(qi, monkeypatch):
     field = qi.context.field
     n = qi.structures()[0]
     # [[y0, y1], [y1, y0]] at (2, 1): determinant 3
-    assert transition_det_nonzero(n, [field.from_rational(2), field.one()])
+    values = [field.from_rational(2), field.one()]
+    assert transition_det_nonzero(n, values, residues_mod_p(values))
     assert calls == []
 
 
@@ -295,10 +297,11 @@ def test_planted_zero_mod_p_falls_back_to_the_exact_determinant(qi, monkeypatch)
     n = qi.structures()[0]
     # (p + 1)^2 - 1 = p (p + 2): nonzero, but zero mod p
     values = [field.from_rational(p + 1), field.one()]
-    assert transition_det_nonzero(n, values)
+    assert transition_det_nonzero(n, values, residues_mod_p(values))
     assert len(calls) == 1
     # a genuine zero goes the same way
-    assert not transition_det_nonzero(n, [field.one(), field.one()])
+    values = [field.one(), field.one()]
+    assert not transition_det_nonzero(n, values, residues_mod_p(values))
     assert len(calls) == 2
 
 
@@ -307,7 +310,9 @@ def test_denominator_divisible_by_p_takes_the_exact_route(qi, monkeypatch):
     field = qi.context.field
     p, _ = field.reduction_root()
     n = qi.structures()[0]
-    assert transition_det_nonzero(n, [field.from_rational(F(1, p)), field.zero()])
+    values = [field.from_rational(F(1, p)), field.zero()]
+    assert residues_mod_p(values) is None
+    assert transition_det_nonzero(n, values, None)
     assert len(calls) == 1
 
 

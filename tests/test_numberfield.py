@@ -7,12 +7,14 @@ from hopfgalois import linalg
 from hopfgalois.errors import CapabilityError, StructureError
 from hopfgalois.fixtures import load_bundled
 from hopfgalois.numberfield import (FIELD_DET_SIZE_BOUND, REDUCTION_PRIME_MIN,
-                                    NumberField, _reduction_root,
+                                    NumberField, _int_mul, _reduction_root,
                                     check_irreducible, field_det,
-                                    fixed_subfield, load_field)
+                                    fixed_subfield, load_field,
+                                    polynomial_value)
 from hopfgalois.perm import FiniteGroup, Permutation
+from hopfgalois.transition import IntPolynomial
 
-from .oracles import multiplication_trace
+from .oracles import evaluate, multiplication_trace
 
 F = Fraction
 
@@ -304,10 +306,14 @@ def test_reduction_root_is_computed_lazily():
 
 # --- the fraction-free determinant over E, against Gaussian elimination
 
+def _random_element(field, rng, denominators=(1, 2, 3, 5)):
+    return field.element([F(rng.randint(-9, 9), rng.choice(denominators))
+                          for _ in range(field.degree)])
+
+
 def _random_matrix(field, m, rng, denominators=(1, 2, 3, 5)):
-    return [[field.element([F(rng.randint(-9, 9), rng.choice(denominators))
-                            for _ in range(field.degree)])
-             for _ in range(m)] for _ in range(m)]
+    return [[_random_element(field, rng, denominators) for _ in range(m)]
+            for _ in range(m)]
 
 
 def test_field_det_matches_gaussian_elimination(field_fixtures):
@@ -357,3 +363,45 @@ def test_field_det_above_the_size_bound_is_a_capability_error(qi):
                 for i in range(size)]
     with pytest.raises(CapabilityError, match="field determinant bound"):
         field_det(identity)
+
+
+# --- the integer product in Z[t]/(f) that field_det and polynomial_value share
+
+def test_integer_product_matches_field_multiplication(field_fixtures):
+    rng = random.Random(25)
+    for fx in field_fixtures:
+        field = fx.context.field
+        for bound in (1, 9, 10 ** 6):
+            for _ in range(10):
+                a = [rng.randint(-bound, bound) for _ in range(field.degree)]
+                b = [rng.randint(-bound, bound) for _ in range(field.degree)]
+                product = field.element(a) * field.element(b)
+                assert _int_mul(a, b, field.modulus) == list(product.coords)
+
+
+def test_polynomial_value_matches_ring_arithmetic(field_fixtures):
+    rng = random.Random(26)
+    for fx in field_fixtures:
+        field = fx.context.field
+        polys = [fx.transition_det(i)[0] for i in range(len(fx.structures()))]
+        # not homogeneous: the terms are scaled to the top degree
+        polys.append(IntPolynomial(3, {(2, 0, 1): 4, (0, 1, 0): -3, (0, 0, 0): 7}))
+        polys.append(IntPolynomial.zero(2))
+        for poly in polys:
+            for _ in range(2):
+                values = [_random_element(field, rng) for _ in range(poly.nvars)]
+                assert polynomial_value(poly.terms, values) == \
+                    evaluate(poly, values, field.one())
+
+
+def test_polynomial_value_with_denominators_divisible_by_the_reduction_prime(
+        field_fixtures):
+    rng = random.Random(27)
+    for fx in field_fixtures:
+        field = fx.context.field
+        p, _ = field.reduction_root()
+        poly = fx.transition_det(0)[0]
+        values = [_random_element(field, rng, denominators=(1, p, 2 * p))
+                  for _ in range(poly.nvars)]
+        assert polynomial_value(poly.terms, values) == \
+            evaluate(poly, values, field.one())

@@ -8,7 +8,7 @@ from hopfgalois.perm import (FiniteGroup, Permutation, build_coset_space,
                              left_translation_embedding, metacyclic_group,
                              opposite, right_translation_subgroup)
 
-from .oracles import regular_normalized_oracle
+from .oracles import normal_subgroups_by_filter, regular_normalized_oracle
 
 
 def s3():
@@ -344,6 +344,23 @@ def test_group_queries_s3():
     assert facts.center.order() == 1
     nontrivial = [h for h in facts.normal_subgroups if 1 < h.order() < 6]
     assert len(nontrivial) == 1 and nontrivial[0].order() == 3
+
+
+def _normal_subgroup_cases(all_fixtures):
+    groups = [("S4", FiniteGroup.symmetric(4))]
+    for r, q, d in ((7, 3, 2), (5, 4, 2), (4, 2, 3), (9, 2, 8)):
+        groups.append((f"metacyclic({r},{q},{d})", metacyclic_group(r, q, d)[0]))
+    for fx in all_fixtures:
+        groups.append((fx.name, fx.group))
+        groups += [(f"{fx.name} structure {i}", n.as_group())
+                   for i, n in enumerate(fx.structures())]
+    return groups
+
+
+def test_normal_subgroups_match_the_subgroup_filter(all_fixtures):
+    for label, group in _normal_subgroup_cases(all_fixtures):
+        got = [h.elements for h in group.normal_subgroups()]
+        assert got == [h.elements for h in normal_subgroups_by_filter(group)], label
 
 
 def test_group_queries_bound():
