@@ -21,7 +21,7 @@ from .descent import (coset_values, descend, generates, generator_sample,
 from .errors import FixtureValidationError, HopfGaloisError, TheoremViolationError
 from .fixtures import BUNDLED, Fixture, bundled_path, parse
 from .numberfield import field_det, polynomial_value
-from .perm import (Permutation, centralizer_bruteforce, group_queries, opposite,
+from .perm import (centralizer_bruteforce, group_queries, opposite,
                    right_translation_subgroup)
 
 EXIT_PASS = 0
@@ -31,6 +31,7 @@ EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
 
 GENERATOR_SAMPLES = 200
+SPECIALIZATION_POINTS = 20
 
 
 class Report:
@@ -195,7 +196,11 @@ def cmd_opposite_suite(fx: Fixture, args, report: Report):
         ok_order = len(opp.elements) == len(n.elements)
         inter = set(n.elements) & set(opp.elements)
         ok_center = inter == set(n.as_group().center().elements)
-        witness = dict(_opposite_witness(n, space))
+        # eta -> the element of the opposite sending the base point where
+        # eta^{-1} does
+        table = opp.build_point_map(space.base_point)
+        witness = {eta: table[eta.inverse()(space.base_point)]
+                   for eta in n.elements}
         ok_iso = _is_isomorphism(witness, n)
         self_opposite = opp == n
         ok_abelian = self_opposite == n.as_group().is_abelian()
@@ -208,17 +213,6 @@ def cmd_opposite_suite(fx: Fixture, args, report: Report):
                    same_order=ok_order, intersection_is_center=ok_center,
                    isomorphic=ok_iso, abelian_iff_self_opposite=ok_abelian,
                    closed_under_opposite=ok_closed)
-
-
-def _opposite_witness(n, space):
-    """Pairs (eta, partner built from eta^{-1}) realizing the isomorphism of a
-    regular subgroup with its opposite."""
-    base = space.base_point
-    table = n.build_point_map(base)
-    for eta in n.elements:
-        inv = eta.inverse()
-        partner = Permutation(table[g](inv(base)) for g in range(n.size))
-        yield eta, partner
 
 
 def _is_isomorphism(mapping, n) -> bool:
@@ -286,8 +280,11 @@ def cmd_verify(fx: Fixture, args, report: Report, rng: random.Random):
         pairs = sorted({tuple(sorted((i, opposites[i])))
                         for i in range(len(structs))})
         space = fx.coset_space()
-        samples = [generator_sample(sub, space, sub.random_element(rng))
-                   for _ in range(GENERATOR_SAMPLES)]
+        samples = []
+        for _ in range(GENERATOR_SAMPLES):
+            coords = sub.random_coords(rng)
+            samples.append(generator_sample(sub, space, sub.from_coords(coords),
+                                            coords))
         # one test per structure and sample: a self-opposite structure is
         # both sides of its pair
         verdicts = {i: [generates(fx.algebra(i), s) for s in samples]
@@ -375,8 +372,7 @@ def cmd_suite(fx: Fixture, args, report: Report, rng: random.Random):
                 n=index, ideal=ideal_name, bound=args.bound), report, order)
 
 
-def _specialization_checks(fx: Fixture, report: Report, rng: random.Random,
-                           points: int = 20):
+def _specialization_checks(fx: Fixture, report: Report, rng: random.Random):
     """Symbolic determinant evaluated at coset-representative images must match
     the numeric transition determinant (exactly: equality mod p proves
     nothing)."""
@@ -386,7 +382,7 @@ def _specialization_checks(fx: Fixture, report: Report, rng: random.Random,
     for i, n in enumerate(fx.structures()):
         poly, sign = fx.transition_det(i)
         ok = True
-        for _ in range(points):
+        for _ in range(SPECIALIZATION_POINTS):
             x = sub.random_element(rng)
             values = coset_values(ctx, space, x)
             numeric = field_det(transition_matrix_of(n, values))
@@ -394,7 +390,7 @@ def _specialization_checks(fx: Fixture, report: Report, rng: random.Random,
                 ok = False
                 break
         report.add(f"det-specialization[{i}]", "PASS" if ok else "FAIL",
-                   "computed", points=points)
+                   "computed", points=SPECIALIZATION_POINTS)
 
 
 def _common_flags(parser, suppress: bool):

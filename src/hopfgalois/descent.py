@@ -19,14 +19,7 @@ def coset_apply(context: GaloisContext, space: CosetSpace, coset: int,
                 x: FieldElement) -> FieldElement:
     """Apply the canonical minimal representative of a coset to x.  For x in
     the fixed subfield this does not depend on the representative."""
-    result = context.apply(space.representatives[coset], x)
-    if __debug__:
-        stab = space.stabilizer
-        rep = space.representatives[coset]
-        for s in stab.generators:
-            other = space.group.mul(rep, space.group.index_of(stab.elements[s]))
-            assert space.coset_of[other] == coset
-    return result
+    return context.apply(space.representatives[coset], x)
 
 
 class MapAlgebraElement:
@@ -60,12 +53,6 @@ class MapAlgebraElement:
         return f"MapAlgebraElement({list(self.values)})"
 
 
-def idempotent(context: GaloisContext, size: int, coset: int) -> MapAlgebraElement:
-    values = [context.field.zero()] * size
-    values[coset] = context.field.one()
-    return MapAlgebraElement(values)
-
-
 def embed_in_map_algebra(context: GaloisContext, space: CosetSpace,
                          subfield: Subfield, x: FieldElement) -> MapAlgebraElement:
     """x -> sum over cosets of (representative applied to x) times the coset's
@@ -74,15 +61,6 @@ def embed_in_map_algebra(context: GaloisContext, space: CosetSpace,
         raise DomainError("element is not fixed by the stabilizer")
     return MapAlgebraElement(
         coset_apply(context, space, c, x) for c in range(space.size))
-
-
-def permutation_act_on_map(eta: Permutation, f: MapAlgebraElement) -> MapAlgebraElement:
-    """The subgroup action that permutes idempotent subscripts."""
-    values = list(f.values)
-    out = [None] * len(values)
-    for g, v in enumerate(values):
-        out[eta(g)] = v
-    return MapAlgebraElement(out)
 
 
 class GroupAlgebraElement:
@@ -152,22 +130,6 @@ class DescendedAlgebra:
                             out[i][j] += Fraction(c) * row[j]
         return out
 
-    def element_from_coords(self, coords) -> GroupAlgebraElement:
-        total = None
-        for c, b in zip(coords, self.basis):
-            piece = GroupAlgebraElement(
-                self.subgroup, (v * Fraction(c) for v in b.coefficients))
-            total = piece if total is None else total + piece
-        return total
-
-    def coords_of(self, element: GroupAlgebraElement):
-        solver = linalg.LinearSolver(
-            [_flatten(b.coefficients) for b in self.basis])
-        coords = solver.solve(_flatten(element.coefficients))
-        if coords is None:
-            raise DomainError("element does not lie in the descended algebra")
-        return coords
-
     def multiply_coords(self, a, b):
         out = [Fraction(0)] * self.dim
         for i, ai in enumerate(a):
@@ -182,27 +144,7 @@ class DescendedAlgebra:
         return out
 
     def left_multiplication_matrices(self):
-        m = self.dim
-        mats = []
-        for i in range(m):
-            mat = [[self.structure_constants[i][j][k] for j in range(m)]
-                   for k in range(m)]
-            mats.append(mat)
-        return mats
-
-    def act(self, h: GroupAlgebraElement, x: FieldElement) -> FieldElement:
-        """The descended action: sum of c_eta times (representative of
-        eta^{-1}(base)) applied to x.  The result must land in the subfield."""
-        base = self.space.base_point
-        total = self.context.field.zero()
-        for eta, c in zip(self.subgroup.elements, h.coefficients):
-            if not c:
-                continue
-            coset = eta.inverse()(base)
-            total = total + c * coset_apply(self.context, self.space, coset, x)
-        if not self.subfield.contains(total):
-            raise ConsistencyError("action left the fixed subfield")
-        return total
+        return [linalg.transpose(rows) for rows in self.structure_constants]
 
     def act_coords(self, h_coords, x_coords):
         return linalg.mat_vec(self.action_matrix_of(h_coords), list(x_coords))
@@ -386,14 +328,14 @@ class GeneratorSample:
     whatever the structure: its subfield coordinates, its coset values and
     their residues_mod_p."""
 
-    coords: list[Fraction]
+    coords: list[Fraction | int]
     values: list[FieldElement]
     residues: list[int] | None
 
 
-def generator_sample(subfield: Subfield, space: CosetSpace,
-                     x: FieldElement) -> GeneratorSample:
-    coords = subfield.coords(x)
+def generator_sample(subfield: Subfield, space: CosetSpace, x: FieldElement,
+                     coords) -> GeneratorSample:
+    """The sample of x, given its subfield coordinates."""
     values = coset_values(subfield.context, space, x)
     return GeneratorSample(coords, values, residues_mod_p(values))
 
@@ -414,7 +356,9 @@ def generates(algebra: DescendedAlgebra, sample: GeneratorSample) -> bool:
 
 def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:
     """generates() on the sample of x, for a single test."""
-    return generates(algebra, generator_sample(algebra.subfield, algebra.space, x))
+    sub = algebra.subfield
+    return generates(algebra, generator_sample(sub, algebra.space, x,
+                                               sub.coords(x)))
 
 
 def trace_form_nondegenerate(left_mult_matrices) -> bool:

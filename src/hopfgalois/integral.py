@@ -6,13 +6,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
 from .errors import (CapabilityError, ConsistencyError, DomainError,
                      StructureError, TheoremViolationError)
-from .descent import DescendedAlgebra, is_generator
+# is_generator is unused here: perfbench/smoke.py checks that its tracer wraps
+# integral.is_generator
+from .descent import DescendedAlgebra, generates, generator_sample, is_generator
 from .transition import IntPolynomial, det_symbolic
 
 # the default bound's box, 7^m candidates, at the size-8 limit
@@ -34,10 +36,7 @@ class Lattice:
         if not rows:
             raise StructureError("a lattice needs at least one basis vector")
         m = len(rows[0])
-        den = 1
-        for r in rows:
-            for v in r:
-                den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for r in rows for v in r))
         int_rows = [[int(v * den) for v in r] for r in rows]
         reduced = linalg.hnf(int_rows)
         if len(reduced) != m:
@@ -115,9 +114,7 @@ class AssociatedOrder:
 
 
 def _ideal_basis_matrix(ideal: FractionalIdeal):
-    vecs = ideal.lattice.basis_vectors()
-    m = len(vecs)
-    return [[vecs[j][i] for j in range(m)] for i in range(m)]
+    return linalg.transpose(ideal.lattice.basis_vectors())
 
 
 def associated_order(algebra: DescendedAlgebra, ideal: FractionalIdeal) -> AssociatedOrder:
@@ -132,11 +129,7 @@ def associated_order(algebra: DescendedAlgebra, ideal: FractionalIdeal) -> Assoc
     rewritten = [linalg.mat_mul(w_inv, linalg.mat_mul(
         [list(r) for r in a], w)) for a in algebra.action_matrices]
 
-    den = 1
-    for mat in rewritten:
-        for row in mat:
-            for v in row:
-                den = den * v.denominator // gcd(den, v.denominator)
+    den = lcm(*(v.denominator for mat in rewritten for row in mat for v in row))
     stacked = []
     for i in range(m):
         for j in range(m):
@@ -266,18 +259,18 @@ def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
     return FreenessResult("UNKNOWN")
 
 
-def _transfer_rows(algebra: DescendedAlgebra, partner: DescendedAlgebra,
-                   elements, x) -> list[list[Fraction]]:
-    """For each given element a, the unique partner element z acting on the
-    generator x exactly as a does: one generator test of x and one solver
-    for z . x = a . x in the partner's coordinates, shared by every a."""
-    if not is_generator(partner, x):
+def _transfer_rows(partner: DescendedAlgebra, x, xc, images) -> list[list[Fraction]]:
+    """For each given a . x, the unique partner element z with z . x = a . x:
+    one generator test of x and one solver in the partner's coordinates,
+    shared by every a.  Vectors are in the subfield basis both algebras act
+    on, where x has coordinates xc."""
+    sample = generator_sample(partner.subfield, partner.space, x, xc)
+    if not generates(partner, sample):
         raise DomainError("transfer needs the witness to generate over the partner")
-    solver = linalg.LinearSolver(partner.orbit(partner.subfield.coords(x)))
-    xc_here = algebra.subfield.coords(x)
+    solver = linalg.LinearSolver(partner.orbit(xc))
     rows = []
-    for a_coords in elements:
-        z = solver.solve(algebra.act_coords(list(a_coords), xc_here))
+    for image in images:
+        z = solver.solve(image)
         if z is None:
             raise ConsistencyError("transfer system is inconsistent")
         rows.append(z)
@@ -288,7 +281,8 @@ def transfer_element(algebra: DescendedAlgebra, partner: DescendedAlgebra,
                      a_coords, x) -> list[Fraction]:
     """The unique partner element acting on the generator x exactly as the
     given element does; solves z . x = a . x in the partner's coordinates."""
-    return _transfer_rows(algebra, partner, [a_coords], x)[0]
+    xc = algebra.subfield.coords(x)
+    return _transfer_rows(partner, x, xc, [algebra.act_coords(list(a_coords), xc)])[0]
 
 
 @dataclass(frozen=True)
@@ -315,7 +309,8 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
     witness on either side is a witness on the other, that the transferred
     order elements span exactly the partner's associated order, and that the
     transport commutes with the order action.  A self-opposite structure
-    (partner is algebra) is one side computed once.  `order_main`, when
+    (partner is algebra) is one side computed once.  Both algebras act on
+    one subfield basis, in which the ideal is given.  `order_main`, when
     given, is associated_order(algebra, ideal), already built by the caller."""
     if order_main is None:
         order_main = associated_order(algebra, ideal)
@@ -344,9 +339,11 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
                 "freeness equivalence was violated")
         witness_transfers = True
 
-        x = side_here.subfield.from_coords(result.witness_subfield_coords)
-        basis = order_here.basis_coords()
-        z_rows = _transfer_rows(side_here, side_there, basis, x)
+        xc = list(result.witness_subfield_coords)
+        x = side_here.subfield.from_coords(xc)
+        w_mats = [side_here.action_matrix_of(w) for w in order_here.basis_coords()]
+        w_of_x = [linalg.mat_vec(a, xc) for a in w_mats]
+        z_rows = _transfer_rows(side_there, x, xc, w_of_x)
         z_lattice = Lattice.from_rational_rows(z_rows)
         same = z_lattice == order_there.lattice
         lattice_matches = same if lattice_matches is None else (lattice_matches and same)
@@ -355,13 +352,10 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
                 "transferred order elements do not span the partner's "
                 "associated order")
 
-        xc_here = side_here.subfield.coords(x)
-        w_mats = [side_here.action_matrix_of(w) for w in basis]
-        w_of_x = [linalg.mat_vec(a, xc_here) for a in w_mats]
         ok = True
         for z in z_rows:
             z_mat = side_there.action_matrix_of(z)
-            z_of_x = linalg.mat_vec(z_mat, xc_here)
+            z_of_x = linalg.mat_vec(z_mat, xc)
             for w_mat, wx in zip(w_mats, w_of_x):
                 if linalg.mat_vec(z_mat, wx) != linalg.mat_vec(w_mat, z_of_x):
                     ok = False

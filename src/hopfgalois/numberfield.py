@@ -25,7 +25,7 @@ class NumberField:
     """The field Q[t]/(f) for a monic integer polynomial f, with elements in
     power-basis coordinates."""
 
-    __slots__ = ("modulus", "degree", "_reduction")
+    __slots__ = ("modulus", "degree")
 
     def __init__(self, modulus):
         coeffs = [int(c) for c in modulus]
@@ -40,22 +40,14 @@ class NumberField:
         if self.degree > MAX_DEGREE:
             raise StructureError(
                 f"degree {self.degree} exceeds the supported bound {MAX_DEGREE}")
-        # t^(n+k) mod f for k = 0 .. n-2, as coordinate rows
-        n = self.degree
-        rows = []
-        current = [Fraction(-c) for c in self.modulus[:-1]]
-        rows.append(list(current))
-        for _ in range(n - 2):
-            shifted = [Fraction(0)] + current[:-1]
-            top = current[-1]
-            current = [s + top * r for s, r in zip(shifted, rows[0])]
-            rows.append(list(current))
-        self._reduction = rows
 
     def element(self, coords) -> "FieldElement":
         coords = [Fraction(c) for c in coords]
         if len(coords) > self.degree:
-            coords = self._reduce(coords)
+            den = lcm(*(c.denominator for c in coords))
+            coords = [Fraction(c, den) for c in _reduce_int(
+                [c.numerator * (den // c.denominator) for c in coords],
+                self.modulus)]
         coords += [Fraction(0)] * (self.degree - len(coords))
         return FieldElement(self, tuple(coords))
 
@@ -71,18 +63,6 @@ class NumberField:
     def from_rational(self, value) -> "FieldElement":
         return self.element([Fraction(value)])
 
-    def _reduce(self, coords):
-        n = self.degree
-        out = list(coords[:n])
-        out += [Fraction(0)] * (n - len(out))
-        for k in range(n, len(coords)):
-            c = coords[k]
-            if c:
-                row = self._reduction[k - n]
-                for i in range(n):
-                    out[i] += c * row[i]
-        return out
-
     def multiplication_matrix(self, x: "FieldElement"):
         """Matrix of y -> x*y in the power basis (columns are x * t^j)."""
         cols = []
@@ -91,7 +71,7 @@ class NumberField:
         for _ in range(self.degree):
             cols.append(cur.coords)
             cur = cur * t
-        return [[cols[j][i] for j in range(self.degree)] for i in range(self.degree)]
+        return linalg.transpose(cols)
 
     def reduction_root(self) -> tuple[int, int]:
         """A pair (p, r): p >= REDUCTION_PRIME_MIN the least prime at which
@@ -135,14 +115,10 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.field, tuple(a * other for a in self.coords))
-        n = self.field.degree
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        conv[i + j] += a * b
-        return FieldElement(self.field, tuple(self.field._reduce(conv)))
+        den, (a, b) = _scaled((self, other))
+        scale = den * den
+        return FieldElement(self.field, tuple(
+            Fraction(c, scale) for c in _int_mul(a, b, self.field.modulus)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -233,8 +209,8 @@ def _convolve_into(acc, a, b):
 
 
 def _reduce_int(acc, modulus) -> list[int]:
-    """The coordinates of acc (length at most 2n - 1) modulo the monic f of
-    degree n, by subtracting multiples of f from the top down."""
+    """The coordinates of acc, of any length, modulo the monic f of degree n,
+    by subtracting multiples of f from the top down."""
     n = len(modulus) - 1
     for k in range(len(acc) - 1, n - 1, -1):
         top = acc[k]
@@ -324,13 +300,6 @@ def polynomial_value(terms, values) -> FieldElement:
     scale = den ** top
     return FieldElement(field, tuple(Fraction(c, scale)
                                      for c in _reduce_int(total, modulus)))
-
-
-def _poly_eval_mod(f_coeffs, x: FieldElement) -> FieldElement:
-    acc = x.field.zero()
-    for c in reversed(f_coeffs):
-        acc = acc * x + x.field.from_rational(c)
-    return acc
 
 
 def _rational_roots(coeffs) -> list[int]:
@@ -583,8 +552,8 @@ def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
     gen_matrices = {}
     for g_index, image_coords in generator_images.items():
         image = field.element(image_coords)
-        value = _poly_eval_mod(field.modulus, image)
-        if value:
+        if polynomial_value({(k,): c for k, c in enumerate(field.modulus)},
+                            [image]):
             raise StructureError(
                 f"invalid automorphism for generator index {g_index}: "
                 "its image of t is not a root of the minimal polynomial")
@@ -593,8 +562,7 @@ def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
         for _ in range(field.degree):
             cols.append(power.coords)
             power = power * image
-        gen_matrices[g_index] = [[cols[j][i] for j in range(field.degree)]
-                                 for i in range(field.degree)]
+        gen_matrices[g_index] = linalg.transpose(cols)
 
     for g in group.generators:
         if g not in gen_matrices:
@@ -660,11 +628,13 @@ class Subfield:
 
     def multiplication_matrix(self, x: FieldElement):
         """Matrix of y -> x*y on the subfield, in subfield coordinates."""
-        cols = [self.coords(x * b) for b in self.basis]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        return linalg.transpose([self.coords(x * b) for b in self.basis])
 
-    def random_element(self, rng, low: int = -9, high: int = 9) -> FieldElement:
-        return self.from_coords([rng.randint(low, high) for _ in range(self.dim)])
+    def random_coords(self, rng) -> list[int]:
+        return [rng.randint(-9, 9) for _ in range(self.dim)]
+
+    def random_element(self, rng) -> FieldElement:
+        return self.from_coords(self.random_coords(rng))
 
 
 def fixed_subfield(context: GaloisContext, stabilizer: FiniteGroup) -> Subfield:

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 from hopfgalois import linalg
 from hopfgalois.descent import (GroupAlgebraElement, MapAlgebraElement,
-                                coset_values, permutation_act_on_map,
-                                transition_matrix_of)
+                                coset_apply, coset_values, transition_matrix_of)
+from hopfgalois.errors import ConsistencyError, DomainError
 from hopfgalois.numberfield import field_det
 from hopfgalois.perm import FiniteGroup, Permutation, _close_tuples
 from hopfgalois.transition import IntPolynomial
@@ -181,6 +181,27 @@ def first_free_witness(order, bound):
     return None
 
 
+def fraction_product(x, y):
+    """Coordinates of x * y in Q[t]/(f): a Fraction convolution, reduced with
+    the table of t^(n+k) mod f for k = 0 .. n-2."""
+    field = x.field
+    n = field.degree
+    rows = [[Fraction(-c) for c in field.modulus[:-1]]]
+    for _ in range(n - 2):
+        top = rows[-1][-1]
+        shifted = [Fraction(0)] + rows[-1][:-1]
+        rows.append([s + top * r for s, r in zip(shifted, rows[0])])
+    conv = [Fraction(0)] * (2 * n - 1)
+    for i, a in enumerate(x.coords):
+        for j, b in enumerate(y.coords):
+            conv[i + j] += a * b
+    out = conv[:n]
+    for k in range(n, 2 * n - 1):
+        for i in range(n):
+            out[i] += conv[k] * rows[k - n][i]
+    return tuple(out)
+
+
 def multiplication_trace(field, x):
     """Trace of y -> x*y computed from the multiplication matrix."""
     mat = field.multiplication_matrix(x)
@@ -210,6 +231,58 @@ def stabilizer_scan_order(algebra, ideal, max_denominator):
 
 
 # --- definitional counterparts of the descent layer
+
+def idempotent(context, size, coset):
+    values = [context.field.zero()] * size
+    values[coset] = context.field.one()
+    return MapAlgebraElement(values)
+
+
+def permutation_act_on_map(eta, f):
+    """The subgroup action that permutes idempotent subscripts."""
+    out = [None] * len(f.values)
+    for g, v in enumerate(f.values):
+        out[eta(g)] = v
+    return MapAlgebraElement(out)
+
+
+def element_from_coords(algebra, coords):
+    """The element of E[N] with the given coordinates in the descended basis."""
+    total = None
+    for c, b in zip(coords, algebra.basis):
+        piece = GroupAlgebraElement(
+            algebra.subgroup, (v * Fraction(c) for v in b.coefficients))
+        total = piece if total is None else total + piece
+    return total
+
+
+def _flatten(values):
+    return [Fraction(v) for c in values for v in c.coords]
+
+
+def coords_of(algebra, element):
+    """Coordinates in the descended basis of an element of E[N]."""
+    solver = linalg.LinearSolver([_flatten(b.coefficients) for b in algebra.basis])
+    coords = solver.solve(_flatten(element.coefficients))
+    if coords is None:
+        raise DomainError("element does not lie in the descended algebra")
+    return coords
+
+
+def descended_act(algebra, h, x):
+    """The descended action: sum of c_eta times (representative of
+    eta^{-1}(base)) applied to x.  The result must land in the subfield."""
+    base = algebra.space.base_point
+    total = algebra.context.field.zero()
+    for eta, c in zip(algebra.subgroup.elements, h.coefficients):
+        if not c:
+            continue
+        coset = eta.inverse()(base)
+        total = total + c * coset_apply(algebra.context, algebra.space, coset, x)
+    if not algebra.subfield.contains(total):
+        raise ConsistencyError("action left the fixed subfield")
+    return total
+
 
 def transition_matrix_values(context, space, n, x):
     """The numeric transition matrix: entry (eta, g) is eta(g)-representative

@@ -188,8 +188,9 @@ def test_suite_computes_each_determinant_and_opposite_once(capsys, monkeypatch):
 def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
         capsys, monkeypatch):
     from hopfgalois import descent, integral, linalg
-    from hopfgalois.numberfield import FieldElement
-    counts = {"generates": 0, "associated_order": 0, "coset_values": 0}
+    from hopfgalois.numberfield import FieldElement, Subfield
+    counts = {"generates": 0, "associated_order": 0, "coset_values": 0,
+              "coords": 0}
     det_entries = []
 
     def counting(name, fn):
@@ -203,8 +204,8 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
         det_entries.append(mat[0][0])
         return exact_det(mat)
     monkeypatch.setattr(linalg, "det", det)
-    # is_generator (the certificate's witness test) reaches descent.generates
-    for module in (cli, descent):
+    # the certificate runs its witness test through integral.generates
+    for module in (cli, integral):
         monkeypatch.setattr(module, "generates",
                             counting("generates", module.generates))
     monkeypatch.setattr(integral, "associated_order",
@@ -223,11 +224,16 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     # a sample's coset values are computed once, not once per structure
     monkeypatch.setattr(descent, "coset_values",
                         counting("coset_values", descent.coset_values))
-    counts.update(generates=0)
+    # a sample is drawn as subfield coordinates, which are not solved for
+    # again: the 57 solves are the descents' own (257 when they were)
+    monkeypatch.setattr(Subfield, "coords",
+                        counting("coords", Subfield.coords))
+    counts.update(generates=0, coords=0)
     code, _ = run(capsys, "verify", "generators", "c4quartic")
     assert code == 0
     assert counts["generates"] == 2 * cli.GENERATOR_SAMPLES
     assert counts["coset_values"] == cli.GENERATOR_SAMPLES
+    assert counts["coords"] == 57
 
 
 def _planted_value_fault(fault):

@@ -10,6 +10,7 @@ from hopfgalois.integral import (FREENESS_BOX_BOUND, FractionalIdeal,
                                  freeness_certificate, freeness_search,
                                  is_free_witness, norm_form, transfer_element,
                                  witness_matrix)
+from hopfgalois.numberfield import Subfield
 from hopfgalois.perm import opposite, right_translation_subgroup
 from hopfgalois.transition import IntPolynomial
 
@@ -344,25 +345,35 @@ def test_certificate_on_the_sextic_classical_pair(s3sextic):
 def test_certificate_tests_each_witness_once(s3sextic, monkeypatch):
     from hopfgalois import integral
     calls = []
-    original = integral.is_generator
+    original = integral.generates
 
-    def is_generator(algebra, x):
-        calls.append((algebra, x))
-        return original(algebra, x)
-    monkeypatch.setattr(integral, "is_generator", is_generator)
+    def generates(algebra, sample):
+        calls.append((algebra, sample))
+        return original(algebra, sample)
+    monkeypatch.setattr(integral, "generates", generates)
     algebra = _classical_algebra(s3sextic)
     index = next(i for i in range(len(s3sextic.structures()))
                  if s3sextic.algebra(i) is algebra)
     partner = s3sextic.algebra(_opposite_index(s3sextic, index))
+    solved = []
+    original_coords = Subfield.coords
+
+    def coords(subfield, x):
+        solved.append(x)
+        return original_coords(subfield, x)
+    monkeypatch.setattr(Subfield, "coords", coords)
     cert = freeness_certificate(algebra, partner, s3sextic.ideal("OE"), 3)
     assert cert.consistent and cert.commuting_transport_holds
     # one generator test per side's witness, on the commuting side
     assert [a for a, _ in calls] == [partner, algebra]
+    # the witnesses' subfield coordinates come from the search, so none is
+    # solved for again (8 solves when each step solved its own)
+    assert solved == []
 
 
 def test_self_opposite_certificate_computes_one_side(qzeta3, monkeypatch):
     from hopfgalois import integral
-    counts = {"associated_order": 0, "freeness_search": 0, "is_generator": 0}
+    counts = {"associated_order": 0, "freeness_search": 0, "generates": 0}
 
     def counting(name):
         original = getattr(integral, name)
@@ -379,7 +390,7 @@ def test_self_opposite_certificate_computes_one_side(qzeta3, monkeypatch):
     assert cert.witness_transfers and cert.transferred_lattice_matches
     assert cert.commuting_transport_holds
     assert counts == {"associated_order": 1, "freeness_search": 1,
-                      "is_generator": 1}
+                      "generates": 1}
 
 
 def test_certificate_trivial_for_commutative_structures(qzeta3):

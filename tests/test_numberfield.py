@@ -14,7 +14,7 @@ from hopfgalois.numberfield import (FIELD_DET_SIZE_BOUND, REDUCTION_PRIME_MIN,
 from hopfgalois.perm import FiniteGroup, Permutation
 from hopfgalois.transition import IntPolynomial
 
-from .oracles import evaluate, multiplication_trace
+from .oracles import evaluate, fraction_product, multiplication_trace
 
 F = Fraction
 
@@ -33,6 +33,9 @@ def test_gaussian_arithmetic():
     y = field.element([1, -1])     # 1 - i
     assert (x * y).coords == (F(5), F(1))
     assert (x / x).coords == (F(1), F(0))
+    # over-long coordinates are reduced modulo f: t^2 = -1, t^4 = 1
+    assert field.element([0, 0, 1]) == field.element([-1])
+    assert field.element([1, 0, 0, 0, F(1, 2)]) == field.element([F(3, 2)])
 
 
 def test_field_axioms_on_random_samples():
@@ -365,7 +368,8 @@ def test_field_det_above_the_size_bound_is_a_capability_error(qi):
         field_det(identity)
 
 
-# --- the integer product in Z[t]/(f) that field_det and polynomial_value share
+# --- the integer product in Z[t]/(f): FieldElement multiplication, field_det
+# and polynomial_value all go through it
 
 def test_integer_product_matches_field_multiplication(field_fixtures):
     rng = random.Random(25)
@@ -375,8 +379,12 @@ def test_integer_product_matches_field_multiplication(field_fixtures):
             for _ in range(10):
                 a = [rng.randint(-bound, bound) for _ in range(field.degree)]
                 b = [rng.randint(-bound, bound) for _ in range(field.degree)]
-                product = field.element(a) * field.element(b)
-                assert _int_mul(a, b, field.modulus) == list(product.coords)
+                product = fraction_product(field.element(a), field.element(b))
+                assert _int_mul(a, b, field.modulus) == list(product)
+        # FieldElement multiplication, with denominators 1, 2, 3 and 5
+        for _ in range(20):
+            x, y = _random_element(field, rng), _random_element(field, rng)
+            assert (x * y).coords == fraction_product(x, y)
 
 
 def test_polynomial_value_matches_ring_arithmetic(field_fixtures):

@@ -73,6 +73,18 @@ def test_coset_space_metacyclic_index():
     assert space.size == 7
 
 
+def test_coset_representatives_absorb_the_stabilizer(all_fixtures):
+    # coset_of[rep * s] = c: applying any element of a coset agrees with
+    # applying its representative on the fixed subfield
+    for fx in all_fixtures:
+        space = fx.coset_space()
+        group = space.group
+        for c, rep in enumerate(space.representatives):
+            for s in space.stabilizer.elements:
+                assert space.coset_of[group.mul(rep, group.index_of(s))] == c, \
+                    (fx.name, c, s)
+
+
 def test_coset_space_rejects_non_member_stabilizer():
     group = cyclic(4)
     foreign = FiniteGroup.generated_by([Permutation([1, 0, 2, 3])])
