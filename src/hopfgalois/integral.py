@@ -120,46 +120,45 @@ def _ideal_basis_matrix(ideal: FractionalIdeal):
 def associated_order(algebra: DescendedAlgebra, ideal: FractionalIdeal) -> AssociatedOrder:
     """Exact computation of every algebra element mapping the ideal into
     itself: the dual of the row lattice of the rewritten action matrices,
-    then verified to be a unital, multiplicatively closed stabilizer."""
+    then verified to be a unital, multiplicatively closed stabilizer.  Over
+    Z: with W = Wz/d_I and W^-1 = P/d_P, the rewritten W^-1 A_k W is
+    S_k/D for S_k = P (d_A A_k) Wz and D = d_P d_A d_I; the Hermite form
+    and the dual basis are unchanged by the positive scale D."""
     m = algebra.dim
-    w = _ideal_basis_matrix(ideal)
-    w_inv = linalg.invert(w)
+    w_inv = linalg.invert(_ideal_basis_matrix(ideal))
     if w_inv is None:
         raise ConsistencyError("ideal basis is singular")
-    rewritten = [linalg.mat_mul(w_inv, linalg.mat_mul(
-        [list(r) for r in a], w)) for a in algebra.action_matrices]
+    d_p = lcm(*(v.denominator for row in w_inv for v in row))
+    d_a = lcm(*(v.denominator for a in algebra.action_matrices
+                for row in a for v in row))
+    p = [[int(v * d_p) for v in row] for row in w_inv]
+    wz = linalg.transpose(ideal.lattice.rows)
+    scaled = [linalg.mat_mul(linalg.mat_mul(p, [[int(v * d_a) for v in row]
+                                                 for row in a]), wz)
+              for a in algebra.action_matrices]
+    scale = d_p * d_a * ideal.lattice.denominator
 
-    den = lcm(*(v.denominator for mat in rewritten for row in mat for v in row))
-    stacked = []
-    for i in range(m):
-        for j in range(m):
-            stacked.append([int(mat[i][j] * den) for mat in rewritten])
-    reduced = linalg.hnf(stacked)
+    reduced = linalg.hnf([[s[i][j] for s in scaled]
+                          for i in range(m) for j in range(m)])
     if len(reduced) != m:
         raise ConsistencyError(
             "action is degenerate; it cannot come from a Hopf-Galois structure")
-    h_fracs = [[Fraction(v) for v in r] for r in reduced]
-    h_inv = linalg.invert(h_fracs)
-    basis_rows = [[den * h_inv[i][j] for i in range(m)] for j in range(m)]
-    lattice = Lattice.from_rational_rows(basis_rows)
+    h_inv = linalg.invert([[Fraction(v) for v in r] for r in reduced])
+    lattice = Lattice.from_rational_rows(
+        [[scale * h_inv[i][j] for i in range(m)] for j in range(m)])
 
     if not lattice.contains(list(algebra.identity_coords)):
         raise ConsistencyError("associated order does not contain the identity")
-    basis = lattice.basis_vectors()
+    # basis element c/d_L acts on the ideal as sum_k c_k S_k / (d_L D)
+    q = lattice.denominator * scale
     actions = []
-    for c in basis:
-        mat = linalg.mat_mul(w_inv, linalg.mat_mul(
-            algebra.action_matrix_of(c), w))
-        ints = []
-        for row in mat:
-            int_row = []
-            for v in row:
-                if v.denominator != 1:
-                    raise ConsistencyError(
-                        "order element does not stabilize the ideal")
-                int_row.append(int(v))
-            ints.append(int_row)
-        actions.append(tuple(tuple(r) for r in ints))
+    for c in lattice.rows:
+        mat = [[sum(ck * s[i][j] for ck, s in zip(c, scaled)) for j in range(m)]
+               for i in range(m)]
+        if any(v % q for row in mat for v in row):
+            raise ConsistencyError("order element does not stabilize the ideal")
+        actions.append(tuple(tuple(v // q for v in row) for row in mat))
+    basis = lattice.basis_vectors()
     for a in basis:
         for b in basis:
             if not lattice.contains(algebra.multiply_coords(a, b)):
@@ -199,9 +198,11 @@ def norm_form(order: AssociatedOrder) -> IntPolynomial:
 
 
 def _unit_points(poly: IntPolynomial, bound: int):
-    """(v, poly(v)) for the v of sup-norm at most `bound` with poly(v) = +-1,
-    in lexicographic order, by nested substitution: fixing y_0 leaves a
-    polynomial in y_1 .., and so on down to one variable."""
+    """(v, poly(v)) for the v of sup-norm at most `bound` whose first nonzero
+    coordinate is negative and with poly(v) = +-1, in lexicographic order, by
+    nested substitution: fixing y_0 leaves a polynomial in y_1 .., and so on
+    down to one variable.  While the prefix is zero, y_k runs over -bound..0
+    only (-bound..-1 for the last); a negative y_k opens the whole sub-box."""
     points = range(-bound, bound + 1)
     top = max(map(sum, poly.terms), default=0)
     powers = {t: [t ** d for d in range(top + 1)] for t in points}
@@ -212,9 +213,10 @@ def _unit_points(poly: IntPolynomial, bound: int):
         plans.append((len(rest), [(e[0], index[e[1:]]) for e in monomials]))
         monomials = rest
     last = {t: [powers[t][e[0]] for e in monomials] for t in points}
+    halves = [range(-bound, 1)] * len(plans) + [range(-bound, 0)]
 
-    def walk(level, coeffs, prefix):
-        for t in points:
+    def walk(level, coeffs, prefix, ts):
+        for t in ts:
             if level == len(plans):
                 value = sum(map(mul, coeffs, last[t]))
                 if value == 1 or value == -1:
@@ -224,9 +226,10 @@ def _unit_points(poly: IntPolynomial, bound: int):
             pw, out = powers[t], [0] * size
             for (d, j), c in zip(plan, coeffs):
                 out[j] += c * pw[d]
-            yield from walk(level + 1, out, prefix + (t,))
+            yield from walk(level + 1, out, prefix + (t,),
+                            points if t or ts is points else halves[level + 1])
 
-    yield from walk(0, list(poly.terms.values()), ())
+    yield from walk(0, list(poly.terms.values()), (), halves[0])
 
 
 def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
@@ -234,8 +237,11 @@ def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
     """Scan the integer box of ideal-coordinates for an element whose order
     orbit is exactly the ideal; the first (lexicographically smallest) witness
     wins.  An exhausted box is reported as UNKNOWN, never as a refutation.
-    The scan evaluates the norm form; its hit is confirmed by the integer
-    determinant and the Hermite normal form of the witness matrix."""
+    The scan evaluates the norm form on half the box: |N(-v)| = |N(v)|, and
+    of v and -v the one whose first nonzero coordinate is negative comes
+    first, so the first witness is there.  Its hit is confirmed by the
+    integer determinant and the Hermite normal form of the witness matrix.
+    The cap counts the whole box."""
     if bound < 1:
         return FreenessResult("UNKNOWN")
     m = len(order.ideal_action_matrices)

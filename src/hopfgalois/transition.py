@@ -171,15 +171,19 @@ def det_symbolic(matrix) -> IntPolynomial:
         matrix = [[[int(j == k) for j in range(matrix.size)] for k in row]
                   for row in matrix.rows]
     m, nvars = len(matrix), len(matrix[0][0])
-    rows = [[[(j, a) for j, a in enumerate(form) if a] for form in row]
-            for row in matrix]
     if m > DET_SIZE_BOUND:
         raise CapabilityError(
             f"matrix size {m} exceeds the symbolic determinant bound {DET_SIZE_BOUND}")
-    # column bitmask -> {exponents: coefficient} of the minor on those columns
-    minors = {0: {(0,) * nvars: 1}}
+    # an exponent vector is one integer in radix m + 1 (no exponent of a
+    # degree-m determinant exceeds m), so multiplying by y_k adds radix^k
+    radix = m + 1
+    rows = [[[(radix ** j, a) for j, a in enumerate(form) if a] for form in row]
+            for row in matrix]
+    # column bitmask -> {packed exponents: coefficient} of the minor on those
+    # columns
+    minors = {0: {0: 1}}
     for row in reversed(rows):
-        grown: dict[int, dict[tuple[int, ...], int]] = {}
+        grown: dict[int, dict[int, int]] = {}
         for cols, minor in minors.items():
             for c in range(m):
                 bit = 1 << c
@@ -188,14 +192,23 @@ def det_symbolic(matrix) -> IntPolynomial:
                 # cofactor sign: parity of the columns of the minor left of c
                 sign = -1 if (cols & (bit - 1)).bit_count() % 2 else 1
                 target = grown.setdefault(cols | bit, {})
-                for k, a in row[c]:
+                for step, a in row[c]:
                     a *= sign
-                    for exps, coeff in minor.items():
-                        key = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
+                    for key, coeff in minor.items():
+                        key += step
                         target[key] = target.get(key, 0) + a * coeff
-        minors = {cols: {e: c for e, c in poly.items() if c}
-                  for cols, poly in grown.items()}
-    return IntPolynomial(nvars, minors[(1 << m) - 1])
+        for poly in grown.values():
+            for key in [key for key, coeff in poly.items() if not coeff]:
+                del poly[key]
+        minors = grown
+    terms = {}
+    for key, coeff in minors[(1 << m) - 1].items():
+        exps = []
+        for _ in range(nvars):
+            key, e = divmod(key, radix)
+            exps.append(e)
+        terms[tuple(exps)] = coeff
+    return IntPolynomial(nvars, terms)
 
 
 def signed_canonical_det(n: RegularSubgroup,

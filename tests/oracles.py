@@ -230,6 +230,36 @@ def stabilizer_scan_order(algebra, ideal, max_denominator):
     return members
 
 
+def fraction_associated_order(algebra, ideal):
+    """The associated order over Q: each action matrix rewritten in the
+    ideal basis as W^-1 A_k W with Fraction products, the stacked rows put
+    in Hermite form, its inverse transposed, and each basis element's ideal
+    action rebuilt from its own action matrix."""
+    from math import lcm
+
+    from hopfgalois.integral import AssociatedOrder, Lattice
+    m = algebra.dim
+    w = linalg.transpose(ideal.lattice.basis_vectors())
+    w_inv = linalg.invert(w)
+    rewritten = [linalg.mat_mul(w_inv, linalg.mat_mul(
+        [list(r) for r in a], w)) for a in algebra.action_matrices]
+    den = lcm(*(v.denominator for mat in rewritten for row in mat for v in row))
+    stacked = [[int(mat[i][j] * den) for mat in rewritten]
+               for i in range(m) for j in range(m)]
+    h_inv = linalg.invert([[Fraction(v) for v in r]
+                           for r in linalg.hnf(stacked)])
+    lattice = Lattice.from_rational_rows(
+        [[den * h_inv[i][j] for i in range(m)] for j in range(m)])
+    actions = []
+    for c in lattice.basis_vectors():
+        mat = linalg.mat_mul(w_inv, linalg.mat_mul(
+            algebra.action_matrix_of(c), w))
+        if any(v.denominator != 1 for row in mat for v in row):
+            raise ConsistencyError("order element does not stabilize the ideal")
+        actions.append(tuple(tuple(int(v) for v in row) for row in mat))
+    return AssociatedOrder(lattice, tuple(actions))
+
+
 # --- definitional counterparts of the descent layer
 
 def idempotent(context, size, coset):

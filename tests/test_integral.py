@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hopfgalois.numberfield import Subfield
 from hopfgalois.perm import opposite, right_translation_subgroup
 from hopfgalois.transition import IntPolynomial
 
-from .oracles import evaluate, first_free_witness
+from .oracles import evaluate, first_free_witness, fraction_associated_order
 
 F = Fraction
 
@@ -116,6 +117,16 @@ def test_order_invariants_hold_everywhere(field_fixtures):
                     assert all(isinstance(v, int) for row in mat for v in row)
 
 
+def test_integer_order_is_the_fraction_order(field_fixtures):
+    for fx in field_fixtures:
+        for name in sorted(fx.ideal_vectors):
+            ideal = fx.ideal(name)
+            for i in range(len(fx.structures())):
+                algebra = fx.algebra(i)
+                assert associated_order(algebra, ideal) == \
+                    fraction_associated_order(algebra, ideal)
+
+
 # --- freeness search
 
 def test_tame_quadratic_is_free_with_verified_witness(qzeta3):
@@ -194,6 +205,50 @@ def test_norm_form_is_the_witness_determinant(field_fixtures):
                     v = [rng.randint(-4, 4) for _ in range(m)]
                     assert evaluate(norm, v, 1) == linalg.int_det(
                         witness_matrix(order, v))
+
+
+def _half_box_hits(poly, bound):
+    """The full box's unit points whose first nonzero coordinate is
+    negative, by evaluating the form at every point."""
+    hits = []
+    for v in itertools.product(range(-bound, bound + 1), repeat=poly.nvars):
+        if next((t for t in v if t), 0) < 0:
+            value = evaluate(poly, v, 1)
+            if value in (1, -1):
+                hits.append((v, value))
+    return hits
+
+
+def test_unit_points_scan_the_half_box_of_the_full_scan():
+    rng = random.Random(11)
+    forms = []
+    for _ in range(60):
+        nvars, degree = rng.randint(1, 4), rng.randint(1, 4)
+        monomials = [tuple(e.count(k) for k in range(nvars)) for e in
+                     itertools.combinations_with_replacement(range(nvars), degree)]
+        chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
+        forms.append(IntPolynomial(nvars, {e: rng.choice([-2, -1, 1, 2, 3])
+                                           for e in chosen}))
+    # planted: y2^d plus twice a positive form in the earlier variables, so
+    # the only hit of the half box is (0, 0, -1), behind a zero prefix
+    for degree in (2, 4):
+        forms.append(IntPolynomial(3, {(0, 0, degree): 1, (degree, 0, 0): 2,
+                                       (0, degree, 0): 2}))
+    total = 0
+    for poly in forms:
+        for bound in (1, 2, 3):
+            hits = list(integral._unit_points(poly, bound))
+            assert hits == _half_box_hits(poly, bound)
+            total += len(hits)
+    assert list(integral._unit_points(forms[-1], 3)) == [((0, 0, -1), 1)]
+    assert total > 100
+    # a constant form hits every point it is evaluated at: the half box,
+    # without the zero vector
+    for nvars, bound in ((1, 3), (3, 2)):
+        one = IntPolynomial(nvars, {(0,) * nvars: 1})
+        hits = list(integral._unit_points(one, bound))
+        assert hits == _half_box_hits(one, bound)
+        assert len(hits) == ((2 * bound + 1) ** nvars - 1) // 2
 
 
 def _assert_first_witness_is_the_naive_one(order, ideal, bound):

@@ -121,6 +121,20 @@ def test_det_symbolic_matches_cofactor_oracle_on_linear_forms():
     assert det_symbolic(rows).is_zero()
 
 
+def test_det_symbolic_packs_eighth_powers_without_carries():
+    # the packed exponent of y0^8 must not reach the digit of y1: with
+    # radix 8 instead of 9 it would read as y1
+    m = 8
+    rows = [[(0, 0)] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = (1, 1)
+        rows[i][(i + 1) % m] = (0, 2)
+    rows[2][6] = (3, 0)
+    det = det_symbolic(rows)
+    assert det.terms[(8, 0)] == 1 and det.terms[(0, 8)]
+    assert det == cofactor_det(rows, 2)
+
+
 def test_coset_index_is_the_unit_linear_form(all_fixtures):
     for fx in all_fixtures:
         space = fx.coset_space()
