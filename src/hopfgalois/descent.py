@@ -11,8 +11,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ConsistencyError, DomainError, StructureError
 from .numberfield import FieldElement, GaloisContext, Subfield, field_det
-from .perm import (CosetSpace, LambdaEmbedding, Permutation, RegularSubgroup,
-                   is_normalized_by)
+from .perm import CosetSpace, LambdaEmbedding, RegularSubgroup, is_normalized_by
 
 
 def coset_apply(context: GaloisContext, space: CosetSpace, coset: int,
@@ -157,7 +156,7 @@ class DescendedAlgebra:
 
 def _flatten(values) -> list[Fraction]:
     """Rational coordinates of the given field elements, concatenated."""
-    return [Fraction(v) for c in values for v in c.coords]
+    return [v for c in values for v in c.coords]
 
 
 def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
@@ -175,7 +174,7 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
     elems = n.elements
     index = {p: i for i, p in enumerate(elems)}
 
-    stacked = []
+    matrices = []
     for g in space.group.generators:
         lam_g = lam.of(g)
         lam_g_inv = lam_g.inverse()
@@ -188,10 +187,8 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
                 row = big[ti * nf_degree + r]
                 for c in range(nf_degree):
                     row[i * nf_degree + c] = mg[r][c]
-        for r in range(dim):
-            big[r][r] -= 1
-            stacked.append(big[r])
-    kernel = linalg.kernel_basis(stacked, dim)
+        matrices.append(big)
+    kernel, free = linalg.fixed_space(matrices, dim)
     if len(kernel) != m:
         raise ConsistencyError(
             f"descended algebra has dimension {len(kernel)}, expected {m}")
@@ -226,11 +223,10 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
         action_matrices.append(tuple(
             tuple(cols[j][i] for j in range(m)) for i in range(m)))
 
-    solver = linalg.LinearSolver([_flatten(b.coefficients) for b in basis])
-    one = [context.field.zero()] * m
-    one[index[_identity_of(n)]] = context.field.one()
-    unit = GroupAlgebraElement(n, one)
-    identity_coords = solver.solve(_flatten(unit.coefficients))
+    # the unit is 1 at n.elements[0], the identity (lexicographically least)
+    field = context.field
+    identity_coords = linalg.echelon_coords(
+        kernel, free, _flatten([field.one()] + [field.zero()] * (m - 1)))
     if identity_coords is None:
         raise ConsistencyError("unit of the group algebra escaped the descent")
 
@@ -238,7 +234,8 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
     for bi in basis:
         row = []
         for bj in basis:
-            coords = solver.solve(_flatten((bi * bj).coefficients))
+            coords = linalg.echelon_coords(kernel, free,
+                                           _flatten((bi * bj).coefficients))
             if coords is None:
                 raise ConsistencyError(
                     "descended algebra is not closed under multiplication")
@@ -248,13 +245,6 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
     return DescendedAlgebra(
         context, space, n, subfield, tuple(basis),
         tuple(action_matrices), tuple(identity_coords), tuple(structure))
-
-
-def _identity_of(n: RegularSubgroup) -> Permutation:
-    for p in n.elements:
-        if p.is_identity():
-            return p
-    raise StructureError("regular subgroup has no identity element")
 
 
 def verify_hopf_galois(algebra: DescendedAlgebra) -> bool:

@@ -18,7 +18,8 @@ from importlib import resources
 from . import linalg
 from .errors import FixtureValidationError, HopfGaloisError, StructureError
 from .integral import FractionalIdeal, Lattice
-from .numberfield import FieldElement, GaloisContext, Subfield, load_field
+from .numberfield import (FieldElement, GaloisContext, Subfield, fixed_subfield,
+                          load_field)
 from .perm import (CosetSpace, FiniteGroup, LambdaEmbedding, Permutation,
                    build_coset_space, enumerate_regular_normalized,
                    left_translation_embedding, metacyclic_group, opposite)
@@ -99,7 +100,7 @@ class Fixture:
                 f"fixture {self.name!r} has no field block; only group-level "
                 "operations are available")
         if self._subfield is None:
-            self._subfield = self.context.fixed_subfield(self.stabilizer)
+            self._subfield = fixed_subfield(self.context, self.stabilizer)
         return self._subfield
 
     def structures(self):
@@ -374,7 +375,7 @@ def parse_text(text: str) -> Fixture:
             except HopfGaloisError as err:
                 problems.append(f"field: {err}")
         if context is not None:
-            sub = context.fixed_subfield(stabilizer)
+            sub = fixed_subfield(context, stabilizer)
             integral_basis = _validate_integral_basis(
                 raw.get("integral_basis"), context, sub, problems)
             ideals = raw.get("ideals") or {}

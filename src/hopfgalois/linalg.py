@@ -81,9 +81,10 @@ def rank(mat) -> int:
 
 def kernel_basis(mat, ncols: int):
     """Canonical basis of {v : mat @ v = 0}, one vector per free column of the
-    reduced echelon form, ordered by free-column index."""
+    reduced echelon form, ordered by free-column index; returned with those
+    free columns."""
     if not mat:
-        return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)]
+        return identity_matrix(ncols), list(range(ncols))
     rows, pivots = rref(mat)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -94,7 +95,34 @@ def kernel_basis(mat, ncols: int):
         for i, p in enumerate(pivots):
             v[p] = -rows[i][f]
         basis.append(v)
-    return basis
+    return basis, free
+
+
+def fixed_space(matrices, ncols: int):
+    """The vectors fixed by every given ncols x ncols matrix: the canonical
+    kernel basis of the stacked M - 1, and the free column of each basis
+    vector.  Basis vector j is 1 at free[j] and 0 at every other free column,
+    so echelon_coords reads coordinates off it without solving."""
+    stacked = []
+    for m in matrices:
+        for i, row in enumerate(m):
+            row = list(row)
+            row[i] -= 1
+            stacked.append(row)
+    return kernel_basis(stacked, ncols)
+
+
+def echelon_coords(basis, free, target):
+    """Coordinates of target in a fixed_space basis, or None if target is
+    outside its span: the entries of target at the free columns, checked by
+    recombination at the other columns only."""
+    coords = [target[f] for f in free]
+    free_set = set(free)
+    for c, x in enumerate(target):
+        if c not in free_set and x != sum(
+                (a * v[c] for a, v in zip(coords, basis) if a and v[c]), ZERO):
+            return None
+    return coords
 
 
 def invert(mat):

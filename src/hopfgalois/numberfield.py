@@ -28,9 +28,7 @@ class NumberField:
     __slots__ = ("modulus", "degree")
 
     def __init__(self, modulus):
-        coeffs = [int(c) for c in modulus]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        coeffs = _trim([int(c) for c in modulus])
         if len(coeffs) < 2:
             raise StructureError("minimal polynomial must have degree at least 1")
         if coeffs[-1] != 1:
@@ -321,43 +319,41 @@ def _rational_roots(coeffs) -> list[int]:
     return sorted(set(roots))
 
 
+def _trim(coeffs):
+    """coeffs with its trailing zeros removed, in place."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def _poly_mod_p(coeffs, p):
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _trim([c % p for c in coeffs])
 
 
 def _polymul_p(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    _convolve_into(out, a, b)
+    return _poly_mod_p(out, p)
 
 
-def _polymod_p(a, m, p):
-    a = list(a)
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) >= len(m):
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - len(m)
+def _polydivmod_p(a, b, p):
+    """(q, r) with a = q*b + r and deg r < deg b over F_p, for b nonzero with
+    a nonzero leading coefficient."""
+    a = [c % p for c in a]
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = pow(b[-1], -1, p)
+    for shift in reversed(range(len(q))):
+        factor = q[shift] = a[shift + len(b) - 1] * inv_lead % p
         if factor:
-            for i, c in enumerate(m):
+            for i, c in enumerate(b):
                 a[shift + i] = (a[shift + i] - factor * c) % p
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+    return _trim(q), _trim(a[:len(b) - 1])
 
 
 def _polygcd_p(a, b, p):
     a, b = list(a), list(b)
     while b:
-        a, b = b, _polymod_p(a, b, p)
+        a, b = b, _polydivmod_p(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [(c * inv) % p for c in a]
@@ -369,8 +365,8 @@ def _polypow_p(base, e, m, p):
     acc = [1]
     while e:
         if e & 1:
-            acc = _polymod_p(_polymul_p(acc, base, p), m, p)
-        base = _polymod_p(_polymul_p(base, base, p), m, p)
+            acc = _polydivmod_p(_polymul_p(acc, base, p), m, p)[1]
+        base = _polydivmod_p(_polymul_p(base, base, p), m, p)[1]
         e >>= 1
     return acc
 
@@ -379,15 +375,11 @@ def _minus_monomial_p(a, k, p):
     """a - x^k over F_p."""
     out = list(a) + [0] * (k + 1 - len(a))
     out[k] = (out[k] - 1) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _trim(out)
 
 
 def _is_squarefree_p(f, p) -> bool:
-    deriv = [(i * c) % p for i, c in enumerate(f)][1:]
-    while deriv and deriv[-1] == 0:
-        deriv.pop()
+    deriv = _trim([(i * c) % p for i, c in enumerate(f)][1:])
     return bool(deriv) and len(_polygcd_p(f, deriv, p)) == 1
 
 
@@ -412,27 +404,9 @@ def _factor_degrees_mod_p(coeffs, p):
         g = _polygcd_p(work, _minus_monomial_p(xq, 1, p), p)
         if len(g) > 1:
             degrees.extend([d] * ((len(g) - 1) // d))
-            quotient = _poly_divexact_p(work, g, p)
-            work = quotient
-            xq = _polymod_p(xq, work, p) if len(work) > 1 else [0]
+            work = _polydivmod_p(work, g, p)[0]
+            xq = _polydivmod_p(xq, work, p)[1]
     return degrees
-
-
-def _poly_divexact_p(a, b, p):
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        out[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return out
 
 
 def _roots_mod_p(f, p) -> list[int]:
@@ -451,7 +425,7 @@ def _roots_mod_p(f, p) -> list[int]:
                 half = _polypow_p([a, 1], (p - 1) // 2, h, p)
                 d = _polygcd_p(h, _minus_monomial_p(half, 0, p), p)
                 if 1 < len(d) < len(h):
-                    pending += [d, _poly_divexact_p(h, d, p)]
+                    pending += [d, _polydivmod_p(h, d, p)[0]]
                     break
     return sorted(roots)
 
@@ -528,9 +502,6 @@ class GaloisContext:
             total = total + self.apply(i, x)
         return total.rational_value()
 
-    def fixed_subfield(self, stabilizer: FiniteGroup) -> "Subfield":
-        return fixed_subfield(self, stabilizer)
-
 
 def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
                irreducible_asserted: bool = False) -> GaloisContext:
@@ -599,26 +570,29 @@ def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
 
 
 class Subfield:
-    """A Q-basis of the subfield fixed by a subgroup, with exact coordinate
-    solving relative to that basis."""
+    """A Q-basis of the subfield fixed by a subgroup, as returned by
+    linalg.fixed_space with its free columns, so coordinates relative to it
+    are read off rather than solved for."""
 
-    __slots__ = ("context", "stabilizer", "basis", "dim", "_solver")
+    __slots__ = ("context", "stabilizer", "basis", "dim", "_vectors", "_free")
 
-    def __init__(self, context: GaloisContext, stabilizer: FiniteGroup, basis):
+    def __init__(self, context: GaloisContext, stabilizer: FiniteGroup,
+                 vectors, free):
         self.context = context
         self.stabilizer = stabilizer
-        self.basis = tuple(basis)
+        self.basis = tuple(FieldElement(context.field, tuple(v)) for v in vectors)
         self.dim = len(self.basis)
-        self._solver = linalg.LinearSolver([list(b.coords) for b in self.basis])
+        self._vectors = vectors
+        self._free = free
 
     def coords(self, x: FieldElement):
-        c = self._solver.solve(list(x.coords))
+        c = linalg.echelon_coords(self._vectors, self._free, x.coords)
         if c is None:
             raise DomainError("element does not lie in the fixed subfield")
         return c
 
     def contains(self, x: FieldElement) -> bool:
-        return self._solver.solve(list(x.coords)) is not None
+        return linalg.echelon_coords(self._vectors, self._free, x.coords) is not None
 
     def from_coords(self, coords) -> FieldElement:
         total = self.context.field.zero()
@@ -638,26 +612,19 @@ class Subfield:
 
 
 def fixed_subfield(context: GaloisContext, stabilizer: FiniteGroup) -> Subfield:
-    """Exact kernel of (g - id) over the stabilizer's generators; its dimension
-    must be the index [G : G_L]."""
+    """The fixed space of the stabilizer's generators; its dimension must be
+    the index [G : G_L]."""
     for p in stabilizer.elements:
         if p not in context.group:
             raise StructureError(
                 f"stabilizer element {p} does not belong to the group")
-    n = context.degree
-    stacked = []
-    for p_idx in sorted({context.group.index_of(stabilizer.elements[g])
-                         for g in stabilizer.generators}):
-        m = context.matrices[p_idx]
-        for i in range(n):
-            row = list(m[i])
-            row[i] = row[i] - 1
-            stacked.append([Fraction(v) for v in row])
-    kernel = linalg.kernel_basis(stacked, n)
+    gens = sorted({context.group.index_of(stabilizer.elements[g])
+                   for g in stabilizer.generators})
+    vectors, free = linalg.fixed_space([context.matrices[i] for i in gens],
+                                       context.degree)
     expected = context.group.order() // stabilizer.order()
-    if len(kernel) != expected:
+    if len(vectors) != expected:
         raise ConsistencyError(
-            f"fixed subfield has dimension {len(kernel)}, expected {expected}; "
+            f"fixed subfield has dimension {len(vectors)}, expected {expected}; "
             "automorphism data is inconsistent")
-    basis = [FieldElement(context.field, tuple(v)) for v in kernel]
-    return Subfield(context, stabilizer, basis)
+    return Subfield(context, stabilizer, vectors, free)

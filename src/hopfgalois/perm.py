@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
 
 from .errors import CapabilityError, StructureError
@@ -166,9 +167,6 @@ class FiniteGroup:
 
     def inv(self, i: int) -> int:
         return self._inv[i]
-
-    def element_order(self, i: int) -> int:
-        return self.elements[i].order()
 
     def order_profile(self) -> tuple[int, ...]:
         return tuple(sorted(p.order() for p in self.elements))
@@ -419,31 +417,15 @@ def is_normalized_by(n: RegularSubgroup, lam: LambdaEmbedding) -> bool:
 
 
 def _power_free_candidates(size: int):
-    """Permutations whose cyclic group meets the base point freely: identity,
-    or fixed-point-free with every nontrivial power fixed-point-free."""
-    out = []
-    for images in itertools.permutations(range(size)):
-        if all(images[i] == i for i in range(size)):
-            out.append(images)
-            continue
-        if any(images[i] == i for i in range(size)):
-            continue
-        power = images
-        ok = True
-        while True:
-            power = tuple(images[i] for i in power)
-            if all(power[i] == i for i in range(size)):
-                break
-            if any(power[i] == i for i in range(size)):
-                ok = False
-                break
-        if ok:
-            out.append(images)
-    return out
+    """Permutations whose cyclic group meets the base point freely: those whose
+    cycles all have one length (the identity, and the fixed-point-free ones
+    whose nontrivial powers are fixed-point-free)."""
+    return [images for images in itertools.permutations(range(size))
+            if len({len(c) for c in Permutation(images).cycles()}) == 1]
 
 
-def enumerate_regular_normalized(space: CosetSpace, lam: LambdaEmbedding,
-                                 bound: int = ENUMERATION_BOUND) -> list[RegularSubgroup]:
+def enumerate_regular_normalized(space: CosetSpace,
+                                 lam: LambdaEmbedding) -> list[RegularSubgroup]:
     """All regular subgroups of Perm(X) normalized by the translation image,
     canonically ordered.
 
@@ -452,9 +434,9 @@ def enumerate_regular_normalized(space: CosetSpace, lam: LambdaEmbedding,
     pruning branches whose closure exceeds |X| or meets the base point twice.
     """
     size = space.size
-    if size > bound:
-        raise CapabilityError(
-            f"coset space of size {size} exceeds the enumeration bound {bound}")
+    if size > ENUMERATION_BOUND:
+        raise CapabilityError(f"coset space of size {size} exceeds the "
+                              f"enumeration bound {ENUMERATION_BOUND}")
     base = space.base_point
     identity = tuple(range(size))
     lam_gens = []
@@ -542,14 +524,14 @@ def opposite(n: RegularSubgroup, space: CosetSpace) -> RegularSubgroup:
     return result
 
 
-def centralizer_bruteforce(n: RegularSubgroup, space: CosetSpace,
-                           bound: int = ENUMERATION_BOUND) -> tuple[Permutation, ...]:
+def centralizer_bruteforce(n: RegularSubgroup,
+                           space: CosetSpace) -> tuple[Permutation, ...]:
     """Exact centralizer of N in the full symmetric group on X, by scanning
     every permutation; the oracle for `opposite`."""
     size = space.size
-    if size > bound:
-        raise CapabilityError(
-            f"coset space of size {size} exceeds the brute-force bound {bound}")
+    if size > ENUMERATION_BOUND:
+        raise CapabilityError(f"coset space of size {size} exceeds the "
+                              f"brute-force bound {ENUMERATION_BOUND}")
     members = [p.images for p in n.elements]
     out = []
     for images in itertools.permutations(range(size)):
@@ -613,15 +595,9 @@ def metacyclic_group(r: int, q: int, d: int) -> tuple[FiniteGroup, Permutation, 
         raise StructureError("presentation closure has the wrong order")
     # relations must hold in the representation
     e = Permutation.identity(n)
-    s_r = e
-    for _ in range(r):
-        s_r = s_r * s_perm
-    t_q = e
-    for _ in range(q):
-        t_q = t_q * t_perm
-    s_d = e
-    for _ in range(d):
-        s_d = s_d * s_perm
+    s_r = reduce(Permutation.__mul__, [s_perm] * r, e)
+    t_q = reduce(Permutation.__mul__, [t_perm] * q, e)
+    s_d = reduce(Permutation.__mul__, [s_perm] * d, e)
     if s_r != e or t_q != e or t_perm * s_perm != s_d * t_perm:
         raise StructureError("presentation relations fail in the representation")
     return group, s_perm, t_perm

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapabilityError
-from .perm import CosetSpace, RegularSubgroup
+from .perm import CosetSpace, Permutation, RegularSubgroup
 
 DET_SIZE_BOUND = 8
 
@@ -137,16 +137,7 @@ class CosetVariableMatrix:
         """The matrix with its rows in ascending order, and the sign of that
         row permutation."""
         order = sorted(range(self.size), key=lambda i: self.rows[i])
-        sign = 1
-        seen = [False] * self.size
-        for start in range(self.size):
-            i, length = start, 0
-            while not seen[i]:
-                seen[i] = True
-                i = order[i]
-                length += 1
-            if length and length % 2 == 0:  # an even cycle is an odd permutation
-                sign = -sign
+        sign = (-1) ** (self.size - len(Permutation(order).cycles()))
         return CosetVariableMatrix(
             self.size,
             tuple(self.rows[i] for i in order),

@@ -110,6 +110,31 @@ def regular_normalized_oracle(space, lam):
     return set(out)
 
 
+def power_free_candidates_by_powers(size):
+    """The identity and the fixed-point-free permutations of 0..size-1 whose
+    every nontrivial power is fixed-point-free, by walking the powers, in
+    itertools.permutations order."""
+    out = []
+    for images in itertools.permutations(range(size)):
+        if all(images[i] == i for i in range(size)):
+            out.append(images)
+            continue
+        if any(images[i] == i for i in range(size)):
+            continue
+        power = images
+        ok = True
+        while True:
+            power = tuple(images[i] for i in power)
+            if all(power[i] == i for i in range(size)):
+                break
+            if any(power[i] == i for i in range(size)):
+                ok = False
+                break
+        if ok:
+            out.append(images)
+    return out
+
+
 def cofactor_det(matrix_rows, nvars):
     """Recursive cofactor expansion of a coset-variable matrix (entry k is
     y_k) or of a matrix of integer linear forms (entry (a_0, .., a_{n-1}) is
@@ -286,14 +311,19 @@ def element_from_coords(algebra, coords):
     return total
 
 
-def _flatten(values):
-    return [Fraction(v) for c in values for v in c.coords]
+def descended_solver(algebra):
+    """A LinearSolver for coordinates in the descended basis of E[N], whose
+    elements it takes as flattened rational vectors (flatten_coefficients)."""
+    return linalg.LinearSolver([flatten_coefficients(b) for b in algebra.basis])
+
+
+def flatten_coefficients(element):
+    return [Fraction(v) for c in element.coefficients for v in c.coords]
 
 
 def coords_of(algebra, element):
     """Coordinates in the descended basis of an element of E[N]."""
-    solver = linalg.LinearSolver([_flatten(b.coefficients) for b in algebra.basis])
-    coords = solver.solve(_flatten(element.coefficients))
+    coords = descended_solver(algebra).solve(flatten_coefficients(element))
     if coords is None:
         raise DomainError("element does not lie in the descended algebra")
     return coords

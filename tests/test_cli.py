@@ -154,6 +154,86 @@ def test_freeness_report_bytes_are_pinned(capsys, argv):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == FREENESS_SHA256[argv]
 
 
+# sha256 and exit code of the `--json` descend and assoc-order reports for
+# every structure and ideal of the field fixtures, recorded when both the
+# subfield and the descended algebra solved for coordinates: reading them off
+# the echelon basis must leave these alone
+DESCENT_SHA256 = {
+    "descend qi --n 0":
+        ("9a94c39df750e119327b900b45e965f11b52b244c9406cd33d414e3c09588275", 0),
+    "assoc-order qi --n 0 --ideal OL":
+        ("f4ae46e2c56d1af8a44ce0d12952284e4ce1d68207fa5ffdafc6c0fd1f43fea7", 0),
+    "descend qzeta3 --n 0":
+        ("4c292e4f02b9b435646ce6bfaf0870452141b1fc96c9c0f47059a22f049c4fec", 0),
+    "assoc-order qzeta3 --n 0 --ideal OL":
+        ("7da416ec9ce5ae0a1de68afbe35e06c83fa8e4b73015987a314310a207d39486", 0),
+    "descend c4quartic --n 0":
+        ("cc11d27f8e678eb23c676bfa5544b9aabe3defb8b0f67a6cfd67dfea3cfeb77c", 0),
+    "assoc-order c4quartic --n 0 --ideal OL":
+        ("5e5d30e523a49b20438cec535629de86803e0155538a21177a0e1be27e3b8e97", 0),
+    "descend c4quartic --n 1":
+        ("3131a9e7281ff97ac5f99d2b2a279660198f765783a64cc0651b08841e358f83", 0),
+    "assoc-order c4quartic --n 1 --ideal OL":
+        ("f643dd0cdb79592c789ff1a84fad4ff3c1f28e52f03b488e2a2fefbe9d84f323", 0),
+    "descend v4biquad --n 0":
+        ("9f985686539d6fe0782903e2c933a1c600cd9b27e9a8dedb8b7b49500d57520a", 0),
+    "assoc-order v4biquad --n 0 --ideal OL":
+        ("2be2ac9526c4805bc3d8af9d2a5ad332ac37fa42b70dc19222111aecdea77f99", 0),
+    "descend v4biquad --n 1":
+        ("c442a2b55056c1e6a414d13185bf32479ecfd12c5baa87fc35298abbf9b9e1bf", 0),
+    "assoc-order v4biquad --n 1 --ideal OL":
+        ("ccd606aa738c9563c345a8706677543736ea01d8fe1211e05b46789032ff5e88", 0),
+    "descend v4biquad --n 2":
+        ("84fe27470387834945c8d407cfd35177044811d02296457d54eb337e9286b577", 0),
+    "assoc-order v4biquad --n 2 --ideal OL":
+        ("7b7fb0dcbd729c9273477cf6ceb12d0262c9b67f6891216615ff8ab6d196e485", 0),
+    "descend v4biquad --n 3":
+        ("5b55ae9601ca90fd0d9f125895b67dbb436854b0b6c5b0b43f0eca6901076228", 0),
+    "assoc-order v4biquad --n 3 --ideal OL":
+        ("d2f56eabe206e58f86d64075ba43ed9db80725255686f219f26ab9b663681239", 0),
+    "descend qcbrt2 --n 0":
+        ("d94530c92e1b605a0646dd4b05cd84fc383dbd5ec06b3378fddf2e71ae712013", 0),
+    "assoc-order qcbrt2 --n 0 --ideal OL":
+        ("897c9619f687d08af56265c52bc39835487cc4b344cf78e1b6cee8131f677382", 0),
+    "descend s3sextic --n 0":
+        ("4a61f170325a6967b94762b7bf9fb7109d0163a947d5b9e2807fd1cd9334c8db", 0),
+    "assoc-order s3sextic --n 0 --ideal OE":
+        ("30d2748064d233caded20a36bf490a47144243f09c0113477c44e7ed62ec7f10", 0),
+    "assoc-order s3sextic --n 0 --ideal OL":
+        ("f2ddde52609cd51825a13776f4752140c0b50c314812b40e08a220d7f20993a2", 0),
+    "descend s3sextic --n 1":
+        ("21b1ccdb909ab4b97145201a4b9a5595d471e3b71435549862cf702c9fcf314b", 0),
+    "assoc-order s3sextic --n 1 --ideal OE":
+        ("4f54c30bad741f457432c2d272bc5a3d9d65751c8e78cab64e9a88432054f486", 0),
+    "assoc-order s3sextic --n 1 --ideal OL":
+        ("fc1feb6af20c8d0c5fcb0156dc956038396772e47268b9d7c404fcb119893997", 0),
+    "descend s3sextic --n 2":
+        ("923c3c0483fe906c1afc964e72292d3543ee950d8cf93c652a362b459713361c", 0),
+    "assoc-order s3sextic --n 2 --ideal OE":
+        ("27c575323fda428226c48ddf83c53036ed36b724a02b28fb85c44a0895a49a7d", 0),
+    "assoc-order s3sextic --n 2 --ideal OL":
+        ("4b887975adcbea561740adb9dcbbee98b29e3d4ce4c18230affa614894f9ccb7", 0),
+    "descend s3sextic --n 3":
+        ("01e598d6cb17480981fbf209584040b8001b63d15d415cc3ced84d936d83b376", 0),
+    "assoc-order s3sextic --n 3 --ideal OE":
+        ("6f8b43b48f42826b80e5e44a9e48805b510a356cb9c00c1b6389f7d987aabcc6", 0),
+    "assoc-order s3sextic --n 3 --ideal OL":
+        ("80f310db21e1dce704322c7d90588d1f055e8c3ee3e3bd60d9ee44fd30cfa580", 0),
+    "descend s3sextic --n 4":
+        ("b1b1d5c96e410faf5f85a39a9dc7123861dc65e166b32ae6095705d7ec130299", 0),
+    "assoc-order s3sextic --n 4 --ideal OE":
+        ("7f174c7885fe41ad74c7061f42fb78a99893466c313736ac20fd2f26a530dd47", 0),
+    "assoc-order s3sextic --n 4 --ideal OL":
+        ("d2f0b971a68ff3e7fc1c4abf6314ccf202bfa43c45acc849c499d57c4c9a8398", 0),
+}
+
+
+@pytest.mark.parametrize("argv", DESCENT_SHA256)
+def test_descent_report_bytes_are_pinned(capsys, argv):
+    code, out = run(capsys, "--json", *argv.split())
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == DESCENT_SHA256[argv]
+
+
 @pytest.mark.parametrize("command", ["freeness s3sextic --n 0 --ideal OE",
                                      "theorem11 s3sextic --ideal OE"])
 def test_oversized_box_is_a_capability_error(capsys, command):

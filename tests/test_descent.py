@@ -16,7 +16,8 @@ from hopfgalois.perm import (FiniteGroup, Permutation, RegularSubgroup,
                              build_coset_space, left_translation_embedding,
                              opposite, right_translation_subgroup)
 
-from .oracles import (coords_of, descended_act, element_from_coords,
+from .oracles import (coords_of, descended_act, descended_solver,
+                      element_from_coords, flatten_coefficients,
                       galois_act_on_map, generates_fixed_map_algebra,
                       generates_map_algebra_over_group_algebra, idempotent,
                       permutation_act_on_map, sum_over_subgroup,
@@ -353,3 +354,20 @@ def test_unit_coordinates_multiply_neutrally(v4biquad):
     a = [F(rng.randint(-5, 5)) for _ in range(algebra.dim)]
     assert algebra.multiply_coords(one, a) == a
     assert algebra.multiply_coords(a, one) == a
+
+
+def test_descended_coordinates_match_the_solver(field_fixtures):
+    for fx in field_fixtures:
+        for i in range(len(fx.structures())):
+            algebra = fx.algebra(i)
+            solver = descended_solver(algebra)
+            field = fx.context.field
+            unit = GroupAlgebraElement(algebra.subgroup, [
+                field.one() if p.is_identity() else field.zero()
+                for p in algebra.subgroup.elements])
+            assert list(algebra.identity_coords) == \
+                solver.solve(flatten_coefficients(unit))
+            for bi, row in zip(algebra.basis, algebra.structure_constants):
+                for bj, constants in zip(algebra.basis, row):
+                    assert list(constants) == \
+                        solver.solve(flatten_coefficients(bi * bj))

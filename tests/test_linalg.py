@@ -16,13 +16,15 @@ def test_rref_identity():
 
 def test_kernel_basis_canonical():
     # x + y + z = 0 has the two standard free-column vectors
-    basis = linalg.kernel_basis([[F(1), F(1), F(1)]], 3)
+    basis, free = linalg.kernel_basis([[F(1), F(1), F(1)]], 3)
     assert basis == [[F(-1), F(1), F(0)], [F(-1), F(0), F(1)]]
+    assert free == [1, 2]
 
 
 def test_kernel_of_empty_constraints_is_everything():
-    basis = linalg.kernel_basis([], 2)
+    basis, free = linalg.kernel_basis([], 2)
     assert basis == [[F(1), F(0)], [F(0), F(1)]]
+    assert free == [0, 1]
 
 
 def test_invert_round_trip():

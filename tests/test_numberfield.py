@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
 from hopfgalois import linalg
-from hopfgalois.errors import CapabilityError, StructureError
+from hopfgalois.errors import CapabilityError, DomainError, StructureError
 from hopfgalois.fixtures import load_bundled
 from hopfgalois.numberfield import (FIELD_DET_SIZE_BOUND, REDUCTION_PRIME_MIN,
-                                    NumberField, _int_mul, _reduction_root,
-                                    check_irreducible, field_det,
-                                    fixed_subfield, load_field,
+                                    FieldElement, NumberField, _int_mul,
+                                    _poly_mod_p, _polydivmod_p, _polymul_p,
+                                    _reduction_root, check_irreducible,
+                                    field_det, fixed_subfield, load_field,
                                     polynomial_value)
 from hopfgalois.perm import FiniteGroup, Permutation
 from hopfgalois.transition import IntPolynomial
@@ -156,14 +158,14 @@ def test_automorphisms_are_multiplicative(s3sextic):
 # --- fixed subfields
 
 def test_trivial_stabilizer_fixes_everything(qi):
-    sub = qi.context.fixed_subfield(FiniteGroup.trivial(2))
+    sub = fixed_subfield(qi.context, FiniteGroup.trivial(2))
     assert sub.dim == 2
     assert [b.coords for b in sub.basis] == \
         [(F(1), F(0)), (F(0), F(1))]
 
 
 def test_full_group_fixes_only_rationals(qi):
-    sub = qi.context.fixed_subfield(qi.group)
+    sub = fixed_subfield(qi.context, qi.group)
     assert sub.dim == 1
     assert sub.basis[0].is_rational()
 
@@ -218,6 +220,47 @@ def test_stabilizer_fixes_the_subfield(qcbrt2):
         x = sub.random_element(rng)
         for s in qcbrt2.stabilizer.elements:
             assert ctx.apply(ctx.group.index_of(s), x) == x
+
+
+def test_read_off_coordinates_match_the_solver(field_fixtures):
+    rng = random.Random(6)
+    for fx in field_fixtures:
+        sub = fx.subfield()
+        solver = linalg.LinearSolver([list(b.coords) for b in sub.basis])
+        samples = [sub.random_element(rng) for _ in range(5)]
+        samples += [b * c for b in sub.basis for c in sub.basis]
+        for x in samples:
+            assert sub.coords(x) == solver.solve(list(x.coords))
+        t = fx.context.field.generator()
+        assert sub.contains(t) == (solver.solve(list(t.coords)) is not None)
+
+
+def test_a_change_at_one_pivot_column_leaves_the_subfield(qcbrt2, s3sextic):
+    transposition = FiniteGroup.generated_by([s3sextic.context.group.elements[
+        s3sextic.generator_names["t"]]])
+    for ctx, stab in [(qcbrt2.context, qcbrt2.stabilizer),
+                      (s3sextic.context, transposition)]:
+        sub = fixed_subfield(ctx, stab)
+        gens = sorted({ctx.group.index_of(stab.elements[g])
+                       for g in stab.generators})
+        vectors, free = linalg.fixed_space([ctx.matrices[g] for g in gens],
+                                           ctx.degree)
+        assert [list(b.coords) for b in sub.basis] == vectors
+        pivots = [c for c in range(ctx.degree) if c not in free]
+        assert pivots
+        for j, v in enumerate(vectors):
+            assert linalg.echelon_coords(vectors, free, v) == \
+                [int(i == j) for i in range(len(vectors))]
+            for c in pivots:
+                changed = list(v)
+                changed[c] += 1
+                assert linalg.echelon_coords(vectors, free, changed) is None
+                assert not sub.contains(FieldElement(ctx.field, tuple(changed)))
+
+
+def test_coords_of_a_generator_outside_the_subfield_is_a_domain_error(qcbrt2):
+    with pytest.raises(DomainError):
+        qcbrt2.subfield().coords(qcbrt2.context.field.generator())
 
 
 # --- traces
@@ -282,6 +325,80 @@ def test_reduction_root_is_the_least_usable_prime_and_root(field_fixtures):
         assert res % p
         for q in filter(_is_prime, range(REDUCTION_PRIME_MIN, p)):
             assert res % q == 0 or not _roots_by_scan(modulus, q)
+
+
+def test_polydivmod_p_is_division_with_remainder():
+    rng = random.Random(9)
+    for p in (2, 3, 7, 37, REDUCTION_PRIME_MIN):
+        for _ in range(40):
+            a = [rng.randrange(p) for _ in range(rng.randint(0, 12))]
+            b = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+            b.append(rng.randrange(1, p))
+            q, r = _polydivmod_p(a, b, p)
+            assert len(r) < len(b) and (not r or r[-1])
+            total = zip_longest(_polymul_p(q, b, p), r, fillvalue=0)
+            assert _poly_mod_p([x + y for x, y in total], p) == _poly_mod_p(a, p)
+
+
+def _monic_products(rng):
+    out = []
+    for da, db in [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (3, 5), (2, 10), (6, 6)]:
+        a = [rng.randint(-9, 9) for _ in range(da)] + [1]
+        b = [rng.randint(-9, 9) for _ in range(db)] + [1]
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        out.append(prod)
+    return out
+
+
+# check_irreducible (True, None, or the reducibility message) and
+# _reduction_root of each modulus, recorded with the F_p polynomial code that
+# had separate remainder and exact-quotient routines
+IRREDUCIBILITY_PINS = {
+    "bundled": [
+        (True, (10009, 3303)), (True, (10009, 1044)), (True, (10061, 435)),
+        (None, (10007, 1164)), (True, (10009, 1623)), (True, (10067, 736))],
+    "random": [
+        (True, (10007, 10002)), (True, (10007, 9999)), (True, (10007, 10002)),
+        (True, (10009, 4254)), (True, (10009, 3135)), (True, (10009, 2364)),
+        (True, (10007, 8927)), (True, (10009, 63)),
+        ("polynomial is reducible: rational root 7", (10007, 7)),
+        (True, (10007, 658)), (True, (10009, 1534)), (True, (10061, 8529)),
+        (True, (10009, 1488)), (True, (10007, 4559)), (True, (10009, 4311)),
+        (True, (10007, 2231)), (True, (10037, 6032)), (True, (10007, 2050)),
+        (True, (10007, 1191)), (True, (10007, 1494)), (True, (10007, 6955)),
+        (True, (10007, 8181)), (True, (10007, 363)), (True, (10009, 2244)),
+        (True, (10007, 7006)), (True, (10007, 1554)),
+        ("polynomial is reducible: rational root 2", (10007, 2)),
+        (True, (10009, 3046)), (True, (10007, 3028)), (True, (10007, 9676)),
+        (True, (10007, 1480)), (True, (10007, 5042)), (True, (10009, 4647)),
+        (True, (10009, 4662)), (True, (10039, 2672)), (True, (10007, 5167))],
+    "products": [
+        (None, (10007, 2459)),
+        ("polynomial is reducible: rational root 1", (10007, 1)),
+        (None, (10009, 5635)), (None, (10007, 4620)), (None, (10007, 3820)),
+        (None, (10007, 6690)), (None, (10007, 1884)), (None, (10007, 8003))],
+}
+
+
+def test_irreducibility_and_reduction_roots_are_pinned(field_fixtures):
+    def outcome(coeffs):
+        try:
+            irreducible = check_irreducible(coeffs)
+        except StructureError as err:
+            irreducible = str(err)
+        return irreducible, _reduction_root.__wrapped__(tuple(coeffs))
+
+    rng = random.Random(11)
+    random_monic = [[rng.randint(-9, 9) for _ in range(d)] + [1]
+                    for d in range(1, 13) for _ in range(3)]
+    moduli = {"bundled": [list(fx.context.field.modulus) for fx in field_fixtures],
+              "random": random_monic,
+              "products": _monic_products(random.Random(12))}
+    for kind, polys in moduli.items():
+        assert [outcome(c) for c in polys] == IRREDUCIBILITY_PINS[kind]
 
 
 def test_residue_is_a_ring_map_onto_f_p(s3sextic):

@@ -1,14 +1,15 @@
 import pytest
 
 from hopfgalois.errors import CapabilityError, StructureError
-from hopfgalois.perm import (FiniteGroup, Permutation, build_coset_space,
-                             centralizer_bruteforce,
+from hopfgalois.perm import (FiniteGroup, Permutation, _power_free_candidates,
+                             build_coset_space, centralizer_bruteforce,
                              enumerate_regular_normalized, group_queries,
                              is_normalized_by, is_regular,
                              left_translation_embedding, metacyclic_group,
                              opposite, right_translation_subgroup)
 
-from .oracles import normal_subgroups_by_filter, regular_normalized_oracle
+from .oracles import (normal_subgroups_by_filter, power_free_candidates_by_powers,
+                      regular_normalized_oracle)
 
 
 def s3():
@@ -409,3 +410,8 @@ def test_metacyclic_presentation_relations_and_order():
 def test_metacyclic_rejects_inconsistent_parameters():
     with pytest.raises(StructureError, match="not 1 modulo"):
         metacyclic_group(7, 3, 3)  # 3^3 = 27 = 6 mod 7
+
+
+def test_power_free_candidates_match_the_power_walk():
+    for size in range(1, 9):
+        assert _power_free_candidates(size) == power_free_candidates_by_powers(size)

@@ -161,6 +161,16 @@ def test_row_sort_sign_is_the_permutation_sign():
         3, tuple(sorted(rows)), (None,) * 3), 1)  # a 3-cycle
     swapped = CosetVariableMatrix(3, (rows[1], rows[0], rows[2]), (None,) * 3)
     assert swapped.row_sorted()[1] == -1
+    # and the parity of the inversions of the sorting order
+    rng = random.Random(8)
+    for size in range(1, 9):
+        for _ in range(10):
+            rows = [tuple(rng.sample(range(size), size)) for _ in range(size)]
+            order = sorted(range(size), key=lambda i: rows[i])
+            inversions = sum(order[i] > order[j]
+                             for i in range(size) for j in range(i + 1, size))
+            matrix = CosetVariableMatrix(size, tuple(rows), (None,) * size)
+            assert matrix.row_sorted()[1] == (-1) ** inversions
 
 
 def test_size_bound_enforced():
