@@ -208,13 +208,15 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
     base = space.base_point
     action_matrices = []
     acting_cosets = [eta.inverse()(base) for eta in elems]
+    values = [[coset_apply(context, space, c, lb) for c in range(m)]
+              for lb in subfield.basis]
     for b in basis:
         cols = []
-        for lb in subfield.basis:
+        for lb_values in values:
             total = context.field.zero()
             for c, coset in zip(b.coefficients, acting_cosets):
                 if c:
-                    total = total + c * coset_apply(context, space, coset, lb)
+                    total = total + c * lb_values[coset]
             try:
                 cols.append(subfield.coords(total))
             except DomainError:

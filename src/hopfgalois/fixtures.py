@@ -61,19 +61,19 @@ class Fixture:
     """A fully validated descriptor with lazily assembled derived data."""
 
     def __init__(self, raw, group, generator_names, stabilizer, context,
-                 integral_basis, ideal_vectors, assertions):
+                 subfield, integral_basis, ideal_vectors, assertions):
         self.raw = raw
         self.name = raw["name"]
         self.group: FiniteGroup = group
         self.generator_names: dict[str, int] = generator_names
         self.stabilizer: FiniteGroup = stabilizer
         self.context: GaloisContext | None = context
+        self._subfield: Subfield | None = subfield
         self.integral_basis: list[FieldElement] | None = integral_basis
         self.ideal_vectors: dict[str, list[FieldElement]] = ideal_vectors
         self.assertions = assertions
         self._space = None
         self._lam = None
-        self._subfield = None
         self._structures = None
         self._opposites = None
         self._dets = {}
@@ -99,8 +99,6 @@ class Fixture:
             raise HopfGaloisError(
                 f"fixture {self.name!r} has no field block; only group-level "
                 "operations are available")
-        if self._subfield is None:
-            self._subfield = fixed_subfield(self.context, self.stabilizer)
         return self._subfield
 
     def structures(self):
@@ -330,6 +328,7 @@ def parse_text(text: str) -> Fixture:
         raise FixtureValidationError(problems)
 
     context = None
+    sub = None
     integral_basis = None
     ideal_vectors: dict[str, list[FieldElement]] = {}
     fblock = raw.get("field")
@@ -391,7 +390,7 @@ def parse_text(text: str) -> Fixture:
     assertions = _validate_assertions(raw.get("assertions"), problems)
     if problems:
         raise FixtureValidationError(problems)
-    return Fixture(raw, group, names, stabilizer, context,
+    return Fixture(raw, group, names, stabilizer, context, sub,
                    integral_basis, ideal_vectors, assertions)
 
 

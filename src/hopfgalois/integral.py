@@ -143,7 +143,7 @@ def associated_order(algebra: DescendedAlgebra, ideal: FractionalIdeal) -> Assoc
     if len(reduced) != m:
         raise ConsistencyError(
             "action is degenerate; it cannot come from a Hopf-Galois structure")
-    h_inv = linalg.invert([[Fraction(v) for v in r] for r in reduced])
+    h_inv = linalg.invert(reduced)
     lattice = Lattice.from_rational_rows(
         [[scale * h_inv[i][j] for i in range(m)] for j in range(m)])
 

@@ -1,11 +1,12 @@
-"""Exact linear algebra: Gaussian elimination over Q (or any exact field),
-fraction-free integer determinants, determinants modulo a prime, and the row
-Hermite normal form."""
+"""Exact linear algebra: one fraction-free Gauss-Jordan elimination over Z
+for ranks, kernels, inverses, solves and integer determinants (rational rows
+are scaled to integers first), Gaussian elimination over an exact field for
+det, determinants modulo a prime, and the row Hermite normal form."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,44 +49,51 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def rref(mat):
-    """Reduced row echelon form.  Returns (rows, pivot_columns); the input is
-    not modified.  Works over any exact field (truthiness means nonzero)."""
-    rows = [list(r) for r in mat]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _eliminate(mat):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination over Z.  Each row is
+    first scaled by the common denominator of its entries, which keeps the
+    row space; each step then divides exactly by the previous pivot.
+    Returns (rows, pivots, d): integer rows equal to d times the reduced row
+    echelon form, its pivot columns, and the common final pivot d (1 when
+    there is none).  A row swap negates the row it moves down, so for a
+    square integer matrix of full rank d is the determinant."""
+    rows = []
+    for row in mat:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    nrows = len(rows)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], [-x for x in rows[r]]
+        row_r = rows[r]
+        p = row_r[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r or not f and p == prev:
+                continue
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, row_r)]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+        prev = p
+    return rows, pivots, prev
 
 
 def rank(mat) -> int:
-    return len(rref(mat)[1])
+    return len(_eliminate(mat)[1])
 
 
 def kernel_basis(mat, ncols: int):
     """Canonical basis of {v : mat @ v = 0}, one vector per free column of the
     reduced echelon form, ordered by free-column index; returned with those
     free columns."""
-    if not mat:
-        return identity_matrix(ncols), list(range(ncols))
-    rows, pivots = rref(mat)
+    rows, pivots, d = _eliminate(mat)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -93,7 +101,7 @@ def kernel_basis(mat, ncols: int):
         v = [ZERO] * ncols
         v[f] = ONE
         for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
+            v[p] = Fraction(-rows[i][f], d)
         basis.append(v)
     return basis, free
 
@@ -126,13 +134,13 @@ def echelon_coords(basis, free, target):
 
 
 def invert(mat):
-    """Inverse of a square matrix over an exact field; None if singular."""
+    """Inverse of a square matrix over Q; None if singular."""
     n = len(mat)
-    aug = [list(mat[i]) + identity_matrix(n)[i] for i in range(n)]
-    rows, pivots = rref(aug)
+    identity = identity_matrix(n)
+    rows, pivots, d = _eliminate([list(a) + e for a, e in zip(mat, identity)])
     if pivots[:n] != list(range(n)):
         return None
-    return [row[n:] for row in rows]
+    return [[Fraction(x, d) for x in row[n:]] for row in rows]
 
 
 def det(mat):
@@ -185,29 +193,9 @@ def det_mod_p(mat, p: int) -> int:
 
 
 def int_det(mat) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    m = [list(r) for r in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i, row_k = m[i], m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pkk - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
-    return sign * m[n - 1][n - 1]
+    """Determinant of an integer matrix: the final fraction-free pivot."""
+    rows, pivots, d = _eliminate(mat)
+    return d if len(pivots) == len(mat) else 0
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -283,20 +271,18 @@ class LinearSolver:
 
     def __init__(self, columns):
         self.ncols = len(columns)
-        self.nrows = len(columns[0])
-        aug = [[columns[j][i] for j in range(self.ncols)] + identity_matrix(self.nrows)[i]
-               for i in range(self.nrows)]
-        rows, pivots = rref(aug)
+        identity = identity_matrix(len(columns[0]))
+        rows, pivots, d = _eliminate(
+            [[col[i] for col in columns] + e for i, e in enumerate(identity)])
         if pivots[: self.ncols] != list(range(self.ncols)):
             raise ValueError("columns are linearly dependent")
-        self._transform = [row[self.ncols:] for row in rows]
+        self._transform = [[Fraction(x, d) for x in row[self.ncols:]]
+                           for row in rows]
 
     def solve(self, target):
         """Coordinates of target in the column family, or None if target is
         outside their span."""
         y = mat_vec(self._transform, target)
-        coords = y[: self.ncols]
-        for extra in y[self.ncols:]:
-            if extra:
-                return None
-        return coords
+        if any(y[self.ncols:]):
+            return None
+        return y[: self.ncols]

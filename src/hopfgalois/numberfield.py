@@ -132,9 +132,8 @@ class FieldElement:
             raise ConsistencyError(
                 "nonzero element has singular multiplication matrix; "
                 "the modulus is not irreducible")
-        one = [Fraction(0)] * self.field.degree
-        one[0] = Fraction(1)
-        return FieldElement(self.field, tuple(linalg.mat_vec(inv, one)))
+        # the inverse is the image of 1: the first column of inv
+        return FieldElement(self.field, tuple(row[0] for row in inv))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

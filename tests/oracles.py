@@ -135,6 +135,48 @@ def power_free_candidates_by_powers(size):
     return out
 
 
+def rref(mat):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination with
+    Fraction arithmetic.  Returns (rows, pivot_columns); the input is not
+    modified."""
+    rows = [[Fraction(x) for x in r] for r in mat]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def rref_kernel(mat, ncols):
+    """The kernel of mat read off its rref: one vector per free column, 1
+    there and 0 at the other free columns; returned with the free columns."""
+    rows, pivots = rref(mat)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(int(c == f)) for c in range(ncols)]
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][f]
+        basis.append(v)
+    return basis, free
+
+
 def cofactor_det(matrix_rows, nvars):
     """Recursive cofactor expansion of a coset-variable matrix (entry k is
     y_k) or of a matrix of integer linear forms (entry (a_0, .., a_{n-1}) is

@@ -4,7 +4,7 @@ names in the package; these tests guard the names it relies on."""
 import importlib.util
 from pathlib import Path
 
-from hopfgalois import cli, integral
+from hopfgalois import cli, integral, linalg
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +27,16 @@ def test_benchmark_tracer_finds_its_targets():
                          (integral, "is_generator")):
         assert id(getattr(module, attr, None)) in originals, \
             f"{module.__name__}.{attr}"
+
+
+def test_benchmark_tracer_spans_the_linalg_entry_points():
+    # perfbench/worker.py reads these spans as per-layer metrics; a renamed
+    # or inlined function would leave them reading zero
+    targets = _tracing().Tracer()._targets()
+    names = {name for _, _, _, name in targets}
+    for name in ("linalg.rank", "linalg.int_det", "linalg.invert",
+                 "linalg.hnf", "linalg.det"):
+        assert name in names, name
+    traced = {(owner, attr) for owner, attr, _, _ in targets}
+    for method in ("__init__", "solve"):
+        assert (linalg.LinearSolver, method) in traced, method

@@ -363,6 +363,16 @@ MALFORMED = {
          "assertions: expected an object"),
     "ideals given as a string":
         (lambda doc: doc.update(ideals="OL"), "ideals: expected an object"),
+    # well-formed blocks whose bases are degenerate
+    "dependent integral basis":
+        (lambda doc: doc["integral_basis"].__setitem__(3, ["0", "2", "0", "0"]),
+         "integral_basis: elements are linearly dependent"),
+    "integral basis without 1":
+        (lambda doc: doc["integral_basis"].__setitem__(0, ["2", "0", "0", "0"]),
+         "integral_basis: 1 is not an integer combination of the basis"),
+    "dependent ideal vectors":
+        (lambda doc: doc["ideals"]["OL"].__setitem__(3, ["1", "1", "0", "0"]),
+         "ideals.OL: basis vectors are linearly dependent"),
 }
 
 

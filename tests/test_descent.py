@@ -371,3 +371,28 @@ def test_descended_coordinates_match_the_solver(field_fixtures):
                 for bj, constants in zip(algebra.basis, row):
                     assert list(constants) == \
                         solver.solve(flatten_coefficients(bi * bj))
+
+
+# GaloisContext.apply calls over all descents of a fixture: one image per
+# acting coset and subfield basis element, m * dim L per structure
+DESCENT_APPLY_CALLS = {"qi": 4, "qzeta3": 4, "c4quartic": 32, "v4biquad": 64,
+                       "qcbrt2": 9, "s3sextic": 180}
+
+
+def test_descent_applies_each_coset_once(field_fixtures, monkeypatch):
+    from hopfgalois.numberfield import GaloisContext
+    apply = GaloisContext.apply
+    calls = []
+
+    def counting(self, g_index, x):
+        calls.append(g_index)
+        return apply(self, g_index, x)
+    monkeypatch.setattr(GaloisContext, "apply", counting)
+    counts = {}
+    for fx in field_fixtures:
+        calls.clear()
+        for n in fx.structures():
+            descend(fx.context, fx.coset_space(), fx.translation_embedding(),
+                    n, fx.subfield())
+        counts[fx.name] = len(calls)
+    assert counts == DESCENT_APPLY_CALLS

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hopfgalois.errors import FixtureValidationError
+from hopfgalois.errors import FixtureValidationError, HopfGaloisError
 from hopfgalois.fixtures import BUNDLED, load_bundled, parse_text
 from hopfgalois.perm import FiniteGroup, Permutation
 
@@ -29,6 +29,8 @@ def test_metacyclic_is_group_only(metacyclic21):
     assert not metacyclic21.has_field
     assert metacyclic21.group.order() == 21
     assert metacyclic21.coset_space().size == 7
+    with pytest.raises(HopfGaloisError, match="has no field block"):
+        metacyclic21.subfield()
 
 
 def test_round_trip(s3sextic):
@@ -168,3 +170,23 @@ def test_unknown_ideal_name_raises(qi):
     from hopfgalois.errors import HopfGaloisError
     with pytest.raises(HopfGaloisError, match="no ideal named"):
         qi.ideal("missing")
+
+
+def test_one_fixed_subfield_per_load(monkeypatch):
+    """parse_text validates against the fixed subfield and hands that same
+    subfield to the fixture."""
+    from hopfgalois import fixtures
+    fixed_subfield = fixtures.fixed_subfield
+    built = []
+
+    def counting(context, stabilizer):
+        built.append(stabilizer)
+        return fixed_subfield(context, stabilizer)
+    monkeypatch.setattr(fixtures, "fixed_subfield", counting)
+    for name in ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic"):
+        built.clear()
+        fx = load_bundled(name)
+        assert fx.subfield() is fx.subfield()
+        for ideal in fx.ideal_vectors:
+            fx.ideal(ideal)
+        assert len(built) == 1, name

@@ -5,13 +5,117 @@ import pytest
 
 from hopfgalois import linalg
 
+from .oracles import rref, rref_kernel
+
 F = Fraction
 
 
 def test_rref_identity():
-    rows, pivots = linalg.rref([[F(2), F(0)], [F(0), F(3)]])
+    rows, pivots = rref([[F(2), F(0)], [F(0), F(3)]])
     assert rows == [[F(1), F(0)], [F(0), F(1)]]
     assert pivots == [0, 1]
+
+
+def _random_matrix(rng, nrows, ncols):
+    """Rational entries with denominators 1-6, negatives and zeros, and now
+    and then a zero row or a repeated row."""
+    mat = [[F(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.7
+            else F(0) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.3:
+        mat[rng.randrange(nrows)] = list(mat[rng.randrange(nrows)])
+    if rng.random() < 0.2:
+        mat[rng.randrange(nrows)] = [F(0)] * ncols
+    return mat
+
+
+def _random_shapes(seed, count):
+    """Seeded (rng, matrix) pairs: 1 x 1, square, wide and tall."""
+    rng = random.Random(seed)
+    for k in range(count):
+        nrows, ncols = [(1, 1), (3, 3), (2, 5), (6, 3), (5, 5), (4, 7)][k % 6]
+        yield rng, _random_matrix(rng, nrows, ncols)
+
+
+def test_rank_and_kernel_match_the_rref_oracle():
+    for _, mat in _random_shapes(20, 300):
+        ncols = len(mat[0])
+        assert linalg.rank(mat) == len(rref(mat)[1])
+        assert linalg.kernel_basis(mat, ncols) == rref_kernel(mat, ncols)
+
+
+def test_invert_matches_the_rref_oracle():
+    singular = 0
+    for _, mat in _random_shapes(21, 300):
+        n = len(mat)
+        if n != len(mat[0]):
+            continue
+        rows, pivots = rref([row + [F(int(i == j)) for j in range(n)]
+                             for i, row in enumerate(mat)])
+        if pivots[:n] != list(range(n)):
+            singular += 1
+            assert linalg.invert(mat) is None
+        else:
+            assert linalg.invert(mat) == [row[n:] for row in rows]
+    assert singular > 10
+
+
+def test_solver_matches_the_rref_oracle():
+    dependent = outside = 0
+    for rng, mat in _random_shapes(22, 300):
+        columns = [list(col) for col in zip(*mat)]
+        if len(rref(mat)[1]) < len(columns):
+            dependent += 1
+            with pytest.raises(ValueError):
+                linalg.LinearSolver(columns)
+            continue
+        solver = linalg.LinearSolver(columns)
+        coords = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in columns]
+        assert solver.solve(linalg.mat_vec(mat, coords)) == coords
+        target = [F(rng.randint(-4, 4)) for _ in mat]
+        in_span = len(rref(columns + [target])[1]) == len(columns)
+        outside += not in_span
+        solved = solver.solve(target)
+        if in_span:
+            assert linalg.mat_vec(mat, solved) == target
+        else:
+            assert solved is None
+    assert dependent > 10 and outside > 10
+
+
+def test_int_det_matches_the_field_determinant():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        mat = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0
+                for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            mat[-1] = list(mat[0])
+        assert linalg.int_det(mat) == linalg.det([[F(v) for v in row]
+                                                  for row in mat])
+
+
+def test_fixed_space_matches_the_rref_oracle(monkeypatch):
+    """Every fixed space a field fixture's load and descents compute: the
+    subfield, then E[N]^G for each structure."""
+    from hopfgalois.descent import descend
+    from hopfgalois.fixtures import load_bundled
+    systems = []
+    fixed_space = linalg.fixed_space
+
+    def recording(matrices, ncols):
+        systems.append((matrices, ncols))
+        return fixed_space(matrices, ncols)
+    monkeypatch.setattr(linalg, "fixed_space", recording)
+    for name in ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic"):
+        fx = load_bundled(name)
+        for n in fx.structures():
+            descend(fx.context, fx.coset_space(), fx.translation_embedding(),
+                    n, fx.subfield())
+    assert len(systems) == 6 + 1 + 1 + 2 + 4 + 1 + 5
+    for matrices, ncols in systems:
+        stacked = [[x - (i == j) for j, x in enumerate(row)]
+                   for m in matrices for i, row in enumerate(m)]
+        assert fixed_space(matrices, ncols) == rref_kernel(stacked, ncols)
 
 
 def test_kernel_basis_canonical():
