@@ -9,18 +9,16 @@ from .errors import (CapabilityError, ConsistencyError, DomainError,
 from .perm import (CosetSpace, FiniteGroup, LambdaEmbedding, Permutation,
                    RegularSubgroup, build_coset_space, centralizer_bruteforce,
                    enumerate_regular_normalized, group_queries, is_normalized_by,
-                   is_regular, left_translation_embedding, metacyclic_group,
-                   opposite)
+                   left_translation_embedding, metacyclic_group, opposite)
 from .transition import (CosetVariableMatrix, IntPolynomial,
-                         build_transition_matrix, canonical_det, det_identity,
-                         det_symbolic)
+                         build_transition_matrix, det_identity, det_symbolic,
+                         signed_canonical_det)
 from .numberfield import (FieldElement, GaloisContext, NumberField, Subfield,
                           check_irreducible, fixed_subfield, load_field)
-from .descent import (DescendedAlgebra, GroupAlgebraElement, MapAlgebraElement,
-                      descend, embed_in_map_algebra, is_generator, is_separable,
-                      verify_commuting, verify_hopf_galois)
+from .descent import (DescendedAlgebra, GroupAlgebraElement, descend,
+                      is_separable, verify_commuting, verify_hopf_galois)
 from .integral import (AssociatedOrder, CertificateReport, FractionalIdeal,
                        FreenessResult, Lattice, associated_order,
-                       freeness_certificate, freeness_search, transfer_element)
+                       freeness_certificate, freeness_search)
 
 __version__ = "0.1.0"

@@ -259,10 +259,15 @@ def cmd_verify(fx: Fixture, args, report: Report, rng: random.Random):
     structs = fx.structures()
     if what == "commuting":
         opposites = fx.opposite_indices()
+        # verify_commuting is symmetric: one call per unordered pair
+        commute = {}
         for i in range(len(structs)):
             for j in range(len(structs)):
                 expected = opposites[i] == j
-                actual = verify_commuting(fx.algebra(i), fx.algebra(j))
+                pair = (min(i, j), max(i, j))
+                if pair not in commute:
+                    commute[pair] = verify_commuting(fx.algebra(i), fx.algebra(j))
+                actual = commute[pair]
                 report.add(f"commuting[{i},{j}]",
                            "PASS" if actual == expected else "FAIL", "theorem",
                            commute=actual, opposite_pair=expected)

@@ -1,6 +1,6 @@
-"""The function algebra on the coset space, Galois descent of group algebras,
-the descended action on the fixed subfield, and the verification predicates
-built on it (Hopf-Galois property, commuting actions, generators, separability).
+"""Galois descent of group algebras, the descended action on the fixed
+subfield, and the verification predicates built on it (Hopf-Galois property,
+commuting actions, generators, separability).
 """
 
 from __future__ import annotations
@@ -21,47 +21,6 @@ def coset_apply(context: GaloisContext, space: CosetSpace, coset: int,
     return context.apply(space.representatives[coset], x)
 
 
-class MapAlgebraElement:
-    """Element of the function algebra Map(X, E): one coefficient per coset,
-    multiplied pointwise; the indicator functions are the idempotent basis."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = tuple(values)
-
-    def __add__(self, other):
-        return MapAlgebraElement(a + b for a, b in zip(self.values, other.values))
-
-    def __sub__(self, other):
-        return MapAlgebraElement(a - b for a, b in zip(self.values, other.values))
-
-    def __mul__(self, other):
-        return MapAlgebraElement(a * b for a, b in zip(self.values, other.values))
-
-    def scale(self, c: FieldElement) -> "MapAlgebraElement":
-        return MapAlgebraElement(c * v for v in self.values)
-
-    def __eq__(self, other):
-        return isinstance(other, MapAlgebraElement) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"MapAlgebraElement({list(self.values)})"
-
-
-def embed_in_map_algebra(context: GaloisContext, space: CosetSpace,
-                         subfield: Subfield, x: FieldElement) -> MapAlgebraElement:
-    """x -> sum over cosets of (representative applied to x) times the coset's
-    idempotent; an exact algebra embedding of the fixed subfield."""
-    if not subfield.contains(x):
-        raise DomainError("element is not fixed by the stabilizer")
-    return MapAlgebraElement(
-        coset_apply(context, space, c, x) for c in range(space.size))
-
-
 class GroupAlgebraElement:
     """Element of E[N]: one field coefficient per subgroup element, indexed in
     the subgroup's canonical element order."""
@@ -71,11 +30,6 @@ class GroupAlgebraElement:
     def __init__(self, subgroup: RegularSubgroup, coefficients):
         self.subgroup = subgroup
         self.coefficients = tuple(coefficients)
-
-    def __add__(self, other):
-        return GroupAlgebraElement(
-            self.subgroup,
-            (a + b for a, b in zip(self.coefficients, other.coefficients)))
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         elems = self.subgroup.elements
@@ -89,11 +43,6 @@ class GroupAlgebraElement:
                     continue
                 out[index[elems[i] * elems[j]]] += a * b
         return GroupAlgebraElement(self.subgroup, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupAlgebraElement)
-                and self.subgroup == other.subgroup
-                and self.coefficients == other.coefficients)
 
     def __repr__(self):
         return f"GroupAlgebraElement({list(self.coefficients)})"
@@ -144,9 +93,6 @@ class DescendedAlgebra:
 
     def left_multiplication_matrices(self):
         return [linalg.transpose(rows) for rows in self.structure_constants]
-
-    def act_coords(self, h_coords, x_coords):
-        return linalg.mat_vec(self.action_matrix_of(h_coords), list(x_coords))
 
     def orbit(self, x_coords):
         """Subfield coordinates of b_k . x for each basis element b_k, given

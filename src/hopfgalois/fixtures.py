@@ -152,27 +152,8 @@ class Fixture:
                 name, lattice, self.ring_multiplication_matrices())
         return self._ideals[name]
 
-    def to_text(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
-
-    def __eq__(self, other):
-        return isinstance(other, Fixture) and _normalize(self.raw) == _normalize(other.raw)
-
     def __repr__(self):
         return f"Fixture({self.name!r})"
-
-
-def _normalize(obj):
-    if isinstance(obj, dict):
-        return {k: _normalize(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, list):
-        return [_normalize(v) for v in obj]
-    if isinstance(obj, str):
-        try:
-            return str(Fraction(obj))
-        except ValueError:
-            return obj
-    return obj
 
 
 def _build_group(block, problems):
@@ -394,6 +375,23 @@ def parse_text(text: str) -> Fixture:
                    integral_basis, ideal_vectors, assertions)
 
 
+def _fixed_elements(vectors, where, context, sub: Subfield, problems):
+    """The field elements with the given power-basis coordinates, each fixed
+    by the stabilizer; None once a vector is malformed or not fixed."""
+    elems = []
+    for i, vec in enumerate(vectors):
+        coords = _parse_vector(vec, problems, f"{where}[{i}]")
+        if len(coords) != context.degree:
+            problems.append(f"{where}[{i}]: expected {context.degree} coordinates")
+            return None
+        e = context.field.element(coords)
+        if not sub.contains(e):
+            problems.append(f"{where}[{i}]: element is not fixed by the stabilizer")
+            return None
+        elems.append(e)
+    return elems
+
+
 def _validate_integral_basis(block, context, sub: Subfield, problems):
     if block is None:
         problems.append("integral_basis: required when a field block is present")
@@ -401,19 +399,9 @@ def _validate_integral_basis(block, context, sub: Subfield, problems):
     if not isinstance(block, list):
         problems.append("integral_basis: expected an array")
         return None
-    elems = []
-    for i, vec in enumerate(block):
-        coords = _parse_vector(vec, problems, f"integral_basis[{i}]")
-        if len(coords) != context.degree:
-            problems.append(
-                f"integral_basis[{i}]: expected {context.degree} coordinates")
-            return None
-        e = context.field.element(coords)
-        if not sub.contains(e):
-            problems.append(
-                f"integral_basis[{i}]: element is not fixed by the stabilizer")
-            return None
-        elems.append(e)
+    elems = _fixed_elements(block, "integral_basis", context, sub, problems)
+    if elems is None:
+        return None
     if len(elems) != sub.dim:
         problems.append(
             f"integral_basis: {len(elems)} elements cannot span a subfield of "
@@ -442,18 +430,9 @@ def _validate_ideal_vectors(name, vectors, context, sub: Subfield, problems):
     if not isinstance(vectors, list):
         problems.append(f"ideals.{name}: expected an array of vectors")
         return None
-    elems = []
-    for i, vec in enumerate(vectors):
-        coords = _parse_vector(vec, problems, f"ideals.{name}[{i}]")
-        if len(coords) != context.degree:
-            problems.append(f"ideals.{name}[{i}]: expected {context.degree} coordinates")
-            return None
-        e = context.field.element(coords)
-        if not sub.contains(e):
-            problems.append(
-                f"ideals.{name}[{i}]: element is not fixed by the stabilizer")
-            return None
-        elems.append(e)
+    elems = _fixed_elements(vectors, f"ideals.{name}", context, sub, problems)
+    if elems is None:
+        return None
     if len(elems) != sub.dim:
         problems.append(
             f"ideals.{name}: {len(elems)} vectors cannot be a full-rank lattice "

@@ -51,10 +51,6 @@ class Lattice:
             reduced = [[v // content for v in r] for r in reduced]
         return cls(den, tuple(tuple(r) for r in reduced))
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
     def basis_vectors(self) -> list[list[Fraction]]:
         return [[Fraction(v, self.denominator) for v in r] for r in self.rows]
 
@@ -74,12 +70,6 @@ class Lattice:
                 for k in range(j, len(scaled)):
                     scaled[k] -= q * row[k]
         return not any(scaled)
-
-    def __le__(self, other: "Lattice") -> bool:
-        return all(other.contains(v) for v in self.basis_vectors())
-
-    def __lt__(self, other: "Lattice") -> bool:
-        return self <= other and self != other
 
 
 @dataclass(frozen=True)
@@ -281,14 +271,6 @@ def _transfer_rows(partner: DescendedAlgebra, x, xc, images) -> list[list[Fracti
             raise ConsistencyError("transfer system is inconsistent")
         rows.append(z)
     return rows
-
-
-def transfer_element(algebra: DescendedAlgebra, partner: DescendedAlgebra,
-                     a_coords, x) -> list[Fraction]:
-    """The unique partner element acting on the generator x exactly as the
-    given element does; solves z . x = a . x in the partner's coordinates."""
-    xc = algebra.subfield.coords(x)
-    return _transfer_rows(partner, x, xc, [algebra.act_coords(list(a_coords), xc)])[0]
 
 
 @dataclass(frozen=True)

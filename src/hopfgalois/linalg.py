@@ -1,7 +1,8 @@
 """Exact linear algebra: one fraction-free Gauss-Jordan elimination over Z
-for ranks, kernels, inverses, solves and integer determinants (rational rows
-are scaled to integers first), Gaussian elimination over an exact field for
-det, determinants modulo a prime, and the row Hermite normal form."""
+for kernels, inverses and solves, run forward only for ranks and integer
+determinants (rational rows are scaled to integers first), Gaussian
+elimination over an exact field for det, determinants modulo a prime, and
+the row Hermite normal form."""
 
 from __future__ import annotations
 
@@ -49,14 +50,17 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _eliminate(mat):
+def _eliminate(mat, forward_only=False):
     """Fraction-free (Bareiss) Gauss-Jordan elimination over Z.  Each row is
     first scaled by the common denominator of its entries, which keeps the
     row space; each step then divides exactly by the previous pivot.
     Returns (rows, pivots, d): integer rows equal to d times the reduced row
     echelon form, its pivot columns, and the common final pivot d (1 when
     there is none).  A row swap negates the row it moves down, so for a
-    square integer matrix of full rank d is the determinant."""
+    square integer matrix of full rank d is the determinant.  With
+    forward_only, each step updates only the rows below its pivot: the rows
+    below a pivot are updated exactly as before, so the pivots and d are the
+    same, but the rows are an echelon form only (enough for rank, int_det)."""
     rows = []
     for row in mat:
         den = lcm(*(x.denominator for x in row))
@@ -75,7 +79,8 @@ def _eliminate(mat):
             rows[r], rows[pivot] = rows[pivot], [-x for x in rows[r]]
         row_r = rows[r]
         p = row_r[c]
-        for i, row in enumerate(rows):
+        for i in range(r + 1 if forward_only else 0, nrows):
+            row = rows[i]
             f = row[c]
             if i == r or not f and p == prev:
                 continue
@@ -86,7 +91,7 @@ def _eliminate(mat):
 
 
 def rank(mat) -> int:
-    return len(_eliminate(mat)[1])
+    return len(_eliminate(mat, forward_only=True)[1])
 
 
 def kernel_basis(mat, ncols: int):
@@ -194,7 +199,7 @@ def det_mod_p(mat, p: int) -> int:
 
 def int_det(mat) -> int:
     """Determinant of an integer matrix: the final fraction-free pivot."""
-    rows, pivots, d = _eliminate(mat)
+    rows, pivots, d = _eliminate(mat, forward_only=True)
     return d if len(pivots) == len(mat) else 0
 
 

@@ -58,9 +58,6 @@ class NumberField:
     def generator(self) -> "FieldElement":
         return self.element([0, 1])
 
-    def from_rational(self, value) -> "FieldElement":
-        return self.element([Fraction(value)])
-
     def multiplication_matrix(self, x: "FieldElement"):
         """Matrix of y -> x*y in the power basis (columns are x * t^j)."""
         cols = []

@@ -74,9 +74,6 @@ class Permutation:
     def __lt__(self, other):
         return self.images < other.images
 
-    def __le__(self, other):
-        return self.images <= other.images
-
     def __repr__(self):
         return f"Permutation({list(self.images)})"
 
@@ -145,10 +142,6 @@ class FiniteGroup:
     def trivial(cls, degree: int) -> "FiniteGroup":
         return cls([Permutation.identity(degree)])
 
-    @classmethod
-    def symmetric(cls, degree: int) -> "FiniteGroup":
-        return cls(Permutation(p) for p in itertools.permutations(range(degree)))
-
     def order(self) -> int:
         return len(self.elements)
 
@@ -204,58 +197,6 @@ class FiniteGroup:
         groups = [FiniteGroup(Permutation(t) for t in s) for s in found]
         groups.sort(key=lambda g: (g.order(), [p.images for p in g.elements]))
         return groups
-
-    def is_isomorphic_to(self, other: "FiniteGroup") -> bool:
-        """Exhaustive generator-image search with order-profile pruning."""
-        if self.order() != other.order():
-            return False
-        if self.order_profile() != other.order_profile():
-            return False
-        gens = self._small_generating_set()
-        orders = [g.order() for g in gens]
-        pools = [[q for q in other.elements if q.order() == o] for o in orders]
-        for images in itertools.product(*pools):
-            if self._extends_to_isomorphism(gens, images, other):
-                return True
-        return False
-
-    def _small_generating_set(self) -> list[Permutation]:
-        chosen: list[Permutation] = []
-        span = {self.elements[self.identity_index]}
-        while len(span) < self.order():
-            best = None
-            best_span = None
-            for p in self.elements:
-                if p in span:
-                    continue
-                closure = _close_tuples(
-                    [q.images for q in list(span) + [p]], self.degree, None)
-                if best_span is None or len(closure) > len(best_span):
-                    best, best_span = p, closure
-                    if len(closure) == self.order():
-                        break
-            chosen.append(best)
-            span = {Permutation(t) for t in best_span}
-        return chosen
-
-    def _extends_to_isomorphism(self, gens, images, other) -> bool:
-        mapping = {self.elements[self.identity_index]:
-                   other.elements[other.identity_index]}
-        frontier = [self.elements[self.identity_index]]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g, h in zip(gens, images):
-                    q = p * g
-                    target = mapping[p] * h
-                    if q in mapping:
-                        if mapping[q] != target:
-                            return False
-                    else:
-                        mapping[q] = target
-                        nxt.append(q)
-            frontier = nxt
-        return len(mapping) == self.order() and len(set(mapping.values())) == self.order()
 
 
 @dataclass(frozen=True)
@@ -317,13 +258,6 @@ class LambdaEmbedding:
     @property
     def generator_images(self) -> list[Permutation]:
         return [self.maps[i] for i in self.space.group.generators]
-
-    def image(self) -> FiniteGroup:
-        return FiniteGroup(self.maps, generators=self.generator_images)
-
-    def kernel_size(self) -> int:
-        ident = Permutation.identity(self.space.size)
-        return sum(1 for p in self.maps if p == ident)
 
 
 def left_translation_embedding(space: CosetSpace) -> LambdaEmbedding:
@@ -390,20 +324,6 @@ class RegularSubgroup:
 
     def sort_key(self):
         return tuple(p.images for p in self.elements)
-
-
-def is_regular(perms, space: CosetSpace) -> bool:
-    """True iff the (verified) subgroup has order |X| and is transitive."""
-    elems = sorted(set(perms))
-    index = set(elems)
-    for p in elems:
-        for q in elems:
-            if p * q not in index:
-                raise StructureError(f"not closed under composition: {p} * {q}")
-    if len(elems) != space.size:
-        return False
-    orbit = {p(space.base_point) for p in elems}
-    return len(orbit) == space.size
 
 
 def is_normalized_by(n: RegularSubgroup, lam: LambdaEmbedding) -> bool:

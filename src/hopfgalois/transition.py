@@ -25,8 +25,8 @@ def _term_sort_key(exponents: tuple[int, ...]):
 
 
 def _leading_key(exponents: tuple[int, ...]):
-    # sign convention of canonical_det: the leading term is the first in
-    # graded lex order (highest total degree, then lex on the exponents)
+    # sign convention of signed_canonical_det: the leading term is the first
+    # in graded lex order (highest total degree, then lex on the exponents)
     return (-sum(exponents), tuple(-e for e in exponents))
 
 
@@ -38,19 +38,6 @@ class IntPolynomial:
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
         self.terms = {tuple(e): c for e, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls, nvars: int) -> "IntPolynomial":
-        return cls(nvars)
-
-    @classmethod
-    def variable(cls, nvars: int, k: int) -> "IntPolynomial":
-        exps = [0] * nvars
-        exps[k] = 1
-        return cls(nvars, {tuple(exps): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -64,31 +51,6 @@ class IntPolynomial:
 
     def __neg__(self):
         return IntPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return IntPolynomial(self.nvars, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return IntPolynomial(self.nvars, out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(self.nvars,
-                                 {e: c * other for e, c in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return IntPolynomial(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         exps = min(self.terms, key=_leading_key)
@@ -214,13 +176,6 @@ def signed_canonical_det(n: RegularSubgroup,
         if lead < 0:
             poly, sign = -poly, -sign
     return poly, sign
-
-
-def canonical_det(n: RegularSubgroup, space: CosetSpace) -> IntPolynomial:
-    """Determinant of the transition matrix with rows sorted canonically and
-    the sign fixed so the leading term is positive; independent of any chosen
-    row or column ordering."""
-    return signed_canonical_det(n, space)[0]
 
 
 def reindexing_witness(n: RegularSubgroup, n_opp: RegularSubgroup,

@@ -5,9 +5,10 @@ import itertools
 from fractions import Fraction
 
 from hopfgalois import linalg
-from hopfgalois.descent import (GroupAlgebraElement, MapAlgebraElement,
-                                coset_apply, coset_values, transition_matrix_of)
-from hopfgalois.errors import ConsistencyError, DomainError
+from hopfgalois.descent import (GroupAlgebraElement, coset_apply, coset_values,
+                                transition_matrix_of)
+from hopfgalois.errors import ConsistencyError, DomainError, StructureError
+from hopfgalois.integral import _transfer_rows
 from hopfgalois.numberfield import field_det
 from hopfgalois.perm import FiniteGroup, Permutation, _close_tuples
 from hopfgalois.transition import IntPolynomial
@@ -79,6 +80,75 @@ def normal_subgroups_by_filter(group):
                for p in sub.elements for q in group.elements):
             out.append(sub)
     return out
+
+
+def is_regular(perms, space):
+    """True iff the (verified) subgroup has order |X| and is transitive."""
+    elems = sorted(set(perms))
+    index = set(elems)
+    for p in elems:
+        for q in elems:
+            if p * q not in index:
+                raise StructureError(f"not closed under composition: {p} * {q}")
+    if len(elems) != space.size:
+        return False
+    orbit = {p(space.base_point) for p in elems}
+    return len(orbit) == space.size
+
+
+def is_isomorphic(group, other):
+    """Exhaustive generator-image search with order-profile pruning."""
+    if group.order() != other.order():
+        return False
+    if group.order_profile() != other.order_profile():
+        return False
+    gens = _small_generating_set(group)
+    orders = [g.order() for g in gens]
+    pools = [[q for q in other.elements if q.order() == o] for o in orders]
+    for images in itertools.product(*pools):
+        if _extends_to_isomorphism(group, gens, images, other):
+            return True
+    return False
+
+
+def _small_generating_set(group):
+    chosen = []
+    span = {group.elements[group.identity_index]}
+    while len(span) < group.order():
+        best = None
+        best_span = None
+        for p in group.elements:
+            if p in span:
+                continue
+            closure = _close_tuples(
+                [q.images for q in list(span) + [p]], group.degree, None)
+            if best_span is None or len(closure) > len(best_span):
+                best, best_span = p, closure
+                if len(closure) == group.order():
+                    break
+        chosen.append(best)
+        span = {Permutation(t) for t in best_span}
+    return chosen
+
+
+def _extends_to_isomorphism(group, gens, images, other):
+    mapping = {group.elements[group.identity_index]:
+               other.elements[other.identity_index]}
+    frontier = [group.elements[group.identity_index]]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g, h in zip(gens, images):
+                q = p * g
+                target = mapping[p] * h
+                if q in mapping:
+                    if mapping[q] != target:
+                        return False
+                else:
+                    mapping[q] = target
+                    nxt.append(q)
+        frontier = nxt
+    return len(mapping) == group.order() and len(set(mapping.values())) == group.order()
 
 
 def regular_normalized_oracle(space, lam):
@@ -177,6 +247,51 @@ def rref_kernel(mat, ncols):
     return basis, free
 
 
+class RingPolynomial(IntPolynomial):
+    """IntPolynomial with the ring operations, for building reference
+    polynomials term by term."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, nvars):
+        return cls(nvars)
+
+    @classmethod
+    def variable(cls, nvars, k):
+        exps = [0] * nvars
+        exps[k] = 1
+        return cls(nvars, {tuple(exps): 1})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return RingPolynomial(self.nvars, out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) - c
+        return RingPolynomial(self.nvars, out)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return RingPolynomial(self.nvars,
+                                  {e: c * other for e, c in self.terms.items()})
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return RingPolynomial(self.nvars, out)
+
+    __rmul__ = __mul__
+
+
 def cofactor_det(matrix_rows, nvars):
     """Recursive cofactor expansion of a coset-variable matrix (entry k is
     y_k) or of a matrix of integer linear forms (entry (a_0, .., a_{n-1}) is
@@ -186,16 +301,16 @@ def cofactor_det(matrix_rows, nvars):
 
     def var(entry):
         if isinstance(entry, int):
-            return IntPolynomial.variable(nvars, entry)
-        total = IntPolynomial.zero(nvars)
+            return RingPolynomial.variable(nvars, entry)
+        total = RingPolynomial.zero(nvars)
         for j, a in enumerate(entry):
-            total = total + IntPolynomial.variable(nvars, j) * a
+            total = total + RingPolynomial.variable(nvars, j) * a
         return total
 
     def expand(rows, cols):
         if len(rows) == 1:
             return var(matrix_rows[rows[0]][cols[0]])
-        total = IntPolynomial.zero(nvars)
+        total = RingPolynomial.zero(nvars)
         r = rows[0]
         rest = rows[1:]
         for idx, c in enumerate(cols):
@@ -329,6 +444,59 @@ def fraction_associated_order(algebra, ideal):
 
 # --- definitional counterparts of the descent layer
 
+class MapAlgebraElement:
+    """Element of the function algebra Map(X, E): one coefficient per coset,
+    multiplied pointwise; the indicator functions are the idempotent basis."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = tuple(values)
+
+    def __add__(self, other):
+        return MapAlgebraElement(a + b for a, b in zip(self.values, other.values))
+
+    def __sub__(self, other):
+        return MapAlgebraElement(a - b for a, b in zip(self.values, other.values))
+
+    def __mul__(self, other):
+        return MapAlgebraElement(a * b for a, b in zip(self.values, other.values))
+
+    def scale(self, c):
+        return MapAlgebraElement(c * v for v in self.values)
+
+    def __eq__(self, other):
+        return isinstance(other, MapAlgebraElement) and self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return f"MapAlgebraElement({list(self.values)})"
+
+
+def embed_in_map_algebra(context, space, subfield, x):
+    """x -> sum over cosets of (representative applied to x) times the coset's
+    idempotent; an exact algebra embedding of the fixed subfield."""
+    if not subfield.contains(x):
+        raise DomainError("element is not fixed by the stabilizer")
+    return MapAlgebraElement(
+        coset_apply(context, space, c, x) for c in range(space.size))
+
+
+def group_algebra_sum(a, b):
+    """a + b in E[N], coefficientwise."""
+    return GroupAlgebraElement(
+        a.subgroup, (x + y for x, y in zip(a.coefficients, b.coefficients)))
+
+
+def transfer_element(algebra, partner, a_coords, x):
+    """The unique partner element acting on the generator x exactly as the
+    given element does; solves z . x = a . x in the partner's coordinates."""
+    xc = algebra.subfield.coords(x)
+    a_of_x = linalg.mat_vec(algebra.action_matrix_of(list(a_coords)), xc)
+    return _transfer_rows(partner, x, xc, [a_of_x])[0]
+
 def idempotent(context, size, coset):
     values = [context.field.zero()] * size
     values[coset] = context.field.one()
@@ -349,7 +517,7 @@ def element_from_coords(algebra, coords):
     for c, b in zip(coords, algebra.basis):
         piece = GroupAlgebraElement(
             algebra.subgroup, (v * Fraction(c) for v in b.coefficients))
-        total = piece if total is None else total + piece
+        total = piece if total is None else group_algebra_sum(total, piece)
     return total
 
 

@@ -265,6 +265,25 @@ def test_suite_computes_each_determinant_and_opposite_once(capsys, monkeypatch):
     assert counts == {"det_symbolic": 2, "opposite": 6}
 
 
+@pytest.mark.parametrize("name, structures, calls",
+                         [("c4quartic", 2, 3), ("v4biquad", 4, 10),
+                          ("s3sextic", 5, 15)])
+def test_verify_commuting_runs_once_per_unordered_pair(capsys, monkeypatch,
+                                                       name, structures, calls):
+    pairs = []
+
+    def counting(a1, a2):
+        pairs.append((a1, a2))
+        return commuting(a1, a2)
+    commuting = cli.verify_commuting
+    monkeypatch.setattr(cli, "verify_commuting", counting)
+    code, out = run(capsys, "--json", "verify", "commuting", name)
+    assert code == 0
+    assert len(pairs) == calls
+    assert len({frozenset(map(id, p)) for p in pairs}) == calls
+    assert len(json.loads(out)["checks"]) == structures ** 2
+
+
 def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
         capsys, monkeypatch):
     from hopfgalois import descent, integral, linalg
@@ -373,6 +392,16 @@ MALFORMED = {
     "dependent ideal vectors":
         (lambda doc: doc["ideals"]["OL"].__setitem__(3, ["1", "1", "0", "0"]),
          "ideals.OL: basis vectors are linearly dependent"),
+    # vectors the basis and the ideals share one check for
+    "integral basis vector of the wrong length":
+        (lambda doc: doc["integral_basis"].__setitem__(1, ["0", "1", "0"]),
+         "integral_basis[1]: expected 4 coordinates"),
+    "ideal vector of the wrong length":
+        (lambda doc: doc["ideals"]["OL"].__setitem__(2, ["0", "0", "1"]),
+         "ideals.OL[2]: expected 4 coordinates"),
+    "ideal vector given as a string":
+        (lambda doc: doc["ideals"]["OL"].__setitem__(0, "1"),
+         "ideals.OL[0]: expected an array of rationals"),
 }
 
 
@@ -387,6 +416,22 @@ def test_malformed_block_is_a_validation_problem(tmp_path, capsys, shape):
     captured = capsys.readouterr()
     assert code == 2
     assert "failed validation" in captured.out
+    assert f"  - {problem}" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("block, problem", [
+    ("integral_basis", "integral_basis[1]: element is not fixed by the stabilizer"),
+    ("ideals", "ideals.OL[1]: element is not fixed by the stabilizer")])
+def test_unfixed_vector_is_a_validation_problem(tmp_path, capsys, block, problem):
+    doc = json.loads(bundled_path("qcbrt2").read_text(encoding="utf-8"))
+    vectors = doc[block] if block == "integral_basis" else doc[block]["OL"]
+    vectors[1] = ["0", "1", "0", "0", "0", "0"]  # t: moved by the stabilizer
+    path = tmp_path / "bad.hgx"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
     assert f"  - {problem}" in captured.out
     assert captured.err == ""
 

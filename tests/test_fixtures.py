@@ -6,6 +6,8 @@ from hopfgalois.errors import FixtureValidationError, HopfGaloisError
 from hopfgalois.fixtures import BUNDLED, load_bundled, parse_text
 from hopfgalois.perm import FiniteGroup, Permutation
 
+from .oracles import is_isomorphic
+
 
 def test_every_bundled_fixture_validates(all_fixtures):
     names = {fx.name for fx in all_fixtures}
@@ -22,7 +24,7 @@ def test_s3sextic_group_is_symmetric_of_degree_three(s3sextic):
     assert s3sextic.group.order() == 6
     reference = FiniteGroup.generated_by(
         [Permutation([1, 2, 0]), Permutation([0, 2, 1])])
-    assert s3sextic.group.is_isomorphic_to(reference)
+    assert is_isomorphic(s3sextic.group, reference)
 
 
 def test_metacyclic_is_group_only(metacyclic21):
@@ -31,15 +33,6 @@ def test_metacyclic_is_group_only(metacyclic21):
     assert metacyclic21.coset_space().size == 7
     with pytest.raises(HopfGaloisError, match="has no field block"):
         metacyclic21.subfield()
-
-
-def test_round_trip(s3sextic):
-    assert parse_text(s3sextic.to_text()) == s3sextic
-
-
-def test_round_trip_all(all_fixtures):
-    for fx in all_fixtures:
-        assert parse_text(fx.to_text()) == fx
 
 
 def _base_descriptor():
