@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import ConsistencyError, DomainError, StructureError
@@ -215,13 +216,21 @@ def canonical_map_rank(action_matrices, subfield: Subfield) -> int:
     return linalg.rank(columns)
 
 
+def _integer_matrix(mat):
+    """mat scaled by the lcm of its entries' denominators."""
+    den = lcm(*(v.denominator for row in mat for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in mat]
+
+
 def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
-    """Exact commutation of every pair of basis action matrices."""
+    """Exact commutation of every pair of basis action matrices, as integer
+    matrices: with each scaled once by its own denominator, (d A)(e B) =
+    (e B)(d A) exactly when AB = BA."""
+    ints2 = [_integer_matrix(m) for m in a2.action_matrices]
     for m1 in a1.action_matrices:
-        r1 = [list(r) for r in m1]
-        for m2 in a2.action_matrices:
-            r2 = [list(r) for r in m2]
-            if not linalg.mat_eq(linalg.mat_mul(r1, r2), linalg.mat_mul(r2, r1)):
+        r1 = _integer_matrix(m1)
+        for r2 in ints2:
+            if linalg.mat_mul(r1, r2) != linalg.mat_mul(r2, r1):
                 return False
     return True
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import linalg
@@ -19,6 +20,8 @@ from .transition import IntPolynomial, det_symbolic
 
 # the default bound's box, 7^m candidates, at the size-8 limit
 FREENESS_BOX_BOUND = 7 ** 8
+# trailing points packed into one integer by the box scan
+_PACKED_SLOTS = 64
 
 
 @dataclass(frozen=True)
@@ -189,37 +192,96 @@ def norm_form(order: AssociatedOrder) -> IntPolynomial:
 
 def _unit_points(poly: IntPolynomial, bound: int):
     """(v, poly(v)) for the v of sup-norm at most `bound` whose first nonzero
-    coordinate is negative and with poly(v) = +-1, in lexicographic order, by
-    nested substitution: fixing y_0 leaves a polynomial in y_1 .., and so on
-    down to one variable.  While the prefix is zero, y_k runs over -bound..0
-    only (-bound..-1 for the last); a negative y_k opens the whole sub-box."""
+    coordinate is negative and with poly(v) = +-1, in lexicographic order.
+
+    The last k variables are packed: one integer holds a value per trailing
+    point of [-bound, bound]^k, each in a w-bit slot, the points in
+    lexicographic order from the low bits up.  k is the largest k <= 2 with
+    at most _PACKED_SLOTS slots; at k = 0 there is one slot, and this is the
+    scalar scan.  Packing is Z-linear, so the head variables are fixed by
+    nested substitution on packed coefficients: fixing y_0 leaves a
+    polynomial in y_1 .., and so on down to one integer that holds poly at
+    every trailing point.
+
+    Every |poly(v)| in the box, and every packed monomial, is at most
+    M = sum |c| bound^deg < 2^(w-2).  So the slot digit poly(v) + 2^(w-1) + 1
+    lies in [0, 2^w), and no carry crosses a slot.  A hit's digit is 2^(w-1)
+    or 2^(w-1) + 2: clearing bit 1 and flipping bit w-1 of every slot zeroes
+    exactly the hits.  The SWAR test (x - ONES) & ~x & HIGHS then flags every
+    zero slot, and besides only slots above a zero one, so a block with a hit
+    always fires; a block is decoded slot by slot only when it does.
+
+    While the head prefix is zero, each head variable runs over -bound..0;
+    with the whole head zero, only the tails before the zero tail (first
+    nonzero entry negative) are kept.  A negative head variable opens the
+    whole sub-box."""
+    if not poly.terms:
+        return
     points = range(-bound, bound + 1)
-    top = max(map(sum, poly.terms), default=0)
-    powers = {t: [t ** d for d in range(top + 1)] for t in points}
-    monomials, plans = list(poly.terms), []
-    for _ in range(poly.nvars - 1):
+    k = max(j for j in range(min(poly.nvars, 2) + 1)
+            if len(points) ** j <= _PACKED_SLOTS)
+    heads = poly.nvars - k
+    tails = list(product(points, repeat=k))
+    top = max(map(sum, poly.terms))
+    width = (sum(map(abs, poly.terms.values())) * bound ** top).bit_length() + 2
+    half = 1 << width - 1
+    ones = int(("0" * (width - 1) + "1") * len(tails), 2)
+    highs = ones << width - 1
+    digit = f"0{width}b"
+
+    def pack(values):
+        # one binary string and one base-2 parse: linear in the slot count
+        return int("".join(format(v + half, digit)
+                           for v in reversed(values)), 2) - highs
+
+    packed, coeffs = {}, {}
+    for e, c in poly.terms.items():
+        tail = e[heads:]
+        if tail not in packed:
+            packed[tail] = pack([prod(map(pow, t, tail)) for t in tails])
+        coeffs[e[:heads]] = coeffs.get(e[:heads], 0) + c * packed[tail]
+    monomials, plans = list(coeffs), []
+    for _ in range(heads - 1):
         rest = sorted({e[1:] for e in monomials})
         index = {e: i for i, e in enumerate(rest)}
         plans.append((len(rest), [(e[0], index[e[1:]]) for e in monomials]))
         monomials = rest
-    last = {t: [powers[t][e[0]] for e in monomials] for t in points}
-    halves = [range(-bound, 1)] * len(plans) + [range(-bound, 0)]
+    powers = {t: [t ** d for d in range(top + 1)] for t in points}
+    last = {t: [powers[t][e[0]] for e in monomials] for t in points} if heads else {}
+    # a slot digit is poly + 2^(w-1) + 1; keep clears bit 1 of every slot
+    offset = highs + ones
+    keep = ~(ones << 1)
+    mask = (1 << width) - 1
+    below_zero_tail = len(tails) // 2
+    low = (1 << width * below_zero_tail) - 1
 
-    def walk(level, coeffs, prefix, ts):
-        for t in ts:
+    def decode(q, prefix, zero):
+        for s in range(below_zero_tail if zero else len(tails)):
+            v = (q >> width * s & mask) - half - 1
+            if v == 1 or v == -1:
+                yield prefix + tails[s], v
+
+    def walk(level, coeffs, prefix, zero):
+        for t in range(-bound, 1) if zero else points:
             if level == len(plans):
-                value = sum(map(mul, coeffs, last[t]))
-                if value == 1 or value == -1:
-                    yield prefix + (t,), value
+                q = sum(map(mul, coeffs, last[t])) + offset
+                if zero and not t:
+                    q &= low
+                x = q & keep ^ highs
+                if (x - ones) & ~x & highs:
+                    yield from decode(q, prefix + (t,), zero and not t)
                 continue
             size, plan = plans[level]
             pw, out = powers[t], [0] * size
             for (d, j), c in zip(plan, coeffs):
                 out[j] += c * pw[d]
-            yield from walk(level + 1, out, prefix + (t,),
-                            points if t or ts is points else halves[level + 1])
+            yield from walk(level + 1, out, prefix + (t,), zero and not t)
 
-    yield from walk(0, list(poly.terms.values()), (), halves[0])
+    if heads:
+        yield from walk(0, list(coeffs.values()), (), True)
+    else:
+        q = coeffs[()] + offset & low
+        yield from decode(q, (), True)
 
 
 def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
@@ -229,9 +291,12 @@ def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
     wins.  An exhausted box is reported as UNKNOWN, never as a refutation.
     The scan evaluates the norm form on half the box: |N(-v)| = |N(v)|, and
     of v and -v the one whose first nonzero coordinate is negative comes
-    first, so the first witness is there.  Its hit is confirmed by the
-    integer determinant and the Hermite normal form of the witness matrix.
-    The cap counts the whole box."""
+    first, so the first witness is there.  It evaluates N at up to
+    _PACKED_SLOTS trailing points per integer operation and tests the whole
+    block for +-1 at once; that test has no false negatives, and a block is
+    decoded exactly only when it fires (see _unit_points).  Its hit is
+    confirmed by the integer determinant and the Hermite normal form of the
+    witness matrix.  The cap counts the whole box."""
     if bound < 1:
         return FreenessResult("UNKNOWN")
     m = len(order.ideal_action_matrices)

@@ -221,6 +221,19 @@ def test_commutative_algebra_commutes_with_itself(qzeta3):
     assert verify_commuting(algebra, algebra)
 
 
+def test_commuting_keeps_each_denominator():
+    # [[a, b], [b, a]] commute; dropping the denominators would make the
+    # last pair commute too
+    class Actions:
+        def __init__(self, *mats):
+            self.action_matrices = tuple(
+                tuple(tuple(F(v) for v in row) for row in m) for m in mats)
+
+    a = Actions([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 2)]], [[1, 0], [0, 1]])
+    assert verify_commuting(a, Actions([[1, F(1, 4)], [F(1, 4), 1]]))
+    assert not verify_commuting(a, Actions([[1, F(1, 4)], [F(1, 2), 1]]))
+
+
 def test_separability_of_every_structure(field_fixtures):
     for fx in field_fixtures:
         for i in range(len(fx.structures())):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,99 @@ def test_unit_points_scan_the_half_box_of_the_full_scan():
         hits = list(integral._unit_points(one, bound))
         assert hits == _half_box_hits(one, bound)
         assert len(hits) == ((2 * bound + 1) ** nvars - 1) // 2
+
+
+def _random_forms(rng, nvars, count):
+    forms = []
+    for _ in range(count):
+        degree = rng.randint(0, 4)
+        monomials = [tuple(e.count(k) for k in range(nvars)) for e in
+                     itertools.combinations_with_replacement(range(nvars), degree)]
+        chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
+        forms.append(IntPolynomial(nvars, {e: rng.choice([-3, -2, -1, 1, 2])
+                                           for e in chosen}))
+    return forms
+
+
+def _assert_half_box_hits(poly, bounds):
+    for bound in bounds:
+        assert list(integral._unit_points(poly, bound)) == _half_box_hits(poly, bound)
+
+
+def test_packed_scan_without_head_variables():
+    # m = 1 packs its one variable up to bound 31; m = 2 packs both up to
+    # bound 3 and one from bound 4; from bound 32 nothing is packed
+    rng = random.Random(12)
+    for nvars in (1, 2):
+        for poly in _random_forms(rng, nvars, 20):
+            _assert_half_box_hits(poly, (1, 2, 3, 4, 5, 32))
+
+
+def test_packed_scan_of_zero_and_constant_forms():
+    for nvars in (1, 2, 3):
+        zero = IntPolynomial(nvars)
+        for bound in (1, 4, 32):
+            assert list(integral._unit_points(zero, bound)) == []
+        for c in (-2, -1, 1, 2):
+            _assert_half_box_hits(IntPolynomial(nvars, {(0,) * nvars: c}), (1, 2, 4))
+
+
+def test_packed_scan_at_bound_four_packs_one_variable():
+    # 9^2 = 81 trailing points exceed the slot cap, so k = 1 from bound 4
+    rng = random.Random(13)
+    for nvars in (3, 4):
+        for poly in _random_forms(rng, nvars, 8):
+            _assert_half_box_hits(poly, (4,))
+
+
+def test_packed_scan_at_the_edge_of_the_slot_width():
+    # sum |c| bound^deg is 2^j - 1 and attained: a slot one bit narrower
+    # carries into the next slot when the form takes its largest value
+    cases = [(IntPolynomial(1, {(1,): -1}), 1),
+             (IntPolynomial(2, {(0, 1): -1}), 3),
+             (IntPolynomial(2, {(0, 1): -1}), 7),
+             (IntPolynomial(2, {(3, 0): -1, (2, 1): -2}), 1),
+             (IntPolynomial(3, {(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): 1}), 1),
+             (IntPolynomial(3, {(1, 0, 2): -1, (1, 1, 1): 6}), 1),
+             (IntPolynomial(3, {(0, 0, 1): -8, (0, 1, 0): -4, (1, 0, 0): -2,
+                                (0, 0, 0): -1}), 1)]
+    for poly, bound in cases:
+        extreme = sum(map(abs, poly.terms.values())) * bound ** max(
+            map(sum, poly.terms))
+        assert extreme & (extreme + 1) == 0
+        assert extreme in {abs(evaluate(poly, v, 1)) for v in itertools.product(
+            range(-bound, bound + 1), repeat=poly.nvars)}
+        _assert_half_box_hits(poly, (bound,))
+
+
+def test_packed_scan_with_zero_and_two_next_to_a_unit():
+    # slot values run through consecutive integers, so 0 and +-2 sit next to
+    # each +-1: in the zero-slot test a hit's slot borrows from the slot
+    # above it, which is flagged too when it holds 0 or 2
+    forms = []
+    for nvars in (2, 3):
+        last = (0,) * (nvars - 1) + (1,)
+        before = (0,) * (nvars - 2) + (1, 0)
+        for c in (-2, -1, 0, 1, 2):
+            forms.append(IntPolynomial(nvars, {last: 1, (0,) * nvars: c}))
+            forms.append(IntPolynomial(nvars, {last: 1, before: -1, (0,) * nvars: c}))
+        forms.append(IntPolynomial(nvars, {tuple(2 * e for e in last): 1,
+                                           (0,) * nvars: -1}))
+    for poly in forms:
+        _assert_half_box_hits(poly, (1, 2, 3, 4))
+
+
+def test_packed_scan_at_a_large_bound(qi, c4quartic):
+    # qi at bound 120 packs nothing, c4quartic at bound 6 one variable;
+    # packing qi's whole 241^2 box into one integer took seconds
+    for fx, bound in ((qi, 120), (c4quartic, 6)):
+        for i in range(len(fx.structures())):
+            poly = norm_form(associated_order(fx.algebra(i), fx.ideal("OL")))
+            start = time.perf_counter()
+            hits = list(integral._unit_points(poly, bound))
+            assert time.perf_counter() - start < 2.0
+            assert hits == _half_box_hits(poly, bound)
+            assert hits
 
 
 def _assert_first_witness_is_the_naive_one(order, ideal, bound):
