@@ -20,8 +20,9 @@ from .transition import IntPolynomial, det_symbolic
 
 # the default bound's box, 7^m candidates, at the size-8 limit
 FREENESS_BOX_BOUND = 7 ** 8
-# trailing points packed into one integer by the box scan
-_PACKED_SLOTS = 64
+# the box scan packs two trailing variables while their box has at most this
+# many points, and one beyond
+_PACKED_SLOTS = 256
 
 
 @dataclass(frozen=True)
@@ -196,9 +197,9 @@ def _unit_points(poly: IntPolynomial, bound: int):
 
     The last k variables are packed: one integer holds a value per trailing
     point of [-bound, bound]^k, each in a w-bit slot, the points in
-    lexicographic order from the low bits up.  k is the largest k <= 2 with
-    at most _PACKED_SLOTS slots; at k = 0 there is one slot, and this is the
-    scalar scan.  Packing is Z-linear, so the head variables are fixed by
+    lexicographic order from the low bits up.  k is 2 while that box has at
+    most _PACKED_SLOTS points, and 1 beyond (or the number of variables, if
+    smaller).  Packing is Z-linear, so the head variables are fixed by
     nested substitution on packed coefficients: fixing y_0 leaves a
     polynomial in y_1 .., and so on down to one integer that holds poly at
     every trailing point.
@@ -209,7 +210,8 @@ def _unit_points(poly: IntPolynomial, bound: int):
     or 2^(w-1) + 2: clearing bit 1 and flipping bit w-1 of every slot zeroes
     exactly the hits.  The SWAR test (x - ONES) & ~x & HIGHS then flags every
     zero slot, and besides only slots above a zero one, so a block with a hit
-    always fires; a block is decoded slot by slot only when it does.
+    always fires; a block is decoded slot by slot only when it does, from one
+    binary string, so decoding is linear in the slot count.
 
     While the head prefix is zero, each head variable runs over -bound..0;
     with the whole head zero, only the tails before the zero tail (first
@@ -218,8 +220,7 @@ def _unit_points(poly: IntPolynomial, bound: int):
     if not poly.terms:
         return
     points = range(-bound, bound + 1)
-    k = max(j for j in range(min(poly.nvars, 2) + 1)
-            if len(points) ** j <= _PACKED_SLOTS)
+    k = min(poly.nvars, 2 if len(points) ** 2 <= _PACKED_SLOTS else 1)
     heads = poly.nvars - k
     tails = list(product(points, repeat=k))
     top = max(map(sum, poly.terms))
@@ -227,7 +228,7 @@ def _unit_points(poly: IntPolynomial, bound: int):
     half = 1 << width - 1
     ones = int(("0" * (width - 1) + "1") * len(tails), 2)
     highs = ones << width - 1
-    digit = f"0{width}b"
+    digit, digits = f"0{width}b", f"0{width * len(tails)}b"
 
     def pack(values):
         # one binary string and one base-2 parse: linear in the slot count
@@ -251,13 +252,15 @@ def _unit_points(poly: IntPolynomial, bound: int):
     # a slot digit is poly + 2^(w-1) + 1; keep clears bit 1 of every slot
     offset = highs + ones
     keep = ~(ones << 1)
-    mask = (1 << width) - 1
     below_zero_tail = len(tails) // 2
     low = (1 << width * below_zero_tail) - 1
 
     def decode(q, prefix, zero):
+        # one binary string, slot s ending width * s bits from its end
+        bits = format(q, digits)
         for s in range(below_zero_tail if zero else len(tails)):
-            v = (q >> width * s & mask) - half - 1
+            end = len(bits) - width * s
+            v = int(bits[end - width:end], 2) - half - 1
             if v == 1 or v == -1:
                 yield prefix + tails[s], v
 
@@ -291,10 +294,10 @@ def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
     wins.  An exhausted box is reported as UNKNOWN, never as a refutation.
     The scan evaluates the norm form on half the box: |N(-v)| = |N(v)|, and
     of v and -v the one whose first nonzero coordinate is negative comes
-    first, so the first witness is there.  It evaluates N at up to
-    _PACKED_SLOTS trailing points per integer operation and tests the whole
-    block for +-1 at once; that test has no false negatives, and a block is
-    decoded exactly only when it fires (see _unit_points).  Its hit is
+    first, so the first witness is there.  It evaluates N at a block of
+    trailing points per integer operation and tests the whole block for +-1
+    at once; that test has no false negatives, and a block is decoded
+    exactly only when it fires (see _unit_points).  Its hit is
     confirmed by the integer determinant and the Hermite normal form of the
     witness matrix.  The cap counts the whole box."""
     if bound < 1:

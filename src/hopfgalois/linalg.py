@@ -53,8 +53,7 @@ def mat_eq(a, b) -> bool:
 def _eliminate(mat, forward_only=False):
     """Fraction-free (Bareiss) Gauss-Jordan elimination over Z.  Each row is
     first scaled by the common denominator of its entries, which keeps the
-    row space (a row of integers is only copied); each step then divides
-    exactly by the previous pivot.
+    row space; each step then divides exactly by the previous pivot.
     Returns (rows, pivots, d): integer rows equal to d times the reduced row
     echelon form, its pivot columns, and the common final pivot d (1 when
     there is none).  A row swap negates the row it moves down, so for a
@@ -65,8 +64,7 @@ def _eliminate(mat, forward_only=False):
     rows = []
     for row in mat:
         den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator for x in row] if den == 1 else
-                    [x.numerator * (den // x.denominator) for x in row])
+        rows.append([x.numerator * (den // x.denominator) for x in row])
     nrows = len(rows)
     pivots = []
     prev = 1

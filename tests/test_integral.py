@@ -263,12 +263,12 @@ def _assert_half_box_hits(poly, bounds):
 
 
 def test_packed_scan_without_head_variables():
-    # m = 1 packs its one variable up to bound 31; m = 2 packs both up to
-    # bound 3 and one from bound 4; from bound 32 nothing is packed
+    # m = 1 packs its one variable at every bound; m = 2 packs both up to
+    # bound 7 and one from bound 8
     rng = random.Random(12)
     for nvars in (1, 2):
         for poly in _random_forms(rng, nvars, 20):
-            _assert_half_box_hits(poly, (1, 2, 3, 4, 5, 32))
+            _assert_half_box_hits(poly, (1, 2, 3, 4, 5, 7, 8, 32))
 
 
 def test_packed_scan_of_zero_and_constant_forms():
@@ -280,12 +280,16 @@ def test_packed_scan_of_zero_and_constant_forms():
             _assert_half_box_hits(IntPolynomial(nvars, {(0,) * nvars: c}), (1, 2, 4))
 
 
-def test_packed_scan_at_bound_four_packs_one_variable():
-    # 9^2 = 81 trailing points exceed the slot cap, so k = 1 from bound 4
+def test_packed_scan_above_the_slot_cap_packs_one_variable():
+    # the first bound whose two-variable box exceeds the slot cap packs one
+    # variable, the bound before it two
+    bound = next(b for b in itertools.count(1)
+                 if (2 * b + 1) ** 2 > integral._PACKED_SLOTS)
     rng = random.Random(13)
-    for nvars in (3, 4):
-        for poly in _random_forms(rng, nvars, 8):
-            _assert_half_box_hits(poly, (4,))
+    for poly in _random_forms(rng, 3, 8):
+        _assert_half_box_hits(poly, (bound - 1, bound))
+    for poly in _random_forms(rng, 4, 2):
+        _assert_half_box_hits(poly, (bound,))
 
 
 def test_packed_scan_at_the_edge_of_the_slot_width():
@@ -326,8 +330,8 @@ def test_packed_scan_with_zero_and_two_next_to_a_unit():
 
 
 def test_packed_scan_at_a_large_bound(qi, c4quartic):
-    # qi at bound 120 packs nothing, c4quartic at bound 6 one variable;
-    # packing qi's whole 241^2 box into one integer took seconds
+    # qi at bound 120 packs one variable, 241 slots, c4quartic at bound 6
+    # two; packing qi's whole 241^2 box into one integer took seconds
     for fx, bound in ((qi, 120), (c4quartic, 6)):
         for i in range(len(fx.structures())):
             poly = norm_form(associated_order(fx.algebra(i), fx.ideal("OL")))
@@ -336,6 +340,16 @@ def test_packed_scan_at_a_large_bound(qi, c4quartic):
             assert time.perf_counter() - start < 2.0
             assert hits == _half_box_hits(poly, bound)
             assert hits
+
+
+def test_packed_scan_decodes_a_large_block_in_linear_time():
+    # m = 1 packs the whole line into one block of 200,001 slots; decoding
+    # it slot by slot with shifts of the block took 10 s
+    start = time.perf_counter()
+    hits = list(integral._unit_points(IntPolynomial(1, {(2,): 1, (0,): -2}),
+                                      100000))
+    assert time.perf_counter() - start < 5.0
+    assert hits == [((-1,), -1)]
 
 
 def _assert_first_witness_is_the_naive_one(order, ideal, bound):
