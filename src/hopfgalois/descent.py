@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import ConsistencyError, DomainError, StructureError
@@ -52,7 +51,11 @@ class GroupAlgebraElement:
 @dataclass(frozen=True, eq=False)
 class DescendedAlgebra:
     """The rational form of E[N] under the simultaneous Galois action, carried
-    with its exact action matrices on a fixed basis of the fixed subfield."""
+    with its exact action matrices on a fixed basis of the fixed subfield.
+    Each set of matrices, the action matrices and the structure constants
+    (matrix i holds the coordinates of b_i * b_j in row j), also comes in
+    integer form: the set times one common denominator, which descend
+    computes once."""
 
     context: GaloisContext
     space: CosetSpace
@@ -62,6 +65,10 @@ class DescendedAlgebra:
     action_matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]
     identity_coords: tuple[Fraction, ...]
     structure_constants: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    action_denominator: int
+    int_action_matrices: tuple[tuple[tuple[int, ...], ...], ...]
+    structure_denominator: int
+    int_structure_constants: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def dim(self) -> int:
@@ -69,31 +76,30 @@ class DescendedAlgebra:
 
     def action_matrix_of(self, coords):
         m = self.subfield.dim
-        out = [[Fraction(0)] * m for _ in range(m)]
-        for c, mat in zip(coords, self.action_matrices):
+        out = [[0] * m for _ in range(m)]
+        for c, mat in zip(coords, self.int_action_matrices):
             if c:
-                for i in range(m):
-                    row = mat[i]
-                    for j in range(m):
-                        if row[j]:
-                            out[i][j] += Fraction(c) * row[j]
-        return out
+                for out_row, row in zip(out, mat):
+                    for j, x in enumerate(row):
+                        if x:
+                            out_row[j] += c * x
+        d = self.action_denominator
+        return [[Fraction(x, d) for x in row] for row in out]
 
     def multiply_coords(self, a, b):
-        out = [Fraction(0)] * self.dim
-        for i, ai in enumerate(a):
+        out = [0] * self.dim
+        for ai, constants in zip(a, self.int_structure_constants):
             if not ai:
                 continue
-            for j, bj in enumerate(b):
+            for bj, row in zip(b, constants):
                 if not bj:
                     continue
-                for k, c in enumerate(self.structure_constants[i][j]):
+                f = ai * bj
+                for k, c in enumerate(row):
                     if c:
-                        out[k] += Fraction(ai) * Fraction(bj) * c
-        return out
-
-    def left_multiplication_matrices(self):
-        return [linalg.transpose(rows) for rows in self.structure_constants]
+                        out[k] += f * c
+        d = self.structure_denominator
+        return [Fraction(x, d) for x in out]
 
     def orbit(self, x_coords):
         """Subfield coordinates of b_k . x for each basis element b_k, given
@@ -193,42 +199,49 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
 
     return DescendedAlgebra(
         context, space, n, subfield, tuple(basis),
-        tuple(action_matrices), tuple(identity_coords), tuple(structure))
+        tuple(action_matrices), tuple(identity_coords), tuple(structure),
+        *_integer_form(action_matrices), *_integer_form(structure))
+
+
+def _integer_form(matrices):
+    """(d, the matrices times d as integer tuples): one common denominator d
+    for the whole set of square matrices."""
+    n = len(matrices[0])
+    d, rows = linalg._clear_denominators([r for mat in matrices for r in mat])
+    return d, tuple(tuple(map(tuple, rows[k:k + n]))
+                    for k in range(0, len(rows), n))
 
 
 def verify_hopf_galois(algebra: DescendedAlgebra) -> bool:
     """Bijectivity of the canonical map L (x) H -> End(L): the m^2 x m^2 exact
     matrix of y -> b_i * (h_k . y) must have full rank."""
-    return canonical_map_rank(algebra.action_matrices, algebra.subfield) \
+    return canonical_map_rank(algebra.int_action_matrices, algebra.subfield) \
         == algebra.subfield.dim ** 2
 
 
 def canonical_map_rank(action_matrices, subfield: Subfield) -> int:
     """Rank of the canonical map for arbitrary action matrices, so negative
-    controls (for example the zero action) use the same computation."""
+    controls (for example the zero action) use the same computation.  Each
+    column is the product of a subfield multiplication matrix and an action
+    matrix, both taken over Z: scaling a matrix by a nonzero integer scales
+    its columns and keeps the rank, so the action matrices may come with any
+    nonzero scale each (an algebra's integer form)."""
     m = subfield.dim
-    mult_mats = [subfield.multiplication_matrix(b) for b in subfield.basis]
+    mult_mats = [linalg._clear_denominators(subfield.multiplication_matrix(b))[1]
+                 for b in subfield.basis]
     columns = []
     for mm in mult_mats:
         for act in action_matrices:
-            prod = linalg.mat_mul(mm, [list(r) for r in act])
+            prod = linalg.mat_mul(mm, act)
             columns.append([prod[i][j] for j in range(m) for i in range(m)])
     return linalg.rank(columns)
 
 
-def _integer_matrix(mat):
-    """mat scaled by the lcm of its entries' denominators."""
-    den = lcm(*(v.denominator for row in mat for v in row))
-    return [[v.numerator * (den // v.denominator) for v in row] for row in mat]
-
-
 def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
-    """Exact commutation of every pair of basis action matrices, as integer
-    matrices: with each scaled once by its own denominator, (d A)(e B) =
-    (e B)(d A) exactly when AB = BA."""
-    ints2 = [_integer_matrix(m) for m in a2.action_matrices]
-    for m1 in a1.action_matrices:
-        r1 = _integer_matrix(m1)
+    """Exact commutation of every pair of basis action matrices, on the
+    algebras' integer forms: (d A)(e B) = (e B)(d A) exactly when AB = BA."""
+    ints2 = a2.int_action_matrices
+    for r1 in a1.int_action_matrices:
         for r2 in ints2:
             if linalg.mat_mul(r1, r2) != linalg.mat_mul(r2, r1):
                 return False
@@ -310,17 +323,21 @@ def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:
 
 def trace_form_nondegenerate(left_mult_matrices) -> bool:
     """Semisimplicity test in characteristic zero: the trace form of the left
-    regular representation must be nondegenerate."""
+    regular representation must be nondegenerate.  Its determinant is taken
+    over Z, as int_det of the Gram matrix scaled by its common denominator d,
+    which multiplies the determinant by d^m != 0.  Matrices scaled by one
+    nonzero integer c (an algebra's integer form) scale it by c^(2m)."""
     m = len(left_mult_matrices)
-    gram = [[Fraction(0)] * m for _ in range(m)]
+    gram = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
             prod = linalg.mat_mul(left_mult_matrices[i], left_mult_matrices[j])
-            tr = sum((prod[k][k] for k in range(m)), Fraction(0))
+            tr = sum(prod[k][k] for k in range(m))
             gram[i][j] = tr
             gram[j][i] = tr
-    return bool(linalg.det(gram))
+    return bool(linalg.int_det(linalg._clear_denominators(gram)[1]))
 
 
 def is_separable(algebra: DescendedAlgebra) -> bool:
-    return trace_form_nondegenerate(algebra.left_multiplication_matrices())
+    return trace_form_nondegenerate(
+        [linalg.transpose(rows) for rows in algebra.int_structure_constants])

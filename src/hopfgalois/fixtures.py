@@ -16,12 +16,13 @@ from fractions import Fraction
 from importlib import resources
 
 from . import linalg
-from .errors import FixtureValidationError, HopfGaloisError, StructureError
+from .errors import (CapabilityError, FixtureValidationError, HopfGaloisError,
+                     StructureError)
 from .integral import FractionalIdeal, Lattice
 from .numberfield import (FieldElement, GaloisContext, Subfield, fixed_subfield,
                           load_field)
-from .perm import (CosetSpace, FiniteGroup, LambdaEmbedding, Permutation,
-                   build_coset_space, enumerate_regular_normalized,
+from .perm import (GROUP_ORDER_BOUND, CosetSpace, FiniteGroup, LambdaEmbedding,
+                   Permutation, build_coset_space, enumerate_regular_normalized,
                    left_translation_embedding, metacyclic_group, opposite)
 from .transition import signed_canonical_det
 
@@ -164,6 +165,9 @@ def _build_group(block, problems):
     if not isinstance(declared, int) or declared < 1:
         problems.append("group.order: a positive integer is required")
         return None, {}
+    if declared > GROUP_ORDER_BOUND:
+        raise CapabilityError(f"group of order {declared} exceeds the group "
+                              f"order bound {GROUP_ORDER_BOUND}")
     if "presentation" in block:
         pres = block["presentation"]
         if not isinstance(pres, dict):

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 
 from . import linalg
@@ -36,12 +36,10 @@ class Lattice:
 
     @classmethod
     def from_rational_rows(cls, rows) -> "Lattice":
-        rows = [[Fraction(v) for v in r] for r in rows]
         if not rows:
             raise StructureError("a lattice needs at least one basis vector")
         m = len(rows[0])
-        den = lcm(*(v.denominator for r in rows for v in r))
-        int_rows = [[int(v * den) for v in r] for r in rows]
+        den, int_rows = linalg._clear_denominators(rows)
         reduced = linalg.hnf(int_rows)
         if len(reduced) != m:
             raise ConsistencyError(
@@ -115,22 +113,19 @@ def associated_order(algebra: DescendedAlgebra, ideal: FractionalIdeal) -> Assoc
     """Exact computation of every algebra element mapping the ideal into
     itself: the dual of the row lattice of the rewritten action matrices,
     then verified to be a unital, multiplicatively closed stabilizer.  Over
-    Z: with W = Wz/d_I and W^-1 = P/d_P, the rewritten W^-1 A_k W is
-    S_k/D for S_k = P (d_A A_k) Wz and D = d_P d_A d_I; the Hermite form
-    and the dual basis are unchanged by the positive scale D."""
+    Z: with W = Wz/d_I, W^-1 = P/d_P and the algebra's integer form
+    d_A A_k, the rewritten W^-1 A_k W is S_k/D for S_k = P (d_A A_k) Wz and
+    D = d_P d_A d_I; the Hermite form and the dual basis are unchanged by
+    the positive scale D."""
     m = algebra.dim
     w_inv = linalg.invert(_ideal_basis_matrix(ideal))
     if w_inv is None:
         raise ConsistencyError("ideal basis is singular")
-    d_p = lcm(*(v.denominator for row in w_inv for v in row))
-    d_a = lcm(*(v.denominator for a in algebra.action_matrices
-                for row in a for v in row))
-    p = [[int(v * d_p) for v in row] for row in w_inv]
+    d_p, p = linalg._clear_denominators(w_inv)
     wz = linalg.transpose(ideal.lattice.rows)
-    scaled = [linalg.mat_mul(linalg.mat_mul(p, [[int(v * d_a) for v in row]
-                                                 for row in a]), wz)
-              for a in algebra.action_matrices]
-    scale = d_p * d_a * ideal.lattice.denominator
+    scaled = [linalg.mat_mul(linalg.mat_mul(p, a), wz)
+              for a in algebra.int_action_matrices]
+    scale = d_p * algebra.action_denominator * ideal.lattice.denominator
 
     reduced = linalg.hnf([[s[i][j] for s in scaled]
                           for i in range(m) for j in range(m)])

@@ -1,8 +1,8 @@
-"""Exact linear algebra: one fraction-free Gauss-Jordan elimination over Z
-for kernels, inverses and solves, run forward only for ranks and integer
-determinants (rational rows are scaled to integers first), Gaussian
-elimination over an exact field for det, determinants modulo a prime, and
-the row Hermite normal form."""
+"""Exact linear algebra: one routine that clears a rational matrix's
+denominators, one fraction-free Gauss-Jordan elimination over Z for
+kernels, inverses and solves, run forward only for ranks and integer
+determinants, determinants modulo a prime, and the row Hermite normal
+form."""
 
 from __future__ import annotations
 
@@ -46,14 +46,20 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def _clear_denominators(rows):
+    """(d, the rows times d as lists of ints): d is the least common multiple
+    of the denominators of every entry (int or Fraction), 1 for integer
+    rows.  Every denominator the toolkit clears is cleared here."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row]
+               for row in rows]
 
 
-def _eliminate(mat, forward_only=False):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination over Z.  Each row is
-    first scaled by the common denominator of its entries, which keeps the
-    row space; each step then divides exactly by the previous pivot.
+def _eliminate(rows, forward_only=False):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination over Z of integer
+    rows (rational rows are scaled by _clear_denominators first, which keeps
+    the row space).  It replaces the entries of the list `rows` but changes
+    no row in place.  Each step divides exactly by the previous pivot.
     Returns (rows, pivots, d): integer rows equal to d times the reduced row
     echelon form, its pivot columns, and the common final pivot d (1 when
     there is none).  A row swap negates the row it moves down, so for a
@@ -61,10 +67,6 @@ def _eliminate(mat, forward_only=False):
     forward_only, each step updates only the rows below its pivot: the rows
     below a pivot are updated exactly as before, so the pivots and d are the
     same, but the rows are an echelon form only (enough for rank, int_det)."""
-    rows = []
-    for row in mat:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
     nrows = len(rows)
     pivots = []
     prev = 1
@@ -91,14 +93,14 @@ def _eliminate(mat, forward_only=False):
 
 
 def rank(mat) -> int:
-    return len(_eliminate(mat, forward_only=True)[1])
+    return len(_eliminate(_clear_denominators(mat)[1], forward_only=True)[1])
 
 
 def kernel_basis(mat, ncols: int):
     """Canonical basis of {v : mat @ v = 0}, one vector per free column of the
     reduced echelon form, ordered by free-column index; returned with those
     free columns."""
-    rows, pivots, d = _eliminate(mat)
+    rows, pivots, d = _eliminate(_clear_denominators(mat)[1])
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -142,37 +144,11 @@ def invert(mat):
     """Inverse of a square matrix over Q; None if singular."""
     n = len(mat)
     identity = identity_matrix(n)
-    rows, pivots, d = _eliminate([list(a) + e for a, e in zip(mat, identity)])
+    rows, pivots, d = _eliminate(_clear_denominators(
+        [list(a) + e for a, e in zip(mat, identity)])[1])
     if pivots[:n] != list(range(n)):
         return None
     return [[Fraction(x, d) for x in row[n:]] for row in rows]
-
-
-def det(mat):
-    """Determinant over an exact field by Gaussian elimination; the toolkit
-    uses it over Q (determinants over E go through numberfield.field_det)."""
-    n = len(mat)
-    m = [list(r) for r in mat]
-    zero = mat[0][0] - mat[0][0]
-    sign = 1
-    pivots = []
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c]), None)
-        if p is None:
-            return zero
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            sign = -sign
-        piv = m[c][c]
-        pivots.append(piv)
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / piv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    acc = pivots[0]
-    for p in pivots[1:]:
-        acc = acc * p
-    return -acc if sign < 0 else acc
 
 
 def det_mod_p(mat, p: int) -> int:
@@ -199,7 +175,7 @@ def det_mod_p(mat, p: int) -> int:
 
 def int_det(mat) -> int:
     """Determinant of an integer matrix: the final fraction-free pivot."""
-    rows, pivots, d = _eliminate(mat, forward_only=True)
+    rows, pivots, d = _eliminate(list(mat), forward_only=True)
     return d if len(pivots) == len(mat) else 0
 
 
@@ -277,8 +253,8 @@ class LinearSolver:
     def __init__(self, columns):
         self.ncols = len(columns)
         identity = identity_matrix(len(columns[0]))
-        rows, pivots, d = _eliminate(
-            [[col[i] for col in columns] + e for i, e in enumerate(identity)])
+        rows, pivots, d = _eliminate(_clear_denominators(
+            [[col[i] for col in columns] + e for i, e in enumerate(identity)])[1])
         if pivots[: self.ncols] != list(range(self.ncols)):
             raise ValueError("columns are linearly dependent")
         self._transform = [[Fraction(x, d) for x in row[self.ncols:]]

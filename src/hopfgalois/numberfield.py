@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import isqrt, lcm
+from math import isqrt
 
 from . import linalg
 from .errors import CapabilityError, ConsistencyError, DomainError, StructureError
@@ -42,10 +42,8 @@ class NumberField:
     def element(self, coords) -> "FieldElement":
         coords = [Fraction(c) for c in coords]
         if len(coords) > self.degree:
-            den = lcm(*(c.denominator for c in coords))
-            coords = [Fraction(c, den) for c in _reduce_int(
-                [c.numerator * (den // c.denominator) for c in coords],
-                self.modulus)]
+            den, (ints,) = linalg._clear_denominators([coords])
+            coords = [Fraction(c, den) for c in _reduce_int(ints, self.modulus)]
         coords += [Fraction(0)] * (self.degree - len(coords))
         return FieldElement(self, tuple(coords))
 
@@ -110,7 +108,7 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.field, tuple(a * other for a in self.coords))
-        den, (a, b) = _scaled((self, other))
+        den, (a, b) = linalg._clear_denominators((self.coords, other.coords))
         scale = den * den
         return FieldElement(self.field, tuple(
             Fraction(c, scale) for c in _int_mul(a, b, self.field.modulus)))
@@ -214,14 +212,6 @@ def _reduce_int(acc, modulus) -> list[int]:
     return acc[:n]
 
 
-def _scaled(elements):
-    """(D, the integer coordinates of D * x for each x), D the common
-    denominator of every coordinate: the scaled elements lie in Z[t]/(f)."""
-    den = lcm(*(c.denominator for x in elements for c in x.coords))
-    return den, [[c.numerator * (den // c.denominator) for c in x.coords]
-                 for x in elements]
-
-
 def field_det(matrix) -> FieldElement:
     """Determinant over E of a square matrix of field elements, without
     division until the end.  Every coordinate is scaled by the matrix's common
@@ -235,7 +225,8 @@ def field_det(matrix) -> FieldElement:
                               f"bound {FIELD_DET_SIZE_BOUND}")
     field = matrix[0][0].field
     n, modulus = field.degree, field.modulus
-    den, flat = _scaled([x for row in matrix for x in row])
+    den, flat = linalg._clear_denominators([x.coords for row in matrix
+                                            for x in row])
     rows = [flat[r * m:(r + 1) * m] for r in range(m)]
     # column bitmask -> coordinates of the minor on the bottom rows and
     # those columns; zero minors are dropped
@@ -276,7 +267,7 @@ def polynomial_value(terms, values) -> FieldElement:
     and the sum is reduced by f once."""
     field = values[0].field
     n, modulus = field.degree, field.modulus
-    den, scaled = _scaled(values)
+    den, scaled = linalg._clear_denominators([x.coords for x in values])
     top = max(map(sum, terms), default=0)
     powers = []
     for k, x in enumerate(scaled):
@@ -546,7 +537,7 @@ def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
                 j = group.mul(i, g)
                 candidate = linalg.mat_mul(matrices[i], gen_matrices[g])
                 if j in matrices:
-                    if not linalg.mat_eq(matrices[j], candidate):
+                    if matrices[j] != candidate:
                         raise StructureError(
                             "automorphism images do not satisfy the group's "
                             f"multiplication table at element index {j}")

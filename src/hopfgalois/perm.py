@@ -11,6 +11,9 @@ from math import lcm
 from .errors import CapabilityError, StructureError
 
 ENUMERATION_BOUND = 8
+# FiniteGroup checks closure with |G|^2 products and metacyclic_group builds
+# |G| permutations of degree |G|: descriptors declare at most this order
+GROUP_ORDER_BOUND = 120
 GROUP_QUERY_BOUND = 60
 
 
@@ -487,10 +490,14 @@ def metacyclic_group(r: int, q: int, d: int) -> tuple[FiniteGroup, Permutation, 
     right-regular permutation representation on the q*r normal forms s^i t^j.
 
     Returns (group, image of s, image of t).  The presentation defines a group
-    of order q*r exactly when d^q = 1 (mod r); anything else is rejected.
+    of order q*r exactly when d^q = 1 (mod r); anything else is rejected,
+    and an order above GROUP_ORDER_BOUND raises CapabilityError.
     """
     if r < 1 or q < 1:
         raise StructureError("metacyclic parameters must be positive")
+    if q * r > GROUP_ORDER_BOUND:
+        raise CapabilityError(f"group of order {q * r} exceeds the group "
+                              f"order bound {GROUP_ORDER_BOUND}")
     if pow(d, q, r) != 1 % r:
         raise StructureError(
             f"inconsistent presentation: {d}^{q} is not 1 modulo {r}")

@@ -233,6 +233,33 @@ def rref(mat):
     return rows, pivots
 
 
+def det(mat):
+    """Determinant over an exact field by Gaussian elimination, over Q or
+    over E (the reference for linalg.int_det and numberfield.field_det)."""
+    n = len(mat)
+    m = [list(r) for r in mat]
+    zero = mat[0][0] - mat[0][0]
+    sign = 1
+    pivots = []
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c]), None)
+        if p is None:
+            return zero
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            sign = -sign
+        piv = m[c][c]
+        pivots.append(piv)
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] / piv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    acc = pivots[0]
+    for p in pivots[1:]:
+        acc = acc * p
+    return -acc if sign < 0 else acc
+
+
 def rref_kernel(mat, ncols):
     """The kernel of mat read off its rref: one vector per free column, 1
     there and 0 at the other free columns; returned with the free columns."""

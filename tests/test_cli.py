@@ -297,12 +297,12 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
             counts[name] += 1
             return fn(*args)
         return wrapper
-    exact_det = linalg.det
+    exact_det = linalg.int_det
 
     def det(mat):
         det_entries.append(mat[0][0])
         return exact_det(mat)
-    monkeypatch.setattr(linalg, "det", det)
+    monkeypatch.setattr(linalg, "int_det", det)
     # the certificate runs its witness test through integral.generates
     for module in (cli, integral):
         monkeypatch.setattr(module, "generates",
@@ -311,7 +311,8 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
                         counting("associated_order", integral.associated_order))
     code, _ = run(capsys, "suite", "c4quartic")
     assert code == 0
-    # the trace-form determinants of the separability checks are over Q
+    # the trace-form determinants of the separability checks (and the
+    # freeness witnesses) are over Z
     assert det_entries and not any(isinstance(e, FieldElement)
                                    for e in det_entries)
     # both structures are self-opposite: 200 samples each, plus the
@@ -335,10 +336,49 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     assert counts["coords"] == 57
 
 
+def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
+                                                          monkeypatch):
+    # once the descents have built each algebra's integer form, neither
+    # command clears an algebra's denominators again
+    import argparse
+    import random
+    from hopfgalois import linalg
+    cleared = []
+    clear = linalg._clear_denominators
+
+    def counting(rows):
+        cleared.append(len(rows))
+        return clear(rows)
+    for fx in field_fixtures:
+        count, m = len(fx.structures()), fx.subfield().dim
+        for i in range(count):
+            fx.algebra(i)
+        for name in fx.ideal_vectors:
+            fx.ideal(name)
+        report = cli.Report([], fx.name, 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_clear_denominators", counting)
+            cli.cmd_verify(fx, argparse.Namespace(property="commuting"),
+                           report, random.Random(0))
+            assert cleared == []
+            for i in range(count):
+                for name in sorted(fx.ideal_vectors):
+                    cli.cmd_assoc_order(
+                        fx, argparse.Namespace(n=i, ideal=name), report)
+                    # the ideal side only, m x m each: the ideal basis's
+                    # inverse (its elimination and its scale), the inverse
+                    # of the Hermite form and the order's lattice; the
+                    # algebra's action set would be m^2 rows
+                    assert cleared == [m] * 4
+                    cleared.clear()
+        assert {c["verdict"] for c in report.checks} == {"PASS"}
+
+
 def _planted_value_fault(fault):
     """polynomial_value with one planted fault: a coefficient off by one, the
     sign flipped, or the result divided by D^(d-1) in place of D^d."""
-    from hopfgalois.numberfield import _scaled, polynomial_value
+    from hopfgalois import linalg
+    from hopfgalois.numberfield import polynomial_value
 
     def planted(terms, values):
         if fault == "coefficient":
@@ -348,7 +388,8 @@ def _planted_value_fault(fault):
         if fault == "sign":
             return -value
         if fault == "scale":
-            return value * _scaled(values)[0]
+            return value * linalg._clear_denominators(
+                [v.coords for v in values])[0]
         return value
     return planted
 
@@ -418,6 +459,19 @@ def test_malformed_block_is_a_validation_problem(tmp_path, capsys, shape):
     assert "failed validation" in captured.out
     assert f"  - {problem}" in captured.out
     assert captured.err == ""
+
+
+def test_oversize_group_exits_with_a_capability_error(tmp_path, capsys):
+    path = tmp_path / "big.hgx"
+    path.write_text(json.dumps({"name": "big", "group": {
+        "order": 400, "presentation": {"kind": "metacyclic", "r": 400,
+                                       "q": 1, "d": 1}}}), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == \
+        "error: group of order 400 exceeds the group order bound 120\n"
 
 
 @pytest.mark.parametrize("block, problem", [

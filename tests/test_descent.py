@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,7 +15,7 @@ from hopfgalois.perm import (FiniteGroup, Permutation, RegularSubgroup,
                              build_coset_space, left_translation_embedding,
                              opposite, right_translation_subgroup)
 
-from .oracles import (coords_of, descended_act, descended_solver,
+from .oracles import (coords_of, descended_act, descended_solver, det,
                       element_from_coords, embed_in_map_algebra,
                       flatten_coefficients,
                       galois_act_on_map, generates_fixed_map_algebra,
@@ -226,8 +227,8 @@ def test_commuting_keeps_each_denominator():
     # last pair commute too
     class Actions:
         def __init__(self, *mats):
-            self.action_matrices = tuple(
-                tuple(tuple(F(v) for v in row) for row in m) for m in mats)
+            self.action_denominator, self.int_action_matrices = \
+                descent._integer_form(mats)
 
     a = Actions([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 2)]], [[1, 0], [0, 1]])
     assert verify_commuting(a, Actions([[1, F(1, 4)], [F(1, 4), 1]]))
@@ -245,6 +246,47 @@ def test_nilpotent_algebra_fails_the_separability_test():
     one = [[F(1), F(0)], [F(0), F(1)]]
     eps = [[F(0), F(0)], [F(1), F(0)]]
     assert not trace_form_nondegenerate([one, eps])
+
+
+@pytest.mark.parametrize("c", [F(1, 4), F(1, 9), F(-3, 7)])
+def test_trace_form_with_denominators_is_nondegenerate(c):
+    # Q[e]/(e^2 - c) for c != 0 is semisimple; its Gram matrix
+    # [[2, 0], [0, 2c]] is rational, so int_det needs it scaled
+    one = [[F(1), F(0)], [F(0), F(1)]]
+    e = [[F(0), c], [F(1), F(0)]]
+    assert trace_form_nondegenerate([one, e])
+
+
+def test_separability_matches_the_rational_trace_form(field_fixtures):
+    # the Gram matrix of the integer structure constants is d^2 times the
+    # rational one, d their common denominator
+    def gram(constants):
+        mats = [linalg.transpose(rows) for rows in constants]
+        return [[sum(linalg.mat_mul(a, b)[k][k] for k in range(len(a)))
+                 for b in mats] for a in mats]
+    for fx in field_fixtures:
+        for i in range(len(fx.structures())):
+            algebra = fx.algebra(i)
+            rational = det(gram(algebra.structure_constants))
+            assert is_separable(algebra) == bool(rational)
+            d = algebra.structure_denominator
+            assert linalg.int_det(gram(algebra.int_structure_constants)) == \
+                d ** (2 * algebra.dim) * rational
+
+
+def test_integer_forms_share_one_least_denominator(field_fixtures):
+    for fx in field_fixtures:
+        for i in range(len(fx.structures())):
+            a = fx.algebra(i)
+            for d, ints, mats in (
+                    (a.action_denominator, a.int_action_matrices,
+                     a.action_matrices),
+                    (a.structure_denominator, a.int_structure_constants,
+                     a.structure_constants)):
+                assert d == lcm(*(x.denominator for m in mats for row in m
+                                  for x in row))
+                assert ints == tuple(tuple(tuple(x * d for x in row)
+                                           for row in m) for m in mats)
 
 
 # --- generators
@@ -282,7 +324,7 @@ def test_generator_matches_numeric_transition_determinant(field_fixtures):
             algebra = fx.algebra(k % count)
             x = algebra.subfield.random_element(rng)
             numeric = transition_matrix_values(ctx, space, algebra.subgroup, x)
-            assert is_generator(algebra, x) == bool(linalg.det(numeric))
+            assert is_generator(algebra, x) == bool(det(numeric))
 
 
 def _counting_exact_det(monkeypatch):

@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
-from hopfgalois.errors import FixtureValidationError, HopfGaloisError
+from hopfgalois.errors import (CapabilityError, FixtureValidationError,
+                               HopfGaloisError)
 from hopfgalois.fixtures import BUNDLED, load_bundled, parse_text
-from hopfgalois.perm import FiniteGroup, Permutation
+from hopfgalois.perm import GROUP_ORDER_BOUND, FiniteGroup, Permutation
 
 from .oracles import is_isomorphic
 
@@ -130,6 +132,36 @@ def test_inconsistent_presentation_is_rejected():
     with pytest.raises(FixtureValidationError) as exc:
         parse_text(json.dumps(doc))
     assert any("modulo" in p for p in exc.value.problems)
+
+
+def _cyclic(order, form, declared=None):
+    if form == "presentation":
+        group = {"presentation": {"kind": "metacyclic", "r": order, "q": 1,
+                                  "d": 1}}
+    else:
+        group = {"generators": {"s": list(range(1, order)) + [0]}}
+    group["order"] = order if declared is None else declared
+    return {"name": "cyclic", "group": group}
+
+
+@pytest.mark.parametrize("form", ["presentation", "generators"])
+def test_group_order_bound_admits_its_own_order(form):
+    assert parse_text(json.dumps(_cyclic(GROUP_ORDER_BOUND, form))) \
+        .group.order() == GROUP_ORDER_BOUND
+
+
+@pytest.mark.parametrize("form, declared", [
+    ("presentation", None), ("generators", None),
+    # the declared order is in range, but q * r is not
+    ("presentation", 20)])
+def test_oversize_group_is_refused_before_it_is_built(form, declared):
+    # building a group of order 400 takes seconds: its closure check alone
+    # is 400^2 products
+    doc = _cyclic(400, form, declared)
+    start = time.perf_counter()
+    with pytest.raises(CapabilityError, match="group order bound"):
+        parse_text(json.dumps(doc))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_nontrivial_core_with_field_is_rejected():

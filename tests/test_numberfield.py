@@ -16,7 +16,7 @@ from hopfgalois.numberfield import (FIELD_DET_SIZE_BOUND, REDUCTION_PRIME_MIN,
 from hopfgalois.perm import FiniteGroup, Permutation
 from hopfgalois.transition import IntPolynomial
 
-from .oracles import evaluate, fraction_product, multiplication_trace
+from .oracles import det, evaluate, fraction_product, multiplication_trace
 
 F = Fraction
 
@@ -443,13 +443,13 @@ def test_field_det_matches_gaussian_elimination(field_fixtures):
         for m in range(1, 7):
             for _ in range(2):
                 matrix = _random_matrix(field, m, rng)
-                assert field_det(matrix) == linalg.det(matrix)
+                assert field_det(matrix) == det(matrix)
 
 
 def test_field_det_at_the_size_bound_on_a_quartic_field(c4quartic):
     field = c4quartic.context.field
     matrix = _random_matrix(field, FIELD_DET_SIZE_BOUND, random.Random(22))
-    assert field_det(matrix) == linalg.det(matrix)
+    assert field_det(matrix) == det(matrix)
 
 
 def test_field_det_with_denominators_divisible_by_the_reduction_prime(
@@ -459,7 +459,7 @@ def test_field_det_with_denominators_divisible_by_the_reduction_prime(
         field = fx.context.field
         p, _ = field.reduction_root()
         matrix = _random_matrix(field, 3, rng, denominators=(1, p, p * p, 2 * p))
-        assert field_det(matrix) == linalg.det(matrix)
+        assert field_det(matrix) == det(matrix)
 
 
 def test_field_det_of_singular_matrices(field_fixtures):
