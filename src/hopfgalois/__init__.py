@@ -10,9 +10,8 @@ from .perm import (CosetSpace, FiniteGroup, LambdaEmbedding, Permutation,
                    RegularSubgroup, build_coset_space, centralizer_bruteforce,
                    enumerate_regular_normalized, group_queries, is_normalized_by,
                    left_translation_embedding, metacyclic_group, opposite)
-from .transition import (CosetVariableMatrix, IntPolynomial,
-                         build_transition_matrix, det_identity, det_symbolic,
-                         signed_canonical_det)
+from .transition import (IntPolynomial, det_identity, det_symbolic,
+                         signed_canonical_det, transition_matrix_of)
 from .numberfield import (FieldElement, GaloisContext, NumberField, Subfield,
                           check_irreducible, fixed_subfield, load_field)
 from .descent import (DescendedAlgebra, GroupAlgebraElement, descend,

@@ -16,13 +16,14 @@ from . import integral, transition
 # descend and is_generator are unused here: perfbench/smoke.py checks that its
 # tracer wraps cli.descend and cli.is_generator
 from .descent import (coset_values, descend, generates, generator_sample,
-                      is_generator, is_separable, transition_matrix_of,
-                      verify_commuting, verify_hopf_galois)
+                      is_generator, is_separable, verify_commuting,
+                      verify_hopf_galois)
 from .errors import FixtureValidationError, HopfGaloisError, TheoremViolationError
 from .fixtures import BUNDLED, Fixture, bundled_path, parse
 from .numberfield import field_det, polynomial_value
 from .perm import (centralizer_bruteforce, group_queries, opposite,
                    right_translation_subgroup)
+from .transition import transition_matrix_of
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -175,10 +176,11 @@ def _check_assertions(fx: Fixture, report: Report):
 
 def cmd_enumerate(fx: Fixture, args, report: Report):
     for i, n in enumerate(fx.structures()):
-        facts = group_queries(n.as_group())
+        group = n.as_group()
+        facts = group_queries(group)
         report.add(
             f"structure[{i}]", "PASS", "computed",
-            order_profile=list(facts.iso_class[1]),
+            order_profile=list(group.order_profile()),
             abelian=facts.abelian,
             opposite=fx.opposite_indices()[i],
             center_order=facts.center.order(),
@@ -246,8 +248,9 @@ def cmd_descend(fx: Fixture, args, report: Report):
     for b in algebra.basis:
         basis_block.append([[_fraction_str(c) for c in coeff.coords]
                             for coeff in b.coefficients])
-    matrices = [[[_fraction_str(v) for v in row] for row in mat]
-                for mat in algebra.action_matrices]
+    d = algebra.action_denominator
+    matrices = [[[_fraction_str(Fraction(v, d)) for v in row] for row in mat]
+                for mat in algebra.int_action_matrices]
     report.add(f"descend[{args.n}]", "PASS", "computed",
                dimension=algebra.dim,
                basis=json.dumps(basis_block),

@@ -12,13 +12,7 @@ from . import linalg
 from .errors import ConsistencyError, DomainError, StructureError
 from .numberfield import FieldElement, GaloisContext, Subfield, field_det
 from .perm import CosetSpace, LambdaEmbedding, RegularSubgroup, is_normalized_by
-
-
-def coset_apply(context: GaloisContext, space: CosetSpace, coset: int,
-                x: FieldElement) -> FieldElement:
-    """Apply the canonical minimal representative of a coset to x.  For x in
-    the fixed subfield this does not depend on the representative."""
-    return context.apply(space.representatives[coset], x)
+from .transition import transition_matrix_of
 
 
 class GroupAlgebraElement:
@@ -51,20 +45,17 @@ class GroupAlgebraElement:
 @dataclass(frozen=True, eq=False)
 class DescendedAlgebra:
     """The rational form of E[N] under the simultaneous Galois action, carried
-    with its exact action matrices on a fixed basis of the fixed subfield.
-    Each set of matrices, the action matrices and the structure constants
-    (matrix i holds the coordinates of b_i * b_j in row j), also comes in
-    integer form: the set times one common denominator, which descend
-    computes once."""
+    with its exact action matrices on a fixed basis of the fixed subfield and
+    its structure constants (matrix i holds the coordinates of b_i * b_j in
+    row j).  Both sets are kept in integer form only: the set times one
+    common denominator, which descend computes once."""
 
     context: GaloisContext
     space: CosetSpace
     subgroup: RegularSubgroup
     subfield: Subfield
     basis: tuple[GroupAlgebraElement, ...]
-    action_matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]
     identity_coords: tuple[Fraction, ...]
-    structure_constants: tuple[tuple[tuple[Fraction, ...], ...], ...]
     action_denominator: int
     int_action_matrices: tuple[tuple[tuple[int, ...], ...], ...]
     structure_denominator: int
@@ -103,8 +94,9 @@ class DescendedAlgebra:
 
     def orbit(self, x_coords):
         """Subfield coordinates of b_k . x for each basis element b_k, given
-        the subfield coordinates of x."""
-        return [linalg.mat_vec(a, x_coords) for a in self.action_matrices]
+        the subfield coordinates of x, all times action_denominator: the
+        integer form applied as it is, which keeps the orbit's rank."""
+        return [linalg.mat_vec(a, x_coords) for a in self.int_action_matrices]
 
 
 def _flatten(values) -> list[Fraction]:
@@ -161,8 +153,7 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
     base = space.base_point
     action_matrices = []
     acting_cosets = [eta.inverse()(base) for eta in elems]
-    values = [[coset_apply(context, space, c, lb) for c in range(m)]
-              for lb in subfield.basis]
+    values = [coset_values(context, space, lb) for lb in subfield.basis]
     for b in basis:
         cols = []
         for lb_values in values:
@@ -175,8 +166,7 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
             except DomainError:
                 raise ConsistencyError(
                     "descended action does not preserve the fixed subfield")
-        action_matrices.append(tuple(
-            tuple(cols[j][i] for j in range(m)) for i in range(m)))
+        action_matrices.append(linalg.transpose(cols))
 
     # the unit is 1 at n.elements[0], the identity (lexicographically least)
     field = context.field
@@ -194,12 +184,11 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
             if coords is None:
                 raise ConsistencyError(
                     "descended algebra is not closed under multiplication")
-            row.append(tuple(coords))
-        structure.append(tuple(row))
+            row.append(coords)
+        structure.append(row)
 
     return DescendedAlgebra(
-        context, space, n, subfield, tuple(basis),
-        tuple(action_matrices), tuple(identity_coords), tuple(structure),
+        context, space, n, subfield, tuple(basis), tuple(identity_coords),
         *_integer_form(action_matrices), *_integer_form(structure))
 
 
@@ -227,10 +216,8 @@ def canonical_map_rank(action_matrices, subfield: Subfield) -> int:
     its columns and keeps the rank, so the action matrices may come with any
     nonzero scale each (an algebra's integer form)."""
     m = subfield.dim
-    mult_mats = [linalg._clear_denominators(subfield.multiplication_matrix(b))[1]
-                 for b in subfield.basis]
     columns = []
-    for mm in mult_mats:
+    for mm in subfield.int_multiplication_matrices():
         for act in action_matrices:
             prod = linalg.mat_mul(mm, act)
             columns.append([prod[i][j] for j in range(m) for i in range(m)])
@@ -251,12 +238,8 @@ def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
 def coset_values(context: GaloisContext, space: CosetSpace,
                  x: FieldElement) -> list[FieldElement]:
     """x under each coset's representative, in coset order."""
-    return [coset_apply(context, space, c, x) for c in range(space.size)]
-
-
-def transition_matrix_of(n: RegularSubgroup, values):
-    """Entry (eta, g) is values[eta(g)]."""
-    return [[values[eta(g)] for g in range(len(values))] for eta in n.elements]
+    return [context.apply(space.representatives[c], x)
+            for c in range(space.size)]
 
 
 def residues_mod_p(values) -> list[int] | None:

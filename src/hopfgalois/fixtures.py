@@ -40,9 +40,7 @@ def bundled_path(name: str):
 
 def _parse_rational(value, problems, where) -> Fraction:
     try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, int):
+        if isinstance(value, (str, int)):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -61,10 +59,9 @@ def _parse_vector(values, problems, where):
 class Fixture:
     """A fully validated descriptor with lazily assembled derived data."""
 
-    def __init__(self, raw, group, generator_names, stabilizer, context,
+    def __init__(self, name, group, generator_names, stabilizer, context,
                  subfield, integral_basis, ideal_vectors, assertions):
-        self.raw = raw
-        self.name = raw["name"]
+        self.name = name
         self.group: FiniteGroup = group
         self.generator_names: dict[str, int] = generator_names
         self.stabilizer: FiniteGroup = stabilizer
@@ -120,8 +117,8 @@ class Fixture:
 
     def transition_det(self, index: int):
         """transition.signed_canonical_det of structures()[index]: the
-        canonical determinant and the sign relating it to the unsorted
-        transition matrix's determinant."""
+        canonical determinant and the sign relating it to the transition
+        matrix's determinant."""
         if index not in self._dets:
             self._dets[index] = signed_canonical_det(
                 self.structures()[index], self.coset_space())
@@ -179,6 +176,12 @@ def _build_group(block, problems):
                 "only the split metacyclic family is supported")
             return None, {}
         names = pres.get("generators", ["s", "t"])
+        if not (isinstance(names, list) and len(names) == 2
+                and all(isinstance(x, str) for x in names)
+                and names[0] != names[1]):
+            problems.append("group.presentation.generators: a list of two "
+                            "distinct names is required")
+            return None, {}
         try:
             r, q, d = int(pres["r"]), int(pres["q"]), int(pres["d"])
         except (KeyError, TypeError, ValueError):
@@ -250,10 +253,8 @@ def _evaluate_word(word: str, group: FiniteGroup, names, problems, where):
             problems.append(f"{where}: unknown generator {base!r} in word {word!r}")
             return None
         g = group.elements[names[base]]
-        if power < 0:
-            g = g.inverse()
-            power = -power
-        for _ in range(power):
+        # g^power = g^(power mod the order of g), for negative powers too
+        for _ in range(power % g.order()):
             result = result * g
     return result
 
@@ -375,7 +376,7 @@ def parse_text(text: str) -> Fixture:
     assertions = _validate_assertions(raw.get("assertions"), problems)
     if problems:
         raise FixtureValidationError(problems)
-    return Fixture(raw, group, names, stabilizer, context, sub,
+    return Fixture(raw["name"], group, names, stabilizer, context, sub,
                    integral_basis, ideal_vectors, assertions)
 
 

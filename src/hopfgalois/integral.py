@@ -322,17 +322,20 @@ def _transfer_rows(partner: DescendedAlgebra, x, xc, images) -> list[list[Fracti
     """For each given a . x, the unique partner element z with z . x = a . x:
     one generator test of x and one solver in the partner's coordinates,
     shared by every a.  Vectors are in the subfield basis both algebras act
-    on, where x has coordinates xc."""
+    on, where x has coordinates xc.  The solver reads the partner's orbit,
+    which is d times the true one (d its action_denominator), so each
+    solution is d times too small and is scaled back."""
     sample = generator_sample(partner.subfield, partner.space, x, xc)
     if not generates(partner, sample):
         raise DomainError("transfer needs the witness to generate over the partner")
     solver = linalg.LinearSolver(partner.orbit(xc))
+    d = partner.action_denominator
     rows = []
     for image in images:
         z = solver.solve(image)
         if z is None:
             raise ConsistencyError("transfer system is inconsistent")
-        rows.append(z)
+        rows.append([d * c for c in z])
     return rows
 
 

@@ -561,7 +561,8 @@ class Subfield:
     linalg.fixed_space with its free columns, so coordinates relative to it
     are read off rather than solved for."""
 
-    __slots__ = ("context", "stabilizer", "basis", "dim", "_vectors", "_free")
+    __slots__ = ("context", "stabilizer", "basis", "dim", "_vectors", "_free",
+                 "_int_multiplication")
 
     def __init__(self, context: GaloisContext, stabilizer: FiniteGroup,
                  vectors, free):
@@ -571,6 +572,7 @@ class Subfield:
         self.dim = len(self.basis)
         self._vectors = vectors
         self._free = free
+        self._int_multiplication = None
 
     def coords(self, x: FieldElement):
         c = linalg.echelon_coords(self._vectors, self._free, x.coords)
@@ -590,6 +592,15 @@ class Subfield:
     def multiplication_matrix(self, x: FieldElement):
         """Matrix of y -> x*y on the subfield, in subfield coordinates."""
         return linalg.transpose([self.coords(x * b) for b in self.basis])
+
+    def int_multiplication_matrices(self):
+        """The multiplication matrix of each basis element over Z, each times
+        its own least common denominator; built on the first call."""
+        if self._int_multiplication is None:
+            self._int_multiplication = tuple(
+                linalg._clear_denominators(self.multiplication_matrix(b))[1]
+                for b in self.basis)
+        return self._int_multiplication
 
     def random_coords(self, rng) -> list[int]:
         return [rng.randint(-9, 9) for _ in range(self.dim)]

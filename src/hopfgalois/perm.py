@@ -469,20 +469,16 @@ class GroupFacts:
     center: FiniteGroup
     normal_subgroups: list[FiniteGroup]
     abelian: bool
-    iso_class: tuple
 
 
 def group_queries(group: FiniteGroup) -> GroupFacts:
-    """Center, all normal subgroups, abelianness, and a canonical invariant
-    (order and element-order profile; full isomorphism needs the search)."""
+    """Center, all normal subgroups and abelianness."""
     if group.order() > GROUP_QUERY_BOUND:
         raise CapabilityError(
             f"group of order {group.order()} exceeds the query bound {GROUP_QUERY_BOUND}")
     center = group.center()
     normal = group.normal_subgroups()
-    abelian = center.order() == group.order()
-    iso_class = (group.order(), group.order_profile(), abelian)
-    return GroupFacts(center, normal, abelian, iso_class)
+    return GroupFacts(center, normal, center.order() == group.order())
 
 
 def metacyclic_group(r: int, q: int, d: int) -> tuple[FiniteGroup, Permutation, Permutation]:

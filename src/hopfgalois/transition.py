@@ -1,17 +1,17 @@
-"""Transition matrices over coset variables and their exact determinants.
+"""Transition matrices and their exact determinants.
 
-Entries of the transition matrix are indices k standing for the indeterminate
-y_k ("apply the representative of coset k"); determinants are integer-
-coefficient sparse polynomials in y_0 .. y_{m-1}.  The same determinant takes
-matrices of integer linear forms, such as the norm form of a freeness search.
+Entry (eta, g) of the transition matrix of a structure N is the value at
+coset eta(g): symbolically the indeterminate y_k ("apply the representative
+of coset k"), numerically that representative applied to a field element.
+Symbolic determinants are integer-coefficient sparse polynomials in
+y_0 .. y_{m-1}; they take any matrix of integer linear forms, such as the
+norm form of a freeness search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapabilityError
-from .perm import CosetSpace, Permutation, RegularSubgroup
+from .perm import CosetSpace, RegularSubgroup
 
 DET_SIZE_BOUND = 8
 
@@ -87,42 +87,18 @@ class IntPolynomial:
         return f"IntPolynomial({self})"
 
 
-@dataclass(frozen=True)
-class CosetVariableMatrix:
-    """Matrix of variable indices: row per subgroup element, column per coset."""
-
-    size: int
-    rows: tuple[tuple[int, ...], ...]
-    row_elements: tuple  # the subgroup elements, in row order
-
-    def row_sorted(self) -> tuple["CosetVariableMatrix", int]:
-        """The matrix with its rows in ascending order, and the sign of that
-        row permutation."""
-        order = sorted(range(self.size), key=lambda i: self.rows[i])
-        sign = (-1) ** (self.size - len(Permutation(order).cycles()))
-        return CosetVariableMatrix(
-            self.size,
-            tuple(self.rows[i] for i in order),
-            tuple(self.row_elements[i] for i in order)), sign
-
-
-def build_transition_matrix(n: RegularSubgroup, space: CosetSpace) -> CosetVariableMatrix:
-    """Entry (eta, g) is the coset index eta(g); symbolically the indeterminate
-    standing for "representative of eta(g), applied"."""
-    rows = tuple(tuple(eta(g) for g in range(space.size)) for eta in n.elements)
-    return CosetVariableMatrix(space.size, rows, tuple(n.elements))
+def transition_matrix_of(n: RegularSubgroup, values):
+    """Entry (eta, g) is values[eta(g)]: numeric on the coset values of a
+    field element, symbolic on the unit linear forms y_k."""
+    return [[values[eta(g)] for g in range(len(values))] for eta in n.elements]
 
 
 def det_symbolic(matrix) -> IntPolynomial:
     """Exact determinant by Laplace expansion along the rows, memoized over
     column sets: the minor on the bottom k rows and a k-column set is built
     once, so the expansion visits 2^m minors instead of m! permutations.
-    Entries are integer linear forms in y_0 .. y_{n-1}: the coset index k of
-    a CosetVariableMatrix is the form y_k, and a square list of rows holds
-    each form as its coefficient vector (a_0, .., a_{n-1})."""
-    if isinstance(matrix, CosetVariableMatrix):
-        matrix = [[[int(j == k) for j in range(matrix.size)] for k in row]
-                  for row in matrix.rows]
+    Entries are integer linear forms in y_0 .. y_{n-1}, each given as its
+    coefficient vector (a_0, .., a_{n-1})."""
     m, nvars = len(matrix), len(matrix[0][0])
     if m > DET_SIZE_BOUND:
         raise CapabilityError(
@@ -166,16 +142,15 @@ def det_symbolic(matrix) -> IntPolynomial:
 
 def signed_canonical_det(n: RegularSubgroup,
                          space: CosetSpace) -> tuple[IntPolynomial, int]:
-    """The canonical determinant together with the sign s for which the
-    determinant of build_transition_matrix(n, space) is s times it: the sign
-    of the row sort times the leading-term flip."""
-    matrix, sign = build_transition_matrix(n, space).row_sorted()
-    poly = det_symbolic(matrix)
-    if poly.terms:
-        _, lead = poly.leading_term()
-        if lead < 0:
-            poly, sign = -poly, -sign
-    return poly, sign
+    """The canonical determinant, the transition determinant normalised to a
+    positive leading coefficient, together with the sign s for which the
+    transition determinant is s times it."""
+    m = space.size
+    forms = [tuple(int(j == k) for j in range(m)) for k in range(m)]
+    poly = det_symbolic(transition_matrix_of(n, forms))
+    if poly.terms and poly.leading_term()[1] < 0:
+        return -poly, -1
+    return poly, 1
 
 
 def reindexing_witness(n: RegularSubgroup, n_opp: RegularSubgroup,

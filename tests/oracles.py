@@ -5,13 +5,12 @@ import itertools
 from fractions import Fraction
 
 from hopfgalois import linalg
-from hopfgalois.descent import (GroupAlgebraElement, coset_apply, coset_values,
-                                transition_matrix_of)
+from hopfgalois.descent import GroupAlgebraElement, coset_values
 from hopfgalois.errors import ConsistencyError, DomainError, StructureError
 from hopfgalois.integral import _transfer_rows
 from hopfgalois.numberfield import field_det
 from hopfgalois.perm import FiniteGroup, Permutation, _close_tuples
-from hopfgalois.transition import IntPolynomial
+from hopfgalois.transition import IntPolynomial, transition_matrix_of
 
 
 def compose(p, q):
@@ -450,8 +449,8 @@ def fraction_associated_order(algebra, ideal):
     m = algebra.dim
     w = linalg.transpose(ideal.lattice.basis_vectors())
     w_inv = linalg.invert(w)
-    rewritten = [linalg.mat_mul(w_inv, linalg.mat_mul(
-        [list(r) for r in a], w)) for a in algebra.action_matrices]
+    rewritten = [linalg.mat_mul(w_inv, linalg.mat_mul(a, w))
+                 for a in rational_action_matrices(algebra)]
     den = lcm(*(v.denominator for mat in rewritten for row in mat for v in row))
     stacked = [[int(mat[i][j] * den) for mat in rewritten]
                for i in range(m) for j in range(m)]
@@ -507,8 +506,8 @@ def embed_in_map_algebra(context, space, subfield, x):
     idempotent; an exact algebra embedding of the fixed subfield."""
     if not subfield.contains(x):
         raise DomainError("element is not fixed by the stabilizer")
-    return MapAlgebraElement(
-        coset_apply(context, space, c, x) for c in range(space.size))
+    return MapAlgebraElement(context.apply(space.representatives[c], x)
+                             for c in range(space.size))
 
 
 def group_algebra_sum(a, b):
@@ -575,10 +574,33 @@ def descended_act(algebra, h, x):
         if not c:
             continue
         coset = eta.inverse()(base)
-        total = total + c * coset_apply(algebra.context, algebra.space, coset, x)
+        total = total + c * algebra.context.apply(
+            algebra.space.representatives[coset], x)
     if not algebra.subfield.contains(total):
         raise ConsistencyError("action left the fixed subfield")
     return total
+
+
+def rational_action_matrices(algebra):
+    """The descended action matrices over Q: matrix k holds in column j the
+    subfield coordinates of descended_act(b_k, l_j)."""
+    sub = algebra.subfield
+    return [linalg.transpose([sub.coords(descended_act(algebra, b, lb))
+                              for lb in sub.basis]) for b in algebra.basis]
+
+
+def rational_structure_constants(algebra):
+    """The structure constants over Q: matrix i holds in row j the
+    coordinates of b_i * b_j, solved for in the descended basis."""
+    solver = descended_solver(algebra)
+    return [[solver.solve(flatten_coefficients(bi * bj)) for bj in algebra.basis]
+            for bi in algebra.basis]
+
+
+def unit_forms(size):
+    """The indeterminates y_0 .. y_{size-1} as linear forms: the values whose
+    transition matrix is the symbolic one."""
+    return [tuple(int(j == k) for j in range(size)) for k in range(size)]
 
 
 def transition_matrix_values(context, space, n, x):

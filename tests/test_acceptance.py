@@ -19,11 +19,11 @@ from hopfgalois.integral import associated_order, freeness_certificate, is_free_
 from hopfgalois.perm import (centralizer_bruteforce, enumerate_regular_normalized,
                              group_queries, metacyclic_group, opposite,
                              right_translation_subgroup)
-from hopfgalois.transition import (build_transition_matrix, det_symbolic,
-                                   signed_canonical_det)
+from hopfgalois.transition import (det_symbolic, signed_canonical_det,
+                                   transition_matrix_of)
 
 from .oracles import (det, evaluate, is_isomorphic, regular_normalized_oracle,
-                      transition_matrix_values)
+                      transition_matrix_values, unit_forms)
 
 F = Fraction
 
@@ -90,13 +90,12 @@ def test_criterion_3_determinant_identity(field_fixtures):
                    == signed_canonical_det(opposite(n, space), space)[0])
         ctx = fx.context
         sub = fx.subfield()
-        from hopfgalois.descent import coset_apply
         for k in range(20):
             x = sub.random_element(rng)
             n = structs[k % len(structs)]
-            matrix = build_transition_matrix(n, space)
-            poly = det_symbolic(matrix)
-            values = [coset_apply(ctx, space, c, x) for c in range(space.size)]
+            poly = det_symbolic(transition_matrix_of(n, unit_forms(space.size)))
+            values = [ctx.apply(space.representatives[c], x)
+                      for c in range(space.size)]
             numeric = det(transition_matrix_values(ctx, space, n, x))
             ok &= evaluate(poly, values, ctx.field.one()) == numeric
     _report(3, ok, "canonical transition determinants agree with the opposite "

@@ -2,11 +2,19 @@
 names in the package; these tests guard the names it relies on."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 from hopfgalois import cli, integral, linalg
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+
+# spans perfbench/worker.py reads that no traced function produces, so their
+# metrics read 0: the transfer is a test oracle now, and both determinant
+# spans were split off `linalg.det`, which has left the package.  Retiring or
+# remapping them is the benchmark's to do.
+KNOWN_GAPS = {"integral.transfer_element", "linalg.det_E", "linalg.det_Q"}
 
 
 def _tracing():
@@ -40,3 +48,12 @@ def test_benchmark_tracer_spans_the_linalg_entry_points():
     traced = {(owner, attr) for owner, attr, _, _ in targets}
     for method in ("__init__", "solve"):
         assert (linalg.LinearSolver, method) in traced, method
+
+
+def test_every_span_the_worker_reads_is_traced():
+    # a moved or renamed function must not silently zero another metric
+    source = (PERFBENCH / "worker.py").read_text(encoding="utf-8")
+    read = set(re.findall(r'\b(?:calls|incl|self_s)\("([^"]+)"\)', source))
+    assert "descent.is_generator" in read  # the pattern sees the worker's reads
+    names = {name for _, _, _, name in _tracing().Tracer()._targets()}
+    assert read - names == KNOWN_GAPS

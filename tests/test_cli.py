@@ -284,6 +284,25 @@ def test_verify_commuting_runs_once_per_unordered_pair(capsys, monkeypatch,
     assert len(json.loads(out)["checks"]) == structures ** 2
 
 
+@pytest.mark.parametrize("name, calls",
+                         [("s3sextic", 6), ("v4biquad", 4), ("qcbrt2", 3)])
+def test_verify_hopf_galois_builds_each_multiplication_matrix_once(
+        capsys, monkeypatch, name, calls):
+    # one matrix per subfield basis element, shared by every structure's
+    # canonical map (it was once per structure: 30, 16 and 3)
+    from hopfgalois.numberfield import Subfield
+    seen = []
+    multiplication_matrix = Subfield.multiplication_matrix
+
+    def counting(self, x):
+        seen.append(x)
+        return multiplication_matrix(self, x)
+    monkeypatch.setattr(Subfield, "multiplication_matrix", counting)
+    code, _ = run(capsys, "--json", "verify", "hopf-galois", name)
+    assert code == 0
+    assert len(seen) == calls
+
+
 def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
         capsys, monkeypatch):
     from hopfgalois import descent, integral, linalg
@@ -332,7 +351,9 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     code, _ = run(capsys, "verify", "generators", "c4quartic")
     assert code == 0
     assert counts["generates"] == 2 * cli.GENERATOR_SAMPLES
-    assert counts["coset_values"] == cli.GENERATOR_SAMPLES
+    # plus the descents' own: one per subfield basis element and structure,
+    # 2 * 4
+    assert counts["coset_values"] == cli.GENERATOR_SAMPLES + 8
     assert counts["coords"] == 57
 
 
@@ -458,6 +479,25 @@ def test_malformed_block_is_a_validation_problem(tmp_path, capsys, shape):
     assert code == 2
     assert "failed validation" in captured.out
     assert f"  - {problem}" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("names", [5, ["s"], ["s", "s"]],
+                         ids=["not-a-list", "one-name", "repeated-name"])
+def test_malformed_presentation_generators_are_a_validation_problem(
+        tmp_path, capsys, names):
+    # a repeated name used to validate, with "s" silently naming t (so this
+    # stabilizer was <t>)
+    doc = json.loads(bundled_path("metacyclic21").read_text(encoding="utf-8"))
+    doc["group"]["presentation"]["generators"] = names
+    doc["subgroup"]["generators"] = ["s"]
+    path = tmp_path / "bad.hgx"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "  - group.presentation.generators: a list of two distinct names " \
+        "is required" in captured.out
     assert captured.err == ""
 
 

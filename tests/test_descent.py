@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 import pytest
 
@@ -20,7 +20,8 @@ from .oracles import (coords_of, descended_act, descended_solver, det,
                       flatten_coefficients,
                       galois_act_on_map, generates_fixed_map_algebra,
                       generates_map_algebra_over_group_algebra, idempotent,
-                      permutation_act_on_map, sum_over_subgroup,
+                      permutation_act_on_map, rational_action_matrices,
+                      rational_structure_constants, sum_over_subgroup,
                       transition_matrix_values)
 
 F = Fraction
@@ -101,11 +102,12 @@ def test_classical_descent_recovers_the_rational_group_algebra(s3sextic):
     ctx = s3sextic.context
     base = space.base_point
     table = rho.build_point_map(base)
-    for b, mat in zip(algebra.basis, algebra.action_matrices):
+    d = algebra.action_denominator
+    for b, mat in zip(algebra.basis, algebra.int_action_matrices):
         eta = next(e for e, c in zip(rho.elements, b.coefficients) if c)
         coset = eta.inverse()(base)
         g = space.representatives[coset]
-        assert [list(r) for r in mat] == ctx.matrices[g]
+        assert [[F(v, d) for v in r] for r in mat] == ctx.matrices[g]
 
 
 def test_translation_structure_basis_is_conjugacy_orbit_sums(s3sextic):
@@ -267,7 +269,7 @@ def test_separability_matches_the_rational_trace_form(field_fixtures):
     for fx in field_fixtures:
         for i in range(len(fx.structures())):
             algebra = fx.algebra(i)
-            rational = det(gram(algebra.structure_constants))
+            rational = det(gram(rational_structure_constants(algebra)))
             assert is_separable(algebra) == bool(rational)
             d = algebra.structure_denominator
             assert linalg.int_det(gram(algebra.int_structure_constants)) == \
@@ -275,18 +277,20 @@ def test_separability_matches_the_rational_trace_form(field_fixtures):
 
 
 def test_integer_forms_share_one_least_denominator(field_fixtures):
+    # d is least: no common factor of d and every entry could be cancelled.
+    # The action matrices over d are the definitional action; the structure
+    # constants over d are checked against the solver below
     for fx in field_fixtures:
         for i in range(len(fx.structures())):
             a = fx.algebra(i)
-            for d, ints, mats in (
-                    (a.action_denominator, a.int_action_matrices,
-                     a.action_matrices),
-                    (a.structure_denominator, a.int_structure_constants,
-                     a.structure_constants)):
-                assert d == lcm(*(x.denominator for m in mats for row in m
-                                  for x in row))
-                assert ints == tuple(tuple(tuple(x * d for x in row)
-                                           for row in m) for m in mats)
+            for d, ints in ((a.action_denominator, a.int_action_matrices),
+                            (a.structure_denominator,
+                             a.int_structure_constants)):
+                assert gcd(d, *(x for m in ints for row in m for x in row)) == 1
+            d = a.action_denominator
+            assert [[[F(x, d) for x in row] for row in m]
+                    for m in a.int_action_matrices] == \
+                rational_action_matrices(a)
 
 
 # --- generators
@@ -423,9 +427,11 @@ def test_descended_coordinates_match_the_solver(field_fixtures):
                 for p in algebra.subgroup.elements])
             assert list(algebra.identity_coords) == \
                 solver.solve(flatten_coefficients(unit))
-            for bi, row in zip(algebra.basis, algebra.structure_constants):
+            d = algebra.structure_denominator
+            for bi, row in zip(algebra.basis,
+                               algebra.int_structure_constants):
                 for bj, constants in zip(algebra.basis, row):
-                    assert list(constants) == \
+                    assert [F(c, d) for c in constants] == \
                         solver.solve(flatten_coefficients(bi * bj))
 
 

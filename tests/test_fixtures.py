@@ -191,6 +191,26 @@ def test_word_subgroup_generators(metacyclic21):
     assert fx.stabilizer.order() == 3
 
 
+def test_huge_word_exponent_is_reduced_modulo_the_element_order():
+    # s has order 7 and 100000000000 = 7 * 14285714285 + 5: the word is s^5,
+    # where multiplying out the power would not finish
+    def stabilizer(word):
+        doc = {
+            "name": "words",
+            "group": {"order": 21,
+                      "presentation": {"kind": "metacyclic", "r": 7, "q": 3,
+                                       "d": 2, "generators": ["s", "t"]}},
+            "subgroup": {"generators": [word]},
+        }
+        return parse_text(json.dumps(doc)).stabilizer
+    start = time.perf_counter()
+    huge = stabilizer("s^100000000000*t*s^-100000000000")
+    assert time.perf_counter() - start < 1
+    reduced = stabilizer("s^5*t*s^2")
+    assert set(huge.elements) == set(reduced.elements)
+    assert huge.order() == 3
+
+
 def test_unknown_ideal_name_raises(qi):
     from hopfgalois.errors import HopfGaloisError
     with pytest.raises(HopfGaloisError, match="no ideal named"):

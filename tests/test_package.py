@@ -17,8 +17,8 @@ API = {
     "enumerate_regular_normalized", "group_queries", "is_normalized_by",
     "left_translation_embedding", "metacyclic_group", "opposite",
     # transition determinants
-    "CosetVariableMatrix", "IntPolynomial", "build_transition_matrix",
-    "det_identity", "det_symbolic", "signed_canonical_det",
+    "IntPolynomial", "det_identity", "det_symbolic", "signed_canonical_det",
+    "transition_matrix_of",
     # number fields
     "FieldElement", "GaloisContext", "NumberField", "Subfield",
     "check_irreducible", "fixed_subfield", "load_field",

@@ -7,11 +7,10 @@ from hopfgalois.perm import (FiniteGroup, Permutation, RegularSubgroup,
                              build_coset_space, enumerate_regular_normalized,
                              left_translation_embedding, metacyclic_group,
                              opposite, right_translation_subgroup)
-from hopfgalois.transition import (CosetVariableMatrix, IntPolynomial,
-                                   build_transition_matrix, det_identity,
-                                   det_symbolic, signed_canonical_det)
+from hopfgalois.transition import (IntPolynomial, det_identity, det_symbolic,
+                                   signed_canonical_det, transition_matrix_of)
 
-from .oracles import RingPolynomial, cofactor_det, evaluate
+from .oracles import RingPolynomial, cofactor_det, evaluate, unit_forms
 
 
 def _a3_structure():
@@ -48,47 +47,54 @@ def test_polynomial_evaluation_over_rationals():
 
 # --- transition matrices
 
+def _symbolic(n, space):
+    return transition_matrix_of(n, unit_forms(space.size))
+
+
+def _indices(n, space):
+    # entry (eta, g) is the coset index eta(g), the form cofactor_det reads
+    # as y_{eta(g)}
+    return transition_matrix_of(n, list(range(space.size)))
+
+
 def test_transition_matrix_c2():
     group = FiniteGroup.generated_by([Permutation([1, 0])])
     space = build_coset_space(group, FiniteGroup.trivial(2))
     rho = right_translation_subgroup(space)
-    matrix = build_transition_matrix(rho, space)
-    assert matrix.rows == ((0, 1), (1, 0))
-    assert str(det_symbolic(matrix)) == "y0^2 - y1^2"
+    assert _indices(rho, space) == [[0, 1], [1, 0]]
+    assert str(det_symbolic(_symbolic(rho, space))) == "y0^2 - y1^2"
 
 
 def test_transition_identity_row_is_the_coset_order():
     n, space = _a3_structure()
-    matrix = build_transition_matrix(n, space)
-    identity_row = matrix.rows[0]
-    assert identity_row == tuple(range(space.size))
+    assert _indices(n, space)[0] == list(range(space.size))
 
 
 def test_a3_circulant_determinant():
     n, space = _a3_structure()
-    matrix = build_transition_matrix(n, space)
     expected = IntPolynomial(
         3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): -3})
-    # as built, rows are ordered by sorted elements; the determinant is the
-    # circulant value up to the sign of that ordering
-    assert det_symbolic(matrix) in (expected, -expected)
+    # rows are ordered by sorted elements; the determinant is the circulant
+    # value up to the sign of that ordering
+    det = det_symbolic(_symbolic(n, space))
+    assert det in (expected, -expected)
     assert signed_canonical_det(n, space)[0] == expected
     # independent route: cofactor expansion
-    assert cofactor_det(matrix.rows, 3) == det_symbolic(matrix)
+    assert cofactor_det(_indices(n, space), 3) == det
 
 
 def test_permutation_pattern_determinant():
-    matrix = CosetVariableMatrix(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), (None,) * 3)
-    assert det_symbolic(matrix) == cofactor_det(matrix.rows, 3)
+    rows = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    y = unit_forms(3)
+    assert det_symbolic([[y[k] for k in row] for row in rows]) == \
+        cofactor_det(rows, 3)
 
 
 def test_det_symbolic_independent_of_orderings_up_to_sign():
     n, space = _a3_structure()
-    matrix = build_transition_matrix(n, space)
+    matrix = _symbolic(n, space)
     base = det_symbolic(matrix)
-    reordered = CosetVariableMatrix(
-        matrix.size, (matrix.rows[1], matrix.rows[0], matrix.rows[2]),
-        matrix.row_elements)
+    reordered = [matrix[1], matrix[0], matrix[2]]
     assert det_symbolic(reordered) in (base, -base)
 
 
@@ -106,8 +112,8 @@ def test_det_symbolic_matches_cofactor_oracle_on_seven_and_eight_points():
                                   FiniteGroup.trivial(8))
         cases.append((right_translation_subgroup(space), space))
     for n, space in cases:
-        matrix = build_transition_matrix(n, space)
-        assert det_symbolic(matrix) == cofactor_det(matrix.rows, matrix.size)
+        assert det_symbolic(_symbolic(n, space)) == \
+            cofactor_det(_indices(n, space), space.size)
 
 
 def test_det_symbolic_matches_cofactor_oracle_on_linear_forms():
@@ -134,49 +140,24 @@ def test_det_symbolic_packs_eighth_powers_without_carries():
     assert det == cofactor_det(rows, 2)
 
 
-def test_coset_index_is_the_unit_linear_form(all_fixtures):
-    for fx in all_fixtures:
-        space = fx.coset_space()
-        for n in fx.structures():
-            matrix = build_transition_matrix(n, space)
-            forms = [[tuple(int(j == k) for j in range(matrix.size)) for k in row]
-                     for row in matrix.rows]
-            assert det_symbolic(forms) == det_symbolic(matrix)
-
-
 def test_signed_canonical_det_recovers_the_unsorted_determinant(all_fixtures):
+    # the canonical determinant has a positive leading coefficient, and the
+    # sign recovers the transition matrix's determinant as built (rows in
+    # the structure's element order), also by cofactor expansion
     for fx in all_fixtures:
         space = fx.coset_space()
         for n in fx.structures():
             poly, sign = signed_canonical_det(n, space)
-            assert det_symbolic(build_transition_matrix(n, space)) == \
-                (poly if sign == 1 else -poly)
-
-
-def test_row_sort_sign_is_the_permutation_sign():
-    rows = ((2, 0, 1), (0, 1, 2), (1, 2, 0))
-    matrix = CosetVariableMatrix(3, rows, (None,) * 3)
-    assert matrix.row_sorted() == (CosetVariableMatrix(
-        3, tuple(sorted(rows)), (None,) * 3), 1)  # a 3-cycle
-    swapped = CosetVariableMatrix(3, (rows[1], rows[0], rows[2]), (None,) * 3)
-    assert swapped.row_sorted()[1] == -1
-    # and the parity of the inversions of the sorting order
-    rng = random.Random(8)
-    for size in range(1, 9):
-        for _ in range(10):
-            rows = [tuple(rng.sample(range(size), size)) for _ in range(size)]
-            order = sorted(range(size), key=lambda i: rows[i])
-            inversions = sum(order[i] > order[j]
-                             for i in range(size) for j in range(i + 1, size))
-            matrix = CosetVariableMatrix(size, tuple(rows), (None,) * size)
-            assert matrix.row_sorted()[1] == (-1) ** inversions
+            assert poly.leading_term()[1] > 0
+            unsorted = poly if sign == 1 else -poly
+            assert det_symbolic(_symbolic(n, space)) == unsorted
+            assert cofactor_det(_indices(n, space), space.size) == unsorted
 
 
 def test_size_bound_enforced():
-    matrix = CosetVariableMatrix(9, tuple(tuple(range(9)) for _ in range(9)),
-                                 (None,) * 9)
+    y = unit_forms(9)
     with pytest.raises(CapabilityError):
-        det_symbolic(matrix)
+        det_symbolic([list(y) for _ in range(9)])
 
 
 # --- the determinant identity
