@@ -6,10 +6,9 @@ generator tests, and associated-order freeness certificates."""
 from .errors import (CapabilityError, ConsistencyError, DomainError,
                      FixtureValidationError, HopfGaloisError, StructureError,
                      TheoremViolationError)
-from .perm import (CosetSpace, FiniteGroup, LambdaEmbedding, Permutation,
-                   RegularSubgroup, build_coset_space, centralizer_bruteforce,
-                   enumerate_regular_normalized, group_queries, is_normalized_by,
-                   left_translation_embedding, metacyclic_group, opposite)
+from .perm import (CosetSpace, FiniteGroup, Permutation, build_coset_space,
+                   centralizer_bruteforce, enumerate_regular_normalized,
+                   group_queries, is_normalized_by, metacyclic_group, opposite)
 from .transition import (IntPolynomial, det_identity, det_symbolic,
                          signed_canonical_det, transition_matrix_of)
 from .numberfield import (FieldElement, GaloisContext, NumberField, Subfield,

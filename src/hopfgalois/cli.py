@@ -176,11 +176,10 @@ def _check_assertions(fx: Fixture, report: Report):
 
 def cmd_enumerate(fx: Fixture, args, report: Report):
     for i, n in enumerate(fx.structures()):
-        group = n.as_group()
-        facts = group_queries(group)
+        facts = group_queries(n)
         report.add(
             f"structure[{i}]", "PASS", "computed",
-            order_profile=list(group.order_profile()),
+            order_profile=list(n.order_profile()),
             abelian=facts.abelian,
             opposite=fx.opposite_indices()[i],
             center_order=facts.center.order(),
@@ -197,15 +196,15 @@ def cmd_opposite_suite(fx: Fixture, args, report: Report):
         ok_involution = opposite(opp, space) == n
         ok_order = len(opp.elements) == len(n.elements)
         inter = set(n.elements) & set(opp.elements)
-        ok_center = inter == set(n.as_group().center().elements)
+        ok_center = inter == set(n.center().elements)
         # eta -> the element of the opposite sending the base point where
         # eta^{-1} does
-        table = opp.build_point_map(space.base_point)
+        table = opp.point_map(space.base_point)
         witness = {eta: table[eta.inverse()(space.base_point)]
                    for eta in n.elements}
         ok_iso = _is_isomorphism(witness, n)
         self_opposite = opp == n
-        ok_abelian = self_opposite == n.as_group().is_abelian()
+        ok_abelian = self_opposite == n.is_abelian()
         in_output = next((j for j, m in enumerate(structs) if m == opp), None)
         ok_closed = in_output is not None
         verdict = "PASS" if all((ok_centralizer, ok_involution, ok_order,
@@ -373,7 +372,7 @@ def cmd_suite(fx: Fixture, args, report: Report, rng: random.Random):
         for prop in ("hopf-galois", "separable", "commuting", "generators"):
             cmd_verify(fx, argparse.Namespace(property=prop), report, rng)
         index = _classical_index(fx)
-        for ideal_name in sorted(fx.ideal_vectors):
+        for ideal_name in sorted(fx.ideals):
             order = cmd_assoc_order(
                 fx, argparse.Namespace(n=index, ideal=ideal_name), report)
             cmd_theorem11(fx, argparse.Namespace(

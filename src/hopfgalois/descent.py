@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import ConsistencyError, DomainError, StructureError
 from .numberfield import FieldElement, GaloisContext, Subfield, field_det
-from .perm import CosetSpace, LambdaEmbedding, RegularSubgroup, is_normalized_by
+from .perm import CosetSpace, FiniteGroup, is_normalized_by
 from .transition import transition_matrix_of
 
 
@@ -21,21 +21,20 @@ class GroupAlgebraElement:
 
     __slots__ = ("subgroup", "coefficients")
 
-    def __init__(self, subgroup: RegularSubgroup, coefficients):
+    def __init__(self, subgroup: FiniteGroup, coefficients):
         self.subgroup = subgroup
         self.coefficients = tuple(coefficients)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        elems = self.subgroup.elements
-        index = {p: i for i, p in enumerate(elems)}
-        out = [self.coefficients[0].field.zero() for _ in elems]
+        group = self.subgroup
+        out = [self.coefficients[0].field.zero() for _ in group.elements]
         for i, a in enumerate(self.coefficients):
             if not a:
                 continue
             for j, b in enumerate(other.coefficients):
                 if not b:
                     continue
-                out[index[elems[i] * elems[j]]] += a * b
+                out[group.mul(i, j)] += a * b
         return GroupAlgebraElement(self.subgroup, out)
 
     def __repr__(self):
@@ -52,7 +51,7 @@ class DescendedAlgebra:
 
     context: GaloisContext
     space: CosetSpace
-    subgroup: RegularSubgroup
+    subgroup: FiniteGroup
     subfield: Subfield
     basis: tuple[GroupAlgebraElement, ...]
     identity_coords: tuple[Fraction, ...]
@@ -104,12 +103,12 @@ def _flatten(values) -> list[Fraction]:
     return [v for c in values for v in c.coords]
 
 
-def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
-            n: RegularSubgroup, subfield: Subfield) -> DescendedAlgebra:
+def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
+            subfield: Subfield) -> DescendedAlgebra:
     """Exact fixed points of the simultaneous action (Galois on coefficients,
     translation-conjugation on the subgroup) inside E[N], with action matrices
     on the chosen subfield basis."""
-    if not is_normalized_by(n, lam):
+    if not is_normalized_by(n, space):
         raise StructureError(
             "subgroup is not normalized by the translation image; "
             "it does not descend")
@@ -117,13 +116,12 @@ def descend(context: GaloisContext, space: CosetSpace, lam: LambdaEmbedding,
     nf_degree = context.degree
     dim = m * nf_degree
     elems = n.elements
-    index = {p: i for i, p in enumerate(elems)}
 
     matrices = []
     for g in space.group.generators:
-        lam_g = lam.of(g)
+        lam_g = space.translations[g]
         lam_g_inv = lam_g.inverse()
-        conj = [index[lam_g * eta * lam_g_inv] for eta in elems]
+        conj = [n.index_of(lam_g * eta * lam_g_inv) for eta in elems]
         mg = context.matrices[g]
         big = [[Fraction(0)] * dim for _ in range(dim)]
         for i in range(m):
@@ -251,7 +249,7 @@ def residues_mod_p(values) -> list[int] | None:
     return None if None in residues else residues
 
 
-def transition_det_nonzero(n: RegularSubgroup, values, residues) -> bool:
+def transition_det_nonzero(n: FiniteGroup, values, residues) -> bool:
     """Whether the transition matrix on these coset values has a nonzero
     determinant over E, given residues_mod_p(values).  Certified mod p first:
     t -> r is a ring map to F_p on the elements whose denominators are prime

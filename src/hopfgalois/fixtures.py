@@ -21,9 +21,9 @@ from .errors import (CapabilityError, FixtureValidationError, HopfGaloisError,
 from .integral import FractionalIdeal, Lattice
 from .numberfield import (FieldElement, GaloisContext, Subfield, fixed_subfield,
                           load_field)
-from .perm import (GROUP_ORDER_BOUND, CosetSpace, FiniteGroup, LambdaEmbedding,
-                   Permutation, build_coset_space, enumerate_regular_normalized,
-                   left_translation_embedding, metacyclic_group, opposite)
+from .perm import (GROUP_ORDER_BOUND, CosetSpace, FiniteGroup, Permutation,
+                   build_coset_space, enumerate_regular_normalized,
+                   metacyclic_group, opposite)
 from .transition import signed_canonical_det
 
 BUNDLED = ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic",
@@ -60,7 +60,7 @@ class Fixture:
     """A fully validated descriptor with lazily assembled derived data."""
 
     def __init__(self, name, group, generator_names, stabilizer, context,
-                 subfield, integral_basis, ideal_vectors, assertions):
+                 subfield, integral_basis, ideals, assertions):
         self.name = name
         self.group: FiniteGroup = group
         self.generator_names: dict[str, int] = generator_names
@@ -68,15 +68,13 @@ class Fixture:
         self.context: GaloisContext | None = context
         self._subfield: Subfield | None = subfield
         self.integral_basis: list[FieldElement] | None = integral_basis
-        self.ideal_vectors: dict[str, list[FieldElement]] = ideal_vectors
+        self.ideals: dict[str, FractionalIdeal] = ideals
         self.assertions = assertions
         self._space = None
-        self._lam = None
         self._structures = None
         self._opposites = None
         self._dets = {}
         self._algebras = {}
-        self._ideals = {}
 
     @property
     def has_field(self) -> bool:
@@ -87,11 +85,6 @@ class Fixture:
             self._space = build_coset_space(self.group, self.stabilizer)
         return self._space
 
-    def translation_embedding(self) -> LambdaEmbedding:
-        if self._lam is None:
-            self._lam = left_translation_embedding(self.coset_space())
-        return self._lam
-
     def subfield(self) -> Subfield:
         if self.context is None:
             raise HopfGaloisError(
@@ -101,8 +94,7 @@ class Fixture:
 
     def structures(self):
         if self._structures is None:
-            self._structures = enumerate_regular_normalized(
-                self.coset_space(), self.translation_embedding())
+            self._structures = enumerate_regular_normalized(self.coset_space())
         return self._structures
 
     def opposite_indices(self) -> list[int]:
@@ -129,26 +121,15 @@ class Fixture:
             from .descent import descend
             sub = self.subfield()
             self._algebras[index] = descend(
-                self.context, self.coset_space(), self.translation_embedding(),
-                self.structures()[index], sub)
+                self.context, self.coset_space(), self.structures()[index], sub)
         return self._algebras[index]
 
-    def ring_multiplication_matrices(self):
-        sub = self.subfield()
-        return [sub.multiplication_matrix(e) for e in self.integral_basis]
-
     def ideal(self, name: str) -> FractionalIdeal:
-        if name not in self._ideals:
-            if name not in self.ideal_vectors:
-                raise HopfGaloisError(
-                    f"fixture {self.name!r} has no ideal named {name!r}; "
-                    f"available: {sorted(self.ideal_vectors)}")
-            sub = self.subfield()
-            rows = [sub.coords(e) for e in self.ideal_vectors[name]]
-            lattice = Lattice.from_rational_rows(rows)
-            self._ideals[name] = FractionalIdeal.build(
-                name, lattice, self.ring_multiplication_matrices())
-        return self._ideals[name]
+        if name not in self.ideals:
+            raise HopfGaloisError(
+                f"fixture {self.name!r} has no ideal named {name!r}; "
+                f"available: {sorted(self.ideals)}")
+        return self.ideals[name]
 
     def __repr__(self):
         return f"Fixture({self.name!r})"
@@ -183,12 +164,8 @@ def _build_group(block, problems):
                             "distinct names is required")
             return None, {}
         try:
-            r, q, d = int(pres["r"]), int(pres["q"]), int(pres["d"])
-        except (KeyError, TypeError, ValueError):
-            problems.append("group.presentation: integer r, q, d are required")
-            return None, {}
-        try:
-            group, s_perm, t_perm = metacyclic_group(r, q, d)
+            group, s_perm, t_perm = metacyclic_group(
+                pres.get("r"), pres.get("q"), pres.get("d"))
         except StructureError as err:
             problems.append(f"group.presentation: {err}")
             return None, {}
@@ -316,7 +293,7 @@ def parse_text(text: str) -> Fixture:
     context = None
     sub = None
     integral_basis = None
-    ideal_vectors: dict[str, list[FieldElement]] = {}
+    ideals: dict[str, FractionalIdeal] = {}
     fblock = raw.get("field")
     if "field" in raw and not isinstance(fblock, dict):
         problems.append("field: expected an object")
@@ -363,21 +340,22 @@ def parse_text(text: str) -> Fixture:
             sub = fixed_subfield(context, stabilizer)
             integral_basis = _validate_integral_basis(
                 raw.get("integral_basis"), context, sub, problems)
-            ideals = raw.get("ideals") or {}
-            if not isinstance(ideals, dict):
+            iblock = raw.get("ideals") or {}
+            if not isinstance(iblock, dict):
                 problems.append("ideals: expected an object")
-                ideals = {}
-            for iname, vectors in ideals.items():
-                elems = _validate_ideal_vectors(
-                    iname, vectors, context, sub, problems)
-                if elems is not None:
-                    ideal_vectors[iname] = elems
+                iblock = {}
+            # the integral basis's multiplication matrices, once per load
+            ring = [sub.multiplication_matrix(e) for e in integral_basis or ()]
+            for iname, vectors in iblock.items():
+                ideal = _build_ideal(iname, vectors, context, sub, ring, problems)
+                if ideal is not None:
+                    ideals[iname] = ideal
 
     assertions = _validate_assertions(raw.get("assertions"), problems)
     if problems:
         raise FixtureValidationError(problems)
     return Fixture(raw["name"], group, names, stabilizer, context, sub,
-                   integral_basis, ideal_vectors, assertions)
+                   integral_basis, ideals, assertions)
 
 
 def _fixed_elements(vectors, where, context, sub: Subfield, problems):
@@ -431,7 +409,10 @@ def _validate_integral_basis(block, context, sub: Subfield, problems):
     return elems
 
 
-def _validate_ideal_vectors(name, vectors, context, sub: Subfield, problems):
+def _build_ideal(name, vectors, context, sub: Subfield, ring, problems):
+    """The ideal with the given basis, checked to be a full-rank lattice
+    stable under the integral basis (`ring`: its multiplication matrices);
+    None after a problem."""
     if not isinstance(vectors, list):
         problems.append(f"ideals.{name}: expected an array of vectors")
         return None
@@ -447,7 +428,11 @@ def _validate_ideal_vectors(name, vectors, context, sub: Subfield, problems):
     if linalg.rank(rows) != sub.dim:
         problems.append(f"ideals.{name}: basis vectors are linearly dependent")
         return None
-    return elems
+    try:
+        return FractionalIdeal.build(name, Lattice.from_rational_rows(rows), ring)
+    except StructureError as err:
+        problems.append(f"ideals.{name}: {err}")
+        return None
 
 
 _KNOWN_ASSERTIONS = {"coset_count", "structure_count", "center_order",

@@ -88,8 +88,7 @@ class FractionalIdeal:
             for v in lattice.basis_vectors():
                 if not lattice.contains(linalg.mat_vec(mult, v)):
                     raise StructureError(
-                        f"ideal {name!r} is not stable under integral-basis "
-                        f"element {k}")
+                        f"not stable under integral-basis element {k}")
         return cls(name, lattice)
 
 

@@ -141,14 +141,12 @@ def echelon_coords(basis, free, target):
 
 
 def invert(mat):
-    """Inverse of a square matrix over Q; None if singular."""
-    n = len(mat)
-    identity = identity_matrix(n)
-    rows, pivots, d = _eliminate(_clear_denominators(
-        [list(a) + e for a, e in zip(mat, identity)])[1])
-    if pivots[:n] != list(range(n)):
+    """Inverse of a square matrix over Q; None if singular.  The solver for
+    the columns of mat reduces [mat | I] to [I | mat^-1]."""
+    try:
+        return LinearSolver(transpose(mat))._transform
+    except ValueError:
         return None
-    return [[Fraction(x, d) for x in row[n:]] for row in rows]
 
 
 def det_mod_p(mat, p: int) -> int:

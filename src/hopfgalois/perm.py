@@ -1,11 +1,11 @@
-"""Finite permutation groups on a coset space, the left-translation embedding,
-and the regular-subgroup machinery (enumeration, opposites, centralizers)."""
+"""Finite permutation groups, coset spaces with their left translations, and
+the regular-subgroup machinery (enumeration, opposites, centralizers)."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
 
 from .errors import CapabilityError, StructureError
@@ -18,13 +18,15 @@ GROUP_QUERY_BOUND = 60
 
 
 class Permutation:
-    """Bijection of {0, ..., n-1}; ``(p * q)(i) == p(q(i))``."""
+    """Bijection of {0, ..., n-1} given by its int images;
+    ``(p * q)(i) == p(q(i))``."""
 
     __slots__ = ("images",)
 
     def __init__(self, images):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+        if (not {*map(type, images)} <= {int}
+                or sorted(images) != list(range(len(images)))):
             raise StructureError(f"not a bijection of 0..{len(images) - 1}: {images}")
         self.images = images
 
@@ -40,7 +42,12 @@ class Permutation:
         return self.images[i]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return Permutation(self.images[j] for j in other.images)
+        # a product of two bijections of one set is one: no check but the degree
+        if len(other.images) != len(self.images):
+            raise StructureError("permutations of different degrees")
+        product = Permutation.__new__(Permutation)
+        product.images = tuple(self.images[j] for j in other.images)
+        return product
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -164,6 +171,25 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self._inv[i]
 
+    def __eq__(self, other):
+        return isinstance(other, FiniteGroup) and self.elements == other.elements
+
+    def __hash__(self):
+        return hash(self.elements)
+
+    def point_map(self, base: int) -> dict[int, Permutation]:
+        """point -> the unique element sending the base point there; raises
+        StructureError unless the group is regular (simply transitive)."""
+        table = {}
+        for p in self.elements:
+            target = p(base)
+            if target in table:
+                raise StructureError("subgroup is not simply transitive")
+            table[target] = p
+        if len(table) != self.degree:
+            raise StructureError("subgroup is not transitive")
+        return table
+
     def order_profile(self) -> tuple[int, ...]:
         return tuple(sorted(p.order() for p in self.elements))
 
@@ -216,6 +242,23 @@ class CosetSpace:
     def size(self) -> int:
         return len(self.representatives)
 
+    @cached_property
+    def translations(self) -> tuple[Permutation, ...]:
+        """lambda: G-element index -> its left translation of the cosets,
+        checked to be a transitive homomorphism G -> Perm(X).  Built on first
+        use: it takes |G|^2 products."""
+        group = self.group
+        maps = tuple(Permutation(self.coset_of[group.mul(i, rep)]
+                                 for rep in self.representatives)
+                     for i in range(group.order()))
+        for i in range(group.order()):
+            for j in range(group.order()):
+                if maps[group.mul(i, j)] != maps[i] * maps[j]:
+                    raise StructureError("coset translation is not a homomorphism")
+        if len({p(self.base_point) for p in maps}) != self.size:
+            raise StructureError("coset translation image is not transitive")
+        return maps
+
 
 def build_coset_space(group: FiniteGroup, stabilizer: FiniteGroup) -> CosetSpace:
     """Partition G into left cosets of G_L, labelling each coset by the minimal
@@ -248,90 +291,10 @@ def build_coset_space(group: FiniteGroup, stabilizer: FiniteGroup) -> CosetSpace
                       coset_of[group.identity_index])
 
 
-@dataclass(frozen=True)
-class LambdaEmbedding:
-    """The homomorphism G -> Perm(X) by left translation of cosets."""
-
-    space: CosetSpace
-    maps: tuple[Permutation, ...]         # G-element index -> permutation of X
-
-    def of(self, g_index: int) -> Permutation:
-        return self.maps[g_index]
-
-    @property
-    def generator_images(self) -> list[Permutation]:
-        return [self.maps[i] for i in self.space.group.generators]
-
-
-def left_translation_embedding(space: CosetSpace) -> LambdaEmbedding:
-    group = space.group
-    maps = []
-    for i in range(group.order()):
-        images = [0] * space.size
-        for c, rep in enumerate(space.representatives):
-            images[c] = space.coset_of[group.mul(i, rep)]
-        maps.append(Permutation(images))
-    emb = LambdaEmbedding(space, tuple(maps))
-    for i in range(group.order()):
-        for j in range(group.order()):
-            if emb.maps[group.mul(i, j)] != emb.maps[i] * emb.maps[j]:
-                raise StructureError("coset translation is not a homomorphism")
-    orbit = {maps[i](space.base_point) for i in range(group.order())}
-    if len(orbit) != space.size:
-        raise StructureError("coset translation image is not transitive")
-    return emb
-
-
-class RegularSubgroup:
-    """A regular subgroup N of Perm(X): order |X|, simply transitive."""
-
-    __slots__ = ("elements", "point_to_element", "size")
-
-    def __init__(self, elements, size: int):
-        elems = sorted(set(elements))
-        self.size = size
-        if len(elems) != size:
-            raise StructureError(
-                f"regular subgroup on {size} points must have {size} elements, "
-                f"got {len(elems)}")
-        self.elements = tuple(elems)
-        index = {p: None for p in elems}
-        for p in elems:
-            for q in elems:
-                if p * q not in index:
-                    raise StructureError("regular subgroup is not closed")
-
-    def build_point_map(self, base: int) -> dict[int, Permutation]:
-        """point -> the unique element sending the base point there."""
-        table = {}
-        for p in self.elements:
-            target = p(base)
-            if target in table:
-                raise StructureError("subgroup is not simply transitive")
-            table[target] = p
-        if len(table) != self.size:
-            raise StructureError("subgroup is not transitive")
-        return table
-
-    def as_group(self) -> FiniteGroup:
-        return FiniteGroup(self.elements)
-
-    def __eq__(self, other):
-        return isinstance(other, RegularSubgroup) and self.elements == other.elements
-
-    def __hash__(self):
-        return hash(self.elements)
-
-    def __repr__(self):
-        return f"RegularSubgroup({[list(p.images) for p in self.elements]})"
-
-    def sort_key(self):
-        return tuple(p.images for p in self.elements)
-
-
-def is_normalized_by(n: RegularSubgroup, lam: LambdaEmbedding) -> bool:
+def is_normalized_by(n: FiniteGroup, space: CosetSpace) -> bool:
+    """Whether the translations of the space normalize N."""
     members = set(n.elements)
-    for g in lam.generator_images:
+    for g in map(space.translations.__getitem__, space.group.generators):
         ginv = g.inverse()
         for p in n.elements:
             if g * p * ginv not in members:
@@ -347,8 +310,7 @@ def _power_free_candidates(size: int):
             if len({len(c) for c in Permutation(images).cycles()}) == 1]
 
 
-def enumerate_regular_normalized(space: CosetSpace,
-                                 lam: LambdaEmbedding) -> list[RegularSubgroup]:
+def enumerate_regular_normalized(space: CosetSpace) -> list[FiniteGroup]:
     """All regular subgroups of Perm(X) normalized by the translation image,
     canonically ordered.
 
@@ -362,10 +324,8 @@ def enumerate_regular_normalized(space: CosetSpace,
                               f"enumeration bound {ENUMERATION_BOUND}")
     base = space.base_point
     identity = tuple(range(size))
-    lam_gens = []
-    for g in lam.generator_images:
-        ginv = g.inverse()
-        lam_gens.append((g.images, ginv.images))
+    lam_gens = [(g.images, g.inverse().images) for g in
+                map(space.translations.__getitem__, space.group.generators)]
 
     pool: dict[int, list[tuple[int, ...]]] = {}
     for cand in _power_free_candidates(size):
@@ -411,13 +371,12 @@ def enumerate_regular_normalized(space: CosetSpace,
                 extend(bigger)
 
     extend({identity})
-    subgroups = [RegularSubgroup((Permutation(t) for t in g), size)
-                 for g in results]
-    subgroups.sort(key=RegularSubgroup.sort_key)
+    subgroups = [FiniteGroup(Permutation(t) for t in g) for g in results]
+    subgroups.sort(key=lambda n: n.elements)
     return subgroups
 
 
-def right_translation_subgroup(space: CosetSpace) -> RegularSubgroup:
+def right_translation_subgroup(space: CosetSpace) -> FiniteGroup:
     """The image of right translation h -> h g^{-1}; defined on the coset
     space only when the stabilizer is trivial (the classical structure)."""
     if space.stabilizer.order() != 1:
@@ -430,24 +389,26 @@ def right_translation_subgroup(space: CosetSpace) -> RegularSubgroup:
         perms.append(Permutation(
             space.coset_of[group.mul(space.representatives[c], ginv)]
             for c in range(space.size)))
-    return RegularSubgroup(perms, space.size)
+    rho = FiniteGroup(perms)
+    rho.point_map(space.base_point)  # must be simply transitive
+    return rho
 
 
-def opposite(n: RegularSubgroup, space: CosetSpace) -> RegularSubgroup:
+def opposite(n: FiniteGroup, space: CosetSpace) -> FiniteGroup:
     """The commuting partner of N: built pointwise from the simple-transitivity
     table, sending each coset g to (element over g)(eta(base))."""
     base = space.base_point
-    table = n.build_point_map(base)
+    table = n.point_map(base)
     partners = []
     for eta in n.elements:
         anchor = eta(base)
-        partners.append(Permutation(table[g](anchor) for g in range(n.size)))
-    result = RegularSubgroup(partners, n.size)
-    result.build_point_map(base)  # must again be simply transitive
+        partners.append(Permutation(table[g](anchor) for g in range(n.degree)))
+    result = FiniteGroup(partners)
+    result.point_map(base)  # must again be simply transitive
     return result
 
 
-def centralizer_bruteforce(n: RegularSubgroup,
+def centralizer_bruteforce(n: FiniteGroup,
                            space: CosetSpace) -> tuple[Permutation, ...]:
     """Exact centralizer of N in the full symmetric group on X, by scanning
     every permutation; the oracle for `opposite`."""
@@ -485,15 +446,19 @@ def metacyclic_group(r: int, q: int, d: int) -> tuple[FiniteGroup, Permutation, 
     """The split metacyclic group <s, t | s^r = t^q = 1, t s = s^d t> as its
     right-regular permutation representation on the q*r normal forms s^i t^j.
 
-    Returns (group, image of s, image of t).  The presentation defines a group
-    of order q*r exactly when d^q = 1 (mod r); anything else is rejected,
-    and an order above GROUP_ORDER_BOUND raises CapabilityError.
+    Returns (group, image of s, image of t).  The parameters must be ints, and
+    d is taken modulo r.  The presentation defines a group of order q*r
+    exactly when d^q = 1 (mod r); anything else is rejected, and an order
+    above GROUP_ORDER_BOUND raises CapabilityError.
     """
+    if not all(type(x) is int for x in (r, q, d)):
+        raise StructureError("integer r, q, d are required")
     if r < 1 or q < 1:
         raise StructureError("metacyclic parameters must be positive")
     if q * r > GROUP_ORDER_BOUND:
         raise CapabilityError(f"group of order {q * r} exceeds the group "
                               f"order bound {GROUP_ORDER_BOUND}")
+    d %= r
     if pow(d, q, r) != 1 % r:
         raise StructureError(
             f"inconsistent presentation: {d}^{q} is not 1 modulo {r}")

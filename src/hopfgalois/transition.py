@@ -11,7 +11,7 @@ norm form of a freeness search.
 from __future__ import annotations
 
 from .errors import CapabilityError
-from .perm import CosetSpace, RegularSubgroup
+from .perm import CosetSpace, FiniteGroup
 
 DET_SIZE_BOUND = 8
 
@@ -87,7 +87,7 @@ class IntPolynomial:
         return f"IntPolynomial({self})"
 
 
-def transition_matrix_of(n: RegularSubgroup, values):
+def transition_matrix_of(n: FiniteGroup, values):
     """Entry (eta, g) is values[eta(g)]: numeric on the coset values of a
     field element, symbolic on the unit linear forms y_k."""
     return [[values[eta(g)] for g in range(len(values))] for eta in n.elements]
@@ -140,7 +140,7 @@ def det_symbolic(matrix) -> IntPolynomial:
     return IntPolynomial(nvars, terms)
 
 
-def signed_canonical_det(n: RegularSubgroup,
+def signed_canonical_det(n: FiniteGroup,
                          space: CosetSpace) -> tuple[IntPolynomial, int]:
     """The canonical determinant, the transition determinant normalised to a
     positive leading coefficient, together with the sign s for which the
@@ -153,7 +153,7 @@ def signed_canonical_det(n: RegularSubgroup,
     return poly, 1
 
 
-def reindexing_witness(n: RegularSubgroup, n_opp: RegularSubgroup,
+def reindexing_witness(n: FiniteGroup, n_opp: FiniteGroup,
                        space: CosetSpace) -> bool:
     """The structural fact behind the determinant identity: relabelling the
     columns of each transition matrix through the simple-transitivity tables
@@ -165,7 +165,7 @@ def reindexing_witness(n: RegularSubgroup, n_opp: RegularSubgroup,
                for i in range(space.size) for j in range(space.size))
 
 
-def det_identity(n: RegularSubgroup, n_opp: RegularSubgroup, space: CosetSpace,
+def det_identity(n: FiniteGroup, n_opp: FiniteGroup, space: CosetSpace,
                  det_n: IntPolynomial, det_opp: IntPolynomial) -> bool:
     """The determinant identity for N and its opposite, given their canonical
     transition determinants: exact polynomial equality of the two, plus the

@@ -150,10 +150,10 @@ def _extends_to_isomorphism(group, gens, images, other):
     return len(mapping) == group.order() and len(set(mapping.values())) == group.order()
 
 
-def regular_normalized_oracle(space, lam):
+def regular_normalized_oracle(space):
     """Exhaustive-scan counterpart of the search-based enumeration."""
     size = space.size
-    lam_images = [lam.of(i).images for i in range(space.group.order())]
+    lam_images = [p.images for p in space.translations]
     out = []
     for sub in all_subgroups_sym(size):
         if len(sub) != size:

@@ -55,9 +55,9 @@ def test_criterion_1_opposite_construction_suite(field_fixtures):
             ok &= opposite(opp, space) == n
             ok &= len(opp.elements) == len(n.elements)
             ok &= set(n.elements) & set(opp.elements) == \
-                set(n.as_group().center().elements)
-            ok &= is_isomorphic(opp.as_group(), n.as_group())
-            ok &= (opp == n) == n.as_group().is_abelian()
+                set(n.center().elements)
+            ok &= is_isomorphic(opp, n)
+            ok &= (opp == n) == n.is_abelian()
     _report(1, ok, "opposite = centralizer, involution, order, center, "
             "isomorphism, abelian characterization", 60, time.monotonic() - start)
 
@@ -68,9 +68,8 @@ def test_criterion_2_enumeration_oracle(qi, qzeta3, c4quartic, v4biquad):
     for fx in (qi, qzeta3, c4quartic, v4biquad):
         space = fx.coset_space()
         assert space.size <= 4
-        lam = fx.translation_embedding()
         found = {frozenset(n.elements) for n in fx.structures()}
-        oracle = {frozenset(s) for s in regular_normalized_oracle(space, lam)}
+        oracle = {frozenset(s) for s in regular_normalized_oracle(space)}
         ok &= found == oracle
     _report(2, ok, "search enumeration equals the exhaustive subgroup scan",
             30, time.monotonic() - start)

@@ -284,12 +284,7 @@ def test_verify_commuting_runs_once_per_unordered_pair(capsys, monkeypatch,
     assert len(json.loads(out)["checks"]) == structures ** 2
 
 
-@pytest.mark.parametrize("name, calls",
-                         [("s3sextic", 6), ("v4biquad", 4), ("qcbrt2", 3)])
-def test_verify_hopf_galois_builds_each_multiplication_matrix_once(
-        capsys, monkeypatch, name, calls):
-    # one matrix per subfield basis element, shared by every structure's
-    # canonical map (it was once per structure: 30, 16 and 3)
+def _multiplication_matrices_built(capsys, monkeypatch, *argv):
     from hopfgalois.numberfield import Subfield
     seen = []
     multiplication_matrix = Subfield.multiplication_matrix
@@ -298,9 +293,27 @@ def test_verify_hopf_galois_builds_each_multiplication_matrix_once(
         seen.append(x)
         return multiplication_matrix(self, x)
     monkeypatch.setattr(Subfield, "multiplication_matrix", counting)
-    code, _ = run(capsys, "--json", "verify", "hopf-galois", name)
-    assert code == 0
-    assert len(seen) == calls
+    code, _ = run(capsys, *argv)
+    assert code in (0, 3)
+    return len(seen)
+
+
+@pytest.mark.parametrize("name, calls",
+                         [("s3sextic", 6), ("v4biquad", 4), ("qcbrt2", 3)])
+def test_verify_hopf_galois_builds_each_multiplication_matrix_once(
+        capsys, monkeypatch, name, calls):
+    # one matrix per subfield basis element, shared by every structure's
+    # canonical map (it was once per structure: 30, 16 and 3), and before
+    # them one per integral-basis element, built at load to check the ideals
+    assert _multiplication_matrices_built(
+        capsys, monkeypatch, "--json", "verify", "hopf-galois", name) == 2 * calls
+
+
+def test_load_builds_the_integral_basis_matrices_once(capsys, monkeypatch):
+    # s3sextic's two ideals share the six integral-basis matrices built at
+    # load
+    assert _multiplication_matrices_built(
+        capsys, monkeypatch, "--json", "validate", "s3sextic") == 6
 
 
 def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
@@ -344,7 +357,8 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     monkeypatch.setattr(descent, "coset_values",
                         counting("coset_values", descent.coset_values))
     # a sample is drawn as subfield coordinates, which are not solved for
-    # again: the 57 solves are the descents' own (257 when they were)
+    # again: the 73 solves are the load's (among them the 4 x 4 columns of
+    # the integral basis's multiplication matrices) and the descents' own
     monkeypatch.setattr(Subfield, "coords",
                         counting("coords", Subfield.coords))
     counts.update(generates=0, coords=0)
@@ -354,7 +368,7 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     # plus the descents' own: one per subfield basis element and structure,
     # 2 * 4
     assert counts["coset_values"] == cli.GENERATOR_SAMPLES + 8
-    assert counts["coords"] == 57
+    assert counts["coords"] == 73
 
 
 def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
@@ -374,7 +388,7 @@ def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
         count, m = len(fx.structures()), fx.subfield().dim
         for i in range(count):
             fx.algebra(i)
-        for name in fx.ideal_vectors:
+        for name in fx.ideals:
             fx.ideal(name)
         report = cli.Report([], fx.name, 0)
         with monkeypatch.context() as patch:
@@ -383,7 +397,7 @@ def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
                            report, random.Random(0))
             assert cleared == []
             for i in range(count):
-                for name in sorted(fx.ideal_vectors):
+                for name in sorted(fx.ideals):
                     cli.cmd_assoc_order(
                         fx, argparse.Namespace(n=i, ideal=name), report)
                     # the ideal side only, m x m each: the ideal basis's
@@ -464,6 +478,22 @@ MALFORMED = {
     "ideal vector given as a string":
         (lambda doc: doc["ideals"]["OL"].__setitem__(0, "1"),
          "ideals.OL[0]: expected an array of rationals"),
+    # permutation images and presentation parameters are JSON integers
+    "generator image given as a float":
+        (lambda doc: doc["group"]["generators"].update(s=[1.0, 2, 3, 0]),
+         "group.generators.s: not a bijection of 0..3: (1.0, 2, 3, 0)"),
+    "stabilizer permutation given as floats":
+        (lambda doc: doc["subgroup"].update(generators=[[0.0, 1, 2, 3]]),
+         "subgroup.generators[0]: not a bijection of 0..3: (0.0, 1, 2, 3)"),
+    "presentation parameter given as a float":
+        (lambda doc: doc.update(group={"order": 21, "presentation": {
+            "kind": "metacyclic", "r": 7.5, "q": 3, "d": 2}}),
+         "group.presentation: integer r, q, d are required"),
+    # 10^30 = 1 mod 7: the presentation is that of the cyclic group of order 21
+    "presentation exponent beyond a machine word":
+        (lambda doc: doc.update(group={"order": 4, "presentation": {
+            "kind": "metacyclic", "r": 7, "q": 3, "d": 10 ** 30}}),
+         "group.presentation: defines a group of order 21, declared 4"),
 }
 
 
@@ -498,6 +528,34 @@ def test_malformed_presentation_generators_are_a_validation_problem(
     assert code == 2
     assert "  - group.presentation.generators: a list of two distinct names " \
         "is required" in captured.out
+    assert captured.err == ""
+
+
+def test_negative_presentation_exponent_validates(tmp_path, capsys):
+    # d = -3 = 4 mod 7, and 4^3 = 64 = 1 mod 7
+    doc = json.loads(bundled_path("metacyclic21").read_text(encoding="utf-8"))
+    doc["group"]["presentation"]["d"] = -3
+    path = tmp_path / "neg.hgx"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.out
+    assert captured.err == ""
+
+
+def test_unstable_ideal_is_a_validation_problem(tmp_path, capsys):
+    # 2Z + Zi is not stable under i, the second integral-basis element:
+    # i * 2 = 2i lies in it, i * i = -1 does not
+    doc = json.loads(bundled_path("qi").read_text(encoding="utf-8"))
+    doc["ideals"]["half"] = [["2", "0"], ["0", "1"]]
+    path = tmp_path / "bad.hgx"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.endswith("failed validation with 1 problem(s):\n"
+                                 "  - ideals.half: not stable under "
+                                 "integral-basis element 1\n")
     assert captured.err == ""
 
 

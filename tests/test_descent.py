@@ -11,9 +11,8 @@ from hopfgalois.descent import (GroupAlgebraElement, canonical_map_rank,
                                 transition_det_nonzero, verify_commuting,
                                 verify_hopf_galois)
 from hopfgalois.errors import DomainError, StructureError
-from hopfgalois.perm import (FiniteGroup, Permutation, RegularSubgroup,
-                             build_coset_space, left_translation_embedding,
-                             opposite, right_translation_subgroup)
+from hopfgalois.perm import (FiniteGroup, Permutation, opposite,
+                             right_translation_subgroup)
 
 from .oracles import (coords_of, descended_act, descended_solver, det,
                       element_from_coords, embed_in_map_algebra,
@@ -101,7 +100,7 @@ def test_classical_descent_recovers_the_rational_group_algebra(s3sextic):
     # action matrices are exactly the Galois matrices in the power basis
     ctx = s3sextic.context
     base = space.base_point
-    table = rho.build_point_map(base)
+    table = rho.point_map(base)
     d = algebra.action_denominator
     for b, mat in zip(algebra.basis, algebra.int_action_matrices):
         eta = next(e for e, c in zip(rho.elements, b.coefficients) if c)
@@ -112,17 +111,15 @@ def test_classical_descent_recovers_the_rational_group_algebra(s3sextic):
 
 def test_translation_structure_basis_is_conjugacy_orbit_sums(s3sextic):
     space = s3sextic.coset_space()
-    lam = s3sextic.translation_embedding()
-    lam_reg = RegularSubgroup(lam.maps, space.size)
-    index = next(i for i, n in enumerate(s3sextic.structures()) if n == lam_reg)
+    lam = FiniteGroup(space.translations)
+    index = next(i for i, n in enumerate(s3sextic.structures()) if n == lam)
     algebra = s3sextic.algebra(index)
     assert algebra.dim == 6
     # the support of each basis element is a single conjugacy orbit
-    group = lam_reg.as_group()
-    classes = [frozenset(c) for c in group.conjugacy_classes()]
+    classes = [frozenset(c) for c in lam.conjugacy_classes()]
     for b in algebra.basis:
         support = frozenset(eta for eta, c in
-                            zip(lam_reg.elements, b.coefficients) if c)
+                            zip(lam.elements, b.coefficients) if c)
         assert any(support <= cls for cls in classes)
 
 
@@ -133,12 +130,11 @@ def test_descended_dimension_for_the_cubic_shape(qcbrt2):
 
 def test_descend_rejects_unnormalized_subgroups(c4quartic):
     space = c4quartic.coset_space()
-    lam = c4quartic.translation_embedding()
-    stray = RegularSubgroup(
+    stray = FiniteGroup(
         [Permutation([0, 1, 2, 3]), Permutation([1, 3, 0, 2]),
-         Permutation([3, 2, 1, 0]), Permutation([2, 0, 3, 1])], 4)
+         Permutation([3, 2, 1, 0]), Permutation([2, 0, 3, 1])])
     with pytest.raises(StructureError, match="not normalized"):
-        descend(c4quartic.context, space, lam, stray, c4quartic.subfield())
+        descend(c4quartic.context, space, stray, c4quartic.subfield())
 
 
 # --- the descended action
@@ -454,7 +450,6 @@ def test_descent_applies_each_coset_once(field_fixtures, monkeypatch):
     for fx in field_fixtures:
         calls.clear()
         for n in fx.structures():
-            descend(fx.context, fx.coset_space(), fx.translation_embedding(),
-                    n, fx.subfield())
+            descend(fx.context, fx.coset_space(), n, fx.subfield())
         counts[fx.name] = len(calls)
     assert counts == DESCENT_APPLY_CALLS

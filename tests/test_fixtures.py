@@ -232,6 +232,6 @@ def test_one_fixed_subfield_per_load(monkeypatch):
         built.clear()
         fx = load_bundled(name)
         assert fx.subfield() is fx.subfield()
-        for ideal in fx.ideal_vectors:
+        for ideal in fx.ideals:
             fx.ideal(ideal)
         assert len(built) == 1, name

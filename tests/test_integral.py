@@ -96,7 +96,7 @@ def test_wild_quadratic_order_matches_denominator_scan(qi):
 
 def test_order_invariants_hold_everywhere(field_fixtures):
     for fx in field_fixtures:
-        for name in fx.ideal_vectors:
+        for name in fx.ideals:
             ideal = fx.ideal(name)
             for i in range(len(fx.structures())):
                 algebra = fx.algebra(i)
@@ -113,7 +113,7 @@ def test_order_invariants_hold_everywhere(field_fixtures):
 
 def test_integer_order_is_the_fraction_order(field_fixtures):
     for fx in field_fixtures:
-        for name in sorted(fx.ideal_vectors):
+        for name in sorted(fx.ideals):
             ideal = fx.ideal(name)
             for i in range(len(fx.structures())):
                 algebra = fx.algebra(i)
@@ -160,8 +160,9 @@ def test_planted_generator_is_rediscovered(qzeta3):
     # and is free over the order with the planted generator 2 + t
     algebra = _classical_algebra(qzeta3)
     planted = Lattice.from_rational_rows([[F(2), F(1)], [F(1), F(-1)]])
-    ideal = FractionalIdeal.build(
-        "planted", planted, qzeta3.ring_multiplication_matrices())
+    ring = [qzeta3.subfield().multiplication_matrix(e)
+            for e in qzeta3.integral_basis]
+    ideal = FractionalIdeal.build("planted", planted, ring)
     order = associated_order(algebra, ideal)
     result = freeness_search(order, ideal, 3)
     assert result.free
@@ -189,7 +190,7 @@ def test_biquadratic_default_bound_is_unknown_but_six_finds_it(v4biquad):
 def test_norm_form_is_the_witness_determinant(field_fixtures):
     rng = random.Random(3)
     for fx in field_fixtures:
-        for name in sorted(fx.ideal_vectors):
+        for name in sorted(fx.ideals):
             ideal = fx.ideal(name)
             for i in range(len(fx.structures())):
                 order = associated_order(fx.algebra(i), ideal)
@@ -363,7 +364,7 @@ def _assert_first_witness_is_the_naive_one(order, ideal, bound):
 def test_first_witness_matches_the_naive_scan_at_bound_two(field_fixtures):
     for fx in field_fixtures:
         cases = [(i, name) for i in range(len(fx.structures()))
-                 for name in sorted(fx.ideal_vectors)]
+                 for name in sorted(fx.ideals)]
         if fx.name == "s3sextic":
             # its ten boxes cost the naive scan about 8 s; the two
             # structures of the bound-3 test below stand for them

@@ -136,8 +136,7 @@ def test_fixed_space_matches_the_rref_oracle(monkeypatch):
     for name in ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic"):
         fx = load_bundled(name)
         for n in fx.structures():
-            descend(fx.context, fx.coset_space(), fx.translation_embedding(),
-                    n, fx.subfield())
+            descend(fx.context, fx.coset_space(), n, fx.subfield())
     assert len(systems) == 6 + 1 + 1 + 2 + 4 + 1 + 5
     for matrices, ncols in systems:
         stacked = [[x - (i == j) for j, x in enumerate(row)]

@@ -6,8 +6,7 @@ from hopfgalois.errors import CapabilityError, StructureError
 from hopfgalois.perm import (FiniteGroup, Permutation, _power_free_candidates,
                              build_coset_space, centralizer_bruteforce,
                              enumerate_regular_normalized, group_queries,
-                             is_normalized_by, left_translation_embedding,
-                             metacyclic_group, opposite,
+                             is_normalized_by, metacyclic_group, opposite,
                              right_translation_subgroup)
 
 from .oracles import (is_isomorphic, is_regular, normal_subgroups_by_filter,
@@ -44,6 +43,19 @@ def test_permutation_inverse_and_order():
 def test_permutation_rejects_non_bijection():
     with pytest.raises(StructureError):
         Permutation([0, 0, 1])
+
+
+def test_permutations_of_different_degrees_do_not_compose():
+    with pytest.raises(StructureError, match="different degrees"):
+        Permutation([1, 0]) * Permutation([0, 1, 2])
+    with pytest.raises(StructureError, match="different degrees"):
+        Permutation([0, 1, 2]) * Permutation([1, 0])
+
+
+@pytest.mark.parametrize("images", [[1.0, 0], [True, False]])
+def test_permutation_takes_int_images_only(images):
+    with pytest.raises(StructureError, match="not a bijection"):
+        Permutation(images)
 
 
 def test_group_rejects_non_closed_sets():
@@ -97,34 +109,43 @@ def test_coset_space_rejects_non_member_stabilizer():
 
 # --- translation embedding
 
-def test_translation_embedding_is_regular_representation_in_galois_case():
+def test_translations_are_the_regular_representation_in_galois_case():
     group = cyclic(4)
     space = build_coset_space(group, FiniteGroup.trivial(4))
-    lam = left_translation_embedding(space)
-    image = FiniteGroup(lam.maps)
+    lam = space.translations
+    image = FiniteGroup(lam)
     assert image.order() == 4
-    orbit = {lam.of(i)(space.base_point) for i in range(4)}
+    orbit = {lam[i](space.base_point) for i in range(4)}
     assert orbit == {0, 1, 2, 3}
-    assert sum(p.is_identity() for p in lam.maps) == 1
+    assert sum(p.is_identity() for p in lam) == 1
 
 
 def test_translation_image_abelian_case_equals_right_translations():
     group = cyclic(4)
     space = build_coset_space(group, FiniteGroup.trivial(4))
-    lam = left_translation_embedding(space)
     rho = right_translation_subgroup(space)
-    assert set(lam.maps) == set(rho.elements)
+    assert set(space.translations) == set(rho.elements)
 
 
 def test_translation_image_for_cubic_shape_is_full_s3():
     group = s3()
     stab = FiniteGroup.generated_by([Permutation([0, 2, 1])])
     space = build_coset_space(group, stab)
-    lam = left_translation_embedding(space)
-    assert FiniteGroup(lam.maps).order() == 6  # faithful: all of Sym(3 points)
+    assert FiniteGroup(space.translations).order() == 6  # faithful: all of Sym(3 points)
 
 
 # --- regularity
+
+def test_point_map_is_the_regularity_check():
+    c3 = FiniteGroup.generated_by([Permutation([1, 2, 0])])
+    assert c3.point_map(0) == {0: Permutation([0, 1, 2]),
+                               1: Permutation([1, 2, 0]),
+                               2: Permutation([2, 0, 1])}
+    with pytest.raises(StructureError, match="not simply transitive"):
+        s3().point_map(0)
+    with pytest.raises(StructureError, match="not transitive"):
+        FiniteGroup.trivial(2).point_map(0)
+
 
 def test_regular_representation_is_regular():
     group = cyclic(4)
@@ -163,27 +184,22 @@ def test_is_regular_rejects_non_closed_input():
 def test_left_and_right_translations_are_normalized():
     group = s3()
     space = build_coset_space(group, FiniteGroup.trivial(3))
-    lam = left_translation_embedding(space)
     rho = right_translation_subgroup(space)
-    assert is_normalized_by(rho, lam)
-    from hopfgalois.perm import RegularSubgroup
-    lam_reg = RegularSubgroup(lam.maps, space.size)
-    assert is_normalized_by(lam_reg, lam)
+    assert is_normalized_by(rho, space)
+    assert is_normalized_by(FiniteGroup(space.translations), space)
 
 
 def test_conjugated_cyclic_subgroup_is_not_normalized():
     group = cyclic(4)
     space = build_coset_space(group, FiniteGroup.trivial(4))
-    lam = left_translation_embedding(space)
-    from hopfgalois.perm import RegularSubgroup
     # a regular 4-cycle subgroup conjugate to lambda(G) but not invariant
-    other = RegularSubgroup(
+    other = FiniteGroup(
         [Permutation([0, 1, 2, 3]), Permutation([1, 3, 0, 2]),
-         Permutation([3, 2, 1, 0]), Permutation([2, 0, 3, 1])], 4)
-    assert not is_normalized_by(other, lam)
+         Permutation([3, 2, 1, 0]), Permutation([2, 0, 3, 1])])
+    assert not is_normalized_by(other, space)
     # brute-force conjugation confirms the verdict
     violated = False
-    for g in lam.maps:
+    for g in space.translations:
         for eta in other.elements:
             if g * eta * g.inverse() not in set(other.elements):
                 violated = True
@@ -202,34 +218,30 @@ def test_conjugated_cyclic_subgroup_is_not_normalized():
 def test_enumeration_matches_exhaustive_subgroup_scan(group_maker, stab_maker):
     group = group_maker()
     space = build_coset_space(group, stab_maker(group))
-    lam = left_translation_embedding(space)
-    found = enumerate_regular_normalized(space, lam)
-    oracle = regular_normalized_oracle(space, lam)
+    found = enumerate_regular_normalized(space)
+    oracle = regular_normalized_oracle(space)
     assert {frozenset(n.elements) for n in found} == \
         {frozenset(s) for s in oracle}
     for n in found:
         assert is_regular(n.elements, space)
-        assert is_normalized_by(n, lam)
+        assert is_normalized_by(n, space)
 
 
 def test_enumeration_counts_on_small_fixtures():
     group = cyclic(4)
     space = build_coset_space(group, FiniteGroup.trivial(4))
-    lam = left_translation_embedding(space)
-    assert len(enumerate_regular_normalized(space, lam)) == 2
+    assert len(enumerate_regular_normalized(space)) == 2
 
     group = klein()
     space = build_coset_space(group, FiniteGroup.trivial(4))
-    lam = left_translation_embedding(space)
-    assert len(enumerate_regular_normalized(space, lam)) == 4
+    assert len(enumerate_regular_normalized(space)) == 4
 
 
 def test_enumeration_cubic_shape_gives_single_cyclic_structure():
     group = s3()
     stab = FiniteGroup.generated_by([Permutation([0, 2, 1])])
     space = build_coset_space(group, stab)
-    lam = left_translation_embedding(space)
-    found = enumerate_regular_normalized(space, lam)
+    found = enumerate_regular_normalized(space)
     assert len(found) == 1
     assert {p.images for p in found[0].elements} == \
         {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
@@ -238,18 +250,16 @@ def test_enumeration_cubic_shape_gives_single_cyclic_structure():
 def test_enumeration_contains_translations_for_abelian_galois():
     group = cyclic(4)
     space = build_coset_space(group, FiniteGroup.trivial(4))
-    lam = left_translation_embedding(space)
-    found = enumerate_regular_normalized(space, lam)
-    lam_set = frozenset(lam.maps)
+    found = enumerate_regular_normalized(space)
+    lam_set = frozenset(space.translations)
     assert lam_set in {frozenset(n.elements) for n in found}
 
 
 def test_enumeration_bound_is_enforced():
     group, s, t = metacyclic_group(11, 5, 4)  # 4^5 = 1024 = 1 mod 11
     space = build_coset_space(group, FiniteGroup.generated_by([t]))
-    lam = left_translation_embedding(space)
     with pytest.raises(CapabilityError, match="bound 8"):
-        enumerate_regular_normalized(space, lam)
+        enumerate_regular_normalized(space)
 
 
 # --- opposites
@@ -257,17 +267,15 @@ def test_enumeration_bound_is_enforced():
 def test_opposite_of_right_translations_is_left_translations():
     group = s3()
     space = build_coset_space(group, FiniteGroup.trivial(3))
-    lam = left_translation_embedding(space)
     rho = right_translation_subgroup(space)
-    assert set(opposite(rho, space).elements) == set(lam.maps)
+    assert set(opposite(rho, space).elements) == set(space.translations)
 
 
 def test_opposite_fixes_abelian_subgroups():
     group = s3()
     stab = FiniteGroup.generated_by([Permutation([0, 2, 1])])
     space = build_coset_space(group, stab)
-    lam = left_translation_embedding(space)
-    [n] = enumerate_regular_normalized(space, lam)
+    [n] = enumerate_regular_normalized(space)
     assert opposite(n, space) == n
 
 
@@ -284,22 +292,22 @@ def test_opposite_suite_properties_on_sextic_shape(s3sextic):
         assert opposite(opp, space) == n
         assert len(opp.elements) == len(n.elements)
         assert set(n.elements) & set(opp.elements) == \
-            set(n.as_group().center().elements)
+            set(n.center().elements)
         assert frozenset(opp.elements) in universe
         # self-opposite exactly for abelian subgroups
-        assert (opp == n) == n.as_group().is_abelian()
+        assert (opp == n) == n.is_abelian()
 
 
 def test_opposite_isomorphism_witness(s3sextic):
     space = s3sextic.coset_space()
     base = space.base_point
     for n in s3sextic.structures():
-        table = n.build_point_map(base)
+        table = n.point_map(base)
         mapping = {}
         for eta in n.elements:
             inv = eta.inverse()
             mapping[eta] = Permutation(
-                table[g](inv(base)) for g in range(n.size))
+                table[g](inv(base)) for g in range(n.degree))
         assert set(mapping.values()) == set(opposite(n, space).elements)
         for a in n.elements:
             for b in n.elements:
@@ -311,25 +319,22 @@ def test_opposite_isomorphism_witness(s3sextic):
 def test_centralizer_of_right_translations_in_sym6():
     group = s3()
     space = build_coset_space(group, FiniteGroup.trivial(3))
-    lam = left_translation_embedding(space)
     rho = right_translation_subgroup(space)
     cent = centralizer_bruteforce(rho, space)
     assert len(cent) == 6
-    assert set(cent) == set(lam.maps)
+    assert set(cent) == set(space.translations)
 
 
 def test_centralizer_small_cases():
     group = s3()
     stab = FiniteGroup.generated_by([Permutation([0, 2, 1])])
     space = build_coset_space(group, stab)
-    lam = left_translation_embedding(space)
-    [a3] = enumerate_regular_normalized(space, lam)
+    [a3] = enumerate_regular_normalized(space)
     assert set(centralizer_bruteforce(a3, space)) == set(a3.elements)
 
     group2 = cyclic(2)
     space2 = build_coset_space(group2, FiniteGroup.trivial(2))
-    lam2 = left_translation_embedding(space2)
-    [c2] = enumerate_regular_normalized(space2, lam2)
+    [c2] = enumerate_regular_normalized(space2)
     assert len(centralizer_bruteforce(c2, space2)) == 2
 
 
@@ -367,7 +372,7 @@ def _normal_subgroup_cases(all_fixtures):
         groups.append((f"metacyclic({r},{q},{d})", metacyclic_group(r, q, d)[0]))
     for fx in all_fixtures:
         groups.append((fx.name, fx.group))
-        groups += [(f"{fx.name} structure {i}", n.as_group())
+        groups += [(f"{fx.name} structure {i}", n)
                    for i, n in enumerate(fx.structures())]
     return groups
 
@@ -411,6 +416,17 @@ def test_metacyclic_presentation_relations_and_order():
 def test_metacyclic_rejects_inconsistent_parameters():
     with pytest.raises(StructureError, match="not 1 modulo"):
         metacyclic_group(7, 3, 3)  # 3^3 = 27 = 6 mod 7
+
+
+def test_metacyclic_exponent_is_taken_modulo_r():
+    # (-3)^3 = -27 = 1 mod 7: d = -3 presents the group d = 4 does
+    assert metacyclic_group(7, 3, -3) == metacyclic_group(7, 3, 4)
+
+
+@pytest.mark.parametrize("params", [(7.0, 3, 2), (7, True, 2), (7, 3, "2")])
+def test_metacyclic_takes_int_parameters_only(params):
+    with pytest.raises(StructureError, match="integer r, q, d"):
+        metacyclic_group(*params)
 
 
 def test_power_free_candidates_match_the_power_walk():

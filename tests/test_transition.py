@@ -3,9 +3,8 @@ import random
 import pytest
 
 from hopfgalois.errors import CapabilityError
-from hopfgalois.perm import (FiniteGroup, Permutation, RegularSubgroup,
-                             build_coset_space, enumerate_regular_normalized,
-                             left_translation_embedding, metacyclic_group,
+from hopfgalois.perm import (FiniteGroup, Permutation, build_coset_space,
+                             enumerate_regular_normalized, metacyclic_group,
                              opposite, right_translation_subgroup)
 from hopfgalois.transition import (IntPolynomial, det_identity, det_symbolic,
                                    signed_canonical_det, transition_matrix_of)
@@ -18,8 +17,7 @@ def _a3_structure():
         [Permutation([1, 2, 0]), Permutation([0, 2, 1])])
     stab = FiniteGroup.generated_by([Permutation([0, 2, 1])])
     space = build_coset_space(group, stab)
-    lam = left_translation_embedding(space)
-    [n] = enumerate_regular_normalized(space, lam)
+    [n] = enumerate_regular_normalized(space)
     return n, space
 
 
@@ -101,7 +99,7 @@ def test_det_symbolic_independent_of_orderings_up_to_sign():
 def test_det_symbolic_matches_cofactor_oracle_on_seven_and_eight_points():
     group, s, t = metacyclic_group(7, 3, 2)
     space = build_coset_space(group, FiniteGroup.generated_by([t]))
-    [n] = enumerate_regular_normalized(space, left_translation_embedding(space))
+    [n] = enumerate_regular_normalized(space)
     cases = [(n, space)]
     c8 = [Permutation([1, 2, 3, 4, 5, 6, 7, 0])]
     c2_cubed = [Permutation([1, 0, 3, 2, 5, 4, 7, 6]),
