@@ -338,14 +338,14 @@ def parse_text(text: str) -> Fixture:
                 problems.append(f"field: {err}")
         if context is not None:
             sub = fixed_subfield(context, stabilizer)
-            integral_basis = _validate_integral_basis(
-                raw.get("integral_basis"), context, sub, problems)
+            integral_basis, rows = _validate_integral_basis(
+                raw.get("integral_basis"), context, sub, problems) or (None, ())
             iblock = raw.get("ideals") or {}
             if not isinstance(iblock, dict):
                 problems.append("ideals: expected an object")
                 iblock = {}
-            # the integral basis's multiplication matrices, once per load
-            ring = [sub.multiplication_matrix(e) for e in integral_basis or ()]
+            # from the subfield basis's matrices, shared with the canonical map
+            ring = [sub.combined_multiplication_matrix(c) for c in rows]
             for iname, vectors in iblock.items():
                 ideal = _build_ideal(iname, vectors, context, sub, ring, problems)
                 if ideal is not None:
@@ -376,6 +376,7 @@ def _fixed_elements(vectors, where, context, sub: Subfield, problems):
 
 
 def _validate_integral_basis(block, context, sub: Subfield, problems):
+    """The integral basis and its subfield coordinates, or None."""
     if block is None:
         problems.append("integral_basis: required when a field block is present")
         return None
@@ -390,8 +391,9 @@ def _validate_integral_basis(block, context, sub: Subfield, problems):
             f"integral_basis: {len(elems)} elements cannot span a subfield of "
             f"dimension {sub.dim}")
         return None
+    rows = [sub.coords(e) for e in elems]
     try:
-        solver = linalg.LinearSolver([sub.coords(e) for e in elems])
+        solver = linalg.LinearSolver(rows)
     except ValueError:
         problems.append("integral_basis: elements are linearly dependent")
         return None
@@ -405,8 +407,8 @@ def _validate_integral_basis(block, context, sub: Subfield, problems):
                 problems.append(
                     "integral_basis: not multiplicatively closed; the product "
                     f"of elements {i} and {j} leaves the span")
-                return elems if not problems else None
-    return elems
+                return None
+    return elems, rows
 
 
 def _build_ideal(name, vectors, context, sub: Subfield, ring, problems):

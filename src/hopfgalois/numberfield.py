@@ -562,7 +562,7 @@ class Subfield:
     are read off rather than solved for."""
 
     __slots__ = ("context", "stabilizer", "basis", "dim", "_vectors", "_free",
-                 "_int_multiplication")
+                 "_multiplication", "_int_multiplication")
 
     def __init__(self, context: GaloisContext, stabilizer: FiniteGroup,
                  vectors, free):
@@ -572,6 +572,7 @@ class Subfield:
         self.dim = len(self.basis)
         self._vectors = vectors
         self._free = free
+        self._multiplication = None
         self._int_multiplication = None
 
     def coords(self, x: FieldElement):
@@ -593,13 +594,26 @@ class Subfield:
         """Matrix of y -> x*y on the subfield, in subfield coordinates."""
         return linalg.transpose([self.coords(x * b) for b in self.basis])
 
+    def basis_multiplication_matrices(self):
+        """multiplication_matrix of each basis element, built once."""
+        if self._multiplication is None:
+            self._multiplication = tuple(
+                self.multiplication_matrix(b) for b in self.basis)
+        return self._multiplication
+
+    def combined_multiplication_matrix(self, coords):
+        """multiplication_matrix of the element with these coordinates, read
+        off the basis elements' matrices: x * b_j = sum_i c_i b_j b_i."""
+        return linalg.transpose([linalg.mat_vec(m, coords)
+                                 for m in self.basis_multiplication_matrices()])
+
     def int_multiplication_matrices(self):
         """The multiplication matrix of each basis element over Z, each times
         its own least common denominator; built on the first call."""
         if self._int_multiplication is None:
             self._int_multiplication = tuple(
-                linalg._clear_denominators(self.multiplication_matrix(b))[1]
-                for b in self.basis)
+                linalg._clear_denominators(m)[1]
+                for m in self.basis_multiplication_matrices())
         return self._int_multiplication
 
     def random_coords(self, rng) -> list[int]:

@@ -458,10 +458,10 @@ def metacyclic_group(r: int, q: int, d: int) -> tuple[FiniteGroup, Permutation, 
     if q * r > GROUP_ORDER_BOUND:
         raise CapabilityError(f"group of order {q * r} exceeds the group "
                               f"order bound {GROUP_ORDER_BOUND}")
-    d %= r
     if pow(d, q, r) != 1 % r:
         raise StructureError(
             f"inconsistent presentation: {d}^{q} is not 1 modulo {r}")
+    d %= r
     n = q * r
 
     def idx(i, j):

@@ -416,6 +416,9 @@ def test_metacyclic_presentation_relations_and_order():
 def test_metacyclic_rejects_inconsistent_parameters():
     with pytest.raises(StructureError, match="not 1 modulo"):
         metacyclic_group(7, 3, 3)  # 3^3 = 27 = 6 mod 7
+    # the message names d as given, not reduced modulo r
+    with pytest.raises(StructureError, match=r"10\^3 is not 1 modulo 7"):
+        metacyclic_group(7, 3, 10)
 
 
 def test_metacyclic_exponent_is_taken_modulo_r():
