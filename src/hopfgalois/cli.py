@@ -15,9 +15,8 @@ from pathlib import Path
 from . import integral, transition
 # descend and is_generator are unused here: perfbench/smoke.py checks that its
 # tracer wraps cli.descend and cli.is_generator
-from .descent import (coset_values, descend, generates, generator_sample,
-                      is_generator, is_separable, verify_commuting,
-                      verify_hopf_galois)
+from .descent import (descend, generates, generator_sample, is_generator,
+                      is_separable, verify_commuting, verify_hopf_galois)
 from .errors import FixtureValidationError, HopfGaloisError, TheoremViolationError
 from .fixtures import BUNDLED, Fixture, bundled_path, parse
 from .numberfield import field_det, polynomial_value
@@ -287,11 +286,8 @@ def cmd_verify(fx: Fixture, args, report: Report, rng: random.Random):
         pairs = sorted({tuple(sorted((i, opposites[i])))
                         for i in range(len(structs))})
         space = fx.coset_space()
-        samples = []
-        for _ in range(GENERATOR_SAMPLES):
-            coords = sub.random_coords(rng)
-            samples.append(generator_sample(sub, space, sub.from_coords(coords),
-                                            coords))
+        samples = [generator_sample(sub, space, sub.random_coords(rng))
+                   for _ in range(GENERATOR_SAMPLES)]
         # one test per structure and sample: a self-opposite structure is
         # both sides of its pair
         verdicts = {i: [generates(fx.algebra(i), s) for s in samples]
@@ -385,13 +381,11 @@ def _specialization_checks(fx: Fixture, report: Report, rng: random.Random):
     nothing)."""
     space = fx.coset_space()
     sub = fx.subfield()
-    ctx = fx.context
     for i, n in enumerate(fx.structures()):
         poly, sign = fx.transition_det(i)
         ok = True
         for _ in range(SPECIALIZATION_POINTS):
-            x = sub.random_element(rng)
-            values = coset_values(ctx, space, x)
+            values = generator_sample(sub, space, sub.random_coords(rng)).values
             numeric = field_det(transition_matrix_of(n, values))
             if polynomial_value(poly.terms, values) * sign != numeric:
                 ok = False

@@ -5,8 +5,10 @@ commuting actions, generators, separability).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import ConsistencyError, DomainError, StructureError
@@ -151,14 +153,14 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
     base = space.base_point
     action_matrices = []
     acting_cosets = [eta.inverse()(base) for eta in elems]
-    values = [coset_values(context, space, lb) for lb in subfield.basis]
+    images = subfield.coset_images(space.representatives).elements
     for b in basis:
         cols = []
-        for lb_values in values:
+        for j in range(subfield.dim):
             total = context.field.zero()
             for c, coset in zip(b.coefficients, acting_cosets):
                 if c:
-                    total = total + c * lb_values[coset]
+                    total = total + c * images[coset][j]
             try:
                 cols.append(subfield.coords(total))
             except DomainError:
@@ -249,36 +251,67 @@ def residues_mod_p(values) -> list[int] | None:
     return None if None in residues else residues
 
 
-def transition_det_nonzero(n: FiniteGroup, values, residues) -> bool:
-    """Whether the transition matrix on these coset values has a nonzero
-    determinant over E, given residues_mod_p(values).  Certified mod p first:
-    t -> r is a ring map to F_p on the elements whose denominators are prime
-    to p, so a nonzero determinant of the reduced matrix proves the exact one
-    nonzero.  A zero mod p, or a denominator divisible by p (no residues),
-    falls back to the exact determinant over E (field_det)."""
-    p, _ = values[0].field.reduction_root()
-    if residues is not None and linalg.det_mod_p(
-            transition_matrix_of(n, residues), p):
-        return True
-    return bool(field_det(transition_matrix_of(n, values)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSample:
     """A subfield element with what every generator test of it shares,
-    whatever the structure: its subfield coordinates, its coset values and
-    their residues_mod_p."""
+    whatever the structure: its subfield coordinates, the reduction prime p,
+    the residues mod p of its coset values (None when p divides a
+    denominator), and the coset values themselves.  Those are built on first
+    use, by build_values: only the exact fallback and det-specialization read
+    them."""
 
     coords: list[Fraction | int]
-    values: list[FieldElement]
+    prime: int
     residues: list[int] | None
+    build_values: Callable[[], list[FieldElement]]
+
+    @cached_property
+    def values(self) -> list[FieldElement]:
+        return self.build_values()
+
+    @classmethod
+    def of_values(cls, coords, values) -> GeneratorSample:
+        """The sample with the given coset values and residues_mod_p."""
+        p, _ = values[0].field.reduction_root()
+        return cls(coords, p, residues_mod_p(values), lambda: values)
 
 
-def generator_sample(subfield: Subfield, space: CosetSpace, x: FieldElement,
+def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
+    """Whether the transition matrix on the sample's coset values has a
+    nonzero determinant over E.  Certified mod p first: t -> r is a ring map
+    to F_p on the elements whose denominators are prime to p, so a nonzero
+    determinant of the reduced matrix proves the exact one nonzero.  A zero
+    mod p, or a denominator divisible by p (no residues), falls back to the
+    exact determinant over E (field_det)."""
+    if sample.residues is not None and linalg.det_mod_p(
+            transition_matrix_of(n, sample.residues), sample.prime):
+        return True
+    return bool(field_det(transition_matrix_of(n, sample.values)))
+
+
+def generator_sample(subfield: Subfield, space: CosetSpace,
                      coords) -> GeneratorSample:
-    """The sample of x, given its subfield coordinates."""
-    values = coset_values(subfield.context, space, x)
-    return GeneratorSample(coords, values, residues_mod_p(values))
+    """The sample of the subfield element with these coordinates, in integer
+    arithmetic on the subfield's CosetImages: for coords = a / c with a an
+    integer vector, the value at coset k is M_k a / (D c) and its residue is
+    (R_k . a) / c mod p.  When p divides c or a denominator of R, the
+    residues are residues_mod_p of the values."""
+    table = subfield.coset_images(space.representatives)
+    c, (ints,) = linalg._clear_denominators([coords])
+    scaled = [linalg.mat_vec(m, ints) for m in table.matrices]
+    field = subfield.context.field
+    scale = table.denominator * c
+
+    def values():
+        return [FieldElement(field, tuple(Fraction(v, scale) for v in vec))
+                for vec in scaled]
+    p, reduced = table.residues
+    if reduced is None or c % p == 0:
+        return GeneratorSample.of_values(coords, values())
+    inv = pow(c, -1, p)
+    residues = [sum(r * a for r, a in zip(row, ints)) * inv % p
+                for row in reduced]
+    return GeneratorSample(coords, p, residues, values)
 
 
 def generates(algebra: DescendedAlgebra, sample: GeneratorSample) -> bool:
@@ -287,8 +320,7 @@ def generates(algebra: DescendedAlgebra, sample: GeneratorSample) -> bool:
     nonvanishing of the numeric transition determinant); the two must
     agree."""
     by_rank = linalg.rank(algebra.orbit(sample.coords)) == algebra.subfield.dim
-    by_det = transition_det_nonzero(algebra.subgroup, sample.values,
-                                    sample.residues)
+    by_det = transition_det_nonzero(algebra.subgroup, sample)
     if by_rank != by_det:
         raise ConsistencyError(
             "orbit rank and transition determinant disagree on a generator test")
@@ -296,10 +328,11 @@ def generates(algebra: DescendedAlgebra, sample: GeneratorSample) -> bool:
 
 
 def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:
-    """generates() on the sample of x, for a single test."""
+    """generates() on the sample of x, for a single test: its coset values
+    are x under each representative, and its coordinates are solved for."""
     sub = algebra.subfield
-    return generates(algebra, generator_sample(sub, algebra.space, x,
-                                               sub.coords(x)))
+    return generates(algebra, GeneratorSample.of_values(
+        sub.coords(x), coset_values(sub.context, algebra.space, x)))
 
 
 def trace_form_nondegenerate(left_mult_matrices) -> bool:

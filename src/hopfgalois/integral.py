@@ -317,14 +317,15 @@ def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
     return FreenessResult("UNKNOWN")
 
 
-def _transfer_rows(partner: DescendedAlgebra, x, xc, images) -> list[list[Fraction]]:
+def _transfer_rows(partner: DescendedAlgebra, xc, images) -> list[list[Fraction]]:
     """For each given a . x, the unique partner element z with z . x = a . x:
     one generator test of x and one solver in the partner's coordinates,
-    shared by every a.  Vectors are in the subfield basis both algebras act
-    on, where x has coordinates xc.  The solver reads the partner's orbit,
-    which is d times the true one (d its action_denominator), so each
-    solution is d times too small and is scaled back."""
-    sample = generator_sample(partner.subfield, partner.space, x, xc)
+    shared by every a.  x is given by its coordinates xc in the subfield
+    basis both algebras act on, as are all vectors here.  The solver reads
+    the partner's orbit, which is d times the true one (d its
+    action_denominator), so each solution is d times too small and is
+    scaled back."""
+    sample = generator_sample(partner.subfield, partner.space, xc)
     if not generates(partner, sample):
         raise DomainError("transfer needs the witness to generate over the partner")
     solver = linalg.LinearSolver(partner.orbit(xc))
@@ -393,10 +394,9 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
         witness_transfers = True
 
         xc = list(result.witness_subfield_coords)
-        x = side_here.subfield.from_coords(xc)
         w_mats = [side_here.action_matrix_of(w) for w in order_here.basis_coords()]
         w_of_x = [linalg.mat_vec(a, xc) for a in w_mats]
-        z_rows = _transfer_rows(side_there, x, xc, w_of_x)
+        z_rows = _transfer_rows(side_there, xc, w_of_x)
         z_lattice = Lattice.from_rational_rows(z_rows)
         same = z_lattice == order_there.lattice
         lattice_matches = same if lattice_matches is None else (lattice_matches and same)

@@ -4,7 +4,7 @@ fixed subfields, and traces.  No floating point anywhere."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import count
 from math import isqrt
 
@@ -562,7 +562,7 @@ class Subfield:
     are read off rather than solved for."""
 
     __slots__ = ("context", "stabilizer", "basis", "dim", "_vectors", "_free",
-                 "_multiplication", "_int_multiplication")
+                 "_multiplication", "_int_multiplication", "_coset_images")
 
     def __init__(self, context: GaloisContext, stabilizer: FiniteGroup,
                  vectors, free):
@@ -574,6 +574,7 @@ class Subfield:
         self._free = free
         self._multiplication = None
         self._int_multiplication = None
+        self._coset_images = None
 
     def coords(self, x: FieldElement):
         c = linalg.echelon_coords(self._vectors, self._free, x.coords)
@@ -616,11 +617,49 @@ class Subfield:
                 for m in self.basis_multiplication_matrices())
         return self._int_multiplication
 
+    def coset_images(self, representatives) -> "CosetImages":
+        """CosetImages of the basis under the given automorphisms (a coset
+        space's representatives); built on the first call for them."""
+        table = self._coset_images
+        if table is None or table.representatives != representatives:
+            table = self._coset_images = CosetImages(self, representatives)
+        return table
+
     def random_coords(self, rng) -> list[int]:
         return [rng.randint(-9, 9) for _ in range(self.dim)]
 
     def random_element(self, rng) -> FieldElement:
         return self.from_coords(self.random_coords(rng))
+
+
+class CosetImages:
+    """The images sigma_k(b_j) of a subfield basis under each automorphism k
+    of a list (a coset space's representatives), in the forms that descents
+    and generator samples read: `elements[k][j]` as a field element, and
+    `matrices[k]`, the n x d integer matrix whose column j is sigma_k(b_j)
+    times the common denominator D of all of them.  Both are linear in the
+    subfield coordinates, so an element's images are read off them
+    (descent.generator_sample)."""
+
+    def __init__(self, subfield: Subfield, representatives):
+        ctx = subfield.context
+        d = subfield.dim
+        self.representatives = representatives
+        self.elements = tuple(tuple(ctx.apply(g, b) for b in subfield.basis)
+                              for g in representatives)
+        self.denominator, rows = linalg._clear_denominators(
+            [x.coords for images in self.elements for x in images])
+        self.matrices = tuple(linalg.transpose(rows[k:k + d])
+                              for k in range(0, len(rows), d))
+
+    @cached_property
+    def residues(self) -> tuple[int, list[list[int]] | None]:
+        """(p, R) for (p, r) = reduction_root(): R[k][j] is the residue of
+        sigma_k(b_j), and R is None when p divides a denominator.  Built on
+        first use, so a command without generator tests never looks for p."""
+        p, r = self.elements[0][0].field.reduction_root()
+        rows = [[x.residue(p, r) for x in images] for images in self.elements]
+        return p, None if any(None in row for row in rows) else rows
 
 
 def fixed_subfield(context: GaloisContext, stabilizer: FiniteGroup) -> Subfield:

@@ -521,7 +521,7 @@ def transfer_element(algebra, partner, a_coords, x):
     given element does; solves z . x = a . x in the partner's coordinates."""
     xc = algebra.subfield.coords(x)
     a_of_x = linalg.mat_vec(algebra.action_matrix_of(list(a_coords)), xc)
-    return _transfer_rows(partner, x, xc, [a_of_x])[0]
+    return _transfer_rows(partner, xc, [a_of_x])[0]
 
 def idempotent(context, size, coset):
     values = [context.field.zero()] * size

@@ -318,10 +318,10 @@ def test_load_builds_the_integral_basis_matrices_once(capsys, monkeypatch):
 
 def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
         capsys, monkeypatch):
-    from hopfgalois import descent, integral, linalg
+    from hopfgalois import integral, linalg, numberfield
     from hopfgalois.numberfield import FieldElement, Subfield
-    counts = {"generates": 0, "associated_order": 0, "coset_values": 0,
-              "coords": 0}
+    counts = {"generates": 0, "associated_order": 0, "coset_images": 0,
+              "from_coords": 0, "coords": 0}
     det_entries = []
 
     def counting(name, fn):
@@ -353,21 +353,24 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     # assoc-order, whose order the certificate reuses (3 when the
     # certificate built both sides, 2 when it built its own)
     assert counts["associated_order"] == 1
-    # a sample's coset values are computed once, not once per structure
-    monkeypatch.setattr(descent, "coset_values",
-                        counting("coset_values", descent.coset_values))
-    # a sample is drawn as subfield coordinates, which are not solved for
-    # again: the 73 solves are the load's (among them the 4 x 4 columns of
-    # the subfield basis's multiplication matrices) and the descents' own
+    # a sample's coset values are read off the basis images under the coset
+    # representatives, built once per load and shared with the descents
+    monkeypatch.setattr(numberfield, "CosetImages",
+                        counting("coset_images", numberfield.CosetImages))
+    # a sample is drawn as subfield coordinates: it is never built as a
+    # field element, and its coordinates are not solved for again.  The 73
+    # solves are the load's (among them the 4 x 4 columns of the subfield
+    # basis's multiplication matrices) and the descents' own
+    monkeypatch.setattr(Subfield, "from_coords",
+                        counting("from_coords", Subfield.from_coords))
     monkeypatch.setattr(Subfield, "coords",
                         counting("coords", Subfield.coords))
     counts.update(generates=0, coords=0)
     code, _ = run(capsys, "verify", "generators", "c4quartic")
     assert code == 0
     assert counts["generates"] == 2 * cli.GENERATOR_SAMPLES
-    # plus the descents' own: one per subfield basis element and structure,
-    # 2 * 4
-    assert counts["coset_values"] == cli.GENERATOR_SAMPLES + 8
+    assert counts["coset_images"] == 1
+    assert counts["from_coords"] == 0
     assert counts["coords"] == 73
 
 

@@ -5,9 +5,11 @@ from math import gcd
 import pytest
 
 from hopfgalois import descent, linalg
-from hopfgalois.descent import (GroupAlgebraElement, canonical_map_rank,
-                                descend, is_generator, is_separable,
-                                residues_mod_p, trace_form_nondegenerate,
+from hopfgalois.descent import (GeneratorSample, GroupAlgebraElement,
+                                canonical_map_rank, coset_values, descend,
+                                generates, generator_sample, is_generator,
+                                is_separable, residues_mod_p,
+                                trace_form_nondegenerate,
                                 transition_det_nonzero, verify_commuting,
                                 verify_hopf_galois)
 from hopfgalois.errors import DomainError, StructureError
@@ -344,7 +346,7 @@ def test_nonzero_mod_p_certifies_without_the_exact_determinant(qi, monkeypatch):
     n = qi.structures()[0]
     # [[y0, y1], [y1, y0]] at (2, 1): determinant 3
     values = [field.element([2]), field.one()]
-    assert transition_det_nonzero(n, values, residues_mod_p(values))
+    assert transition_det_nonzero(n, GeneratorSample.of_values(None, values))
     assert calls == []
 
 
@@ -355,11 +357,12 @@ def test_planted_zero_mod_p_falls_back_to_the_exact_determinant(qi, monkeypatch)
     n = qi.structures()[0]
     # (p + 1)^2 - 1 = p (p + 2): nonzero, but zero mod p
     values = [field.element([p + 1]), field.one()]
-    assert transition_det_nonzero(n, values, residues_mod_p(values))
+    assert transition_det_nonzero(n, GeneratorSample.of_values(None, values))
     assert len(calls) == 1
     # a genuine zero goes the same way
     values = [field.one(), field.one()]
-    assert not transition_det_nonzero(n, values, residues_mod_p(values))
+    assert not transition_det_nonzero(n, GeneratorSample.of_values(None,
+                                                                   values))
     assert len(calls) == 2
 
 
@@ -369,9 +372,66 @@ def test_denominator_divisible_by_p_takes_the_exact_route(qi, monkeypatch):
     p, _ = field.reduction_root()
     n = qi.structures()[0]
     values = [field.element([F(1, p)]), field.zero()]
-    assert residues_mod_p(values) is None
-    assert transition_det_nonzero(n, values, None)
+    sample = GeneratorSample.of_values(None, values)
+    assert residues_mod_p(values) is None and sample.residues is None
+    assert transition_det_nonzero(n, sample)
     assert len(calls) == 1
+
+
+def _mixed_coords(rng, dim, p):
+    """Seeded subfield coordinates: integers, and fractions whose
+    denominators are 2, 3, 6 or the reduction prime p."""
+    return [F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6, p)))
+            for _ in range(dim)]
+
+
+def test_coset_images_match_the_element_route(field_fixtures):
+    # the integer table must give exactly the values of the element route,
+    # denominator included: a wrong common denominator scales both sides of
+    # det-specialization alike and changes no verdict, so only this sees it
+    for fx in field_fixtures:
+        ctx, space, sub = fx.context, fx.coset_space(), fx.subfield()
+        p, _ = ctx.field.reduction_root()
+        rng = random.Random(10)
+        for k in range(30):
+            coords = ([rng.randint(-9, 9) for _ in range(sub.dim)] if k < 10
+                      else _mixed_coords(rng, sub.dim, p))
+            sample = generator_sample(sub, space, coords)
+            x = sub.from_coords(coords)
+            values = coset_values(ctx, space, x)
+            assert sample.values == values, (fx.name, coords)
+            expected = residues_mod_p(values)
+            if expected is not None:
+                assert sample.residues == expected, (fx.name, coords)
+            for i in range(len(fx.structures())):
+                assert generates(fx.algebra(i), sample) == \
+                    is_generator(fx.algebra(i), x)
+
+
+def test_coset_images_are_built_once_per_subfield_and_space(s3sextic):
+    sub, space = s3sextic.subfield(), s3sextic.coset_space()
+    table = sub.coset_images(space.representatives)
+    assert sub.coset_images(space.representatives) is table
+    # s3sextic's subfield basis has non-integral images: D > 1 is exercised
+    assert table.denominator > 1
+    assert table.residues[1] is not None
+
+
+def test_p_in_a_coordinate_denominator_takes_the_exact_route(field_fixtures,
+                                                             monkeypatch):
+    calls = _counting_exact_det(monkeypatch)
+    for fx in field_fixtures:
+        space, sub = fx.coset_space(), fx.subfield()
+        p, _ = fx.context.field.reduction_root()
+        coords = [F(k + 1, p) for k in range(sub.dim)]
+        sample = generator_sample(sub, space, coords)
+        assert sample.residues is None
+        x = sub.from_coords(coords)
+        for i in range(len(fx.structures())):
+            before = len(calls)
+            verdict = generates(fx.algebra(i), sample)
+            assert len(calls) == before + 1
+            assert verdict == is_generator(fx.algebra(i), x)
 
 
 def test_function_algebra_generator_lemma(qcbrt2):
@@ -431,13 +491,15 @@ def test_descended_coordinates_match_the_solver(field_fixtures):
                         solver.solve(flatten_coefficients(bi * bj))
 
 
-# GaloisContext.apply calls over all descents of a fixture: one image per
-# acting coset and subfield basis element, m * dim L per structure
-DESCENT_APPLY_CALLS = {"qi": 4, "qzeta3": 4, "c4quartic": 32, "v4biquad": 64,
-                       "qcbrt2": 9, "s3sextic": 180}
+# GaloisContext.apply calls over all descents of a freshly loaded fixture:
+# one image per coset and subfield basis element, m * dim L per load, shared
+# by every structure (it was m * dim L per structure: 4, 4, 32, 64, 9, 180)
+DESCENT_APPLY_CALLS = {"qi": 4, "qzeta3": 4, "c4quartic": 16, "v4biquad": 16,
+                       "qcbrt2": 9, "s3sextic": 36}
 
 
 def test_descent_applies_each_coset_once(field_fixtures, monkeypatch):
+    from hopfgalois.fixtures import load_bundled
     from hopfgalois.numberfield import GaloisContext
     apply = GaloisContext.apply
     calls = []
@@ -447,7 +509,8 @@ def test_descent_applies_each_coset_once(field_fixtures, monkeypatch):
         return apply(self, g_index, x)
     monkeypatch.setattr(GaloisContext, "apply", counting)
     counts = {}
-    for fx in field_fixtures:
+    for name in (fx.name for fx in field_fixtures):
+        fx = load_bundled(name)
         calls.clear()
         for n in fx.structures():
             descend(fx.context, fx.coset_space(), n, fx.subfield())
