@@ -66,33 +66,6 @@ class DescendedAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def action_matrix_of(self, coords):
-        m = self.subfield.dim
-        out = [[0] * m for _ in range(m)]
-        for c, mat in zip(coords, self.int_action_matrices):
-            if c:
-                for out_row, row in zip(out, mat):
-                    for j, x in enumerate(row):
-                        if x:
-                            out_row[j] += c * x
-        d = self.action_denominator
-        return [[Fraction(x, d) for x in row] for row in out]
-
-    def multiply_coords(self, a, b):
-        out = [0] * self.dim
-        for ai, constants in zip(a, self.int_structure_constants):
-            if not ai:
-                continue
-            for bj, row in zip(b, constants):
-                if not bj:
-                    continue
-                f = ai * bj
-                for k, c in enumerate(row):
-                    if c:
-                        out[k] += f * c
-        d = self.structure_denominator
-        return [Fraction(x, d) for x in out]
-
     def orbit(self, x_coords):
         """Subfield coordinates of b_k . x for each basis element b_k, given
         the subfield coordinates of x, all times action_denominator: the

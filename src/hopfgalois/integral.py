@@ -4,6 +4,7 @@ tying the two commuting structures together."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -63,6 +64,12 @@ class Lattice:
             if w.denominator != 1:
                 return False
             scaled.append(int(w))
+        return self._spans(scaled)
+
+    def _spans(self, scaled: list[int]) -> bool:
+        """Whether the integer vector lies in the span of the rows over Z,
+        that is, whether it over the denominator lies in the lattice.  The
+        list is reduced in place."""
         for row in self.rows:
             j = next(i for i, v in enumerate(row) if v)
             if scaled[j]:
@@ -95,13 +102,23 @@ class FractionalIdeal:
 @dataclass(frozen=True)
 class AssociatedOrder:
     """The full multiplier order of an ideal inside a descended algebra, in
-    algebra-basis coordinates."""
+    algebra-basis coordinates.  The integer action F_k of lattice basis
+    vector k on the ideal is kept row-major as one flat row (_flat_matrix):
+    the callers of a search keep its order, and an int64 array takes 8
+    bytes an entry where a tuple of tuples takes a slot and an int object."""
 
     lattice: Lattice
-    ideal_action_matrices: tuple  # integer action of each lattice basis vector
+    ideal_action_matrices: tuple  # flat F_k, one per lattice basis vector
 
-    def basis_coords(self):
-        return self.lattice.basis_vectors()
+
+def _flat_matrix(rows):
+    """The integer matrix row-major as an int64 array, or as a tuple when
+    an entry needs more than 64 bits."""
+    flat = [v for row in rows for v in row]
+    try:
+        return array("q", flat)
+    except OverflowError:
+        return tuple(flat)
 
 
 def _ideal_basis_matrix(ideal: FractionalIdeal):
@@ -145,11 +162,22 @@ def associated_order(algebra: DescendedAlgebra, ideal: FractionalIdeal) -> Assoc
                for i in range(m)]
         if any(v % q for row in mat for v in row):
             raise ConsistencyError("order element does not stabilize the ideal")
-        actions.append(tuple(tuple(v // q for v in row) for row in mat))
-    basis = lattice.basis_vectors()
-    for a in basis:
-        for b in basis:
-            if not lattice.contains(algebra.multiply_coords(a, b)):
+        actions.append(_flat_matrix([[v // q for v in row] for row in mat]))
+    # closure over Z: for rows a, b the product of a/d_L and b/d_L is
+    # sum a_i b_j C_ij / (d_L^2 d_s), for the structure constants C_ij over
+    # d_s; it lies in the lattice when d_L times it is an integer row that the
+    # rows span
+    consts = algebra.int_structure_constants
+    den = lattice.denominator * algebra.structure_denominator
+    for a in lattice.rows:
+        # column k holds the k-th coordinates of a * b_j over the j
+        a_times = list(zip(*(
+            [sum(map(mul, a, column)) for column in zip(*(c[j] for c in consts))]
+            for j in range(m))))
+        for b in lattice.rows:
+            product = [sum(map(mul, b, column)) for column in a_times]
+            if any(v % den for v in product) or \
+                    not lattice._spans([v // den for v in product]):
                 raise ConsistencyError(
                     "associated order is not closed under multiplication")
     return AssociatedOrder(lattice, tuple(actions))
@@ -169,7 +197,8 @@ class FreenessResult:
 def witness_matrix(order: AssociatedOrder, v):
     """Columns are the ideal-coordinates of (order basis element) . x for the
     candidate x with ideal-coordinates v; integer by construction."""
-    cols = [[sum(map(mul, row, v)) for row in f]
+    m = len(v)
+    cols = [[sum(map(mul, f[i:i + m], v)) for i in range(0, m * m, m)]
             for f in order.ideal_action_matrices]
     return [list(row) for row in zip(*cols)]
 
@@ -182,7 +211,8 @@ def norm_form(order: AssociatedOrder) -> IntPolynomial:
     """The form N with N(v) = det witness_matrix(order, v): entry (i, k) of
     the witness matrix is the linear form with coefficients row i of F_k."""
     mats = order.ideal_action_matrices
-    return det_symbolic([[f[i] for f in mats] for i in range(len(mats))])
+    m = len(mats)
+    return det_symbolic([[f[i * m:(i + 1) * m] for f in mats] for i in range(m)])
 
 
 def _unit_points(poly: IntPolynomial, bound: int):
@@ -339,6 +369,15 @@ def _transfer_rows(partner: DescendedAlgebra, xc, images) -> list[list[Fraction]
     return rows
 
 
+def _integer_actions(algebra: DescendedAlgebra, rows):
+    """For each integer coordinate row c, the integer matrix sum_k c_k A_k
+    over the algebra's integer action matrices A_k: the action of c times
+    the action denominator."""
+    mats = algebra.int_action_matrices
+    return [[[sum(map(mul, c, entries)) for entries in zip(*(a[i] for a in mats))]
+             for i in range(algebra.subfield.dim)] for c in rows]
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Outcome of the two-sided freeness verification for a commuting pair."""
@@ -393,10 +432,16 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
                 "freeness equivalence was violated")
         witness_transfers = True
 
+        # over Z: x = xi/c, the order's basis is its rows over d_L, and an
+        # algebra acts by its integer form over its action denominator
         xc = list(result.witness_subfield_coords)
-        w_mats = [side_here.action_matrix_of(w) for w in order_here.basis_coords()]
-        w_of_x = [linalg.mat_vec(a, xc) for a in w_mats]
-        z_rows = _transfer_rows(side_there, xc, w_of_x)
+        c, (xi,) = linalg._clear_denominators([xc])
+        w_mats = _integer_actions(side_here, order_here.lattice.rows)
+        w_of_x = [linalg.mat_vec(a, xi) for a in w_mats]
+        scale = (order_here.lattice.denominator * side_here.action_denominator
+                 * c)
+        z_rows = _transfer_rows(side_there, xc, [
+            [Fraction(y, scale) for y in wx] for wx in w_of_x])
         z_lattice = Lattice.from_rational_rows(z_rows)
         same = z_lattice == order_there.lattice
         lattice_matches = same if lattice_matches is None else (lattice_matches and same)
@@ -405,10 +450,12 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
                 "transferred order elements do not span the partner's "
                 "associated order")
 
+        # each side's scale is common to both products, so the transport
+        # z (w x) = w (z x) holds exactly when it holds on the integer forms
         ok = True
-        for z in z_rows:
-            z_mat = side_there.action_matrix_of(z)
-            z_of_x = linalg.mat_vec(z_mat, xc)
+        for z_mat in _integer_actions(side_there,
+                                      linalg._clear_denominators(z_rows)[1]):
+            z_of_x = linalg.mat_vec(z_mat, xi)
             for w_mat, wx in zip(w_mats, w_of_x):
                 if linalg.mat_vec(z_mat, wx) != linalg.mat_vec(w_mat, z_of_x):
                     ok = False

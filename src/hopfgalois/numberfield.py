@@ -527,33 +527,45 @@ def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
             raise StructureError(
                 f"no automorphism supplied for generator index {g}")
 
+    # over Z: with the generators' matrices G_g = I_g / d for one common d,
+    # the element reached by a word of k generators is its integer product
+    # over d^k; two such (M, k), (M', k') are equal when M d^k' = M' d^k
     n = field.degree
-    matrices: dict[int, list] = {group.identity_index: linalg.identity_matrix(n)}
+    gens = sorted(gen_matrices)
+    d, rows = linalg._clear_denominators(
+        [r for g in gens for r in gen_matrices[g]])
+    int_gens = {g: rows[k * n:(k + 1) * n] for k, g in enumerate(gens)}
+    products = {group.identity_index:
+                ([[int(i == j) for j in range(n)] for i in range(n)], 0)}
     frontier = [group.identity_index]
     while frontier:
         nxt = []
         for i in frontier:
+            product, k = products[i]
             for g in group.generators:
                 j = group.mul(i, g)
-                candidate = linalg.mat_mul(matrices[i], gen_matrices[g])
-                if j in matrices:
-                    if matrices[j] != candidate:
+                candidate = linalg.mat_mul(product, int_gens[g])
+                if j in products:
+                    known, k_known = products[j]
+                    if [[x * d ** k_known for x in row] for row in candidate] != \
+                            [[x * d ** (k + 1) for x in row] for row in known]:
                         raise StructureError(
                             "automorphism images do not satisfy the group's "
                             f"multiplication table at element index {j}")
                 else:
-                    matrices[j] = candidate
+                    products[j] = candidate, k + 1
                     nxt.append(j)
         frontier = nxt
-    if len(matrices) != group.order():
+    if len(products) != group.order():
         raise StructureError("generators do not generate the whole group")
-    distinct = {tuple(tuple(row) for row in m) for m in matrices.values()}
+    matrices = [[[Fraction(x, d ** k) for x in row] for row in product]
+                for product, k in (products[i] for i in range(group.order()))]
+    distinct = {tuple(tuple(row) for row in m) for m in matrices}
     if len(distinct) != group.order():
         raise StructureError(
             f"only {len(distinct)} distinct automorphisms for a group of order "
             f"{group.order()}; the field is not Galois with this group")
-    ordered = tuple(matrices[i] for i in range(group.order()))
-    return GaloisContext(field, group, ordered, irreducibility)
+    return GaloisContext(field, group, tuple(matrices), irreducibility)
 
 
 class Subfield:

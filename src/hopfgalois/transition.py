@@ -10,6 +10,12 @@ norm form of a freeness search.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import cache
+from itertools import combinations_with_replacement
+from operator import itemgetter
+
 from .errors import CapabilityError
 from .perm import CosetSpace, FiniteGroup
 
@@ -98,11 +104,25 @@ def det_symbolic(matrix) -> IntPolynomial:
     column sets: the minor on the bottom k rows and a k-column set is built
     once, so the expansion visits 2^m minors instead of m! permutations.
     Entries are integer linear forms in y_0 .. y_{n-1}, each given as its
-    coefficient vector (a_0, .., a_{n-1})."""
+    coefficient vector (a_0, .., a_{n-1}).  A matrix whose every entry has at
+    most one nonzero coefficient (a transition matrix) has sparse minors,
+    kept as dicts; any other (a norm form) has nearly dense minors, packed
+    (_dense_det), unless a level's coefficients could outgrow their slots."""
     m, nvars = len(matrix), len(matrix[0][0])
     if m > DET_SIZE_BOUND:
         raise CapabilityError(
             f"matrix size {m} exceeds the symbolic determinant bound {DET_SIZE_BOUND}")
+    terms = None
+    if any(sum(map(bool, form)) > 1 for row in matrix for form in row):
+        terms = _dense_det(matrix, nvars)
+    if terms is None:
+        terms = _sparse_det(matrix, nvars)
+    return IntPolynomial(nvars, terms)
+
+
+def _sparse_det(matrix, nvars: int) -> dict:
+    """The determinant's terms, each minor a dict of its nonzero terms."""
+    m = len(matrix)
     # an exponent vector is one integer in radix m + 1 (no exponent of a
     # degree-m determinant exceeds m), so multiplying by y_k adds radix^k
     radix = m + 1
@@ -137,7 +157,96 @@ def det_symbolic(matrix) -> IntPolynomial:
             key, e = divmod(key, radix)
             exps.append(e)
         terms[tuple(exps)] = coeff
-    return IntPolynomial(nvars, terms)
+    return terms
+
+
+# a packed coefficient is a signed 64-bit slot
+_SLOT_LIMIT = 1 << 63
+
+
+@cache
+def _monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors of the given degree in graded order: the
+    multisets of variables in lexicographic order."""
+    return tuple(tuple(combo.count(j) for j in range(nvars))
+                 for combo in combinations_with_replacement(range(nvars), degree))
+
+
+@cache
+def _times_variable(nvars: int, degree: int) -> tuple[itemgetter, ...]:
+    """For each variable y_j, the gather that reads the coefficients of
+    y_j * P off those of P, of the given degree, followed by a zero slot:
+    the coefficient of a monomial of degree + 1 without y_j is that zero.
+    With nvars >= 2 each gather reads at least two slots, so it returns a
+    tuple."""
+    index = {e: i for i, e in enumerate(_monomials(nvars, degree))}
+    zero = len(index)
+    gathers = []
+    for j in range(nvars):
+        reads = []
+        for e in _monomials(nvars, degree + 1):
+            reads.append(index[e[:j] + (e[j] - 1,) + e[j + 1:]] if e[j] else zero)
+        gathers.append(itemgetter(*reads))
+    return tuple(gathers)
+
+
+def _dense_det(matrix, nvars: int) -> dict | None:
+    """The determinant's terms, with every minor of degree k packed in one
+    integer: its coefficients over the degree-k monomials in graded order,
+    one signed 64-bit slot each, slot i at bit 64 i.  Extending the minors by
+    a row with entries a_c = sum_j a_cj y_j, the minor on a column set S is
+    sum_j y_j Q_j with Q_j = sum_{c in S} +-a_cj P_{S-c}: each Q_j is a few
+    big-integer products, decoded once (bias-xor, then the bytes read as
+    signed slots), and multiplied by y_j as a gather (_times_variable).
+
+    Every Q_j slot and every new coefficient is at most the row's absolute
+    coefficient sum times the largest |coefficient| of the level below.
+    Before each level that product is checked against 2^63; None when it is
+    not below, and the caller expands over dicts instead.  Some entry has two
+    nonzero coefficients, so nvars >= 2."""
+    m = len(matrix)
+    order = sys.byteorder
+    coeffs = {0: (1,)}  # column bitmask -> coefficients of the minor
+    for k, row in enumerate(reversed(matrix)):
+        largest = max(max(map(abs, c)) for c in coeffs.values())
+        if sum(abs(a) for form in row for a in form) * largest >= _SLOT_LIMIT:
+            return None
+        size = len(_monomials(nvars, k))
+        # 2^63 in every slot: adding it makes every slot nonnegative, and
+        # xor-ing it again turns a slot into its two's complement
+        bias = int.from_bytes((bytes(7) + b"\x80") * size, "little")
+        nbytes = 8 * (size + 1)  # one more, the zero slot
+        gathers = _times_variable(nvars, k)
+        negated = [tuple(-a for a in form) for form in row]
+        parts: dict[int, list] = {}
+        for cols, minor in coeffs.items():
+            packed = (int.from_bytes(array("q", minor).tobytes(), order)
+                      ^ bias) - bias
+            for c in range(m):
+                bit = 1 << c
+                if not cols & bit:
+                    # cofactor sign: parity of the columns of the minor left of c
+                    odd = (cols & (bit - 1)).bit_count() % 2
+                    parts.setdefault(cols | bit, []).append(
+                        (negated[c] if odd else row[c], packed))
+        coeffs = {}
+        for cols, terms in parts.items():
+            gathered = []
+            for j, gather in enumerate(gathers):
+                q = 0
+                for form, packed in terms:
+                    if form[j]:
+                        q += form[j] * packed
+                if q:
+                    gathered.append(gather(array(
+                        "q", ((q + bias) ^ bias).to_bytes(nbytes, order))))
+            total = tuple(map(sum, zip(*gathered)))
+            if any(total):
+                coeffs[cols] = total
+        if not coeffs:
+            return {}
+    full = coeffs[(1 << m) - 1]
+    return {e: c for e, c in zip(_monomials(nvars, m), full) if c}
 
 
 def signed_canonical_det(n: FiniteGroup,

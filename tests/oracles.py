@@ -7,7 +7,7 @@ from fractions import Fraction
 from hopfgalois import linalg
 from hopfgalois.descent import GroupAlgebraElement, coset_values
 from hopfgalois.errors import ConsistencyError, DomainError, StructureError
-from hopfgalois.integral import _transfer_rows
+from hopfgalois.integral import _flat_matrix, _transfer_rows
 from hopfgalois.numberfield import field_det
 from hopfgalois.perm import FiniteGroup, Permutation, _close_tuples
 from hopfgalois.transition import IntPolynomial, transition_matrix_of
@@ -432,7 +432,7 @@ def stabilizer_scan_order(algebra, ideal, max_denominator):
     for c0 in steps:
         for c1 in steps:
             mat = linalg.mat_mul(w_inv, linalg.mat_mul(
-                algebra.action_matrix_of([c0, c1]), w))
+                action_matrix_of(algebra, [c0, c1]), w))
             if all(v.denominator == 1 for row in mat for v in row):
                 members.append((c0, c1))
     return members
@@ -461,10 +461,10 @@ def fraction_associated_order(algebra, ideal):
     actions = []
     for c in lattice.basis_vectors():
         mat = linalg.mat_mul(w_inv, linalg.mat_mul(
-            algebra.action_matrix_of(c), w))
+            action_matrix_of(algebra, c), w))
         if any(v.denominator != 1 for row in mat for v in row):
             raise ConsistencyError("order element does not stabilize the ideal")
-        actions.append(tuple(tuple(int(v) for v in row) for row in mat))
+        actions.append(_flat_matrix([[int(v) for v in row] for row in mat]))
     return AssociatedOrder(lattice, tuple(actions))
 
 
@@ -520,7 +520,7 @@ def transfer_element(algebra, partner, a_coords, x):
     """The unique partner element acting on the generator x exactly as the
     given element does; solves z . x = a . x in the partner's coordinates."""
     xc = algebra.subfield.coords(x)
-    a_of_x = linalg.mat_vec(algebra.action_matrix_of(list(a_coords)), xc)
+    a_of_x = linalg.mat_vec(action_matrix_of(algebra, list(a_coords)), xc)
     return _transfer_rows(partner, xc, [a_of_x])[0]
 
 def idempotent(context, size, coset):
@@ -579,6 +579,24 @@ def descended_act(algebra, h, x):
     if not algebra.subfield.contains(total):
         raise ConsistencyError("action left the fixed subfield")
     return total
+
+
+def action_matrix_of(algebra, coords):
+    """The action over Q of the algebra element with these coordinates: the
+    combination of the integer action matrices over their denominator."""
+    m = algebra.subfield.dim
+    return [[sum((c * a[i][j] for c, a in zip(coords, algebra.int_action_matrices)),
+                 Fraction(0)) / algebra.action_denominator for j in range(m)]
+            for i in range(m)]
+
+
+def multiply_coords(algebra, a, b):
+    """Coordinates of the product of two algebra elements, read off the
+    integer structure constants over their denominator."""
+    consts = algebra.int_structure_constants
+    return [sum((ai * bj * row[k] for ai, rows in zip(a, consts)
+                 for bj, row in zip(b, rows)), Fraction(0))
+            / algebra.structure_denominator for k in range(algebra.dim)]
 
 
 def rational_action_matrices(algebra):

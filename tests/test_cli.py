@@ -445,6 +445,51 @@ def test_det_specialization_fails_on_a_planted_fault(monkeypatch, fault):
     assert verdicts == ({"PASS"} if fault is None else {"FAIL"})
 
 
+def _coords_over_2_3_6(subfield, rng):
+    """Seeded subfield coordinates with the denominators 2, 3 and 6 in turn."""
+    from fractions import Fraction
+    return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), (2, 3, 6)[j % 3])
+            for j in range(subfield.dim)]
+
+
+def _field_det_over_d_to_the_m_minus_one(matrix):
+    """field_det with a planted fault: the result divided by D^(m-1), for D
+    the entries' common denominator, in place of D^m."""
+    from hopfgalois import linalg
+    from hopfgalois.numberfield import field_det
+    den, _ = linalg._clear_denominators([x.coords for row in matrix for x in row])
+    return field_det(matrix) * den
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_det_specialization_divides_by_d_to_the_m_on_every_field_fixture(
+        field_fixtures, monkeypatch, planted):
+    # integer subfield coordinates reach a common denominator D > 1 only on
+    # qcbrt2 and s3sextic; coordinates over 2, 3 and 6 reach it on all six
+    import random
+    from hopfgalois import linalg
+    from hopfgalois.numberfield import Subfield
+    denominators = []
+    original = cli.generator_sample
+
+    def sample(subfield, space, coords):
+        drawn = original(subfield, space, coords)
+        denominators.append(linalg._clear_denominators(
+            [v.coords for v in drawn.values])[0])
+        return drawn
+    monkeypatch.setattr(cli, "generator_sample", sample)
+    monkeypatch.setattr(Subfield, "random_coords", _coords_over_2_3_6)
+    if planted:
+        monkeypatch.setattr(cli, "field_det", _field_det_over_d_to_the_m_minus_one)
+    for fx in field_fixtures:
+        denominators.clear()
+        report = cli.Report(["suite", fx.name], fx.name, 0)
+        cli._specialization_checks(fx, report, random.Random(0))
+        assert max(denominators) > 1, fx.name
+        verdicts = {c["verdict"] for c in report.checks}
+        assert verdicts == ({"FAIL"} if planted else {"PASS"}), fx.name
+
+
 def _c4quartic_descriptor():
     return json.loads(bundled_path("c4quartic").read_text(encoding="utf-8"))
 
@@ -512,6 +557,35 @@ def test_malformed_block_is_a_validation_problem(tmp_path, capsys, shape):
     assert code == 2
     assert "failed validation" in captured.out
     assert f"  - {problem}" in captured.out
+    assert captured.err == ""
+
+
+TABLE = "automorphism images do not satisfy the group's multiplication table"
+
+
+@pytest.mark.parametrize("images, problem", [
+    (("t", "t"), f"{TABLE} at element index 0"),
+    (("t", "s"), f"{TABLE} at element index 0"),
+    (("s", None), f"{TABLE} at element index 5"),
+    ((None, "t"), "only 2 distinct automorphisms for a group of order 6; the "
+                  "field is not Galois with this group")])
+def test_planted_automorphism_images_are_validation_problems(
+        tmp_path, capsys, images, problem):
+    # s3sextic's automorphism matrices have denominators, so the relations
+    # are compared over Z with each product of k generators over d^k; an
+    # image swapped in from the other generator or the identity is named
+    doc = json.loads(bundled_path("s3sextic").read_text(encoding="utf-8"))
+    autos = doc["field"]["automorphisms"]
+    identity = ["0", "1", "0", "0", "0", "0"]
+    doc["field"]["automorphisms"] = {
+        name: autos[image] if image else identity
+        for name, image in zip(("s", "t"), images)}
+    path = tmp_path / "bad.hgx"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines()[1:] == [f"  - field: {problem}"]
     assert captured.err == ""
 
 

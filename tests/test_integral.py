@@ -1,6 +1,8 @@
 import itertools
 import random
+from array import array
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from hopfgalois.perm import opposite, right_translation_subgroup
 from hopfgalois.transition import IntPolynomial
 
 from .oracles import (evaluate, first_free_witness, fraction_associated_order,
-                      transfer_element)
+                      multiply_coords, transfer_element)
 
 F = Fraction
 
@@ -106,9 +108,9 @@ def test_order_invariants_hold_everywhere(field_fixtures):
                 basis = lattice.basis_vectors()
                 for a in basis:
                     for b in basis:
-                        assert lattice.contains(algebra.multiply_coords(a, b))
+                        assert lattice.contains(multiply_coords(algebra, a, b))
                 for mat in order.ideal_action_matrices:
-                    assert all(isinstance(v, int) for row in mat for v in row)
+                    assert all(isinstance(v, int) for v in mat)
 
 
 def test_integer_order_is_the_fraction_order(field_fixtures):
@@ -200,6 +202,21 @@ def test_norm_form_is_the_witness_determinant(field_fixtures):
                     v = [rng.randint(-4, 4) for _ in range(m)]
                     assert evaluate(norm, v, 1) == linalg.int_det(
                         witness_matrix(order, v))
+
+
+def test_action_matrices_beyond_64_bits_stay_exact():
+    # an entry past 2^63 keeps its matrix a tuple; the witness matrix and
+    # the norm form read both layouts alike
+    big = 3 ** 41
+    flat = [integral._flat_matrix(rows) for rows in
+            ([[1, 0], [0, 1]], [[0, big], [1, 0]])]
+    assert isinstance(flat[0], array) and flat[1] == (0, big, 1, 0)
+    lattice = Lattice.from_rational_rows([[F(1), F(0)], [F(0), F(1)]])
+    order = integral.AssociatedOrder(lattice, tuple(flat))
+    poly = norm_form(order)
+    for v in itertools.product(range(-2, 3), repeat=2):
+        assert evaluate(poly, list(v), 1) == \
+            linalg.int_det(witness_matrix(order, list(v)))
 
 
 def _half_box_hits(poly, bound):
@@ -451,7 +468,7 @@ def test_transfer_is_linear(s3sextic):
     order = associated_order(a1, ideal)
     result = freeness_search(order, ideal, 3)
     x = a1.subfield.from_coords(result.witness_subfield_coords)
-    a = order.basis_coords()[2]
+    a = order.lattice.basis_vectors()[2]
     z = transfer_element(a1, a2, a, x)
     scaled = transfer_element(a1, a2, [F(5, 3) * c for c in a], x)
     assert scaled == [F(5, 3) * c for c in z]
@@ -476,7 +493,7 @@ def test_transferred_lattice_is_the_partner_order(s3sextic):
     result = freeness_search(order1, ideal, 3)
     assert result.free
     x = a1.subfield.from_coords(result.witness_subfield_coords)
-    rows = [transfer_element(a1, a2, a, x) for a in order1.basis_coords()]
+    rows = [transfer_element(a1, a2, a, x) for a in order1.lattice.basis_vectors()]
     assert Lattice.from_rational_rows(rows) == order2.lattice
 
 
@@ -548,6 +565,52 @@ def test_self_opposite_certificate_computes_one_side(qzeta3, monkeypatch):
     assert cert.commuting_transport_holds
     assert counts == {"associated_order": 1, "freeness_search": 1,
                       "generates": 1}
+
+
+def test_orders_and_transport_run_on_the_integer_forms(s3sextic, monkeypatch):
+    # the closure check and the transport check read the integer structure
+    # constants and action matrices: associated_order runs no Fraction
+    # mat_vec and tests one rational vector (the unit) for membership, and in
+    # a certificate only the searches' witness coordinates, the partner's
+    # orbits and the transfer solves run a Fraction mat_vec.  On the
+    # rational forms each order tested 37 vectors (its 36 products through
+    # multiply_coords), and the transport check ran 156 Fraction mat_vec
+    import sys
+    algebras = [s3sextic.algebra(i) for i in range(len(s3sextic.structures()))]
+    ideals = [s3sextic.ideal(name) for name in sorted(s3sextic.ideals)]
+    callers = []
+    mat_vec = linalg.mat_vec
+
+    def counting(a, v):
+        if any(isinstance(x, Fraction) for x in v) or \
+                any(isinstance(x, Fraction) for row in a for x in row):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+        return mat_vec(a, v)
+    monkeypatch.setattr(linalg, "mat_vec", counting)
+    tested = []
+    contains = Lattice.contains
+
+    def membership(lattice, vector):
+        tested.append(vector)
+        return contains(lattice, vector)
+    monkeypatch.setattr(Lattice, "contains", membership)
+    for ideal in ideals:
+        for algebra in algebras:
+            associated_order(algebra, ideal)
+    assert callers == []
+    assert tested == [list(a.identity_coords) for a in algebras] * len(ideals)
+    algebra = _classical_algebra(s3sextic)
+    index = next(i for i in range(len(s3sextic.structures()))
+                 if s3sextic.algebra(i) is algebra)
+    partner = s3sextic.algebra(_opposite_index(s3sextic, index))
+    cert = freeness_certificate(algebra, partner, s3sextic.ideal("OE"), 3)
+    assert cert.consistent and cert.commuting_transport_holds
+    # per side: one witness, a generator test's orbit and the transfer's
+    # orbit (6 each), and one solve per order basis element
+    assert Counter(callers) == {"freeness_search": 2, "orbit": 24, "solve": 12}
 
 
 def test_certificate_trivial_for_commutative_structures(qzeta3):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hopfgalois import transition
 from hopfgalois.errors import CapabilityError
 from hopfgalois.perm import (FiniteGroup, Permutation, build_coset_space,
                              enumerate_regular_normalized, metacyclic_group,
@@ -196,3 +197,54 @@ def test_identity_with_reindexing_witness_for_translations(s3sextic):
             assert left[i][j] == right[j][i]
     assert (signed_canonical_det(rho, space)[0]
             == signed_canonical_det(lam_opp, space)[0])
+
+
+# --- packed dense minors
+
+def _dense_forms(rng, size, nvars, spread=3):
+    return [[tuple(rng.randint(-spread, spread) for _ in range(nvars))
+             for _ in range(size)] for _ in range(size)]
+
+
+@pytest.mark.parametrize("size, nvars", [(1, 2), (2, 2), (3, 4), (4, 3),
+                                         (5, 5), (6, 6), (7, 3), (8, 2)])
+def test_packed_minors_match_the_cofactor_oracle(size, nvars):
+    rows = _dense_forms(random.Random(size), size, nvars)
+    assert transition._dense_det(rows, nvars) is not None
+    assert det_symbolic(rows) == cofactor_det(rows, nvars)
+
+
+def test_packed_minors_of_singular_matrices_vanish():
+    rng = random.Random(11)
+    rows = _dense_forms(rng, 5, 3)
+    rows[2] = [(0, 0, 0)] * 5
+    assert transition._dense_det(rows, 3) == {}
+    assert not det_symbolic(rows)
+    # a row that is a combination of two others: nonzero minors below it,
+    # the zero polynomial at the top
+    rows = _dense_forms(rng, 6, 4)
+    rows[3] = [tuple(2 * a - b for a, b in zip(f, g))
+               for f, g in zip(rows[0], rows[5])]
+    assert transition._dense_det(rows, 4) == {}
+    assert det_symbolic(rows) == cofactor_det(rows, 4)
+
+
+def test_packed_minors_fall_back_to_dicts_beyond_the_slot_bound():
+    # entries in +-200: the last level's bound, the row's absolute sum times
+    # the largest coefficient below it, is about 2^69, past a 64-bit slot
+    rows = _dense_forms(random.Random(200), 8, 2, spread=200)
+    assert transition._dense_det(rows, 2) is None
+    assert det_symbolic(rows) == cofactor_det(rows, 2)
+
+
+def test_transition_matrices_keep_the_dict_expansion(s3sextic, metacyclic21,
+                                                     monkeypatch):
+    # unit forms have sparse minors: packing them would cost more than it saves
+    def refuse(matrix, nvars):
+        raise AssertionError("a transition matrix took the packed path")
+    monkeypatch.setattr(transition, "_dense_det", refuse)
+    for fx in (s3sextic, metacyclic21):
+        space = fx.coset_space()
+        for n in fx.structures():
+            assert det_symbolic(_symbolic(n, space)) == \
+                cofactor_det(_indices(n, space), space.size)
