@@ -287,12 +287,16 @@ def generator_sample(subfield: Subfield, space: CosetSpace,
     return GeneratorSample(coords, p, residues, values)
 
 
-def generates(algebra: DescendedAlgebra, sample: GeneratorSample) -> bool:
+def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
+              orbit=None) -> bool:
     """Whether the orbit of the sampled element under the descended algebra
     spans the subfield.  Computed two ways (exact rank of the orbit,
     nonvanishing of the numeric transition determinant); the two must
-    agree."""
-    by_rank = linalg.rank(algebra.orbit(sample.coords)) == algebra.subfield.dim
+    agree.  `orbit`, when given, is a nonzero multiple of
+    algebra.orbit(sample.coords) that the caller already built."""
+    if orbit is None:
+        orbit = algebra.orbit(sample.coords)
+    by_rank = linalg.rank(orbit) == algebra.subfield.dim
     by_det = transition_det_nonzero(algebra.subgroup, sample)
     if by_rank != by_det:
         raise ConsistencyError(

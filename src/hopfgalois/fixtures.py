@@ -27,7 +27,7 @@ from .perm import (GROUP_ORDER_BOUND, CosetSpace, FiniteGroup, Permutation,
 from .transition import signed_canonical_det
 
 BUNDLED = ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic",
-           "metacyclic21")
+           "metacyclic21", "d4", "q8")
 
 
 def bundled_path(name: str):

@@ -91,9 +91,15 @@ class FractionalIdeal:
 
     @classmethod
     def build(cls, name: str, lattice: Lattice, ring_mult_matrices) -> "FractionalIdeal":
+        """Over Z: with a matrix M = Mz/d and a basis vector r/D of the
+        lattice, M r/D lies in it when Mz r is divisible by d and the rows
+        span Mz r / d."""
         for k, mult in enumerate(ring_mult_matrices):
-            for v in lattice.basis_vectors():
-                if not lattice.contains(linalg.mat_vec(mult, v)):
+            d, mz = linalg._clear_denominators(mult)
+            for row in lattice.rows:
+                image = linalg.mat_vec(mz, row)
+                if any(v % d for v in image) or \
+                        not lattice._spans([v // d for v in image]):
                     raise StructureError(
                         f"not stable under integral-basis element {k}")
         return cls(name, lattice)
@@ -350,22 +356,24 @@ def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
 def _transfer_rows(partner: DescendedAlgebra, xc, images) -> list[list[Fraction]]:
     """For each given a . x, the unique partner element z with z . x = a . x:
     one generator test of x and one solver in the partner's coordinates,
-    shared by every a.  x is given by its coordinates xc in the subfield
-    basis both algebras act on, as are all vectors here.  The solver reads
-    the partner's orbit, which is d times the true one (d its
-    action_denominator), so each solution is d times too small and is
-    scaled back."""
+    shared by every a.  x is given by its coordinates xc = xi/c in the
+    subfield basis both algebras act on, as are all vectors here.  The
+    generator test and the solver share the partner's orbit of the integer
+    xi, which is c d times the true one (d its action_denominator), so each
+    solution is c d times too small and is scaled back."""
     sample = generator_sample(partner.subfield, partner.space, xc)
-    if not generates(partner, sample):
+    c, (xi,) = linalg._clear_denominators([xc])
+    orbit = partner.orbit(xi)  # c d times the true orbit, built once
+    if not generates(partner, sample, orbit):
         raise DomainError("transfer needs the witness to generate over the partner")
-    solver = linalg.LinearSolver(partner.orbit(xc))
-    d = partner.action_denominator
+    solver = linalg.LinearSolver(orbit)
+    scale = c * partner.action_denominator
     rows = []
     for image in images:
         z = solver.solve(image)
         if z is None:
             raise ConsistencyError("transfer system is inconsistent")
-        rows.append([d * c for c in z])
+        rows.append([scale * v for v in z])
     return rows
 
 

@@ -110,9 +110,11 @@ def _close_tuples(gens: list[tuple[int, ...]], degree: int, limit: int | None = 
 
 class FiniteGroup:
     """A group of permutations of a common finite set, with the element list
-    sorted canonically (lexicographic image tuples)."""
+    sorted canonically (lexicographic image tuples) and its multiplication
+    table on those indices: |G|^2 entries, at most 14,400 at
+    GROUP_ORDER_BOUND."""
 
-    __slots__ = ("elements", "generators", "_index", "_inv", "degree")
+    __slots__ = ("elements", "generators", "_index", "_inv", "_table", "degree")
 
     def __init__(self, elements, generators=None):
         elems = sorted(set(elements))
@@ -123,18 +125,25 @@ class FiniteGroup:
             if p.degree != self.degree:
                 raise StructureError("elements act on sets of different sizes")
         self.elements = tuple(elems)
-        self._index = {p: i for i, p in enumerate(self.elements)}
+        # element images -> index; the closure check is the table: one
+        # product per pair, looked up
+        self._index = index = {p.images: i for i, p in enumerate(self.elements)}
+        table = []
         for p in elems:
-            for q in elems:
-                if (p * q) not in self._index:
-                    raise StructureError(
-                        f"not closed under composition: {p} * {q} is missing")
+            image = p.images.__getitem__
+            row = [index.get(tuple(map(image, q.images))) for q in elems]
+            if None in row:
+                q = elems[row.index(None)]
+                raise StructureError(
+                    f"not closed under composition: {p} * {q} is missing")
+            table.append(tuple(row))
+        self._table = tuple(table)
         if not self.elements[0].is_identity():
             raise StructureError("identity element is missing")
-        self._inv = tuple(self._index[p.inverse()] for p in self.elements)
+        self._inv = tuple(row.index(0) for row in self._table)
         if generators is None:
             generators = tuple(range(len(self.elements)))
-        self.generators = tuple(self._index[g] if isinstance(g, Permutation) else g
+        self.generators = tuple(index[g.images] if isinstance(g, Permutation) else g
                                 for g in generators)
 
     @classmethod
@@ -160,13 +169,13 @@ class FiniteGroup:
         return 0  # identity is lexicographically minimal
 
     def index_of(self, p: Permutation) -> int:
-        return self._index[p]
+        return self._index[p.images]
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._index
+        return p.images in self._index
 
     def mul(self, i: int, j: int) -> int:
-        return self._index[self.elements[i] * self.elements[j]]
+        return self._table[i][j]
 
     def inv(self, i: int) -> int:
         return self._inv[i]
@@ -194,38 +203,59 @@ class FiniteGroup:
         return tuple(sorted(p.order() for p in self.elements))
 
     def is_abelian(self) -> bool:
-        gens = [self.elements[i] for i in self.generators]
-        return all(a * b == b * a for a in gens for b in gens)
+        table = self._table
+        return all(table[a][b] == table[b][a]
+                   for a in self.generators for b in self.generators)
 
     def center(self) -> "FiniteGroup":
-        central = [p for p in self.elements
-                   if all(p * q == q * p for q in self.elements)]
-        return FiniteGroup(central)
+        table = self._table
+        indices = range(len(table))
+        return FiniteGroup(self.elements[i] for i in indices
+                           if all(table[i][j] == table[j][i] for j in indices))
 
-    def conjugacy_classes(self) -> list[frozenset[Permutation]]:
+    def _class_indices(self) -> list[frozenset[int]]:
+        table, inv = self._table, self._inv
         seen = set()
         classes = []
-        for p in self.elements:
+        for p in range(len(self.elements)):
             if p in seen:
                 continue
-            cls = frozenset(q * p * q.inverse() for q in self.elements)
+            cls = frozenset(table[table[q][p]][inv[q]] for q in range(len(table)))
             seen.update(cls)
             classes.append(cls)
         return classes
+
+    def conjugacy_classes(self) -> list[frozenset[Permutation]]:
+        return [frozenset(map(self.elements.__getitem__, cls))
+                for cls in self._class_indices()]
+
+    def _generated(self, gens) -> frozenset[int]:
+        """Indices of the subgroup the given indices generate: in a finite
+        group, the products of generators already close up."""
+        table = self._table
+        group = {0}
+        frontier = [0]
+        while frontier:
+            frontier = [k for k in {table[p][g] for p in frontier for g in gens}
+                        if k not in group]
+            group.update(frontier)
+        return frozenset(group)
 
     def normal_subgroups(self) -> list["FiniteGroup"]:
         """Every normal subgroup, in the order of (order, element images).  A
         normal subgroup is a union of conjugacy classes, so it is the join of
         the normal closures <C> of the classes C it contains; the joins of
-        every set of closures are built one closure at a time."""
-        found = {frozenset([tuple(range(self.degree))])}
-        for cls in self.conjugacy_classes():
-            closure = frozenset(_close_tuples([p.images for p in cls], self.degree))
-            found |= {frozenset(_close_tuples(list(sub | closure), self.degree))
+        every set of closures are built one closure at a time.  The join HK
+        of two normal subgroups is their product set."""
+        table = self._table
+        found = {frozenset([0])}
+        for cls in self._class_indices():
+            closure = self._generated(cls)
+            found |= {frozenset(table[h][k] for h in sub for k in closure)
                       for sub in found if not closure <= sub}
-        groups = [FiniteGroup(Permutation(t) for t in s) for s in found]
-        groups.sort(key=lambda g: (g.order(), [p.images for p in g.elements]))
-        return groups
+        # indices are sorted as the elements' images are
+        ordered = sorted((len(s), sorted(s)) for s in found)
+        return [FiniteGroup(map(self.elements.__getitem__, s)) for _, s in ordered]
 
 
 @dataclass(frozen=True)
@@ -305,9 +335,28 @@ def is_normalized_by(n: FiniteGroup, space: CosetSpace) -> bool:
 def _power_free_candidates(size: int):
     """Permutations whose cyclic group meets the base point freely: those whose
     cycles all have one length (the identity, and the fixed-point-free ones
-    whose nontrivial powers are fixed-point-free)."""
-    return [images for images in itertools.permutations(range(size))
-            if len({len(c) for c in Permutation(images).cycles()}) == 1]
+    whose nontrivial powers are fixed-point-free), as image tuples in
+    lexicographic order.  Built cycle type by cycle type: for each divisor
+    d > 1 of size, every permutation made of d-cycles only."""
+    out = [tuple(range(size))]
+
+    def fill(images, free, d):
+        if not free:
+            out.append(tuple(images))
+            return
+        # the cycle through the least free point, in the order it is visited
+        start, rest = free[0], free[1:]
+        for tail in itertools.permutations(rest, d - 1):
+            cycle = (start, *tail)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a] = b
+            fill(images, [x for x in rest if x not in tail], d)
+
+    for d in range(2, size + 1):
+        if size % d == 0:
+            fill([0] * size, list(range(size)), d)
+    out.sort()
+    return out
 
 
 def enumerate_regular_normalized(space: CosetSpace) -> list[FiniteGroup]:
@@ -416,11 +465,20 @@ def centralizer_bruteforce(n: FiniteGroup,
     if size > ENUMERATION_BOUND:
         raise CapabilityError(f"coset space of size {size} exceeds the "
                               f"brute-force bound {ENUMERATION_BOUND}")
-    members = [p.images for p in n.elements]
+    # element 0, the identity, commutes with everything
+    members = [p.images for p in n.elements[1:]]
+    points = range(size)
     out = []
-    for images in itertools.permutations(range(size)):
-        if all(tuple(images[q[i]] for i in range(size))
-               == tuple(q[images[i]] for i in range(size)) for q in members):
+    for images in itertools.permutations(points):
+        # rejected at the first point where images * q and q * images differ
+        for q in members:
+            for i in points:
+                if images[q[i]] != q[images[i]]:
+                    break
+            else:
+                continue
+            break
+        else:
             out.append(Permutation(images))
     return tuple(sorted(out))
 

@@ -47,10 +47,20 @@ def metacyclic21():
 
 
 @pytest.fixture(scope="session")
+def d4():
+    return _fixture("d4")
+
+
+@pytest.fixture(scope="session")
+def q8():
+    return _fixture("q8")
+
+
+@pytest.fixture(scope="session")
 def field_fixtures(qi, qzeta3, c4quartic, v4biquad, qcbrt2, s3sextic):
     return [qi, qzeta3, c4quartic, v4biquad, qcbrt2, s3sextic]
 
 
 @pytest.fixture(scope="session")
-def all_fixtures(field_fixtures, metacyclic21):
-    return field_fixtures + [metacyclic21]
+def all_fixtures(field_fixtures, metacyclic21, d4, q8):
+    return field_fixtures + [metacyclic21, d4, q8]

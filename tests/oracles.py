@@ -179,6 +179,23 @@ def regular_normalized_oracle(space):
     return set(out)
 
 
+def centralizer_by_whole_products(n, space):
+    """Centralizer of N in the full symmetric group on X: every permutation
+    whose two whole products with each element of N agree, in
+    itertools.permutations order (which is sorted).  The identity, element
+    0, commutes with everything and is left out."""
+    members = [(q.images, q.images.__getitem__) for q in n.elements[1:]]
+    out = []
+    for images in itertools.permutations(range(space.size)):
+        at = images.__getitem__
+        for q, q_at in members:
+            if [*map(at, q)] != [*map(q_at, images)]:
+                break
+        else:
+            out.append(Permutation(images))
+    return tuple(out)
+
+
 def power_free_candidates_by_powers(size):
     """The identity and the fixed-point-free permutations of 0..size-1 whose
     every nontrivial power is fixed-point-free, by walking the powers, in

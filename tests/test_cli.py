@@ -78,6 +78,8 @@ DET_IDENTITY_SHA256 = {
     "qcbrt2": "2eaf95c71fb4edb7a359ddfe2df320032a63a6e6fe401be497717de8c93cb307",
     "s3sextic": "2ee67e820cc59745adafc8e4faa6da343ae6be4cb08766474fdcad492616093d",
     "metacyclic21": "19ad6ba1147c3b80d7d513b12a3b8524b654fbed9b2886fa6e864b54987ae815",
+    "d4": "01da0187e3cf2aa6fc13faf70c1e2b0d76e7fdb76c125bb91df8cffae6e22141",
+    "q8": "58a137f92ab07ec2b4887a360c8ad7cecc257b2d1f70c9ed5ddbafcb4b58a7cf",
 }
 
 
@@ -100,6 +102,10 @@ SUITE_SHA256 = {
     "qcbrt2": ("479b7dfaabe60e6141d94d3355a01f945fd8dd6ad8669d2db9322a0e0f9926ec", 0),
     "metacyclic21": ("a1aa62822ab787e0d8614778690a94dc979674d030597fc55e061abd90a190d4", 0),
     "s3sextic": ("f26ccaa5869289a470ff1479291550105bc5661ec41c61eed19a2f3c39221d97", 0),
+    # group-only fixtures at the size bound, recorded with the whole-tuple
+    # centralizer scan and the size! candidate filter
+    "d4": ("d284885724613e1f8d19c656ffc1339e1566e59e7261d000dafaa2f6be3c62b5", 0),
+    "q8": ("c10cdfe8640b79d2bd06efa2a261756d476202a2390dfabab1107513eaf7dc22", 0),
 }
 
 

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from hopfgalois import integral, linalg
-from hopfgalois.errors import CapabilityError, ConsistencyError, DomainError
+from hopfgalois.descent import DescendedAlgebra
+from hopfgalois.errors import (CapabilityError, ConsistencyError, DomainError,
+                               StructureError)
 from hopfgalois.integral import (FREENESS_BOX_BOUND, FractionalIdeal,
                                  FreenessResult, Lattice, associated_order,
                                  freeness_certificate, freeness_search,
@@ -155,6 +157,30 @@ def test_witness_is_lexicographically_smallest(qzeta3):
             break
         if any(earlier):
             assert not is_free_witness(order, list(earlier))
+
+
+def test_ideal_stability_is_checked_over_the_integers(s3sextic, monkeypatch):
+    # the rational check ran 36 Fraction mat_vec per s3sextic ideal
+    sub = s3sextic.subfield()
+    ring = [sub.multiplication_matrix(e) for e in s3sextic.integral_basis]
+    rational = []
+    mat_vec = linalg.mat_vec
+
+    def counting(a, v):
+        if any(isinstance(x, Fraction) for x in v) or \
+                any(isinstance(x, Fraction) for row in a for x in row):
+            rational.append(v)
+        return mat_vec(a, v)
+    monkeypatch.setattr(linalg, "mat_vec", counting)
+    for name, ideal in sorted(s3sextic.ideals.items()):
+        assert FractionalIdeal.build(name, ideal.lattice, ring) == ideal
+    assert rational == []
+    # halving one basis vector leaves a lattice the integers do not fix
+    rows = ideal.lattice.basis_vectors()
+    rows[0] = [c / 2 for c in rows[0]]
+    with pytest.raises(StructureError,
+                       match="^not stable under integral-basis element 1$"):
+        FractionalIdeal.build("half", Lattice.from_rational_rows(rows), ring)
 
 
 def test_planted_generator_is_rediscovered(qzeta3):
@@ -521,9 +547,9 @@ def test_certificate_tests_each_witness_once(s3sextic, monkeypatch):
     calls = []
     original = integral.generates
 
-    def generates(algebra, sample):
+    def generates(algebra, sample, *orbit):
         calls.append((algebra, sample))
-        return original(algebra, sample)
+        return original(algebra, sample, *orbit)
     monkeypatch.setattr(integral, "generates", generates)
     algebra = _classical_algebra(s3sextic)
     index = next(i for i in range(len(s3sextic.structures()))
@@ -536,10 +562,20 @@ def test_certificate_tests_each_witness_once(s3sextic, monkeypatch):
         solved.append(x)
         return original_coords(subfield, x)
     monkeypatch.setattr(Subfield, "coords", coords)
+    orbits = []
+    original_orbit = DescendedAlgebra.orbit
+
+    def orbit(algebra, x_coords):
+        orbits.append(algebra)
+        return original_orbit(algebra, x_coords)
+    monkeypatch.setattr(DescendedAlgebra, "orbit", orbit)
     cert = freeness_certificate(algebra, partner, s3sextic.ideal("OE"), 3)
     assert cert.consistent and cert.commuting_transport_holds
     # one generator test per side's witness, on the commuting side
     assert [a for a, _ in calls] == [partner, algebra]
+    # and one orbit, which the generator test and the solver share (two
+    # per side when each built its own)
+    assert orbits == [partner, algebra]
     # the witnesses' subfield coordinates come from the search, so none is
     # solved for again (8 solves when each step solved its own)
     assert solved == []
@@ -571,10 +607,11 @@ def test_orders_and_transport_run_on_the_integer_forms(s3sextic, monkeypatch):
     # the closure check and the transport check read the integer structure
     # constants and action matrices: associated_order runs no Fraction
     # mat_vec and tests one rational vector (the unit) for membership, and in
-    # a certificate only the searches' witness coordinates, the partner's
-    # orbits and the transfer solves run a Fraction mat_vec.  On the
-    # rational forms each order tested 37 vectors (its 36 products through
-    # multiply_coords), and the transport check ran 156 Fraction mat_vec
+    # a certificate only the searches' witness coordinates and the transfer
+    # solves run a Fraction mat_vec.  On the rational forms each order
+    # tested 37 vectors (its 36 products through multiply_coords), the
+    # transport check ran 156 Fraction mat_vec, and each side built the
+    # partner's orbit of the witness twice on Fraction coordinates (12 each)
     import sys
     algebras = [s3sextic.algebra(i) for i in range(len(s3sextic.structures()))]
     ideals = [s3sextic.ideal(name) for name in sorted(s3sextic.ideals)]
@@ -608,9 +645,9 @@ def test_orders_and_transport_run_on_the_integer_forms(s3sextic, monkeypatch):
     partner = s3sextic.algebra(_opposite_index(s3sextic, index))
     cert = freeness_certificate(algebra, partner, s3sextic.ideal("OE"), 3)
     assert cert.consistent and cert.commuting_transport_holds
-    # per side: one witness, a generator test's orbit and the transfer's
-    # orbit (6 each), and one solve per order basis element
-    assert Counter(callers) == {"freeness_search": 2, "orbit": 24, "solve": 12}
+    # per side: one witness and one solve per order basis element; the
+    # generator test and the solver share one integer orbit of the witness
+    assert Counter(callers) == {"freeness_search": 2, "solve": 12}
 
 
 def test_certificate_trivial_for_commutative_structures(qzeta3):

@@ -9,8 +9,9 @@ from hopfgalois.perm import (FiniteGroup, Permutation, _power_free_candidates,
                              is_normalized_by, metacyclic_group, opposite,
                              right_translation_subgroup)
 
-from .oracles import (is_isomorphic, is_regular, normal_subgroups_by_filter,
-                      power_free_candidates_by_powers, regular_normalized_oracle)
+from .oracles import (centralizer_by_whole_products, is_isomorphic, is_regular,
+                      normal_subgroups_by_filter, power_free_candidates_by_powers,
+                      regular_normalized_oracle)
 
 
 def s3():
@@ -59,7 +60,9 @@ def test_permutation_takes_int_images_only(images):
 
 
 def test_group_rejects_non_closed_sets():
-    with pytest.raises(StructureError):
+    # the message names the first missing product, in element order
+    with pytest.raises(StructureError, match=r"Permutation\(\[1, 2, 0\]\) \* "
+                                             r"Permutation\(\[1, 2, 0\]\) is missing"):
         FiniteGroup([Permutation([0, 1, 2]), Permutation([1, 2, 0])])
 
 
@@ -325,6 +328,16 @@ def test_centralizer_of_right_translations_in_sym6():
     assert set(cent) == set(space.translations)
 
 
+def test_centralizer_matches_the_whole_product_scan(all_fixtures):
+    # the pointwise early exit finds what comparing whole products finds, on
+    # every structure up to size 8 (d4 and q8 have 30 and 22)
+    for fx in all_fixtures:
+        space = fx.coset_space()
+        for i, n in enumerate(fx.structures()):
+            assert centralizer_bruteforce(n, space) == \
+                centralizer_by_whole_products(n, space), (fx.name, i)
+
+
 def test_centralizer_small_cases():
     group = s3()
     stab = FiniteGroup.generated_by([Permutation([0, 2, 1])])
@@ -339,6 +352,19 @@ def test_centralizer_small_cases():
 
 
 # --- group queries
+
+def test_multiplication_table_matches_the_products(all_fixtures):
+    s5 = FiniteGroup.generated_by([Permutation([1, 2, 3, 4, 0]),
+                                   Permutation([1, 0, 2, 3, 4])])
+    assert s5.order() == 120
+    groups = [s5] + [g for fx in all_fixtures for g in (fx.group, *fx.structures())]
+    for group in groups:
+        elems = group.elements
+        for i, p in enumerate(elems):
+            for j, q in enumerate(elems):
+                assert group.mul(i, j) == group.index_of(p * q)
+            assert group.mul(i, group.inv(i)) == group.identity_index
+
 
 def test_group_queries_metacyclic21():
     group, s, t = metacyclic_group(7, 3, 2)

@@ -142,7 +142,9 @@ def test_det_symbolic_packs_eighth_powers_without_carries():
 def test_signed_canonical_det_recovers_the_unsorted_determinant(all_fixtures):
     # the canonical determinant has a positive leading coefficient, and the
     # sign recovers the transition matrix's determinant as built (rows in
-    # the structure's element order), also by cofactor expansion
+    # the structure's element order), also by cofactor expansion below size
+    # 8 (an 8 x 8 expansion takes about a second; det_symbolic is checked
+    # against it at 8 points above)
     for fx in all_fixtures:
         space = fx.coset_space()
         for n in fx.structures():
@@ -150,7 +152,8 @@ def test_signed_canonical_det_recovers_the_unsorted_determinant(all_fixtures):
             assert poly.leading_term()[1] > 0
             unsorted = poly if sign == 1 else -poly
             assert det_symbolic(_symbolic(n, space)) == unsorted
-            assert cofactor_det(_indices(n, space), space.size) == unsorted
+            if space.size < 8:
+                assert cofactor_det(_indices(n, space), space.size) == unsorted
 
 
 def test_size_bound_enforced():
