@@ -9,10 +9,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from . import linalg
-from .errors import ConsistencyError, DomainError, StructureError
-from .numberfield import FieldElement, GaloisContext, Subfield, field_det
+from .errors import ConsistencyError, StructureError
+from .numberfield import (FieldElement, GaloisContext, Subfield,
+                          _convolve_into, _reduce_int, field_det)
 from .perm import CosetSpace, FiniteGroup, is_normalized_by
 from .transition import transition_matrix_of
 
@@ -26,18 +28,6 @@ class GroupAlgebraElement:
     def __init__(self, subgroup: FiniteGroup, coefficients):
         self.subgroup = subgroup
         self.coefficients = tuple(coefficients)
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        group = self.subgroup
-        out = [self.coefficients[0].field.zero() for _ in group.elements]
-        for i, a in enumerate(self.coefficients):
-            if not a:
-                continue
-            for j, b in enumerate(other.coefficients):
-                if not b:
-                    continue
-                out[group.mul(i, j)] += a * b
-        return GroupAlgebraElement(self.subgroup, out)
 
     def __repr__(self):
         return f"GroupAlgebraElement({list(self.coefficients)})"
@@ -73,87 +63,142 @@ class DescendedAlgebra:
         return [linalg.mat_vec(a, x_coords) for a in self.int_action_matrices]
 
 
-def _flatten(values) -> list[Fraction]:
-    """Rational coordinates of the given field elements, concatenated."""
-    return [v for c in values for v in c.coords]
-
-
 def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
             subfield: Subfield) -> DescendedAlgebra:
-    """Exact fixed points of the simultaneous action (Galois on coefficients,
-    translation-conjugation on the subgroup) inside E[N], with action matrices
-    on the chosen subfield basis."""
+    """The fixed points E[N]^G of the simultaneous action (Galois on the
+    coefficients, conjugation by the translations on N) inside E[N], with
+    its integer action matrices on the subfield basis and integer structure
+    constants.
+
+    sum_i v_i eta_i is fixed when v_{c_g(i)} = M_g v_i for every g, where
+    eta_{c_g(i)} = lambda_g eta_i lambda_g^-1 and M_g is the matrix of g.
+    So the fixed space is built orbit by orbit of G on N's indices: for an
+    orbit with root r and, for each j in it, an element h_j with
+    c_{h_j}(r) = j, its fixed vectors are v_j = M_{h_j} u (M_ab = M_a M_b,
+    which load_field checks), for u in the fixed field of the root's
+    stabilizer.  The Schreier elements h_k^-1 g h_j, k = c_g(j), generate
+    that stabilizer, so each orbit costs one n x n fixed_space.  The basis
+    is the canonical one of the space (linalg.span_basis): the kernel basis
+    of the stacked system of every M_g - 1, with its free columns.
+
+    The result is certified, not trusted.  Every basis vector is checked
+    fixed by every generator, over Z, and the basis independent over E
+    (field_det).  Fixed vectors independent over Q are independent over E
+    (Speiser), so dim_Q E[N]^G <= m, and m fixed vectors independent over E
+    are a basis of the whole fixed space.  Products are taken over Z[t]/(f)
+    on the basis times its common denominator, and their coordinates, read
+    off at the free columns, are checked by an integer recombination."""
     if not is_normalized_by(n, space):
         raise StructureError(
             "subgroup is not normalized by the translation image; "
             "it does not descend")
-    m = space.size
-    nf_degree = context.degree
-    dim = m * nf_degree
-    elems = n.elements
-
-    matrices = []
-    for g in space.group.generators:
+    group, matrices = space.group, context.matrices
+    m, nf_degree = space.size, context.degree
+    modulus = context.field.modulus
+    conj = {}
+    for g in group.generators:
         lam_g = space.translations[g]
         lam_g_inv = lam_g.inverse()
-        conj = [n.index_of(lam_g * eta * lam_g_inv) for eta in elems]
-        mg = context.matrices[g]
-        big = [[Fraction(0)] * dim for _ in range(dim)]
-        for i in range(m):
-            ti = conj[i]
-            for r in range(nf_degree):
-                row = big[ti * nf_degree + r]
-                for c in range(nf_degree):
-                    row[i * nf_degree + c] = mg[r][c]
-        matrices.append(big)
-    kernel, free = linalg.fixed_space(matrices, dim)
+        conj[g] = [n.index_of(lam_g * eta * lam_g_inv) for eta in n.elements]
+
+    spanning = []
+    reached = set()
+    for root in range(m):
+        if root in reached:
+            continue
+        # index j in the orbit -> h_j, and the Schreier elements
+        orbit = {root: group.identity_index}
+        stabilizer = set()
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for j in frontier:
+                for g in group.generators:
+                    k, h = conj[g][j], group.mul(g, orbit[j])
+                    if k in orbit:
+                        stabilizer.add(group.mul(group.inv(orbit[k]), h))
+                    else:
+                        orbit[k] = h
+                        nxt.append(k)
+            frontier = nxt
+        reached.update(orbit)
+        stabilizer.discard(group.identity_index)
+        fixed, _ = linalg.fixed_space(
+            [matrices[s] for s in sorted(stabilizer)], nf_degree)
+        # over Z: the u and each e_j M_{h_j} scaled to integers, and block j
+        # times common / e_j, so that every block carries one factor
+        scaled = {j: linalg._clear_denominators(matrices[h])
+                  for j, h in orbit.items()}
+        common = lcm(*(e for e, _ in scaled.values()))
+        for u in linalg._clear_denominators(fixed)[1]:
+            vec = [0] * (m * nf_degree)
+            for j, (e, mh) in scaled.items():
+                vec[j * nf_degree:(j + 1) * nf_degree] = \
+                    [common // e * x for x in linalg.mat_vec(mh, u)]
+            spanning.append(vec)
+    kernel, free = linalg.span_basis(spanning, m * nf_degree)
     if len(kernel) != m:
         raise ConsistencyError(
             f"descended algebra has dimension {len(kernel)}, expected {m}")
 
-    basis = []
-    for vec in kernel:
-        coeffs = [FieldElement(context.field,
-                               tuple(vec[i * nf_degree: (i + 1) * nf_degree]))
-                  for i in range(m)]
-        basis.append(GroupAlgebraElement(n, coeffs))
+    # the basis times its common denominator, as integer blocks
+    den, ints = linalg._clear_denominators(kernel)
+    blocks = [[vec[i * nf_degree:(i + 1) * nf_degree] for i in range(m)]
+              for vec in ints]
+    for g in group.generators:
+        scale, mg = linalg._clear_denominators(matrices[g])
+        for vec in blocks:
+            for block, k in zip(vec, conj[g]):
+                if linalg.mat_vec(mg, block) != [scale * x for x in vec[k]]:
+                    raise ConsistencyError(
+                        "descended basis is not fixed by the Galois action")
 
+    field = context.field
+    basis = tuple(GroupAlgebraElement(n, [
+        FieldElement(field, tuple(vec[i * nf_degree:(i + 1) * nf_degree]))
+        for i in range(m)]) for vec in kernel)
     # full E[N] is recovered over E: the basis must have full rank over E
-    e_matrix = [list(b.coefficients) for b in basis]
-    if not field_det(e_matrix):
+    if not field_det([list(b.coefficients) for b in basis]):
         raise ConsistencyError("descended basis does not span E[N] over E")
 
+    # b . l_j = sum_eta c_eta sigma(l_j), sigma the representative of the
+    # coset eta^-1(base); over Z on the images times their denominator
+    images = subfield.coset_images(space.representatives)
+    columns = [linalg.transpose(mat) for mat in images.matrices]
     base = space.base_point
-    action_matrices = []
-    acting_cosets = [eta.inverse()(base) for eta in elems]
-    images = subfield.coset_images(space.representatives).elements
-    for b in basis:
+    acting = [columns[eta.inverse()(base)] for eta in n.elements]
+    action = []
+    for vec in blocks:
         cols = []
         for j in range(subfield.dim):
-            total = context.field.zero()
-            for c, coset in zip(b.coefficients, acting_cosets):
-                if c:
-                    total = total + c * images[coset][j]
-            try:
-                cols.append(subfield.coords(total))
-            except DomainError:
+            acc = [0] * (2 * nf_degree - 1)
+            for block, image in zip(vec, acting):
+                _convolve_into(acc, block, image[j])
+            coords = subfield.int_coords(_reduce_int(acc, modulus))
+            if coords is None:
                 raise ConsistencyError(
                     "descended action does not preserve the fixed subfield")
-        action_matrices.append(linalg.transpose(cols))
+            cols.append(coords)
+        action.append(linalg.transpose(cols))
 
     # the unit is 1 at n.elements[0], the identity (lexicographically least)
-    field = context.field
     identity_coords = linalg.echelon_coords(
-        kernel, free, _flatten([field.one()] + [field.zero()] * (m - 1)))
+        ints, free, [1] + [0] * (m * nf_degree - 1), den)
     if identity_coords is None:
         raise ConsistencyError("unit of the group algebra escaped the descent")
 
+    supports = [[(a, x) for a, x in enumerate(vec) if any(x)] for vec in blocks]
     structure = []
-    for bi in basis:
+    for bi in supports:
         row = []
-        for bj in basis:
-            coords = linalg.echelon_coords(kernel, free,
-                                           _flatten((bi * bj).coefficients))
+        for bj in supports:
+            acc = [[0] * (2 * nf_degree - 1) for _ in range(m)]
+            for a, x in bi:
+                for b, y in bj:
+                    _convolve_into(acc[n.mul(a, b)], x, y)
+            coords = linalg.echelon_coords(
+                ints, free, [c for block in acc
+                             for c in _reduce_int(block, modulus)], den)
             if coords is None:
                 raise ConsistencyError(
                     "descended algebra is not closed under multiplication")
@@ -161,17 +206,19 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
         structure.append(row)
 
     return DescendedAlgebra(
-        context, space, n, subfield, tuple(basis), tuple(identity_coords),
-        *_integer_form(action_matrices), *_integer_form(structure))
+        context, space, n, subfield, basis, tuple(map(Fraction, identity_coords)),
+        *_integer_form(den * images.denominator, action),
+        *_integer_form(den * den, structure))
 
 
-def _integer_form(matrices):
-    """(d, the matrices times d as integer tuples): one common denominator d
-    for the whole set of square matrices."""
-    n = len(matrices[0])
-    d, rows = linalg._clear_denominators([r for mat in matrices for r in mat])
-    return d, tuple(tuple(map(tuple, rows[k:k + n]))
-                    for k in range(0, len(rows), n))
+def _integer_form(scale, matrices):
+    """(d, the matrices over d as integer tuples) for integer square
+    matrices that are `scale` times rational ones: with g the gcd of scale
+    and every entry, d = scale / g is the rational set's least common
+    denominator and the integers are the entries over g."""
+    g = gcd(scale, *(x for mat in matrices for row in mat for x in row))
+    return scale // g, tuple(tuple(tuple(x // g for x in row) for row in mat)
+                             for mat in matrices)
 
 
 def verify_hopf_galois(algebra: DescendedAlgebra) -> bool:

@@ -127,15 +127,30 @@ def fixed_space(matrices, ncols: int):
     return kernel_basis(stacked, ncols)
 
 
-def echelon_coords(basis, free, target):
+def span_basis(vectors, ncols: int):
+    """The basis kernel_basis returns for a kernel equal to the span of the
+    given vectors, with its free columns.  That basis depends only on the
+    space: vector j is the only one nonzero at free[j], where it is 1, and
+    is 0 after it, so the basis is the reduced row echelon form of the
+    vectors with their columns reversed, read back in reverse."""
+    rows, pivots, d = _eliminate(_clear_denominators(
+        [list(reversed(v)) for v in vectors])[1])
+    basis = [[Fraction(x, d) for x in reversed(rows[i])]
+             for i in reversed(range(len(pivots)))]
+    return basis, [ncols - 1 - p for p in reversed(pivots)]
+
+
+def echelon_coords(basis, free, target, scale=1):
     """Coordinates of target in a fixed_space basis, or None if target is
     outside its span: the entries of target at the free columns, checked by
-    recombination at the other columns only."""
+    recombination at the other columns only.  With integer vectors, basis
+    may be scale times such a basis; the coordinates are then those of
+    target, still checked exactly."""
     coords = [target[f] for f in free]
     free_set = set(free)
     for c, x in enumerate(target):
-        if c not in free_set and x != sum(
-                (a * v[c] for a, v in zip(coords, basis) if a and v[c]), ZERO):
+        if c not in free_set and x * scale != sum(
+                (a * v[c] for a, v in zip(coords, basis) if a and v[c]), 0):
             return None
     return coords
 

@@ -574,7 +574,8 @@ class Subfield:
     are read off rather than solved for."""
 
     __slots__ = ("context", "stabilizer", "basis", "dim", "_vectors", "_free",
-                 "_multiplication", "_int_multiplication", "_coset_images")
+                 "_int_scale", "_int_vectors", "_multiplication",
+                 "_int_multiplication", "_coset_images")
 
     def __init__(self, context: GaloisContext, stabilizer: FiniteGroup,
                  vectors, free):
@@ -584,6 +585,7 @@ class Subfield:
         self.dim = len(self.basis)
         self._vectors = vectors
         self._free = free
+        self._int_scale, self._int_vectors = linalg._clear_denominators(vectors)
         self._multiplication = None
         self._int_multiplication = None
         self._coset_images = None
@@ -593,6 +595,14 @@ class Subfield:
         if c is None:
             raise DomainError("element does not lie in the fixed subfield")
         return c
+
+    def int_coords(self, ints):
+        """The subfield coordinates times c of the element whose power-basis
+        coordinates times a nonzero c are the integers ints; None outside
+        the subfield.  Read off over Z, against the basis times its common
+        denominator."""
+        return linalg.echelon_coords(self._int_vectors, self._free, ints,
+                                     self._int_scale)
 
     def contains(self, x: FieldElement) -> bool:
         return linalg.echelon_coords(self._vectors, self._free, x.coords) is not None

@@ -22,12 +22,13 @@ from .perm import CosetSpace, FiniteGroup
 DET_SIZE_BOUND = 8
 
 
-def _term_sort_key(exponents: tuple[int, ...]):
-    # printing order: total degree, concentration pattern, then lex; all
-    # descending, so y0^3 + y1^3 + y2^3 - 3*y0*y1*y2 prints in that order
-    return (-sum(exponents),
-            tuple(-e for e in sorted(exponents, reverse=True)),
-            tuple(-e for e in exponents))
+def _term_sort_key(term):
+    # printing order: total degree, concentration pattern (the exponents
+    # sorted downwards), then lex; all descending, by a reversed sort on
+    # this key, so y0^3 + y1^3 + y2^3 - 3*y0*y1*y2 prints in that order.
+    # No two terms tie: the key ends with the exponents
+    exponents = term[0]
+    return sum(exponents), sorted(exponents, reverse=True), exponents
 
 
 def _leading_key(exponents: tuple[int, ...]):
@@ -63,7 +64,7 @@ class IntPolynomial:
         return exps, self.terms[exps]
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: _term_sort_key(item[0]))
+        return sorted(self.terms.items(), key=_term_sort_key, reverse=True)
 
     def __str__(self):
         if not self.terms:
@@ -107,30 +108,35 @@ def det_symbolic(matrix) -> IntPolynomial:
     coefficient vector (a_0, .., a_{n-1}).  A matrix whose every entry has at
     most one nonzero coefficient (a transition matrix) has sparse minors,
     kept as dicts; any other (a norm form) has nearly dense minors, packed
-    (_dense_det), unless a level's coefficients could outgrow their slots."""
+    (_dense_det) for as long as a level's coefficients fit their slots."""
     m, nvars = len(matrix), len(matrix[0][0])
     if m > DET_SIZE_BOUND:
         raise CapabilityError(
             f"matrix size {m} exceeds the symbolic determinant bound {DET_SIZE_BOUND}")
-    terms = None
     if any(sum(map(bool, form)) > 1 for row in matrix for form in row):
-        terms = _dense_det(matrix, nvars)
-    if terms is None:
-        terms = _sparse_det(matrix, nvars)
-    return IntPolynomial(nvars, terms)
+        return IntPolynomial(nvars, _dense_det(matrix, nvars))
+    return IntPolynomial(nvars, _sparse_det(matrix, nvars))
 
 
-def _sparse_det(matrix, nvars: int) -> dict:
-    """The determinant's terms, each minor a dict of its nonzero terms."""
-    m = len(matrix)
+def _sparse_det(matrix, nvars: int, below=None) -> dict:
+    """The determinant's terms, each minor a dict of its nonzero terms.  The
+    expansion runs over the rows of matrix, from the bottom up.  Given
+    `below`, the minors on the rows under those, as {column bitmask:
+    {exponents: coefficient}}, it starts from them: matrix is then the top
+    rows of a square matrix whose width is the size."""
+    m = len(matrix[0])
     # an exponent vector is one integer in radix m + 1 (no exponent of a
     # degree-m determinant exceeds m), so multiplying by y_k adds radix^k
     radix = m + 1
-    rows = [[[(radix ** j, a) for j, a in enumerate(form) if a] for form in row]
+    weights = [radix ** j for j in range(nvars)]
+    rows = [[[(weights[j], a) for j, a in enumerate(form) if a] for form in row]
             for row in matrix]
     # column bitmask -> {packed exponents: coefficient} of the minor on those
     # columns
-    minors = {0: {0: 1}}
+    minors = {0: {0: 1}} if below is None else {
+        cols: {sum(x * w for x, w in zip(e, weights)): c
+               for e, c in minor.items()}
+        for cols, minor in below.items()}
     for row in reversed(rows):
         grown: dict[int, dict[int, int]] = {}
         for cols, minor in minors.items():
@@ -190,7 +196,7 @@ def _times_variable(nvars: int, degree: int) -> tuple[itemgetter, ...]:
     return tuple(gathers)
 
 
-def _dense_det(matrix, nvars: int) -> dict | None:
+def _dense_det(matrix, nvars: int) -> dict:
     """The determinant's terms, with every minor of degree k packed in one
     integer: its coefficients over the degree-k monomials in graded order,
     one signed 64-bit slot each, slot i at bit 64 i.  Extending the minors by
@@ -201,17 +207,21 @@ def _dense_det(matrix, nvars: int) -> dict | None:
 
     Every Q_j slot and every new coefficient is at most the row's absolute
     coefficient sum times the largest |coefficient| of the level below.
-    Before each level that product is checked against 2^63; None when it is
-    not below, and the caller expands over dicts instead.  Some entry has two
-    nonzero coefficients, so nvars >= 2."""
+    Before each level that product is checked against 2^63.  When it is not
+    below, the minors of the level below, decoded, seed the dict expansion
+    (_sparse_det) of the rows left.  Some entry has two nonzero
+    coefficients, so nvars >= 2."""
     m = len(matrix)
     order = sys.byteorder
     coeffs = {0: (1,)}  # column bitmask -> coefficients of the minor
     for k, row in enumerate(reversed(matrix)):
+        monomials = _monomials(nvars, k)
         largest = max(max(map(abs, c)) for c in coeffs.values())
         if sum(abs(a) for form in row for a in form) * largest >= _SLOT_LIMIT:
-            return None
-        size = len(_monomials(nvars, k))
+            return _sparse_det(matrix[:m - k], nvars, {
+                cols: {e: c for e, c in zip(monomials, minor) if c}
+                for cols, minor in coeffs.items()})
+        size = len(monomials)
         # 2^63 in every slot: adding it makes every slot nonnegative, and
         # xor-ing it again turns a slot into its two's complement
         bias = int.from_bytes((bytes(7) + b"\x80") * size, "little")

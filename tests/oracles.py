@@ -3,6 +3,7 @@ deliberately naive: different algorithms than the code under test."""
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from hopfgalois import linalg
 from hopfgalois.descent import GroupAlgebraElement, coset_values
@@ -290,6 +291,64 @@ def rref_kernel(mat, ncols):
     return basis, free
 
 
+def stacked_descent_system(context, space, n):
+    """The simultaneous action on E[N] as one stacked system: for each
+    generator g of G, the mn x mn matrix sending block i (the coefficient of
+    eta_i) to block c_g(i) through M_g, minus the identity."""
+    m, deg = space.size, context.degree
+    stacked = []
+    for g in space.group.generators:
+        lam = space.translations[g]
+        conj = [n.index_of(lam * eta * lam.inverse()) for eta in n.elements]
+        big = [[Fraction(0)] * (m * deg) for _ in range(m * deg)]
+        for i in range(m):
+            for r in range(deg):
+                for c in range(deg):
+                    big[conj[i] * deg + r][i * deg + c] = context.matrices[g][r][c]
+        stacked += [[x - (i == j) for j, x in enumerate(row)]
+                    for i, row in enumerate(big)]
+    return stacked
+
+
+def stacked_descent(context, space, n, subfield):
+    """E[N]^G by one elimination of the stacked system (rref_kernel) and
+    everything else over Q: the kernel basis with its free columns, the
+    action matrices on the subfield basis from field-element sums, and the
+    structure constants from group-algebra products solved for in the
+    basis, each set in integer form over its least common denominator."""
+    m, deg = space.size, context.degree
+    kernel, free = rref_kernel(stacked_descent_system(context, space, n),
+                               m * deg)
+    basis = [GroupAlgebraElement(n, [context.field.element(v[i * deg:(i + 1) * deg])
+                                     for i in range(m)]) for v in kernel]
+    base = space.base_point
+    images = [[context.apply(g, b) for b in subfield.basis]
+              for g in space.representatives]
+    action = []
+    for b in basis:
+        cols = []
+        for j in range(subfield.dim):
+            total = context.field.zero()
+            for eta, c in zip(n.elements, b.coefficients):
+                total = total + c * images[eta.inverse()(base)][j]
+            cols.append(subfield.coords(total))
+        action.append(linalg.transpose(cols))
+    solver = linalg.LinearSolver(kernel)
+    structure = [[solver.solve(flatten_coefficients(group_algebra_product(a, b)))
+                  for b in basis] for a in basis]
+    return kernel, free, integer_form(action), integer_form(structure)
+
+
+def integer_form(matrices):
+    """(d, the matrices times d as integer tuples), d the least common
+    denominator of every entry."""
+    rows = [r for mat in matrices for r in mat]
+    d = lcm(*(Fraction(x).denominator for r in rows for x in r))
+    size = len(matrices[0])
+    ints = [tuple(int(x * d) for x in r) for r in rows]
+    return d, tuple(tuple(ints[k:k + size]) for k in range(0, len(ints), size))
+
+
 class RingPolynomial(IntPolynomial):
     """IntPolynomial with the ring operations, for building reference
     polynomials term by term."""
@@ -533,6 +592,18 @@ def group_algebra_sum(a, b):
         a.subgroup, (x + y for x, y in zip(a.coefficients, b.coefficients)))
 
 
+def group_algebra_product(a, b):
+    """a * b in E[N]: the coefficient products, each added at the product
+    of its two subgroup elements."""
+    group = a.subgroup
+    out = [a.coefficients[0].field.zero() for _ in group.elements]
+    for i, x in enumerate(a.coefficients):
+        for j, y in enumerate(b.coefficients):
+            if x and y:
+                out[group.mul(i, j)] += x * y
+    return GroupAlgebraElement(group, out)
+
+
 def transfer_element(algebra, partner, a_coords, x):
     """The unique partner element acting on the generator x exactly as the
     given element does; solves z . x = a . x in the partner's coordinates."""
@@ -628,7 +699,8 @@ def rational_structure_constants(algebra):
     """The structure constants over Q: matrix i holds in row j the
     coordinates of b_i * b_j, solved for in the descended basis."""
     solver = descended_solver(algebra)
-    return [[solver.solve(flatten_coefficients(bi * bj)) for bj in algebra.basis]
+    return [[solver.solve(flatten_coefficients(group_algebra_product(bi, bj)))
+             for bj in algebra.basis]
             for bi in algebra.basis]
 
 

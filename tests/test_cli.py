@@ -364,9 +364,10 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     monkeypatch.setattr(numberfield, "CosetImages",
                         counting("coset_images", numberfield.CosetImages))
     # a sample is drawn as subfield coordinates: it is never built as a
-    # field element, and its coordinates are not solved for again.  The 73
+    # field element, and its coordinates are not solved for again.  The 41
     # solves are the load's (among them the 4 x 4 columns of the subfield
-    # basis's multiplication matrices) and the descents' own
+    # basis's multiplication matrices); the descents read theirs over Z
+    # (Subfield.int_coords), where they took 2 x 16 more
     monkeypatch.setattr(Subfield, "from_coords",
                         counting("from_coords", Subfield.from_coords))
     monkeypatch.setattr(Subfield, "coords",
@@ -377,7 +378,7 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     assert counts["generates"] == 2 * cli.GENERATOR_SAMPLES
     assert counts["coset_images"] == 1
     assert counts["from_coords"] == 0
-    assert counts["coords"] == 73
+    assert counts["coords"] == 41
 
 
 def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,

@@ -12,7 +12,8 @@ from hopfgalois.descent import (GeneratorSample, GroupAlgebraElement,
                                 trace_form_nondegenerate,
                                 transition_det_nonzero, verify_commuting,
                                 verify_hopf_galois)
-from hopfgalois.errors import DomainError, StructureError
+from hopfgalois.errors import ConsistencyError, DomainError, StructureError
+from hopfgalois.numberfield import GaloisContext
 from hopfgalois.perm import (FiniteGroup, Permutation, opposite,
                              right_translation_subgroup)
 
@@ -20,10 +21,12 @@ from .oracles import (action_matrix_of, coords_of, descended_act,
                       descended_solver, det, element_from_coords,
                       embed_in_map_algebra, flatten_coefficients,
                       galois_act_on_map, generates_fixed_map_algebra,
-                      generates_map_algebra_over_group_algebra, idempotent,
+                      generates_map_algebra_over_group_algebra,
+                      group_algebra_product, idempotent,
                       multiply_coords, permutation_act_on_map,
                       rational_action_matrices, rational_structure_constants,
-                      sum_over_subgroup, transition_matrix_values)
+                      stacked_descent, sum_over_subgroup,
+                      transition_matrix_values)
 
 F = Fraction
 
@@ -139,6 +142,75 @@ def test_descend_rejects_unnormalized_subgroups(c4quartic):
         descend(c4quartic.context, space, stray, c4quartic.subfield())
 
 
+def test_descend_matches_the_stacked_oracle(field_fixtures):
+    # the orbit-by-orbit descent over Z against one elimination of the
+    # stacked system and Fraction arithmetic throughout
+    for fx in field_fixtures:
+        ctx, space, sub = fx.context, fx.coset_space(), fx.subfield()
+        for i, n in enumerate(fx.structures()):
+            algebra = fx.algebra(i)
+            kernel, free, action, structure = stacked_descent(ctx, space, n, sub)
+            vectors = [flatten_coefficients(b) for b in algebra.basis]
+            assert vectors == kernel
+            # a canonical basis vector is last nonzero at its free column
+            assert [max(c for c, x in enumerate(v) if x) for v in vectors] \
+                == free
+            assert (algebra.action_denominator,
+                    algebra.int_action_matrices) == action
+            assert (algebra.structure_denominator,
+                    algebra.int_structure_constants) == structure
+
+
+def _tampered(ctx, index, replacement):
+    matrices = list(ctx.matrices)
+    matrices[index] = replacement
+    return GaloisContext(ctx.field, ctx.group, tuple(matrices),
+                         ctx.irreducibility)
+
+
+def test_planted_wrong_matrix_fails_the_fixedness_certificate(s3sextic,
+                                                              c4quartic):
+    # element 4 of S3 is no generator: its matrix only guides the orbit
+    # formula, which the certificate checks against the generators' own
+    ctx, space, sub = s3sextic.context, s3sextic.coset_space(), s3sextic.subfield()
+    assert 4 not in space.group.generators
+    bad = _tampered(ctx, 4, ctx.matrices[0])
+    with pytest.raises(ConsistencyError, match="not fixed by the Galois action"):
+        descend(bad, space, s3sextic.structures()[2], sub)
+    # normalization is still checked first
+    ctx = c4quartic.context
+    stray = FiniteGroup(
+        [Permutation([0, 1, 2, 3]), Permutation([1, 3, 0, 2]),
+         Permutation([3, 2, 1, 0]), Permutation([2, 0, 3, 1])])
+    with pytest.raises(StructureError, match="does not descend"):
+        descend(_tampered(ctx, 2, ctx.matrices[0]), c4quartic.coset_space(),
+                stray, c4quartic.subfield())
+
+
+def test_wrong_non_generator_matrices_never_pass_silently(s3sextic, v4biquad):
+    # with the generators' matrices right, a descent that returns is the
+    # true one: each non-generator's matrix replaced by every other matrix
+    for fx in (s3sextic, v4biquad):
+        ctx, space, sub = fx.context, fx.coset_space(), fx.subfield()
+        for h in set(range(1, ctx.group.order())) - set(space.group.generators):
+            for other in ctx.matrices:
+                if other == ctx.matrices[h]:
+                    continue
+                bad = _tampered(ctx, h, other)
+                for i, n in enumerate(fx.structures()):
+                    try:
+                        algebra = descend(bad, space, n, sub)
+                    except ConsistencyError:
+                        continue
+                    good = fx.algebra(i)
+                    assert [b.coefficients for b in algebra.basis] == \
+                        [b.coefficients for b in good.basis]
+                    assert algebra.int_action_matrices == \
+                        good.int_action_matrices
+                    assert algebra.int_structure_constants == \
+                        good.int_structure_constants
+
+
 # --- the descended action
 
 def test_sum_over_subgroup_acts_as_the_trace(s3sextic):
@@ -227,8 +299,10 @@ def test_commuting_keeps_each_denominator():
     # last pair commute too
     class Actions:
         def __init__(self, *mats):
+            d, rows = linalg._clear_denominators([r for m in mats for r in m])
             self.action_denominator, self.int_action_matrices = \
-                descent._integer_form(mats)
+                descent._integer_form(d, [rows[k:k + 2]
+                                          for k in range(0, len(rows), 2)])
 
     a = Actions([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 2)]], [[1, 0], [0, 1]])
     assert verify_commuting(a, Actions([[1, F(1, 4)], [F(1, 4), 1]]))
@@ -460,7 +534,8 @@ def test_multiplication_closes_with_rational_constants(s3sextic):
         via_constants = multiply_coords(algebra, a, b)
         ea = element_from_coords(algebra, a)
         eb = element_from_coords(algebra, b)
-        assert coords_of(algebra, ea * eb) == via_constants
+        assert coords_of(algebra, group_algebra_product(ea, eb)) == \
+            via_constants
 
 
 def test_unit_coordinates_multiply_neutrally(v4biquad):
@@ -488,7 +563,8 @@ def test_descended_coordinates_match_the_solver(field_fixtures):
                                algebra.int_structure_constants):
                 for bj, constants in zip(algebra.basis, row):
                     assert [F(c, d) for c in constants] == \
-                        solver.solve(flatten_coefficients(bi * bj))
+                        solver.solve(flatten_coefficients(
+                            group_algebra_product(bi, bj)))
 
 
 # GaloisContext.apply calls over all descents of a freshly loaded fixture:

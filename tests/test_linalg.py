@@ -123,7 +123,7 @@ def test_clear_denominators_matches_a_fraction_reference():
 
 def test_fixed_space_matches_the_rref_oracle(monkeypatch):
     """Every fixed space a field fixture's load and descents compute: the
-    subfield, then E[N]^G for each structure."""
+    subfield, then the stabilizer systems of each structure's descent."""
     from hopfgalois.descent import descend
     from hopfgalois.fixtures import load_bundled
     systems = []
@@ -137,11 +137,44 @@ def test_fixed_space_matches_the_rref_oracle(monkeypatch):
         fx = load_bundled(name)
         for n in fx.structures():
             descend(fx.context, fx.coset_space(), n, fx.subfield())
-    assert len(systems) == 6 + 1 + 1 + 2 + 4 + 1 + 5
+    # one subfield per fixture; a descent solves one stabilizer system per
+    # orbit of G on N (qi, qzeta3, c4quartic, v4biquad, qcbrt2, s3sextic)
+    assert len(systems) == 6 + 2 + 2 + (3 + 4) + (4 + 3 + 3 + 3) + 2 + \
+        (4 + 6 + 3 + 4 + 4)
     for matrices, ncols in systems:
         stacked = [[x - (i == j) for j, x in enumerate(row)]
                    for m in matrices for i, row in enumerate(m)]
         assert fixed_space(matrices, ncols) == rref_kernel(stacked, ncols)
+
+
+def test_span_basis_is_the_kernel_basis_of_its_span():
+    # the canonical kernel basis depends only on the kernel: rebuilt from
+    # any spanning set of it (here shuffled integer combinations, with
+    # repeats and zero vectors) it comes out the same
+    rng = random.Random(31)
+    for _ in range(200):
+        ncols = rng.randint(1, 7)
+        mat = [[rng.randint(-3, 3) for _ in range(ncols)]
+               for _ in range(rng.randint(0, 5))]
+        basis, free = rref_kernel(mat, ncols)
+        spanning = basis + [[0] * ncols]
+        for _ in range(len(basis) + 1):
+            coeffs = [rng.randint(-4, 4) for _ in basis]
+            spanning.append([sum(a * v[c] for a, v in zip(coeffs, basis))
+                             for c in range(ncols)])
+        rng.shuffle(spanning)
+        assert linalg.span_basis(spanning, ncols) == (basis, free)
+        # coordinates over Z: integer vectors, the basis times d
+        d, ints = linalg._clear_denominators(basis)
+        for v in spanning:
+            coords = [v[f] for f in free]
+            assert linalg.echelon_coords(basis, free, v) == coords
+            assert linalg.echelon_coords(
+                ints, free, [3 * x for x in v], d) == [3 * c for c in coords]
+        # a vector of the span that is 0 at every free column is 0
+        for p in set(range(ncols)) - set(free):
+            unit = [int(c == p) for c in range(ncols)]
+            assert linalg.echelon_coords(ints, free, unit, d) is None
 
 
 def test_kernel_basis_canonical():

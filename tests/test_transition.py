@@ -232,12 +232,38 @@ def test_packed_minors_of_singular_matrices_vanish():
     assert det_symbolic(rows) == cofactor_det(rows, 4)
 
 
-def test_packed_minors_fall_back_to_dicts_beyond_the_slot_bound():
+def test_packed_minors_fall_back_to_dicts_beyond_the_slot_bound(monkeypatch):
     # entries in +-200: the last level's bound, the row's absolute sum times
-    # the largest coefficient below it, is about 2^69, past a 64-bit slot
+    # the largest coefficient below it, is about 2^69, past a 64-bit slot.
+    # The seven packed levels below it are kept: their 8 minors of size 7
+    # seed the dict expansion of the top row
     rows = _dense_forms(random.Random(200), 8, 2, spread=200)
-    assert transition._dense_det(rows, 2) is None
+    seeds = []
+    sparse_det = transition._sparse_det
+
+    def recording(matrix, nvars, below=None):
+        seeds.append((len(matrix), below and len(below)))
+        return sparse_det(matrix, nvars, below)
+    monkeypatch.setattr(transition, "_sparse_det", recording)
     assert det_symbolic(rows) == cofactor_det(rows, 2)
+    assert seeds == [(1, 8)]
+
+
+@pytest.mark.parametrize("spread, rows_left", [(10 ** 5, 3), (10 ** 8, 4),
+                                               (10 ** 12, 5), (10 ** 19, 6)])
+def test_packed_minors_hand_over_at_any_level(spread, rows_left, monkeypatch):
+    # the larger the entries, the earlier a level overflows; at 10^19 even
+    # the first does, and the dict expansion starts from the empty minor
+    rows = _dense_forms(random.Random(spread), 6, 3, spread=spread)
+    left = []
+    sparse_det = transition._sparse_det
+
+    def recording(matrix, nvars, below=None):
+        left.append(len(matrix))
+        return sparse_det(matrix, nvars, below)
+    monkeypatch.setattr(transition, "_sparse_det", recording)
+    assert det_symbolic(rows) == cofactor_det(rows, 3)
+    assert left == [rows_left]
 
 
 def test_transition_matrices_keep_the_dict_expansion(s3sextic, metacyclic21,
