@@ -5,16 +5,14 @@ commuting actions, generators, separability).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
 from .errors import ConsistencyError, StructureError
 from .numberfield import (FieldElement, GaloisContext, Subfield,
-                          _convolve_into, _reduce_int, field_det)
+                          _convolve_into, _packed_det, _reduce_int, field_det)
 from .perm import CosetSpace, FiniteGroup, is_normalized_by
 from .transition import transition_matrix_of
 
@@ -274,26 +272,27 @@ def residues_mod_p(values) -> list[int] | None:
 @dataclass(frozen=True, eq=False)
 class GeneratorSample:
     """A subfield element with what every generator test of it shares,
-    whatever the structure: its subfield coordinates, the reduction prime p,
-    the residues mod p of its coset values (None when p divides a
-    denominator), and the coset values themselves.  Those are built on first
-    use, by build_values: only the exact fallback and det-specialization read
-    them."""
+    whatever the structure: its subfield coordinates, its coset values in
+    integer form (the value at coset k has power-basis coordinates
+    scaled[k] / scale, in the field with this modulus), the reduction prime
+    p, and the residues mod p of the coset values (None when p divides a
+    denominator)."""
 
     coords: list[Fraction | int]
+    modulus: tuple[int, ...]
+    scale: int
+    scaled: list[list[int]]
     prime: int
     residues: list[int] | None
-    build_values: Callable[[], list[FieldElement]]
-
-    @cached_property
-    def values(self) -> list[FieldElement]:
-        return self.build_values()
 
     @classmethod
     def of_values(cls, coords, values) -> GeneratorSample:
         """The sample with the given coset values and residues_mod_p."""
-        p, _ = values[0].field.reduction_root()
-        return cls(coords, p, residues_mod_p(values), lambda: values)
+        field = values[0].field
+        scale, scaled = linalg._clear_denominators([v.coords for v in values])
+        p, _ = field.reduction_root()
+        return cls(coords, field.modulus, scale, scaled, p,
+                   residues_mod_p(values))
 
 
 def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
@@ -302,11 +301,13 @@ def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
     to F_p on the elements whose denominators are prime to p, so a nonzero
     determinant of the reduced matrix proves the exact one nonzero.  A zero
     mod p, or a denominator divisible by p (no residues), falls back to the
-    exact determinant over E (field_det)."""
+    exact determinant in Z[t]/(f) of the transition matrix on the integer
+    values (_packed_det), scale^m times the one over E."""
     if sample.residues is not None and linalg.det_mod_p(
             transition_matrix_of(n, sample.residues), sample.prime):
         return True
-    return bool(field_det(transition_matrix_of(n, sample.values)))
+    return any(_packed_det(transition_matrix_of(n, sample.scaled),
+                           sample.modulus))
 
 
 def generator_sample(subfield: Subfield, space: CosetSpace,
@@ -321,17 +322,16 @@ def generator_sample(subfield: Subfield, space: CosetSpace,
     scaled = [linalg.mat_vec(m, ints) for m in table.matrices]
     field = subfield.context.field
     scale = table.denominator * c
-
-    def values():
-        return [FieldElement(field, tuple(Fraction(v, scale) for v in vec))
-                for vec in scaled]
     p, reduced = table.residues
     if reduced is None or c % p == 0:
-        return GeneratorSample.of_values(coords, values())
-    inv = pow(c, -1, p)
-    residues = [sum(r * a for r, a in zip(row, ints)) * inv % p
-                for row in reduced]
-    return GeneratorSample(coords, p, residues, values)
+        residues = residues_mod_p([
+            FieldElement(field, tuple(Fraction(v, scale) for v in vec))
+            for vec in scaled])
+    else:
+        inv = pow(c, -1, p)
+        residues = [sum(r * a for r, a in zip(row, ints)) * inv % p
+                    for row in reduced]
+    return GeneratorSample(coords, field.modulus, scale, scaled, p, residues)
 
 
 def generates(algebra: DescendedAlgebra, sample: GeneratorSample,

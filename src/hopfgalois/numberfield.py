@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count
-from math import isqrt
+from math import factorial, isqrt
 
 from . import linalg
 from .errors import CapabilityError, ConsistencyError, DomainError, StructureError
@@ -214,77 +214,134 @@ def _reduce_int(acc, modulus) -> list[int]:
 
 def field_det(matrix) -> FieldElement:
     """Determinant over E of a square matrix of field elements, without
-    division until the end.  Every coordinate is scaled by the matrix's common
-    denominator D, so the entries lie in Z[t]/(f); the scaled determinant is a
-    Laplace expansion along the rows, memoized over column sets (2^m minors),
-    with integer convolution reduced by the monic f once per minor.  The
-    result is that determinant divided by D^m."""
+    division until the end: every coordinate is scaled by the matrix's
+    common denominator D, so the entries lie in Z[t]/(f), the scaled
+    determinant is _packed_det's, and the result is that divided by D^m."""
     m = len(matrix)
     if m > FIELD_DET_SIZE_BOUND:
         raise CapabilityError(f"matrix size {m} exceeds the field determinant "
                               f"bound {FIELD_DET_SIZE_BOUND}")
     field = matrix[0][0].field
-    n, modulus = field.degree, field.modulus
     den, flat = linalg._clear_denominators([x.coords for row in matrix
                                             for x in row])
-    rows = [flat[r * m:(r + 1) * m] for r in range(m)]
-    # column bitmask -> coordinates of the minor on the bottom rows and
-    # those columns; zero minors are dropped
-    minors = {0: [1] + [0] * (n - 1)}
-    for row in reversed(rows):
-        negated = [[-a for a in entry] for entry in row]
-        grown: dict[int, list[int]] = {}
-        for cols, minor in minors.items():
-            for c, entry in enumerate(row):
-                bit = 1 << c
-                if cols & bit:
-                    continue
-                acc = grown.get(cols | bit)
-                if acc is None:
-                    acc = grown[cols | bit] = [0] * (2 * n - 1)
-                # cofactor sign: parity of the columns of the minor left of c
-                odd = (cols & (bit - 1)).bit_count() % 2
-                _convolve_into(acc, negated[c] if odd else entry, minor)
-        minors = {}
-        for cols, acc in grown.items():
-            reduced = _reduce_int(acc, modulus)
-            if any(reduced):
-                minors[cols] = reduced
-    full = minors.get((1 << m) - 1)
-    if full is None:
-        return field.zero()
+    det = _packed_det([flat[r * m:(r + 1) * m] for r in range(m)],
+                      field.modulus)
     scale = den ** m
-    return FieldElement(field, tuple(Fraction(c, scale) for c in full))
+    return FieldElement(field, tuple(Fraction(c, scale) for c in det))
 
 
 def polynomial_value(terms, values) -> FieldElement:
     """Value at the field elements values[k] of the integer polynomial whose
     terms map exponents (e_0, .., e_{m-1}) to c in the sum of c * y_0^e_0 * ..
-    * y_{m-1}^e_{m-1}, without division until the end.  The values are scaled
-    by their common denominator D and raised to powers in Z[t]/(f), and each
-    term is scaled by D^(d - its degree) for d the top degree, so the sum is
-    D^d times the value; the last product of each term is added unreduced,
-    and the sum is reduced by f once."""
+    * y_{m-1}^e_{m-1}, without division until the end: the values are scaled
+    by their common denominator D, _packed_value gives D^d times the value,
+    for d the top degree, and the result is that divided by D^d."""
     field = values[0].field
-    n, modulus = field.degree, field.modulus
-    den, scaled = linalg._clear_denominators([x.coords for x in values])
-    top = max(map(sum, terms), default=0)
+    den, ints = linalg._clear_denominators([x.coords for x in values])
+    value = _packed_value(terms, ints, field.modulus, den)
+    scale = den ** max(map(sum, terms), default=0)
+    return FieldElement(field, tuple(Fraction(c, scale) for c in value))
+
+
+# Kronecker substitution: an integer polynomial is packed into one integer,
+# its value at t = 2^(8 w), so a product of polynomials is one big-integer
+# product.  Unpacking reads the coefficients back as w-byte slots, which is
+# exact when each is less than 2^(8 w - 1) in absolute value.
+
+def _slot_bytes(bound: int) -> int:
+    """The least slot width w, in bytes, with bound < 2^(8 w - 1)."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(coords, width: int) -> int:
+    """The integer polynomial with these coefficients at t = 2^(8 width)."""
+    shift = 8 * width
+    value = 0
+    for c in reversed(coords):
+        value = (value << shift) + c
+    return value
+
+
+def _unpack(value: int, slots: int, width: int) -> list[int]:
+    """The first `slots` coefficients of a packed polynomial whose
+    coefficients are each less than 2^(8 width - 1) in absolute value:
+    adding that half to every slot makes each slot a nonnegative digit."""
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    data = (value + bias).to_bytes(slots * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, slots * width, width)]
+
+
+def _packed_det(rows, modulus) -> list[int]:
+    """Coordinates of the determinant in Z[t]/(f), f the monic modulus, of a
+    square matrix of integer coordinate vectors.  Each distinct entry (by
+    identity) is packed once; the determinant is a Laplace expansion along
+    the rows, memoized over column sets (2^m minors), on the packed integers
+    with no reduction in between; it is unpacked and reduced by f once.
+
+    Slot width: only the determinant is unpacked.  With L the largest l1
+    norm of an entry, it is a sum of m! products of m entries, so its
+    coefficients are at most m! L^m in absolute value."""
+    m, n = len(rows), len(modulus) - 1
+    distinct = {id(e): e for row in rows for e in row}
+    largest = max(sum(map(abs, e)) for e in distinct.values())
+    width = _slot_bytes(factorial(m) * largest ** m)
+    packed = {key: _pack(e, width) for key, e in distinct.items()}
+    # column bitmask -> the packed minor on the bottom rows and those
+    # columns; zero minors are dropped
+    minors = {0: 1}
+    for row in reversed(rows):
+        entries = [packed[id(e)] for e in row]
+        grown: dict[int, int] = {}
+        for cols, minor in minors.items():
+            for c, entry in enumerate(entries):
+                bit = 1 << c
+                if entry and not cols & bit:
+                    # cofactor sign: parity of the columns of the minor left
+                    # of c
+                    if (cols & (bit - 1)).bit_count() % 2:
+                        entry = -entry
+                    grown[cols | bit] = grown.get(cols | bit, 0) + entry * minor
+        minors = {cols: minor for cols, minor in grown.items() if minor}
+    full = minors.get((1 << m) - 1, 0)
+    return _reduce_int(_unpack(full, m * (n - 1) + 1, width), modulus)
+
+
+def _packed_value(terms, ints, modulus, den: int = 1) -> list[int]:
+    """Coordinates in Z[t]/(f), f the monic modulus, of den^d times the
+    polynomial of polynomial_value at the elements ints[k] / den, for d the
+    top degree and ints[k] integer coordinate vectors: the sum of
+    c * den^(d - deg) * prod ints[k]^e_k over the terms.  The values are
+    packed once and raised to powers, each term is a product of packed
+    integers with no reduction in between, and the sum is unpacked and
+    reduced by f once.
+
+    Slot width: only the sum is unpacked.  With L the largest l1 norm of a
+    value, its coefficients are at most sum |c| den^(d - deg) L^deg in
+    absolute value."""
+    n = len(modulus) - 1
+    degrees = list(map(sum, terms))
+    top = max(degrees, default=0)
+    largest = max((sum(map(abs, v)) for v in ints), default=0)
+    lifts = [den ** (top - d) for d in range(top + 1)]
+    width = _slot_bytes(sum(abs(c) * lifts[d] * largest ** d
+                            for c, d in zip(terms.values(), degrees)))
     powers = []
-    for k, x in enumerate(scaled):
-        row = [[1]]
-        for _ in range(max((e[k] for e in terms), default=0)):
-            row.append(_int_mul(row[-1], x, modulus))
+    for v, highest in zip(ints, map(max, zip(*terms))):
+        row = [1, _pack(v, width)]
+        for _ in range(highest - 1):
+            row.append(row[-1] * row[1])
         powers.append(row)
-    total = [0] * (2 * n - 1)
-    for exps, coeff in terms.items():
-        *inner, last = [powers[k][e] for k, e in enumerate(exps) if e] or [[1]]
-        term = [coeff * den ** (top - sum(exps))]
-        for factor in inner:
-            term = _int_mul(term, factor, modulus)
-        _convolve_into(total, term, last)
-    scale = den ** top
-    return FieldElement(field, tuple(Fraction(c, scale)
-                                     for c in _reduce_int(total, modulus)))
+    total = 0
+    for (exps, coeff), d in zip(terms.items(), degrees):
+        term = coeff * lifts[d]
+        for k, e in enumerate(exps):
+            if e:
+                term *= powers[k][e]
+        total += term
+    slots = max(top * (n - 1) + 1, n)
+    return _reduce_int(_unpack(total, slots, width), modulus)
 
 
 def _rational_roots(coeffs) -> list[int]:

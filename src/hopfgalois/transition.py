@@ -97,7 +97,7 @@ class IntPolynomial:
 def transition_matrix_of(n: FiniteGroup, values):
     """Entry (eta, g) is values[eta(g)]: numeric on the coset values of a
     field element, symbolic on the unit linear forms y_k."""
-    return [[values[eta(g)] for g in range(len(values))] for eta in n.elements]
+    return [list(map(values.__getitem__, eta.images)) for eta in n.elements]
 
 
 def det_symbolic(matrix) -> IntPolynomial:

@@ -419,22 +419,34 @@ def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
         assert {c["verdict"] for c in report.checks} == {"PASS"}
 
 
-def _planted_value_fault(fault):
-    """polynomial_value with one planted fault: a coefficient off by one, the
-    sign flipped, or the result divided by D^(d-1) in place of D^d."""
-    from hopfgalois import linalg
-    from hopfgalois.numberfield import polynomial_value
+def _recorded_samples(monkeypatch):
+    """Every generator sample the command draws, in order."""
+    samples = []
+    original = cli.generator_sample
 
-    def planted(terms, values):
+    def sample(subfield, space, coords):
+        samples.append(original(subfield, space, coords))
+        return samples[-1]
+    monkeypatch.setattr(cli, "generator_sample", sample)
+    return samples
+
+
+def _planted_value_fault(fault, samples):
+    """_packed_value with one planted fault: a coefficient off by one, the
+    sign flipped, or a value scale^(d+1) times the true one in place of
+    scale^d, for scale that of the sample last drawn (as if divided by
+    scale^(d-1) in place of scale^d)."""
+    from hopfgalois.numberfield import _packed_value
+
+    def planted(terms, ints, modulus):
         if fault == "coefficient":
             exps = next(iter(terms))
             terms = {**terms, exps: terms[exps] + 1}
-        value = polynomial_value(terms, values)
+        value = _packed_value(terms, ints, modulus)
         if fault == "sign":
-            return -value
+            return [-c for c in value]
         if fault == "scale":
-            return value * linalg._clear_denominators(
-                [v.coords for v in values])[0]
+            return [c * samples[-1].scale for c in value]
         return value
     return planted
 
@@ -443,11 +455,13 @@ def _planted_value_fault(fault):
 def test_det_specialization_fails_on_a_planted_fault(monkeypatch, fault):
     import random
     from hopfgalois.fixtures import load_bundled
-    monkeypatch.setattr(cli, "polynomial_value", _planted_value_fault(fault))
-    # qcbrt2's sampled coset values have denominators, so D > 1 occurs
+    samples = _recorded_samples(monkeypatch)
+    monkeypatch.setattr(cli, "_packed_value", _planted_value_fault(fault, samples))
+    # qcbrt2's sampled coset values have denominators, so scale > 1 occurs
     fx = load_bundled("qcbrt2")
     report = cli.Report(["suite", "qcbrt2"], fx.name, 0)
     cli._specialization_checks(fx, report, random.Random(0))
+    assert max(s.scale for s in samples) > 1
     verdicts = {c["verdict"] for c in report.checks}
     assert verdicts == ({"PASS"} if fault is None else {"FAIL"})
 
@@ -459,13 +473,15 @@ def _coords_over_2_3_6(subfield, rng):
             for j in range(subfield.dim)]
 
 
-def _field_det_over_d_to_the_m_minus_one(matrix):
-    """field_det with a planted fault: the result divided by D^(m-1), for D
-    the entries' common denominator, in place of D^m."""
-    from hopfgalois import linalg
-    from hopfgalois.numberfield import field_det
-    den, _ = linalg._clear_denominators([x.coords for row in matrix for x in row])
-    return field_det(matrix) * den
+def _packed_det_times_the_scale(samples):
+    """_packed_det with a planted fault: a determinant scale^(m+1) times the
+    true one in place of scale^m, for scale that of the sample last drawn
+    (as if divided by scale^(m-1) in place of scale^m)."""
+    from hopfgalois.numberfield import _packed_det
+
+    def planted(rows, modulus):
+        return [c * samples[-1].scale for c in _packed_det(rows, modulus)]
+    return planted
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -474,25 +490,19 @@ def test_det_specialization_divides_by_d_to_the_m_on_every_field_fixture(
     # integer subfield coordinates reach a common denominator D > 1 only on
     # qcbrt2 and s3sextic; coordinates over 2, 3 and 6 reach it on all six
     import random
-    from hopfgalois import linalg
+    from math import gcd
     from hopfgalois.numberfield import Subfield
-    denominators = []
-    original = cli.generator_sample
-
-    def sample(subfield, space, coords):
-        drawn = original(subfield, space, coords)
-        denominators.append(linalg._clear_denominators(
-            [v.coords for v in drawn.values])[0])
-        return drawn
-    monkeypatch.setattr(cli, "generator_sample", sample)
+    samples = _recorded_samples(monkeypatch)
     monkeypatch.setattr(Subfield, "random_coords", _coords_over_2_3_6)
     if planted:
-        monkeypatch.setattr(cli, "field_det", _field_det_over_d_to_the_m_minus_one)
+        monkeypatch.setattr(cli, "_packed_det", _packed_det_times_the_scale(samples))
     for fx in field_fixtures:
-        denominators.clear()
+        samples.clear()
         report = cli.Report(["suite", fx.name], fx.name, 0)
         cli._specialization_checks(fx, report, random.Random(0))
-        assert max(denominators) > 1, fx.name
+        # the values' common denominator, reduced
+        assert max(s.scale // gcd(s.scale, *(v for vec in s.scaled for v in vec))
+                   for s in samples) > 1, fx.name
         verdicts = {c["verdict"] for c in report.checks}
         assert verdicts == ({"FAIL"} if planted else {"PASS"}), fx.name
 

@@ -436,6 +436,24 @@ def _random_matrix(field, m, rng, denominators=(1, 2, 3, 5)):
             for _ in range(m)]
 
 
+def _large_element(field, rng, denominators=(1, 7, 10 ** 12)):
+    """An element whose coordinates are near +-10^30."""
+    return field.element([F(rng.choice((-1, 1)) * (10 ** 30 + rng.randint(-9, 9)),
+                            rng.choice(denominators))
+                          for _ in range(field.degree)])
+
+
+def _slot_edge_elements(field):
+    """Negative rational elements at both sides of the 1-, 2- and 3-byte
+    slot widths: a 1 x 1 determinant of one of them, or a linear term,
+    has a bound equal to its one coefficient, so the least width that bound
+    allows puts the coefficient at the edge of a signed slot (-127,
+    -(2^15 - 1), -(2^23 - 1)) or past the edge of an unsigned one (-255,
+    -(2^16 - 1))."""
+    return [field.element([c]) for c in (-127, -128, -255, -(2 ** 15 - 1),
+                                         -(2 ** 16 - 1), -(2 ** 23 - 1))]
+
+
 def test_field_det_matches_gaussian_elimination(field_fixtures):
     rng = random.Random(21)
     for fx in field_fixtures:
@@ -444,6 +462,17 @@ def test_field_det_matches_gaussian_elimination(field_fixtures):
             for _ in range(2):
                 matrix = _random_matrix(field, m, rng)
                 assert field_det(matrix) == det(matrix)
+        # coefficients near 10^30, with and without denominators
+        for m in (1, 2, 4):
+            matrix = [[_large_element(field, rng) for _ in range(m)]
+                      for _ in range(m)]
+            assert field_det(matrix) == det(matrix)
+        for x in _slot_edge_elements(field):
+            assert field_det([[x]]) == x
+        # diag(x, x t): the determinant x^2 t has its coefficient in slot 1
+        x, t = _slot_edge_elements(field)[0], field.generator()
+        matrix = [[x, field.zero()], [field.zero(), x * t]]
+        assert field_det(matrix) == det(matrix)
 
 
 def test_field_det_at_the_size_bound_on_a_quartic_field(c4quartic):
@@ -474,6 +503,20 @@ def test_field_det_of_singular_matrices(field_fixtures):
             zero_row[1] = [field.zero()] * m
             assert not field_det(zero_row)
             assert field_det(zero_row) == field.zero()
+            # dependent over E but not over Q: the last row is a field
+            # multiple of the first (plus one of the second, at m = 4), so
+            # the terms cancel only after reduction by f; entries near 10^30
+            dependent = [[_large_element(field, rng) for _ in range(m)]
+                         for _ in range(m)]
+            y, z = _large_element(field, rng), _random_element(field, rng)
+            dependent[-1] = [a * y + (b * z if m > 2 else field.zero())
+                             for a, b in zip(dependent[0], dependent[1])]
+            assert not field_det(dependent)
+        # ad - bc = t^(n-1) t - (t^n mod f) = f: zero in E, not in Z[t]
+        n = field.degree
+        power = field.element([0] * (n - 1) + [1])
+        assert not field_det([[power, field.one()],
+                              [field.element([0] * n + [1]), field.generator()]])
 
 
 def test_field_det_above_the_size_bound_is_a_capability_error(qi):
@@ -517,6 +560,27 @@ def test_polynomial_value_matches_ring_arithmetic(field_fixtures):
                 values = [_random_element(field, rng) for _ in range(poly.nvars)]
                 assert polynomial_value(poly.terms, values) == \
                     evaluate(poly, values, field.one())
+            # values near 10^30, with and without denominators
+            values = [_large_element(field, rng) for _ in range(poly.nvars)]
+            assert polynomial_value(poly.terms, values) == \
+                evaluate(poly, values, field.one())
+        # cancelling: y0^2 - y1^2 at (x, x) and (x, -x), y0^3 - 3 y0 y1 at
+        # (x, x^2 / 3)
+        square = IntPolynomial(2, {(2, 0): 1, (0, 2): -1})
+        cube = IntPolynomial(2, {(3, 0): 1, (1, 1): -3})
+        x = _large_element(field, rng)
+        for poly, values in ((square, [x, x]), (square, [x, -x]),
+                             (cube, [x, x * x * F(1, 3)])):
+            assert not polynomial_value(poly.terms, values)
+            assert evaluate(poly, values, field.one()) == field.zero()
+        # one negative slot at the edge of the least width its bound allows
+        for x in _slot_edge_elements(field):
+            assert polynomial_value({(1,): 1}, [x]) == x
+            assert polynomial_value({(1,): -1}, [-x]) == x
+            poly = IntPolynomial(2, {(1, 1): -1, (0, 2): 1})
+            values = [-x, field.one()]
+            assert polynomial_value(poly.terms, values) == \
+                evaluate(poly, values, field.one())
 
 
 def test_polynomial_value_with_denominators_divisible_by_the_reduction_prime(
