@@ -11,8 +11,8 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import ConsistencyError, StructureError
-from .numberfield import (FieldElement, GaloisContext, Subfield,
-                          _convolve_into, _packed_det, _reduce_int, field_det)
+from .numberfield import (FieldElement, GaloisContext, NumberField, Subfield,
+                          _convolve_into, _packed_det, _reduce_int)
 from .perm import CosetSpace, FiniteGroup, is_normalized_by
 from .transition import transition_matrix_of
 
@@ -81,7 +81,7 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
 
     The result is certified, not trusted.  Every basis vector is checked
     fixed by every generator, over Z, and the basis independent over E
-    (field_det).  Fixed vectors independent over Q are independent over E
+    (_packed_det).  Fixed vectors independent over Q are independent over E
     (Speiser), so dim_Q E[N]^G <= m, and m fixed vectors independent over E
     are a basis of the whole fixed space.  Products are taken over Z[t]/(f)
     on the basis times its common denominator, and their coordinates, read
@@ -151,13 +151,13 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
                     raise ConsistencyError(
                         "descended basis is not fixed by the Galois action")
 
+    # full E[N] is recovered over E: the basis must have full rank over E
+    if not any(_packed_det(blocks, modulus)):
+        raise ConsistencyError("descended basis does not span E[N] over E")
     field = context.field
     basis = tuple(GroupAlgebraElement(n, [
         FieldElement(field, tuple(vec[i * nf_degree:(i + 1) * nf_degree]))
         for i in range(m)]) for vec in kernel)
-    # full E[N] is recovered over E: the basis must have full rank over E
-    if not field_det([list(b.coefficients) for b in basis]):
-        raise ConsistencyError("descended basis does not span E[N] over E")
 
     # b . l_j = sum_eta c_eta sigma(l_j), sigma the representative of the
     # coset eta^-1(base); over Z on the images times their denominator
@@ -260,13 +260,30 @@ def coset_values(context: GaloisContext, space: CosetSpace,
             for c in range(space.size)]
 
 
-def residues_mod_p(values) -> list[int] | None:
-    """The residues of the given field elements under t -> r mod p, for the
-    field's (p, r) = NumberField.reduction_root(); None when p divides a
-    denominator."""
-    p, r = values[0].field.reduction_root()
-    residues = [v.residue(p, r) for v in values]
-    return None if None in residues else residues
+def _residues(scaled, scale, field: NumberField) -> list[int] | None:
+    """The residues under t -> r mod p, for the field's (p, r) =
+    NumberField.reduction_root(), of the values with power-basis coordinates
+    scaled[k] / scale; None when p divides a reduced denominator.  With p^a
+    the power of p in scale, that is when p^a does not divide every integer;
+    otherwise each residue is the integers over p^a at r, times the inverse
+    of scale / p^a mod p (one pow per call)."""
+    p, r = field.reduction_root()
+    part = 1
+    while scale % p == 0:
+        scale //= p
+        part *= p
+    if part > 1:
+        if any(x % part for vec in scaled for x in vec):
+            return None
+        scaled = [[x // part for x in vec] for vec in scaled]
+    inv = pow(scale, -1, p)
+    residues = []
+    for vec in scaled:
+        acc = 0
+        for x in reversed(vec):
+            acc = (acc * r + x) % p
+        residues.append(acc * inv % p)
+    return residues
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +292,8 @@ class GeneratorSample:
     whatever the structure: its subfield coordinates, its coset values in
     integer form (the value at coset k has power-basis coordinates
     scaled[k] / scale, in the field with this modulus), the reduction prime
-    p, and the residues mod p of the coset values (None when p divides a
-    denominator)."""
+    p, and the residues mod p of the coset values, read off the integers by
+    _residues (None when p divides a denominator)."""
 
     coords: list[Fraction | int]
     modulus: tuple[int, ...]
@@ -287,12 +304,11 @@ class GeneratorSample:
 
     @classmethod
     def of_values(cls, coords, values) -> GeneratorSample:
-        """The sample with the given coset values and residues_mod_p."""
+        """The sample with the given coset values, as field elements."""
         field = values[0].field
         scale, scaled = linalg._clear_denominators([v.coords for v in values])
-        p, _ = field.reduction_root()
-        return cls(coords, field.modulus, scale, scaled, p,
-                   residues_mod_p(values))
+        return cls(coords, field.modulus, scale, scaled,
+                   field.reduction_root()[0], _residues(scaled, scale, field))
 
 
 def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
@@ -314,24 +330,16 @@ def generator_sample(subfield: Subfield, space: CosetSpace,
                      coords) -> GeneratorSample:
     """The sample of the subfield element with these coordinates, in integer
     arithmetic on the subfield's CosetImages: for coords = a / c with a an
-    integer vector, the value at coset k is M_k a / (D c) and its residue is
-    (R_k . a) / c mod p.  When p divides c or a denominator of R, the
-    residues are residues_mod_p of the values."""
+    integer vector, the value at coset k is M_k a / (D c), one integer
+    matrix-vector product, and the residues are _residues of those."""
     table = subfield.coset_images(space.representatives)
     c, (ints,) = linalg._clear_denominators([coords])
     scaled = [linalg.mat_vec(m, ints) for m in table.matrices]
     field = subfield.context.field
     scale = table.denominator * c
-    p, reduced = table.residues
-    if reduced is None or c % p == 0:
-        residues = residues_mod_p([
-            FieldElement(field, tuple(Fraction(v, scale) for v in vec))
-            for vec in scaled])
-    else:
-        inv = pow(c, -1, p)
-        residues = [sum(r * a for r, a in zip(row, ints)) * inv % p
-                    for row in reduced]
-    return GeneratorSample(coords, field.modulus, scale, scaled, p, residues)
+    return GeneratorSample(coords, field.modulus, scale, scaled,
+                           field.reduction_root()[0],
+                           _residues(scaled, scale, field))
 
 
 def generates(algebra: DescendedAlgebra, sample: GeneratorSample,

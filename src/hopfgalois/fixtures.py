@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 from . import linalg
 from .errors import (CapabilityError, FixtureValidationError, HopfGaloisError,
@@ -140,7 +141,7 @@ def _build_group(block, problems):
         problems.append("group: expected an object")
         return None, {}
     declared = block.get("order")
-    if not isinstance(declared, int) or declared < 1:
+    if type(declared) is not int or declared < 1:
         problems.append("group.order: a positive integer is required")
         return None, {}
     if declared > GROUP_ORDER_BOUND:
@@ -277,6 +278,9 @@ def parse_text(text: str) -> Fixture:
     except json.JSONDecodeError as err:
         raise FixtureValidationError(
             [f"syntax error at line {err.lineno}, column {err.colno}: {err.msg}"])
+    except RecursionError:
+        raise FixtureValidationError(
+            ["syntax error: arrays or objects nested too deeply to parse"])
     if not isinstance(raw, dict):
         raise FixtureValidationError(["descriptor must be a JSON object"])
     if not isinstance(raw.get("name"), str) or not raw.get("name"):
@@ -461,12 +465,15 @@ def _validate_assertions(block, problems):
 
 
 def parse(path) -> Fixture:
-    """Parse and validate the descriptor file at `path` (UTF-8)."""
-    if hasattr(path, "read_text"):
-        content = path.read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            content = fh.read()
+    """Parse and validate the descriptor file at `path` (UTF-8); a file that
+    cannot be read, or is not UTF-8 text, is a validation problem too."""
+    reader = path if hasattr(path, "read_text") else Path(path)
+    try:
+        content = reader.read_text(encoding="utf-8")
+    except OSError as err:
+        raise FixtureValidationError([f"cannot read the file: {err.strerror}"])
+    except UnicodeDecodeError as err:
+        raise FixtureValidationError([f"not UTF-8 text: {err.reason}"])
     return parse_text(content)
 
 

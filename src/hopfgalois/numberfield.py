@@ -4,7 +4,7 @@ fixed subfields, and traces.  No floating point anywhere."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import count
 from math import factorial, isqrt
 
@@ -70,7 +70,7 @@ class NumberField:
         """A pair (p, r): p >= REDUCTION_PRIME_MIN the least prime at which
         the modulus is squarefree and has a root mod p, r its least root.
         t -> r is a ring map from the elements whose denominators are prime
-        to p onto F_p (see FieldElement.residue).  Computed once per modulus.
+        to p onto F_p (see descent._residues).  Computed once per modulus.
         The search ends: a degree-n polynomial has a root modulo a set of
         primes of density at least 1/n (Chebotarev)."""
         return _reduction_root(self.modulus)
@@ -158,19 +158,6 @@ class FieldElement:
     def __hash__(self):
         return hash((self.field.modulus, self.coords))
 
-    def residue(self, p: int, r: int) -> int | None:
-        """Image in F_p under t -> r, for r a root of the modulus mod p; None
-        when a coordinate's denominator is divisible by p."""
-        acc = 0
-        for c in reversed(self.coords):
-            num, den = c.numerator, c.denominator
-            if den != 1:
-                if den % p == 0:
-                    return None
-                num *= pow(den, -1, p)
-            acc = (acc * r + num) % p
-        return acc
-
     def is_rational(self) -> bool:
         return not any(self.coords[1:])
 
@@ -210,37 +197,6 @@ def _reduce_int(acc, modulus) -> list[int]:
             for i in range(n):
                 acc[k - n + i] -= top * modulus[i]
     return acc[:n]
-
-
-def field_det(matrix) -> FieldElement:
-    """Determinant over E of a square matrix of field elements, without
-    division until the end: every coordinate is scaled by the matrix's
-    common denominator D, so the entries lie in Z[t]/(f), the scaled
-    determinant is _packed_det's, and the result is that divided by D^m."""
-    m = len(matrix)
-    if m > FIELD_DET_SIZE_BOUND:
-        raise CapabilityError(f"matrix size {m} exceeds the field determinant "
-                              f"bound {FIELD_DET_SIZE_BOUND}")
-    field = matrix[0][0].field
-    den, flat = linalg._clear_denominators([x.coords for row in matrix
-                                            for x in row])
-    det = _packed_det([flat[r * m:(r + 1) * m] for r in range(m)],
-                      field.modulus)
-    scale = den ** m
-    return FieldElement(field, tuple(Fraction(c, scale) for c in det))
-
-
-def polynomial_value(terms, values) -> FieldElement:
-    """Value at the field elements values[k] of the integer polynomial whose
-    terms map exponents (e_0, .., e_{m-1}) to c in the sum of c * y_0^e_0 * ..
-    * y_{m-1}^e_{m-1}, without division until the end: the values are scaled
-    by their common denominator D, _packed_value gives D^d times the value,
-    for d the top degree, and the result is that divided by D^d."""
-    field = values[0].field
-    den, ints = linalg._clear_denominators([x.coords for x in values])
-    value = _packed_value(terms, ints, field.modulus, den)
-    scale = den ** max(map(sum, terms), default=0)
-    return FieldElement(field, tuple(Fraction(c, scale) for c in value))
 
 
 # Kronecker substitution: an integer polynomial is packed into one integer,
@@ -284,6 +240,9 @@ def _packed_det(rows, modulus) -> list[int]:
     norm of an entry, it is a sum of m! products of m entries, so its
     coefficients are at most m! L^m in absolute value."""
     m, n = len(rows), len(modulus) - 1
+    if m > FIELD_DET_SIZE_BOUND:
+        raise CapabilityError(f"matrix size {m} exceeds the field determinant "
+                              f"bound {FIELD_DET_SIZE_BOUND}")
     distinct = {id(e): e for row in rows for e in row}
     largest = max(sum(map(abs, e)) for e in distinct.values())
     width = _slot_bytes(factorial(m) * largest ** m)
@@ -308,24 +267,21 @@ def _packed_det(rows, modulus) -> list[int]:
     return _reduce_int(_unpack(full, m * (n - 1) + 1, width), modulus)
 
 
-def _packed_value(terms, ints, modulus, den: int = 1) -> list[int]:
-    """Coordinates in Z[t]/(f), f the monic modulus, of den^d times the
-    polynomial of polynomial_value at the elements ints[k] / den, for d the
-    top degree and ints[k] integer coordinate vectors: the sum of
-    c * den^(d - deg) * prod ints[k]^e_k over the terms.  The values are
-    packed once and raised to powers, each term is a product of packed
-    integers with no reduction in between, and the sum is unpacked and
-    reduced by f once.
+def _packed_value(terms, ints, modulus) -> list[int]:
+    """Coordinates in Z[t]/(f), f the monic modulus, of the integer
+    polynomial whose terms map exponents (e_0, .., e_{m-1}) to c, at the
+    elements of Z[t]/(f) with integer coordinate vectors ints[k]: the sum of
+    c * prod ints[k]^e_k over the terms.  The values are packed once and
+    raised to powers, each term is a product of packed integers with no
+    reduction in between, and the sum is unpacked and reduced by f once.
 
     Slot width: only the sum is unpacked.  With L the largest l1 norm of a
-    value, its coefficients are at most sum |c| den^(d - deg) L^deg in
-    absolute value."""
+    value, its coefficients are at most sum |c| L^deg in absolute value."""
     n = len(modulus) - 1
     degrees = list(map(sum, terms))
     top = max(degrees, default=0)
     largest = max((sum(map(abs, v)) for v in ints), default=0)
-    lifts = [den ** (top - d) for d in range(top + 1)]
-    width = _slot_bytes(sum(abs(c) * lifts[d] * largest ** d
+    width = _slot_bytes(sum(abs(c) * largest ** d
                             for c, d in zip(terms.values(), degrees)))
     powers = []
     for v, highest in zip(ints, map(max, zip(*terms))):
@@ -334,8 +290,7 @@ def _packed_value(terms, ints, modulus, den: int = 1) -> list[int]:
             row.append(row[-1] * row[1])
         powers.append(row)
     total = 0
-    for (exps, coeff), d in zip(terms.items(), degrees):
-        term = coeff * lifts[d]
+    for exps, term in terms.items():
         for k, e in enumerate(exps):
             if e:
                 term *= powers[k][e]
@@ -567,16 +522,17 @@ def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
     gen_matrices = {}
     for g_index, image_coords in generator_images.items():
         image = field.element(image_coords)
-        if polynomial_value({(k,): c for k, c in enumerate(field.modulus)},
-                            [image]):
-            raise StructureError(
-                f"invalid automorphism for generator index {g_index}: "
-                "its image of t is not a root of the minimal polynomial")
         cols = []
         power = field.one()
         for _ in range(field.degree):
             cols.append(power.coords)
             power = power * image
+        # f(image) = image^n + sum_k c_k image^k, read off the powers
+        if any(top + sum(c * col[i] for c, col in zip(field.modulus, cols))
+               for i, top in enumerate(power.coords)):
+            raise StructureError(
+                f"invalid automorphism for generator index {g_index}: "
+                "its image of t is not a root of the minimal polynomial")
         gen_matrices[g_index] = linalg.transpose(cols)
 
     for g in group.generators:
@@ -630,7 +586,7 @@ class Subfield:
     linalg.fixed_space with its free columns, so coordinates relative to it
     are read off rather than solved for."""
 
-    __slots__ = ("context", "stabilizer", "basis", "dim", "_vectors", "_free",
+    __slots__ = ("context", "stabilizer", "basis", "dim", "_free",
                  "_int_scale", "_int_vectors", "_multiplication",
                  "_int_multiplication", "_coset_images")
 
@@ -640,7 +596,6 @@ class Subfield:
         self.stabilizer = stabilizer
         self.basis = tuple(FieldElement(context.field, tuple(v)) for v in vectors)
         self.dim = len(self.basis)
-        self._vectors = vectors
         self._free = free
         self._int_scale, self._int_vectors = linalg._clear_denominators(vectors)
         self._multiplication = None
@@ -648,10 +603,9 @@ class Subfield:
         self._coset_images = None
 
     def coords(self, x: FieldElement):
-        c = linalg.echelon_coords(self._vectors, self._free, x.coords)
-        if c is None:
+        if not self.contains(x):
             raise DomainError("element does not lie in the fixed subfield")
-        return c
+        return [x.coords[f] for f in self._free]
 
     def int_coords(self, ints):
         """The subfield coordinates times c of the element whose power-basis
@@ -662,7 +616,8 @@ class Subfield:
                                      self._int_scale)
 
     def contains(self, x: FieldElement) -> bool:
-        return linalg.echelon_coords(self._vectors, self._free, x.coords) is not None
+        _, (ints,) = linalg._clear_denominators([x.coords])
+        return self.int_coords(ints) is not None
 
     def from_coords(self, coords) -> FieldElement:
         total = self.context.field.zero()
@@ -713,32 +668,21 @@ class Subfield:
 
 class CosetImages:
     """The images sigma_k(b_j) of a subfield basis under each automorphism k
-    of a list (a coset space's representatives), in the forms that descents
-    and generator samples read: `elements[k][j]` as a field element, and
-    `matrices[k]`, the n x d integer matrix whose column j is sigma_k(b_j)
-    times the common denominator D of all of them.  Both are linear in the
-    subfield coordinates, so an element's images are read off them
-    (descent.generator_sample)."""
+    of a list (a coset space's representatives), in the integer form that
+    descents and generator samples read: `matrices[k]`, the n x d integer
+    matrix whose column j is sigma_k(b_j) times the common denominator D of
+    all of them.  It is linear in the subfield coordinates, so an element's
+    images are read off it (descent.generator_sample)."""
 
     def __init__(self, subfield: Subfield, representatives):
         ctx = subfield.context
         d = subfield.dim
         self.representatives = representatives
-        self.elements = tuple(tuple(ctx.apply(g, b) for b in subfield.basis)
-                              for g in representatives)
         self.denominator, rows = linalg._clear_denominators(
-            [x.coords for images in self.elements for x in images])
+            [ctx.apply(g, b).coords for g in representatives
+             for b in subfield.basis])
         self.matrices = tuple(linalg.transpose(rows[k:k + d])
                               for k in range(0, len(rows), d))
-
-    @cached_property
-    def residues(self) -> tuple[int, list[list[int]] | None]:
-        """(p, R) for (p, r) = reduction_root(): R[k][j] is the residue of
-        sigma_k(b_j), and R is None when p divides a denominator.  Built on
-        first use, so a command without generator tests never looks for p."""
-        p, r = self.elements[0][0].field.reduction_root()
-        rows = [[x.residue(p, r) for x in images] for images in self.elements]
-        return p, None if any(None in row for row in rows) else rows
 
 
 def fixed_subfield(context: GaloisContext, stabilizer: FiniteGroup) -> Subfield:

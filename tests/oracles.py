@@ -9,7 +9,6 @@ from hopfgalois import linalg
 from hopfgalois.descent import GroupAlgebraElement, coset_values
 from hopfgalois.errors import ConsistencyError, DomainError, StructureError
 from hopfgalois.integral import _flat_matrix, _transfer_rows
-from hopfgalois.numberfield import field_det
 from hopfgalois.perm import FiniteGroup, Permutation, _close_tuples
 from hopfgalois.transition import IntPolynomial, transition_matrix_of
 
@@ -252,7 +251,7 @@ def rref(mat):
 
 def det(mat):
     """Determinant over an exact field by Gaussian elimination, over Q or
-    over E (the reference for linalg.int_det and numberfield.field_det)."""
+    over E (the reference for linalg.int_det and numberfield._packed_det)."""
     n = len(mat)
     m = [list(r) for r in mat]
     zero = mat[0][0] - mat[0][0]
@@ -484,6 +483,20 @@ def fraction_product(x, y):
         for i in range(n):
             out[i] += conv[k] * rows[k - n][i]
     return tuple(out)
+
+
+def residue(x, p, r):
+    """Image of the field element x in F_p under t -> r, for r a root of the
+    modulus mod p, coordinate by coordinate: each Fraction's numerator times
+    the inverse of its denominator; None when a denominator is divisible by
+    p (the reference for descent._residues)."""
+    acc = 0
+    for c in reversed(x.coords):
+        num, den = c.numerator, c.denominator
+        if den % p == 0:
+            return None
+        acc = (acc * r + num * pow(den, -1, p)) % p
+    return acc
 
 
 def multiplication_trace(field, x):
@@ -753,7 +766,7 @@ def generates_map_algebra_over_group_algebra(algebra, f):
     the subgroup elements."""
     rows = [list(permutation_act_on_map(eta, f).values)
             for eta in algebra.subgroup.elements]
-    return bool(field_det(rows))
+    return bool(det(rows))
 
 
 def generates_fixed_map_algebra(algebra, f):

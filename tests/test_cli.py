@@ -554,6 +554,10 @@ MALFORMED = {
         (lambda doc: doc.update(group={"order": 21, "presentation": {
             "kind": "metacyclic", "r": 7.5, "q": 3, "d": 2}}),
          "group.presentation: integer r, q, d are required"),
+    # a JSON true is a Python int, but not an order
+    "group order given as true":
+        (lambda doc: doc["group"].update(order=True),
+         "group.order: a positive integer is required"),
     # 10^30 = 1 mod 7: the presentation is that of the cyclic group of order 21
     "presentation exponent beyond a machine word":
         (lambda doc: doc.update(group={"order": 4, "presentation": {
@@ -562,13 +566,28 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("shape", MALFORMED)
+# files that are no JSON text to begin with
+UNREADABLE = {
+    "a directory": (lambda path: path.mkdir(), "cannot read the file: "),
+    "bytes that are not UTF-8":
+        (lambda path: path.write_bytes(b'{"name": "\xff"}'), "not UTF-8 text: "),
+    "100,000 nested arrays":
+        (lambda path: path.write_text("[" * 100_000, encoding="utf-8"),
+         "syntax error: arrays or objects nested too deeply to parse"),
+}
+
+
+@pytest.mark.parametrize("shape", [*MALFORMED, *UNREADABLE])
 def test_malformed_block_is_a_validation_problem(tmp_path, capsys, shape):
-    mutate, problem = MALFORMED[shape]
-    doc = _c4quartic_descriptor()
-    mutate(doc)
     path = tmp_path / "bad.hgx"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    if shape in UNREADABLE:
+        write, problem = UNREADABLE[shape]
+        write(path)
+    else:
+        mutate, problem = MALFORMED[shape]
+        doc = _c4quartic_descriptor()
+        mutate(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
     code = main(["validate", str(path)])
     captured = capsys.readouterr()
     assert code == 2

@@ -8,8 +8,7 @@ from hopfgalois import descent, linalg
 from hopfgalois.descent import (GeneratorSample, GroupAlgebraElement,
                                 canonical_map_rank, coset_values, descend,
                                 generates, generator_sample, is_generator,
-                                is_separable, residues_mod_p,
-                                trace_form_nondegenerate,
+                                is_separable, trace_form_nondegenerate,
                                 transition_det_nonzero, verify_commuting,
                                 verify_hopf_galois)
 from hopfgalois.errors import ConsistencyError, DomainError, StructureError
@@ -25,7 +24,7 @@ from .oracles import (action_matrix_of, coords_of, descended_act,
                       group_algebra_product, idempotent,
                       multiply_coords, permutation_act_on_map,
                       rational_action_matrices, rational_structure_constants,
-                      stacked_descent, sum_over_subgroup,
+                      residue, stacked_descent, sum_over_subgroup,
                       transition_matrix_values)
 
 F = Fraction
@@ -443,11 +442,11 @@ def test_planted_zero_mod_p_falls_back_to_the_exact_determinant(qi, monkeypatch)
 def test_denominator_divisible_by_p_takes_the_exact_route(qi, monkeypatch):
     calls = _counting_exact_det(monkeypatch)
     field = qi.context.field
-    p, _ = field.reduction_root()
+    p, r = field.reduction_root()
     n = qi.structures()[0]
     values = [field.element([F(1, p)]), field.zero()]
     sample = GeneratorSample.of_values(None, values)
-    assert residues_mod_p(values) is None and sample.residues is None
+    assert residue(values[0], p, r) is None and sample.residues is None
     assert transition_det_nonzero(n, sample)
     assert len(calls) == 1
 
@@ -465,7 +464,7 @@ def test_coset_images_match_the_element_route(field_fixtures):
     # det-specialization alike and changes no verdict, so only this sees it
     for fx in field_fixtures:
         ctx, space, sub = fx.context, fx.coset_space(), fx.subfield()
-        p, _ = ctx.field.reduction_root()
+        p, r = ctx.field.reduction_root()
         rng = random.Random(10)
         for k in range(30):
             coords = ([rng.randint(-9, 9) for _ in range(sub.dim)] if k < 10
@@ -476,9 +475,9 @@ def test_coset_images_match_the_element_route(field_fixtures):
             assert [tuple(F(v, sample.scale) for v in vec)
                     for vec in sample.scaled] == \
                 [v.coords for v in values], (fx.name, coords)
-            expected = residues_mod_p(values)
-            if expected is not None:
-                assert sample.residues == expected, (fx.name, coords)
+            expected = [residue(v, p, r) for v in values]
+            assert sample.residues == \
+                (None if None in expected else expected), (fx.name, coords)
             for i in range(len(fx.structures())):
                 assert generates(fx.algebra(i), sample) == \
                     is_generator(fx.algebra(i), x)
@@ -490,7 +489,7 @@ def test_coset_images_are_built_once_per_subfield_and_space(s3sextic):
     assert sub.coset_images(space.representatives) is table
     # s3sextic's subfield basis has non-integral images: D > 1 is exercised
     assert table.denominator > 1
-    assert table.residues[1] is not None
+    assert generator_sample(sub, space, [1] * sub.dim).residues is not None
 
 
 def test_p_in_a_coordinate_denominator_takes_the_exact_route(field_fixtures,

@@ -5,18 +5,20 @@ from itertools import zip_longest
 import pytest
 
 from hopfgalois import linalg
+from hopfgalois.descent import _residues
 from hopfgalois.errors import CapabilityError, DomainError, StructureError
 from hopfgalois.fixtures import load_bundled
 from hopfgalois.numberfield import (FIELD_DET_SIZE_BOUND, REDUCTION_PRIME_MIN,
                                     FieldElement, NumberField, _int_mul,
-                                    _poly_mod_p, _polydivmod_p, _polymul_p,
+                                    _packed_det, _packed_value, _poly_mod_p,
+                                    _polydivmod_p, _polymul_p,
                                     _reduction_root, check_irreducible,
-                                    field_det, fixed_subfield, load_field,
-                                    polynomial_value)
+                                    fixed_subfield, load_field)
 from hopfgalois.perm import FiniteGroup, Permutation
 from hopfgalois.transition import IntPolynomial
 
-from .oracles import det, evaluate, fraction_product, multiplication_trace
+from .oracles import (det, evaluate, fraction_product, multiplication_trace,
+                      residue)
 
 F = Fraction
 
@@ -401,6 +403,14 @@ def test_irreducibility_and_reduction_roots_are_pinned(field_fixtures):
         assert [outcome(c) for c in polys] == IRREDUCIBILITY_PINS[kind]
 
 
+def _residue(x):
+    """descent._residues of the single element x, on its coordinates times
+    their common denominator."""
+    den, ints = linalg._clear_denominators([x.coords])
+    residues = _residues(ints, den, x.field)
+    return None if residues is None else residues[0]
+
+
 def test_residue_is_a_ring_map_onto_f_p(s3sextic):
     field = s3sextic.context.field
     p, r = field.reduction_root()
@@ -408,10 +418,34 @@ def test_residue_is_a_ring_map_onto_f_p(s3sextic):
     for _ in range(20):
         x = field.element([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)])
         y = field.element([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)])
-        assert (x * y).residue(p, r) == x.residue(p, r) * y.residue(p, r) % p
-        assert (x + y).residue(p, r) == (x.residue(p, r) + y.residue(p, r)) % p
-    assert field.generator().residue(p, r) == r
-    assert field.element([F(1, p)]).residue(p, r) is None
+        assert _residue(x * y) == _residue(x) * _residue(y) % p
+        assert _residue(x + y) == (_residue(x) + _residue(y)) % p
+    assert _residue(field.generator()) == r
+    assert _residue(field.element([F(1, p)])) is None
+
+
+def test_residues_match_the_coordinatewise_reference(field_fixtures):
+    # scales 1, 6, p, p^2 and 3 p^2, with numerators divisible by p and p^2:
+    # where p divides the scale but no reduced denominator, the residues are
+    # defined, and only dividing out the power of p in the scale finds them
+    rng = random.Random(13)
+    for fx in field_fixtures:
+        field = fx.context.field
+        p, r = field.reduction_root()
+        n = field.degree
+        for scale in (1, 6, p, p * p, 3 * p * p):
+            for factor in (1, p, p * p):
+                for _ in range(4):
+                    scaled = [[factor * rng.randint(-10 ** 6, 10 ** 6)
+                               for _ in range(n)] for _ in range(3)]
+                    if rng.random() < 0.5:
+                        # one numerator that p need not divide
+                        scaled[-1][rng.randrange(n)] = rng.randint(-99, 99)
+                    expected = [residue(field.element(
+                        [F(x, scale) for x in vec]), p, r) for vec in scaled]
+                    assert _residues(scaled, scale, field) == \
+                        (None if None in expected else expected), \
+                        (fx.name, scale, scaled)
 
 
 def test_reduction_root_is_computed_lazily():
@@ -424,7 +458,31 @@ def test_reduction_root_is_computed_lazily():
     assert _reduction_root.cache_info().currsize == 1
 
 
-# --- the fraction-free determinant over E, against Gaussian elimination
+# --- the packed kernels over Z[t]/(f), against Gaussian elimination over E
+# and ring arithmetic; field elements are scaled to integers by their common
+# denominator D, and each result is scaled back
+
+def _det_in_e(matrix):
+    """Determinant over E by _packed_det: D^m times it, on the entries
+    times D."""
+    m, field = len(matrix), matrix[0][0].field
+    den, flat = linalg._clear_denominators([x.coords for row in matrix
+                                            for x in row])
+    rows = [flat[i * m:(i + 1) * m] for i in range(m)]
+    return field.element(_packed_det(rows, field.modulus)) / den ** m
+
+
+def _value_in_e(terms, values):
+    """The polynomial's value over E by _packed_value: D^d times it, for d
+    the top degree, on the values times D, each term lifted by D^(d - its
+    degree)."""
+    field = values[0].field
+    den, ints = linalg._clear_denominators([x.coords for x in values])
+    top = max(map(sum, terms), default=0)
+    lifted = {e: c * den ** (top - sum(e)) for e, c in terms.items()}
+    value = _packed_value(lifted, ints, field.modulus)
+    return field.element(value) / den ** top
+
 
 def _random_element(field, rng, denominators=(1, 2, 3, 5)):
     return field.element([F(rng.randint(-9, 9), rng.choice(denominators))
@@ -461,24 +519,24 @@ def test_field_det_matches_gaussian_elimination(field_fixtures):
         for m in range(1, 7):
             for _ in range(2):
                 matrix = _random_matrix(field, m, rng)
-                assert field_det(matrix) == det(matrix)
+                assert _det_in_e(matrix) == det(matrix)
         # coefficients near 10^30, with and without denominators
         for m in (1, 2, 4):
             matrix = [[_large_element(field, rng) for _ in range(m)]
                       for _ in range(m)]
-            assert field_det(matrix) == det(matrix)
+            assert _det_in_e(matrix) == det(matrix)
         for x in _slot_edge_elements(field):
-            assert field_det([[x]]) == x
+            assert _det_in_e([[x]]) == x
         # diag(x, x t): the determinant x^2 t has its coefficient in slot 1
         x, t = _slot_edge_elements(field)[0], field.generator()
         matrix = [[x, field.zero()], [field.zero(), x * t]]
-        assert field_det(matrix) == det(matrix)
+        assert _det_in_e(matrix) == det(matrix)
 
 
 def test_field_det_at_the_size_bound_on_a_quartic_field(c4quartic):
     field = c4quartic.context.field
     matrix = _random_matrix(field, FIELD_DET_SIZE_BOUND, random.Random(22))
-    assert field_det(matrix) == det(matrix)
+    assert _det_in_e(matrix) == det(matrix)
 
 
 def test_field_det_with_denominators_divisible_by_the_reduction_prime(
@@ -488,7 +546,7 @@ def test_field_det_with_denominators_divisible_by_the_reduction_prime(
         field = fx.context.field
         p, _ = field.reduction_root()
         matrix = _random_matrix(field, 3, rng, denominators=(1, p, p * p, 2 * p))
-        assert field_det(matrix) == det(matrix)
+        assert _det_in_e(matrix) == det(matrix)
 
 
 def test_field_det_of_singular_matrices(field_fixtures):
@@ -498,11 +556,11 @@ def test_field_det_of_singular_matrices(field_fixtures):
         for m in (2, 4):
             repeated = _random_matrix(field, m, rng)
             repeated[-1] = list(repeated[0])
-            assert not field_det(repeated)
+            assert not _det_in_e(repeated)
             zero_row = _random_matrix(field, m, rng)
             zero_row[1] = [field.zero()] * m
-            assert not field_det(zero_row)
-            assert field_det(zero_row) == field.zero()
+            assert not _det_in_e(zero_row)
+            assert _det_in_e(zero_row) == field.zero()
             # dependent over E but not over Q: the last row is a field
             # multiple of the first (plus one of the second, at m = 4), so
             # the terms cancel only after reduction by f; entries near 10^30
@@ -511,11 +569,11 @@ def test_field_det_of_singular_matrices(field_fixtures):
             y, z = _large_element(field, rng), _random_element(field, rng)
             dependent[-1] = [a * y + (b * z if m > 2 else field.zero())
                              for a, b in zip(dependent[0], dependent[1])]
-            assert not field_det(dependent)
+            assert not _det_in_e(dependent)
         # ad - bc = t^(n-1) t - (t^n mod f) = f: zero in E, not in Z[t]
         n = field.degree
         power = field.element([0] * (n - 1) + [1])
-        assert not field_det([[power, field.one()],
+        assert not _det_in_e([[power, field.one()],
                               [field.element([0] * n + [1]), field.generator()]])
 
 
@@ -525,11 +583,10 @@ def test_field_det_above_the_size_bound_is_a_capability_error(qi):
     identity = [[field.one() if i == j else field.zero() for j in range(size)]
                 for i in range(size)]
     with pytest.raises(CapabilityError, match="field determinant bound"):
-        field_det(identity)
+        _det_in_e(identity)
 
 
-# --- the integer product in Z[t]/(f): FieldElement multiplication, field_det
-# and polynomial_value all go through it
+# --- the integer product in Z[t]/(f), under FieldElement multiplication
 
 def test_integer_product_matches_field_multiplication(field_fixtures):
     rng = random.Random(25)
@@ -558,11 +615,11 @@ def test_polynomial_value_matches_ring_arithmetic(field_fixtures):
         for poly in polys:
             for _ in range(2):
                 values = [_random_element(field, rng) for _ in range(poly.nvars)]
-                assert polynomial_value(poly.terms, values) == \
+                assert _value_in_e(poly.terms, values) == \
                     evaluate(poly, values, field.one())
             # values near 10^30, with and without denominators
             values = [_large_element(field, rng) for _ in range(poly.nvars)]
-            assert polynomial_value(poly.terms, values) == \
+            assert _value_in_e(poly.terms, values) == \
                 evaluate(poly, values, field.one())
         # cancelling: y0^2 - y1^2 at (x, x) and (x, -x), y0^3 - 3 y0 y1 at
         # (x, x^2 / 3)
@@ -571,15 +628,15 @@ def test_polynomial_value_matches_ring_arithmetic(field_fixtures):
         x = _large_element(field, rng)
         for poly, values in ((square, [x, x]), (square, [x, -x]),
                              (cube, [x, x * x * F(1, 3)])):
-            assert not polynomial_value(poly.terms, values)
+            assert not _value_in_e(poly.terms, values)
             assert evaluate(poly, values, field.one()) == field.zero()
         # one negative slot at the edge of the least width its bound allows
         for x in _slot_edge_elements(field):
-            assert polynomial_value({(1,): 1}, [x]) == x
-            assert polynomial_value({(1,): -1}, [-x]) == x
+            assert _value_in_e({(1,): 1}, [x]) == x
+            assert _value_in_e({(1,): -1}, [-x]) == x
             poly = IntPolynomial(2, {(1, 1): -1, (0, 2): 1})
             values = [-x, field.one()]
-            assert polynomial_value(poly.terms, values) == \
+            assert _value_in_e(poly.terms, values) == \
                 evaluate(poly, values, field.one())
 
 
@@ -592,5 +649,5 @@ def test_polynomial_value_with_denominators_divisible_by_the_reduction_prime(
         poly = fx.transition_det(0)[0]
         values = [_random_element(field, rng, denominators=(1, p, 2 * p))
                   for _ in range(poly.nvars)]
-        assert polynomial_value(poly.terms, values) == \
+        assert _value_in_e(poly.terms, values) == \
             evaluate(poly, values, field.one())
