@@ -112,19 +112,19 @@ def _resolve(path_text: str) -> Path | None:
     return None
 
 
-def _load(path_text: str) -> Fixture | None:
+def _load(path_text: str) -> Fixture:
+    """The validated fixture; a missing or invalid one is a usage error,
+    which main reports on stderr."""
     resolved = _resolve(path_text)
     if resolved is None:
-        print(f"error: no such fixture file or bundled fixture: {path_text}")
-        return None
+        raise HopfGaloisError(
+            f"no such fixture file or bundled fixture: {path_text}")
     try:
         return parse(resolved)
     except FixtureValidationError as err:
-        print(f"error: {path_text} failed validation with "
-              f"{len(err.problems)} problem(s):")
-        for problem in err.problems:
-            print(f"  - {problem}")
-        return None
+        raise HopfGaloisError("\n  - ".join(
+            [f"{path_text} failed validation with {len(err.problems)} "
+             "problem(s):"] + err.problems))
 
 
 def _classical_index(fx: Fixture) -> int:
@@ -477,8 +477,6 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     fx = _load(args.fixture)
-    if fx is None:
-        return EXIT_USAGE
     report = Report([args.command, args.fixture], fx.name, args.seed)
     rng = random.Random(args.seed)
     if args.command == "validate":

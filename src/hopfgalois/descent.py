@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .errors import ConsistencyError, StructureError
@@ -121,26 +121,25 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
             frontier = nxt
         reached.update(orbit)
         stabilizer.discard(group.identity_index)
-        fixed, _ = linalg.fixed_space(
+        _, fixed, _ = linalg.fixed_space(
             [matrices[s] for s in sorted(stabilizer)], nf_degree)
-        # over Z: the u and each e_j M_{h_j} scaled to integers, and block j
-        # times common / e_j, so that every block carries one factor
+        # over Z: the u as integers, each e_j M_{h_j} scaled to integers,
+        # and block j times common / e_j, so that every block carries one
+        # factor
         scaled = {j: linalg._clear_denominators(matrices[h])
                   for j, h in orbit.items()}
         common = lcm(*(e for e, _ in scaled.values()))
-        for u in linalg._clear_denominators(fixed)[1]:
+        for u in fixed:
             vec = [0] * (m * nf_degree)
             for j, (e, mh) in scaled.items():
                 vec[j * nf_degree:(j + 1) * nf_degree] = \
                     [common // e * x for x in linalg.mat_vec(mh, u)]
             spanning.append(vec)
-    kernel, free = linalg.span_basis(spanning, m * nf_degree)
-    if len(kernel) != m:
+    # the basis is ints over den; it is kept as integer blocks
+    den, ints, free = linalg.span_basis(spanning, m * nf_degree)
+    if len(ints) != m:
         raise ConsistencyError(
-            f"descended algebra has dimension {len(kernel)}, expected {m}")
-
-    # the basis times its common denominator, as integer blocks
-    den, ints = linalg._clear_denominators(kernel)
+            f"descended algebra has dimension {len(ints)}, expected {m}")
     blocks = [[vec[i * nf_degree:(i + 1) * nf_degree] for i in range(m)]
               for vec in ints]
     for g in group.generators:
@@ -155,9 +154,8 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
     if not any(_packed_det(blocks, modulus)):
         raise ConsistencyError("descended basis does not span E[N] over E")
     field = context.field
-    basis = tuple(GroupAlgebraElement(n, [
-        FieldElement(field, tuple(vec[i * nf_degree:(i + 1) * nf_degree]))
-        for i in range(m)]) for vec in kernel)
+    basis = tuple(GroupAlgebraElement(n, [FieldElement(field, tuple(
+        Fraction(x, den) for x in block)) for block in vec]) for vec in blocks)
 
     # b . l_j = sum_eta c_eta sigma(l_j), sigma the representative of the
     # coset eta^-1(base); over Z on the images times their denominator
@@ -165,6 +163,8 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
     columns = [linalg.transpose(mat) for mat in images.matrices]
     base = space.base_point
     acting = [columns[eta.inverse()(base)] for eta in n.elements]
+    # the action and structure matrices are m x m; both are collected as
+    # one list of rows, matrix after matrix, for linalg._integer_form
     action = []
     for vec in blocks:
         cols = []
@@ -177,7 +177,7 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
                 raise ConsistencyError(
                     "descended action does not preserve the fixed subfield")
             cols.append(coords)
-        action.append(linalg.transpose(cols))
+        action += linalg.transpose(cols)
 
     # the unit is 1 at n.elements[0], the identity (lexicographically least)
     identity_coords = linalg.echelon_coords(
@@ -188,7 +188,6 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
     supports = [[(a, x) for a, x in enumerate(vec) if any(x)] for vec in blocks]
     structure = []
     for bi in supports:
-        row = []
         for bj in supports:
             acc = [[0] * (2 * nf_degree - 1) for _ in range(m)]
             for a, x in bi:
@@ -200,23 +199,16 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
             if coords is None:
                 raise ConsistencyError(
                     "descended algebra is not closed under multiplication")
-            row.append(coords)
-        structure.append(row)
+            structure.append(coords)
 
+    def integer_matrices(scale, rows):
+        d, rows = linalg._integer_form(scale, rows)
+        return d, tuple(tuple(map(tuple, rows[k:k + m]))
+                        for k in range(0, len(rows), m))
     return DescendedAlgebra(
         context, space, n, subfield, basis, tuple(map(Fraction, identity_coords)),
-        *_integer_form(den * images.denominator, action),
-        *_integer_form(den * den, structure))
-
-
-def _integer_form(scale, matrices):
-    """(d, the matrices over d as integer tuples) for integer square
-    matrices that are `scale` times rational ones: with g the gcd of scale
-    and every entry, d = scale / g is the rational set's least common
-    denominator and the integers are the entries over g."""
-    g = gcd(scale, *(x for mat in matrices for row in mat for x in row))
-    return scale // g, tuple(tuple(tuple(x // g for x in row) for row in mat)
-                             for mat in matrices)
+        *integer_matrices(den * images.denominator, action),
+        *integer_matrices(den * den, structure))
 
 
 def verify_hopf_galois(algebra: DescendedAlgebra) -> bool:
@@ -235,7 +227,7 @@ def canonical_map_rank(action_matrices, subfield: Subfield) -> int:
     nonzero scale each (an algebra's integer form)."""
     m = subfield.dim
     columns = []
-    for mm in subfield.int_multiplication_matrices():
+    for mm in subfield.int_multiplication_matrices()[1]:
         for act in action_matrices:
             prod = linalg.mat_mul(mm, act)
             columns.append([prod[i][j] for j in range(m) for i in range(m)])

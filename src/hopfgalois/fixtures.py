@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 from pathlib import Path
 
 from . import linalg
 from .errors import (CapabilityError, FixtureValidationError, HopfGaloisError,
                      StructureError)
-from .integral import FractionalIdeal, Lattice
-from .numberfield import (FieldElement, GaloisContext, Subfield, fixed_subfield,
-                          load_field)
+from .integral import FractionalIdeal, Lattice, _combined
+from .numberfield import GaloisContext, Subfield, fixed_subfield, load_field
 from .perm import (GROUP_ORDER_BOUND, CosetSpace, FiniteGroup, Permutation,
                    build_coset_space, enumerate_regular_normalized,
                    metacyclic_group, opposite)
@@ -68,7 +68,9 @@ class Fixture:
         self.stabilizer: FiniteGroup = stabilizer
         self.context: GaloisContext | None = context
         self._subfield: Subfield | None = subfield
-        self.integral_basis: list[FieldElement] | None = integral_basis
+        # the integral basis as its ring: each element's multiplication
+        # matrix on the subfield in integer form (d, Mz)
+        self.integral_basis: list[tuple] | None = integral_basis
         self.ideals: dict[str, FractionalIdeal] = ideals
         self.assertions = assertions
         self._space = None
@@ -342,16 +344,15 @@ def parse_text(text: str) -> Fixture:
                 problems.append(f"field: {err}")
         if context is not None:
             sub = fixed_subfield(context, stabilizer)
-            integral_basis, rows = _validate_integral_basis(
-                raw.get("integral_basis"), context, sub, problems) or (None, ())
+            integral_basis = _validate_integral_basis(
+                raw.get("integral_basis"), context, sub, problems)
             iblock = raw.get("ideals") or {}
             if not isinstance(iblock, dict):
                 problems.append("ideals: expected an object")
                 iblock = {}
-            # from the subfield basis's matrices, shared with the canonical map
-            ring = [sub.combined_multiplication_matrix(c) for c in rows]
             for iname, vectors in iblock.items():
-                ideal = _build_ideal(iname, vectors, context, sub, ring, problems)
+                ideal = _build_ideal(iname, vectors, context, sub,
+                                     integral_basis or (), problems)
                 if ideal is not None:
                     ideals[iname] = ideal
 
@@ -362,80 +363,89 @@ def parse_text(text: str) -> Fixture:
                    integral_basis, ideals, assertions)
 
 
-def _fixed_elements(vectors, where, context, sub: Subfield, problems):
-    """The field elements with the given power-basis coordinates, each fixed
-    by the stabilizer; None once a vector is malformed or not fixed."""
-    elems = []
+def _subfield_rows(vectors, where, context, sub: Subfield, problems):
+    """The subfield coordinates of the field elements with the given
+    power-basis coordinates, read over Z (Subfield.int_coords), as integer
+    rows over one denominator (d, rows); None once a vector is malformed or
+    not fixed by the stabilizer."""
+    scaled = []
     for i, vec in enumerate(vectors):
         coords = _parse_vector(vec, problems, f"{where}[{i}]")
         if len(coords) != context.degree:
             problems.append(f"{where}[{i}]: expected {context.degree} coordinates")
             return None
-        e = context.field.element(coords)
-        if not sub.contains(e):
+        c, (ints,) = linalg._clear_denominators([coords])
+        row = sub.int_coords(ints)
+        if row is None:
             problems.append(f"{where}[{i}]: element is not fixed by the stabilizer")
             return None
-        elems.append(e)
-    return elems
+        scaled.append((c, row))
+    d = lcm(*(c for c, _ in scaled))
+    return d, [[x * (d // c) for x in row] for c, row in scaled]
 
 
 def _validate_integral_basis(block, context, sub: Subfield, problems):
-    """The integral basis and its subfield coordinates, or None."""
+    """The ring of the integral basis, or None: each element's
+    multiplication matrix on the subfield in integer form (d, Mz), combined
+    from the subfield's table over Z.  1 and every product of two elements
+    must lie in the basis's lattice; a product e_i e_j has coordinates
+    Mz_i r_j / (d c) for the element rows r_j over c."""
     if block is None:
         problems.append("integral_basis: required when a field block is present")
         return None
     if not isinstance(block, list):
         problems.append("integral_basis: expected an array")
         return None
-    elems = _fixed_elements(block, "integral_basis", context, sub, problems)
-    if elems is None:
+    form = _subfield_rows(block, "integral_basis", context, sub, problems)
+    if form is None:
         return None
-    if len(elems) != sub.dim:
+    c, rows = form
+    if len(rows) != sub.dim:
         problems.append(
-            f"integral_basis: {len(elems)} elements cannot span a subfield of "
+            f"integral_basis: {len(rows)} elements cannot span a subfield of "
             f"dimension {sub.dim}")
         return None
-    rows = [sub.coords(e) for e in elems]
-    try:
-        solver = linalg.LinearSolver(rows)
-    except ValueError:
+    if linalg.rank(rows) != sub.dim:
         problems.append("integral_basis: elements are linearly dependent")
         return None
-    one = solver.solve(sub.coords(context.field.one()))
-    if one is None or any(c.denominator != 1 for c in one):
+    lattice = Lattice.from_integer_rows(c, rows)
+    if not lattice.contains(sub.int_coords([1] + [0] * (context.degree - 1))):
         problems.append("integral_basis: 1 is not an integer combination of the basis")
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            coords = solver.solve(sub.coords(a * b))
-            if coords is None or any(c.denominator != 1 for c in coords):
+    s2, table = sub.int_multiplication_matrices()
+    ring = [(c * s2, mz) for mz in _combined(table, rows)]
+    for i, (d, mz) in enumerate(ring):
+        for j, row in enumerate(rows):
+            if not lattice._spans([lattice.denominator * v
+                                   for v in linalg.mat_vec(mz, row)], d * c):
                 problems.append(
                     "integral_basis: not multiplicatively closed; the product "
                     f"of elements {i} and {j} leaves the span")
                 return None
-    return elems, rows
+    return ring
 
 
 def _build_ideal(name, vectors, context, sub: Subfield, ring, problems):
     """The ideal with the given basis, checked to be a full-rank lattice
-    stable under the integral basis (`ring`: its multiplication matrices);
-    None after a problem."""
+    stable under the integral basis's ring (FractionalIdeal.build); None
+    after a problem."""
     if not isinstance(vectors, list):
         problems.append(f"ideals.{name}: expected an array of vectors")
         return None
-    elems = _fixed_elements(vectors, f"ideals.{name}", context, sub, problems)
-    if elems is None:
+    form = _subfield_rows(vectors, f"ideals.{name}", context, sub, problems)
+    if form is None:
         return None
-    if len(elems) != sub.dim:
+    d, rows = form
+    if len(rows) != sub.dim:
         problems.append(
-            f"ideals.{name}: {len(elems)} vectors cannot be a full-rank lattice "
+            f"ideals.{name}: {len(rows)} vectors cannot be a full-rank lattice "
             f"in dimension {sub.dim}")
         return None
-    rows = [sub.coords(e) for e in elems]
     if linalg.rank(rows) != sub.dim:
         problems.append(f"ideals.{name}: basis vectors are linearly dependent")
         return None
     try:
-        return FractionalIdeal.build(name, Lattice.from_rational_rows(rows), ring)
+        return FractionalIdeal.build(name, Lattice.from_integer_rows(d, rows),
+                                     ring)
     except StructureError as err:
         problems.append(f"ideals.{name}: {err}")
         return None

@@ -37,10 +37,15 @@ class Lattice:
 
     @classmethod
     def from_rational_rows(cls, rows) -> "Lattice":
-        if not rows:
+        return cls.from_integer_rows(*linalg._clear_denominators(rows))
+
+    @classmethod
+    def from_integer_rows(cls, den, int_rows) -> "Lattice":
+        """The lattice spanned by the rows int_rows / den, for integer rows
+        and a positive integer den."""
+        if not int_rows:
             raise StructureError("a lattice needs at least one basis vector")
-        m = len(rows[0])
-        den, int_rows = linalg._clear_denominators(rows)
+        m = len(int_rows[0])
         reduced = linalg.hnf(int_rows)
         if len(reduced) != m:
             raise ConsistencyError(
@@ -54,9 +59,6 @@ class Lattice:
             reduced = [[v // content for v in r] for r in reduced]
         return cls(den, tuple(tuple(r) for r in reduced))
 
-    def basis_vectors(self) -> list[list[Fraction]]:
-        return [[Fraction(v, self.denominator) for v in r] for r in self.rows]
-
     def contains(self, vector) -> bool:
         scaled = []
         for v in vector:
@@ -66,10 +68,13 @@ class Lattice:
             scaled.append(int(w))
         return self._spans(scaled)
 
-    def _spans(self, scaled: list[int]) -> bool:
-        """Whether the integer vector lies in the span of the rows over Z,
-        that is, whether it over the denominator lies in the lattice.  The
-        list is reduced in place."""
+    def _spans(self, scaled: list[int], d: int = 1) -> bool:
+        """Whether the integer vector over the positive integer d is an
+        integer vector in the span of the rows over Z, that is, whether it
+        over d times the denominator lies in the lattice."""
+        if any(v % d for v in scaled):
+            return False
+        scaled = [v // d for v in scaled]
         for row in self.rows:
             j = next(i for i, v in enumerate(row) if v)
             if scaled[j]:
@@ -90,16 +95,14 @@ class FractionalIdeal:
     lattice: Lattice
 
     @classmethod
-    def build(cls, name: str, lattice: Lattice, ring_mult_matrices) -> "FractionalIdeal":
-        """Over Z: with a matrix M = Mz/d and a basis vector r/D of the
-        lattice, M r/D lies in it when Mz r is divisible by d and the rows
-        span Mz r / d."""
-        for k, mult in enumerate(ring_mult_matrices):
-            d, mz = linalg._clear_denominators(mult)
+    def build(cls, name: str, lattice: Lattice, ring) -> "FractionalIdeal":
+        """The ideal, checked stable under the ring: the multiplication
+        matrix of each integral-basis element in integer form (d, Mz).  With
+        M = Mz/d and a basis vector r/D of the lattice, M r/D lies in it when
+        Mz r is divisible by d and the rows span Mz r / d."""
+        for k, (d, mz) in enumerate(ring):
             for row in lattice.rows:
-                image = linalg.mat_vec(mz, row)
-                if any(v % d for v in image) or \
-                        not lattice._spans([v // d for v in image]):
+                if not lattice._spans(linalg.mat_vec(mz, row), d):
                     raise StructureError(
                         f"not stable under integral-basis element {k}")
         return cls(name, lattice)
@@ -127,36 +130,34 @@ def _flat_matrix(rows):
         return tuple(flat)
 
 
-def _ideal_basis_matrix(ideal: FractionalIdeal):
-    return linalg.transpose(ideal.lattice.basis_vectors())
-
-
 def associated_order(algebra: DescendedAlgebra, ideal: FractionalIdeal) -> AssociatedOrder:
     """Exact computation of every algebra element mapping the ideal into
     itself: the dual of the row lattice of the rewritten action matrices,
     then verified to be a unital, multiplicatively closed stabilizer.  Over
-    Z: with W = Wz/d_I, W^-1 = P/d_P and the algebra's integer form
-    d_A A_k, the rewritten W^-1 A_k W is S_k/D for S_k = P (d_A A_k) Wz and
-    D = d_P d_A d_I; the Hermite form and the dual basis are unchanged by
+    Z: with the ideal basis W = Wz/d_I, the inverse Wz^-1 = P/d_P in
+    integer form and the algebra's integer form d_A A_k, the rewritten
+    W^-1 A_k W = Wz^-1 A_k Wz (d_I cancels) is S_k/D for S_k = P (d_A A_k) Wz
+    and D = d_P d_A; the Hermite form and the dual basis are unchanged by
     the positive scale D."""
     m = algebra.dim
-    w_inv = linalg.invert(_ideal_basis_matrix(ideal))
+    wz = linalg.transpose(ideal.lattice.rows)
+    w_inv = linalg.invert(wz)
     if w_inv is None:
         raise ConsistencyError("ideal basis is singular")
-    d_p, p = linalg._clear_denominators(w_inv)
-    wz = linalg.transpose(ideal.lattice.rows)
+    d_p, p = w_inv
     scaled = [linalg.mat_mul(linalg.mat_mul(p, a), wz)
               for a in algebra.int_action_matrices]
-    scale = d_p * algebra.action_denominator * ideal.lattice.denominator
+    scale = d_p * algebra.action_denominator
 
     reduced = linalg.hnf([[s[i][j] for s in scaled]
                           for i in range(m) for j in range(m)])
     if len(reduced) != m:
         raise ConsistencyError(
             "action is degenerate; it cannot come from a Hopf-Galois structure")
-    h_inv = linalg.invert(reduced)
-    lattice = Lattice.from_rational_rows(
-        [[scale * h_inv[i][j] for i in range(m)] for j in range(m)])
+    # the dual basis: the columns of scale H^-1, with H^-1 = Q/d_H
+    d_h, q = linalg.invert(reduced)
+    lattice = Lattice.from_integer_rows(
+        d_h, [[scale * v for v in col] for col in zip(*q)])
 
     if not lattice.contains(list(algebra.identity_coords)):
         raise ConsistencyError("associated order does not contain the identity")
@@ -182,8 +183,7 @@ def associated_order(algebra: DescendedAlgebra, ideal: FractionalIdeal) -> Assoc
             for j in range(m))))
         for b in lattice.rows:
             product = [sum(map(mul, b, column)) for column in a_times]
-            if any(v % den for v in product) or \
-                    not lattice._spans([v // den for v in product]):
+            if not lattice._spans(product, den):
                 raise ConsistencyError(
                     "associated order is not closed under multiplication")
     return AssociatedOrder(lattice, tuple(actions))
@@ -347,43 +347,40 @@ def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
             raise ConsistencyError(
                 "unit determinant without lattice equality; witness check "
                 "is inconsistent")
-        w = _ideal_basis_matrix(ideal)
-        subfield_coords = linalg.mat_vec(w, [Fraction(x) for x in v])
+        lattice = ideal.lattice
+        subfield_coords = [Fraction(x, lattice.denominator) for x in
+                           linalg.mat_vec(linalg.transpose(lattice.rows), v)]
         return FreenessResult("FREE", tuple(v), tuple(subfield_coords))
     return FreenessResult("UNKNOWN")
 
 
-def _transfer_rows(partner: DescendedAlgebra, xc, images) -> list[list[Fraction]]:
-    """For each given a . x, the unique partner element z with z . x = a . x:
-    one generator test of x and one solver in the partner's coordinates,
-    shared by every a.  x is given by its coordinates xc = xi/c in the
-    subfield basis both algebras act on, as are all vectors here.  The
-    generator test and the solver share the partner's orbit of the integer
-    xi, which is c d times the true one (d its action_denominator), so each
-    solution is c d times too small and is scaled back."""
+def _transfer_rows(partner: DescendedAlgebra, xc, scale, images):
+    """For each given a . x, the unique partner element z with z . x = a . x,
+    as rows in integer form (d, rows): one generator test of x and one
+    inverse of the partner's orbit of x, shared by every a.  x is given by
+    its coordinates xc = xi/c in the subfield basis both algebras act on, as
+    are all vectors here; each a . x by an integer image, scale times it.
+    The generator test and the inverse share the partner's orbit of the
+    integer xi, which is c d times the true one (d its action_denominator).
+    With O that orbit as columns and O^-1 = P/e, z = c d P image / (e scale)."""
     sample = generator_sample(partner.subfield, partner.space, xc)
     c, (xi,) = linalg._clear_denominators([xc])
     orbit = partner.orbit(xi)  # c d times the true orbit, built once
     if not generates(partner, sample, orbit):
         raise DomainError("transfer needs the witness to generate over the partner")
-    solver = linalg.LinearSolver(orbit)
-    scale = c * partner.action_denominator
-    rows = []
-    for image in images:
-        z = solver.solve(image)
-        if z is None:
-            raise ConsistencyError("transfer system is inconsistent")
-        rows.append([scale * v for v in z])
-    return rows
+    # the orbit spans the subfield (generates), so it is invertible
+    e, p = linalg.invert(linalg.transpose(orbit))
+    factor = c * partner.action_denominator
+    return linalg._integer_form(e * scale, [
+        [factor * v for v in linalg.mat_vec(p, image)] for image in images])
 
 
-def _integer_actions(algebra: DescendedAlgebra, rows):
-    """For each integer coordinate row c, the integer matrix sum_k c_k A_k
-    over the algebra's integer action matrices A_k: the action of c times
-    the action denominator."""
-    mats = algebra.int_action_matrices
+def _combined(mats, rows):
+    """For each integer coordinate row c, the integer matrix sum_k c_k M_k
+    over the given integer matrices M_k: over an algebra's integer action
+    matrices, the action of c times the action denominator."""
     return [[[sum(map(mul, c, entries)) for entries in zip(*(a[i] for a in mats))]
-             for i in range(algebra.subfield.dim)] for c in rows]
+             for i in range(len(mats[0]))] for c in rows]
 
 
 @dataclass(frozen=True)
@@ -444,14 +441,13 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
         # algebra acts by its integer form over its action denominator
         xc = list(result.witness_subfield_coords)
         c, (xi,) = linalg._clear_denominators([xc])
-        w_mats = _integer_actions(side_here, order_here.lattice.rows)
+        w_mats = _combined(side_here.int_action_matrices,
+                           order_here.lattice.rows)
         w_of_x = [linalg.mat_vec(a, xi) for a in w_mats]
         scale = (order_here.lattice.denominator * side_here.action_denominator
                  * c)
-        z_rows = _transfer_rows(side_there, xc, [
-            [Fraction(y, scale) for y in wx] for wx in w_of_x])
-        z_lattice = Lattice.from_rational_rows(z_rows)
-        same = z_lattice == order_there.lattice
+        z_den, z_rows = _transfer_rows(side_there, xc, scale, w_of_x)
+        same = Lattice.from_integer_rows(z_den, z_rows) == order_there.lattice
         lattice_matches = same if lattice_matches is None else (lattice_matches and same)
         if not same:
             raise TheoremViolationError(
@@ -461,8 +457,7 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
         # each side's scale is common to both products, so the transport
         # z (w x) = w (z x) holds exactly when it holds on the integer forms
         ok = True
-        for z_mat in _integer_actions(side_there,
-                                      linalg._clear_denominators(z_rows)[1]):
+        for z_mat in _combined(side_there.int_action_matrices, z_rows):
             z_of_x = linalg.mat_vec(z_mat, xi)
             for w_mat, wx in zip(w_mats, w_of_x):
                 if linalg.mat_vec(z_mat, wx) != linalg.mat_vec(w_mat, z_of_x):

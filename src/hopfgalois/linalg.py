@@ -2,19 +2,13 @@
 denominators, one fraction-free Gauss-Jordan elimination over Z for
 kernels, inverses and solves, run forward only for ranks and integer
 determinants, determinants modulo a prime, and the row Hermite normal
-form."""
+form.  Every rational result is returned in one integer form (d, rows):
+integer rows over a denominator d > 0 that shares no factor with every
+entry (_integer_form)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+from math import gcd, lcm
 
 
 def mat_mul(a, b):
@@ -49,10 +43,24 @@ def transpose(a):
 def _clear_denominators(rows):
     """(d, the rows times d as lists of ints): d is the least common multiple
     of the denominators of every entry (int or Fraction), 1 for integer
-    rows.  Every denominator the toolkit clears is cleared here."""
+    rows.  Every denominator the toolkit clears is cleared here.  The pair
+    is already in integer form: for each prime power p^a exactly dividing
+    d, an entry with p^a in its denominator keeps a numerator prime to p."""
     d = lcm(*(x.denominator for row in rows for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row]
                for row in rows]
+
+
+def _integer_form(d, rows):
+    """The integer form of the rational rows rows / d, for integer rows and a
+    nonzero integer d: both divided by the gcd g of d and every entry, with
+    the sign of d, so the denominator is positive and shares no factor with
+    every entry.  The form is unique: it is the one every routine here
+    returns."""
+    g = gcd(d, *(x for row in rows for x in row))
+    if d < 0:
+        g = -g
+    return d // g, [[x // g for x in row] for row in rows]
 
 
 def _eliminate(rows, forward_only=False):
@@ -98,26 +106,29 @@ def rank(mat) -> int:
 
 def kernel_basis(mat, ncols: int):
     """Canonical basis of {v : mat @ v = 0}, one vector per free column of the
-    reduced echelon form, ordered by free-column index; returned with those
-    free columns."""
+    reduced echelon form, ordered by free-column index, as (d, rows, free):
+    the basis in integer form and those free columns.  Vector j is 1 at
+    free[j] and minus the reduced row's entry there at each pivot column;
+    with the rows of the elimination, d times the reduced form, that is d
+    and -row[free[j]] over d."""
     rows, pivots, d = _eliminate(_clear_denominators(mat)[1])
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
+        v = [0] * ncols
+        v[f] = d
         for i, p in enumerate(pivots):
-            v[p] = Fraction(-rows[i][f], d)
+            v[p] = -rows[i][f]
         basis.append(v)
-    return basis, free
+    return *_integer_form(d, basis), free
 
 
 def fixed_space(matrices, ncols: int):
     """The vectors fixed by every given ncols x ncols matrix: the canonical
-    kernel basis of the stacked M - 1, and the free column of each basis
-    vector.  Basis vector j is 1 at free[j] and 0 at every other free column,
-    so echelon_coords reads coordinates off it without solving."""
+    kernel basis of the stacked M - 1, as kernel_basis returns it.  Basis
+    vector j is 1 at free[j] and 0 at every other free column, so
+    echelon_coords reads coordinates off it without solving."""
     stacked = []
     for m in matrices:
         for i, row in enumerate(m):
@@ -129,15 +140,14 @@ def fixed_space(matrices, ncols: int):
 
 def span_basis(vectors, ncols: int):
     """The basis kernel_basis returns for a kernel equal to the span of the
-    given vectors, with its free columns.  That basis depends only on the
-    space: vector j is the only one nonzero at free[j], where it is 1, and
-    is 0 after it, so the basis is the reduced row echelon form of the
-    vectors with their columns reversed, read back in reverse."""
+    given vectors, in the same (d, rows, free) shape.  That basis depends
+    only on the space: vector j is the only one nonzero at free[j], where it
+    is 1, and is 0 after it, so the basis is the reduced row echelon form of
+    the vectors with their columns reversed, read back in reverse."""
     rows, pivots, d = _eliminate(_clear_denominators(
         [list(reversed(v)) for v in vectors])[1])
-    basis = [[Fraction(x, d) for x in reversed(rows[i])]
-             for i in reversed(range(len(pivots)))]
-    return basis, [ncols - 1 - p for p in reversed(pivots)]
+    basis = [list(reversed(rows[i])) for i in reversed(range(len(pivots)))]
+    return *_integer_form(d, basis), [ncols - 1 - p for p in reversed(pivots)]
 
 
 def echelon_coords(basis, free, target, scale=1):
@@ -156,12 +166,14 @@ def echelon_coords(basis, free, target, scale=1):
 
 
 def invert(mat):
-    """Inverse of a square matrix over Q; None if singular.  The solver for
-    the columns of mat reduces [mat | I] to [I | mat^-1]."""
+    """Inverse of a square matrix over Q in integer form (d, rows); None if
+    singular.  The solver for the columns of mat reduces [mat | I] to
+    [I | mat^-1]."""
     try:
-        return LinearSolver(transpose(mat))._transform
+        solver = LinearSolver(transpose(mat))
     except ValueError:
         return None
+    return solver._denominator, solver._transform
 
 
 def det_mod_p(mat, p: int) -> int:
@@ -265,18 +277,21 @@ class LinearSolver:
 
     def __init__(self, columns):
         self.ncols = len(columns)
-        identity = identity_matrix(len(columns[0]))
+        n = len(columns[0])
         rows, pivots, d = _eliminate(_clear_denominators(
-            [[col[i] for col in columns] + e for i, e in enumerate(identity)])[1])
+            [[col[i] for col in columns] + [int(i == j) for j in range(n)]
+             for i in range(n)])[1])
         if pivots[: self.ncols] != list(range(self.ncols)):
             raise ValueError("columns are linearly dependent")
-        self._transform = [[Fraction(x, d) for x in row[self.ncols:]]
-                           for row in rows]
+        self._denominator, self._transform = _integer_form(
+            d, [row[self.ncols:] for row in rows])
 
     def solve(self, target):
-        """Coordinates of target in the column family, or None if target is
-        outside their span."""
-        y = mat_vec(self._transform, target)
+        """Coordinates of target in the column family in integer form
+        (d, coords), or None if target is outside their span."""
+        c, (ints,) = _clear_denominators([target])
+        y = mat_vec(self._transform, ints)
         if any(y[self.ncols:]):
             return None
-        return y[: self.ncols]
+        d, (coords,) = _integer_form(self._denominator * c, [y[: self.ncols]])
+        return d, coords

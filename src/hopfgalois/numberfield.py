@@ -128,7 +128,8 @@ class FieldElement:
                 "nonzero element has singular multiplication matrix; "
                 "the modulus is not irreducible")
         # the inverse is the image of 1: the first column of inv
-        return FieldElement(self.field, tuple(row[0] for row in inv))
+        d, rows = inv
+        return FieldElement(self.field, tuple(Fraction(r[0], d) for r in rows))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -582,23 +583,24 @@ def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
 
 
 class Subfield:
-    """A Q-basis of the subfield fixed by a subgroup, as returned by
-    linalg.fixed_space with its free columns, so coordinates relative to it
-    are read off rather than solved for."""
+    """A Q-basis of the subfield fixed by a subgroup, as linalg.fixed_space
+    returns it: integer vectors over one denominator, with their free
+    columns, so coordinates relative to it are read off rather than solved
+    for.  Its multiplication table is kept over Z only."""
 
     __slots__ = ("context", "stabilizer", "basis", "dim", "_free",
-                 "_int_scale", "_int_vectors", "_multiplication",
-                 "_int_multiplication", "_coset_images")
+                 "_int_scale", "_int_vectors", "_int_multiplication",
+                 "_coset_images")
 
     def __init__(self, context: GaloisContext, stabilizer: FiniteGroup,
-                 vectors, free):
+                 denominator, vectors, free):
         self.context = context
         self.stabilizer = stabilizer
-        self.basis = tuple(FieldElement(context.field, tuple(v)) for v in vectors)
+        self.basis = tuple(FieldElement(context.field, tuple(
+            Fraction(x, denominator) for x in v)) for v in vectors)
         self.dim = len(self.basis)
         self._free = free
-        self._int_scale, self._int_vectors = linalg._clear_denominators(vectors)
-        self._multiplication = None
+        self._int_scale, self._int_vectors = denominator, vectors
         self._int_multiplication = None
         self._coset_images = None
 
@@ -629,26 +631,17 @@ class Subfield:
         """Matrix of y -> x*y on the subfield, in subfield coordinates."""
         return linalg.transpose([self.coords(x * b) for b in self.basis])
 
-    def basis_multiplication_matrices(self):
-        """multiplication_matrix of each basis element, built once."""
-        if self._multiplication is None:
-            self._multiplication = tuple(
-                self.multiplication_matrix(b) for b in self.basis)
-        return self._multiplication
-
-    def combined_multiplication_matrix(self, coords):
-        """multiplication_matrix of the element with these coordinates, read
-        off the basis elements' matrices: x * b_j = sum_i c_i b_j b_i."""
-        return linalg.transpose([linalg.mat_vec(m, coords)
-                                 for m in self.basis_multiplication_matrices()])
-
     def int_multiplication_matrices(self):
-        """The multiplication matrix of each basis element over Z, each times
-        its own least common denominator; built on the first call."""
+        """The multiplication table over Z, built on the first call: (d, the
+        integer matrices M_k), M_k / d the multiplication matrix of basis
+        element k.  With the basis the integer vectors v_k over s, column j
+        of M_k is int_coords of the product v_k v_j in Z[t]/(f), which is s^2
+        times the product; so d = s^2."""
         if self._int_multiplication is None:
-            self._int_multiplication = tuple(
-                linalg._clear_denominators(m)[1]
-                for m in self.basis_multiplication_matrices())
+            vectors, modulus = self._int_vectors, self.context.field.modulus
+            self._int_multiplication = self._int_scale ** 2, tuple(
+                linalg.transpose([self.int_coords(_int_mul(a, b, modulus))
+                                  for b in vectors]) for a in vectors)
         return self._int_multiplication
 
     def coset_images(self, representatives) -> "CosetImages":
@@ -694,11 +687,11 @@ def fixed_subfield(context: GaloisContext, stabilizer: FiniteGroup) -> Subfield:
                 f"stabilizer element {p} does not belong to the group")
     gens = sorted({context.group.index_of(stabilizer.elements[g])
                    for g in stabilizer.generators})
-    vectors, free = linalg.fixed_space([context.matrices[i] for i in gens],
-                                       context.degree)
+    d, vectors, free = linalg.fixed_space(
+        [context.matrices[i] for i in gens], context.degree)
     expected = context.group.order() // stabilizer.order()
     if len(vectors) != expected:
         raise ConsistencyError(
             f"fixed subfield has dimension {len(vectors)}, expected {expected}; "
             "automorphism data is inconsistent")
-    return Subfield(context, stabilizer, vectors, free)
+    return Subfield(context, stabilizer, d, vectors, free)

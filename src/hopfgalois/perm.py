@@ -225,10 +225,6 @@ class FiniteGroup:
             classes.append(cls)
         return classes
 
-    def conjugacy_classes(self) -> list[frozenset[Permutation]]:
-        return [frozenset(map(self.elements.__getitem__, cls))
-                for cls in self._class_indices()]
-
     def _generated(self, gens) -> frozenset[int]:
         """Indices of the subgroup the given indices generate: in a finite
         group, the products of generators already close up."""

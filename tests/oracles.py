@@ -69,6 +69,17 @@ def all_subgroups(group):
     return groups
 
 
+def conjugacy_classes(group):
+    """The conjugacy classes of a FiniteGroup, each the set of conjugates
+    q p q^-1 of its first element p, in the order of the elements."""
+    classes = []
+    for p in group.elements:
+        if not any(p in cls for cls in classes):
+            classes.append(frozenset(q * p * q.inverse()
+                                     for q in group.elements))
+    return classes
+
+
 def normal_subgroups_by_filter(group):
     """The subgroups closed under conjugation by every element, in the order
     of all_subgroups."""
@@ -290,6 +301,37 @@ def rref_kernel(mat, ncols):
     return basis, free
 
 
+class FractionSolver:
+    """linalg.LinearSolver with each solution as a Fraction vector, or None
+    outside the span, for the oracles that work over Q."""
+
+    def __init__(self, columns):
+        self.solver = linalg.LinearSolver(columns)
+
+    def solve(self, target):
+        solved = self.solver.solve(target)
+        return None if solved is None else \
+            [Fraction(x, solved[0]) for x in solved[1]]
+
+
+def basis_vectors(lattice):
+    """The lattice's basis rows over its denominator, as Fraction rows."""
+    return [[Fraction(v, lattice.denominator) for v in r] for r in lattice.rows]
+
+
+def fraction_inverse(mat):
+    """linalg.invert of a nonsingular matrix, as Fraction rows."""
+    d, rows = linalg.invert(mat)
+    return [[Fraction(x, d) for x in row] for row in rows]
+
+
+def rref_solve(mat, target):
+    """The solution c of mat @ c = target, for mat of full column rank and a
+    target in its column span, read off the rref of [mat | target]."""
+    rows, _ = rref([list(row) + [t] for row, t in zip(mat, target)])
+    return [row[-1] for row in rows[:len(mat[0])]]
+
+
 def stacked_descent_system(context, space, n):
     """The simultaneous action on E[N] as one stacked system: for each
     generator g of G, the mn x mn matrix sending block i (the coefficient of
@@ -332,7 +374,7 @@ def stacked_descent(context, space, n, subfield):
                 total = total + c * images[eta.inverse()(base)][j]
             cols.append(subfield.coords(total))
         action.append(linalg.transpose(cols))
-    solver = linalg.LinearSolver(kernel)
+    solver = FractionSolver(kernel)
     structure = [[solver.solve(flatten_coefficients(group_algebra_product(a, b)))
                   for b in basis] for a in basis]
     return kernel, free, integer_form(action), integer_form(structure)
@@ -512,9 +554,9 @@ def stabilizer_scan_order(algebra, ideal, max_denominator):
     from hopfgalois import linalg
     m = algebra.dim
     assert m == 2
-    vecs = ideal.lattice.basis_vectors()
+    vecs = basis_vectors(ideal.lattice)
     w = [[vecs[j][i] for j in range(m)] for i in range(m)]
-    w_inv = linalg.invert(w)
+    w_inv = fraction_inverse(w)
     members = []
     steps = [Fraction(n, max_denominator)
              for n in range(-3 * max_denominator, 3 * max_denominator + 1)]
@@ -536,19 +578,18 @@ def fraction_associated_order(algebra, ideal):
 
     from hopfgalois.integral import AssociatedOrder, Lattice
     m = algebra.dim
-    w = linalg.transpose(ideal.lattice.basis_vectors())
-    w_inv = linalg.invert(w)
+    w = linalg.transpose(basis_vectors(ideal.lattice))
+    w_inv = fraction_inverse(w)
     rewritten = [linalg.mat_mul(w_inv, linalg.mat_mul(a, w))
                  for a in rational_action_matrices(algebra)]
     den = lcm(*(v.denominator for mat in rewritten for row in mat for v in row))
     stacked = [[int(mat[i][j] * den) for mat in rewritten]
                for i in range(m) for j in range(m)]
-    h_inv = linalg.invert([[Fraction(v) for v in r]
-                           for r in linalg.hnf(stacked)])
+    h_inv = fraction_inverse(linalg.hnf(stacked))
     lattice = Lattice.from_rational_rows(
         [[den * h_inv[i][j] for i in range(m)] for j in range(m)])
     actions = []
-    for c in lattice.basis_vectors():
+    for c in basis_vectors(lattice):
         mat = linalg.mat_mul(w_inv, linalg.mat_mul(
             action_matrix_of(algebra, c), w))
         if any(v.denominator != 1 for row in mat for v in row):
@@ -622,7 +663,9 @@ def transfer_element(algebra, partner, a_coords, x):
     given element does; solves z . x = a . x in the partner's coordinates."""
     xc = algebra.subfield.coords(x)
     a_of_x = linalg.mat_vec(action_matrix_of(algebra, list(a_coords)), xc)
-    return _transfer_rows(partner, xc, [a_of_x])[0]
+    d, (z,) = _transfer_rows(partner, xc,
+                             *linalg._clear_denominators([a_of_x]))
+    return [Fraction(v, d) for v in z]
 
 def idempotent(context, size, coset):
     values = [context.field.zero()] * size
@@ -649,9 +692,9 @@ def element_from_coords(algebra, coords):
 
 
 def descended_solver(algebra):
-    """A LinearSolver for coordinates in the descended basis of E[N], whose
+    """A FractionSolver for coordinates in the descended basis of E[N], whose
     elements it takes as flattened rational vectors (flatten_coefficients)."""
-    return linalg.LinearSolver([flatten_coefficients(b) for b in algebra.basis])
+    return FractionSolver([flatten_coefficients(b) for b in algebra.basis])
 
 
 def flatten_coefficients(element):

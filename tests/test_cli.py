@@ -5,7 +5,7 @@ import pytest
 
 from hopfgalois import cli
 from hopfgalois.cli import EXIT_INTERNAL, main
-from hopfgalois.fixtures import bundled_path
+from hopfgalois.fixtures import bundled_path, load_bundled
 
 
 def run(capsys, *argv):
@@ -26,9 +26,12 @@ def test_validate_accepts_hgx_suffix(capsys):
 
 
 def test_missing_fixture_is_usage_error(capsys):
-    code, out = run(capsys, "validate", "does-not-exist.hgx")
+    code = main(["validate", "does-not-exist.hgx"])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "no such fixture" in out
+    assert captured.out == ""
+    assert captured.err == "error: no such fixture file or bundled fixture: " \
+        "does-not-exist.hgx\n"
 
 
 def test_invalid_fixture_lists_all_problems(tmp_path, capsys):
@@ -40,9 +43,26 @@ def test_invalid_fixture_lists_all_problems(tmp_path, capsys):
         "field": {"min_poly": [1, 0, 1], "automorphisms": {"s": ["0", "-2"]}},
         "integral_basis": [["1", "0"], ["0", "1"]],
     }), encoding="utf-8")
-    code, out = run(capsys, "validate", str(bad))
+    code = main(["validate", str(bad)])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "failed validation" in out
+    assert captured.out == ""
+    assert "failed validation" in captured.err
+
+
+def test_json_validation_errors_leave_stdout_empty(tmp_path, capsys):
+    # a malformed descriptor under --json is a usage error like any other:
+    # its problems go to stderr and stdout stays a JSON report or nothing
+    bad = tmp_path / "bad.hgx"
+    bad.write_text(json.dumps({"name": "bad", "group": {"order": 0}}),
+                   encoding="utf-8")
+    code = main(["--json", "validate", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad} failed validation with 1 "
+                            "problem(s):\n  - group.order: a positive "
+                            "integer is required\n")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -290,36 +310,43 @@ def test_verify_commuting_runs_once_per_unordered_pair(capsys, monkeypatch,
     assert len(json.loads(out)["checks"]) == structures ** 2
 
 
-def _multiplication_matrices_built(capsys, monkeypatch, *argv):
+def _multiplication_tables(capsys, monkeypatch, *argv):
+    """(reads, builds, matrices): the calls to
+    Subfield.int_multiplication_matrices during a command, how many of them
+    built the table, and the matrices in the table."""
     from hopfgalois.numberfield import Subfield
-    seen = []
-    multiplication_matrix = Subfield.multiplication_matrix
+    built, tables = [], []
+    int_multiplication_matrices = Subfield.int_multiplication_matrices
 
-    def counting(self, x):
-        seen.append(x)
-        return multiplication_matrix(self, x)
-    monkeypatch.setattr(Subfield, "multiplication_matrix", counting)
+    def counting(self):
+        built.append(self._int_multiplication is None)
+        tables.append(int_multiplication_matrices(self))
+        return tables[-1]
+    monkeypatch.setattr(Subfield, "int_multiplication_matrices", counting)
     code, _ = run(capsys, *argv)
     assert code == 0
-    return len(seen)
+    assert all(t is tables[0] for t in tables)
+    return len(built), sum(built), len(tables[0][1])
 
 
-@pytest.mark.parametrize("name, calls",
+@pytest.mark.parametrize("name, matrices",
                          [("s3sextic", 6), ("v4biquad", 4), ("qcbrt2", 3)])
 def test_verify_hopf_galois_builds_each_multiplication_matrix_once(
-        capsys, monkeypatch, name, calls):
-    # one matrix per subfield basis element, shared by the load's ideal
-    # checks and every structure's canonical map (it was once per structure:
-    # 30, 16 and 3)
-    assert _multiplication_matrices_built(
-        capsys, monkeypatch, "--json", "verify", "hopf-galois", name) == calls
+        capsys, monkeypatch, name, matrices):
+    # one table of the subfield basis's matrices, shared by the load's
+    # integral-basis and ideal checks and every structure's canonical map
+    # (matrices were once built per structure: 30, 16 and 3 of them)
+    structures = len(load_bundled(name).structures())
+    assert _multiplication_tables(
+        capsys, monkeypatch, "--json", "verify", "hopf-galois", name) == \
+        (1 + structures, 1, matrices)
 
 
 def test_load_builds_the_integral_basis_matrices_once(capsys, monkeypatch):
-    # s3sextic's two ideals share the six subfield-basis matrices built at
-    # load, from which the integral basis's are combined
-    assert _multiplication_matrices_built(
-        capsys, monkeypatch, "--json", "validate", "s3sextic") == 6
+    # s3sextic's two ideals share the integral basis's ring, combined once
+    # at load from the subfield's table of six matrices
+    assert _multiplication_tables(
+        capsys, monkeypatch, "--json", "validate", "s3sextic") == (1, 1, 6)
 
 
 def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
@@ -364,10 +391,10 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     monkeypatch.setattr(numberfield, "CosetImages",
                         counting("coset_images", numberfield.CosetImages))
     # a sample is drawn as subfield coordinates: it is never built as a
-    # field element, and its coordinates are not solved for again.  The 41
-    # solves are the load's (among them the 4 x 4 columns of the subfield
-    # basis's multiplication matrices); the descents read theirs over Z
-    # (Subfield.int_coords), where they took 2 x 16 more
+    # field element, and its coordinates are not solved for again.  The load
+    # and the descents read theirs over Z (Subfield.int_coords); the load
+    # once solved 41 (among them the 4 x 4 columns of the subfield basis's
+    # multiplication matrices), and the descents 2 x 16 more
     monkeypatch.setattr(Subfield, "from_coords",
                         counting("from_coords", Subfield.from_coords))
     monkeypatch.setattr(Subfield, "coords",
@@ -378,7 +405,7 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     assert counts["generates"] == 2 * cli.GENERATOR_SAMPLES
     assert counts["coset_images"] == 1
     assert counts["from_coords"] == 0
-    assert counts["coords"] == 41
+    assert counts["coords"] == 0
 
 
 def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
@@ -410,11 +437,13 @@ def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
                 for name in sorted(fx.ideals):
                     cli.cmd_assoc_order(
                         fx, argparse.Namespace(n=i, ideal=name), report)
-                    # the ideal side only, m x m each: the ideal basis's
-                    # inverse (its elimination and its scale), the inverse
-                    # of the Hermite form and the order's lattice; the
-                    # algebra's action set would be m^2 rows
-                    assert cleared == [m] * 4
+                    # the ideal side only, m x m each: the eliminations of
+                    # the inverses of the ideal's integer basis and of the
+                    # Hermite form, which return integer forms (the scale
+                    # of the first inverse and the order's lattice were
+                    # cleared again, 4 in all); the algebra's action set
+                    # would be m^2 rows
+                    assert cleared == [m] * 2
                     cleared.clear()
         assert {c["verdict"] for c in report.checks} == {"PASS"}
 
@@ -454,7 +483,6 @@ def _planted_value_fault(fault, samples):
 @pytest.mark.parametrize("fault", [None, "coefficient", "sign", "scale"])
 def test_det_specialization_fails_on_a_planted_fault(monkeypatch, fault):
     import random
-    from hopfgalois.fixtures import load_bundled
     samples = _recorded_samples(monkeypatch)
     monkeypatch.setattr(cli, "_packed_value", _planted_value_fault(fault, samples))
     # qcbrt2's sampled coset values have denominators, so scale > 1 occurs
@@ -591,9 +619,9 @@ def test_malformed_block_is_a_validation_problem(tmp_path, capsys, shape):
     code = main(["validate", str(path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert "failed validation" in captured.out
-    assert f"  - {problem}" in captured.out
-    assert captured.err == ""
+    assert captured.out == ""
+    assert "failed validation" in captured.err
+    assert f"  - {problem}" in captured.err
 
 
 TABLE = "automorphism images do not satisfy the group's multiplication table"
@@ -621,8 +649,8 @@ def test_planted_automorphism_images_are_validation_problems(
     code = main(["validate", str(path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out.splitlines()[1:] == [f"  - field: {problem}"]
-    assert captured.err == ""
+    assert captured.out == ""
+    assert captured.err.splitlines()[1:] == [f"  - field: {problem}"]
 
 
 @pytest.mark.parametrize("names", [5, ["s"], ["s", "s"]],
@@ -640,8 +668,8 @@ def test_malformed_presentation_generators_are_a_validation_problem(
     captured = capsys.readouterr()
     assert code == 2
     assert "  - group.presentation.generators: a list of two distinct names " \
-        "is required" in captured.out
-    assert captured.err == ""
+        "is required" in captured.err
+    assert captured.out == ""
 
 
 def test_negative_presentation_exponent_validates(tmp_path, capsys):
@@ -666,10 +694,10 @@ def test_unstable_ideal_is_a_validation_problem(tmp_path, capsys):
     code = main(["validate", str(path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out.endswith("failed validation with 1 problem(s):\n"
+    assert captured.out == ""
+    assert captured.err.endswith("failed validation with 1 problem(s):\n"
                                  "  - ideals.half: not stable under "
                                  "integral-basis element 1\n")
-    assert captured.err == ""
 
 
 def test_oversize_group_exits_with_a_capability_error(tmp_path, capsys):
@@ -697,8 +725,8 @@ def test_unfixed_vector_is_a_validation_problem(tmp_path, capsys, block, problem
     code = main(["validate", str(path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert f"  - {problem}" in captured.out
-    assert captured.err == ""
+    assert f"  - {problem}" in captured.err
+    assert captured.out == ""
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

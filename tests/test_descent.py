@@ -16,8 +16,8 @@ from hopfgalois.numberfield import GaloisContext
 from hopfgalois.perm import (FiniteGroup, Permutation, opposite,
                              right_translation_subgroup)
 
-from .oracles import (action_matrix_of, coords_of, descended_act,
-                      descended_solver, det, element_from_coords,
+from .oracles import (action_matrix_of, conjugacy_classes, coords_of,
+                      descended_act, descended_solver, det, element_from_coords,
                       embed_in_map_algebra, flatten_coefficients,
                       galois_act_on_map, generates_fixed_map_algebra,
                       generates_map_algebra_over_group_algebra,
@@ -120,7 +120,7 @@ def test_translation_structure_basis_is_conjugacy_orbit_sums(s3sextic):
     algebra = s3sextic.algebra(index)
     assert algebra.dim == 6
     # the support of each basis element is a single conjugacy orbit
-    classes = [frozenset(c) for c in lam.conjugacy_classes()]
+    classes = conjugacy_classes(lam)
     for b in algebra.basis:
         support = frozenset(eta for eta, c in
                             zip(lam.elements, b.coefficients) if c)
@@ -298,10 +298,11 @@ def test_commuting_keeps_each_denominator():
     # last pair commute too
     class Actions:
         def __init__(self, *mats):
+            # the integer form over the least common denominator
             d, rows = linalg._clear_denominators([r for m in mats for r in m])
-            self.action_denominator, self.int_action_matrices = \
-                descent._integer_form(d, [rows[k:k + 2]
-                                          for k in range(0, len(rows), 2)])
+            self.action_denominator = d
+            self.int_action_matrices = [rows[k:k + 2]
+                                        for k in range(0, len(rows), 2)]
 
     a = Actions([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 2)]], [[1, 0], [0, 1]])
     assert verify_commuting(a, Actions([[1, F(1, 4)], [F(1, 4), 1]]))

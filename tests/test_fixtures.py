@@ -5,7 +5,7 @@ import pytest
 
 from hopfgalois.errors import (CapabilityError, FixtureValidationError,
                                HopfGaloisError)
-from hopfgalois.fixtures import BUNDLED, load_bundled, parse_text
+from hopfgalois.fixtures import BUNDLED, bundled_path, load_bundled, parse_text
 from hopfgalois.perm import GROUP_ORDER_BOUND, FiniteGroup, Permutation
 
 from .oracles import is_isomorphic
@@ -66,6 +66,20 @@ def test_non_closed_integral_basis_names_the_product():
     with pytest.raises(FixtureValidationError) as exc:
         parse_text(json.dumps(doc))
     assert any("multiplicatively closed" in p for p in exc.value.problems)
+
+
+def test_integral_basis_problems_keep_their_order():
+    # c4quartic with integral-basis element 0 doubled to 2: 1 leaves the
+    # span and validation goes on; the products are then checked pair by
+    # pair, (i, j) in order, and the first one that leaves the span is named
+    doc = json.loads(bundled_path("c4quartic").read_text(encoding="utf-8"))
+    doc["integral_basis"][0] = ["2", "0", "0", "0"]
+    with pytest.raises(FixtureValidationError) as exc:
+        parse_text(json.dumps(doc))
+    assert exc.value.problems == [
+        "integral_basis: 1 is not an integer combination of the basis",
+        "integral_basis: not multiplicatively closed; the product of "
+        "elements 1 and 3 leaves the span"]
 
 
 def test_non_subgroup_stabilizer_is_named():

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from hopfgalois import linalg
 
-from .oracles import det, rref, rref_kernel
+from .oracles import det, rref, rref_kernel, rref_solve
 
 F = Fraction
 
@@ -36,11 +37,24 @@ def _random_shapes(seed, count):
         yield rng, _random_matrix(rng, nrows, ncols)
 
 
+def assert_integer_form(form, rational_rows):
+    """form is the integer form (d, rows) of the Fraction rows: integer rows
+    over d > 0 with gcd(d, every entry) = 1, and rows / d equal to them."""
+    d, rows = form
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for row in rows for x in row)
+    assert gcd(d, *(x for row in rows for x in row)) == 1
+    assert [[F(x, d) for x in row] for row in rows] == rational_rows
+
+
 def test_rank_and_kernel_match_the_rref_oracle():
     for _, mat in _random_shapes(20, 300):
         ncols = len(mat[0])
         assert linalg.rank(mat) == len(rref(mat)[1])
-        assert linalg.kernel_basis(mat, ncols) == rref_kernel(mat, ncols)
+        d, rows, free = linalg.kernel_basis(mat, ncols)
+        basis, oracle_free = rref_kernel(mat, ncols)
+        assert_integer_form((d, rows), basis)
+        assert free == oracle_free
 
 
 def test_invert_matches_the_rref_oracle():
@@ -55,7 +69,7 @@ def test_invert_matches_the_rref_oracle():
             singular += 1
             assert linalg.invert(mat) is None
         else:
-            assert linalg.invert(mat) == [row[n:] for row in rows]
+            assert_integer_form(linalg.invert(mat), [row[n:] for row in rows])
     assert singular > 10
 
 
@@ -70,13 +84,16 @@ def test_solver_matches_the_rref_oracle():
             continue
         solver = linalg.LinearSolver(columns)
         coords = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in columns]
-        assert solver.solve(linalg.mat_vec(mat, coords)) == coords
+        d, solved = solver.solve(linalg.mat_vec(mat, coords))
+        assert_integer_form((d, [solved]), [coords])
         target = [F(rng.randint(-4, 4)) for _ in mat]
         in_span = len(rref(columns + [target])[1]) == len(columns)
         outside += not in_span
         solved = solver.solve(target)
         if in_span:
-            assert linalg.mat_vec(mat, solved) == target
+            d, solved = solved
+            assert_integer_form((d, [solved]), [rref_solve(mat, target)])
+            assert linalg.mat_vec(mat, [F(x, d) for x in solved]) == target
         else:
             assert solved is None
     assert dependent > 10 and outside > 10
@@ -144,7 +161,10 @@ def test_fixed_space_matches_the_rref_oracle(monkeypatch):
     for matrices, ncols in systems:
         stacked = [[x - (i == j) for j, x in enumerate(row)]
                    for m in matrices for i, row in enumerate(m)]
-        assert fixed_space(matrices, ncols) == rref_kernel(stacked, ncols)
+        d, rows, free = fixed_space(matrices, ncols)
+        basis, oracle_free = rref_kernel(stacked, ncols)
+        assert_integer_form((d, rows), basis)
+        assert free == oracle_free
 
 
 def test_span_basis_is_the_kernel_basis_of_its_span():
@@ -163,9 +183,10 @@ def test_span_basis_is_the_kernel_basis_of_its_span():
             spanning.append([sum(a * v[c] for a, v in zip(coeffs, basis))
                              for c in range(ncols)])
         rng.shuffle(spanning)
-        assert linalg.span_basis(spanning, ncols) == (basis, free)
         # coordinates over Z: integer vectors, the basis times d
-        d, ints = linalg._clear_denominators(basis)
+        d, ints, span_free = linalg.span_basis(spanning, ncols)
+        assert_integer_form((d, ints), basis)
+        assert span_free == free
         for v in spanning:
             coords = [v[f] for f in free]
             assert linalg.echelon_coords(basis, free, v) == coords
@@ -179,14 +200,14 @@ def test_span_basis_is_the_kernel_basis_of_its_span():
 
 def test_kernel_basis_canonical():
     # x + y + z = 0 has the two standard free-column vectors
-    basis, free = linalg.kernel_basis([[F(1), F(1), F(1)]], 3)
-    assert basis == [[F(-1), F(1), F(0)], [F(-1), F(0), F(1)]]
+    d, basis, free = linalg.kernel_basis([[F(1), F(1), F(1)]], 3)
+    assert (d, basis) == (1, [[-1, 1, 0], [-1, 0, 1]])
     assert free == [1, 2]
 
 
 def test_kernel_of_empty_constraints_is_everything():
-    basis, free = linalg.kernel_basis([], 2)
-    assert basis == [[F(1), F(0)], [F(0), F(1)]]
+    d, basis, free = linalg.kernel_basis([], 2)
+    assert (d, basis) == (1, [[1, 0], [0, 1]])
     assert free == [0, 1]
 
 
@@ -199,7 +220,9 @@ def test_invert_round_trip():
         if inv is None:
             assert det(mat) == 0
             continue
-        assert linalg.mat_mul(mat, inv) == linalg.identity_matrix(n)
+        d, rows = inv
+        assert linalg.mat_mul(mat, rows) == \
+            [[d * int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_det_matches_bareiss_on_random_integer_matrices():
@@ -244,9 +267,9 @@ def test_hnf_preserves_the_lattice():
             solver = linalg.LinearSolver(
                 [[F(v) for v in row] for row in rows])
             for hr in h:
-                coords = solver.solve([F(v) for v in hr])
-                assert coords is not None
-                assert all(c.denominator == 1 for c in coords)
+                solved = solver.solve([F(v) for v in hr])
+                assert solved is not None
+                assert solved[0] == 1
 
 
 def test_hnf_canonical_under_unimodular_change():
@@ -286,7 +309,7 @@ def test_hnf_pivot_reduction_invariant():
 
 def test_linear_solver_consistency_detection():
     solver = linalg.LinearSolver([[F(1), F(0), F(1)], [F(0), F(1), F(1)]])
-    assert solver.solve([F(2), F(3), F(5)]) == [F(2), F(3)]
+    assert solver.solve([F(2), F(3), F(5)]) == (1, [2, 3])
     assert solver.solve([F(2), F(3), F(4)]) is None
 
 
