@@ -5,8 +5,10 @@ commuting actions, generators, separability).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import linalg
@@ -281,69 +283,98 @@ def _residues(scaled, scale, field: NumberField) -> list[int] | None:
 @dataclass(frozen=True, eq=False)
 class GeneratorSample:
     """A subfield element with what every generator test of it shares,
-    whatever the structure: its subfield coordinates, its coset values in
-    integer form (the value at coset k has power-basis coordinates
-    scaled[k] / scale, in the field with this modulus), the reduction prime
-    p, and the residues mod p of the coset values, read off the integers by
-    _residues (None when p divides a denominator)."""
+    whatever the structure: its subfield coordinates, the field's modulus
+    and reduction prime p, the residues mod p of its coset values (None when
+    p divides a denominator), and the coset values in integer form: the
+    value at coset k has power-basis coordinates scaled[k] / scale.
+    `scaled` is built by `vectors` on first read: only the exact fallback of
+    a generator test, det-specialization and the certificate's transfer
+    read it."""
 
     coords: list[Fraction | int]
     modulus: tuple[int, ...]
     scale: int
-    scaled: list[list[int]]
     prime: int
     residues: list[int] | None
+    vectors: Callable[[], list[list[int]]]
+
+    @cached_property
+    def scaled(self) -> list[list[int]]:
+        return self.vectors()
 
     @classmethod
     def of_values(cls, coords, values) -> GeneratorSample:
         """The sample with the given coset values, as field elements."""
         field = values[0].field
         scale, scaled = linalg._clear_denominators([v.coords for v in values])
-        return cls(coords, field.modulus, scale, scaled,
-                   field.reduction_root()[0], _residues(scaled, scale, field))
+        return cls(coords, field.modulus, scale,
+                   field.reduction_root()[0], _residues(scaled, scale, field),
+                   lambda: scaled)
 
 
 def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
     """Whether the transition matrix on the sample's coset values has a
     nonzero determinant over E.  Certified mod p first: t -> r is a ring map
-    to F_p on the elements whose denominators are prime to p, so a nonzero
-    determinant of the reduced matrix proves the exact one nonzero.  A zero
-    mod p, or a denominator divisible by p (no residues), falls back to the
-    exact determinant in Z[t]/(f) of the transition matrix on the integer
-    values (_packed_det), scale^m times the one over E."""
-    if sample.residues is not None and linalg.det_mod_p(
+    to F_p on the elements whose denominators are prime to p, so a matrix of
+    residues invertible mod p (linalg.nonsingular_mod_p) proves the exact
+    determinant nonzero.  A matrix singular mod p, or a denominator
+    divisible by p (no residues), falls back to the exact determinant in
+    Z[t]/(f) of the transition matrix on the integer values (_packed_det),
+    scale^m times the one over E."""
+    if sample.residues is not None and linalg.nonsingular_mod_p(
             transition_matrix_of(n, sample.residues), sample.prime):
         return True
     return any(_packed_det(transition_matrix_of(n, sample.scaled),
                            sample.modulus))
 
 
-def generator_sample(subfield: Subfield, space: CosetSpace,
-                     coords) -> GeneratorSample:
+def generator_sample(subfield: Subfield, space: CosetSpace, coords,
+                     integer_form=None) -> GeneratorSample:
     """The sample of the subfield element with these coordinates, in integer
-    arithmetic on the subfield's CosetImages: for coords = a / c with a an
-    integer vector, the value at coset k is M_k a / (D c), one integer
-    matrix-vector product, and the residues are _residues of those."""
+    arithmetic on the subfield's CosetImages.  For coords = a / c, with a an
+    integer vector (integer_form, when given, is (c, a), already cleared by
+    the caller), the value at coset k is M_k a / (D c): one integer
+    matrix-vector product, made only when the sample's vectors are read.
+    When p does not divide D c, the residue at coset k is the dot product
+    of a with the table's residue row k, times the inverse of D c mod p;
+    otherwise the residues are _residues of the vectors."""
     table = subfield.coset_images(space.representatives)
-    c, (ints,) = linalg._clear_denominators([coords])
-    scaled = [linalg.mat_vec(m, ints) for m in table.matrices]
-    field = subfield.context.field
+    if integer_form is None:
+        c, (ints,) = linalg._clear_denominators([coords])
+    else:
+        c, ints = integer_form
+    field = table.field
+    p = field.reduction_root()[0]
     scale = table.denominator * c
-    return GeneratorSample(coords, field.modulus, scale, scaled,
-                           field.reduction_root()[0],
-                           _residues(scaled, scale, field))
+    scaled = None
+
+    def vectors():
+        return scaled or [linalg.mat_vec(m, ints) for m in table.matrices]
+    if scale % p:
+        inv = pow(scale, -1, p)
+        residues = [v * inv % p
+                    for v in linalg.mat_vec(table.residue_rows, ints)]
+    else:
+        scaled = vectors()
+        residues = _residues(scaled, scale, field)
+    return GeneratorSample(coords, field.modulus, scale, p, residues, vectors)
 
 
 def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
               orbit=None) -> bool:
     """Whether the orbit of the sampled element under the descended algebra
-    spans the subfield.  Computed two ways (exact rank of the orbit,
-    nonvanishing of the numeric transition determinant); the two must
-    agree.  `orbit`, when given, is a nonzero multiple of
+    spans the subfield.  Computed two ways, and the two must agree: the
+    orbit is square, so it spans exactly when its integer determinant is
+    nonzero (linalg.int_det); and the transition determinant
+    (transition_det_nonzero).  The orbit is taken on sample.coords as given,
+    and its denominators are cleared only when a coordinate is a Fraction.
+    `orbit`, when given, is a nonzero integer multiple of
     algebra.orbit(sample.coords) that the caller already built."""
     if orbit is None:
         orbit = algebra.orbit(sample.coords)
-    by_rank = linalg.rank(orbit) == algebra.subfield.dim
+        if Fraction in map(type, sample.coords):
+            orbit = linalg._clear_denominators(orbit)[1]
+    by_rank = linalg.int_det(orbit) != 0
     by_det = transition_det_nonzero(algebra.subgroup, sample)
     if by_rank != by_det:
         raise ConsistencyError(

@@ -354,17 +354,17 @@ def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
     return FreenessResult("UNKNOWN")
 
 
-def _transfer_rows(partner: DescendedAlgebra, xc, scale, images):
+def _transfer_rows(partner: DescendedAlgebra, xc, c, xi, scale, images):
     """For each given a . x, the unique partner element z with z . x = a . x,
     as rows in integer form (d, rows): one generator test of x and one
     inverse of the partner's orbit of x, shared by every a.  x is given by
     its coordinates xc = xi/c in the subfield basis both algebras act on, as
-    are all vectors here; each a . x by an integer image, scale times it.
-    The generator test and the inverse share the partner's orbit of the
-    integer xi, which is c d times the true one (d its action_denominator).
-    With O that orbit as columns and O^-1 = P/e, z = c d P image / (e scale)."""
-    sample = generator_sample(partner.subfield, partner.space, xc)
-    c, (xi,) = linalg._clear_denominators([xc])
+    are all vectors here, with their integer form (c, xi); each a . x by an
+    integer image, scale times it.  The generator test and the inverse share
+    the partner's orbit of the integer xi, which is c d times the true one
+    (d its action_denominator).  With O that orbit as columns and
+    O^-1 = P/e, z = c d P image / (e scale)."""
+    sample = generator_sample(partner.subfield, partner.space, xc, (c, xi))
     orbit = partner.orbit(xi)  # c d times the true orbit, built once
     if not generates(partner, sample, orbit):
         raise DomainError("transfer needs the witness to generate over the partner")
@@ -446,7 +446,7 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
         w_of_x = [linalg.mat_vec(a, xi) for a in w_mats]
         scale = (order_here.lattice.denominator * side_here.action_denominator
                  * c)
-        z_den, z_rows = _transfer_rows(side_there, xc, scale, w_of_x)
+        z_den, z_rows = _transfer_rows(side_there, xc, c, xi, scale, w_of_x)
         same = Lattice.from_integer_rows(z_den, z_rows) == order_there.lattice
         lattice_matches = same if lattice_matches is None else (lattice_matches and same)
         if not same:

@@ -1,10 +1,11 @@
 """Exact linear algebra: one routine that clears a rational matrix's
 denominators, one fraction-free Gauss-Jordan elimination over Z for
 kernels, inverses and solves, run forward only for ranks and integer
-determinants, determinants modulo a prime, and the row Hermite normal
-form.  Every rational result is returned in one integer form (d, rows):
-integer rows over a denominator d > 0 that shares no factor with every
-entry (_integer_form)."""
+determinants, invertibility modulo a prime by a forward elimination that
+stops at the first missing pivot, and the row Hermite normal form.  Every
+rational result is returned in one integer form (d, rows): integer rows
+over a denominator d > 0 that shares no factor with every entry
+(_integer_form)."""
 
 from __future__ import annotations
 
@@ -78,25 +79,27 @@ def _eliminate(rows, forward_only=False):
     nrows = len(rows)
     pivots = []
     prev = 1
+    r = 0  # the number of pivots found so far
     for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
         if r == nrows:
             break
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
+        for k in range(r, nrows):
+            if rows[k][c]:
+                break
+        else:
             continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], [-x for x in rows[r]]
+        if k != r:
+            rows[r], rows[k] = rows[k], [-x for x in rows[r]]
         row_r = rows[r]
         p = row_r[c]
         for i in range(r + 1 if forward_only else 0, nrows):
             row = rows[i]
             f = row[c]
-            if i == r or not f and p == prev:
-                continue
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, row_r)]
+            if i != r and (f or p != prev):
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, row_r)]
         pivots.append(c)
         prev = p
+        r += 1
     return rows, pivots, prev
 
 
@@ -176,26 +179,29 @@ def invert(mat):
     return solver._denominator, solver._transform
 
 
-def det_mod_p(mat, p: int) -> int:
-    """Determinant of an integer matrix modulo the prime p, in [0, p)."""
-    n = len(mat)
-    m = [[v % p for v in row] for row in mat]
-    acc = 1
+def nonsingular_mod_p(mat, p: int) -> bool:
+    """Whether a square matrix with entries reduced mod the prime p is
+    invertible mod p.  A division-free forward elimination: each row below
+    the pivot is scaled by the pivot before the pivot row is subtracted,
+    which multiplies the determinant by a unit, so no inverse is taken.  It
+    returns False at the first column without a pivot."""
+    rows = list(mat)
+    n = len(rows)
     for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            acc = -acc
-        row_c = m[c]
-        acc = acc * row_c[c] % p
-        inv = pow(row_c[c], -1, p)
+        for k in range(c, n):
+            if rows[k][c]:
+                break
+        else:
+            return False
+        pivot = rows[k]
+        rows[k] = rows[c]
+        a = pivot[c]
         for i in range(c + 1, n):
-            f = m[i][c] * inv % p
+            row = rows[i]
+            f = row[c]
             if f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], row_c)]
-    return acc
+                rows[i] = [(a * x - f * y) % p for x, y in zip(row, pivot)]
+    return True
 
 
 def int_det(mat) -> int:

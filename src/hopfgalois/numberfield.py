@@ -4,7 +4,7 @@ fixed subfields, and traces.  No floating point anywhere."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import count
 from math import factorial, isqrt
 
@@ -665,17 +665,28 @@ class CosetImages:
     descents and generator samples read: `matrices[k]`, the n x d integer
     matrix whose column j is sigma_k(b_j) times the common denominator D of
     all of them.  It is linear in the subfield coordinates, so an element's
-    images are read off it (descent.generator_sample)."""
+    images are read off it (descent.generator_sample), and so are their
+    residues: `residue_rows[k]`, built on first use, is matrices[k] at
+    t -> r mod p, for the field's (p, r) = NumberField.reduction_root()."""
 
     def __init__(self, subfield: Subfield, representatives):
         ctx = subfield.context
         d = subfield.dim
+        self.field = ctx.field
         self.representatives = representatives
         self.denominator, rows = linalg._clear_denominators(
             [ctx.apply(g, b).coords for g in representatives
              for b in subfield.basis])
         self.matrices = tuple(linalg.transpose(rows[k:k + d])
                               for k in range(0, len(rows), d))
+
+    @cached_property
+    def residue_rows(self) -> tuple[tuple[int, ...], ...]:
+        p, r = self.field.reduction_root()
+        powers = [pow(r, i, p) for i in range(self.field.degree)]
+        return tuple(
+            tuple(v % p for v in linalg.mat_vec(linalg.transpose(mat), powers))
+            for mat in self.matrices)
 
 
 def fixed_subfield(context: GaloisContext, stabilizer: FiniteGroup) -> Subfield:

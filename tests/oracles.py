@@ -663,7 +663,8 @@ def transfer_element(algebra, partner, a_coords, x):
     given element does; solves z . x = a . x in the partner's coordinates."""
     xc = algebra.subfield.coords(x)
     a_of_x = linalg.mat_vec(action_matrix_of(algebra, list(a_coords)), xc)
-    d, (z,) = _transfer_rows(partner, xc,
+    c, (xi,) = linalg._clear_denominators([xc])
+    d, (z,) = _transfer_rows(partner, xc, c, xi,
                              *linalg._clear_denominators([a_of_x]))
     return [Fraction(v, d) for v in z]
 

@@ -6,15 +6,17 @@ import pytest
 
 from hopfgalois import descent, linalg
 from hopfgalois.descent import (GeneratorSample, GroupAlgebraElement,
-                                canonical_map_rank, coset_values, descend,
-                                generates, generator_sample, is_generator,
-                                is_separable, trace_form_nondegenerate,
+                                _residues, canonical_map_rank, coset_values,
+                                descend, generates, generator_sample,
+                                is_generator, is_separable,
+                                trace_form_nondegenerate,
                                 transition_det_nonzero, verify_commuting,
                                 verify_hopf_galois)
 from hopfgalois.errors import ConsistencyError, DomainError, StructureError
 from hopfgalois.numberfield import GaloisContext
 from hopfgalois.perm import (FiniteGroup, Permutation, opposite,
                              right_translation_subgroup)
+from hopfgalois.transition import transition_matrix_of
 
 from .oracles import (action_matrix_of, conjugacy_classes, coords_of,
                       descended_act, descended_solver, det, element_from_coords,
@@ -482,6 +484,60 @@ def test_coset_images_match_the_element_route(field_fixtures):
             for i in range(len(fx.structures())):
                 assert generates(fx.algebra(i), sample) == \
                     is_generator(fx.algebra(i), x)
+
+
+def test_table_samples_take_the_exact_determinant_only_when_needed(
+        field_fixtures, monkeypatch):
+    # samples read off the coset table, at seeded integer coordinates and at
+    # coordinates over 2, 3, 6 and p, with the known non-generators 0 and 1
+    # among them: their residues are _residues of their vectors, the exact
+    # determinant runs for exactly the samples without residues or with a
+    # transition matrix singular mod p, and the verdicts are is_generator's
+    calls = _counting_exact_det(monkeypatch)
+    for fx in field_fixtures:
+        ctx, space, sub = fx.context, fx.coset_space(), fx.subfield()
+        field = ctx.field
+        p, _ = field.reduction_root()
+        rng = random.Random(12)
+        coords = [[0] * sub.dim, sub.coords(field.one())]
+        coords += [[rng.randint(-9, 9) for _ in range(sub.dim)]
+                   for _ in range(10)]
+        coords += [_mixed_coords(rng, sub.dim, p) for _ in range(20)]
+        samples = [generator_sample(sub, space, c) for c in coords]
+        for sample in samples:
+            assert sample.residues == _residues(sample.scaled, sample.scale,
+                                                field), (fx.name, sample.coords)
+        assert any(s.residues is None for s in samples), fx.name
+        for i in range(len(fx.structures())):
+            algebra = fx.algebra(i)
+            n = algebra.subgroup
+            calls.clear()
+            verdicts = [generates(algebra, s) for s in samples]
+            assert calls == [
+                transition_matrix_of(n, s.scaled) for s in samples
+                if s.residues is None or linalg.int_det(
+                    transition_matrix_of(n, s.residues)) % p == 0], \
+                (fx.name, i)
+            assert verdicts == [is_generator(algebra, sub.from_coords(c))
+                                for c in coords], (fx.name, i)
+            assert verdicts[:2] == [False, False] and any(verdicts)
+
+
+def test_table_sample_falls_back_on_a_planted_zero_mod_p(qi, monkeypatch):
+    # x = p + i: the transition determinant of the two conjugates is
+    # y0^2 - y1^2 = 4 p i, nonzero but zero mod p, so the test must take
+    # the exact determinant and find x a generator
+    calls = _counting_exact_det(monkeypatch)
+    field, space, sub = qi.context.field, qi.coset_space(), qi.subfield()
+    p, _ = field.reduction_root()
+    sample = generator_sample(sub, space, sub.coords(field.element([p, 1])))
+    for i in range(len(qi.structures())):
+        algebra = qi.algebra(i)
+        residues = transition_matrix_of(algebra.subgroup, sample.residues)
+        assert linalg.int_det(residues) % p == 0
+        calls.clear()
+        assert generates(algebra, sample)
+        assert len(calls) == 1
 
 
 def test_coset_images_are_built_once_per_subfield_and_space(s3sextic):

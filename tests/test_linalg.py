@@ -333,9 +333,11 @@ def test_det_mod_p_matches_int_det():
             mat = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
             if n > 1 and rng.random() < 0.3:  # make it singular
                 mat[-1] = [3 * a for a in mat[0]]
-            got = linalg.det_mod_p(mat, p)
-            assert got == linalg.int_det(mat) % p
-            assert 0 <= got < p
+            # the kernel takes entries already reduced mod p
+            reduced = [[v % p for v in row] for row in mat]
+            assert linalg.nonsingular_mod_p(reduced, p) == \
+                bool(linalg.int_det(mat) % p)
     # singular mod p only: the exact determinant is p
-    assert linalg.det_mod_p([[p, 0], [0, 1]], p) == 0
-    assert linalg.det_mod_p([[0, 1], [1, 0]], 7) == 6
+    assert not linalg.nonsingular_mod_p([[0, 0], [0, 1]], p)
+    assert linalg.int_det([[p, 0], [0, 1]]) == p
+    assert linalg.nonsingular_mod_p([[0, 1], [1, 0]], 7)
