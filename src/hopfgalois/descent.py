@@ -46,7 +46,7 @@ class DescendedAlgebra:
     subgroup: FiniteGroup
     subfield: Subfield
     basis: tuple[GroupAlgebraElement, ...]
-    identity_coords: tuple[Fraction, ...]
+    identity_coords: tuple[int, ...]
     action_denominator: int
     int_action_matrices: tuple[tuple[tuple[int, ...], ...], ...]
     structure_denominator: int
@@ -125,15 +125,14 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
         stabilizer.discard(group.identity_index)
         _, fixed, _ = linalg.fixed_space(
             [matrices[s] for s in sorted(stabilizer)], nf_degree)
-        # over Z: the u as integers, each e_j M_{h_j} scaled to integers,
-        # and block j times common / e_j, so that every block carries one
-        # factor
-        scaled = {j: linalg._clear_denominators(matrices[h])
-                  for j, h in orbit.items()}
-        common = lcm(*(e for e, _ in scaled.values()))
+        # over Z: the u as integers, M_{h_j} in integer form (e_j, I_j), and
+        # block j is common / e_j times I_j u, so that every block carries
+        # one factor
+        forms = {j: matrices[h] for j, h in orbit.items()}
+        common = lcm(*(e for e, _ in forms.values()))
         for u in fixed:
             vec = [0] * (m * nf_degree)
-            for j, (e, mh) in scaled.items():
+            for j, (e, mh) in forms.items():
                 vec[j * nf_degree:(j + 1) * nf_degree] = \
                     [common // e * x for x in linalg.mat_vec(mh, u)]
             spanning.append(vec)
@@ -145,7 +144,7 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
     blocks = [[vec[i * nf_degree:(i + 1) * nf_degree] for i in range(m)]
               for vec in ints]
     for g in group.generators:
-        scale, mg = linalg._clear_denominators(matrices[g])
+        scale, mg = matrices[g]
         for vec in blocks:
             for block, k in zip(vec, conj[g]):
                 if linalg.mat_vec(mg, block) != [scale * x for x in vec[k]]:
@@ -208,7 +207,7 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
         return d, tuple(tuple(map(tuple, rows[k:k + m]))
                         for k in range(0, len(rows), m))
     return DescendedAlgebra(
-        context, space, n, subfield, basis, tuple(map(Fraction, identity_coords)),
+        context, space, n, subfield, basis, tuple(identity_coords),
         *integer_matrices(den * images.denominator, action),
         *integer_matrices(den * den, structure))
 
@@ -349,7 +348,7 @@ def generator_sample(subfield: Subfield, space: CosetSpace, coords,
     scaled = None
 
     def vectors():
-        return scaled or [linalg.mat_vec(m, ints) for m in table.matrices]
+        return scaled or table.vectors(ints)
     if scale % p:
         inv = pow(scale, -1, p)
         residues = [v * inv % p

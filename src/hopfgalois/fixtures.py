@@ -76,6 +76,7 @@ class Fixture:
         self._space = None
         self._structures = None
         self._opposites = None
+        self._opposite_indices = None
         self._dets = {}
         self._algebras = {}
 
@@ -100,15 +101,19 @@ class Fixture:
             self._structures = enumerate_regular_normalized(self.coset_space())
         return self._structures
 
+    def opposites(self) -> list[FiniteGroup]:
+        """The opposite of each structure (perm.opposite), built once."""
+        if self._opposites is None:
+            space = self.coset_space()
+            self._opposites = [opposite(n, space) for n in self.structures()]
+        return self._opposites
+
     def opposite_indices(self) -> list[int]:
         """Position in structures() of each structure's opposite."""
-        if self._opposites is None:
-            structs = self.structures()
-            space = self.coset_space()
-            opposites = [opposite(n, space) for n in structs]
-            self._opposites = [next(i for i, m in enumerate(structs) if m == opp)
-                               for opp in opposites]
-        return self._opposites
+        if self._opposite_indices is None:
+            self._opposite_indices = list(map(self.structures().index,
+                                              self.opposites()))
+        return self._opposite_indices
 
     def transition_det(self, index: int):
         """transition.signed_canonical_det of structures()[index]: the
@@ -340,10 +345,10 @@ def parse_text(text: str) -> Fixture:
                 context = load_field(
                     min_poly, group, images,
                     irreducible_asserted=fblock.get("irreducible") == "asserted")
+                sub = fixed_subfield(context, stabilizer)
             except HopfGaloisError as err:
                 problems.append(f"field: {err}")
-        if context is not None:
-            sub = fixed_subfield(context, stabilizer)
+        if sub is not None:
             integral_basis = _validate_integral_basis(
                 raw.get("integral_basis"), context, sub, problems)
             iblock = raw.get("ideals") or {}

@@ -8,7 +8,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import prod
 from operator import mul
 
 from . import linalg
@@ -36,10 +36,6 @@ class Lattice:
     rows: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_rational_rows(cls, rows) -> "Lattice":
-        return cls.from_integer_rows(*linalg._clear_denominators(rows))
-
-    @classmethod
     def from_integer_rows(cls, den, int_rows) -> "Lattice":
         """The lattice spanned by the rows int_rows / den, for integer rows
         and a positive integer den."""
@@ -50,23 +46,14 @@ class Lattice:
         if len(reduced) != m:
             raise ConsistencyError(
                 f"lattice has rank {len(reduced)}, expected full rank {m}")
-        content = den
-        for r in reduced:
-            for v in r:
-                content = gcd(content, v)
-        if content > 1:
-            den //= content
-            reduced = [[v // content for v in r] for r in reduced]
-        return cls(den, tuple(tuple(r) for r in reduced))
+        den, reduced = linalg._integer_form(den, reduced)
+        return cls(den, tuple(map(tuple, reduced)))
 
     def contains(self, vector) -> bool:
-        scaled = []
-        for v in vector:
-            w = Fraction(v) * self.denominator
-            if w.denominator != 1:
-                return False
-            scaled.append(int(w))
-        return self._spans(scaled)
+        """Whether the rational vector, ints / c once cleared, lies in the
+        lattice: whether the denominator times ints, over c, is spanned."""
+        c, (ints,) = linalg._clear_denominators([vector])
+        return self._spans([self.denominator * v for v in ints], c)
 
     def _spans(self, scaled: list[int], d: int = 1) -> bool:
         """Whether the integer vector over the positive integer d is an

@@ -127,16 +127,17 @@ def kernel_basis(mat, ncols: int):
     return *_integer_form(d, basis), free
 
 
-def fixed_space(matrices, ncols: int):
-    """The vectors fixed by every given ncols x ncols matrix: the canonical
-    kernel basis of the stacked M - 1, as kernel_basis returns it.  Basis
+def fixed_space(forms, ncols: int):
+    """The vectors fixed by every ncols x ncols matrix M / d, each given in
+    integer form (d, M): the canonical kernel basis of the stacked M - d I,
+    as kernel_basis returns it.  Basis
     vector j is 1 at free[j] and 0 at every other free column, so
     echelon_coords reads coordinates off it without solving."""
     stacked = []
-    for m in matrices:
+    for d, m in forms:
         for i, row in enumerate(m):
             row = list(row)
-            row[i] -= 1
+            row[i] -= d
             stacked.append(row)
     return kernel_basis(stacked, ncols)
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count
-from math import factorial, isqrt
+from math import factorial, isqrt, lcm
+from operator import mul
 
 from . import linalg
 from .errors import CapabilityError, ConsistencyError, DomainError, StructureError
@@ -40,12 +41,9 @@ class NumberField:
                 f"degree {self.degree} exceeds the supported bound {MAX_DEGREE}")
 
     def element(self, coords) -> "FieldElement":
-        coords = [Fraction(c) for c in coords]
-        if len(coords) > self.degree:
-            den, (ints,) = linalg._clear_denominators([coords])
-            coords = [Fraction(c, den) for c in _reduce_int(ints, self.modulus)]
-        coords += [Fraction(0)] * (self.degree - len(coords))
-        return FieldElement(self, tuple(coords))
+        den, (ints,) = linalg._clear_denominators([coords])
+        return FieldElement(self, tuple(Fraction(c, den) for c in _reduce_int(
+            ints + [0] * self.degree, self.modulus)))
 
     def zero(self) -> "FieldElement":
         return self.element([])
@@ -55,16 +53,6 @@ class NumberField:
 
     def generator(self) -> "FieldElement":
         return self.element([0, 1])
-
-    def multiplication_matrix(self, x: "FieldElement"):
-        """Matrix of y -> x*y in the power basis (columns are x * t^j)."""
-        cols = []
-        cur = x
-        t = self.generator()
-        for _ in range(self.degree):
-            cols.append(cur.coords)
-            cur = cur * t
-        return linalg.transpose(cols)
 
     def reduction_root(self) -> tuple[int, int]:
         """A pair (p, r): p >= REDUCTION_PRIME_MIN the least prime at which
@@ -121,15 +109,20 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        matrix = self.field.multiplication_matrix(self)
-        inv = linalg.invert(matrix)
+        # x = v / c multiplies by M / c, M with columns v t^j in Z[t]/(f);
+        # the inverse is the image of 1, the first column of c M^-1
+        c, (col,) = linalg._clear_denominators([self.coords])
+        cols = [col]
+        for _ in range(len(col) - 1):
+            cols.append(_reduce_int([0] + cols[-1], self.field.modulus))
+        inv = linalg.invert(linalg.transpose(cols))
         if inv is None:
             raise ConsistencyError(
                 "nonzero element has singular multiplication matrix; "
                 "the modulus is not irreducible")
-        # the inverse is the image of 1: the first column of inv
         d, rows = inv
-        return FieldElement(self.field, tuple(Fraction(r[0], d) for r in rows))
+        return FieldElement(self.field,
+                            tuple(Fraction(c * r[0], d) for r in rows))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -478,7 +471,8 @@ def check_irreducible(coeffs) -> bool | None:
 
 class GaloisContext:
     """A number field together with a faithful action of a finite group by
-    verified field automorphisms."""
+    verified field automorphisms.  `matrices[g]` is automorphism g in
+    integer form (d, M), the power-basis matrix M / d (linalg._integer_form)."""
 
     __slots__ = ("field", "group", "matrices", "irreducibility")
 
@@ -493,8 +487,13 @@ class GaloisContext:
         return self.field.degree
 
     def apply(self, g_index: int, x: FieldElement) -> FieldElement:
-        return FieldElement(
-            self.field, tuple(linalg.mat_vec(self.matrices[g_index], x.coords)))
+        # M x / d, Fraction on the left of each product: no reverse operator
+        d, m = self.matrices[g_index]
+        first, rest = x.coords[0], x.coords[1:]
+        coords = [sum(map(mul, rest, row[1:]), first * row[0]) for row in m]
+        if d > 1:
+            coords = [c / d for c in coords]
+        return FieldElement(self.field, tuple(coords))
 
     def trace(self, x: FieldElement) -> Fraction:
         total = self.field.zero()
@@ -507,7 +506,9 @@ def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
                irreducible_asserted: bool = False) -> GaloisContext:
     """Validate a field descriptor: irreducibility of f, that each generator
     image is a root of f, that the induced maps satisfy the group's relations,
-    and that the automorphisms are |G| distinct maps."""
+    and that the automorphisms are |G| distinct maps, all over Z.  Each
+    automorphism is kept in integer form (GaloisContext), a product of the
+    generators' forms; forms are unique, so the checks compare them."""
     field = NumberField(modulus)
     if group.order() != field.degree:
         raise StructureError(
@@ -520,66 +521,58 @@ def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
             "must assert it explicitly")
     irreducibility = "proved" if proved else "asserted"
 
-    gen_matrices = {}
+    n, modulus = field.degree, field.modulus
+    gen_forms = {}
     for g_index, image_coords in generator_images.items():
-        image = field.element(image_coords)
-        cols = []
-        power = field.one()
-        for _ in range(field.degree):
-            cols.append(power.coords)
-            power = power * image
-        # f(image) = image^n + sum_k c_k image^k, read off the powers
-        if any(top + sum(c * col[i] for c, col in zip(field.modulus, cols))
-               for i, top in enumerate(power.coords)):
+        e, (v,) = linalg._clear_denominators([image_coords])
+        v = _reduce_int(v + [0] * n, modulus)
+        cols, power = [], [1] + [0] * (n - 1)
+        for k in range(n):
+            cols.append([e ** (n - 1 - k) * x for x in power])
+            power = _int_mul(power, v, modulus)
+        # e^n f(v / e) = v^n + e sum_k c_k (column k), read off the powers
+        if any(top + e * sum(c * col[i] for c, col in zip(modulus, cols))
+               for i, top in enumerate(power)):
             raise StructureError(
                 f"invalid automorphism for generator index {g_index}: "
                 "its image of t is not a root of the minimal polynomial")
-        gen_matrices[g_index] = linalg.transpose(cols)
+        gen_forms[g_index] = linalg._integer_form(e ** (n - 1),
+                                                  linalg.transpose(cols))
 
     for g in group.generators:
-        if g not in gen_matrices:
+        if g not in gen_forms:
             raise StructureError(
                 f"no automorphism supplied for generator index {g}")
 
-    # over Z: with the generators' matrices G_g = I_g / d for one common d,
-    # the element reached by a word of k generators is its integer product
-    # over d^k; two such (M, k), (M', k') are equal when M d^k' = M' d^k
-    n = field.degree
-    gens = sorted(gen_matrices)
-    d, rows = linalg._clear_denominators(
-        [r for g in gens for r in gen_matrices[g]])
-    int_gens = {g: rows[k * n:(k + 1) * n] for k, g in enumerate(gens)}
-    products = {group.identity_index:
-                ([[int(i == j) for j in range(n)] for i in range(n)], 0)}
+    forms = {group.identity_index:
+             (1, [[int(i == j) for j in range(n)] for i in range(n)])}
     frontier = [group.identity_index]
     while frontier:
         nxt = []
         for i in frontier:
-            product, k = products[i]
+            d, product = forms[i]
             for g in group.generators:
                 j = group.mul(i, g)
-                candidate = linalg.mat_mul(product, int_gens[g])
-                if j in products:
-                    known, k_known = products[j]
-                    if [[x * d ** k_known for x in row] for row in candidate] != \
-                            [[x * d ** (k + 1) for x in row] for row in known]:
-                        raise StructureError(
-                            "automorphism images do not satisfy the group's "
-                            f"multiplication table at element index {j}")
-                else:
-                    products[j] = candidate, k + 1
+                d_g, m_g = gen_forms[g]
+                form = linalg._integer_form(d * d_g,
+                                            linalg.mat_mul(product, m_g))
+                if j not in forms:
+                    forms[j] = form
                     nxt.append(j)
+                elif forms[j] != form:
+                    raise StructureError(
+                        "automorphism images do not satisfy the group's "
+                        f"multiplication table at element index {j}")
         frontier = nxt
-    if len(products) != group.order():
+    if len(forms) != group.order():
         raise StructureError("generators do not generate the whole group")
-    matrices = [[[Fraction(x, d ** k) for x in row] for row in product]
-                for product, k in (products[i] for i in range(group.order()))]
-    distinct = {tuple(tuple(row) for row in m) for m in matrices}
+    matrices = tuple(forms[i] for i in range(group.order()))
+    distinct = {(d, tuple(map(tuple, m))) for d, m in matrices}
     if len(distinct) != group.order():
         raise StructureError(
             f"only {len(distinct)} distinct automorphisms for a group of order "
             f"{group.order()}; the field is not Galois with this group")
-    return GaloisContext(field, group, tuple(matrices), irreducibility)
+    return GaloisContext(field, group, matrices, irreducibility)
 
 
 class Subfield:
@@ -664,21 +657,31 @@ class CosetImages:
     of a list (a coset space's representatives), in the integer form that
     descents and generator samples read: `matrices[k]`, the n x d integer
     matrix whose column j is sigma_k(b_j) times the common denominator D of
-    all of them.  It is linear in the subfield coordinates, so an element's
-    images are read off it (descent.generator_sample), and so are their
-    residues: `residue_rows[k]`, built on first use, is matrices[k] at
-    t -> r mod p, for the field's (p, r) = NumberField.reduction_root()."""
+    all of them: the integer products M_k V, for sigma_k in integer form
+    (d_k, M_k) and V the basis's integer vectors, put in integer form once.
+    It is linear in the subfield coordinates, so an element's images are
+    read off it (`vectors`), and so are their residues: `residue_rows[k]`,
+    built on first use, is matrices[k] at t -> r mod p, for the field's
+    (p, r) = NumberField.reduction_root()."""
 
     def __init__(self, subfield: Subfield, representatives):
         ctx = subfield.context
-        d = subfield.dim
+        n = ctx.degree
         self.field = ctx.field
         self.representatives = representatives
-        self.denominator, rows = linalg._clear_denominators(
-            [ctx.apply(g, b).coords for g in representatives
-             for b in subfield.basis])
-        self.matrices = tuple(linalg.transpose(rows[k:k + d])
-                              for k in range(0, len(rows), d))
+        forms = [ctx.matrices[g] for g in representatives]
+        common = lcm(*(d for d, _ in forms))
+        basis = linalg.transpose(subfield._int_vectors)
+        self.denominator, rows = linalg._integer_form(
+            common * subfield._int_scale,
+            [[common // d * x for x in row]
+             for d, m in forms for row in linalg.mat_mul(m, basis)])
+        self.matrices = tuple(rows[k:k + n] for k in range(0, len(rows), n))
+
+    def vectors(self, ints) -> list[list[int]]:
+        """The power-basis coordinates, times D, of the images of the
+        subfield element with integer coordinates ints."""
+        return [linalg.mat_vec(m, ints) for m in self.matrices]
 
     @cached_property
     def residue_rows(self) -> tuple[tuple[int, ...], ...]:

@@ -314,6 +314,13 @@ class FractionSolver:
             [Fraction(x, solved[0]) for x in solved[1]]
 
 
+def rational_lattice(rows):
+    """The Lattice spanned by rational rows, through its one constructor on
+    the rows' integer form."""
+    from hopfgalois.integral import Lattice
+    return Lattice.from_integer_rows(*linalg._clear_denominators(rows))
+
+
 def basis_vectors(lattice):
     """The lattice's basis rows over its denominator, as Fraction rows."""
     return [[Fraction(v, lattice.denominator) for v in r] for r in lattice.rows]
@@ -335,17 +342,19 @@ def rref_solve(mat, target):
 def stacked_descent_system(context, space, n):
     """The simultaneous action on E[N] as one stacked system: for each
     generator g of G, the mn x mn matrix sending block i (the coefficient of
-    eta_i) to block c_g(i) through M_g, minus the identity."""
+    eta_i) to block c_g(i) through M_g, minus the identity.  M_g is read
+    off g's integer form (d, mat) as mat / d."""
     m, deg = space.size, context.degree
     stacked = []
     for g in space.group.generators:
         lam = space.translations[g]
         conj = [n.index_of(lam * eta * lam.inverse()) for eta in n.elements]
+        d, mat = context.matrices[g]
         big = [[Fraction(0)] * (m * deg) for _ in range(m * deg)]
         for i in range(m):
             for r in range(deg):
                 for c in range(deg):
-                    big[conj[i] * deg + r][i * deg + c] = context.matrices[g][r][c]
+                    big[conj[i] * deg + r][i * deg + c] = Fraction(mat[r][c], d)
         stacked += [[x - (i == j) for j, x in enumerate(row)]
                     for i, row in enumerate(big)]
     return stacked
@@ -542,9 +551,13 @@ def residue(x, p, r):
 
 
 def multiplication_trace(field, x):
-    """Trace of y -> x*y computed from the multiplication matrix."""
-    mat = field.multiplication_matrix(x)
-    return sum((mat[i][i] for i in range(field.degree)), Fraction(0))
+    """Trace of y -> x*y computed from its matrix in the power basis: the
+    diagonal entry j is coordinate j of x t^j."""
+    total, power = Fraction(0), x
+    for j in range(field.degree):
+        total += power.coords[j]
+        power = power * field.generator()
+    return total
 
 
 def stabilizer_scan_order(algebra, ideal, max_denominator):
@@ -576,7 +589,7 @@ def fraction_associated_order(algebra, ideal):
     action rebuilt from its own action matrix."""
     from math import lcm
 
-    from hopfgalois.integral import AssociatedOrder, Lattice
+    from hopfgalois.integral import AssociatedOrder
     m = algebra.dim
     w = linalg.transpose(basis_vectors(ideal.lattice))
     w_inv = fraction_inverse(w)
@@ -586,7 +599,7 @@ def fraction_associated_order(algebra, ideal):
     stacked = [[int(mat[i][j] * den) for mat in rewritten]
                for i in range(m) for j in range(m)]
     h_inv = fraction_inverse(linalg.hnf(stacked))
-    lattice = Lattice.from_rational_rows(
+    lattice = rational_lattice(
         [[den * h_inv[i][j] for i in range(m)] for j in range(m)])
     actions = []
     for c in basis_vectors(lattice):

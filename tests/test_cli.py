@@ -5,7 +5,7 @@ import pytest
 
 from hopfgalois import cli
 from hopfgalois.cli import EXIT_INTERNAL, main
-from hopfgalois.fixtures import bundled_path, load_bundled
+from hopfgalois.fixtures import BUNDLED, bundled_path, load_bundled
 
 
 def run(capsys, *argv):
@@ -286,9 +286,9 @@ def test_suite_computes_each_determinant_and_opposite_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "opposite", counting("opposite", cli.opposite))
     code, _ = run(capsys, "suite", "c4quartic")
     assert code == 0
-    # two structures: one determinant each; one opposite each for the
-    # pairing, plus the opposite suite's own construction and involution check
-    assert counts == {"det_symbolic": 2, "opposite": 6}
+    # two structures: one determinant each; one opposite each, which the
+    # pairing and the opposite suite share, plus the suite's involution check
+    assert counts == {"det_symbolic": 2, "opposite": 4}
 
 
 @pytest.mark.parametrize("name, structures, calls",
@@ -408,13 +408,45 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     assert counts["coords"] == 0
 
 
+# the field-element API, which the tests and the benchmark keep using by
+# name: no command reaches it, because every command works on integer forms
+FIELD_ELEMENT_API = {
+    "FieldElement": ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__",
+                     "inverse", "__truediv__", "__pow__"),
+    "NumberField": ("element",),
+    "GaloisContext": ("apply", "trace"),
+    "Subfield": ("coords", "contains", "from_coords"),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_suite_runs_no_field_element_arithmetic(capsys, monkeypatch, name):
+    # the load, the descents, every check and the certificates included
+    from hopfgalois import numberfield
+    calls = []
+
+    def trap(label, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return fn(*args, **kwargs)
+        return wrapper
+    for cls_name, methods in FIELD_ELEMENT_API.items():
+        cls = getattr(numberfield, cls_name)
+        for method in methods:
+            monkeypatch.setattr(cls, method, trap(f"{cls_name}.{method}",
+                                                  getattr(cls, method)))
+    code, _ = run(capsys, "--json", "suite", name)
+    assert code in (cli.EXIT_PASS, cli.EXIT_UNKNOWN)
+    assert calls == []
+
+
 @pytest.mark.parametrize("kernel", ["int_det", "nonsingular_mod_p"])
 def test_a_flipped_generator_kernel_raises_consistency_error(capsys,
                                                               monkeypatch,
                                                               kernel):
     # either route's kernel answering the wrong way must make the two routes
-    # disagree on some sample, and main reports the ConsistencyError as every
-    # HopfGaloisError.  A flipped mod-p answer is caught on the
+    # disagree on some sample, and main reports the ConsistencyError as an
+    # internal fault.  A flipped mod-p answer is caught on the
     # non-generators: on a generator, its False only sends the test to the
     # exact determinant
     from hopfgalois import linalg
@@ -425,14 +457,13 @@ def test_a_flipped_generator_kernel_raises_consistency_error(capsys,
     monkeypatch.setattr(linalg, kernel, flipped)
     code = main(["verify", "generators", "v4biquad"])
     captured = capsys.readouterr()
-    # exit 2 is today's behaviour, not the intended one: ConsistencyError
-    # subclasses HopfGaloisError, so main exits with EXIT_USAGE where an
-    # internal fault should exit EXIT_INTERNAL (4).  Mending that changes
-    # this assertion on purpose
-    assert code == 2
+    # a failed cross-check is an internal fault (exit 4), not a usage error
+    assert code == EXIT_INTERNAL == 4
     assert captured.out == ""
-    assert captured.err == ("error: orbit rank and transition determinant "
-                            "disagree on a generator test\n")
+    first, *trace = captured.err.splitlines()
+    assert first == ("internal error: ConsistencyError: orbit rank and "
+                     "transition determinant disagree on a generator test")
+    assert trace[0] == "Traceback (most recent call last):"
 
 
 def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
@@ -468,29 +499,36 @@ def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
                     # the inverses of the ideal's integer basis and of the
                     # Hermite form, which return integer forms (the scale
                     # of the first inverse and the order's lattice were
-                    # cleared again, 4 in all); the algebra's action set
-                    # would be m^2 rows
-                    assert cleared == [m] * 2
+                    # cleared again, 4 in all), and the one integer row of
+                    # the unit's coordinates (Lattice.contains); the
+                    # algebra's action set would be m^2 rows
+                    assert cleared == [m, m, 1]
                     cleared.clear()
         assert {c["verdict"] for c in report.checks} == {"PASS"}
 
 
-def _recorded_samples(monkeypatch):
-    """Every generator sample the command draws, in order."""
-    samples = []
-    original = cli.generator_sample
+def _recorded_points(monkeypatch):
+    """Every specialization point the command draws, in order, as (scale,
+    vectors): its integer coset vectors, scale times the true values.  The
+    coordinates a / c are cleared first, as generator_sample clears them, so
+    rational coordinates reach scale = D c, D the table's denominator."""
+    from hopfgalois import linalg
+    from hopfgalois.numberfield import CosetImages
+    points = []
+    vectors = CosetImages.vectors
 
-    def sample(subfield, space, coords):
-        samples.append(original(subfield, space, coords))
-        return samples[-1]
-    monkeypatch.setattr(cli, "generator_sample", sample)
-    return samples
+    def recording(table, coords):
+        c, (ints,) = linalg._clear_denominators([coords])
+        points.append((table.denominator * c, vectors(table, ints)))
+        return points[-1][1]
+    monkeypatch.setattr(CosetImages, "vectors", recording)
+    return points
 
 
-def _planted_value_fault(fault, samples):
+def _planted_value_fault(fault, points):
     """_packed_value with one planted fault: a coefficient off by one, the
     sign flipped, or a value scale^(d+1) times the true one in place of
-    scale^d, for scale that of the sample last drawn (as if divided by
+    scale^d, for scale that of the point last drawn (as if divided by
     scale^(d-1) in place of scale^d)."""
     from hopfgalois.numberfield import _packed_value
 
@@ -502,7 +540,7 @@ def _planted_value_fault(fault, samples):
         if fault == "sign":
             return [-c for c in value]
         if fault == "scale":
-            return [c * samples[-1].scale for c in value]
+            return [c * points[-1][0] for c in value]
         return value
     return planted
 
@@ -510,13 +548,13 @@ def _planted_value_fault(fault, samples):
 @pytest.mark.parametrize("fault", [None, "coefficient", "sign", "scale"])
 def test_det_specialization_fails_on_a_planted_fault(monkeypatch, fault):
     import random
-    samples = _recorded_samples(monkeypatch)
-    monkeypatch.setattr(cli, "_packed_value", _planted_value_fault(fault, samples))
-    # qcbrt2's sampled coset values have denominators, so scale > 1 occurs
+    points = _recorded_points(monkeypatch)
+    monkeypatch.setattr(cli, "_packed_value", _planted_value_fault(fault, points))
+    # qcbrt2's coset values have denominators, so scale > 1 occurs
     fx = load_bundled("qcbrt2")
     report = cli.Report(["suite", "qcbrt2"], fx.name, 0)
     cli._specialization_checks(fx, report, random.Random(0))
-    assert max(s.scale for s in samples) > 1
+    assert max(scale for scale, _ in points) > 1
     verdicts = {c["verdict"] for c in report.checks}
     assert verdicts == ({"PASS"} if fault is None else {"FAIL"})
 
@@ -528,14 +566,14 @@ def _coords_over_2_3_6(subfield, rng):
             for j in range(subfield.dim)]
 
 
-def _packed_det_times_the_scale(samples):
+def _packed_det_times_the_scale(points):
     """_packed_det with a planted fault: a determinant scale^(m+1) times the
-    true one in place of scale^m, for scale that of the sample last drawn
+    true one in place of scale^m, for scale that of the point last drawn
     (as if divided by scale^(m-1) in place of scale^m)."""
     from hopfgalois.numberfield import _packed_det
 
     def planted(rows, modulus):
-        return [c * samples[-1].scale for c in _packed_det(rows, modulus)]
+        return [c * points[-1][0] for c in _packed_det(rows, modulus)]
     return planted
 
 
@@ -543,21 +581,22 @@ def _packed_det_times_the_scale(samples):
 def test_det_specialization_divides_by_d_to_the_m_on_every_field_fixture(
         field_fixtures, monkeypatch, planted):
     # integer subfield coordinates reach a common denominator D > 1 only on
-    # qcbrt2 and s3sextic; coordinates over 2, 3 and 6 reach it on all six
+    # qcbrt2 and s3sextic; coordinates over 2, 3 and 6, cleared by the
+    # recording (_recorded_points), reach D c > 1 on all six
     import random
     from math import gcd
     from hopfgalois.numberfield import Subfield
-    samples = _recorded_samples(monkeypatch)
+    points = _recorded_points(monkeypatch)
     monkeypatch.setattr(Subfield, "random_coords", _coords_over_2_3_6)
     if planted:
-        monkeypatch.setattr(cli, "_packed_det", _packed_det_times_the_scale(samples))
+        monkeypatch.setattr(cli, "_packed_det", _packed_det_times_the_scale(points))
     for fx in field_fixtures:
-        samples.clear()
+        points.clear()
         report = cli.Report(["suite", fx.name], fx.name, 0)
         cli._specialization_checks(fx, report, random.Random(0))
         # the values' common denominator, reduced
-        assert max(s.scale // gcd(s.scale, *(v for vec in s.scaled for v in vec))
-                   for s in samples) > 1, fx.name
+        assert max(scale // gcd(scale, *(v for vec in vectors for v in vec))
+                   for scale, vectors in points) > 1, fx.name
         verdicts = {c["verdict"] for c in report.checks}
         assert verdicts == ({"FAIL"} if planted else {"PASS"}), fx.name
 
@@ -657,20 +696,22 @@ TABLE = "automorphism images do not satisfy the group's multiplication table"
 @pytest.mark.parametrize("images, problem", [
     (("t", "t"), f"{TABLE} at element index 0"),
     (("t", "s"), f"{TABLE} at element index 0"),
-    (("s", None), f"{TABLE} at element index 5"),
-    ((None, "t"), "only 2 distinct automorphisms for a group of order 6; the "
-                  "field is not Galois with this group")])
+    (("s", "identity"), f"{TABLE} at element index 5"),
+    (("identity", "t"), "only 2 distinct automorphisms for a group of order "
+                        "6; the field is not Galois with this group"),
+    (("twice t", "t"), "invalid automorphism for generator index 3: its "
+                       "image of t is not a root of the minimal polynomial")])
 def test_planted_automorphism_images_are_validation_problems(
         tmp_path, capsys, images, problem):
     # s3sextic's automorphism matrices have denominators, so the relations
-    # are compared over Z with each product of k generators over d^k; an
-    # image swapped in from the other generator or the identity is named
+    # are compared on reduced integer forms (d, M); an image swapped in from
+    # the other generator, the identity, or 2t, which is no root, is named
     doc = json.loads(bundled_path("s3sextic").read_text(encoding="utf-8"))
     autos = doc["field"]["automorphisms"]
-    identity = ["0", "1", "0", "0", "0", "0"]
+    planted = {**autos, "identity": ["0", "1", "0", "0", "0", "0"],
+               "twice t": ["0", "2", "0", "0", "0", "0"]}
     doc["field"]["automorphisms"] = {
-        name: autos[image] if image else identity
-        for name, image in zip(("s", "t"), images)}
+        name: planted[image] for name, image in zip(("s", "t"), images)}
     path = tmp_path / "bad.hgx"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code = main(["validate", str(path)])
@@ -678,6 +719,33 @@ def test_planted_automorphism_images_are_validation_problems(
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[1:] == [f"  - field: {problem}"]
+
+
+def test_a_fixed_subfield_of_the_wrong_dimension_is_a_validation_problem(
+        tmp_path, capsys):
+    # a false irreducibility assertion: f = (x^2 + 1)(x^2 + 4)(x^2 + 9) makes
+    # E the ring Q(i)^3, on which S3 permutes the factors (t -> (i, 2i, 3i)
+    # is sent to a permutation of them).  load_field accepts the six maps;
+    # the transposition's fixed ring is {(u, u, w)}, of dimension 4, not 3
+    doc = {"name": "product-ring",
+           "group": {"order": 6, "generators": {"s": [1, 2, 0],
+                                                "t": [1, 0, 2]}},
+           "subgroup": {"generators": ["t"]},
+           "field": {"min_poly": ["36", "0", "49", "0", "14", "0", "1"],
+                     "irreducible": "asserted",
+                     "automorphisms": {
+                         "s": ["0", "32/15", "0", "1/8", "0", "-1/120"],
+                         "t": ["0", "14/5", "0", "7/8", "0", "3/40"]}},
+           "integral_basis": [], "ideals": {}}
+    path = tmp_path / "ring.hgx"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[1:] == [
+        "  - field: fixed subfield has dimension 4, expected 3; automorphism "
+        "data is inconsistent"]
 
 
 @pytest.mark.parametrize("names", [5, ["s"], ["s", "s"]],

@@ -112,7 +112,8 @@ def test_classical_descent_recovers_the_rational_group_algebra(s3sextic):
         eta = next(e for e, c in zip(rho.elements, b.coefficients) if c)
         coset = eta.inverse()(base)
         g = space.representatives[coset]
-        assert [[F(v, d) for v in r] for r in mat] == ctx.matrices[g]
+        assert linalg._integer_form(d, [list(r) for r in mat]) == \
+            ctx.matrices[g]
 
 
 def test_translation_structure_basis_is_conjugacy_orbit_sums(s3sextic):
@@ -163,6 +164,8 @@ def test_descend_matches_the_stacked_oracle(field_fixtures):
 
 
 def _tampered(ctx, index, replacement):
+    """ctx with automorphism `index` replaced by another integer form
+    (d, M), such as another automorphism's."""
     matrices = list(ctx.matrices)
     matrices[index] = replacement
     return GaloisContext(ctx.field, ctx.group, tuple(matrices),
@@ -625,28 +628,34 @@ def test_descended_coordinates_match_the_solver(field_fixtures):
                             group_algebra_product(bi, bj)))
 
 
-# GaloisContext.apply calls over all descents of a freshly loaded fixture:
-# one image per coset and subfield basis element, m * dim L per load, shared
-# by every structure (it was m * dim L per structure: 4, 4, 32, 64, 9, 180)
-DESCENT_APPLY_CALLS = {"qi": 4, "qzeta3": 4, "c4quartic": 16, "v4biquad": 16,
-                       "qcbrt2": 9, "s3sextic": 36}
+# the coset images over all descents of a freshly loaded fixture: one table
+# per load, shared by every structure, of one integer product per coset
+# representative (m of them), and no GaloisContext.apply.  It was m * dim L
+# apply calls per load (4, 4, 16, 16, 9, 36), and per structure before that
+DESCENT_COSET_COUNTS = {"qi": 2, "qzeta3": 2, "c4quartic": 4, "v4biquad": 4,
+                        "qcbrt2": 3, "s3sextic": 6}
 
 
 def test_descent_applies_each_coset_once(field_fixtures, monkeypatch):
     from hopfgalois.fixtures import load_bundled
-    from hopfgalois.numberfield import GaloisContext
-    apply = GaloisContext.apply
-    calls = []
+    from hopfgalois.numberfield import CosetImages
+    tables, applied = [], []
+    build = CosetImages.__init__
 
-    def counting(self, g_index, x):
-        calls.append(g_index)
-        return apply(self, g_index, x)
-    monkeypatch.setattr(GaloisContext, "apply", counting)
+    def recording(self, subfield, representatives):
+        build(self, subfield, representatives)
+        tables.append(self)
+
+    def apply(self, g_index, x):
+        applied.append(g_index)
+    monkeypatch.setattr(CosetImages, "__init__", recording)
+    monkeypatch.setattr(GaloisContext, "apply", apply)
     counts = {}
     for name in (fx.name for fx in field_fixtures):
         fx = load_bundled(name)
-        calls.clear()
+        tables.clear()
         for n in fx.structures():
             descend(fx.context, fx.coset_space(), n, fx.subfield())
-        counts[fx.name] = len(calls)
-    assert counts == DESCENT_APPLY_CALLS
+        assert len(tables) == 1 and applied == []
+        counts[fx.name] = len(tables[0].matrices)
+    assert counts == DESCENT_COSET_COUNTS

@@ -20,7 +20,7 @@ from hopfgalois.transition import IntPolynomial
 
 from .oracles import (basis_vectors, evaluate, first_free_witness,
                       fraction_associated_order, fraction_inverse,
-                      multiply_coords, transfer_element)
+                      multiply_coords, rational_lattice, transfer_element)
 
 F = Fraction
 
@@ -40,13 +40,13 @@ def _opposite_index(fx, i):
 # --- lattices
 
 def test_lattice_canonical_form():
-    lat = Lattice.from_rational_rows([[F(1, 2), F(1, 2)], [F(0), F(1)]])
+    lat = rational_lattice([[F(1, 2), F(1, 2)], [F(0), F(1)]])
     assert lat.denominator == 2
     assert lat.rows == ((1, 1), (0, 2))
 
 
 def test_lattice_membership():
-    lat = Lattice.from_rational_rows([[F(1, 2), F(1, 2)], [F(0), F(1)]])
+    lat = rational_lattice([[F(1, 2), F(1, 2)], [F(0), F(1)]])
     assert lat.contains([F(1), F(0)])
     assert lat.contains([F(1, 2), F(1, 2)])
     assert not lat.contains([F(1, 2), F(0)])
@@ -56,14 +56,14 @@ def test_lattice_membership():
 def test_lattice_canonicity_under_unimodular_change():
     rng = random.Random(0)
     base = [[F(3, 2), F(1)], [F(1), F(4)]]
-    lat = Lattice.from_rational_rows(base)
+    lat = rational_lattice(base)
     for _ in range(20):
         a = [row[:] for row in base]
         c = rng.randint(-4, 4)
         a[0] = [x + c * y for x, y in zip(a[0], a[1])]
         if rng.random() < 0.5:
             a[0], a[1] = a[1], a[0]
-        assert Lattice.from_rational_rows(a) == lat
+        assert rational_lattice(a) == lat
 
 
 # --- associated orders
@@ -71,14 +71,14 @@ def test_lattice_canonicity_under_unimodular_change():
 def test_tame_quadratic_order_is_the_integral_group_ring(qzeta3):
     algebra = _classical_algebra(qzeta3)
     order = associated_order(algebra, qzeta3.ideal("OL"))
-    assert order.lattice == Lattice.from_rational_rows(
+    assert order.lattice == rational_lattice(
         [[F(1), F(0)], [F(0), F(1)]])
 
 
 def test_wild_quadratic_order_strictly_contains_the_group_ring(qi):
     algebra = _classical_algebra(qi)
     order = associated_order(algebra, qi.ideal("OL"))
-    group_ring = Lattice.from_rational_rows([[F(1), F(0)], [F(0), F(1)]])
+    group_ring = rational_lattice([[F(1), F(0)], [F(0), F(1)]])
     assert group_ring != order.lattice
     assert all(order.lattice.contains(v) for v in basis_vectors(group_ring))
     # contains (1 + sigma)/2
@@ -180,14 +180,14 @@ def test_ideal_stability_is_checked_over_the_integers(s3sextic, monkeypatch):
     rows[0] = [c / 2 for c in rows[0]]
     with pytest.raises(StructureError,
                        match="^not stable under integral-basis element 1$"):
-        FractionalIdeal.build("half", Lattice.from_rational_rows(rows), ring)
+        FractionalIdeal.build("half", rational_lattice(rows), ring)
 
 
 def test_planted_generator_is_rediscovered(qzeta3):
     # the sublattice spanned by 2 + t and 1 - t is stable under the integers
     # and is free over the order with the planted generator 2 + t
     algebra = _classical_algebra(qzeta3)
-    planted = Lattice.from_rational_rows([[F(2), F(1)], [F(1), F(-1)]])
+    planted = rational_lattice([[F(2), F(1)], [F(1), F(-1)]])
     ideal = FractionalIdeal.build("planted", planted, qzeta3.integral_basis)
     order = associated_order(algebra, ideal)
     result = freeness_search(order, ideal, 3)
@@ -235,7 +235,7 @@ def test_action_matrices_beyond_64_bits_stay_exact():
     flat = [integral._flat_matrix(rows) for rows in
             ([[1, 0], [0, 1]], [[0, big], [1, 0]])]
     assert isinstance(flat[0], array) and flat[1] == (0, big, 1, 0)
-    lattice = Lattice.from_rational_rows([[F(1), F(0)], [F(0), F(1)]])
+    lattice = rational_lattice([[F(1), F(0)], [F(0), F(1)]])
     order = integral.AssociatedOrder(lattice, tuple(flat))
     poly = norm_form(order)
     for v in itertools.product(range(-2, 3), repeat=2):
@@ -519,7 +519,7 @@ def test_transferred_lattice_is_the_partner_order(s3sextic):
     x = a1.subfield.from_coords(result.witness_subfield_coords)
     rows = [transfer_element(a1, a2, a, x)
             for a in basis_vectors(order1.lattice)]
-    assert Lattice.from_rational_rows(rows) == order2.lattice
+    assert rational_lattice(rows) == order2.lattice
 
 
 # --- certificates

@@ -146,9 +146,9 @@ def test_fixed_space_matches_the_rref_oracle(monkeypatch):
     systems = []
     fixed_space = linalg.fixed_space
 
-    def recording(matrices, ncols):
-        systems.append((matrices, ncols))
-        return fixed_space(matrices, ncols)
+    def recording(forms, ncols):
+        systems.append((forms, ncols))
+        return fixed_space(forms, ncols)
     monkeypatch.setattr(linalg, "fixed_space", recording)
     for name in ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic"):
         fx = load_bundled(name)
@@ -158,10 +158,12 @@ def test_fixed_space_matches_the_rref_oracle(monkeypatch):
     # orbit of G on N (qi, qzeta3, c4quartic, v4biquad, qcbrt2, s3sextic)
     assert len(systems) == 6 + 2 + 2 + (3 + 4) + (4 + 3 + 3 + 3) + 2 + \
         (4 + 6 + 3 + 4 + 4)
-    for matrices, ncols in systems:
-        stacked = [[x - (i == j) for j, x in enumerate(row)]
-                   for m in matrices for i, row in enumerate(m)]
-        d, rows, free = fixed_space(matrices, ncols)
+    for forms, ncols in systems:
+        # each automorphism in integer form (d, M), for the matrix M / d
+        assert all(type(x) is int for d, m in forms for row in m for x in row)
+        stacked = [[F(x, d) - (i == j) for j, x in enumerate(row)]
+                   for d, m in forms for i, row in enumerate(m)]
+        d, rows, free = fixed_space(forms, ncols)
         basis, oracle_free = rref_kernel(stacked, ncols)
         assert_integer_form((d, rows), basis)
         assert free == oracle_free

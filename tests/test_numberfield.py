@@ -108,6 +108,24 @@ def test_gaussian_conjugation():
     assert ctx.apply(identity, i) == i
 
 
+def test_automorphism_forms_are_the_fraction_power_matrices(field_fixtures):
+    # each automorphism's integer form (d, M), reduced, against the matrix
+    # whose column j is image^j, with the image of t read off column 1 and
+    # its powers taken by Fraction field arithmetic
+    from math import gcd
+    for fx in field_fixtures:
+        field = fx.context.field
+        for d, m in fx.context.matrices:
+            assert d > 0 and gcd(d, *(x for row in m for x in row)) == 1
+            image = field.element([F(row[1], d) for row in m])
+            columns, power = [], field.one()
+            for _ in range(field.degree):
+                columns.append(power.coords)
+                power = power * image
+            assert [[F(x, d) for x in row] for row in m] == \
+                linalg.transpose(columns)
+
+
 def test_invalid_automorphism_is_named():
     group = _c2()
     with pytest.raises(StructureError, match="not a root"):
