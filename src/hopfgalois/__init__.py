@@ -13,8 +13,8 @@ from .transition import (IntPolynomial, det_identity, det_symbolic,
                          signed_canonical_det, transition_matrix_of)
 from .numberfield import (FieldElement, GaloisContext, NumberField, Subfield,
                           check_irreducible, fixed_subfield, load_field)
-from .descent import (DescendedAlgebra, GroupAlgebraElement, descend,
-                      is_separable, verify_commuting, verify_hopf_galois)
+from .descent import (DescendedAlgebra, descend, is_separable,
+                      verify_commuting, verify_hopf_galois)
 from .integral import (AssociatedOrder, CertificateReport, FractionalIdeal,
                        FreenessResult, Lattice, associated_order,
                        freeness_certificate, freeness_search)

@@ -243,10 +243,9 @@ def cmd_det_identity(fx: Fixture, args, report: Report):
 
 def cmd_descend(fx: Fixture, args, report: Report):
     algebra = fx.algebra(_structure_index(fx, args.n))
-    basis_block = []
-    for b in algebra.basis:
-        basis_block.append([[_fraction_str(c) for c in coeff.coords]
-                            for coeff in b.coefficients])
+    den = algebra.basis_denominator
+    basis_block = [[[_fraction_str(Fraction(x, den)) for x in block]
+                    for block in vec] for vec in algebra.int_basis]
     d = algebra.action_denominator
     matrices = [[[_fraction_str(Fraction(v, d)) for v in row] for row in mat]
                 for mat in algebra.int_action_matrices]
@@ -287,7 +286,7 @@ def cmd_verify(fx: Fixture, args, report: Report, rng: random.Random):
         pairs = sorted({tuple(sorted((i, opposites[i])))
                         for i in range(len(structs))})
         space = fx.coset_space()
-        samples = [generator_sample(sub, space, sub.random_coords(rng))
+        samples = [generator_sample(sub, space, 1, sub.random_coords(rng))
                    for _ in range(GENERATOR_SAMPLES)]
         # one test per structure and sample: a self-opposite structure is
         # both sides of its pair
@@ -317,10 +316,12 @@ def cmd_freeness(fx: Fixture, args, report: Report):
     order = integral.associated_order(algebra, ideal)
     result = integral.freeness_search(order, ideal, args.bound)
     if result.free:
+        den, ints = result.witness_subfield_coords
         report.add(f"freeness[{args.n},{args.ideal}]", "PASS", "computed",
                    status="FREE",
                    witness=_vector_str(result.witness_ideal_coords),
-                   witness_subfield_coords=_vector_str(result.witness_subfield_coords))
+                   witness_subfield_coords=_vector_str(
+                       [Fraction(x, den) for x in ints]))
     else:
         report.add(f"freeness[{args.n},{args.ideal}]", "UNKNOWN", "computed",
                    status="UNKNOWN", bound=args.bound)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
@@ -19,33 +18,21 @@ from .perm import CosetSpace, FiniteGroup, is_normalized_by
 from .transition import transition_matrix_of
 
 
-class GroupAlgebraElement:
-    """Element of E[N]: one field coefficient per subgroup element, indexed in
-    the subgroup's canonical element order."""
-
-    __slots__ = ("subgroup", "coefficients")
-
-    def __init__(self, subgroup: FiniteGroup, coefficients):
-        self.subgroup = subgroup
-        self.coefficients = tuple(coefficients)
-
-    def __repr__(self):
-        return f"GroupAlgebraElement({list(self.coefficients)})"
-
-
 @dataclass(frozen=True, eq=False)
 class DescendedAlgebra:
     """The rational form of E[N] under the simultaneous Galois action, carried
-    with its exact action matrices on a fixed basis of the fixed subfield and
-    its structure constants (matrix i holds the coordinates of b_i * b_j in
-    row j).  Both sets are kept in integer form only: the set times one
-    common denominator, which descend computes once."""
+    with its basis, its exact action matrices on a fixed basis of the fixed
+    subfield and its structure constants (matrix i holds the coordinates of
+    b_i * b_j in row j), each in integer form only: the set times one common
+    denominator, which descend computes once.  A basis element has one block
+    of power-basis coordinates per element of the subgroup, in its order."""
 
     context: GaloisContext
     space: CosetSpace
     subgroup: FiniteGroup
     subfield: Subfield
-    basis: tuple[GroupAlgebraElement, ...]
+    basis_denominator: int
+    int_basis: tuple[tuple[tuple[int, ...], ...], ...]
     identity_coords: tuple[int, ...]
     action_denominator: int
     int_action_matrices: tuple[tuple[tuple[int, ...], ...], ...]
@@ -54,7 +41,7 @@ class DescendedAlgebra:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.int_basis)
 
     def orbit(self, x_coords):
         """Subfield coordinates of b_k . x for each basis element b_k, given
@@ -141,8 +128,8 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
     if len(ints) != m:
         raise ConsistencyError(
             f"descended algebra has dimension {len(ints)}, expected {m}")
-    blocks = [[vec[i * nf_degree:(i + 1) * nf_degree] for i in range(m)]
-              for vec in ints]
+    blocks = tuple(tuple(tuple(vec[i * nf_degree:(i + 1) * nf_degree])
+                         for i in range(m)) for vec in ints)
     for g in group.generators:
         scale, mg = matrices[g]
         for vec in blocks:
@@ -154,9 +141,6 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
     # full E[N] is recovered over E: the basis must have full rank over E
     if not any(_packed_det(blocks, modulus)):
         raise ConsistencyError("descended basis does not span E[N] over E")
-    field = context.field
-    basis = tuple(GroupAlgebraElement(n, [FieldElement(field, tuple(
-        Fraction(x, den) for x in block)) for block in vec]) for vec in blocks)
 
     # b . l_j = sum_eta c_eta sigma(l_j), sigma the representative of the
     # coset eta^-1(base); over Z on the images times their denominator
@@ -207,7 +191,7 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
         return d, tuple(tuple(map(tuple, rows[k:k + m]))
                         for k in range(0, len(rows), m))
     return DescendedAlgebra(
-        context, space, n, subfield, basis, tuple(identity_coords),
+        context, space, n, subfield, den, blocks, tuple(identity_coords),
         *integer_matrices(den * images.denominator, action),
         *integer_matrices(den * den, structure))
 
@@ -282,15 +266,16 @@ def _residues(scaled, scale, field: NumberField) -> list[int] | None:
 @dataclass(frozen=True, eq=False)
 class GeneratorSample:
     """A subfield element with what every generator test of it shares,
-    whatever the structure: its subfield coordinates, the field's modulus
-    and reduction prime p, the residues mod p of its coset values (None when
-    p divides a denominator), and the coset values in integer form: the
+    whatever the structure: its subfield coordinates times a positive
+    integer (an integer vector), the field's modulus and reduction prime p,
+    the residues mod p of its coset values (None when p divides a
+    denominator), and the coset values in integer form: the
     value at coset k has power-basis coordinates scaled[k] / scale.
     `scaled` is built by `vectors` on first read: only the exact fallback of
     a generator test, det-specialization and the certificate's transfer
     read it."""
 
-    coords: list[Fraction | int]
+    coords: list[int]
     modulus: tuple[int, ...]
     scale: int
     prime: int
@@ -303,7 +288,8 @@ class GeneratorSample:
 
     @classmethod
     def of_values(cls, coords, values) -> GeneratorSample:
-        """The sample with the given coset values, as field elements."""
+        """The sample with the given coset values, as field elements, and
+        the given integer coordinates."""
         field = values[0].field
         scale, scaled = linalg._clear_denominators([v.coords for v in values])
         return cls(coords, field.modulus, scale,
@@ -327,21 +313,16 @@ def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
                            sample.modulus))
 
 
-def generator_sample(subfield: Subfield, space: CosetSpace, coords,
-                     integer_form=None) -> GeneratorSample:
-    """The sample of the subfield element with these coordinates, in integer
-    arithmetic on the subfield's CosetImages.  For coords = a / c, with a an
-    integer vector (integer_form, when given, is (c, a), already cleared by
-    the caller), the value at coset k is M_k a / (D c): one integer
-    matrix-vector product, made only when the sample's vectors are read.
-    When p does not divide D c, the residue at coset k is the dot product
-    of a with the table's residue row k, times the inverse of D c mod p;
-    otherwise the residues are _residues of the vectors."""
+def generator_sample(subfield: Subfield, space: CosetSpace, c: int,
+                     ints) -> GeneratorSample:
+    """The sample of the subfield element with coordinates ints / c, for an
+    integer vector ints and a positive integer c, in integer arithmetic on
+    the subfield's CosetImages.  The value at coset k is M_k ints / (D c):
+    one integer matrix-vector product, made only when the sample's vectors
+    are read.  When p does not divide D c, the residue at coset k is the
+    dot product of ints with the table's residue row k, times the inverse
+    of D c mod p; otherwise the residues are _residues of the vectors."""
     table = subfield.coset_images(space.representatives)
-    if integer_form is None:
-        c, (ints,) = linalg._clear_denominators([coords])
-    else:
-        c, ints = integer_form
     field = table.field
     p = field.reduction_root()[0]
     scale = table.denominator * c
@@ -356,7 +337,7 @@ def generator_sample(subfield: Subfield, space: CosetSpace, coords,
     else:
         scaled = vectors()
         residues = _residues(scaled, scale, field)
-    return GeneratorSample(coords, field.modulus, scale, p, residues, vectors)
+    return GeneratorSample(ints, field.modulus, scale, p, residues, vectors)
 
 
 def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
@@ -365,14 +346,11 @@ def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
     spans the subfield.  Computed two ways, and the two must agree: the
     orbit is square, so it spans exactly when its integer determinant is
     nonzero (linalg.int_det); and the transition determinant
-    (transition_det_nonzero).  The orbit is taken on sample.coords as given,
-    and its denominators are cleared only when a coordinate is a Fraction.
-    `orbit`, when given, is a nonzero integer multiple of
-    algebra.orbit(sample.coords) that the caller already built."""
+    (transition_det_nonzero).  The orbit is algebra.orbit of the sample's
+    integer coordinates, or `orbit` when given: an integer orbit the caller
+    already built, a nonzero rational multiple of that one."""
     if orbit is None:
         orbit = algebra.orbit(sample.coords)
-        if Fraction in map(type, sample.coords):
-            orbit = linalg._clear_denominators(orbit)[1]
     by_rank = linalg.int_det(orbit) != 0
     by_det = transition_det_nonzero(algebra.subgroup, sample)
     if by_rank != by_det:
@@ -382,19 +360,24 @@ def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
 
 
 def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:
-    """generates() on the sample of x, for a single test: its coset values
-    are x under each representative, and its coordinates are solved for."""
+    """generates() on the sample of x, a field element: its coset values are
+    x under each representative.  The orbit is taken on x's rational
+    coordinates, then cleared, at the cost perfbench's `generators` workload
+    has always timed: a faster test keeps more operations in a run."""
     sub = algebra.subfield
+    coords = sub.coords(x)
+    orbit = linalg._clear_denominators(algebra.orbit(coords))[1]
+    _, (ints,) = linalg._clear_denominators([coords])
     return generates(algebra, GeneratorSample.of_values(
-        sub.coords(x), coset_values(sub.context, algebra.space, x)))
+        ints, coset_values(sub.context, algebra.space, x)), orbit)
 
 
 def trace_form_nondegenerate(left_mult_matrices) -> bool:
     """Semisimplicity test in characteristic zero: the trace form of the left
     regular representation must be nondegenerate.  Its determinant is taken
-    over Z, as int_det of the Gram matrix scaled by its common denominator d,
-    which multiplies the determinant by d^m != 0.  Matrices scaled by one
-    nonzero integer c (an algebra's integer form) scale it by c^(2m)."""
+    over Z, as int_det of the Gram matrix of the integer matrices given.
+    Rational matrices scaled by one nonzero integer c (an algebra's integer
+    form) scale it by c^(2m)."""
     m = len(left_mult_matrices)
     gram = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -403,7 +386,7 @@ def trace_form_nondegenerate(left_mult_matrices) -> bool:
             tr = sum(prod[k][k] for k in range(m))
             gram[i][j] = tr
             gram[j][i] = tr
-    return bool(linalg.int_det(linalg._clear_denominators(gram)[1]))
+    return bool(linalg.int_det(gram))
 
 
 def is_separable(algebra: DescendedAlgebra) -> bool:

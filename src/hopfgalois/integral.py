@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import mul
@@ -180,7 +179,7 @@ def associated_order(algebra: DescendedAlgebra, ideal: FractionalIdeal) -> Assoc
 class FreenessResult:
     status: str                    # "FREE" or "UNKNOWN"
     witness_ideal_coords: tuple | None = None
-    witness_subfield_coords: tuple | None = None
+    witness_subfield_coords: tuple | None = None  # (denominator, integers)
 
     @property
     def free(self) -> bool:
@@ -335,23 +334,22 @@ def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
                 "unit determinant without lattice equality; witness check "
                 "is inconsistent")
         lattice = ideal.lattice
-        subfield_coords = [Fraction(x, lattice.denominator) for x in
-                           linalg.mat_vec(linalg.transpose(lattice.rows), v)]
-        return FreenessResult("FREE", tuple(v), tuple(subfield_coords))
+        return FreenessResult("FREE", tuple(v), (lattice.denominator, tuple(
+            linalg.mat_vec(linalg.transpose(lattice.rows), v))))
     return FreenessResult("UNKNOWN")
 
 
-def _transfer_rows(partner: DescendedAlgebra, xc, c, xi, scale, images):
+def _transfer_rows(partner: DescendedAlgebra, c, xi, scale, images):
     """For each given a . x, the unique partner element z with z . x = a . x,
     as rows in integer form (d, rows): one generator test of x and one
     inverse of the partner's orbit of x, shared by every a.  x is given by
-    its coordinates xc = xi/c in the subfield basis both algebras act on, as
-    are all vectors here, with their integer form (c, xi); each a . x by an
-    integer image, scale times it.  The generator test and the inverse share
-    the partner's orbit of the integer xi, which is c d times the true one
-    (d its action_denominator).  With O that orbit as columns and
+    its coordinates xi/c in the subfield basis both algebras act on, as are
+    all vectors here, for an integer vector xi and a positive integer c;
+    each a . x by an integer image, scale times it.  The generator test and
+    the inverse share the partner's orbit of the integer xi, which is c d
+    times the true one (d its action_denominator).  With O that orbit as columns and
     O^-1 = P/e, z = c d P image / (e scale)."""
-    sample = generator_sample(partner.subfield, partner.space, xc, (c, xi))
+    sample = generator_sample(partner.subfield, partner.space, c, xi)
     orbit = partner.orbit(xi)  # c d times the true orbit, built once
     if not generates(partner, sample, orbit):
         raise DomainError("transfer needs the witness to generate over the partner")
@@ -426,14 +424,13 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
 
         # over Z: x = xi/c, the order's basis is its rows over d_L, and an
         # algebra acts by its integer form over its action denominator
-        xc = list(result.witness_subfield_coords)
-        c, (xi,) = linalg._clear_denominators([xc])
+        c, xi = result.witness_subfield_coords
         w_mats = _combined(side_here.int_action_matrices,
                            order_here.lattice.rows)
         w_of_x = [linalg.mat_vec(a, xi) for a in w_mats]
         scale = (order_here.lattice.denominator * side_here.action_denominator
                  * c)
-        z_den, z_rows = _transfer_rows(side_there, xc, c, xi, scale, w_of_x)
+        z_den, z_rows = _transfer_rows(side_there, c, xi, scale, w_of_x)
         same = Lattice.from_integer_rows(z_den, z_rows) == order_there.lattice
         lattice_matches = same if lattice_matches is None else (lattice_matches and same)
         if not same:

@@ -1,11 +1,11 @@
-"""Exact linear algebra: one routine that clears a rational matrix's
-denominators, one fraction-free Gauss-Jordan elimination over Z for
-kernels, inverses and solves, run forward only for ranks and integer
+"""Exact linear algebra over Z: one fraction-free Gauss-Jordan elimination
+for kernels, inverses and solves, run forward only for ranks and integer
 determinants, invertibility modulo a prime by a forward elimination that
 stops at the first missing pivot, and the row Hermite normal form.  Every
-rational result is returned in one integer form (d, rows): integer rows
-over a denominator d > 0 that shares no factor with every entry
-(_integer_form)."""
+routine takes integer rows: a rational matrix is cleared once, where it is
+read (_clear_denominators), and a rational result is returned in one integer
+form (d, rows): integer rows over a denominator d > 0 that shares no factor
+with every entry (_integer_form)."""
 
 from __future__ import annotations
 
@@ -66,9 +66,9 @@ def _integer_form(d, rows):
 
 def _eliminate(rows, forward_only=False):
     """Fraction-free (Bareiss) Gauss-Jordan elimination over Z of integer
-    rows (rational rows are scaled by _clear_denominators first, which keeps
-    the row space).  It replaces the entries of the list `rows` but changes
-    no row in place.  Each step divides exactly by the previous pivot.
+    rows.  It replaces the entries of the list `rows` but changes no row in
+    place.  Each step divides exactly by the previous pivot, which holds on
+    integers only: a Fraction entry gives a wrong answer, not an error.
     Returns (rows, pivots, d): integer rows equal to d times the reduced row
     echelon form, its pivot columns, and the common final pivot d (1 when
     there is none).  A row swap negates the row it moves down, so for a
@@ -104,17 +104,18 @@ def _eliminate(rows, forward_only=False):
 
 
 def rank(mat) -> int:
-    return len(_eliminate(_clear_denominators(mat)[1], forward_only=True)[1])
+    return len(_eliminate(list(mat), forward_only=True)[1])
 
 
 def kernel_basis(mat, ncols: int):
-    """Canonical basis of {v : mat @ v = 0}, one vector per free column of the
-    reduced echelon form, ordered by free-column index, as (d, rows, free):
-    the basis in integer form and those free columns.  Vector j is 1 at
+    """Canonical basis of {v : mat @ v = 0}, for an integer mat, one vector
+    per free column of the reduced echelon form, ordered by free-column
+    index, as (d, rows, free): the basis in integer form and those free
+    columns.  Vector j is 1 at
     free[j] and minus the reduced row's entry there at each pivot column;
     with the rows of the elimination, d times the reduced form, that is d
     and -row[free[j]] over d."""
-    rows, pivots, d = _eliminate(_clear_denominators(mat)[1])
+    rows, pivots, d = _eliminate(list(mat))
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -148,8 +149,7 @@ def span_basis(vectors, ncols: int):
     only on the space: vector j is the only one nonzero at free[j], where it
     is 1, and is 0 after it, so the basis is the reduced row echelon form of
     the vectors with their columns reversed, read back in reverse."""
-    rows, pivots, d = _eliminate(_clear_denominators(
-        [list(reversed(v)) for v in vectors])[1])
+    rows, pivots, d = _eliminate([list(reversed(v)) for v in vectors])
     basis = [list(reversed(rows[i])) for i in reversed(range(len(pivots)))]
     return *_integer_form(d, basis), [ncols - 1 - p for p in reversed(pivots)]
 
@@ -170,8 +170,8 @@ def echelon_coords(basis, free, target, scale=1):
 
 
 def invert(mat):
-    """Inverse of a square matrix over Q in integer form (d, rows); None if
-    singular.  The solver for the columns of mat reduces [mat | I] to
+    """Inverse over Q of a square integer matrix in integer form (d, rows);
+    None if singular.  The solver for the columns of mat reduces [mat | I] to
     [I | mat^-1]."""
     try:
         solver = LinearSolver(transpose(mat))
@@ -280,25 +280,24 @@ def hnf(mat) -> list[list[int]]:
 
 class LinearSolver:
     """Repeated exact solves of ``columns @ c = target`` for a fixed full
-    column rank family of columns."""
+    column rank family of integer columns."""
 
     def __init__(self, columns):
         self.ncols = len(columns)
         n = len(columns[0])
-        rows, pivots, d = _eliminate(_clear_denominators(
+        rows, pivots, d = _eliminate(
             [[col[i] for col in columns] + [int(i == j) for j in range(n)]
-             for i in range(n)])[1])
+             for i in range(n)])
         if pivots[: self.ncols] != list(range(self.ncols)):
             raise ValueError("columns are linearly dependent")
         self._denominator, self._transform = _integer_form(
             d, [row[self.ncols:] for row in rows])
 
     def solve(self, target):
-        """Coordinates of target in the column family in integer form
-        (d, coords), or None if target is outside their span."""
-        c, (ints,) = _clear_denominators([target])
-        y = mat_vec(self._transform, ints)
+        """Coordinates of the integer target in the column family in integer
+        form (d, coords), or None if target is outside their span."""
+        y = mat_vec(self._transform, target)
         if any(y[self.ncols:]):
             return None
-        d, (coords,) = _integer_form(self._denominator * c, [y[: self.ncols]])
+        d, (coords,) = _integer_form(self._denominator, [y[: self.ncols]])
         return d, coords

@@ -20,6 +20,9 @@ REDUCTION_PRIME_MIN = 10007
 # determinants over E are taken of matrices indexed by a coset space, whose
 # size is bounded by 8 (perm.ENUMERATION_BOUND)
 FIELD_DET_SIZE_BOUND = 8
+# the rational-root test tries every divisor d <= sqrt|a0| of the constant
+# term a0: a million at this bound
+RATIONAL_ROOT_BOUND = 10 ** 12
 
 
 class NumberField:
@@ -298,6 +301,11 @@ def _rational_roots(coeffs) -> list[int]:
     a0 = coeffs[0]
     if a0 == 0:
         return [0]
+    if abs(a0) > RATIONAL_ROOT_BOUND:
+        raise CapabilityError(
+            "constant term of the minimal polynomial exceeds the "
+            f"rational-root search bound {RATIONAL_ROOT_BOUND} in absolute "
+            "value")
     roots = []
     d = 1
     while d * d <= abs(a0):
@@ -579,9 +587,9 @@ class Subfield:
     """A Q-basis of the subfield fixed by a subgroup, as linalg.fixed_space
     returns it: integer vectors over one denominator, with their free
     columns, so coordinates relative to it are read off rather than solved
-    for.  Its multiplication table is kept over Z only."""
+    for.  The basis and its multiplication table are kept over Z only."""
 
-    __slots__ = ("context", "stabilizer", "basis", "dim", "_free",
+    __slots__ = ("context", "stabilizer", "dim", "_free",
                  "_int_scale", "_int_vectors", "_int_multiplication",
                  "_coset_images")
 
@@ -589,9 +597,7 @@ class Subfield:
                  denominator, vectors, free):
         self.context = context
         self.stabilizer = stabilizer
-        self.basis = tuple(FieldElement(context.field, tuple(
-            Fraction(x, denominator) for x in v)) for v in vectors)
-        self.dim = len(self.basis)
+        self.dim = len(vectors)
         self._free = free
         self._int_scale, self._int_vectors = denominator, vectors
         self._int_multiplication = None
@@ -615,14 +621,22 @@ class Subfield:
         return self.int_coords(ints) is not None
 
     def from_coords(self, coords) -> FieldElement:
-        total = self.context.field.zero()
-        for c, b in zip(coords, self.basis):
-            total = total + b * Fraction(c)
-        return total
+        """The element with these subfield coordinates, a / c once cleared:
+        the basis's integer vectors combined by a, over c and their
+        denominator."""
+        c, (ints,) = linalg._clear_denominators([coords])
+        scale = c * self._int_scale
+        return FieldElement(self.context.field, tuple(
+            Fraction(v, scale) for v in
+            linalg.mat_vec(linalg.transpose(self._int_vectors), ints)))
 
     def multiplication_matrix(self, x: FieldElement):
-        """Matrix of y -> x*y on the subfield, in subfield coordinates."""
-        return linalg.transpose([self.coords(x * b) for b in self.basis])
+        """Matrix of y -> x*y on the subfield, in subfield coordinates: the
+        integer multiplication table combined by the coordinates of x."""
+        d, table = self.int_multiplication_matrices()
+        xc = self.coords(x)
+        return [[Fraction(sum(map(mul, xc, entries)), d)
+                 for entries in zip(*rows)] for rows in zip(*table)]
 
     def int_multiplication_matrices(self):
         """The multiplication table over Z, built on the first call: (d, the

@@ -6,9 +6,10 @@ from fractions import Fraction
 from math import lcm
 
 from hopfgalois import linalg
-from hopfgalois.descent import GroupAlgebraElement, coset_values
+from hopfgalois.descent import coset_values
 from hopfgalois.errors import ConsistencyError, DomainError, StructureError
 from hopfgalois.integral import _flat_matrix, _transfer_rows
+from hopfgalois.numberfield import FieldElement
 from hopfgalois.perm import FiniteGroup, Permutation, _close_tuples
 from hopfgalois.transition import IntPolynomial, transition_matrix_of
 
@@ -302,16 +303,21 @@ def rref_kernel(mat, ncols):
 
 
 class FractionSolver:
-    """linalg.LinearSolver with each solution as a Fraction vector, or None
-    outside the span, for the oracles that work over Q."""
+    """linalg.LinearSolver on rational columns and targets, each cleared
+    first, with each solution as a Fraction vector, or None outside the
+    span, for the oracles that work over Q.  With the columns cleared by d
+    and a target by c, a solution e^-1 y of the integer system is the
+    coordinates times c / d."""
 
     def __init__(self, columns):
-        self.solver = linalg.LinearSolver(columns)
+        self.scale, ints = linalg._clear_denominators(columns)
+        self.solver = linalg.LinearSolver(ints)
 
     def solve(self, target):
-        solved = self.solver.solve(target)
+        c, (ints,) = linalg._clear_denominators([target])
+        solved = self.solver.solve(ints)
         return None if solved is None else \
-            [Fraction(x, solved[0]) for x in solved[1]]
+            [Fraction(self.scale * x, solved[0] * c) for x in solved[1]]
 
 
 def rational_lattice(rows):
@@ -327,9 +333,11 @@ def basis_vectors(lattice):
 
 
 def fraction_inverse(mat):
-    """linalg.invert of a nonsingular matrix, as Fraction rows."""
-    d, rows = linalg.invert(mat)
-    return [[Fraction(x, d) for x in row] for row in rows]
+    """The inverse of a nonsingular rational matrix, as Fraction rows: with
+    the matrix d times an integer one, d times linalg.invert of that."""
+    d, ints = linalg._clear_denominators(mat)
+    e, rows = linalg.invert(ints)
+    return [[Fraction(d * x, e) for x in row] for row in rows]
 
 
 def rref_solve(mat, target):
@@ -372,7 +380,7 @@ def stacked_descent(context, space, n, subfield):
     basis = [GroupAlgebraElement(n, [context.field.element(v[i * deg:(i + 1) * deg])
                                      for i in range(m)]) for v in kernel]
     base = space.base_point
-    images = [[context.apply(g, b) for b in subfield.basis]
+    images = [[context.apply(g, b) for b in subfield_basis(subfield)]
               for g in space.representatives]
     action = []
     for b in basis:
@@ -613,6 +621,37 @@ def fraction_associated_order(algebra, ideal):
 
 # --- definitional counterparts of the descent layer
 
+class GroupAlgebraElement:
+    """Element of E[N]: one field coefficient per subgroup element, indexed in
+    the subgroup's canonical element order."""
+
+    __slots__ = ("subgroup", "coefficients")
+
+    def __init__(self, subgroup, coefficients):
+        self.subgroup = subgroup
+        self.coefficients = tuple(coefficients)
+
+    def __repr__(self):
+        return f"GroupAlgebraElement({list(self.coefficients)})"
+
+
+def descended_basis(algebra):
+    """The descended basis as elements of E[N], read off its integer form:
+    basis element k is int_basis[k] over basis_denominator, block by
+    block."""
+    field, den = algebra.context.field, algebra.basis_denominator
+    return [GroupAlgebraElement(algebra.subgroup, [
+        FieldElement(field, tuple(Fraction(x, den) for x in block))
+        for block in vec]) for vec in algebra.int_basis]
+
+
+def subfield_basis(sub):
+    """The subfield basis as field elements: the elements with the unit
+    coordinate vectors (Subfield.from_coords)."""
+    return [sub.from_coords([int(i == j) for j in range(sub.dim)])
+            for i in range(sub.dim)]
+
+
 class MapAlgebraElement:
     """Element of the function algebra Map(X, E): one coefficient per coset,
     multiplied pointwise; the indicator functions are the idempotent basis."""
@@ -677,7 +716,7 @@ def transfer_element(algebra, partner, a_coords, x):
     xc = algebra.subfield.coords(x)
     a_of_x = linalg.mat_vec(action_matrix_of(algebra, list(a_coords)), xc)
     c, (xi,) = linalg._clear_denominators([xc])
-    d, (z,) = _transfer_rows(partner, xc, c, xi,
+    d, (z,) = _transfer_rows(partner, c, xi,
                              *linalg._clear_denominators([a_of_x]))
     return [Fraction(v, d) for v in z]
 
@@ -698,7 +737,7 @@ def permutation_act_on_map(eta, f):
 def element_from_coords(algebra, coords):
     """The element of E[N] with the given coordinates in the descended basis."""
     total = None
-    for c, b in zip(coords, algebra.basis):
+    for c, b in zip(coords, descended_basis(algebra)):
         piece = GroupAlgebraElement(
             algebra.subgroup, (v * Fraction(c) for v in b.coefficients))
         total = piece if total is None else group_algebra_sum(total, piece)
@@ -708,7 +747,8 @@ def element_from_coords(algebra, coords):
 def descended_solver(algebra):
     """A FractionSolver for coordinates in the descended basis of E[N], whose
     elements it takes as flattened rational vectors (flatten_coefficients)."""
-    return FractionSolver([flatten_coefficients(b) for b in algebra.basis])
+    return FractionSolver([flatten_coefficients(b)
+                           for b in descended_basis(algebra)])
 
 
 def flatten_coefficients(element):
@@ -762,16 +802,17 @@ def rational_action_matrices(algebra):
     subfield coordinates of descended_act(b_k, l_j)."""
     sub = algebra.subfield
     return [linalg.transpose([sub.coords(descended_act(algebra, b, lb))
-                              for lb in sub.basis]) for b in algebra.basis]
+                              for lb in subfield_basis(sub)])
+            for b in descended_basis(algebra)]
 
 
 def rational_structure_constants(algebra):
     """The structure constants over Q: matrix i holds in row j the
     coordinates of b_i * b_j, solved for in the descended basis."""
     solver = descended_solver(algebra)
+    basis = descended_basis(algebra)
     return [[solver.solve(flatten_coefficients(group_algebra_product(bi, bj)))
-             for bj in algebra.basis]
-            for bi in algebra.basis]
+             for bj in basis] for bi in basis]
 
 
 def unit_forms(size):
@@ -829,6 +870,6 @@ def generates_map_algebra_over_group_algebra(algebra, f):
 def generates_fixed_map_algebra(algebra, f):
     """Whether the descended algebra's orbit of f spans the rational form of
     the function algebra: exact rank over Q."""
-    rows = [[Fraction(v) for c in group_algebra_act_on_map(b, f).values
-             for v in c.coords] for b in algebra.basis]
-    return linalg.rank(rows) == algebra.dim
+    rows = [[v for c in group_algebra_act_on_map(b, f).values
+             for v in c.coords] for b in descended_basis(algebra)]
+    return linalg.rank(linalg._clear_denominators(rows)[1]) == algebra.dim

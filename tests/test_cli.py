@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -409,14 +410,29 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
 
 
 # the field-element API, which the tests and the benchmark keep using by
-# name: no command reaches it, because every command works on integer forms
+# name: no command reaches it, because every command works on integer forms.
+# Its constructor included: the descended basis and the subfield basis are
+# kept as integer forms, not built as field elements
 FIELD_ELEMENT_API = {
-    "FieldElement": ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__",
-                     "inverse", "__truediv__", "__pow__"),
+    "FieldElement": ("__init__", "__add__", "__sub__", "__neg__", "__mul__",
+                     "__rmul__", "inverse", "__truediv__", "__pow__"),
     "NumberField": ("element",),
     "GaloisContext": ("apply", "trace"),
     "Subfield": ("coords", "contains", "from_coords"),
 }
+
+
+def _field_commands(name):
+    """`suite` on the bundled fixture and, for a field fixture, `descend` of
+    every structure and the default `theorem11` of every ideal: each
+    command that reaches the descents, the subfield or the certificates."""
+    yield ["--json", "suite", name]
+    fx = load_bundled(name)
+    if fx.has_field:
+        for i in range(len(fx.structures())):
+            yield ["--json", "descend", "--n", str(i), name]
+        for ideal in sorted(fx.ideals):
+            yield ["--json", "theorem11", "--ideal", ideal, name]
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -430,14 +446,38 @@ def test_suite_runs_no_field_element_arithmetic(capsys, monkeypatch, name):
             calls.append(label)
             return fn(*args, **kwargs)
         return wrapper
+    commands = list(_field_commands(name))
     for cls_name, methods in FIELD_ELEMENT_API.items():
         cls = getattr(numberfield, cls_name)
         for method in methods:
             monkeypatch.setattr(cls, method, trap(f"{cls_name}.{method}",
                                                   getattr(cls, method)))
-    code, _ = run(capsys, "--json", "suite", name)
-    assert code in (cli.EXIT_PASS, cli.EXIT_UNKNOWN)
-    assert calls == []
+    for argv in commands:
+        code, _ = run(capsys, *argv)
+        assert code in (cli.EXIT_PASS, cli.EXIT_UNKNOWN), argv
+        assert calls == [], argv
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_eliminations_receive_only_integers(capsys, monkeypatch, name):
+    # fraction-free elimination divides exactly only on integers: a Fraction
+    # entry would give a wrong rank, kernel or determinant, not an error
+    from hopfgalois import linalg
+    eliminate = linalg._eliminate
+    received = []
+
+    def guarded(rows, *args, **kwargs):
+        received.append(all(type(x) is int for row in rows for x in row))
+        return eliminate(rows, *args, **kwargs)
+    commands = [argv for argv in _field_commands(name) if "descend" not in argv]
+    has_field = load_bundled(name).has_field
+    monkeypatch.setattr(linalg, "_eliminate", guarded)
+    for argv in commands:
+        code, _ = run(capsys, *argv)
+        assert code in (cli.EXIT_PASS, cli.EXIT_UNKNOWN), argv
+    assert all(received)
+    # a group-only fixture runs no elimination at all
+    assert bool(received) == has_field
 
 
 @pytest.mark.parametrize("kernel", ["int_det", "nonsingular_mod_p"])
@@ -480,7 +520,7 @@ def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
         cleared.append(len(rows))
         return clear(rows)
     for fx in field_fixtures:
-        count, m = len(fx.structures()), fx.subfield().dim
+        count = len(fx.structures())
         for i in range(count):
             fx.algebra(i)
         for name in fx.ideals:
@@ -495,14 +535,13 @@ def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
                 for name in sorted(fx.ideals):
                     cli.cmd_assoc_order(
                         fx, argparse.Namespace(n=i, ideal=name), report)
-                    # the ideal side only, m x m each: the eliminations of
-                    # the inverses of the ideal's integer basis and of the
-                    # Hermite form, which return integer forms (the scale
-                    # of the first inverse and the order's lattice were
-                    # cleared again, 4 in all), and the one integer row of
-                    # the unit's coordinates (Lattice.contains); the
-                    # algebra's action set would be m^2 rows
-                    assert cleared == [m, m, 1]
+                    # only the one row of the unit's coordinates, which
+                    # Lattice.contains takes as a rational vector: the
+                    # inverses of the ideal's integer basis and of the
+                    # Hermite form take integer rows as they are (each
+                    # cleared its m rows again before linalg took integers
+                    # only); the algebra's action set would be m^2 rows
+                    assert cleared == [1]
                     cleared.clear()
         assert {c["verdict"] for c in report.checks} == {"PASS"}
 
@@ -806,6 +845,28 @@ def test_oversize_group_exits_with_a_capability_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == \
         "error: group of order 400 exceeds the group order bound 120\n"
+
+
+def test_huge_constant_term_exits_at_the_rational_root_bound(tmp_path,
+                                                             capsys):
+    # the rational-root test divides a0 by every d <= sqrt|a0|, which takes
+    # seconds from 10^14 on and never ends for 30 digits: it is refused
+    from hopfgalois.numberfield import RATIONAL_ROOT_BOUND
+    doc = json.loads(bundled_path("qi").read_text(encoding="utf-8"))
+    for a0 in (10 ** 14 + 1, 10 ** 30 + 1):
+        doc["field"]["min_poly"] = [a0, 0, 1]
+        path = tmp_path / "big.hgx"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.monotonic()
+        code = main(["validate", str(path)])
+        elapsed = time.monotonic() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            "failed validation with 1 problem(s):\n  - field: constant term "
+            "of the minimal polynomial exceeds the rational-root search bound "
+            f"{RATIONAL_ROOT_BOUND} in absolute value\n")
+        assert elapsed < 1
 
 
 @pytest.mark.parametrize("block, problem", [

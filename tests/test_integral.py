@@ -37,6 +37,13 @@ def _opposite_index(fx, i):
     return next(j for j, n in enumerate(structs) if n == opp)
 
 
+def _witness_element(subfield, result):
+    """The field element of a FREE result's witness, whose subfield
+    coordinates are the result's integers over the lattice denominator."""
+    den, ints = result.witness_subfield_coords
+    return subfield.from_coords([F(x, den) for x in ints])
+
+
 # --- lattices
 
 def test_lattice_canonical_form():
@@ -134,8 +141,14 @@ def test_tame_quadratic_is_free_with_verified_witness(qzeta3):
     result = freeness_search(order, ideal, 3)
     assert result.free
     mat = witness_matrix(order, result.witness_ideal_coords)
-    from hopfgalois import linalg
     assert abs(linalg.int_det(mat)) == 1
+    # the subfield coordinates: the ideal's integer rows combined by the
+    # witness, over the lattice denominator, integers throughout
+    den, ints = result.witness_subfield_coords
+    assert den == ideal.lattice.denominator
+    assert list(ints) == linalg.mat_vec(linalg.transpose(ideal.lattice.rows),
+                                        list(result.witness_ideal_coords))
+    assert all(type(x) is int for x in ints)
 
 
 def test_zero_bound_is_unknown(qzeta3):
@@ -479,7 +492,7 @@ def test_transfer_of_identity_is_identity(s3sextic):
     order = associated_order(a1, ideal)
     result = freeness_search(order, ideal, 3)
     assert result.free
-    x = a1.subfield.from_coords(result.witness_subfield_coords)
+    x = _witness_element(a1.subfield, result)
     z = transfer_element(a1, a2, list(a1.identity_coords), x)
     assert z == list(a2.identity_coords)
 
@@ -491,7 +504,7 @@ def test_transfer_is_linear(s3sextic):
     ideal = s3sextic.ideal("OE")
     order = associated_order(a1, ideal)
     result = freeness_search(order, ideal, 3)
-    x = a1.subfield.from_coords(result.witness_subfield_coords)
+    x = _witness_element(a1.subfield, result)
     a = basis_vectors(order.lattice)[2]
     z = transfer_element(a1, a2, a, x)
     scaled = transfer_element(a1, a2, [F(5, 3) * c for c in a], x)
@@ -516,7 +529,7 @@ def test_transferred_lattice_is_the_partner_order(s3sextic):
     order2 = associated_order(a2, ideal)
     result = freeness_search(order1, ideal, 3)
     assert result.free
-    x = a1.subfield.from_coords(result.witness_subfield_coords)
+    x = _witness_element(a1.subfield, result)
     rows = [transfer_element(a1, a2, a, x)
             for a in basis_vectors(order1.lattice)]
     assert rational_lattice(rows) == order2.lattice

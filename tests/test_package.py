@@ -24,8 +24,8 @@ API = {
     "FieldElement", "GaloisContext", "NumberField", "Subfield",
     "check_irreducible", "fixed_subfield", "load_field",
     # descent and its verification predicates
-    "DescendedAlgebra", "GroupAlgebraElement", "descend", "is_separable",
-    "verify_commuting", "verify_hopf_galois",
+    "DescendedAlgebra", "descend", "is_separable", "verify_commuting",
+    "verify_hopf_galois",
     # associated orders and freeness
     "AssociatedOrder", "CertificateReport", "FractionalIdeal",
     "FreenessResult", "Lattice", "associated_order", "freeness_certificate",
