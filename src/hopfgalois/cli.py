@@ -153,24 +153,23 @@ def cmd_validate(fx: Fixture, args, report: Report):
                field="present" if fx.has_field else "absent")
     if fx.has_field:
         report.add("irreducibility", "PASS", fx.context.irreducibility)
+    _check_assertions(fx, report)
+
+
+# assertion key -> its computed value, for every key the parser accepts
+_ASSERTED = {
+    "coset_count": lambda fx: fx.coset_space().size,
+    "structure_count": lambda fx: len(fx.structures()),
+    "center_order": lambda fx: fx.group.center().order(),
+    "nontrivial_proper_normal_orders": lambda fx: sorted(
+        h.order() for h in group_queries(fx.group).normal_subgroups
+        if 1 < h.order() < fx.group.order()),
+}
 
 
 def _check_assertions(fx: Fixture, report: Report):
-    space = fx.coset_space()
     for key, spec in sorted(fx.assertions.items()):
-        want = spec["value"]
-        if key == "coset_count":
-            got = space.size
-        elif key == "structure_count":
-            got = len(fx.structures())
-        elif key == "center_order":
-            got = fx.group.center().order()
-        elif key == "nontrivial_proper_normal_orders":
-            facts = group_queries(fx.group)
-            got = sorted(h.order() for h in facts.normal_subgroups
-                         if 1 < h.order() < fx.group.order())
-        else:
-            continue
+        got, want = _ASSERTED[key](fx), spec["value"]
         report.add(f"assertion:{key}", "PASS" if got == want else "FAIL",
                    spec["provenance"], expected=want, actual=got)
 
@@ -205,8 +204,7 @@ def cmd_opposite_suite(fx: Fixture, args, report: Report):
         ok_iso = _is_isomorphism(witness, n)
         self_opposite = opp == n
         ok_abelian = self_opposite == n.is_abelian()
-        in_output = next((j for j, m in enumerate(structs) if m == opp), None)
-        ok_closed = in_output is not None
+        ok_closed = opp in structs
         verdict = "PASS" if all((ok_centralizer, ok_involution, ok_order,
                                  ok_center, ok_iso, ok_abelian, ok_closed)) else "FAIL"
         report.add(f"opposite-suite[{i}]", verdict, "theorem",
@@ -255,50 +253,58 @@ def cmd_descend(fx: Fixture, args, report: Report):
                action_matrices=json.dumps(matrices))
 
 
+def _verify_commuting(fx: Fixture, report: Report, rng: random.Random):
+    count = len(fx.structures())
+    opposites = fx.opposite_indices()
+    # verify_commuting is symmetric: one call per unordered pair
+    commute = {(i, j): verify_commuting(fx.algebra(i), fx.algebra(j))
+               for i in range(count) for j in range(i, count)}
+    for i in range(count):
+        for j in range(count):
+            actual, expected = commute[min(i, j), max(i, j)], opposites[i] == j
+            report.add(f"commuting[{i},{j}]",
+                       "PASS" if actual == expected else "FAIL", "theorem",
+                       commute=actual, opposite_pair=expected)
+
+
+def _verify_hopf_galois(fx: Fixture, report: Report, rng: random.Random):
+    for i in range(len(fx.structures())):
+        ok = verify_hopf_galois(fx.algebra(i))
+        report.add(f"hopf-galois[{i}]", "PASS" if ok else "FAIL", "theorem")
+
+
+def _verify_separable(fx: Fixture, report: Report, rng: random.Random):
+    for i in range(len(fx.structures())):
+        ok = is_separable(fx.algebra(i))
+        report.add(f"separable[{i}]", "PASS" if ok else "FAIL", "theorem")
+
+
+def _verify_generators(fx: Fixture, report: Report, rng: random.Random):
+    sub = fx.subfield()
+    opposites = fx.opposite_indices()
+    pairs = sorted({tuple(sorted((i, opposites[i])))
+                    for i in range(len(fx.structures()))})
+    space = fx.coset_space()
+    samples = [generator_sample(sub, space, 1, sub.random_coords(rng))
+               for _ in range(GENERATOR_SAMPLES)]
+    # one test per structure and sample: a self-opposite structure is
+    # both sides of its pair
+    verdicts = {i: [generates(fx.algebra(i), s) for s in samples]
+                for i in sorted({k for pair in pairs for k in pair})}
+    for i, j in pairs:
+        agree = sum(a == b for a, b in zip(verdicts[i], verdicts[j]))
+        report.add(f"generator-transfer[{i},{j}]",
+                   "PASS" if agree == len(samples) else "FAIL", "theorem",
+                   samples=len(samples), agreeing=agree)
+
+
+# the properties of `verify`, in the order `suite` checks them
+VERIFY = {"hopf-galois": _verify_hopf_galois, "separable": _verify_separable,
+          "commuting": _verify_commuting, "generators": _verify_generators}
+
+
 def cmd_verify(fx: Fixture, args, report: Report, rng: random.Random):
-    what = args.property
-    structs = fx.structures()
-    if what == "commuting":
-        opposites = fx.opposite_indices()
-        # verify_commuting is symmetric: one call per unordered pair
-        commute = {}
-        for i in range(len(structs)):
-            for j in range(len(structs)):
-                expected = opposites[i] == j
-                pair = (min(i, j), max(i, j))
-                if pair not in commute:
-                    commute[pair] = verify_commuting(fx.algebra(i), fx.algebra(j))
-                actual = commute[pair]
-                report.add(f"commuting[{i},{j}]",
-                           "PASS" if actual == expected else "FAIL", "theorem",
-                           commute=actual, opposite_pair=expected)
-    elif what == "hopf-galois":
-        for i in range(len(structs)):
-            ok = verify_hopf_galois(fx.algebra(i))
-            report.add(f"hopf-galois[{i}]", "PASS" if ok else "FAIL", "theorem")
-    elif what == "separable":
-        for i in range(len(structs)):
-            ok = is_separable(fx.algebra(i))
-            report.add(f"separable[{i}]", "PASS" if ok else "FAIL", "theorem")
-    elif what == "generators":
-        sub = fx.subfield()
-        opposites = fx.opposite_indices()
-        pairs = sorted({tuple(sorted((i, opposites[i])))
-                        for i in range(len(structs))})
-        space = fx.coset_space()
-        samples = [generator_sample(sub, space, 1, sub.random_coords(rng))
-                   for _ in range(GENERATOR_SAMPLES)]
-        # one test per structure and sample: a self-opposite structure is
-        # both sides of its pair
-        verdicts = {i: [generates(fx.algebra(i), s) for s in samples]
-                    for i in sorted({k for pair in pairs for k in pair})}
-        for i, j in pairs:
-            agree = sum(a == b for a, b in zip(verdicts[i], verdicts[j]))
-            report.add(f"generator-transfer[{i},{j}]",
-                       "PASS" if agree == len(samples) else "FAIL", "theorem",
-                       samples=len(samples), agreeing=agree)
-    else:
-        raise ValueError(f"unknown property {what!r}")
+    VERIFY[args.property](fx, report, rng)
 
 
 def cmd_assoc_order(fx: Fixture, args, report: Report):
@@ -367,7 +373,7 @@ def cmd_suite(fx: Fixture, args, report: Report, rng: random.Random):
     cmd_det_identity(fx, argparse.Namespace(n=None), report)
     if fx.has_field:
         _specialization_checks(fx, report, rng)
-        for prop in ("hopf-galois", "separable", "commuting", "generators"):
+        for prop in VERIFY:
             cmd_verify(fx, argparse.Namespace(property=prop), report, rng)
         index = _classical_index(fx)
         for ideal_name in sorted(fx.ideals):
@@ -422,10 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, *, leading=(), **kwargs):
+    def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        for spec in leading:
-            p.add_argument(*spec[0], **spec[1])
+        if name == "verify":  # the property comes before the fixture path
+            p.add_argument("property", choices=sorted(VERIFY))
         p.add_argument("fixture", help="fixture file or bundled fixture name")
         _common_flags(p, suppress=True)
         return p
@@ -437,25 +443,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="structure index")
     p = add("descend", help="emit the descended basis and action matrices")
     p.add_argument("--n", type=int, required=True, help="structure index")
-    p = add("verify", help="run a verification suite",
-            leading=[((  # the property comes before the fixture path
-                "property",), {"choices": ["commuting", "generators",
-                                           "hopf-galois", "separable"]})])
+    add("verify", help="run a verification suite")
     p = add("assoc-order", help="compute an associated order")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ideal", required=True)
     p = add("freeness", help="bounded search for a free generator")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ideal", required=True)
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", type=int, default=integral.DEFAULT_BOUND)
     p = add("theorem11", help="two-sided freeness certificate for a commuting "
                               "pair of structures")
     p.add_argument("--ideal", required=True)
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", type=int, default=integral.DEFAULT_BOUND)
     p.add_argument("--n", type=int, default=None,
                    help="structure index (default: the classical structure)")
     p = add("suite", help="run every applicable check")
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", type=int, default=integral.DEFAULT_BOUND)
     return parser
 
 
@@ -479,29 +482,27 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+# command -> handler(fx, args, report, rng); each cmd_* is looked up when it
+# runs, so a patched or traced handler is the one run
+COMMANDS = {
+    "validate": lambda fx, args, report, rng: cmd_validate(fx, args, report),
+    "enumerate": lambda fx, args, report, rng: cmd_enumerate(fx, args, report),
+    "det-identity": lambda fx, args, report, rng: cmd_det_identity(
+        fx, args, report),
+    "descend": lambda fx, args, report, rng: cmd_descend(fx, args, report),
+    "verify": lambda fx, args, report, rng: cmd_verify(fx, args, report, rng),
+    "assoc-order": lambda fx, args, report, rng: cmd_assoc_order(
+        fx, args, report),
+    "freeness": lambda fx, args, report, rng: cmd_freeness(fx, args, report),
+    "theorem11": lambda fx, args, report, rng: cmd_theorem11(fx, args, report),
+    "suite": lambda fx, args, report, rng: cmd_suite(fx, args, report, rng),
+}
+
+
 def _run(args) -> int:
     fx = _load(args.fixture)
     report = Report([args.command, args.fixture], fx.name, args.seed)
-    rng = random.Random(args.seed)
-    if args.command == "validate":
-        cmd_validate(fx, args, report)
-        _check_assertions(fx, report)
-    elif args.command == "enumerate":
-        cmd_enumerate(fx, args, report)
-    elif args.command == "det-identity":
-        cmd_det_identity(fx, args, report)
-    elif args.command == "descend":
-        cmd_descend(fx, args, report)
-    elif args.command == "verify":
-        cmd_verify(fx, args, report, rng)
-    elif args.command == "assoc-order":
-        cmd_assoc_order(fx, args, report)
-    elif args.command == "freeness":
-        cmd_freeness(fx, args, report)
-    elif args.command == "theorem11":
-        cmd_theorem11(fx, args, report)
-    elif args.command == "suite":
-        cmd_suite(fx, args, report, rng)
+    COMMANDS[args.command](fx, args, report, random.Random(args.seed))
     if args.json:
         sys.stdout.write(report.to_json())
     else:

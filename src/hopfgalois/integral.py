@@ -18,7 +18,9 @@ from .errors import (CapabilityError, ConsistencyError, DomainError,
 from .descent import DescendedAlgebra, generates, generator_sample, is_generator
 from .transition import IntPolynomial, det_symbolic
 
-# the default bound's box, 7^m candidates, at the size-8 limit
+# the sup-norm bound of the freeness box scan when none is given
+DEFAULT_BOUND = 3
+# the box of DEFAULT_BOUND, 7^m candidates, at the size-8 limit
 FREENESS_BOX_BOUND = 7 ** 8
 # the box scan packs two trailing variables while their box has at most this
 # many points, and one beyond
@@ -304,7 +306,7 @@ def _unit_points(poly: IntPolynomial, bound: int):
 
 
 def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
-                    bound: int = 3) -> FreenessResult:
+                    bound: int = DEFAULT_BOUND) -> FreenessResult:
     """Scan the integer box of ideal-coordinates for an element whose order
     orbit is exactly the ideal; the first (lexicographically smallest) witness
     wins.  An exhausted box is reported as UNKNOWN, never as a refutation.
@@ -374,7 +376,7 @@ class CertificateReport:
 
     verdict_main: FreenessResult
     verdict_partner: FreenessResult
-    witness_transfers: bool | None      # None when neither side found a witness
+    witness_transfers: bool | None      # None without a witness; failures raise
     transferred_lattice_matches: bool | None
     commuting_transport_holds: bool | None
 
@@ -386,7 +388,7 @@ class CertificateReport:
 
 
 def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
-                         ideal: FractionalIdeal, bound: int = 3,
+                         ideal: FractionalIdeal, bound: int = DEFAULT_BOUND,
                          order_main: AssociatedOrder | None = None) -> CertificateReport:
     """Run the bounded search on both commuting structures and verify that a
     witness on either side is a witness on the other, that the transferred
@@ -404,8 +406,6 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
         order_partner = associated_order(partner, ideal)
         res_partner = freeness_search(order_partner, ideal, bound)
 
-    witness_transfers = None
-    lattice_matches = None
     transport_holds = None
 
     pairs = []
@@ -420,7 +420,6 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
             raise TheoremViolationError(
                 "witness on one side fails on the commuting side; the "
                 "freeness equivalence was violated")
-        witness_transfers = True
 
         # over Z: x = xi/c, the order's basis is its rows over d_L, and an
         # algebra acts by its integer form over its action denominator
@@ -431,9 +430,7 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
         scale = (order_here.lattice.denominator * side_here.action_denominator
                  * c)
         z_den, z_rows = _transfer_rows(side_there, c, xi, scale, w_of_x)
-        same = Lattice.from_integer_rows(z_den, z_rows) == order_there.lattice
-        lattice_matches = same if lattice_matches is None else (lattice_matches and same)
-        if not same:
+        if Lattice.from_integer_rows(z_den, z_rows) != order_there.lattice:
             raise TheoremViolationError(
                 "transferred order elements do not span the partner's "
                 "associated order")
@@ -452,5 +449,8 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
         raise TheoremViolationError(
             "one bounded search found a witness and the other did not, even "
             "though the witness transfers")
-    return CertificateReport(res_main, res_partner, witness_transfers,
-                             lattice_matches, transport_holds)
+    # a witness that fails to transfer, or whose transfer spans another
+    # lattice, raised above
+    transferred = True if pairs else None
+    return CertificateReport(res_main, res_partner, transferred, transferred,
+                             transport_holds)

@@ -4,7 +4,7 @@ fixed subfields, and traces.  No floating point anywhere."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import count
 from math import factorial, isqrt, lcm
 from operator import mul
@@ -372,10 +372,10 @@ def _polypow_p(base, e, m, p):
     return acc
 
 
-def _minus_monomial_p(a, k, p):
-    """a - x^k over F_p."""
-    out = list(a) + [0] * (k + 1 - len(a))
-    out[k] = (out[k] - 1) % p
+def _minus_x_p(a, p):
+    """a - x over F_p."""
+    out = list(a) + [0] * (2 - len(a))
+    out[1] = (out[1] - 1) % p
     return _trim(out)
 
 
@@ -402,33 +402,12 @@ def _factor_degrees_mod_p(coeffs, p):
             degrees.extend([len(work) - 1])
             break
         xq = _polypow_p(xq, p, work, p)
-        g = _polygcd_p(work, _minus_monomial_p(xq, 1, p), p)
+        g = _polygcd_p(work, _minus_x_p(xq, p), p)
         if len(g) > 1:
             degrees.extend([d] * ((len(g) - 1) // d))
             work = _polydivmod_p(work, g, p)[0]
             xq = _polydivmod_p(xq, work, p)[1]
     return degrees
-
-
-def _roots_mod_p(f, p) -> list[int]:
-    """Sorted roots in F_p of a monic squarefree f (p odd): the linear part
-    gcd(f, x^p - x), split by gcd with (x + a)^((p-1)/2) - 1 for
-    a = 0, 1, ... until every factor is linear."""
-    x_to_p = _polypow_p([0, 1], p, f, p)
-    pending = [_polygcd_p(f, _minus_monomial_p(x_to_p, 1, p), p)]
-    roots = []
-    while pending:
-        h = pending.pop()
-        if len(h) == 2:
-            roots.append(-h[0] % p)
-        elif len(h) > 2:
-            for a in count():
-                half = _polypow_p([a, 1], (p - 1) // 2, h, p)
-                d = _polygcd_p(h, _minus_monomial_p(half, 0, p), p)
-                if 1 < len(d) < len(h):
-                    pending += [d, _polydivmod_p(h, d, p)[0]]
-                    break
-    return sorted(roots)
 
 
 def _is_prime(n: int) -> bool:
@@ -439,10 +418,12 @@ def _is_prime(n: int) -> bool:
 def _reduction_root(modulus: tuple[int, ...]) -> tuple[int, int]:
     for p in filter(_is_prime, count(REDUCTION_PRIME_MIN)):
         f = _poly_mod_p(modulus, p)
-        if _is_squarefree_p(f, p):
-            roots = _roots_mod_p(f, p)
-            if roots:
-                return p, roots[0]
+        # gcd(f, x^p - x) is the product of the x - r over the roots r of f;
+        # the least root is then found by Horner's rule at r = 0, 1, ...
+        if _is_squarefree_p(f, p) and len(_polygcd_p(
+                f, _minus_x_p(_polypow_p([0, 1], p, f, p), p), p)) > 1:
+            return p, next(r for r in range(p) if not reduce(
+                lambda acc, c: (acc * r + c) % p, reversed(f), 0))
 
 
 def check_irreducible(coeffs) -> bool | None:

@@ -89,22 +89,17 @@ class Permutation:
 
 
 def _close_tuples(gens: list[tuple[int, ...]], degree: int, limit: int | None = None):
-    """Closure of image tuples under composition; None when `limit` is hit."""
-    identity = tuple(range(degree))
-    group = {identity}
-    frontier = [g for g in gens if g != identity]
-    group.update(frontier)
+    """Closure of image tuples under composition; None once the products of
+    the generators take it past `limit`.  Breadth-first, one product per
+    element and generator: in a finite group, those already close up."""
+    group = {tuple(range(degree)), *gens}
+    frontier = list(group)
     while frontier:
-        new = []
-        for p in frontier:
-            for q in list(group):
-                for prod in (tuple(p[i] for i in q), tuple(q[i] for i in p)):
-                    if prod not in group:
-                        group.add(prod)
-                        new.append(prod)
-                        if limit is not None and len(group) > limit:
-                            return None
-        frontier = new
+        products = {tuple(p[i] for i in g) for p in frontier for g in gens}
+        frontier = [q for q in products if q not in group]
+        group.update(frontier)
+        if frontier and limit is not None and len(group) > limit:
+            return None
     return group
 
 

@@ -16,7 +16,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 from operator import itemgetter
 
-from .errors import CapabilityError
+from .errors import CapabilityError, ConsistencyError
 from .perm import CosetSpace, FiniteGroup
 
 DET_SIZE_BOUND = 8
@@ -29,12 +29,6 @@ def _term_sort_key(term):
     # No two terms tie: the key ends with the exponents
     exponents = term[0]
     return sum(exponents), sorted(exponents, reverse=True), exponents
-
-
-def _leading_key(exponents: tuple[int, ...]):
-    # sign convention of signed_canonical_det: the leading term is the first
-    # in graded lex order (highest total degree, then lex on the exponents)
-    return (-sum(exponents), tuple(-e for e in exponents))
 
 
 class IntPolynomial:
@@ -59,18 +53,12 @@ class IntPolynomial:
     def __neg__(self):
         return IntPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def leading_term(self) -> tuple[tuple[int, ...], int]:
-        exps = min(self.terms, key=_leading_key)
-        return exps, self.terms[exps]
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=_term_sort_key, reverse=True)
-
     def __str__(self):
         if not self.terms:
             return "0"
         pieces = []
-        for exps, coeff in self.sorted_terms():
+        for exps, coeff in sorted(self.terms.items(), key=_term_sort_key,
+                                  reverse=True):
             factors = []
             for k, e in enumerate(exps):
                 if e == 1:
@@ -118,13 +106,10 @@ def det_symbolic(matrix) -> IntPolynomial:
     return IntPolynomial(nvars, _sparse_det(matrix, nvars))
 
 
-def _sparse_det(matrix, nvars: int, below=None) -> dict:
+def _sparse_det(matrix, nvars: int) -> dict:
     """The determinant's terms, each minor a dict of its nonzero terms.  The
-    expansion runs over the rows of matrix, from the bottom up.  Given
-    `below`, the minors on the rows under those, as {column bitmask:
-    {exponents: coefficient}}, it starts from them: matrix is then the top
-    rows of a square matrix whose width is the size."""
-    m = len(matrix[0])
+    expansion runs over the rows of matrix, from the bottom up."""
+    m = len(matrix)
     # an exponent vector is one integer in radix m + 1 (no exponent of a
     # degree-m determinant exceeds m), so multiplying by y_k adds radix^k
     radix = m + 1
@@ -133,10 +118,7 @@ def _sparse_det(matrix, nvars: int, below=None) -> dict:
             for row in matrix]
     # column bitmask -> {packed exponents: coefficient} of the minor on those
     # columns
-    minors = {0: {0: 1}} if below is None else {
-        cols: {sum(x * w for x, w in zip(e, weights)): c
-               for e, c in minor.items()}
-        for cols, minor in below.items()}
+    minors = {0: {0: 1}}
     for row in reversed(rows):
         grown: dict[int, dict[int, int]] = {}
         for cols, minor in minors.items():
@@ -208,20 +190,16 @@ def _dense_det(matrix, nvars: int) -> dict:
     Every Q_j slot and every new coefficient is at most the row's absolute
     coefficient sum times the largest |coefficient| of the level below.
     Before each level that product is checked against 2^63.  When it is not
-    below, the minors of the level below, decoded, seed the dict expansion
-    (_sparse_det) of the rows left.  Some entry has two nonzero
-    coefficients, so nvars >= 2."""
+    below, the dict expansion (_sparse_det) of the whole matrix runs instead.
+    Some entry has two nonzero coefficients, so nvars >= 2."""
     m = len(matrix)
     order = sys.byteorder
     coeffs = {0: (1,)}  # column bitmask -> coefficients of the minor
     for k, row in enumerate(reversed(matrix)):
-        monomials = _monomials(nvars, k)
         largest = max(max(map(abs, c)) for c in coeffs.values())
         if sum(abs(a) for form in row for a in form) * largest >= _SLOT_LIMIT:
-            return _sparse_det(matrix[:m - k], nvars, {
-                cols: {e: c for e, c in zip(monomials, minor) if c}
-                for cols, minor in coeffs.items()})
-        size = len(monomials)
+            return _sparse_det(matrix, nvars)
+        size = len(_monomials(nvars, k))
         # 2^63 in every slot: adding it makes every slot nonnegative, and
         # xor-ing it again turns a slot into its two's complement
         bias = int.from_bytes((bytes(7) + b"\x80") * size, "little")
@@ -262,14 +240,19 @@ def _dense_det(matrix, nvars: int) -> dict:
 def signed_canonical_det(n: FiniteGroup,
                          space: CosetSpace) -> tuple[IntPolynomial, int]:
     """The canonical determinant, the transition determinant normalised to a
-    positive leading coefficient, together with the sign s for which the
-    transition determinant is s times it."""
+    positive y_0^m coefficient (its first printed term), together with the
+    sign s for which the transition determinant is s times it.  For a
+    regular N the transition matrix is a Latin square: y_0 fills one
+    permutation matrix, whose sign is the y_0^m coefficient, so any other
+    coefficient raises ConsistencyError."""
     m = space.size
     forms = [tuple(int(j == k) for j in range(m)) for k in range(m)]
     poly = det_symbolic(transition_matrix_of(n, forms))
-    if poly.terms and poly.leading_term()[1] < 0:
-        return -poly, -1
-    return poly, 1
+    sign = poly.terms.get((m,) + (0,) * (m - 1), 0)
+    if sign not in (1, -1):
+        raise ConsistencyError(f"transition determinant has y0^{m} "
+                               f"coefficient {sign}: N is not regular")
+    return (poly, 1) if sign == 1 else (-poly, -1)
 
 
 def reindexing_witness(n: FiniteGroup, n_opp: FiniteGroup,

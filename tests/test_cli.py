@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import time
@@ -510,7 +511,6 @@ def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
                                                           monkeypatch):
     # once the descents have built each algebra's integer form, neither
     # command clears an algebra's denominators again
-    import argparse
     import random
     from hopfgalois import linalg
     cleared = []
@@ -907,6 +907,42 @@ def test_verify_subcommands(capsys):
     for prop in ("commuting", "hopf-galois", "separable"):
         code, out = run(capsys, "verify", prop, "qzeta3")
         assert code == 0, (prop, out)
+
+
+def test_the_command_and_property_tables_drive_parser_and_suite():
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(cli.COMMANDS)
+    [prop] = [a for a in commands.choices["verify"]._actions
+              if a.dest == "property"]
+    assert prop.choices == sorted(cli.VERIFY) == [
+        "commuting", "generators", "hopf-galois", "separable"]
+    assert list(cli.VERIFY) == [
+        "hopf-galois", "separable", "commuting", "generators"]
+
+
+def test_verify_reports_what_the_suite_reports(capsys):
+    # generators draws its samples after the suite's det-specialization
+    # points, so only the other three properties match record for record
+    _, out = run(capsys, "--json", "suite", "s3sextic")
+    suite = json.loads(out)["checks"]
+    for prop in ("hopf-galois", "separable", "commuting"):
+        code, out = run(capsys, "--json", "verify", prop, "s3sextic")
+        checks = json.loads(out)["checks"]
+        assert code == 0 and checks
+        assert checks == [c for c in suite
+                          if c["name"].startswith(prop + "[")]
+
+
+def test_validate_checks_the_assertions(capsys):
+    code, out = run(capsys, "--json", "validate", "d4")
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert code == 0
+    assert names == ["descriptor-valid", "assertion:center_order",
+                     "assertion:coset_count",
+                     "assertion:nontrivial_proper_normal_orders",
+                     "assertion:structure_count"]
 
 
 def test_assoc_order_prints_hnf_with_denominator(capsys):

@@ -379,6 +379,18 @@ def test_reduction_root_is_the_least_usable_prime_and_root(field_fixtures):
             assert res % q == 0 or not _roots_by_scan(modulus, q)
 
 
+REDUCTION_ROOTS = {"qi": (10009, 3303), "qzeta3": (10009, 1044),
+                   "c4quartic": (10061, 435), "v4biquad": (10007, 1164),
+                   "qcbrt2": (10009, 1623), "s3sextic": (10067, 736)}
+
+
+def test_reduction_roots_of_the_field_fixtures_are_pinned(field_fixtures):
+    # the least prime p >= REDUCTION_PRIME_MIN with a usable reduction, and
+    # the least root mod p
+    assert {fx.name: fx.context.field.reduction_root()
+            for fx in field_fixtures} == REDUCTION_ROOTS
+
+
 def test_polydivmod_p_is_division_with_remainder():
     rng = random.Random(9)
     for p in (2, 3, 7, 37, REDUCTION_PRIME_MIN):

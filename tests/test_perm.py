@@ -1,15 +1,18 @@
 import itertools
+import random
 
 import pytest
 
 from hopfgalois.errors import CapabilityError, StructureError
-from hopfgalois.perm import (FiniteGroup, Permutation, _power_free_candidates,
+from hopfgalois.perm import (FiniteGroup, Permutation, _close_tuples,
+                             _power_free_candidates,
                              build_coset_space, centralizer_bruteforce,
                              enumerate_regular_normalized, group_queries,
                              is_normalized_by, metacyclic_group, opposite,
                              right_translation_subgroup)
 
-from .oracles import (centralizer_by_whole_products, is_isomorphic, is_regular,
+from .oracles import (centralizer_by_whole_products, closure_of_pair,
+                      is_isomorphic, is_regular,
                       normal_subgroups_by_filter, power_free_candidates_by_powers,
                       regular_normalized_oracle)
 
@@ -64,6 +67,27 @@ def test_group_rejects_non_closed_sets():
     with pytest.raises(StructureError, match=r"Permutation\(\[1, 2, 0\]\) \* "
                                              r"Permutation\(\[1, 2, 0\]\) is missing"):
         FiniteGroup([Permutation([0, 1, 2]), Permutation([1, 2, 0])])
+
+
+def test_closure_by_generators_matches_the_closure_under_all_products():
+    # one product per element and generator reaches the set that closing
+    # under every pairwise product reaches.  `limit` counts what the
+    # products add: None exactly when they take the closure past it, so
+    # generators that are the whole group are never refused
+    rng = random.Random(5)
+    for degree in range(1, 7):
+        perms = list(itertools.permutations(range(degree)))
+        for _ in range(25):
+            a, b = rng.choice(perms), rng.choice(perms)
+            closure = closure_of_pair(a, b, degree)
+            assert _close_tuples([a, b], degree) == closure
+            whole = closure == {tuple(range(degree)), a, b}
+            for limit in range(1, len(closure) + 1):
+                expected = closure if whole or limit == len(closure) else None
+                assert _close_tuples([a, b], degree, limit) == expected
+    assert _close_tuples([(1, 0)], 2, 1) == {(0, 1), (1, 0)}
+    with pytest.raises(StructureError, match="exceeds the limit of 5"):
+        FiniteGroup.generated_by(s3().elements[1:3], limit=5)
 
 
 # --- coset spaces

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hopfgalois import transition
-from hopfgalois.errors import CapabilityError
+from hopfgalois.errors import CapabilityError, ConsistencyError
 from hopfgalois.perm import (FiniteGroup, Permutation, build_coset_space,
                              enumerate_regular_normalized, metacyclic_group,
                              opposite, right_translation_subgroup)
@@ -139,21 +139,63 @@ def test_det_symbolic_packs_eighth_powers_without_carries():
     assert det == cofactor_det(rows, 2)
 
 
+def _y0_power(m):
+    return (m,) + (0,) * (m - 1)
+
+
 def test_signed_canonical_det_recovers_the_unsorted_determinant(all_fixtures):
-    # the canonical determinant has a positive leading coefficient, and the
-    # sign recovers the transition matrix's determinant as built (rows in
-    # the structure's element order), also by cofactor expansion below size
-    # 8 (an 8 x 8 expansion takes about a second; det_symbolic is checked
+    # the canonical determinant has y0^m coefficient 1, and the sign
+    # recovers the transition matrix's determinant as built (rows in the
+    # structure's element order), also by cofactor expansion below size 8
+    # (an 8 x 8 expansion takes about a second; det_symbolic is checked
     # against it at 8 points above)
     for fx in all_fixtures:
         space = fx.coset_space()
         for n in fx.structures():
             poly, sign = signed_canonical_det(n, space)
-            assert poly.leading_term()[1] > 0
+            assert poly.terms[_y0_power(space.size)] == 1
             unsorted = poly if sign == 1 else -poly
             assert det_symbolic(_symbolic(n, space)) == unsorted
             if space.size < 8:
                 assert cofactor_det(_indices(n, space), space.size) == unsorted
+
+
+def _permutation_sign(images):
+    return (-1) ** (len(images) - len(Permutation(images).cycles()))
+
+
+def test_sign_is_read_off_the_latin_square(all_fixtures):
+    # y0 fills one permutation matrix of the transition matrix, row eta at
+    # the column x with eta(x) = 0, so the y0^m coefficient is that
+    # permutation's sign.  y0^m is the first printed term and the leading
+    # one in graded lex order
+    structures = 0
+    for fx in all_fixtures:
+        space = fx.coset_space()
+        m = space.size
+        for n in fx.structures():
+            structures += 1
+            columns = [eta.inverse()(0) for eta in n.elements]
+            det = det_symbolic(_symbolic(n, space))
+            assert det.terms[_y0_power(m)] == _permutation_sign(columns)
+            assert max(det.terms, key=lambda e: (sum(e), e)) == _y0_power(m)
+            poly, sign = signed_canonical_det(n, space)
+            assert sign == _permutation_sign(columns)
+            assert str(poly).startswith(f"y0^{m} ")
+    assert structures == 67
+
+
+def test_non_regular_subgroup_has_no_canonical_sign():
+    # <(0 1), (2 3)> has order 4 on 4 points but is not transitive: y0 sits
+    # in two rows of one column, and the determinant is 0
+    space = build_coset_space(
+        FiniteGroup.generated_by([Permutation([1, 2, 3, 0])]),
+        FiniteGroup.trivial(4))
+    n = FiniteGroup.generated_by([Permutation([1, 0, 2, 3]),
+                                  Permutation([0, 1, 3, 2])])
+    assert not det_symbolic(_symbolic(n, space))
+    with pytest.raises(ConsistencyError):
+        signed_canonical_det(n, space)
 
 
 def test_size_bound_enforced():
@@ -232,38 +274,48 @@ def test_packed_minors_of_singular_matrices_vanish():
     assert det_symbolic(rows) == cofactor_det(rows, 4)
 
 
+def _recording_expansions(monkeypatch):
+    # the packed levels _dense_det runs (one gather table each) and the
+    # matrices _sparse_det expands
+    levels, calls = [], []
+    times_variable = transition._times_variable
+    sparse_det = transition._sparse_det
+
+    def gathers(nvars, degree):
+        levels.append(degree)
+        return times_variable(nvars, degree)
+
+    def recording(matrix, nvars):
+        calls.append(matrix)
+        return sparse_det(matrix, nvars)
+    monkeypatch.setattr(transition, "_times_variable", gathers)
+    monkeypatch.setattr(transition, "_sparse_det", recording)
+    return levels, calls
+
+
 def test_packed_minors_fall_back_to_dicts_beyond_the_slot_bound(monkeypatch):
     # entries in +-200: the last level's bound, the row's absolute sum times
     # the largest coefficient below it, is about 2^69, past a 64-bit slot.
-    # The seven packed levels below it are kept: their 8 minors of size 7
-    # seed the dict expansion of the top row
+    # Seven levels are packed, then one dict expansion of the whole matrix
+    # replaces them
     rows = _dense_forms(random.Random(200), 8, 2, spread=200)
-    seeds = []
-    sparse_det = transition._sparse_det
-
-    def recording(matrix, nvars, below=None):
-        seeds.append((len(matrix), below and len(below)))
-        return sparse_det(matrix, nvars, below)
-    monkeypatch.setattr(transition, "_sparse_det", recording)
+    levels, calls = _recording_expansions(monkeypatch)
     assert det_symbolic(rows) == cofactor_det(rows, 2)
-    assert seeds == [(1, 8)]
+    assert levels == list(range(7))
+    assert calls == [rows]
 
 
 @pytest.mark.parametrize("spread, rows_left", [(10 ** 5, 3), (10 ** 8, 4),
                                                (10 ** 12, 5), (10 ** 19, 6)])
 def test_packed_minors_hand_over_at_any_level(spread, rows_left, monkeypatch):
-    # the larger the entries, the earlier a level overflows; at 10^19 even
-    # the first does, and the dict expansion starts from the empty minor
+    # the larger the entries, the earlier a level overflows, with rows_left
+    # rows still to expand (at 10^19 even the first level does); whichever
+    # it is, one dict expansion of the whole matrix replaces the packed one
     rows = _dense_forms(random.Random(spread), 6, 3, spread=spread)
-    left = []
-    sparse_det = transition._sparse_det
-
-    def recording(matrix, nvars, below=None):
-        left.append(len(matrix))
-        return sparse_det(matrix, nvars, below)
-    monkeypatch.setattr(transition, "_sparse_det", recording)
+    levels, calls = _recording_expansions(monkeypatch)
     assert det_symbolic(rows) == cofactor_det(rows, 3)
-    assert left == [rows_left]
+    assert levels == list(range(6 - rows_left))
+    assert calls == [rows]
 
 
 def test_transition_matrices_keep_the_dict_expansion(s3sextic, metacyclic21,
