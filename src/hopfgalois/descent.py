@@ -15,7 +15,7 @@ from .errors import ConsistencyError, StructureError
 from .numberfield import (FieldElement, GaloisContext, NumberField, Subfield,
                           _convolve_into, _packed_det, _reduce_int)
 from .perm import CosetSpace, FiniteGroup, is_normalized_by
-from .transition import transition_matrix_of
+from .transition import det_symbolic, form_values, transition_matrix_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,6 +309,12 @@ def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
     if sample.residues is not None and linalg.nonsingular_mod_p(
             transition_matrix_of(n, sample.residues), sample.prime):
         return True
+    return _exact_det_nonzero(n, sample)
+
+
+def _exact_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
+    """Whether the exact determinant in Z[t]/(f) of the transition matrix on
+    the sample's integer values (_packed_det) is nonzero."""
     return any(_packed_det(transition_matrix_of(n, sample.scaled),
                            sample.modulus))
 
@@ -357,6 +363,47 @@ def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
         raise ConsistencyError(
             "orbit rank and transition determinant disagree on a generator test")
     return by_rank
+
+
+def generator_verdicts(algebras, dets, samples) -> list[list[bool]]:
+    """[generates(a, s) for s in samples] for each algebra a, read off two
+    homogeneous forms of degree m per algebra, evaluated at every sample on
+    one table of monomial values per sample (transition.form_values).
+
+    The rank form R(c) = det[A_k c], for A_k the integer action matrices, is
+    the orbit's int_det as a polynomial in the integer coordinates c, built
+    by det_symbolic on the rows of the A_k: the rank route is R(c) != 0.
+    dets[i] is the canonical transition determinant of algebras[i]'s
+    structure, +- the transition determinant, so the determinant route
+    reads it at the sample's residues: nonzero mod p proves the exact
+    determinant nonzero; when it is zero mod p, or there are no residues,
+    the exact determinant runs (_exact_det_nonzero, as in
+    transition_det_nonzero).  The two routes must agree on every sample.
+    Two checks tie the forms to the per-sample test, per algebra: one
+    sample runs through generates too, the first non-generator if there is
+    one (a wrong zero or nonzero of either of its kernels shows there) and
+    the first sample otherwise; and R at the first sample must equal the
+    orbit's int_det."""
+    forms = [det_symbolic(a.int_action_matrices) for a in algebras]
+    by_rank = form_values(forms, [s.coords for s in samples])
+    by_det = form_values(dets, [s.residues for s in samples])
+    verdicts = [[] for _ in algebras]
+    for sample, ranks, values in zip(samples, by_rank, by_det):
+        for i, (algebra, rank) in enumerate(zip(algebras, ranks)):
+            nonzero = (values is not None and values[i] % sample.prime != 0
+                       or _exact_det_nonzero(algebra.subgroup, sample))
+            if nonzero != bool(rank):
+                raise ConsistencyError("orbit rank and transition determinant "
+                                       "disagree on a generator test")
+            verdicts[i].append(nonzero)
+    first = samples[0].coords
+    for algebra, rank, tested in zip(algebras, by_rank[0], verdicts):
+        k = tested.index(False) if False in tested else 0
+        if generates(algebra, samples[k]) != tested[k] \
+                or rank != linalg.int_det(algebra.orbit(first)):
+            raise ConsistencyError(
+                "generator forms disagree with the per-sample test")
+    return verdicts
 
 
 def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:

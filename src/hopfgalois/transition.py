@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Callable
 from functools import cache
 from itertools import combinations_with_replacement
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import CapabilityError, ConsistencyError
 from .perm import CosetSpace, FiniteGroup
@@ -158,6 +159,55 @@ def _monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     multisets of variables in lexicographic order."""
     return tuple(tuple(combo.count(j) for j in range(nvars))
                  for combo in combinations_with_replacement(range(nvars), degree))
+
+
+def _gather(indices) -> Callable:
+    """itemgetter(*indices), returning a tuple also for one index."""
+    get = itemgetter(*indices)
+    return get if len(indices) > 1 else lambda seq: (get(seq),)
+
+
+def _monomial_steps(wanted) -> list[tuple[Callable, Callable]]:
+    """The gathers that build the values of the monomials `wanted`, each
+    given as its multiset of variables (a sorted tuple), all of one degree
+    d, from a point: for each degree 1 .. d, one gather reads the monomials
+    one degree below, and one the point, so each monomial is one product:
+    the one without its last variable times that variable."""
+    steps = []
+    while wanted and wanted[0]:
+        below = sorted({combo[:-1] for combo in wanted})
+        position = {combo: i for i, combo in enumerate(below)}
+        steps.append((_gather([position[combo[:-1]] for combo in wanted]),
+                      _gather([combo[-1] for combo in wanted])))
+        wanted = below
+    return steps[::-1]
+
+
+def form_values(forms, points) -> list[list[int] | None]:
+    """The values of homogeneous IntPolynomials of one degree, all in the
+    same variables, at each integer point: one list per point, one value per
+    form, or None at a None point.  Each point costs one table of the
+    monomials the forms have (_monomial_steps), shared by the forms, and one
+    sum of products per form with its coefficients on that table."""
+    # multiset of variables -> the monomial's coefficient in each form
+    columns: dict[tuple[int, ...], list[int]] = {}
+    for i, form in enumerate(forms):
+        for e, c in form.terms.items():
+            combo = tuple(j for j, k in enumerate(e) for _ in range(k))
+            columns.setdefault(combo, [0] * len(forms))[i] = c
+    steps = _monomial_steps(list(columns))
+    rows = [[column[i] for column in columns.values()]
+            for i in range(len(forms))]
+    results = []
+    for point in points:
+        if point is None:
+            results.append(None)
+            continue
+        table = (1,)
+        for lower, variable in steps:
+            table = list(map(mul, lower(table), variable(point)))
+        results.append([sum(map(mul, row, table)) for row in rows])
+    return results
 
 
 @cache

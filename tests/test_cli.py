@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,58 @@ SUITE_SHA256 = {
 def test_suite_report_bytes_are_pinned(capsys, name):
     code, out = run(capsys, "--json", "--seed", "0", "suite", name)
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == SUITE_SHA256[name]
+
+
+# sha256 and exit code of each field fixture's `--json --seed S verify
+# generators` report at seeds 0 and 1, recorded while every sample ran
+# through generates: the forms route must leave them alone
+GENERATORS_SHA256 = {
+    ("qi", 0): ("c920e26a578f7194a63d8a266ff8cfc31806a0fc38e079788db9d93a955ec253", 0),
+    ("qi", 1): ("dc7c0f9678a70d69add69ca3a7e2841a69f3e64dcaa0f4cdb90e8daedb4ccaa2", 0),
+    ("qzeta3", 0): ("2024911094a27f80d3dce54dc7b7025b9b0903937317ebae4f9a9885a502ebda", 0),
+    ("qzeta3", 1): ("85256291d4207fcf636804cce260db4a37c183644be2b04db254c25d89a3dd5f", 0),
+    ("c4quartic", 0): ("fb203f3c6fcda9e77895528b2a2fd7401b798ba2180d57b4c297ce5cd14a0dab", 0),
+    ("c4quartic", 1): ("713ea9afa7a8ddb2de27abcb627f5c165db647063125beede9f77b2e40fa82eb", 0),
+    ("v4biquad", 0): ("f117856ca68ac29b24e2e4740f2eda6d0684e14baf745d14c7800bf6c76922cd", 0),
+    ("v4biquad", 1): ("4361e09a3064778308cf20d114ed3f7a1e691d9aef8b642ad6abe67614775f30", 0),
+    ("qcbrt2", 0): ("c1fbddef10ba0df8a989eba12d9b786de60a52f2c028a1769dd4db768bcb8c58", 0),
+    ("qcbrt2", 1): ("32d004e81147ac6845bb346b38b1f8f025f757510df4d4ab2b9390a7e37d09f0", 0),
+    ("s3sextic", 0): ("27ac1bb5d3efc621b5ac6d69769851793ebed7e82184c9c64eb95e8b224a106a", 0),
+    ("s3sextic", 1): ("61e01bec7446c9cd5dcc48af0c624ef4b00a16f5b73fbf180873582773b6d120", 0),
+}
+
+
+@pytest.mark.parametrize("name,seed", GENERATORS_SHA256)
+def test_generator_report_bytes_are_pinned(capsys, name, seed):
+    code, out = run(capsys, "--json", "--seed", str(seed), "verify",
+                    "generators", name)
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == \
+        GENERATORS_SHA256[name, seed]
+
+
+# fixtures on which the generator tests' two routes were timed, besides
+# the bundled ones: the cyclic quintic (m = 5) and Q(zeta_16) (m = 8)
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("fixture,forms", [
+    (str(DATA / "c5quintic.hgx"), True), ("s3sextic", False),
+    (str(DATA / "zeta16.hgx"), False)])
+def test_generator_tests_take_the_forms_up_to_degree_five(
+        capsys, monkeypatch, fixture, forms):
+    from hopfgalois import descent
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return descent.generator_verdicts(*args)
+    monkeypatch.setattr(cli, "generator_verdicts", recording)
+    monkeypatch.setattr(cli, "GENERATOR_SAMPLES", 4)
+    code, out = run(capsys, "--json", "verify", "generators", fixture)
+    checks = json.loads(out)["checks"]
+    assert code == 0 and checks
+    assert all(c["verdict"] == "PASS" for c in checks)
+    assert bool(calls) == forms
 
 
 # sha256 and exit code of `--json` freeness and theorem11 reports on the
@@ -353,10 +406,11 @@ def test_load_builds_the_integral_basis_matrices_once(capsys, monkeypatch):
 
 def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
         capsys, monkeypatch):
-    from hopfgalois import integral, linalg, numberfield
+    from hopfgalois import descent, fixtures, integral, linalg, numberfield
     from hopfgalois.numberfield import FieldElement, Subfield
     counts = {"generates": 0, "associated_order": 0, "coset_images": 0,
-              "from_coords": 0, "coords": 0}
+              "from_coords": 0, "coords": 0, "det_symbolic": 0,
+              "signed_canonical_det": 0}
     det_entries = []
 
     def counting(name, fn):
@@ -370,21 +424,35 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
         det_entries.append(mat[0][0])
         return exact_det(mat)
     monkeypatch.setattr(linalg, "int_det", det)
-    # the certificate runs its witness test through integral.generates
-    for module in (cli, integral):
+    # the generator forms tie themselves to one sample through
+    # descent.generates, and the certificate runs its witness test through
+    # integral.generates
+    for module in (cli, descent, integral):
         monkeypatch.setattr(module, "generates",
                             counting("generates", module.generates))
     monkeypatch.setattr(integral, "associated_order",
                         counting("associated_order", integral.associated_order))
+    # the rank forms are descent's symbolic determinants, and the canonical
+    # transition determinants are the fixture's
+    monkeypatch.setattr(descent, "det_symbolic",
+                        counting("det_symbolic", descent.det_symbolic))
+    monkeypatch.setattr(fixtures, "signed_canonical_det", counting(
+        "signed_canonical_det", fixtures.signed_canonical_det))
     code, _ = run(capsys, "suite", "c4quartic")
     assert code == 0
     # the trace-form determinants of the separability checks (and the
     # freeness witnesses) are over Z
     assert det_entries and not any(isinstance(e, FieldElement)
                                    for e in det_entries)
-    # both structures are self-opposite: 200 samples each, plus the
-    # certificate's one witness test (802 when each pair tested both sides)
-    assert counts["generates"] == 401
+    # both structures are self-opposite and m = 4, so their 200 samples are
+    # read off two forms each: one per-sample test per structure ties the
+    # forms to it, plus the certificate's one witness test (401 when every
+    # sample ran through generates, 802 when each pair tested both sides)
+    assert counts["generates"] == 2 + 1
+    # one rank form per tested structure; det-identity, det-specialization
+    # and the generator tests share one canonical determinant per structure
+    assert counts["det_symbolic"] == 2
+    assert counts["signed_canonical_det"] == 2
     # assoc-order, whose order the certificate reuses (3 when the
     # certificate built both sides, 2 when it built its own)
     assert counts["associated_order"] == 1
@@ -401,10 +469,12 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
                         counting("from_coords", Subfield.from_coords))
     monkeypatch.setattr(Subfield, "coords",
                         counting("coords", Subfield.coords))
-    counts.update(generates=0, coords=0)
+    counts.update(generates=0, coords=0, det_symbolic=0)
     code, _ = run(capsys, "verify", "generators", "c4quartic")
     assert code == 0
-    assert counts["generates"] == 2 * cli.GENERATOR_SAMPLES
+    # 2 * cli.GENERATOR_SAMPLES when every sample ran through generates
+    assert counts["generates"] == 2
+    assert counts["det_symbolic"] == 2
     assert counts["coset_images"] == 1
     assert counts["from_coords"] == 0
     assert counts["coords"] == 0
@@ -505,6 +575,52 @@ def test_a_flipped_generator_kernel_raises_consistency_error(capsys,
     assert first == ("internal error: ConsistencyError: orbit rank and "
                      "transition determinant disagree on a generator test")
     assert trace[0] == "Traceback (most recent call last):"
+
+
+def _internal_error(capsys, argv):
+    """The first stderr line of a command that must fail its cross-checks:
+    exit 4 with nothing on stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    return captured.err.splitlines()[0]
+
+
+def test_a_planted_rank_form_coefficient_raises_consistency_error(
+        capsys, monkeypatch):
+    # one coefficient of each rank form off by one: the form no longer
+    # vanishes on the non-generators, where the transition determinant does
+    from hopfgalois import descent
+    from hopfgalois.transition import IntPolynomial
+    symbolic = descent.det_symbolic
+
+    def off_by_one(matrix):
+        poly = symbolic(matrix)
+        e, c = next(iter(poly.terms.items()))
+        return IntPolynomial(poly.nvars, {**poly.terms, e: c + 1})
+    monkeypatch.setattr(descent, "det_symbolic", off_by_one)
+    assert _internal_error(capsys, ["verify", "generators", "c4quartic"]) == (
+        "internal error: ConsistencyError: orbit rank and transition "
+        "determinant disagree on a generator test")
+
+
+def test_a_flipped_transition_determinant_term_raises_consistency_error(
+        capsys, monkeypatch):
+    # one term of each canonical determinant with its sign flipped: it no
+    # longer vanishes mod p on the non-generators
+    from hopfgalois.fixtures import Fixture
+    from hopfgalois.transition import IntPolynomial
+    canonical = Fixture.transition_det
+
+    def flipped(self, index):
+        poly, sign = canonical(self, index)
+        e, c = next(iter(poly.terms.items()))
+        return IntPolynomial(poly.nvars, {**poly.terms, e: -c}), sign
+    monkeypatch.setattr(Fixture, "transition_det", flipped)
+    assert _internal_error(capsys, ["verify", "generators", "v4biquad"]) == (
+        "internal error: ConsistencyError: orbit rank and transition "
+        "determinant disagree on a generator test")
 
 
 def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,

@@ -537,6 +537,45 @@ def test_table_samples_take_the_exact_determinant_only_when_needed(
             assert verdicts[:2] == [False, False] and any(verdicts)
 
 
+def test_generator_verdicts_match_the_per_sample_test(field_fixtures):
+    # the forms route gives generates' verdict for every structure and
+    # sample, at seeds 0-4: seeded integer coordinates (c = 1) first, then
+    # coordinates over 2, 3, 6 and p (c > 1; residues None when p divides a
+    # reduced denominator), and the non-generators 0 and 1.  s3sextic
+    # (m = 6) is here too, though the command keeps generates for it
+    for fx in field_fixtures:
+        space, sub = fx.coset_space(), fx.subfield()
+        p, _ = fx.context.field.reduction_root()
+        count = len(fx.structures())
+        algebras = [fx.algebra(i) for i in range(count)]
+        dets = [fx.transition_det(i)[0] for i in range(count)]
+        scales, verdicts = set(), set()
+        no_residues = 0
+        for seed in range(5):
+            rng = random.Random(seed)
+            coords = [sub.random_coords(rng) for _ in range(6)]
+            coords += [_mixed_coords(rng, sub.dim, p) for _ in range(8)]
+            coords += [[0] * sub.dim, sub.coords(fx.context.field.one())]
+            samples = [_sample(sub, space, c) for c in coords]
+            expected = [[generates(a, s) for s in samples] for a in algebras]
+            assert descent.generator_verdicts(algebras, dets, samples) == \
+                expected, (fx.name, seed)
+            scales |= {s.scale // sub.coset_images(
+                space.representatives).denominator for s in samples}
+            no_residues += sum(s.residues is None for s in samples)
+            verdicts |= {v for row in expected for v in row}
+        assert max(scales) > 1 and no_residues and verdicts == {False, True}, \
+            fx.name
+
+
+def test_generator_verdicts_without_algebras_are_empty(qcbrt2):
+    # a field fixture may have no regular normalized structure, and so no
+    # pair to test
+    space, sub = qcbrt2.coset_space(), qcbrt2.subfield()
+    samples = [_sample(sub, space, c) for c in ([1, 2, 3], [0, 1, 0])]
+    assert descent.generator_verdicts([], [], samples) == []
+
+
 def test_table_sample_falls_back_on_a_planted_zero_mod_p(qi, monkeypatch):
     # x = p + i: the transition determinant of the two conjugates is
     # y0^2 - y1^2 = 4 p i, nonzero but zero mod p, so the test must take

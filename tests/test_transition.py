@@ -7,7 +7,8 @@ from hopfgalois.errors import CapabilityError, ConsistencyError
 from hopfgalois.perm import (FiniteGroup, Permutation, build_coset_space,
                              enumerate_regular_normalized, metacyclic_group,
                              opposite, right_translation_subgroup)
-from hopfgalois.transition import (IntPolynomial, det_identity, det_symbolic,
+from hopfgalois.transition import (IntPolynomial, _monomials, det_identity,
+                                   det_symbolic, form_values,
                                    signed_canonical_det, transition_matrix_of)
 
 from .oracles import RingPolynomial, cofactor_det, evaluate, unit_forms
@@ -42,6 +43,31 @@ def test_polynomial_evaluation_over_rationals():
     p = IntPolynomial(2, {(2, 0): 1, (0, 1): -3, (0, 0): 5})
     value = evaluate(p, [Fraction(1, 2), Fraction(2)], Fraction(1))
     assert value == Fraction(1, 4) - 6 + 5
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_form_values_match_term_by_term_evaluation(seed):
+    # 1-4 forms of one degree 0-5 in 1-4 variables, each on its own random
+    # set of monomials (a zero form among them), coefficients up to 2^40,
+    # at points with coordinates up to 2^20 and at None points
+    rng = random.Random(seed)
+    nvars, degree = rng.randint(1, 4), rng.randint(0, 5)
+    monomials = _monomials(nvars, degree)
+    forms = [IntPolynomial(nvars, {
+        e: rng.randint(-2 ** 40, 2 ** 40)
+        for e in rng.sample(monomials, rng.randint(0, len(monomials)))})
+        for _ in range(rng.randint(1, 4))]
+    points = [None if rng.random() < 0.2 else
+              [rng.randint(-2 ** 20, 2 ** 20) for _ in range(nvars)]
+              for _ in range(5)]
+    assert form_values(forms, points) == [
+        None if p is None else [evaluate(f, p, 1) for f in forms]
+        for p in points]
+
+
+def test_form_values_of_no_forms_are_empty():
+    # a fixture without tested structures has no forms to evaluate
+    assert form_values([], [[1, 2], None, [0, 3]]) == [[], None, []]
 
 
 # --- transition matrices
