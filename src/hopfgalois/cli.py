@@ -21,8 +21,8 @@ from .descent import (descend, generates, generator_sample, generator_verdicts,
                       verify_hopf_galois)
 from .errors import (ConsistencyError, FixtureValidationError, HopfGaloisError,
                      TheoremViolationError)
-from .fixtures import BUNDLED, Fixture, bundled_path, parse
-from .numberfield import _packed_det, _packed_value
+from .fixtures import _ASSERTED, BUNDLED, Fixture, bundled_path, parse
+from .numberfield import _packed_det, _packed_form_evaluator
 from .perm import (centralizer_bruteforce, group_queries, opposite,
                    right_translation_subgroup)
 from .transition import transition_matrix_of
@@ -160,17 +160,6 @@ def cmd_validate(fx: Fixture, args, report: Report):
     if fx.has_field:
         report.add("irreducibility", "PASS", fx.context.irreducibility)
     _check_assertions(fx, report)
-
-
-# assertion key -> its computed value, for every key the parser accepts
-_ASSERTED = {
-    "coset_count": lambda fx: fx.coset_space().size,
-    "structure_count": lambda fx: len(fx.structures()),
-    "center_order": lambda fx: fx.group.center().order(),
-    "nontrivial_proper_normal_orders": lambda fx: sorted(
-        h.order() for h in group_queries(fx.group).normal_subgroups
-        if 1 < h.order() < fx.group.order()),
-}
 
 
 def _check_assertions(fx: Fixture, report: Report):
@@ -402,18 +391,20 @@ def _specialization_checks(fx: Fixture, report: Report, rng: random.Random):
     of random integer subfield coordinates (CosetImages.vectors), D times
     the true ones: the determinant is homogeneous of degree m, so each side
     is D^m times its value over E, and the two are compared after reduction
-    by f."""
+    by f.  The symbolic side is the generator forms' evaluator on packed
+    points (numberfield._packed_form_evaluator), planned once per structure;
+    the numeric side is _packed_det, which shares no code with it."""
     sub = fx.subfield()
     table = sub.coset_images(fx.coset_space().representatives)
     modulus = fx.context.field.modulus
     for i, n in enumerate(fx.structures()):
         poly, sign = fx.transition_det(i)
+        symbolic = _packed_form_evaluator(poly, modulus)
         ok = True
         for _ in range(SPECIALIZATION_POINTS):
             ints = table.vectors(sub.random_coords(rng))
             numeric = _packed_det(transition_matrix_of(n, ints), modulus)
-            if [sign * c for c in _packed_value(poly.terms, ints, modulus)] \
-                    != numeric:
+            if [sign * c for c in symbolic(ints)] != numeric:
                 ok = False
                 break
         report.add(f"det-specialization[{i}]", "PASS" if ok else "FAIL",

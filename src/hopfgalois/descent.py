@@ -15,7 +15,7 @@ from .errors import ConsistencyError, StructureError
 from .numberfield import (FieldElement, GaloisContext, NumberField, Subfield,
                           _convolve_into, _packed_det, _reduce_int)
 from .perm import CosetSpace, FiniteGroup, is_normalized_by
-from .transition import det_symbolic, form_values, transition_matrix_of
+from .transition import det_symbolic, form_evaluator, transition_matrix_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,7 +368,8 @@ def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
 def generator_verdicts(algebras, dets, samples) -> list[list[bool]]:
     """[generates(a, s) for s in samples] for each algebra a, read off two
     homogeneous forms of degree m per algebra, evaluated at every sample on
-    one table of monomial values per sample (transition.form_values).
+    one table of monomial values per sample (transition.form_evaluator,
+    planned once for each of the two sets of forms).
 
     The rank form R(c) = det[A_k c], for A_k the integer action matrices, is
     the orbit's int_det as a polynomial in the integer coordinates c, built
@@ -384,11 +385,13 @@ def generator_verdicts(algebras, dets, samples) -> list[list[bool]]:
     one (a wrong zero or nonzero of either of its kernels shows there) and
     the first sample otherwise; and R at the first sample must equal the
     orbit's int_det."""
-    forms = [det_symbolic(a.int_action_matrices) for a in algebras]
-    by_rank = form_values(forms, [s.coords for s in samples])
-    by_det = form_values(dets, [s.residues for s in samples])
+    ranks_at = form_evaluator([det_symbolic(a.int_action_matrices)
+                               for a in algebras])
+    dets_at = form_evaluator(dets)
+    by_rank = [ranks_at(s.coords) for s in samples]
     verdicts = [[] for _ in algebras]
-    for sample, ranks, values in zip(samples, by_rank, by_det):
+    for sample, ranks in zip(samples, by_rank):
+        values = None if sample.residues is None else dets_at(sample.residues)
         for i, (algebra, rank) in enumerate(zip(algebras, ranks)):
             nonzero = (values is not None and values[i] % sample.prime != 0
                        or _exact_det_nonzero(algebra.subgroup, sample))

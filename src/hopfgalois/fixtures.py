@@ -24,7 +24,7 @@ from .integral import FractionalIdeal, Lattice, _combined
 from .numberfield import GaloisContext, Subfield, fixed_subfield, load_field
 from .perm import (GROUP_ORDER_BOUND, CosetSpace, FiniteGroup, Permutation,
                    build_coset_space, enumerate_regular_normalized,
-                   metacyclic_group, opposite)
+                   group_queries, metacyclic_group, opposite)
 from .transition import signed_canonical_det
 
 BUNDLED = ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic",
@@ -456,8 +456,15 @@ def _build_ideal(name, vectors, context, sub: Subfield, ring, problems):
         return None
 
 
-_KNOWN_ASSERTIONS = {"coset_count", "structure_count", "center_order",
-                     "nontrivial_proper_normal_orders"}
+# assertion key -> its computed value; the parser accepts these keys only
+_ASSERTED = {
+    "coset_count": lambda fx: fx.coset_space().size,
+    "structure_count": lambda fx: len(fx.structures()),
+    "center_order": lambda fx: fx.group.center().order(),
+    "nontrivial_proper_normal_orders": lambda fx: sorted(
+        h.order() for h in group_queries(fx.group).normal_subgroups
+        if 1 < h.order() < fx.group.order()),
+}
 
 
 def _validate_assertions(block, problems):
@@ -468,7 +475,7 @@ def _validate_assertions(block, problems):
         return {}
     out = {}
     for key, spec in block.items():
-        if key not in _KNOWN_ASSERTIONS:
+        if key not in _ASSERTED:
             problems.append(f"assertions.{key}: unknown assertion")
             continue
         if not isinstance(spec, dict) or "value" not in spec:

@@ -152,9 +152,7 @@ def associated_order(algebra: DescendedAlgebra, ideal: FractionalIdeal) -> Assoc
     # basis element c/d_L acts on the ideal as sum_k c_k S_k / (d_L D)
     q = lattice.denominator * scale
     actions = []
-    for c in lattice.rows:
-        mat = [[sum(ck * s[i][j] for ck, s in zip(c, scaled)) for j in range(m)]
-               for i in range(m)]
+    for mat in _combined(scaled, lattice.rows):
         if any(v % q for row in mat for v in row):
             raise ConsistencyError("order element does not stabilize the ideal")
         actions.append(_flat_matrix([[v // q for v in row] for row in mat]))
@@ -282,27 +280,33 @@ def _unit_points(poly: IntPolynomial, bound: int):
             if v == 1 or v == -1:
                 yield prefix + tails[s], v
 
-    def walk(level, coeffs, prefix, zero):
-        for t in range(-bound, 1) if zero else points:
-            if level == len(plans):
+    if not heads:
+        yield from decode(coeffs[()] + offset & low, (), True)
+        return
+    # depth first over the head prefixes, each with the coefficients left
+    # once it is substituted; a prefix's children are pushed in reverse, so
+    # they are popped in lexicographic order
+    stack = [(0, list(coeffs.values()), (), True)]
+    while stack:
+        level, coeffs, prefix, zero = stack.pop()
+        choices = range(-bound, 1) if zero else points
+        if level == len(plans):
+            for t in choices:
                 q = sum(map(mul, coeffs, last[t])) + offset
                 if zero and not t:
                     q &= low
                 x = q & keep ^ highs
                 if (x - ones) & ~x & highs:
                     yield from decode(q, prefix + (t,), zero and not t)
-                continue
-            size, plan = plans[level]
+            continue
+        size, plan = plans[level]
+        children = []
+        for t in choices:
             pw, out = powers[t], [0] * size
             for (d, j), c in zip(plan, coeffs):
                 out[j] += c * pw[d]
-            yield from walk(level + 1, out, prefix + (t,), zero and not t)
-
-    if heads:
-        yield from walk(0, list(coeffs.values()), (), True)
-    else:
-        q = coeffs[()] + offset & low
-        yield from decode(q, (), True)
+            children.append((level + 1, out, prefix + (t,), zero and not t))
+        stack.extend(reversed(children))
 
 
 def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,

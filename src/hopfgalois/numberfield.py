@@ -11,15 +11,13 @@ from operator import mul
 
 from . import linalg
 from .errors import CapabilityError, ConsistencyError, DomainError, StructureError
-from .perm import FiniteGroup
+from .perm import ENUMERATION_BOUND, FiniteGroup
+from .transition import form_evaluator
 
 MAX_DEGREE = 12
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the mod-p certificates reduce at a prime no smaller than this
 REDUCTION_PRIME_MIN = 10007
-# determinants over E are taken of matrices indexed by a coset space, whose
-# size is bounded by 8 (perm.ENUMERATION_BOUND)
-FIELD_DET_SIZE_BOUND = 8
 # the rational-root test tries every divisor d <= sqrt|a0| of the constant
 # term a0: a million at this bound
 RATIONAL_ROOT_BOUND = 10 ** 12
@@ -237,9 +235,9 @@ def _packed_det(rows, modulus) -> list[int]:
     norm of an entry, it is a sum of m! products of m entries, so its
     coefficients are at most m! L^m in absolute value."""
     m, n = len(rows), len(modulus) - 1
-    if m > FIELD_DET_SIZE_BOUND:
+    if m > ENUMERATION_BOUND:
         raise CapabilityError(f"matrix size {m} exceeds the field determinant "
-                              f"bound {FIELD_DET_SIZE_BOUND}")
+                              f"bound {ENUMERATION_BOUND}")
     distinct = {id(e): e for row in rows for e in row}
     largest = max(sum(map(abs, e)) for e in distinct.values())
     width = _slot_bytes(factorial(m) * largest ** m)
@@ -264,36 +262,30 @@ def _packed_det(rows, modulus) -> list[int]:
     return _reduce_int(_unpack(full, m * (n - 1) + 1, width), modulus)
 
 
-def _packed_value(terms, ints, modulus) -> list[int]:
-    """Coordinates in Z[t]/(f), f the monic modulus, of the integer
-    polynomial whose terms map exponents (e_0, .., e_{m-1}) to c, at the
-    elements of Z[t]/(f) with integer coordinate vectors ints[k]: the sum of
-    c * prod ints[k]^e_k over the terms.  The values are packed once and
-    raised to powers, each term is a product of packed integers with no
-    reduction in between, and the sum is unpacked and reduced by f once.
+def _packed_form_evaluator(form, modulus):
+    """The value of a homogeneous IntPolynomial as a function of the
+    elements of Z[t]/(f), f the monic modulus, given by their integer
+    coordinate vectors ints[k]: its coordinates in Z[t]/(f).  The form's
+    evaluator (transition.form_evaluator) is planned once.  Each point is
+    packed at t = 2^(8 w), a ring map Z[t] -> Z, so the evaluator's integer
+    sums and products give the packed value; it is unpacked and reduced by
+    f once.
 
-    Slot width: only the sum is unpacked.  With L the largest l1 norm of a
-    value, its coefficients are at most sum |c| L^deg in absolute value."""
+    Slot width: only the value is unpacked.  With L the largest l1 norm of
+    an element and d the degree, its coefficients are at most sum |c| L^d
+    in absolute value."""
+    evaluate = form_evaluator([form])
+    degree = max(map(sum, form.terms), default=0)
+    size = sum(map(abs, form.terms.values()))
     n = len(modulus) - 1
-    degrees = list(map(sum, terms))
-    top = max(degrees, default=0)
-    largest = max((sum(map(abs, v)) for v in ints), default=0)
-    width = _slot_bytes(sum(abs(c) * largest ** d
-                            for c, d in zip(terms.values(), degrees)))
-    powers = []
-    for v, highest in zip(ints, map(max, zip(*terms))):
-        row = [1, _pack(v, width)]
-        for _ in range(highest - 1):
-            row.append(row[-1] * row[1])
-        powers.append(row)
-    total = 0
-    for exps, term in terms.items():
-        for k, e in enumerate(exps):
-            if e:
-                term *= powers[k][e]
-        total += term
-    slots = max(top * (n - 1) + 1, n)
-    return _reduce_int(_unpack(total, slots, width), modulus)
+    slots = max(degree * (n - 1) + 1, n)
+
+    def value(ints):
+        largest = max(sum(map(abs, v)) for v in ints)
+        width = _slot_bytes(size * largest ** degree)
+        (packed,) = evaluate([_pack(v, width) for v in ints])
+        return _reduce_int(_unpack(packed, slots, width), modulus)
+    return value
 
 
 def _rational_roots(coeffs) -> list[int]:

@@ -10,6 +10,8 @@ from math import lcm
 
 from .errors import CapabilityError, StructureError
 
+# the coset-space size bound: regular subgroups are enumerated, and symbolic
+# and field determinants are taken, only on coset spaces of at most this size
 ENUMERATION_BOUND = 8
 # FiniteGroup checks closure with |G|^2 products and metacyclic_group builds
 # |G| permutations of degree |G|: descriptors declare at most this order
@@ -330,24 +332,26 @@ def _power_free_candidates(size: int):
     lexicographic order.  Built cycle type by cycle type: for each divisor
     d > 1 of size, every permutation made of d-cycles only."""
     out = [tuple(range(size))]
-
-    def fill(images, free, d):
-        if not free:
-            out.append(tuple(images))
-            return
-        # the cycle through the least free point, in the order it is visited
-        start, rest = free[0], free[1:]
-        for tail in itertools.permutations(rest, d - 1):
-            cycle = (start, *tail)
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a] = b
-            fill(images, [x for x in rest if x not in tail], d)
-
     for d in range(2, size + 1):
         if size % d == 0:
-            fill([0] * size, list(range(size)), d)
+            _fill_cycles(out, [0] * size, list(range(size)), d)
     out.sort()
     return out
+
+
+def _fill_cycles(out, images, free, d):
+    """Append to out every completion of the partial images that moves the
+    free points in d-cycles."""
+    if not free:
+        out.append(tuple(images))
+        return
+    # the cycle through the least free point, in the order it is visited
+    start, rest = free[0], free[1:]
+    for tail in itertools.permutations(rest, d - 1):
+        cycle = (start, *tail)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+        _fill_cycles(out, images, [x for x in rest if x not in tail], d)
 
 
 def enumerate_regular_normalized(space: CosetSpace) -> list[FiniteGroup]:
@@ -397,20 +401,20 @@ def enumerate_regular_normalized(space: CosetSpace) -> list[FiniteGroup]:
             frontier = new
         return group
 
+    # depth first over the partial groups; the results are sorted below
     results: set[frozenset] = set()
-
-    def extend(group: set[tuple[int, ...]]):
-        hits = {p[base] for p in group}
+    partial = [{identity}]
+    while partial:
+        group = partial.pop()
         if len(group) == size:
             results.add(frozenset(group))
-            return
+            continue
+        hits = {p[base] for p in group}
         target = min(c for c in range(size) if c not in hits)
         for cand in pool.get(target, []):
             bigger = close(group | {cand})
             if bigger is not None:
-                extend(bigger)
-
-    extend({identity})
+                partial.append(bigger)
     subgroups = [FiniteGroup(Permutation(t) for t in g) for g in results]
     subgroups.sort(key=lambda n: n.elements)
     return subgroups

@@ -18,9 +18,7 @@ from itertools import combinations_with_replacement
 from operator import itemgetter, mul
 
 from .errors import CapabilityError, ConsistencyError
-from .perm import CosetSpace, FiniteGroup
-
-DET_SIZE_BOUND = 8
+from .perm import ENUMERATION_BOUND, CosetSpace, FiniteGroup
 
 
 def _term_sort_key(term):
@@ -99,9 +97,9 @@ def det_symbolic(matrix) -> IntPolynomial:
     kept as dicts; any other (a norm form) has nearly dense minors, packed
     (_dense_det) for as long as a level's coefficients fit their slots."""
     m, nvars = len(matrix), len(matrix[0][0])
-    if m > DET_SIZE_BOUND:
-        raise CapabilityError(
-            f"matrix size {m} exceeds the symbolic determinant bound {DET_SIZE_BOUND}")
+    if m > ENUMERATION_BOUND:
+        raise CapabilityError(f"matrix size {m} exceeds the symbolic "
+                              f"determinant bound {ENUMERATION_BOUND}")
     if any(sum(map(bool, form)) > 1 for row in matrix for form in row):
         return IntPolynomial(nvars, _dense_det(matrix, nvars))
     return IntPolynomial(nvars, _sparse_det(matrix, nvars))
@@ -183,12 +181,13 @@ def _monomial_steps(wanted) -> list[tuple[Callable, Callable]]:
     return steps[::-1]
 
 
-def form_values(forms, points) -> list[list[int] | None]:
+def form_evaluator(forms) -> Callable[[list[int]], list[int]]:
     """The values of homogeneous IntPolynomials of one degree, all in the
-    same variables, at each integer point: one list per point, one value per
-    form, or None at a None point.  Each point costs one table of the
-    monomials the forms have (_monomial_steps), shared by the forms, and one
-    sum of products per form with its coefficients on that table."""
+    same variables, as a function of an integer point: one value per form.
+    The plan is made once: the monomials the forms have, and each form's
+    coefficients on them.  Each point then costs one table of those
+    monomials' values (_monomial_steps), shared by the forms, and one sum of
+    products per form with its coefficients on that table."""
     # multiset of variables -> the monomial's coefficient in each form
     columns: dict[tuple[int, ...], list[int]] = {}
     for i, form in enumerate(forms):
@@ -198,16 +197,13 @@ def form_values(forms, points) -> list[list[int] | None]:
     steps = _monomial_steps(list(columns))
     rows = [[column[i] for column in columns.values()]
             for i in range(len(forms))]
-    results = []
-    for point in points:
-        if point is None:
-            results.append(None)
-            continue
+
+    def evaluate(point):
         table = (1,)
         for lower, variable in steps:
             table = list(map(mul, lower(table), variable(point)))
-        results.append([sum(map(mul, row, table)) for row in rows])
-    return results
+        return [sum(map(mul, row, table)) for row in rows]
+    return evaluate
 
 
 @cache

@@ -681,22 +681,27 @@ def _recorded_points(monkeypatch):
 
 
 def _planted_value_fault(fault, points):
-    """_packed_value with one planted fault: a coefficient off by one, the
-    sign flipped, or a value scale^(d+1) times the true one in place of
-    scale^d, for scale that of the point last drawn (as if divided by
-    scale^(d-1) in place of scale^d)."""
-    from hopfgalois.numberfield import _packed_value
+    """_packed_form_evaluator with one planted fault: a coefficient off by
+    one, the sign flipped, or a value scale^(d+1) times the true one in
+    place of scale^d, for scale that of the point last drawn (as if divided
+    by scale^(d-1) in place of scale^d)."""
+    from hopfgalois.numberfield import _packed_form_evaluator
+    from hopfgalois.transition import IntPolynomial
 
-    def planted(terms, ints, modulus):
+    def planted(form, modulus):
         if fault == "coefficient":
-            exps = next(iter(terms))
-            terms = {**terms, exps: terms[exps] + 1}
-        value = _packed_value(terms, ints, modulus)
-        if fault == "sign":
-            return [-c for c in value]
-        if fault == "scale":
-            return [c * points[-1][0] for c in value]
-        return value
+            exps = next(iter(form.terms))
+            form = IntPolynomial(form.nvars,
+                                 {**form.terms, exps: form.terms[exps] + 1})
+        value = _packed_form_evaluator(form, modulus)
+
+        def faulty(ints):
+            if fault == "sign":
+                return [-c for c in value(ints)]
+            if fault == "scale":
+                return [c * points[-1][0] for c in value(ints)]
+            return value(ints)
+        return faulty
     return planted
 
 
@@ -704,7 +709,8 @@ def _planted_value_fault(fault, points):
 def test_det_specialization_fails_on_a_planted_fault(monkeypatch, fault):
     import random
     points = _recorded_points(monkeypatch)
-    monkeypatch.setattr(cli, "_packed_value", _planted_value_fault(fault, points))
+    monkeypatch.setattr(cli, "_packed_form_evaluator",
+                        _planted_value_fault(fault, points))
     # qcbrt2's coset values have denominators, so scale > 1 occurs
     fx = load_bundled("qcbrt2")
     report = cli.Report(["suite", "qcbrt2"], fx.name, 0)
@@ -712,6 +718,32 @@ def test_det_specialization_fails_on_a_planted_fault(monkeypatch, fault):
     assert max(scale for scale, _ in points) > 1
     verdicts = {c["verdict"] for c in report.checks}
     assert verdicts == ({"PASS"} if fault is None else {"FAIL"})
+
+
+def test_det_specialization_draws_until_the_first_failing_point(monkeypatch):
+    # every point passes: SPECIALIZATION_POINTS draws per structure; a
+    # failing third point of structure 0 ends its draws there, and the
+    # later structures draw on from the same seeded stream
+    import random
+    from hopfgalois.numberfield import _packed_form_evaluator
+    points = _recorded_points(monkeypatch)
+    fx = load_bundled("c4quartic")
+    count = len(fx.structures())
+    assert count >= 2
+    cli._specialization_checks(fx, cli.Report([], fx.name, 0), random.Random(0))
+    passing = list(points)
+    assert len(passing) == cli.SPECIALIZATION_POINTS * count
+
+    def failing_at_the_third_point(form, modulus):
+        value = _packed_form_evaluator(form, modulus)
+        return lambda ints: [c + (len(points) == 3) for c in value(ints)]
+    monkeypatch.setattr(cli, "_packed_form_evaluator", failing_at_the_third_point)
+    points.clear()
+    report = cli.Report([], fx.name, 0)
+    cli._specialization_checks(fx, report, random.Random(0))
+    assert len(points) == 3 + cli.SPECIALIZATION_POINTS * (count - 1)
+    assert points == passing[:len(points)]
+    assert [c["verdict"] for c in report.checks] == ["FAIL"] + ["PASS"] * (count - 1)
 
 
 def _coords_over_2_3_6(subfield, rng):
@@ -1059,6 +1091,49 @@ def test_validate_checks_the_assertions(capsys):
                      "assertion:coset_count",
                      "assertion:nontrivial_proper_normal_orders",
                      "assertion:structure_count"]
+
+
+def test_every_assertion_the_parser_accepts_is_computed_by_validate(
+        tmp_path, capsys):
+    from hopfgalois.fixtures import _ASSERTED
+    doc = _c4quartic_descriptor()
+    doc["assertions"] = {key: {"value": None} for key in _ASSERTED}
+    path = tmp_path / "asserted.hgx"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "--json", "validate", str(path))
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    for key in _ASSERTED:
+        check = checks[f"assertion:{key}"]
+        assert check["verdict"] == "FAIL"
+        assert check["details"]["actual"] is not None
+    doc["assertions"] = {"unknown_key": {"value": 1}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "assertions.unknown_key: unknown assertion" in \
+        captured.out + captured.err
+
+
+def test_commands_leave_no_package_function_in_a_reference_cycle(capsys):
+    # a nested function that calls itself is a cycle through its closure:
+    # the collector, not reference counting, frees it and all it holds
+    import gc
+    import types
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in (["freeness", "s3sextic", "--n", "0", "--ideal", "OL"],
+                     ["enumerate", "metacyclic21"], ["suite", "c4quartic"]):
+            main(argv)
+        gc.collect()
+        cyclic = sorted({f"{f.__module__}.{f.__qualname__}" for f in gc.garbage
+                         if isinstance(f, types.FunctionType)
+                         and f.__module__.startswith("hopfgalois")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert cyclic == []
 
 
 def test_assoc_order_prints_hnf_with_denominator(capsys):

@@ -8,13 +8,13 @@ from hopfgalois import linalg
 from hopfgalois.descent import _residues
 from hopfgalois.errors import CapabilityError, DomainError, StructureError
 from hopfgalois.fixtures import load_bundled
-from hopfgalois.numberfield import (FIELD_DET_SIZE_BOUND, RATIONAL_ROOT_BOUND,
-                                    REDUCTION_PRIME_MIN, FieldElement, NumberField, _int_mul,
-                                    _packed_det, _packed_value, _poly_mod_p,
-                                    _polydivmod_p, _polymul_p,
+from hopfgalois.numberfield import (RATIONAL_ROOT_BOUND, REDUCTION_PRIME_MIN,
+                                    FieldElement, NumberField, _int_mul,
+                                    _packed_det, _packed_form_evaluator,
+                                    _poly_mod_p, _polydivmod_p, _polymul_p,
                                     _reduction_root, check_irreducible,
                                     fixed_subfield, load_field)
-from hopfgalois.perm import FiniteGroup, Permutation
+from hopfgalois.perm import ENUMERATION_BOUND, FiniteGroup, Permutation
 from hopfgalois.transition import IntPolynomial
 
 from .oracles import (FractionSolver, det, evaluate, fraction_product,
@@ -535,14 +535,16 @@ def _det_in_e(matrix):
 
 
 def _value_in_e(terms, values):
-    """The polynomial's value over E by _packed_value: D^d times it, for d
-    the top degree, on the values times D, each term lifted by D^(d - its
-    degree)."""
+    """The polynomial's value over E by _packed_form_evaluator: D^d times
+    it, for d the top degree, on the values times D and one more variable
+    of value D, which lifts each term to degree d (the form is
+    homogeneous)."""
     field = values[0].field
     den, ints = linalg._clear_denominators([x.coords for x in values])
     top = max(map(sum, terms), default=0)
-    lifted = {e: c * den ** (top - sum(e)) for e, c in terms.items()}
-    value = _packed_value(lifted, ints, field.modulus)
+    form = IntPolynomial(len(values) + 1, {
+        (*e, top - sum(e)): c for e, c in terms.items()})
+    value = _packed_form_evaluator(form, field.modulus)(ints + [[den]])
     return field.element(value) / den ** top
 
 
@@ -597,7 +599,7 @@ def test_field_det_matches_gaussian_elimination(field_fixtures):
 
 def test_field_det_at_the_size_bound_on_a_quartic_field(c4quartic):
     field = c4quartic.context.field
-    matrix = _random_matrix(field, FIELD_DET_SIZE_BOUND, random.Random(22))
+    matrix = _random_matrix(field, ENUMERATION_BOUND, random.Random(22))
     assert _det_in_e(matrix) == det(matrix)
 
 
@@ -641,7 +643,7 @@ def test_field_det_of_singular_matrices(field_fixtures):
 
 def test_field_det_above_the_size_bound_is_a_capability_error(qi):
     field = qi.context.field
-    size = FIELD_DET_SIZE_BOUND + 1
+    size = ENUMERATION_BOUND + 1
     identity = [[field.one() if i == j else field.zero() for j in range(size)]
                 for i in range(size)]
     with pytest.raises(CapabilityError, match="field determinant bound"):

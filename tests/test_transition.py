@@ -8,7 +8,7 @@ from hopfgalois.perm import (FiniteGroup, Permutation, build_coset_space,
                              enumerate_regular_normalized, metacyclic_group,
                              opposite, right_translation_subgroup)
 from hopfgalois.transition import (IntPolynomial, _monomials, det_identity,
-                                   det_symbolic, form_values,
+                                   det_symbolic, form_evaluator,
                                    signed_canonical_det, transition_matrix_of)
 
 from .oracles import RingPolynomial, cofactor_det, evaluate, unit_forms
@@ -49,7 +49,7 @@ def test_polynomial_evaluation_over_rationals():
 def test_form_values_match_term_by_term_evaluation(seed):
     # 1-4 forms of one degree 0-5 in 1-4 variables, each on its own random
     # set of monomials (a zero form among them), coefficients up to 2^40,
-    # at points with coordinates up to 2^20 and at None points
+    # at points with coordinates up to 2^20, by one evaluator
     rng = random.Random(seed)
     nvars, degree = rng.randint(1, 4), rng.randint(0, 5)
     monomials = _monomials(nvars, degree)
@@ -57,17 +57,17 @@ def test_form_values_match_term_by_term_evaluation(seed):
         e: rng.randint(-2 ** 40, 2 ** 40)
         for e in rng.sample(monomials, rng.randint(0, len(monomials)))})
         for _ in range(rng.randint(1, 4))]
-    points = [None if rng.random() < 0.2 else
-              [rng.randint(-2 ** 20, 2 ** 20) for _ in range(nvars)]
+    points = [[rng.randint(-2 ** 20, 2 ** 20) for _ in range(nvars)]
               for _ in range(5)]
-    assert form_values(forms, points) == [
-        None if p is None else [evaluate(f, p, 1) for f in forms]
-        for p in points]
+    values = form_evaluator(forms)
+    for p in points:
+        assert values(p) == [evaluate(f, p, 1) for f in forms]
 
 
 def test_form_values_of_no_forms_are_empty():
     # a fixture without tested structures has no forms to evaluate
-    assert form_values([], [[1, 2], None, [0, 3]]) == [[], None, []]
+    values = form_evaluator([])
+    assert values([1, 2]) == values([0, 3]) == []
 
 
 # --- transition matrices
