@@ -23,7 +23,7 @@ from .errors import (ConsistencyError, FixtureValidationError, HopfGaloisError,
                      TheoremViolationError)
 from .fixtures import _ASSERTED, BUNDLED, Fixture, bundled_path, parse
 from .numberfield import _packed_det, _packed_form_evaluator
-from .perm import (centralizer_bruteforce, group_queries, opposite,
+from .perm import (centralizer_bruteforce, group_queries,
                    right_translation_subgroup)
 from .transition import transition_matrix_of
 
@@ -43,12 +43,14 @@ SPECIALIZATION_POINTS = 20
 
 
 class Report:
-    """Accumulates per-check records; verdicts are PASS, FAIL, or UNKNOWN."""
+    """Accumulates per-check records; verdicts are PASS, FAIL, or UNKNOWN.
+    `rng` is the command's one seeded stream, drawn by its checks in turn."""
 
     def __init__(self, command: list[str], fixture: str, seed: int):
         self.command = list(command)
         self.fixture = fixture
         self.seed = seed
+        self.rng = random.Random(seed)
         self.checks: list[dict] = []
         self.started = time.monotonic()
 
@@ -187,7 +189,8 @@ def cmd_opposite_suite(fx: Fixture, args, report: Report):
     space = fx.coset_space()
     for i, (n, opp) in enumerate(zip(structs, fx.opposites())):
         ok_centralizer = set(opp.elements) == set(centralizer_bruteforce(n, space))
-        ok_involution = opposite(opp, space) == n
+        # the opposite of opp, built once as that of its own structure
+        ok_involution = fx.opposites()[fx.opposite_indices()[i]] == n
         ok_order = len(opp.elements) == len(n.elements)
         inter = set(n.elements) & set(opp.elements)
         ok_center = inter == set(n.center().elements)
@@ -248,7 +251,7 @@ def cmd_descend(fx: Fixture, args, report: Report):
                action_matrices=json.dumps(matrices))
 
 
-def _verify_commuting(fx: Fixture, report: Report, rng: random.Random):
+def _verify_commuting(fx: Fixture, report: Report):
     count = len(fx.structures())
     opposites = fx.opposite_indices()
     # verify_commuting is symmetric: one call per unordered pair
@@ -262,25 +265,25 @@ def _verify_commuting(fx: Fixture, report: Report, rng: random.Random):
                        commute=actual, opposite_pair=expected)
 
 
-def _verify_hopf_galois(fx: Fixture, report: Report, rng: random.Random):
+def _verify_hopf_galois(fx: Fixture, report: Report):
     for i in range(len(fx.structures())):
         ok = verify_hopf_galois(fx.algebra(i))
         report.add(f"hopf-galois[{i}]", "PASS" if ok else "FAIL", "theorem")
 
 
-def _verify_separable(fx: Fixture, report: Report, rng: random.Random):
+def _verify_separable(fx: Fixture, report: Report):
     for i in range(len(fx.structures())):
         ok = is_separable(fx.algebra(i))
         report.add(f"separable[{i}]", "PASS" if ok else "FAIL", "theorem")
 
 
-def _verify_generators(fx: Fixture, report: Report, rng: random.Random):
+def _verify_generators(fx: Fixture, report: Report):
     sub = fx.subfield()
     opposites = fx.opposite_indices()
     pairs = sorted({tuple(sorted((i, opposites[i])))
                     for i in range(len(fx.structures()))})
     space = fx.coset_space()
-    samples = [generator_sample(sub, space, 1, sub.random_coords(rng))
+    samples = [generator_sample(sub, space, 1, sub.random_coords(report.rng))
                for _ in range(GENERATOR_SAMPLES)]
     # one test per structure and sample: a self-opposite structure is
     # both sides of its pair
@@ -304,8 +307,8 @@ VERIFY = {"hopf-galois": _verify_hopf_galois, "separable": _verify_separable,
           "commuting": _verify_commuting, "generators": _verify_generators}
 
 
-def cmd_verify(fx: Fixture, args, report: Report, rng: random.Random):
-    VERIFY[args.property](fx, report, rng)
+def cmd_verify(fx: Fixture, args, report: Report):
+    VERIFY[args.property](fx, report)
 
 
 def cmd_assoc_order(fx: Fixture, args, report: Report):
@@ -368,23 +371,23 @@ def cmd_theorem11(fx: Fixture, args, report: Report, order=None):
                        "theorem")
 
 
-def cmd_suite(fx: Fixture, args, report: Report, rng: random.Random):
+def cmd_suite(fx: Fixture, args, report: Report):
     cmd_enumerate(fx, args, report)
     cmd_opposite_suite(fx, args, report)
     cmd_det_identity(fx, argparse.Namespace(n=None), report)
     if fx.has_field:
-        _specialization_checks(fx, report, rng)
-        for prop in VERIFY:
-            cmd_verify(fx, argparse.Namespace(property=prop), report, rng)
+        _specialization_checks(fx, report)
+        for check in VERIFY.values():
+            check(fx, report)
         index = _classical_index(fx)
         for ideal_name in sorted(fx.ideals):
-            order = cmd_assoc_order(
-                fx, argparse.Namespace(n=index, ideal=ideal_name), report)
-            cmd_theorem11(fx, argparse.Namespace(
-                n=index, ideal=ideal_name, bound=args.bound), report, order)
+            ideal_args = argparse.Namespace(n=index, ideal=ideal_name,
+                                            bound=args.bound)
+            order = cmd_assoc_order(fx, ideal_args, report)
+            cmd_theorem11(fx, ideal_args, report, order)
 
 
-def _specialization_checks(fx: Fixture, report: Report, rng: random.Random):
+def _specialization_checks(fx: Fixture, report: Report):
     """Symbolic determinant evaluated at coset-representative images must match
     the numeric transition determinant (exactly: equality mod p proves
     nothing).  Both sides are taken in Z[t]/(f) on the integer coset values
@@ -402,7 +405,7 @@ def _specialization_checks(fx: Fixture, report: Report, rng: random.Random):
         symbolic = _packed_form_evaluator(poly, modulus)
         ok = True
         for _ in range(SPECIALIZATION_POINTS):
-            ints = table.vectors(sub.random_coords(rng))
+            ints = table.vectors(sub.random_coords(report.rng))
             numeric = _packed_det(transition_matrix_of(n, ints), modulus)
             if [sign * c for c in symbolic(ints)] != numeric:
                 ok = False
@@ -420,6 +423,17 @@ def _common_flags(parser, suppress: bool):
                         help="emit a machine-readable report")
     parser.add_argument("--quiet", action="store_true", **blank,
                         help="only report failures and the summary")
+
+
+def _bound(text: str) -> int:
+    """A --bound value: an integer B >= 0, where 0 is the empty box."""
+    bound = int(text)
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {bound}")
+    return bound
+
+
+_bound.__name__ = "int"  # so a non-integer reads "invalid int value"
 
 
 @functools.cache
@@ -453,15 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("freeness", help="bounded search for a free generator")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ideal", required=True)
-    p.add_argument("--bound", type=int, default=integral.DEFAULT_BOUND)
+    p.add_argument("--bound", type=_bound, default=integral.DEFAULT_BOUND)
     p = add("theorem11", help="two-sided freeness certificate for a commuting "
                               "pair of structures")
     p.add_argument("--ideal", required=True)
-    p.add_argument("--bound", type=int, default=integral.DEFAULT_BOUND)
+    p.add_argument("--bound", type=_bound, default=integral.DEFAULT_BOUND)
     p.add_argument("--n", type=int, default=None,
                    help="structure index (default: the classical structure)")
     p = add("suite", help="run every applicable check")
-    p.add_argument("--bound", type=int, default=integral.DEFAULT_BOUND)
+    p.add_argument("--bound", type=_bound, default=integral.DEFAULT_BOUND)
     return parser
 
 
@@ -485,27 +499,11 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-# command -> handler(fx, args, report, rng); each cmd_* is looked up when it
-# runs, so a patched or traced handler is the one run
-COMMANDS = {
-    "validate": lambda fx, args, report, rng: cmd_validate(fx, args, report),
-    "enumerate": lambda fx, args, report, rng: cmd_enumerate(fx, args, report),
-    "det-identity": lambda fx, args, report, rng: cmd_det_identity(
-        fx, args, report),
-    "descend": lambda fx, args, report, rng: cmd_descend(fx, args, report),
-    "verify": lambda fx, args, report, rng: cmd_verify(fx, args, report, rng),
-    "assoc-order": lambda fx, args, report, rng: cmd_assoc_order(
-        fx, args, report),
-    "freeness": lambda fx, args, report, rng: cmd_freeness(fx, args, report),
-    "theorem11": lambda fx, args, report, rng: cmd_theorem11(fx, args, report),
-    "suite": lambda fx, args, report, rng: cmd_suite(fx, args, report, rng),
-}
-
-
 def _run(args) -> int:
     fx = _load(args.fixture)
     report = Report([args.command, args.fixture], fx.name, args.seed)
-    COMMANDS[args.command](fx, args, report, random.Random(args.seed))
+    # looked up when it runs, so a patched or traced handler is the one run
+    globals()["cmd_" + args.command.replace("-", "_")](fx, args, report)
     if args.json:
         sys.stdout.write(report.to_json())
     else:

@@ -51,10 +51,9 @@ class Lattice:
         return cls(den, tuple(map(tuple, reduced)))
 
     def contains(self, vector) -> bool:
-        """Whether the rational vector, ints / c once cleared, lies in the
-        lattice: whether the denominator times ints, over c, is spanned."""
-        c, (ints,) = linalg._clear_denominators([vector])
-        return self._spans([self.denominator * v for v in ints], c)
+        """Whether the integer vector lies in the lattice: whether the
+        denominator times it is spanned."""
+        return self._spans([self.denominator * v for v in vector])
 
     def _spans(self, scaled: list[int], d: int = 1) -> bool:
         """Whether the integer vector over the positive integer d is an

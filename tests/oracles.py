@@ -327,6 +327,13 @@ def rational_lattice(rows):
     return Lattice.from_integer_rows(*linalg._clear_denominators(rows))
 
 
+def lattice_contains(lattice, vector):
+    """Lattice.contains on a rational vector: ints / c, once cleared, lies in
+    the lattice when the denominator times ints, over c, is spanned."""
+    c, (ints,) = linalg._clear_denominators([vector])
+    return lattice._spans([lattice.denominator * v for v in ints], c)
+
+
 def basis_vectors(lattice):
     """The lattice's basis rows over its denominator, as Fraction rows."""
     return [[Fraction(v, lattice.denominator) for v in r] for r in lattice.rows]

@@ -327,7 +327,7 @@ def test_oversized_box_is_a_capability_error(capsys, command):
 
 
 def test_suite_computes_each_determinant_and_opposite_once(capsys, monkeypatch):
-    from hopfgalois import cli, fixtures, transition
+    from hopfgalois import fixtures, perm, transition
     counts = {"det_symbolic": 0, "opposite": 0}
 
     def counting(name, fn):
@@ -337,13 +337,19 @@ def test_suite_computes_each_determinant_and_opposite_once(capsys, monkeypatch):
         return wrapper
     monkeypatch.setattr(transition, "det_symbolic",
                         counting("det_symbolic", transition.det_symbolic))
-    monkeypatch.setattr(fixtures, "opposite", counting("opposite", fixtures.opposite))
-    monkeypatch.setattr(cli, "opposite", counting("opposite", cli.opposite))
-    code, _ = run(capsys, "suite", "c4quartic")
-    assert code == 0
-    # two structures: one determinant each; one opposite each, which the
-    # pairing and the opposite suite share, plus the suite's involution check
-    assert counts == {"det_symbolic": 2, "opposite": 4}
+    # every module that binds perm.opposite counts its calls
+    wrapped = counting("opposite", perm.opposite)
+    for module in (perm, fixtures, cli):
+        if hasattr(module, "opposite"):
+            monkeypatch.setattr(module, "opposite", wrapped)
+    # one determinant per structure; one opposite per structure, which the
+    # pairing, the opposite suite and its involution check share
+    for name, structures in (("c4quartic", 2), ("d4", 30), ("q8", 22)):
+        counts.update(det_symbolic=0, opposite=0)
+        code, _ = run(capsys, "suite", name)
+        assert code == 0
+        assert counts == {"det_symbolic": structures,
+                          "opposite": structures}, name
 
 
 @pytest.mark.parametrize("name, structures, calls",
@@ -626,8 +632,7 @@ def test_a_flipped_transition_determinant_term_raises_consistency_error(
 def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
                                                           monkeypatch):
     # once the descents have built each algebra's integer form, neither
-    # command clears an algebra's denominators again
-    import random
+    # command clears denominators again
     from hopfgalois import linalg
     cleared = []
     clear = linalg._clear_denominators
@@ -645,21 +650,38 @@ def test_commuting_and_assoc_order_reuse_the_integer_forms(field_fixtures,
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "_clear_denominators", counting)
             cli.cmd_verify(fx, argparse.Namespace(property="commuting"),
-                           report, random.Random(0))
+                           report)
             assert cleared == []
             for i in range(count):
                 for name in sorted(fx.ideals):
                     cli.cmd_assoc_order(
                         fx, argparse.Namespace(n=i, ideal=name), report)
-                    # only the one row of the unit's coordinates, which
-                    # Lattice.contains takes as a rational vector: the
-                    # inverses of the ideal's integer basis and of the
-                    # Hermite form take integer rows as they are (each
-                    # cleared its m rows again before linalg took integers
-                    # only); the algebra's action set would be m^2 rows
-                    assert cleared == [1]
-                    cleared.clear()
+                    # the inverses of the ideal's integer basis and of the
+                    # Hermite form, and Lattice.contains on the unit's
+                    # coordinates, take integers as they are (each once
+                    # cleared its rows again); the algebra's action set
+                    # would be m^2 rows
+                    assert cleared == []
         assert {c["verdict"] for c in report.checks} == {"PASS"}
+
+
+@pytest.mark.parametrize("name", ["qi", "qzeta3", "c4quartic", "v4biquad",
+                                  "qcbrt2", "s3sextic"])
+def test_suite_clears_no_denominators_after_the_load(monkeypatch, name):
+    # the parser reads the descriptor's rationals into integer forms; from
+    # there on every layer the suite runs takes integers as they are
+    from hopfgalois import integral, linalg
+    fx = load_bundled(name)
+    cleared = []
+    clear = linalg._clear_denominators
+
+    def counting(rows):
+        cleared.append(len(rows))
+        return clear(rows)
+    monkeypatch.setattr(linalg, "_clear_denominators", counting)
+    report = cli.Report(["suite", name], fx.name, 0)
+    cli.cmd_suite(fx, argparse.Namespace(bound=integral.DEFAULT_BOUND), report)
+    assert report.checks and cleared == []
 
 
 def _recorded_points(monkeypatch):
@@ -707,14 +729,13 @@ def _planted_value_fault(fault, points):
 
 @pytest.mark.parametrize("fault", [None, "coefficient", "sign", "scale"])
 def test_det_specialization_fails_on_a_planted_fault(monkeypatch, fault):
-    import random
     points = _recorded_points(monkeypatch)
     monkeypatch.setattr(cli, "_packed_form_evaluator",
                         _planted_value_fault(fault, points))
     # qcbrt2's coset values have denominators, so scale > 1 occurs
     fx = load_bundled("qcbrt2")
     report = cli.Report(["suite", "qcbrt2"], fx.name, 0)
-    cli._specialization_checks(fx, report, random.Random(0))
+    cli._specialization_checks(fx, report)
     assert max(scale for scale, _ in points) > 1
     verdicts = {c["verdict"] for c in report.checks}
     assert verdicts == ({"PASS"} if fault is None else {"FAIL"})
@@ -724,13 +745,12 @@ def test_det_specialization_draws_until_the_first_failing_point(monkeypatch):
     # every point passes: SPECIALIZATION_POINTS draws per structure; a
     # failing third point of structure 0 ends its draws there, and the
     # later structures draw on from the same seeded stream
-    import random
     from hopfgalois.numberfield import _packed_form_evaluator
     points = _recorded_points(monkeypatch)
     fx = load_bundled("c4quartic")
     count = len(fx.structures())
     assert count >= 2
-    cli._specialization_checks(fx, cli.Report([], fx.name, 0), random.Random(0))
+    cli._specialization_checks(fx, cli.Report([], fx.name, 0))
     passing = list(points)
     assert len(passing) == cli.SPECIALIZATION_POINTS * count
 
@@ -740,7 +760,7 @@ def test_det_specialization_draws_until_the_first_failing_point(monkeypatch):
     monkeypatch.setattr(cli, "_packed_form_evaluator", failing_at_the_third_point)
     points.clear()
     report = cli.Report([], fx.name, 0)
-    cli._specialization_checks(fx, report, random.Random(0))
+    cli._specialization_checks(fx, report)
     assert len(points) == 3 + cli.SPECIALIZATION_POINTS * (count - 1)
     assert points == passing[:len(points)]
     assert [c["verdict"] for c in report.checks] == ["FAIL"] + ["PASS"] * (count - 1)
@@ -770,7 +790,6 @@ def test_det_specialization_divides_by_d_to_the_m_on_every_field_fixture(
     # integer subfield coordinates reach a common denominator D > 1 only on
     # qcbrt2 and s3sextic; coordinates over 2, 3 and 6, cleared by the
     # recording (_recorded_points), reach D c > 1 on all six
-    import random
     from math import gcd
     from hopfgalois.numberfield import Subfield
     points = _recorded_points(monkeypatch)
@@ -780,7 +799,7 @@ def test_det_specialization_divides_by_d_to_the_m_on_every_field_fixture(
     for fx in field_fixtures:
         points.clear()
         report = cli.Report(["suite", fx.name], fx.name, 0)
-        cli._specialization_checks(fx, report, random.Random(0))
+        cli._specialization_checks(fx, report)
         # the values' common denominator, reduced
         assert max(scale // gcd(scale, *(v for vec in vectors for v in vec))
                    for scale, vectors in points) > 1, fx.name
@@ -1033,15 +1052,57 @@ def test_unfixed_vector_is_a_validation_problem(tmp_path, capsys, block, problem
     assert captured.out == ""
 
 
-def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+# one invocation of each subcommand, in the parser's order
+SUBCOMMANDS = {
+    "validate": ["validate", "qi"],
+    "enumerate": ["enumerate", "qi"],
+    "det-identity": ["det-identity", "qi"],
+    "descend": ["descend", "qi", "--n", "0"],
+    "verify": ["verify", "commuting", "qi"],
+    "assoc-order": ["assoc-order", "qi", "--n", "0", "--ideal", "OL"],
+    "freeness": ["freeness", "qi", "--n", "0", "--ideal", "OL"],
+    "theorem11": ["theorem11", "qi", "--ideal", "OL"],
+    "suite": ["suite", "qi"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, command):
+    # main looks each handler up when it runs: the patched cmd_<command> is
+    # the one run, on the fixture, the parsed arguments and the report
+    from hopfgalois.fixtures import Fixture
+    calls = []
+
     def broken(*args):
+        calls.append(args)
         raise RuntimeError("planted")
-    monkeypatch.setattr(cli, "cmd_enumerate", broken)
-    code = main(["enumerate", "qi"])
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), broken)
+    code = main(SUBCOMMANDS[command])
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL == 4
     assert captured.out == ""
     assert captured.err.startswith("internal error: RuntimeError: planted\n")
+    [(fx, args, report)] = calls
+    assert isinstance(fx, Fixture) and fx.name == "qi"
+    assert isinstance(args, argparse.Namespace) and args.command == command
+    assert isinstance(report, cli.Report) and report.checks == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["freeness", "qi", "--n", "0", "--ideal", "OL"],
+    ["theorem11", "qi", "--ideal", "OL"],
+    ["suite", "qi"]], ids=lambda argv: argv[0])
+def test_a_negative_bound_is_a_usage_error(capsys, argv):
+    code = main(argv + ["--bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --bound: must be at least 0, got -1\n")
+    # bound 0 is the empty box: a search in it finds nothing
+    code, out = run(capsys, "--json", *argv, "--bound", "0")
+    assert code == cli.EXIT_UNKNOWN
+    assert '"bound": 0' in out
 
 
 def test_descend_emits_basis_and_matrices(capsys):
@@ -1061,7 +1122,7 @@ def test_the_command_and_property_tables_drive_parser_and_suite():
     parser = cli.build_parser()
     [commands] = [a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction)]
-    assert list(commands.choices) == list(cli.COMMANDS)
+    assert list(commands.choices) == list(SUBCOMMANDS)
     [prop] = [a for a in commands.choices["verify"]._actions
               if a.dest == "property"]
     assert prop.choices == sorted(cli.VERIFY) == [
