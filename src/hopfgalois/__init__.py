@@ -8,7 +8,7 @@ from .errors import (CapabilityError, ConsistencyError, DomainError,
                      TheoremViolationError)
 from .perm import (CosetSpace, FiniteGroup, Permutation, build_coset_space,
                    centralizer_bruteforce, enumerate_regular_normalized,
-                   group_queries, is_normalized_by, metacyclic_group, opposite)
+                   metacyclic_group, opposite)
 from .transition import (IntPolynomial, det_identity, det_symbolic,
                          signed_canonical_det, transition_matrix_of)
 from .numberfield import (FieldElement, GaloisContext, NumberField, Subfield,

@@ -23,8 +23,7 @@ from .errors import (ConsistencyError, FixtureValidationError, HopfGaloisError,
                      TheoremViolationError)
 from .fixtures import _ASSERTED, BUNDLED, Fixture, bundled_path, parse
 from .numberfield import _packed_det, _packed_form_evaluator
-from .perm import (centralizer_bruteforce, group_queries,
-                   right_translation_subgroup)
+from .perm import centralizer_bruteforce, right_translation_subgroup
 from .transition import transition_matrix_of
 
 EXIT_PASS = 0
@@ -137,6 +136,11 @@ def _load(path_text: str) -> Fixture:
 
 
 def _classical_index(fx: Fixture) -> int:
+    """The classical structure's index on a Galois fixture, else 0; a
+    fixture without structures has none, a usage error."""
+    if not fx.structures():
+        raise HopfGaloisError(
+            f"fixture {fx.name!r} has 0 structure(s); theorem11 needs one")
     if fx.stabilizer.order() == 1:
         rho = right_translation_subgroup(fx.coset_space())
         for i, n in enumerate(fx.structures()):
@@ -173,14 +177,14 @@ def _check_assertions(fx: Fixture, report: Report):
 
 def cmd_enumerate(fx: Fixture, args, report: Report):
     for i, n in enumerate(fx.structures()):
-        facts = group_queries(n)
         report.add(
             f"structure[{i}]", "PASS", "computed",
             order_profile=list(n.order_profile()),
-            abelian=facts.abelian,
+            abelian=n.is_abelian(),
             opposite=fx.opposite_indices()[i],
-            center_order=facts.center.order(),
-            normal_subgroup_orders=sorted(h.order() for h in facts.normal_subgroups))
+            center_order=n.center().order(),
+            normal_subgroup_orders=sorted(h.order()
+                                          for h in n.normal_subgroups()))
     _check_assertions(fx, report)
 
 
@@ -379,6 +383,8 @@ def cmd_suite(fx: Fixture, args, report: Report):
         _specialization_checks(fx, report)
         for check in VERIFY.values():
             check(fx, report)
+    # the freeness checks need a structure, which a fixture may lack
+    if fx.has_field and fx.structures():
         index = _classical_index(fx)
         for ideal_name in sorted(fx.ideals):
             ideal_args = argparse.Namespace(n=index, ideal=ideal_name,

@@ -12,9 +12,9 @@ from math import lcm
 
 from . import linalg
 from .errors import ConsistencyError, StructureError
-from .numberfield import (FieldElement, GaloisContext, NumberField, Subfield,
-                          _convolve_into, _packed_det, _reduce_int)
-from .perm import CosetSpace, FiniteGroup, is_normalized_by
+from .numberfield import (FieldElement, NumberField, Subfield, _convolve_into,
+                          _packed_det, _reduce_int)
+from .perm import CosetSpace, FiniteGroup
 from .transition import det_symbolic, form_evaluator, transition_matrix_of
 
 
@@ -27,7 +27,6 @@ class DescendedAlgebra:
     denominator, which descend computes once.  A basis element has one block
     of power-basis coordinates per element of the subgroup, in its order."""
 
-    context: GaloisContext
     space: CosetSpace
     subgroup: FiniteGroup
     subfield: Subfield
@@ -50,12 +49,14 @@ class DescendedAlgebra:
         return [linalg.mat_vec(a, x_coords) for a in self.int_action_matrices]
 
 
-def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
+def descend(space: CosetSpace, n: FiniteGroup,
             subfield: Subfield) -> DescendedAlgebra:
     """The fixed points E[N]^G of the simultaneous action (Galois on the
     coefficients, conjugation by the translations on N) inside E[N], with
     its integer action matrices on the subfield basis and integer structure
-    constants.
+    constants, for the Galois action of the subfield's context.  A
+    conjugate outside N in the table of the c_g below is a StructureError:
+    N does not descend unless the translations normalize it.
 
     sum_i v_i eta_i is fixed when v_{c_g(i)} = M_g v_i for every g, where
     eta_{c_g(i)} = lambda_g eta_i lambda_g^-1 and M_g is the matrix of g.
@@ -75,18 +76,20 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
     are a basis of the whole fixed space.  Products are taken over Z[t]/(f)
     on the basis times its common denominator, and their coordinates, read
     off at the free columns, are checked by an integer recombination."""
-    if not is_normalized_by(n, space):
-        raise StructureError(
-            "subgroup is not normalized by the translation image; "
-            "it does not descend")
-    group, matrices = space.group, context.matrices
-    m, nf_degree = space.size, context.degree
+    group, context = space.group, subfield.context
+    matrices, m, nf_degree = context.matrices, space.size, context.degree
     modulus = context.field.modulus
     conj = {}
     for g in group.generators:
         lam_g = space.translations[g]
         lam_g_inv = lam_g.inverse()
-        conj[g] = [n.index_of(lam_g * eta * lam_g_inv) for eta in n.elements]
+        try:
+            conj[g] = [n.index_of(lam_g * eta * lam_g_inv)
+                       for eta in n.elements]
+        except KeyError:
+            raise StructureError(
+                "subgroup is not normalized by the translation image; "
+                "it does not descend") from None
 
     spanning = []
     reached = set()
@@ -191,32 +194,25 @@ def descend(context: GaloisContext, space: CosetSpace, n: FiniteGroup,
         return d, tuple(tuple(map(tuple, rows[k:k + m]))
                         for k in range(0, len(rows), m))
     return DescendedAlgebra(
-        context, space, n, subfield, den, blocks, tuple(identity_coords),
+        space, n, subfield, den, blocks, tuple(identity_coords),
         *integer_matrices(den * images.denominator, action),
         *integer_matrices(den * den, structure))
 
 
 def verify_hopf_galois(algebra: DescendedAlgebra) -> bool:
     """Bijectivity of the canonical map L (x) H -> End(L): the m^2 x m^2 exact
-    matrix of y -> b_i * (h_k . y) must have full rank."""
-    return canonical_map_rank(algebra.int_action_matrices, algebra.subfield) \
-        == algebra.subfield.dim ** 2
-
-
-def canonical_map_rank(action_matrices, subfield: Subfield) -> int:
-    """Rank of the canonical map for arbitrary action matrices, so negative
-    controls (for example the zero action) use the same computation.  Each
-    column is the product of a subfield multiplication matrix and an action
-    matrix, both taken over Z: scaling a matrix by a nonzero integer scales
-    its columns and keeps the rank, so the action matrices may come with any
-    nonzero scale each (an algebra's integer form)."""
+    matrix of y -> b_i * (h_k . y) must have full rank.  Each column is the
+    product of a subfield multiplication matrix and an action matrix, both
+    taken over Z: scaling a matrix by a nonzero integer scales its columns
+    and keeps the rank, so the algebra's integer form serves."""
+    subfield = algebra.subfield
     m = subfield.dim
     columns = []
     for mm in subfield.int_multiplication_matrices()[1]:
-        for act in action_matrices:
+        for act in algebra.int_action_matrices:
             prod = linalg.mat_mul(mm, act)
             columns.append([prod[i][j] for j in range(m) for i in range(m)])
-    return linalg.rank(columns)
+    return linalg.rank(columns) == m ** 2
 
 
 def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
@@ -228,13 +224,6 @@ def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
             if linalg.mat_mul(r1, r2) != linalg.mat_mul(r2, r1):
                 return False
     return True
-
-
-def coset_values(context: GaloisContext, space: CosetSpace,
-                 x: FieldElement) -> list[FieldElement]:
-    """x under each coset's representative, in coset order."""
-    return [context.apply(space.representatives[c], x)
-            for c in range(space.size)]
 
 
 def _residues(scaled, scale, field: NumberField) -> list[int] | None:
@@ -419,7 +408,8 @@ def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:
     orbit = linalg._clear_denominators(algebra.orbit(coords))[1]
     _, (ints,) = linalg._clear_denominators([coords])
     return generates(algebra, GeneratorSample.of_values(
-        ints, coset_values(sub.context, algebra.space, x)), orbit)
+        ints, [sub.context.apply(g, x) for g in algebra.space.representatives]),
+        orbit)
 
 
 def trace_form_nondegenerate(left_mult_matrices) -> bool:

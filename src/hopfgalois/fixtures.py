@@ -24,7 +24,7 @@ from .integral import FractionalIdeal, Lattice, _combined
 from .numberfield import GaloisContext, Subfield, fixed_subfield, load_field
 from .perm import (GROUP_ORDER_BOUND, CosetSpace, FiniteGroup, Permutation,
                    build_coset_space, enumerate_regular_normalized,
-                   group_queries, metacyclic_group, opposite)
+                   metacyclic_group, opposite)
 from .transition import signed_canonical_det
 
 BUNDLED = ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic",
@@ -127,9 +127,8 @@ class Fixture:
     def algebra(self, index: int):
         if index not in self._algebras:
             from .descent import descend
-            sub = self.subfield()
             self._algebras[index] = descend(
-                self.context, self.coset_space(), self.structures()[index], sub)
+                self.coset_space(), self.structures()[index], self.subfield())
         return self._algebras[index]
 
     def ideal(self, name: str) -> FractionalIdeal:
@@ -462,7 +461,7 @@ _ASSERTED = {
     "structure_count": lambda fx: len(fx.structures()),
     "center_order": lambda fx: fx.group.center().order(),
     "nontrivial_proper_normal_orders": lambda fx: sorted(
-        h.order() for h in group_queries(fx.group).normal_subgroups
+        h.order() for h in fx.group.normal_subgroups()
         if 1 < h.order() < fx.group.order()),
 }
 

@@ -409,11 +409,10 @@ def _is_prime(n: int) -> bool:
 @cache
 def _reduction_root(modulus: tuple[int, ...]) -> tuple[int, int]:
     for p in filter(_is_prime, count(REDUCTION_PRIME_MIN)):
-        f = _poly_mod_p(modulus, p)
-        # gcd(f, x^p - x) is the product of the x - r over the roots r of f;
-        # the least root is then found by Horner's rule at r = 0, 1, ...
-        if _is_squarefree_p(f, p) and len(_polygcd_p(
-                f, _minus_x_p(_polypow_p([0, 1], p, f, p), p), p)) > 1:
+        # a squarefree f has a root mod p when it has a linear factor; the
+        # least root is then found by Horner's rule at r = 0, 1, ...
+        if 1 in (_factor_degrees_mod_p(modulus, p) or ()):
+            f = _poly_mod_p(modulus, p)
             return p, next(r for r in range(p) if not reduce(
                 lambda acc, c: (acc * r + c) % p, reversed(f), 0))
 

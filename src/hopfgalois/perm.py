@@ -16,6 +16,7 @@ ENUMERATION_BOUND = 8
 # FiniteGroup checks closure with |G|^2 products and metacyclic_group builds
 # |G| permutations of degree |G|: descriptors declare at most this order
 GROUP_ORDER_BOUND = 120
+# FiniteGroup.normal_subgroups serves groups of at most this order
 GROUP_QUERY_BOUND = 60
 
 
@@ -240,6 +241,9 @@ class FiniteGroup:
         the normal closures <C> of the classes C it contains; the joins of
         every set of closures are built one closure at a time.  The join HK
         of two normal subgroups is their product set."""
+        if self.order() > GROUP_QUERY_BOUND:
+            raise CapabilityError(f"group of order {self.order()} exceeds "
+                                  f"the query bound {GROUP_QUERY_BOUND}")
         table = self._table
         found = {frozenset([0])}
         for cls in self._class_indices():
@@ -312,17 +316,6 @@ def build_coset_space(group: FiniteGroup, stabilizer: FiniteGroup) -> CosetSpace
     coset_of = tuple(assigned[i] for i in range(group.order()))
     return CosetSpace(group, stabilizer, tuple(reps), coset_of,
                       coset_of[group.identity_index])
-
-
-def is_normalized_by(n: FiniteGroup, space: CosetSpace) -> bool:
-    """Whether the translations of the space normalize N."""
-    members = set(n.elements)
-    for g in map(space.translations.__getitem__, space.group.generators):
-        ginv = g.inverse()
-        for p in n.elements:
-            if g * p * ginv not in members:
-                return False
-    return True
 
 
 def _power_free_candidates(size: int):
@@ -476,23 +469,6 @@ def centralizer_bruteforce(n: FiniteGroup,
         else:
             out.append(Permutation(images))
     return tuple(sorted(out))
-
-
-@dataclass(frozen=True)
-class GroupFacts:
-    center: FiniteGroup
-    normal_subgroups: list[FiniteGroup]
-    abelian: bool
-
-
-def group_queries(group: FiniteGroup) -> GroupFacts:
-    """Center, all normal subgroups and abelianness."""
-    if group.order() > GROUP_QUERY_BOUND:
-        raise CapabilityError(
-            f"group of order {group.order()} exceeds the query bound {GROUP_QUERY_BOUND}")
-    center = group.center()
-    normal = group.normal_subgroups()
-    return GroupFacts(center, normal, center.order() == group.order())
 
 
 def metacyclic_group(r: int, q: int, d: int) -> tuple[FiniteGroup, Permutation, Permutation]:

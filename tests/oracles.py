@@ -3,13 +3,15 @@ deliberately naive: different algorithms than the code under test."""
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from hopfgalois import linalg
-from hopfgalois.descent import coset_values
 from hopfgalois.errors import ConsistencyError, DomainError, StructureError
 from hopfgalois.integral import _flat_matrix, _transfer_rows
-from hopfgalois.numberfield import FieldElement
+from hopfgalois.numberfield import (REDUCTION_PRIME_MIN, FieldElement,
+                                    _is_prime, _is_squarefree_p, _minus_x_p,
+                                    _poly_mod_p, _polygcd_p, _polypow_p)
 from hopfgalois.perm import FiniteGroup, Permutation, _close_tuples
 from hopfgalois.transition import IntPolynomial, transition_matrix_of
 
@@ -160,6 +162,18 @@ def _extends_to_isomorphism(group, gens, images, other):
                     nxt.append(q)
         frontier = nxt
     return len(mapping) == group.order() and len(set(mapping.values())) == group.order()
+
+
+def is_normalized_by(n, space):
+    """Whether the translations of the space normalize N: every conjugate
+    of an element of N by a generator's translation lies in N."""
+    members = set(n.elements)
+    for g in map(space.translations.__getitem__, space.group.generators):
+        ginv = g.inverse()
+        for p in n.elements:
+            if g * p * ginv not in members:
+                return False
+    return True
 
 
 def regular_normalized_oracle(space):
@@ -565,6 +579,19 @@ def residue(x, p, r):
     return acc
 
 
+def reduction_root_by_gcd(modulus):
+    """The reference for numberfield._reduction_root: the least prime
+    p >= REDUCTION_PRIME_MIN at which the modulus is squarefree and
+    gcd(f, x^p - x), the product of the x - r over the roots r of f mod p,
+    is not constant, with the least root r."""
+    for p in filter(_is_prime, itertools.count(REDUCTION_PRIME_MIN)):
+        f = _poly_mod_p(modulus, p)
+        if _is_squarefree_p(f, p) and len(_polygcd_p(
+                f, _minus_x_p(_polypow_p([0, 1], p, f, p), p), p)) > 1:
+            return p, next(r for r in range(p) if not reduce(
+                lambda acc, c: (acc * r + c) % p, reversed(f), 0))
+
+
 def multiplication_trace(field, x):
     """Trace of y -> x*y computed from its matrix in the power basis: the
     diagonal entry j is coordinate j of x t^j."""
@@ -646,7 +673,7 @@ def descended_basis(algebra):
     """The descended basis as elements of E[N], read off its integer form:
     basis element k is int_basis[k] over basis_denominator, block by
     block."""
-    field, den = algebra.context.field, algebra.basis_denominator
+    field, den = algebra.subfield.context.field, algebra.basis_denominator
     return [GroupAlgebraElement(algebra.subgroup, [
         FieldElement(field, tuple(Fraction(x, den) for x in block))
         for block in vec]) for vec in algebra.int_basis]
@@ -773,13 +800,13 @@ def coords_of(algebra, element):
 def descended_act(algebra, h, x):
     """The descended action: sum of c_eta times (representative of
     eta^{-1}(base)) applied to x.  The result must land in the subfield."""
-    base = algebra.space.base_point
-    total = algebra.context.field.zero()
+    base, context = algebra.space.base_point, algebra.subfield.context
+    total = context.field.zero()
     for eta, c in zip(algebra.subgroup.elements, h.coefficients):
         if not c:
             continue
         coset = eta.inverse()(base)
-        total = total + c * algebra.context.apply(
+        total = total + c * context.apply(
             algebra.space.representatives[coset], x)
     if not algebra.subfield.contains(total):
         raise ConsistencyError("action left the fixed subfield")
@@ -831,7 +858,8 @@ def unit_forms(size):
 def transition_matrix_values(context, space, n, x):
     """The numeric transition matrix: entry (eta, g) is eta(g)-representative
     applied to x."""
-    return transition_matrix_of(n, coset_values(context, space, x))
+    return transition_matrix_of(
+        n, [context.apply(g, x) for g in space.representatives])
 
 
 def galois_act_on_map(context, space, g_index, f):
@@ -861,7 +889,7 @@ def group_algebra_act_on_map(h, f):
 
 def sum_over_subgroup(algebra):
     """The element with every coefficient 1; always survives the descent."""
-    one = algebra.context.field.one()
+    one = algebra.subfield.context.field.one()
     return GroupAlgebraElement(
         algebra.subgroup, [one] * len(algebra.subgroup.elements))
 

@@ -1229,6 +1229,47 @@ def test_suite_group_only_fixture(capsys):
     assert "0 fail" in out
 
 
+# A4 on the six cosets of <(01)(23)>: no regular subgroup of Perm(X) is
+# normalized by lambda(G), so the descriptor has no structure
+A4_COSETS = {"name": "a4cosets", "group": {"order": 12, "generators": {
+    "s": [1, 2, 0, 3], "t": [1, 0, 3, 2]}}, "subgroup": {"generators": ["t"]}}
+
+
+def test_a_fixture_without_structures_passes_its_group_checks(tmp_path,
+                                                              capsys):
+    path = tmp_path / "a4cosets.hgx"
+    path.write_text(json.dumps(A4_COSETS), encoding="utf-8")
+    for command in ("validate", "enumerate", "suite"):
+        code, out = run(capsys, "--json", command, str(path))
+        checks = json.loads(out)["checks"]
+        assert code == 0, command
+        assert [c["name"] for c in checks] == \
+            (["descriptor-valid"] if command == "validate" else []), command
+
+
+@pytest.mark.parametrize("name", ["qi", "qcbrt2"])
+def test_a_field_fixture_without_structures_runs_no_freeness_check(
+        tmp_path, capsys, monkeypatch, name):
+    # a field whose Galois closure has no Hopf-Galois structure on it (A4 on
+    # six cosets needs a degree-12 closure): a bundled field with its
+    # structures taken away
+    doc = json.loads(bundled_path(name).read_text(encoding="utf-8"))
+    del doc["assertions"]["structure_count"]
+    path = tmp_path / f"{name}.hgx"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(cli.Fixture, "structures", lambda self: [])
+    code, out = run(capsys, "--json", "suite", str(path))
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert code == 0
+    assert names and not any(n.startswith(("assoc-order", "theorem11"))
+                             for n in names)
+    code = main(["theorem11", str(path), "--ideal", "OL"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == \
+        f"error: fixture {name!r} has 0 structure(s); theorem11 needs one\n"
+
+
 def test_suite_deterministic_json(capsys):
     code1, out1 = run(capsys, "suite", "qzeta3", "--json", "--seed", "7")
     code2, out2 = run(capsys, "suite", "qzeta3", "--json", "--seed", "7")

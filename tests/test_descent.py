@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -5,14 +6,14 @@ from math import gcd
 import pytest
 
 from hopfgalois import descent, linalg
-from hopfgalois.descent import (GeneratorSample, _residues, canonical_map_rank, coset_values,
-                                descend, generates, generator_sample,
+from hopfgalois.descent import (GeneratorSample, _residues, descend,
+                                generates, generator_sample,
                                 is_generator, is_separable,
                                 trace_form_nondegenerate,
                                 transition_det_nonzero, verify_commuting,
                                 verify_hopf_galois)
 from hopfgalois.errors import ConsistencyError, DomainError, StructureError
-from hopfgalois.numberfield import GaloisContext
+from hopfgalois.numberfield import GaloisContext, Subfield
 from hopfgalois.perm import (FiniteGroup, Permutation, opposite,
                              right_translation_subgroup)
 from hopfgalois.transition import transition_matrix_of
@@ -24,7 +25,7 @@ from .oracles import (GroupAlgebraElement, action_matrix_of,
                       flatten_coefficients, galois_act_on_map,
                       generates_fixed_map_algebra,
                       generates_map_algebra_over_group_algebra,
-                      group_algebra_product, idempotent,
+                      group_algebra_product, idempotent, is_normalized_by,
                       multiply_coords, permutation_act_on_map,
                       rational_action_matrices, rational_structure_constants,
                       residue, stacked_descent, sum_over_subgroup,
@@ -141,8 +142,10 @@ def test_descend_rejects_unnormalized_subgroups(c4quartic):
     stray = FiniteGroup(
         [Permutation([0, 1, 2, 3]), Permutation([1, 3, 0, 2]),
          Permutation([3, 2, 1, 0]), Permutation([2, 0, 3, 1])])
-    with pytest.raises(StructureError, match="not normalized"):
-        descend(c4quartic.context, space, stray, c4quartic.subfield())
+    with pytest.raises(StructureError, match="^subgroup is not normalized by "
+                       "the translation image; it does not descend$"):
+        descend(space, stray, c4quartic.subfield())
+    assert not is_normalized_by(stray, space)
 
 
 def test_descend_matches_the_stacked_oracle(field_fixtures):
@@ -165,13 +168,19 @@ def test_descend_matches_the_stacked_oracle(field_fixtures):
                     algebra.int_structure_constants) == structure
 
 
-def _tampered(ctx, index, replacement):
-    """ctx with automorphism `index` replaced by another integer form
-    (d, M), such as another automorphism's."""
+def _tampered(sub, space, index, replacement):
+    """sub on its context with automorphism `index` replaced by another
+    integer form (d, M), such as another automorphism's, as descend's fixed
+    space reads it: the coset images, from which the action is read, stay
+    the true ones."""
+    ctx = sub.context
     matrices = list(ctx.matrices)
     matrices[index] = replacement
-    return GaloisContext(ctx.field, ctx.group, tuple(matrices),
-                         ctx.irreducibility)
+    bad = Subfield(GaloisContext(ctx.field, ctx.group, tuple(matrices),
+                                 ctx.irreducibility),
+                   sub.stabilizer, sub._int_scale, sub._int_vectors, sub._free)
+    bad._coset_images = sub.coset_images(space.representatives)
+    return bad
 
 
 def test_planted_wrong_matrix_fails_the_fixedness_certificate(s3sextic,
@@ -180,17 +189,18 @@ def test_planted_wrong_matrix_fails_the_fixedness_certificate(s3sextic,
     # formula, which the certificate checks against the generators' own
     ctx, space, sub = s3sextic.context, s3sextic.coset_space(), s3sextic.subfield()
     assert 4 not in space.group.generators
-    bad = _tampered(ctx, 4, ctx.matrices[0])
+    bad = _tampered(sub, space, 4, ctx.matrices[0])
     with pytest.raises(ConsistencyError, match="not fixed by the Galois action"):
-        descend(bad, space, s3sextic.structures()[2], sub)
+        descend(space, s3sextic.structures()[2], bad)
     # normalization is still checked first
     ctx = c4quartic.context
     stray = FiniteGroup(
         [Permutation([0, 1, 2, 3]), Permutation([1, 3, 0, 2]),
          Permutation([3, 2, 1, 0]), Permutation([2, 0, 3, 1])])
     with pytest.raises(StructureError, match="does not descend"):
-        descend(_tampered(ctx, 2, ctx.matrices[0]), c4quartic.coset_space(),
-                stray, c4quartic.subfield())
+        descend(c4quartic.coset_space(), stray,
+                _tampered(c4quartic.subfield(), c4quartic.coset_space(), 2,
+                          ctx.matrices[0]))
 
 
 def test_wrong_non_generator_matrices_never_pass_silently(s3sextic, v4biquad):
@@ -202,10 +212,10 @@ def test_wrong_non_generator_matrices_never_pass_silently(s3sextic, v4biquad):
             for other in ctx.matrices:
                 if other == ctx.matrices[h]:
                     continue
-                bad = _tampered(ctx, h, other)
+                bad = _tampered(sub, space, h, other)
                 for i, n in enumerate(fx.structures()):
                     try:
-                        algebra = descend(bad, space, n, sub)
+                        algebra = descend(space, n, bad)
                     except ConsistencyError:
                         continue
                     good = fx.algebra(i)
@@ -283,7 +293,8 @@ def test_zero_action_is_not_hopf_galois(qi):
     m = algebra.subfield.dim
     zero = tuple(tuple(tuple(0 for _ in range(m)) for _ in range(m))
                  for _ in range(algebra.dim))
-    assert canonical_map_rank(zero, algebra.subfield) == 0
+    assert not verify_hopf_galois(
+        dataclasses.replace(algebra, int_action_matrices=zero))
 
 
 def test_commuting_characterizes_opposites(s3sextic):
@@ -488,7 +499,7 @@ def test_coset_images_match_the_element_route(field_fixtures):
                       else _mixed_coords(rng, sub.dim, p))
             sample = _sample(sub, space, coords)
             x = sub.from_coords(coords)
-            values = coset_values(ctx, space, x)
+            values = [ctx.apply(g, x) for g in space.representatives]
             assert [tuple(F(v, sample.scale) for v in vec)
                     for vec in sample.scaled] == \
                 [v.coords for v in values], (fx.name, coords)
@@ -705,7 +716,7 @@ def test_descent_applies_each_coset_once(field_fixtures, monkeypatch):
         fx = load_bundled(name)
         tables.clear()
         for n in fx.structures():
-            descend(fx.context, fx.coset_space(), n, fx.subfield())
+            descend(fx.coset_space(), n, fx.subfield())
         assert len(tables) == 1 and applied == []
         counts[fx.name] = len(tables[0].matrices)
     assert counts == DESCENT_COSET_COUNTS

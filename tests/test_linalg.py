@@ -164,7 +164,7 @@ def test_fixed_space_matches_the_rref_oracle(monkeypatch):
     for name in ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic"):
         fx = load_bundled(name)
         for n in fx.structures():
-            descend(fx.context, fx.coset_space(), n, fx.subfield())
+            descend(fx.coset_space(), n, fx.subfield())
     # one subfield per fixture; a descent solves one stabilizer system per
     # orbit of G on N (qi, qzeta3, c4quartic, v4biquad, qcbrt2, s3sextic)
     assert len(systems) == 6 + 2 + 2 + (3 + 4) + (4 + 3 + 3 + 3) + 2 + \

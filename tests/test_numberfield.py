@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
 from hopfgalois import linalg
 from hopfgalois.descent import _residues
 from hopfgalois.errors import CapabilityError, DomainError, StructureError
-from hopfgalois.fixtures import load_bundled
+from hopfgalois.fixtures import load_bundled, parse
 from hopfgalois.numberfield import (RATIONAL_ROOT_BOUND, REDUCTION_PRIME_MIN,
                                     FieldElement, NumberField, _int_mul,
                                     _packed_det, _packed_form_evaluator,
@@ -18,7 +19,8 @@ from hopfgalois.perm import ENUMERATION_BOUND, FiniteGroup, Permutation
 from hopfgalois.transition import IntPolynomial
 
 from .oracles import (FractionSolver, det, evaluate, fraction_product,
-                      multiplication_trace, residue, subfield_basis)
+                      multiplication_trace, reduction_root_by_gcd, residue,
+                      subfield_basis)
 
 F = Fraction
 
@@ -389,6 +391,24 @@ def test_reduction_roots_of_the_field_fixtures_are_pinned(field_fixtures):
     # the least root mod p
     assert {fx.name: fx.context.field.reduction_root()
             for fx in field_fixtures} == REDUCTION_ROOTS
+
+
+def test_reduction_root_matches_the_gcd_reference(field_fixtures):
+    # the root read off the distinct-degree split against the squarefree
+    # test and gcd(f, x^p - x), on every bundled and test-data modulus, on
+    # seeded random monic polynomials of degree 1 to 12, and on t^2 - p for
+    # the least candidate p: a double root mod p, where f is not squarefree
+    data = Path(__file__).parent / "data"
+    moduli = [fx.context.field.modulus for fx in field_fixtures]
+    moduli.append((-REDUCTION_PRIME_MIN, 0, 1))
+    moduli += [parse(data / name).context.field.modulus
+               for name in ("c5quintic.hgx", "zeta16.hgx")]
+    rng = random.Random(14)
+    moduli += [tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 12)))
+               + (1,) for _ in range(50)]
+    for modulus in moduli:
+        assert _reduction_root.__wrapped__(modulus) == \
+            reduction_root_by_gcd(modulus), modulus
 
 
 def test_polydivmod_p_is_division_with_remainder():

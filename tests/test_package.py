@@ -15,8 +15,8 @@ API = {
     "TheoremViolationError",
     # permutation groups, coset spaces and regular subgroups
     "CosetSpace", "FiniteGroup", "Permutation", "build_coset_space",
-    "centralizer_bruteforce", "enumerate_regular_normalized", "group_queries",
-    "is_normalized_by", "metacyclic_group", "opposite",
+    "centralizer_bruteforce", "enumerate_regular_normalized",
+    "metacyclic_group", "opposite",
     # transition determinants
     "IntPolynomial", "det_identity", "det_symbolic", "signed_canonical_det",
     "transition_matrix_of",

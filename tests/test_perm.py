@@ -1,18 +1,19 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from hopfgalois.cli import main
 from hopfgalois.errors import CapabilityError, StructureError
 from hopfgalois.perm import (FiniteGroup, Permutation, _close_tuples,
                              _power_free_candidates,
                              build_coset_space, centralizer_bruteforce,
-                             enumerate_regular_normalized, group_queries,
-                             is_normalized_by, metacyclic_group, opposite,
-                             right_translation_subgroup)
+                             enumerate_regular_normalized, metacyclic_group,
+                             opposite, right_translation_subgroup)
 
 from .oracles import (centralizer_by_whole_products, closure_of_pair,
-                      is_isomorphic, is_regular,
+                      is_isomorphic, is_normalized_by, is_regular,
                       normal_subgroups_by_filter, power_free_candidates_by_powers,
                       regular_normalized_oracle)
 
@@ -392,9 +393,9 @@ def test_multiplication_table_matches_the_products(all_fixtures):
 
 def test_group_queries_metacyclic21():
     group, s, t = metacyclic_group(7, 3, 2)
-    facts = group_queries(group)
-    assert facts.center.order() == 1
-    nontrivial = [h for h in facts.normal_subgroups
+    assert group.center().order() == 1
+    assert not group.is_abelian()
+    nontrivial = [h for h in group.normal_subgroups()
                   if 1 < h.order() < group.order()]
     assert len(nontrivial) == 1
     assert nontrivial[0].order() == 7
@@ -403,15 +404,16 @@ def test_group_queries_metacyclic21():
 
 
 def test_group_queries_cyclic_center_is_whole_group():
-    facts = group_queries(cyclic(4))
-    assert facts.center.order() == 4
-    assert facts.abelian
+    group = cyclic(4)
+    assert group.center().order() == 4
+    assert group.is_abelian()
 
 
 def test_group_queries_s3():
-    facts = group_queries(s3())
-    assert facts.center.order() == 1
-    nontrivial = [h for h in facts.normal_subgroups if 1 < h.order() < 6]
+    group = s3()
+    assert group.center().order() == 1
+    assert not group.is_abelian()
+    nontrivial = [h for h in group.normal_subgroups() if 1 < h.order() < 6]
     assert len(nontrivial) == 1 and nontrivial[0].order() == 3
 
 
@@ -433,13 +435,29 @@ def test_normal_subgroups_match_the_subgroup_filter(all_fixtures):
         assert got == [h.elements for h in normal_subgroups_by_filter(group)], label
 
 
-def test_group_queries_bound():
+def test_group_queries_bound(tmp_path, capsys):
     big = FiniteGroup.generated_by(
         [Permutation([1, 2, 3, 4, 0] + list(range(5, 18))),
          Permutation([0, 1, 2, 3, 4] + [(i - 4) % 13 + 5 for i in range(5, 18)])])
     assert big.order() == 65
-    with pytest.raises(CapabilityError, match="60"):
-        group_queries(big)
+    with pytest.raises(CapabilityError, match="^group of order 65 exceeds "
+                                              "the query bound 60$"):
+        big.normal_subgroups()
+    # the cap reaches the command line through the normal-orders assertion:
+    # D31, order 62
+    path = tmp_path / "d31.hgx"
+    path.write_text(json.dumps({
+        "name": "d31",
+        "group": {"order": 62, "presentation": {
+            "kind": "metacyclic", "r": 31, "q": 2, "d": 30,
+            "generators": ["s", "t"]}},
+        "subgroup": {"generators": []},
+        "assertions": {"nontrivial_proper_normal_orders": {"value": [31]}}}),
+        encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group of order 62 exceeds the query bound 60\n"
 
 
 def test_isomorphism_search():
