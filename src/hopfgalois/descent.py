@@ -65,9 +65,11 @@ def descend(space: CosetSpace, n: FiniteGroup,
     c_{h_j}(r) = j, its fixed vectors are v_j = M_{h_j} u (M_ab = M_a M_b,
     which load_field checks), for u in the fixed field of the root's
     stabilizer.  The Schreier elements h_k^-1 g h_j, k = c_g(j), generate
-    that stabilizer, so each orbit costs one n x n fixed_space.  The basis
-    is the canonical one of the space (linalg.span_basis): the kernel basis
-    of the stacked system of every M_g - 1, with its free columns.
+    that stabilizer, so each orbit costs one n x n fixed_space, which the
+    context keeps for every descent of the fixture (GaloisContext.fixed_space).
+    The basis is the canonical one of the space (linalg.span_basis): the
+    kernel basis of the stacked system of every M_g - 1, with its free
+    columns.
 
     The result is certified, not trusted.  Every basis vector is checked
     fixed by every generator, over Z, and the basis independent over E
@@ -113,8 +115,7 @@ def descend(space: CosetSpace, n: FiniteGroup,
             frontier = nxt
         reached.update(orbit)
         stabilizer.discard(group.identity_index)
-        _, fixed, _ = linalg.fixed_space(
-            [matrices[s] for s in sorted(stabilizer)], nf_degree)
+        _, fixed, _ = context.fixed_space(tuple(sorted(stabilizer)))
         # over Z: the u as integers, M_{h_j} in integer form (e_j, I_j), and
         # block j is common / e_j times I_j u, so that every block carries
         # one factor

@@ -231,12 +231,25 @@ def _unit_points(poly: IntPolynomial, bound: int):
     While the head prefix is zero, each head variable runs over -bound..0;
     with the whole head zero, only the tails before the zero tail (first
     nonzero entry negative) are kept.  A negative head variable opens the
-    whole sub-box."""
+    whole sub-box.
+
+    A head prefix is skipped, before its coefficients are built or its block
+    evaluated, when poly vanishes identically mod q on the prefix's residue
+    class mod q, for q = 2 and 3 where q divides the number of variables
+    (_live_classes): mod 2 and mod 3 the units +-1 are all the nonzero
+    residues, so such a class holds no hit.  If poly vanishes identically
+    mod q, nothing is scanned."""
     if not poly.terms:
         return
     points = range(-bound, bound + 1)
     k = min(poly.nvars, 2 if len(points) ** 2 <= _PACKED_SLOTS else 1)
     heads = poly.nvars - k
+    # an unused q is the modulus 1: every prefix is in its one live class
+    (q2, live2), (q3, live3) = (
+        (q, _live_classes(poly, q, heads)) if poly.nvars % q == 0
+        else (1, [b"\x01"] * (heads + 1)) for q in (2, 3))
+    if not (live2[0][0] and live3[0][0]):
+        return
     tails = list(product(points, repeat=k))
     top = max(map(sum, poly.terms))
     width = (sum(map(abs, poly.terms.values())) * bound ** top).bit_length() + 2
@@ -283,14 +296,19 @@ def _unit_points(poly: IntPolynomial, bound: int):
         yield from decode(coeffs[()] + offset & low, (), True)
         return
     # depth first over the head prefixes, each with the coefficients left
-    # once it is substituted; a prefix's children are pushed in reverse, so
-    # they are popped in lexicographic order
-    stack = [(0, list(coeffs.values()), (), True)]
+    # once it is substituted and its residue classes mod q2 and q3; a
+    # prefix's live children are pushed in reverse, so they are popped in
+    # lexicographic order
+    stack = [(0, list(coeffs.values()), (), True, 0, 0)]
     while stack:
-        level, coeffs, prefix, zero = stack.pop()
+        level, coeffs, prefix, zero, c2, c3 = stack.pop()
         choices = range(-bound, 1) if zero else points
+        l2, l3 = live2[level + 1], live3[level + 1]
+        b2, b3 = q2 * c2, q3 * c3
         if level == len(plans):
             for t in choices:
+                if not (l2[b2 + t % q2] and l3[b3 + t % q3]):
+                    continue
                 q = sum(map(mul, coeffs, last[t])) + offset
                 if zero and not t:
                     q &= low
@@ -301,11 +319,49 @@ def _unit_points(poly: IntPolynomial, bound: int):
         size, plan = plans[level]
         children = []
         for t in choices:
+            r2, r3 = b2 + t % q2, b3 + t % q3
+            if not (l2[r2] and l3[r3]):
+                continue
             pw, out = powers[t], [0] * size
             for (d, j), c in zip(plan, coeffs):
                 out[j] += c * pw[d]
-            children.append((level + 1, out, prefix + (t,), zero and not t))
+            children.append((level + 1, out, prefix + (t,), zero and not t,
+                             r2, r3))
         stack.extend(reversed(children))
+
+
+def _live_classes(poly: IntPolynomial, q: int, depth: int) -> list[bytearray]:
+    """For d = 0 .. depth, live[d][c] is 1 when poly does not vanish
+    identically mod the prime q on the residue class c = sum r_i q^(d-1-i)
+    of its first d variables, and 0 when it does.  On F_q, y^q = y, so an
+    exponent k >= 1 folds to 1 + (k - 1) mod (q - 1); a polynomial whose
+    exponents are all below q is zero as a function on F_q^m only when each
+    of its coefficients is zero mod q.  So the residues are substituted one
+    variable at a time, and a class is live while terms remain; the
+    subclasses of a dead class are dead."""
+    folded = {}
+    for e, c in poly.terms.items():
+        if c % q:
+            e = tuple(k and 1 + (k - 1) % (q - 1) for k in e)
+            folded[e] = folded.get(e, 0) + c
+    live = [bytearray(q ** d) for d in range(depth + 1)]
+    stack = [(0, 0, {e: c % q for e, c in folded.items() if c % q})]
+    while stack:
+        d, code, terms = stack.pop()
+        if not terms:
+            continue
+        live[d][code] = 1
+        if d == depth:
+            continue
+        children = [{} for _ in range(q)]
+        for e, c in terms.items():
+            rest, k = e[1:], e[0]
+            for r, child in enumerate(children):
+                child[rest] = child.get(rest, 0) + c * r ** k
+        stack.extend((d + 1, code * q + r, {e: c % q for e, c in child.items()
+                                            if c % q})
+                     for r, child in enumerate(children))
+    return live
 
 
 def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
@@ -318,9 +374,11 @@ def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
     first, so the first witness is there.  It evaluates N at a block of
     trailing points per integer operation and tests the whole block for +-1
     at once; that test has no false negatives, and a block is decoded
-    exactly only when it fires (see _unit_points).  Its hit is
-    confirmed by the integer determinant and the Hermite normal form of the
-    witness matrix.  The cap counts the whole box."""
+    exactly only when it fires (see _unit_points).  It skips the head
+    prefixes whose residue class mod 2 or 3 (for the q dividing m) makes N
+    vanish identically mod q: +-1 is nonzero mod q, so no witness lies
+    there.  Its hit is confirmed by the integer determinant and the Hermite
+    normal form of the witness matrix.  The cap counts the whole box."""
     if bound < 1:
         return FreenessResult("UNKNOWN")
     m = len(order.ideal_action_matrices)

@@ -454,17 +454,26 @@ class GaloisContext:
     verified field automorphisms.  `matrices[g]` is automorphism g in
     integer form (d, M), the power-basis matrix M / d (linalg._integer_form)."""
 
-    __slots__ = ("field", "group", "matrices", "irreducibility")
+    __slots__ = ("field", "group", "matrices", "irreducibility", "_fixed")
 
     def __init__(self, field, group, matrices, irreducibility):
         self.field = field
         self.group = group
         self.matrices = matrices
         self.irreducibility = irreducibility
+        self._fixed = {}
 
     @property
     def degree(self) -> int:
         return self.field.degree
+
+    def fixed_space(self, indices: tuple[int, ...]):
+        """linalg.fixed_space of the automorphisms with these sorted indices,
+        the fixed field of the group they generate; built once per tuple."""
+        if indices not in self._fixed:
+            self._fixed[indices] = linalg.fixed_space(
+                [self.matrices[i] for i in indices], self.degree)
+        return self._fixed[indices]
 
     def apply(self, g_index: int, x: FieldElement) -> FieldElement:
         # M x / d, Fraction on the left of each product: no reverse operator
@@ -685,10 +694,9 @@ def fixed_subfield(context: GaloisContext, stabilizer: FiniteGroup) -> Subfield:
         if p not in context.group:
             raise StructureError(
                 f"stabilizer element {p} does not belong to the group")
-    gens = sorted({context.group.index_of(stabilizer.elements[g])
-                   for g in stabilizer.generators})
-    d, vectors, free = linalg.fixed_space(
-        [context.matrices[i] for i in gens], context.degree)
+    d, vectors, free = context.fixed_space(tuple(sorted(
+        {context.group.index_of(stabilizer.elements[g])
+         for g in stabilizer.generators})))
     expected = context.group.order() // stabilizer.order()
     if len(vectors) != expected:
         raise ConsistencyError(

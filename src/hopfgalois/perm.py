@@ -112,7 +112,8 @@ class FiniteGroup:
     table on those indices: |G|^2 entries, at most 14,400 at
     GROUP_ORDER_BOUND."""
 
-    __slots__ = ("elements", "generators", "_index", "_inv", "_table", "degree")
+    __slots__ = ("elements", "generators", "_index", "_inv", "_table", "degree",
+                 "_center")
 
     def __init__(self, elements, generators=None):
         elems = sorted(set(elements))
@@ -143,6 +144,7 @@ class FiniteGroup:
             generators = tuple(range(len(self.elements)))
         self.generators = tuple(index[g.images] if isinstance(g, Permutation) else g
                                 for g in generators)
+        self._center = None
 
     @classmethod
     def generated_by(cls, gens, limit: int | None = None) -> "FiniteGroup":
@@ -206,10 +208,14 @@ class FiniteGroup:
                    for a in self.generators for b in self.generators)
 
     def center(self) -> "FiniteGroup":
-        table = self._table
-        indices = range(len(table))
-        return FiniteGroup(self.elements[i] for i in indices
-                           if all(table[i][j] == table[j][i] for j in indices))
+        """The center, built on the first call."""
+        if self._center is None:
+            table = self._table
+            indices = range(len(table))
+            self._center = FiniteGroup(
+                self.elements[i] for i in indices
+                if all(table[i][j] == table[j][i] for j in indices))
+        return self._center
 
     def _class_indices(self) -> list[frozenset[int]]:
         table, inv = self._table, self._inv

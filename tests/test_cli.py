@@ -235,6 +235,39 @@ def test_freeness_report_bytes_are_pinned(capsys, argv):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == FREENESS_SHA256[argv]
 
 
+# sha256 and exit code of `--json` theorem11 reports on Q(zeta_16)'s four
+# commuting pairs, all FREE, and of freeness reports on its structures
+# that stay UNKNOWN at the default bound, recorded before the scan skipped
+# the residue classes on which the norm form vanishes mod 2 or 3
+ZETA16_SHA256 = {
+    "theorem11 --n 2 --ideal OL":
+        ("1f1e97b5b1971a2d576f999eb3279abec8da0f4fa6ec45f86584eb72457b498d", 0),
+    "theorem11 --n 3 --ideal OL":
+        ("c9ff7133ac18c930ec24d9bad31aa50dcec71f5cfaae129203697ca3cae50393", 0),
+    "theorem11 --n 12 --ideal OL":
+        ("c0e10167ad633856babf8ff23fc0581d22916a1ad4616a89699f318711a91ab9", 0),
+    "theorem11 --n 13 --ideal OL":
+        ("8703675032b69822cddfde762be5ae61d6acfcfb84f08bf803c3104910d13f10", 0),
+    "freeness --n 8 --ideal OL":
+        ("e69609733c411762e7e1c67ede9e632e117e5071fc9443193b5349bebccf7aa2", 3),
+    "freeness --n 9 --ideal OL":
+        ("8678c73fc7a29a2e107fb0703fae9450357afdb14791818103f6457804bfcd58", 3),
+    "freeness --n 21 --ideal OL":
+        ("33132b37add0afd90e34e5fdb784be2bf0e07bd46942fa42bb49bcfb97bf7d43", 3),
+    "freeness --n 24 --ideal OL":
+        ("4b36f8ade22fa16b40512ca3fa9c5678e2f87e6294e42c63a8a8c3dcf91ab926", 3),
+}
+
+
+@pytest.mark.parametrize("argv", ZETA16_SHA256)
+def test_zeta16_freeness_report_bytes_are_pinned(capsys, monkeypatch, argv):
+    # the report echoes the fixture path, so it is given from the repository
+    monkeypatch.chdir(DATA.parent.parent)
+    command, *rest = argv.split()
+    code, out = run(capsys, "--json", command, "tests/data/zeta16.hgx", *rest)
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == ZETA16_SHA256[argv]
+
+
 # sha256 and exit code of the `--json` descend and assoc-order reports for
 # every structure and ideal of the field fixtures, recorded when both the
 # subfield and the descended algebra solved for coordinates: reading them off
@@ -369,6 +402,41 @@ def test_verify_commuting_runs_once_per_unordered_pair(capsys, monkeypatch,
     assert len(pairs) == calls
     assert len({frozenset(map(id, p)) for p in pairs}) == calls
     assert len(json.loads(out)["checks"]) == structures ** 2
+
+
+def test_suite_builds_one_center_per_group(capsys, monkeypatch):
+    # the enumeration and the opposite suite read each structure's one
+    # center, and the center_order assertion the group's: 31 centers on d4,
+    # where every query built its own (61)
+    from hopfgalois.perm import FiniteGroup
+    groups, centers = set(), []
+    center = FiniteGroup.center
+
+    def recording(self):
+        groups.add(id(self))
+        centers.append(center(self))
+        return centers[-1]
+    monkeypatch.setattr(FiniteGroup, "center", recording)
+    code, _ = run(capsys, "--json", "suite", "d4")
+    assert code == 0
+    assert len(centers) == 61
+    assert len({id(c) for c in centers}) == len(groups) == 31
+
+
+def test_suite_builds_each_fixed_field_once(capsys, monkeypatch):
+    # the load's subfield and the stabilizer fields of s3sextic's five
+    # descents are four fixed fields, which the descents shared in 22 calls
+    from hopfgalois import linalg
+    forms = []
+    fixed_space = linalg.fixed_space
+
+    def recording(matrices, ncols):
+        forms.append(repr(matrices))
+        return fixed_space(matrices, ncols)
+    monkeypatch.setattr(linalg, "fixed_space", recording)
+    code, _ = run(capsys, "--json", "suite", "s3sextic")
+    assert code == 0
+    assert len(forms) == len(set(forms)) == 4
 
 
 def _multiplication_tables(capsys, monkeypatch, *argv):

@@ -165,10 +165,11 @@ def test_fixed_space_matches_the_rref_oracle(monkeypatch):
         fx = load_bundled(name)
         for n in fx.structures():
             descend(fx.coset_space(), n, fx.subfield())
-    # one subfield per fixture; a descent solves one stabilizer system per
-    # orbit of G on N (qi, qzeta3, c4quartic, v4biquad, qcbrt2, s3sextic)
-    assert len(systems) == 6 + 2 + 2 + (3 + 4) + (4 + 3 + 3 + 3) + 2 + \
-        (4 + 6 + 3 + 4 + 4)
+    # one subfield per fixture and one stabilizer system per orbit of G on
+    # each N, each distinct system solved once per fixture, since the
+    # descents share them (qi, qzeta3, c4quartic, v4biquad, qcbrt2,
+    # s3sextic); solved once per orbit, they were 53
+    assert len(systems) == 2 + 2 + 3 + 5 + 3 + 4
     for forms, ncols in systems:
         # each automorphism in integer form (d, M), for the matrix M / d
         assert all(type(x) is int for d, m in forms for row in m for x in row)
