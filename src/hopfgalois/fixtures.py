@@ -40,8 +40,9 @@ def bundled_path(name: str):
 
 
 def _parse_rational(value, problems, where) -> Fraction:
+    # a JSON true or false is a Python int, and a float is no exact rational
     try:
-        if isinstance(value, (str, int)):
+        if isinstance(value, str) or type(value) is int:
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -480,7 +481,14 @@ def _validate_assertions(block, problems):
         if not isinstance(spec, dict) or "value" not in spec:
             problems.append(f"assertions.{key}: expected an object with a value")
             continue
-        out[key] = {"value": spec["value"],
+        value = spec["value"]
+        entries = enumerate(value) if isinstance(value, list) else [(None, value)]
+        for i, entry in entries:
+            if isinstance(entry, (bool, float)):
+                at = "" if i is None else f"[{i}]"
+                problems.append(f"assertions.{key}.value{at}: a count must be "
+                                f"an integer, not {json.dumps(entry)}")
+        out[key] = {"value": value,
                     "provenance": spec.get("provenance", "unspecified")}
     return out
 

@@ -52,9 +52,6 @@ class NumberField:
     def one(self) -> "FieldElement":
         return self.element([1])
 
-    def generator(self) -> "FieldElement":
-        return self.element([0, 1])
-
     def reduction_root(self) -> tuple[int, int]:
         """A pair (p, r): p >= REDUCTION_PRIME_MIN the least prime at which
         the modulus is squarefree and has a root mod p, r its least root.

@@ -94,11 +94,12 @@ class Permutation:
 def _close_tuples(gens: list[tuple[int, ...]], degree: int, limit: int | None = None):
     """Closure of image tuples under composition; None once the products of
     the generators take it past `limit`.  Breadth-first, one product per
-    element and generator: in a finite group, those already close up."""
+    element and generator: in a finite group, those already close up.  The
+    package's one subgroup closure, on permutations or table rows alike."""
     group = {tuple(range(degree)), *gens}
     frontier = list(group)
     while frontier:
-        products = {tuple(p[i] for i in g) for p in frontier for g in gens}
+        products = {tuple([p[i] for i in g]) for p in frontier for g in gens}
         frontier = [q for q in products if q not in group]
         group.update(frontier)
         if frontier and limit is not None and len(group) > limit:
@@ -229,31 +230,22 @@ class FiniteGroup:
             classes.append(cls)
         return classes
 
-    def _generated(self, gens) -> frozenset[int]:
-        """Indices of the subgroup the given indices generate: in a finite
-        group, the products of generators already close up."""
-        table = self._table
-        group = {0}
-        frontier = [0]
-        while frontier:
-            frontier = [k for k in {table[p][g] for p in frontier for g in gens}
-                        if k not in group]
-            group.update(frontier)
-        return frozenset(group)
-
     def normal_subgroups(self) -> list["FiniteGroup"]:
         """Every normal subgroup, in the order of (order, element images).  A
         normal subgroup is a union of conjugacy classes, so it is the join of
         the normal closures <C> of the classes C it contains; the joins of
         every set of closures are built one closure at a time.  The join HK
-        of two normal subgroups is their product set."""
+        of two normal subgroups is their product set.  A class closes with
+        `_close_tuples` on multiplication-table rows: row p composed with
+        row g is row pg, and row[0] reads the index back."""
         if self.order() > GROUP_QUERY_BOUND:
             raise CapabilityError(f"group of order {self.order()} exceeds "
                                   f"the query bound {GROUP_QUERY_BOUND}")
         table = self._table
         found = {frozenset([0])}
         for cls in self._class_indices():
-            closure = self._generated(cls)
+            closure = frozenset(row[0] for row in _close_tuples(
+                [table[c] for c in cls], len(table)))
             found |= {frozenset(table[h][k] for h in sub for k in closure)
                       for sub in found if not closure <= sub}
         # indices are sorted as the elements' images are
@@ -357,9 +349,15 @@ def enumerate_regular_normalized(space: CosetSpace) -> list[FiniteGroup]:
     """All regular subgroups of Perm(X) normalized by the translation image,
     canonically ordered.
 
-    The search picks, for each uncovered coset, the unique element carrying the
-    base point there, then closes under composition and translation-conjugation,
-    pruning branches whose closure exceeds |X| or meets the base point twice.
+    The search picks, for each uncovered coset, a candidate carrying the base
+    point there.  The partial group is closed under conjugation by λ(G), so
+    joining it to the candidate's λ(G)-conjugation orbit keeps the generators
+    λ(G)-stable; `_close_tuples` closes them, pruning a closure past |X|.  In
+    a regular N the elements send the base point to distinct points, so a
+    join or closure in which two agree there is dropped.  That test is also
+    enough: λ(G) is transitive and normalizes the closure, so the stabilizers
+    of the points are all conjugate, and the closure is semiregular exactly
+    when the base point's stabilizer is trivial.
     """
     size = space.size
     if size > ENUMERATION_BOUND:
@@ -375,30 +373,8 @@ def enumerate_regular_normalized(space: CosetSpace) -> list[FiniteGroup]:
         if cand != identity:
             pool.setdefault(cand[base], []).append(cand)
 
-    def close(seed: set[tuple[int, ...]]):
-        group = set(seed)
-        group.add(identity)
-        frontier = list(group)
-        while frontier:
-            new = []
-            for p in frontier:
-                conjugates = [tuple(g[p[ginv[x]]] for x in range(size))
-                              for g, ginv in lam_gens]
-                others = itertools.chain(
-                    (tuple(p[i] for i in q) for q in list(group)),
-                    (tuple(q[i] for i in p) for q in list(group)),
-                    conjugates)
-                for prod in others:
-                    if prod in group:
-                        continue
-                    if prod != identity and any(prod[i] == i for i in range(size)):
-                        return None
-                    group.add(prod)
-                    new.append(prod)
-                    if len(group) > size:
-                        return None
-            frontier = new
-        return group
+    def meets_base_once(perms):
+        return len({p[base] for p in perms}) == len(perms)
 
     # depth first over the partial groups; the results are sorted below
     results: set[frozenset] = set()
@@ -411,8 +387,18 @@ def enumerate_regular_normalized(space: CosetSpace) -> list[FiniteGroup]:
         hits = {p[base] for p in group}
         target = min(c for c in range(size) if c not in hits)
         for cand in pool.get(target, []):
-            bigger = close(group | {cand})
-            if bigger is not None:
+            # join the candidate's λ(G)-conjugation orbit to the group, as
+            # long as no two of its elements agree at the base point
+            gens, frontier = group | {cand}, [cand]
+            while frontier and meets_base_once(gens):
+                conjugates = {tuple([g[p[i]] for i in ginv])
+                              for p in frontier for g, ginv in lam_gens}
+                frontier = [q for q in conjugates if q not in gens]
+                gens.update(frontier)
+            if not meets_base_once(gens):
+                continue
+            bigger = _close_tuples(list(gens), size, limit=size)
+            if bigger is not None and meets_base_once(bigger):
                 partial.append(bigger)
     subgroups = [FiniteGroup(Permutation(t) for t in g) for g in results]
     subgroups.sort(key=lambda n: n.elements)
@@ -510,10 +496,9 @@ def metacyclic_group(r: int, q: int, d: int) -> tuple[FiniteGroup, Permutation, 
     def left_mult(a):
         return Permutation(mul(a, b) for b in range(n))
 
-    elems = [left_mult(a) for a in range(n)]
     s_perm = left_mult(idx(1, 0))
     t_perm = left_mult(idx(0, 1))
-    group = FiniteGroup(elems, generators=[s_perm, t_perm])
+    group = FiniteGroup.generated_by([s_perm, t_perm])
     if group.order() != n:
         raise StructureError("presentation closure has the wrong order")
     # relations must hold in the representation

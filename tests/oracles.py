@@ -3,7 +3,7 @@ deliberately naive: different algorithms than the code under test."""
 
 import itertools
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import lcm
 
 from hopfgalois import linalg
@@ -205,6 +205,64 @@ def regular_normalized_oracle(space):
     return set(out)
 
 
+def regular_normalized_by_two_sided_closure(space):
+    """Reference enumeration of the regular subgroups normalized by the
+    translations, as image-tuple sets sorted by their images.  For each
+    uncovered coset, each power-free candidate over it joins the partial
+    group, which is closed under products with the whole partial group on
+    both sides and under translation-conjugation, element by element; a
+    branch ends at the first non-identity element with a fixed point, or
+    once the set outgrows |X|."""
+    size = space.size
+    base = space.base_point
+    identity = tuple(range(size))
+    lam_gens = [(g.images, g.inverse().images) for g in
+                map(space.translations.__getitem__, space.group.generators)]
+    pool = {}
+    for cand in _power_free_by_size(size):
+        if cand != identity:
+            pool.setdefault(cand[base], []).append(cand)
+
+    def close(seed):
+        group = set(seed)
+        frontier = list(group)
+        while frontier:
+            new = []
+            for p in frontier:
+                conjugates = [tuple(g[p[ginv[x]]] for x in range(size))
+                              for g, ginv in lam_gens]
+                others = itertools.chain(
+                    (compose(p, q) for q in list(group)),
+                    (compose(q, p) for q in list(group)),
+                    conjugates)
+                for prod in others:
+                    if prod in group:
+                        continue
+                    if prod != identity and any(prod[i] == i for i in range(size)):
+                        return None
+                    group.add(prod)
+                    new.append(prod)
+                    if len(group) > size:
+                        return None
+            frontier = new
+        return group
+
+    results = set()
+    partial = [{identity}]
+    while partial:
+        group = partial.pop()
+        if len(group) == size:
+            results.add(frozenset(group))
+            continue
+        hits = {p[base] for p in group}
+        target = min(c for c in range(size) if c not in hits)
+        for cand in pool.get(target, []):
+            bigger = close(group | {cand})
+            if bigger is not None:
+                partial.append(bigger)
+    return sorted(tuple(sorted(g)) for g in results)
+
+
 def centralizer_by_whole_products(n, space):
     """Centralizer of N in the full symmetric group on X: every permutation
     whose two whole products with each element of N agree, in
@@ -245,6 +303,11 @@ def power_free_candidates_by_powers(size):
         if ok:
             out.append(images)
     return out
+
+
+@cache
+def _power_free_by_size(size):
+    return tuple(power_free_candidates_by_powers(size))
 
 
 def rref(mat):
@@ -598,7 +661,7 @@ def multiplication_trace(field, x):
     total, power = Fraction(0), x
     for j in range(field.degree):
         total += power.coords[j]
-        power = power * field.generator()
+        power = power * field.element([0, 1])
     return total
 
 

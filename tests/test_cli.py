@@ -926,6 +926,27 @@ MALFORMED = {
     "group order given as true":
         (lambda doc: doc["group"].update(order=True),
          "group.order: a positive integer is required"),
+    # nor a rational coefficient, nor a count; nor is a float such as 2.0
+    "min_poly coefficient given as true":
+        (lambda doc: doc["field"]["min_poly"].__setitem__(0, True),
+         "field.min_poly[0]: not a rational number: True"),
+    "automorphism image given as false":
+        (lambda doc: doc["field"]["automorphisms"]["s"].__setitem__(0, False),
+         "field.automorphisms.s[0]: not a rational number: False"),
+    "integral basis coordinate given as true":
+        (lambda doc: doc["integral_basis"][1].__setitem__(1, True),
+         "integral_basis[1][1]: not a rational number: True"),
+    "ideal coordinate given as true":
+        (lambda doc: doc["ideals"]["OL"][2].__setitem__(2, True),
+         "ideals.OL[2][2]: not a rational number: True"),
+    "asserted count given as true":
+        (lambda doc: doc["assertions"].update(center_order={"value": True}),
+         "assertions.center_order.value: a count must be an integer, not true"),
+    "asserted orders given as floats":
+        (lambda doc: doc["assertions"].update(
+            nontrivial_proper_normal_orders={"value": [2, 2.0]}),
+         "assertions.nontrivial_proper_normal_orders.value[1]: a count must "
+         "be an integer, not 2.0"),
     # 10^30 = 1 mod 7: the presentation is that of the cyclic group of order 21
     "presentation exponent beyond a machine word":
         (lambda doc: doc.update(group={"order": 4, "presentation": {

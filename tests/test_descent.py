@@ -70,7 +70,7 @@ def test_embedding_of_rationals_is_scalar(s3sextic):
 def test_embedding_rejects_unfixed_elements(qcbrt2):
     ctx, space, sub = qcbrt2.context, qcbrt2.coset_space(), qcbrt2.subfield()
     with pytest.raises(DomainError):
-        embed_in_map_algebra(ctx, space, sub, ctx.field.generator())
+        embed_in_map_algebra(ctx, space, sub, ctx.field.element([0, 1]))
 
 
 def test_embedded_elements_are_fixed_by_the_combined_action(qcbrt2):

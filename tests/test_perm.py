@@ -1,11 +1,13 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from hopfgalois.cli import main
 from hopfgalois.errors import CapabilityError, StructureError
+from hopfgalois.fixtures import parse
 from hopfgalois.perm import (FiniteGroup, Permutation, _close_tuples,
                              _power_free_candidates,
                              build_coset_space, centralizer_bruteforce,
@@ -13,8 +15,10 @@ from hopfgalois.perm import (FiniteGroup, Permutation, _close_tuples,
                              opposite, right_translation_subgroup)
 
 from .oracles import (centralizer_by_whole_products, closure_of_pair,
-                      is_isomorphic, is_normalized_by, is_regular,
-                      normal_subgroups_by_filter, power_free_candidates_by_powers,
+                      conjugacy_classes, is_isomorphic, is_normalized_by,
+                      is_regular, normal_subgroups_by_filter,
+                      power_free_candidates_by_powers,
+                      regular_normalized_by_two_sided_closure,
                       regular_normalized_oracle)
 
 
@@ -288,6 +292,70 @@ def test_enumeration_bound_is_enforced():
     space = build_coset_space(group, FiniteGroup.generated_by([t]))
     with pytest.raises(CapabilityError, match="bound 8"):
         enumerate_regular_normalized(space)
+
+
+def _image_sets(structures):
+    return sorted(tuple(sorted(p.images for p in n.elements)) for n in structures)
+
+
+def _reference_spaces(all_fixtures):
+    """Every bundled coset space, the test-data ones, and seeded split
+    metacyclic groups: regular when r q <= 8, else on the r cosets of <t>."""
+    data = Path(__file__).parent / "data"
+    spaces = [(fx.name, fx.coset_space()) for fx in all_fixtures]
+    spaces += [(name, parse(data / name).coset_space())
+               for name in ("zeta16.hgx", "c5quintic.hgx")]
+    params = [(r, q, d) for r in range(1, 9) for q in range(1, 9)
+              for d in range(r) if pow(d, q, r) == 1 % r]
+    for r, q, d in random.Random(32).sample(params, 12):
+        group, _, t = metacyclic_group(r, q, d)
+        stabilizer = (FiniteGroup.trivial(r * q) if r * q <= 8
+                      else FiniteGroup.generated_by([t]))
+        spaces.append((f"metacyclic({r},{q},{d})",
+                       build_coset_space(group, stabilizer)))
+    return spaces
+
+
+def test_enumeration_matches_the_two_sided_closure_reference(all_fixtures):
+    # the exhaustive oracle stops at degree 4; the reference closes each
+    # candidate with the whole partial group on both sides and checks every
+    # element for fixed points, where the search closes λ(G)-orbits with
+    # _close_tuples and checks only that the base point's images differ
+    sizes = set()
+    for label, space in _reference_spaces(all_fixtures):
+        assert _image_sets(enumerate_regular_normalized(space)) == \
+            regular_normalized_by_two_sided_closure(space), label
+        sizes.add(space.size)
+    assert sizes == set(range(2, 9))
+
+
+def test_enumeration_and_normal_subgroups_close_with_close_tuples(
+        monkeypatch, metacyclic21):
+    # one subgroup closure: enumeration (degree |X| = 7), the conjugacy
+    # classes of normal_subgroups (table rows, degree |G| = 21) and
+    # metacyclic_group (degree 21) all call _close_tuples
+    from hopfgalois import perm
+    closures = []
+
+    def recorded(gens, degree, limit=None):
+        closure = _close_tuples(gens, degree, limit)
+        closures.append((degree, closure))
+        return closure
+    monkeypatch.setattr(perm, "_close_tuples", recorded)
+    assert not hasattr(FiniteGroup, "_generated")
+    found = enumerate_regular_normalized(metacyclic21.coset_space())
+    assert {degree for degree, _ in closures} == {7}
+    # each structure is the closure of one call
+    assert {frozenset(n.elements) for n in found} <= \
+        {frozenset(map(Permutation, c)) for _, c in closures if c is not None}
+    closures.clear()
+    group = FiniteGroup(metacyclic21.group.elements)
+    group.normal_subgroups()
+    assert [degree for degree, _ in closures] == \
+        [21] * len(conjugacy_classes(group))
+    closures.clear()
+    assert metacyclic_group(7, 3, 2)[0] == metacyclic21.group
+    assert [degree for degree, _ in closures] == [21]
 
 
 # --- opposites
