@@ -16,7 +16,7 @@ from pathlib import Path
 from . import integral, transition
 # descend and is_generator are unused here: perfbench/smoke.py checks that its
 # tracer wraps cli.descend and cli.is_generator
-from .descent import (descend, generates, generator_sample, generator_verdicts,
+from .descent import (descend, generator_sample, generator_verdicts,
                       is_generator, is_separable, verify_commuting,
                       verify_hopf_galois)
 from .errors import (ConsistencyError, FixtureValidationError, HopfGaloisError,
@@ -33,11 +33,6 @@ EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
 
 GENERATOR_SAMPLES = 200
-# the largest m at which the generator tests are read off forms: timed
-# against the per-sample test, they take 0.35-0.8 times as long at m <= 4
-# and 0.94 at m = 5, but 0.98 at m = 6, within the noise of a command's
-# timing, and 2.5 times as long at m = 8
-GENERATOR_FORMS_DEGREE = 5
 SPECIALIZATION_POINTS = 20
 
 
@@ -282,6 +277,11 @@ def _verify_separable(fx: Fixture, report: Report):
 
 
 def _verify_generators(fx: Fixture, report: Report):
+    """The generator transfer on GENERATOR_SAMPLES seeded subfield elements:
+    the two structures of each opposite pair must give the same verdict on
+    every sample.  One call to generator_verdicts tests every structure of
+    a pair on every sample, at every m, both ways (orbit rank and
+    transition determinant)."""
     sub = fx.subfield()
     opposites = fx.opposite_indices()
     pairs = sorted({tuple(sorted((i, opposites[i])))
@@ -292,12 +292,9 @@ def _verify_generators(fx: Fixture, report: Report):
     # one test per structure and sample: a self-opposite structure is
     # both sides of its pair
     tested = sorted({k for pair in pairs for k in pair})
-    algebras = [fx.algebra(i) for i in tested]
-    if space.size <= GENERATOR_FORMS_DEGREE:
-        results = generator_verdicts(
-            algebras, [fx.transition_det(i)[0] for i in tested], samples)
-    else:
-        results = [[generates(a, s) for s in samples] for a in algebras]
+    results = generator_verdicts([fx.algebra(i) for i in tested],
+                                 [fx.transition_det(i)[0] for i in tested],
+                                 samples)
     verdicts = dict(zip(tested, results))
     for i, j in pairs:
         agree = sum(a == b for a, b in zip(verdicts[i], verdicts[j]))

@@ -356,35 +356,41 @@ def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
 
 
 def generator_verdicts(algebras, dets, samples) -> list[list[bool]]:
-    """[generates(a, s) for s in samples] for each algebra a, read off two
-    homogeneous forms of degree m per algebra, evaluated at every sample on
-    one table of monomial values per sample (transition.form_evaluator,
-    planned once for each of the two sets of forms).
+    """[generates(a, s) for s in samples] for each algebra a, at every m,
+    with homogeneous forms of degree m evaluated at every sample on one
+    table of monomial values per sample (transition.form_evaluator, planned
+    once per set of forms).
 
     The rank form R(c) = det[A_k c], for A_k the integer action matrices, is
     the orbit's int_det as a polynomial in the integer coordinates c, built
     by det_symbolic on the rows of the A_k: the rank route is R(c) != 0.
-    dets[i] is the canonical transition determinant of algebras[i]'s
-    structure, +- the transition determinant, so the determinant route
-    reads it at the sample's residues: nonzero mod p proves the exact
-    determinant nonzero; when it is zero mod p, or there are no residues,
-    the exact determinant runs (_exact_det_nonzero, as in
-    transition_det_nonzero).  The two routes must agree on every sample.
-    Two checks tie the forms to the per-sample test, per algebra: one
-    sample runs through generates too, the first non-generator if there is
-    one (a wrong zero or nonzero of either of its kernels shows there) and
-    the first sample otherwise; and R at the first sample must equal the
-    orbit's int_det."""
+    dets[i] is the canonical transition determinant Delta_N of algebras[i]'s
+    structure, +- the transition determinant.  When every Delta_N has at
+    most m^3 terms, the products of one m x m elimination, the determinant
+    route reads them as forms too, at the sample's residues: nonzero mod p
+    proves the exact determinant nonzero, and zero mod p sends the sample to
+    the exact determinant (_exact_det_nonzero).  Past m^3 terms (zeta16's
+    810-1,279 against 512), and for a sample without residues, the route is
+    transition_det_nonzero: elimination mod p, with the exact fallback.
+    The two routes must agree on every sample.  Two checks tie the forms to
+    the per-sample test, per algebra: one sample runs through generates
+    too, the first non-generator if there is one (a wrong zero or nonzero
+    of either of its kernels shows there) and the first sample otherwise;
+    and R at the first sample must equal the orbit's int_det."""
     ranks_at = form_evaluator([det_symbolic(a.int_action_matrices)
                                for a in algebras])
-    dets_at = form_evaluator(dets)
+    dets_at = (form_evaluator(dets)
+               if all(len(d.terms) <= d.nvars ** 3 for d in dets) else None)
     by_rank = [ranks_at(s.coords) for s in samples]
     verdicts = [[] for _ in algebras]
     for sample, ranks in zip(samples, by_rank):
-        values = None if sample.residues is None else dets_at(sample.residues)
+        values = (None if dets_at is None or sample.residues is None
+                  else dets_at(sample.residues))
         for i, (algebra, rank) in enumerate(zip(algebras, ranks)):
-            nonzero = (values is not None and values[i] % sample.prime != 0
-                       or _exact_det_nonzero(algebra.subgroup, sample))
+            n = algebra.subgroup
+            nonzero = (transition_det_nonzero(n, sample) if values is None
+                       else values[i] % sample.prime != 0
+                       or _exact_det_nonzero(n, sample))
             if nonzero != bool(rank):
                 raise ConsistencyError("orbit rank and transition determinant "
                                        "disagree on a generator test")

@@ -288,6 +288,11 @@ def parse_text(text: str) -> Fixture:
     except RecursionError:
         raise FixtureValidationError(
             ["syntax error: arrays or objects nested too deeply to parse"])
+    except ValueError:
+        # an integer literal past the interpreter's digit limit (4,300 by
+        # default) for converting a string to an int
+        raise FixtureValidationError(
+            ["syntax error: an integer literal has too many digits to parse"])
     if not isinstance(raw, dict):
         raise FixtureValidationError(["descriptor must be a JSON object"])
     if not isinstance(raw.get("name"), str) or not raw.get("name"):
@@ -465,6 +470,8 @@ _ASSERTED = {
         h.order() for h in fx.group.normal_subgroups()
         if 1 < h.order() < fx.group.order()),
 }
+# the assertion keys whose value is an array of counts; any other is a count
+_LISTED = frozenset({"nontrivial_proper_normal_orders"})
 
 
 def _validate_assertions(block, problems):
@@ -482,14 +489,27 @@ def _validate_assertions(block, problems):
             problems.append(f"assertions.{key}: expected an object with a value")
             continue
         value = spec["value"]
-        entries = enumerate(value) if isinstance(value, list) else [(None, value)]
-        for i, entry in entries:
-            if isinstance(entry, (bool, float)):
-                at = "" if i is None else f"[{i}]"
+        if key not in _LISTED:
+            entries = [("", value)]
+        elif isinstance(value, list):
+            entries = [(f"[{i}]", v) for i, v in enumerate(value)]
+        else:
+            entries = []
+            problems.append(f"assertions.{key}.value: expected an array of "
+                            f"counts, not {json.dumps(value)}")
+        # a JSON true or false is a Python int, but not a count
+        for at, entry in entries:
+            if type(entry) is not int:
                 problems.append(f"assertions.{key}.value{at}: a count must be "
                                 f"an integer, not {json.dumps(entry)}")
-        out[key] = {"value": value,
-                    "provenance": spec.get("provenance", "unspecified")}
+            elif entry < 0:
+                problems.append(f"assertions.{key}.value{at}: a count must be "
+                                f"nonnegative, not {entry}")
+        provenance = spec.get("provenance", "unspecified")
+        if not isinstance(provenance, str):
+            problems.append(f"assertions.{key}.provenance: expected a string, "
+                            f"not {json.dumps(provenance)}")
+        out[key] = {"value": value, "provenance": provenance}
     return out
 
 

@@ -92,16 +92,22 @@ def det_symbolic(matrix) -> IntPolynomial:
     column sets: the minor on the bottom k rows and a k-column set is built
     once, so the expansion visits 2^m minors instead of m! permutations.
     Entries are integer linear forms in y_0 .. y_{n-1}, each given as its
-    coefficient vector (a_0, .., a_{n-1}).  A matrix whose every entry has at
-    most one nonzero coefficient (a transition matrix) has sparse minors,
-    kept as dicts; any other (a norm form) has nearly dense minors, packed
-    (_dense_det) for as long as a level's coefficients fit their slots."""
+    coefficient vector (a_0, .., a_{n-1}).  The minors are packed
+    (_dense_det) when some entry has two or more nonzero coefficients and
+    more than half of all m * m * n coefficients are nonzero, as in most
+    norm forms: such minors are nearly dense.  Any other matrix, such as a
+    transition matrix or forms with mostly zero coefficients, is expanded
+    over dicts (_sparse_det), and so is a packed one whose coefficients
+    outgrow their slots."""
     m, nvars = len(matrix), len(matrix[0][0])
     if m > ENUMERATION_BOUND:
         raise CapabilityError(f"matrix size {m} exceeds the symbolic "
                               f"determinant bound {ENUMERATION_BOUND}")
-    if any(sum(map(bool, form)) > 1 for row in matrix for form in row):
-        return IntPolynomial(nvars, _dense_det(matrix, nvars))
+    counts = [len(form) - form.count(0) for row in matrix for form in row]
+    if max(counts) > 1 and 2 * sum(counts) > m * m * nvars:
+        terms = _dense_det(matrix, nvars)
+        if terms is not None:
+            return IntPolynomial(nvars, terms)
     return IntPolynomial(nvars, _sparse_det(matrix, nvars))
 
 
@@ -224,7 +230,7 @@ def _times_variable(nvars: int, degree: int) -> tuple[itemgetter, ...]:
     return tuple(gathers)
 
 
-def _dense_det(matrix, nvars: int) -> dict:
+def _dense_det(matrix, nvars: int) -> dict | None:
     """The determinant's terms, with every minor of degree k packed in one
     integer: its coefficients over the degree-k monomials in graded order,
     one signed 64-bit slot each, slot i at bit 64 i.  Extending the minors by
@@ -236,15 +242,16 @@ def _dense_det(matrix, nvars: int) -> dict:
     Every Q_j slot and every new coefficient is at most the row's absolute
     coefficient sum times the largest |coefficient| of the level below.
     Before each level that product is checked against 2^63.  When it is not
-    below, the dict expansion (_sparse_det) of the whole matrix runs instead.
-    Some entry has two nonzero coefficients, so nvars >= 2."""
+    below, the result is None, and det_symbolic expands the whole matrix
+    over dicts instead.  Some entry has two nonzero coefficients, so
+    nvars >= 2."""
     m = len(matrix)
     order = sys.byteorder
     coeffs = {0: (1,)}  # column bitmask -> coefficients of the minor
     for k, row in enumerate(reversed(matrix)):
         largest = max(max(map(abs, c)) for c in coeffs.values())
         if sum(abs(a) for form in row for a in form) * largest >= _SLOT_LIMIT:
-            return _sparse_det(matrix, nvars)
+            return None
         size = len(_monomials(nvars, k))
         # 2^63 in every slot: adding it makes every slot nonnegative, and
         # xor-ing it again turns a slot into its two's complement

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -165,29 +166,54 @@ def test_generator_report_bytes_are_pinned(capsys, name, seed):
         GENERATORS_SHA256[name, seed]
 
 
-# fixtures on which the generator tests' two routes were timed, besides
-# the bundled ones: the cyclic quintic (m = 5) and Q(zeta_16) (m = 8)
+# fixtures on which the generator tests' routes were timed, besides the
+# bundled ones: the cyclic quintic (m = 5) and Q(zeta_16) (m = 8)
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("fixture,forms", [
-    (str(DATA / "c5quintic.hgx"), True), ("s3sextic", False),
-    (str(DATA / "zeta16.hgx"), False)])
-def test_generator_tests_take_the_forms_up_to_degree_five(
+@pytest.mark.parametrize("fixture, forms", [
+    pytest.param(str(DATA / "c5quintic.hgx"), True, id="c5quintic"),
+    pytest.param("s3sextic", True, id="s3sextic"),
+    pytest.param(str(DATA / "zeta16.hgx"), False, id="zeta16")])
+def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
         capsys, monkeypatch, fixture, forms):
+    # every m takes generator_verdicts, which reads the rank forms always and
+    # the transition determinants Delta_N as forms only while each has at
+    # most m^3 terms: s3sextic's have at most 146 (m^3 = 216), zeta16's
+    # 810-1,279 (512), and there each sample is eliminated mod p
     from hopfgalois import descent
-    calls = []
+    calls, evaluated, eliminated = [], [], []
+    form_evaluator = descent.form_evaluator
+    transition_det_nonzero = descent.transition_det_nonzero
 
-    def recording(*args):
+    def verdicts(*args):
         calls.append(args)
         return descent.generator_verdicts(*args)
-    monkeypatch.setattr(cli, "generator_verdicts", recording)
+
+    def planning(forms):
+        evaluated.append(forms)
+        return form_evaluator(forms)
+
+    def eliminating(n, sample):
+        eliminated.append(n)
+        return transition_det_nonzero(n, sample)
+    monkeypatch.setattr(cli, "generator_verdicts", verdicts)
+    monkeypatch.setattr(descent, "form_evaluator", planning)
+    monkeypatch.setattr(descent, "transition_det_nonzero", eliminating)
     monkeypatch.setattr(cli, "GENERATOR_SAMPLES", 4)
     code, out = run(capsys, "--json", "verify", "generators", fixture)
     checks = json.loads(out)["checks"]
     assert code == 0 and checks
     assert all(c["verdict"] == "PASS" for c in checks)
-    assert bool(calls) == forms
+    # one driver call; its rank forms are always planned, its Delta_N
+    # only when they are small enough
+    [(algebras, dets, samples)] = calls
+    m = algebras[0].space.size
+    assert (max(len(d.terms) for d in dets) <= m ** 3) == forms
+    assert evaluated[1:] == ([dets] if forms else [])
+    # the per-sample test ties the forms to one sample per structure, and
+    # without the Delta_N forms each sample is eliminated too
+    assert len(eliminated) == len(algebras) * (1 if forms else 1 + 4)
 
 
 # sha256 and exit code of `--json` freeness and theorem11 reports on the
@@ -501,7 +527,7 @@ def test_suite_tests_each_sample_once_and_keeps_e_matrices_out_of_linalg(
     # the generator forms tie themselves to one sample through
     # descent.generates, and the certificate runs its witness test through
     # integral.generates
-    for module in (cli, descent, integral):
+    for module in (descent, integral):
         monkeypatch.setattr(module, "generates",
                             counting("generates", module.generates))
     monkeypatch.setattr(integral, "associated_order",
@@ -947,6 +973,45 @@ MALFORMED = {
             nontrivial_proper_normal_orders={"value": [2, 2.0]}),
          "assertions.nontrivial_proper_normal_orders.value[1]: a count must "
          "be an integer, not 2.0"),
+    # nor is anything but a nonnegative integer, which would otherwise reach
+    # the report as a FAIL
+    "asserted count given as a string":
+        (lambda doc: doc["assertions"].update(coset_count={"value": "3"}),
+         'assertions.coset_count.value: a count must be an integer, not "3"'),
+    "asserted count given as null":
+        (lambda doc: doc["assertions"].update(coset_count={"value": None}),
+         "assertions.coset_count.value: a count must be an integer, not null"),
+    "asserted count given as an array":
+        (lambda doc: doc["assertions"].update(coset_count={"value": [3]}),
+         "assertions.coset_count.value: a count must be an integer, not [3]"),
+    "asserted count given as an object":
+        (lambda doc: doc["assertions"].update(coset_count={"value": {"a": 1}}),
+         'assertions.coset_count.value: a count must be an integer, '
+         'not {"a": 1}'),
+    "asserted count given as a negative integer":
+        (lambda doc: doc["assertions"].update(coset_count={"value": -1}),
+         "assertions.coset_count.value: a count must be nonnegative, not -1"),
+    "asserted orders given as strings":
+        (lambda doc: doc["assertions"].update(
+            nontrivial_proper_normal_orders={"value": ["7"]}),
+         "assertions.nontrivial_proper_normal_orders.value[0]: a count must "
+         'be an integer, not "7"'),
+    "asserted orders with a null":
+        (lambda doc: doc["assertions"].update(
+            nontrivial_proper_normal_orders={"value": [7, None]}),
+         "assertions.nontrivial_proper_normal_orders.value[1]: a count must "
+         "be an integer, not null"),
+    "asserted orders given as one count":
+        (lambda doc: doc["assertions"].update(
+            nontrivial_proper_normal_orders={"value": 7}),
+         "assertions.nontrivial_proper_normal_orders.value: expected an array "
+         "of counts, not 7"),
+    # the provenance is copied into the report
+    "assertion provenance given as an array":
+        (lambda doc: doc["assertions"].update(coset_count={
+            "value": 4, "provenance": [5, {"x": 1}]}),
+         'assertions.coset_count.provenance: expected a string, '
+         'not [5, {"x": 1}]'),
     # 10^30 = 1 mod 7: the presentation is that of the cyclic group of order 21
     "presentation exponent beyond a machine word":
         (lambda doc: doc.update(group={"order": 4, "presentation": {
@@ -964,6 +1029,27 @@ UNREADABLE = {
         (lambda path: path.write_text("[" * 100_000, encoding="utf-8"),
          "syntax error: arrays or objects nested too deeply to parse"),
 }
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="this interpreter converts 5,000-digit integer literals")
+def test_an_integer_literal_past_the_digit_limit_is_a_validation_problem(
+        tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on an
+    # integer literal longer than the interpreter's digit limit
+    text = bundled_path("qi").read_text(encoding="utf-8")
+    planted = text.replace('"min_poly": [1, 0, 1]',
+                           f'"min_poly": [{"9" * 5000}, 0, 1]')
+    assert planted != text
+    path = tmp_path / "bad.hgx"
+    path.write_text(planted, encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "  - syntax error: an integer literal has too many digits to " \
+        "parse" in captured.err
 
 
 @pytest.mark.parametrize("shape", [*MALFORMED, *UNREADABLE])
@@ -1246,8 +1332,11 @@ def test_validate_checks_the_assertions(capsys):
 def test_every_assertion_the_parser_accepts_is_computed_by_validate(
         tmp_path, capsys):
     from hopfgalois.fixtures import _ASSERTED
+    from hopfgalois.fixtures import _LISTED
     doc = _c4quartic_descriptor()
-    doc["assertions"] = {key: {"value": None} for key in _ASSERTED}
+    # well-formed values that no fixture has: counts past the group order
+    doc["assertions"] = {key: {"value": [99] if key in _LISTED else 99}
+                         for key in _ASSERTED}
     path = tmp_path / "asserted.hgx"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out = run(capsys, "--json", "validate", str(path))

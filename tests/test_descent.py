@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from hopfgalois.descent import (GeneratorSample, _residues, descend,
                                 transition_det_nonzero, verify_commuting,
                                 verify_hopf_galois)
 from hopfgalois.errors import ConsistencyError, DomainError, StructureError
+from hopfgalois.fixtures import parse
 from hopfgalois.numberfield import GaloisContext, Subfield
 from hopfgalois.perm import (FiniteGroup, Permutation, opposite,
                              right_translation_subgroup)
@@ -552,8 +554,8 @@ def test_generator_verdicts_match_the_per_sample_test(field_fixtures):
     # the forms route gives generates' verdict for every structure and
     # sample, at seeds 0-4: seeded integer coordinates (c = 1) first, then
     # coordinates over 2, 3, 6 and p (c > 1; residues None when p divides a
-    # reduced denominator), and the non-generators 0 and 1.  s3sextic
-    # (m = 6) is here too, though the command keeps generates for it
+    # reduced denominator), and the non-generators 0 and 1.  Every Delta_N
+    # here has at most m^3 terms, so both routes are read off forms
     for fx in field_fixtures:
         space, sub = fx.coset_space(), fx.subfield()
         p, _ = fx.context.field.reduction_root()
@@ -577,6 +579,36 @@ def test_generator_verdicts_match_the_per_sample_test(field_fixtures):
             verdicts |= {v for row in expected for v in row}
         assert max(scales) > 1 and no_residues and verdicts == {False, True}, \
             fx.name
+
+
+def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch):
+    # zeta16's Delta_N have 810-1,279 terms, past m^3 = 512: only the rank
+    # forms are planned, and each sample's determinant route is
+    # transition_det_nonzero, with the same verdicts as generates
+    fx = parse(Path(__file__).parent / "data" / "zeta16.hgx")
+    space, sub = fx.coset_space(), fx.subfield()
+    p, _ = fx.context.field.reduction_root()
+    count = len(fx.structures())
+    algebras = [fx.algebra(i) for i in range(count)]
+    dets = [fx.transition_det(i)[0] for i in range(count)]
+    assert min(len(d.terms) for d in dets) > space.size ** 3
+    rng = random.Random(0)
+    coords = [sub.random_coords(rng) for _ in range(2)]
+    coords += [_mixed_coords(rng, sub.dim, p) for _ in range(3)]
+    coords += [[0] * sub.dim, sub.coords(fx.context.field.one())]
+    samples = [_sample(sub, space, c) for c in coords]
+    planned = []
+    form_evaluator = descent.form_evaluator
+
+    def planning(forms):
+        planned.append(forms)
+        return form_evaluator(forms)
+    monkeypatch.setattr(descent, "form_evaluator", planning)
+    verdicts = descent.generator_verdicts(algebras, dets, samples)
+    assert len(planned) == 1 and len(planned[0]) == count
+    assert verdicts == [[generates(a, s) for s in samples] for a in algebras]
+    assert any(s.residues is None for s in samples)
+    assert {v for row in verdicts for v in row} == {False, True}
 
 
 def test_generator_verdicts_without_algebras_are_empty(qcbrt2):

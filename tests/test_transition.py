@@ -1,9 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from hopfgalois import transition
 from hopfgalois.errors import CapabilityError, ConsistencyError
+from hopfgalois.fixtures import parse
+from hopfgalois.integral import associated_order, norm_form
 from hopfgalois.perm import (FiniteGroup, Permutation, build_coset_space,
                              enumerate_regular_normalized, metacyclic_group,
                              opposite, right_translation_subgroup)
@@ -342,6 +345,56 @@ def test_packed_minors_hand_over_at_any_level(spread, rows_left, monkeypatch):
     assert det_symbolic(rows) == cofactor_det(rows, 3)
     assert levels == list(range(6 - rows_left))
     assert calls == [rows]
+
+
+# the expansion det_symbolic runs on each structure's rank forms (the rows
+# of its integer action matrices, as descent.generator_verdicts builds them)
+# and on its norm form of each ideal (integral.norm_form): P for packed
+# minors, D for dicts, one letter per structure
+EXPANSIONS = {
+    "qi": ("D", {"OL": "D"}),
+    "qzeta3": ("P", {"OL": "P"}),
+    "c4quartic": ("DD", {"OL": "DD"}),
+    "v4biquad": ("DDDD", {"OL": "PPPP"}),
+    "qcbrt2": ("P", {"OL": "P"}),
+    "s3sextic": ("PPDDP", {"OE": "PPPPP", "OL": "PPPPP"}),
+    "c5quintic": ("P", {"OL": "P"}),
+    "zeta16": ("D" * 26, {"OL": "D" * 26}),
+}
+
+
+@pytest.mark.parametrize("name", EXPANSIONS)
+def test_det_symbolic_packs_only_dense_forms(name, request, monkeypatch):
+    # packed when some entry has two or more terms and more than half of the
+    # coefficients are nonzero: the norm forms of s3sextic and v4biquad are,
+    # zeta16's forms (5-20% nonzero) and c4quartic's (39-47%) are not
+    data = Path(__file__).parent / "data"
+    fx = (parse(data / f"{name}.hgx") if name in ("c5quintic", "zeta16")
+          else request.getfixturevalue(name))
+    ran = []
+    dense_det, sparse_det = transition._dense_det, transition._sparse_det
+
+    def packed(matrix, nvars):
+        terms = dense_det(matrix, nvars)
+        ran.append("P" if terms is not None else "overflow")
+        return terms
+
+    def dicts(matrix, nvars):
+        ran.append("D")
+        return sparse_det(matrix, nvars)
+    count = len(fx.structures())
+    algebras = [fx.algebra(i) for i in range(count)]
+    monkeypatch.setattr(transition, "_dense_det", packed)
+    monkeypatch.setattr(transition, "_sparse_det", dicts)
+    for a in algebras:
+        det_symbolic(a.int_action_matrices)
+    expansions = ("".join(ran), {})
+    for ideal in sorted(fx.ideals):
+        ran.clear()
+        for a in algebras:
+            norm_form(associated_order(a, fx.ideal(ideal)))
+        expansions[1][ideal] = "".join(ran)
+    assert expansions == EXPANSIONS[name]
 
 
 def test_transition_matrices_keep_the_dict_expansion(s3sextic, metacyclic21,
