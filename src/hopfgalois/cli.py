@@ -399,7 +399,8 @@ def _specialization_checks(fx: Fixture, report: Report):
     is D^m times its value over E, and the two are compared after reduction
     by f.  The symbolic side is the generator forms' evaluator on packed
     points (numberfield._packed_form_evaluator), planned once per structure;
-    the numeric side is _packed_det, which shares no code with it."""
+    the numeric side is _packed_det (linalg.int_det on the packed matrix),
+    which shares only the packing, unpacking and reduction by f with it."""
     sub = fx.subfield()
     table = sub.coset_images(fx.coset_space().representatives)
     modulus = fx.context.field.modulus

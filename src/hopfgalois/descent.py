@@ -73,11 +73,12 @@ def descend(space: CosetSpace, n: FiniteGroup,
 
     The result is certified, not trusted.  Every basis vector is checked
     fixed by every generator, over Z, and the basis independent over E
-    (_packed_det).  Fixed vectors independent over Q are independent over E
-    (Speiser), so dim_Q E[N]^G <= m, and m fixed vectors independent over E
-    are a basis of the whole fixed space.  Products are taken over Z[t]/(f)
-    on the basis times its common denominator, and their coordinates, read
-    off at the free columns, are checked by an integer recombination."""
+    (_packed_det, int_det on the packed blocks).  Fixed vectors independent
+    over Q are independent over E (Speiser), so dim_Q E[N]^G <= m, and m
+    fixed vectors independent over E are a basis of the whole fixed space.
+    Products are taken over Z[t]/(f) on the basis times its common
+    denominator, and their coordinates, read off at the free columns, are
+    checked by an integer recombination."""
     group, context = space.group, subfield.context
     matrices, m, nf_degree = context.matrices, space.size, context.degree
     modulus = context.field.modulus
@@ -294,8 +295,8 @@ def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
     residues invertible mod p (linalg.nonsingular_mod_p) proves the exact
     determinant nonzero.  A matrix singular mod p, or a denominator
     divisible by p (no residues), falls back to the exact determinant in
-    Z[t]/(f) of the transition matrix on the integer values (_packed_det),
-    scale^m times the one over E."""
+    Z[t]/(f) of the transition matrix on the integer values (_packed_det,
+    int_det of the packed matrix), scale^m times the one over E."""
     if sample.residues is not None and linalg.nonsingular_mod_p(
             transition_matrix_of(n, sample.residues), sample.prime):
         return True

@@ -12,6 +12,7 @@ failure found, not just the first.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 from math import lcm
@@ -40,9 +41,12 @@ def bundled_path(name: str):
 
 
 def _parse_rational(value, problems, where) -> Fraction:
-    # a JSON true or false is a Python int, and a float is no exact rational
+    # a JSON true or false is a Python int, and a float is no exact rational;
+    # a string is "p" or "p/q" only: Fraction would also read "1e9999999"
+    # and build its ten-million-digit integer
     try:
-        if isinstance(value, str) or type(value) is int:
+        if type(value) is int or isinstance(value, str) and re.fullmatch(
+                r"-?[0-9]+(/[0-9]+)?", value):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -345,18 +349,22 @@ def parse_text(text: str) -> Fixture:
         if missing:
             problems.append(
                 f"field.automorphisms: missing images for generators {missing}")
+        irreducible = fblock.get("irreducible")
+        if irreducible not in (None, "asserted"):
+            problems.append(f'field.irreducible: expected "asserted", not '
+                            f"{json.dumps(irreducible)}")
         if not problems:
             try:
                 context = load_field(
                     min_poly, group, images,
-                    irreducible_asserted=fblock.get("irreducible") == "asserted")
+                    irreducible_asserted=irreducible == "asserted")
                 sub = fixed_subfield(context, stabilizer)
             except HopfGaloisError as err:
                 problems.append(f"field: {err}")
         if sub is not None:
             integral_basis = _validate_integral_basis(
                 raw.get("integral_basis"), context, sub, problems)
-            iblock = raw.get("ideals") or {}
+            iblock = {} if raw.get("ideals") is None else raw["ideals"]
             if not isinstance(iblock, dict):
                 problems.append("ideals: expected an object")
                 iblock = {}

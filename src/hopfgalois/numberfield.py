@@ -224,9 +224,10 @@ def _unpack(value: int, slots: int, width: int) -> list[int]:
 def _packed_det(rows, modulus) -> list[int]:
     """Coordinates of the determinant in Z[t]/(f), f the monic modulus, of a
     square matrix of integer coordinate vectors.  Each distinct entry (by
-    identity) is packed once; the determinant is a Laplace expansion along
-    the rows, memoized over column sets (2^m minors), on the packed integers
-    with no reduction in between; it is unpacked and reduced by f once.
+    identity) is packed once.  Packing is a ring map Z[t] -> Z, so the
+    integer determinant of the packed matrix (linalg.int_det, fraction-free
+    elimination, exact over any integral domain) is the packed determinant;
+    it is unpacked and reduced by f once.
 
     Slot width: only the determinant is unpacked.  With L the largest l1
     norm of an entry, it is a sum of m! products of m entries, so its
@@ -239,24 +240,8 @@ def _packed_det(rows, modulus) -> list[int]:
     largest = max(sum(map(abs, e)) for e in distinct.values())
     width = _slot_bytes(factorial(m) * largest ** m)
     packed = {key: _pack(e, width) for key, e in distinct.items()}
-    # column bitmask -> the packed minor on the bottom rows and those
-    # columns; zero minors are dropped
-    minors = {0: 1}
-    for row in reversed(rows):
-        entries = [packed[id(e)] for e in row]
-        grown: dict[int, int] = {}
-        for cols, minor in minors.items():
-            for c, entry in enumerate(entries):
-                bit = 1 << c
-                if entry and not cols & bit:
-                    # cofactor sign: parity of the columns of the minor left
-                    # of c
-                    if (cols & (bit - 1)).bit_count() % 2:
-                        entry = -entry
-                    grown[cols | bit] = grown.get(cols | bit, 0) + entry * minor
-        minors = {cols: minor for cols, minor in grown.items() if minor}
-    full = minors.get((1 << m) - 1, 0)
-    return _reduce_int(_unpack(full, m * (n - 1) + 1, width), modulus)
+    det = linalg.int_det([[packed[id(e)] for e in row] for row in rows])
+    return _reduce_int(_unpack(det, m * (n - 1) + 1, width), modulus)
 
 
 def _packed_form_evaluator(form, modulus):

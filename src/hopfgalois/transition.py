@@ -166,7 +166,9 @@ def _monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _gather(indices) -> Callable:
-    """itemgetter(*indices), returning a tuple also for one index."""
+    """itemgetter(*indices), returning a tuple also for one index or none."""
+    if not indices:
+        return lambda seq: ()
     get = itemgetter(*indices)
     return get if len(indices) > 1 else lambda seq: (get(seq),)
 
@@ -191,24 +193,25 @@ def form_evaluator(forms) -> Callable[[list[int]], list[int]]:
     """The values of homogeneous IntPolynomials of one degree, all in the
     same variables, as a function of an integer point: one value per form.
     The plan is made once: the monomials the forms have, and each form's
-    coefficients on them.  Each point then costs one table of those
-    monomials' values (_monomial_steps), shared by the forms, and one sum of
-    products per form with its coefficients on that table."""
-    # multiset of variables -> the monomial's coefficient in each form
-    columns: dict[tuple[int, ...], list[int]] = {}
-    for i, form in enumerate(forms):
-        for e, c in form.terms.items():
-            combo = tuple(j for j, k in enumerate(e) for _ in range(k))
-            columns.setdefault(combo, [0] * len(forms))[i] = c
-    steps = _monomial_steps(list(columns))
-    rows = [[column[i] for column in columns.values()]
-            for i in range(len(forms))]
+    gather of its own monomials with its coefficients.  Each point then
+    costs one table of those monomials' values (_monomial_steps), shared by
+    the forms, and one sum of products per form over its own monomials."""
+    # multiset of variables -> the monomial's slot in the shared table
+    slots: dict[tuple[int, ...], int] = {}
+    plans = []
+    for form in forms:
+        reads = [slots.setdefault(
+            tuple(j for j, k in enumerate(e) for _ in range(k)), len(slots))
+            for e in form.terms]
+        plans.append((_gather(reads), tuple(form.terms.values())))
+    steps = _monomial_steps(list(slots))
 
     def evaluate(point):
         table = (1,)
         for lower, variable in steps:
             table = list(map(mul, lower(table), variable(point)))
-        return [sum(map(mul, row, table)) for row in rows]
+        return [sum(map(mul, coeffs, gather(table)))
+                for gather, coeffs in plans]
     return evaluate
 
 

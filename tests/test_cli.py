@@ -659,13 +659,17 @@ def test_a_flipped_generator_kernel_raises_consistency_error(capsys,
     # disagree on some sample, and main reports the ConsistencyError as an
     # internal fault.  A flipped mod-p answer is caught on the
     # non-generators: on a generator, its False only sends the test to the
-    # exact determinant
-    from hopfgalois import linalg
+    # exact determinant.  The kernel is flipped in descent only: the exact
+    # determinant over E is int_det too, on packed entries
+    from types import SimpleNamespace
+
+    from hopfgalois import descent, linalg
     exact = getattr(linalg, kernel)
 
     def flipped(*args):
         return not exact(*args)
-    monkeypatch.setattr(linalg, kernel, flipped)
+    monkeypatch.setattr(descent, "linalg",
+                        SimpleNamespace(**{**vars(linalg), kernel: flipped}))
     code = main(["verify", "generators", "v4biquad"])
     captured = capsys.readouterr()
     # a failed cross-check is an internal fault (exit 4), not a usage error
@@ -675,6 +679,19 @@ def test_a_flipped_generator_kernel_raises_consistency_error(capsys,
     assert first == ("internal error: ConsistencyError: orbit rank and "
                      "transition determinant disagree on a generator test")
     assert trace[0] == "Traceback (most recent call last):"
+
+
+def test_a_flipped_int_det_everywhere_raises_consistency_error(capsys,
+                                                               monkeypatch):
+    # flipped in linalg itself, int_det is wrong on the rank route and in
+    # every exact determinant over E, so some cross-check must fail; the
+    # first to run is descend's spanning check
+    from hopfgalois import linalg
+    exact = linalg.int_det
+    monkeypatch.setattr(linalg, "int_det", lambda mat: not exact(mat))
+    assert _internal_error(capsys, ["verify", "generators", "v4biquad"]) == (
+        "internal error: ConsistencyError: descended basis does not span "
+        "E[N] over E")
 
 
 def _internal_error(capsys, argv):
@@ -917,6 +934,18 @@ MALFORMED = {
          "assertions: expected an object"),
     "ideals given as a string":
         (lambda doc: doc.update(ideals="OL"), "ideals: expected an object"),
+    # only a missing or null block means no ideals
+    "ideals given as an empty list":
+        (lambda doc: doc.update(ideals=[]), "ideals: expected an object"),
+    "ideals given as false":
+        (lambda doc: doc.update(ideals=False), "ideals: expected an object"),
+    # irreducibility is asserted by the one value "asserted", or not at all
+    "irreducibility given as a number":
+        (lambda doc: doc["field"].update(irreducible=5),
+         'field.irreducible: expected "asserted", not 5'),
+    "irreducibility given as true":
+        (lambda doc: doc["field"].update(irreducible=True),
+         'field.irreducible: expected "asserted", not true'),
     # well-formed blocks whose bases are degenerate
     "dependent integral basis":
         (lambda doc: doc["integral_basis"].__setitem__(3, ["0", "2", "0", "0"]),
@@ -965,6 +994,13 @@ MALFORMED = {
     "ideal coordinate given as true":
         (lambda doc: doc["ideals"]["OL"][2].__setitem__(2, True),
          "ideals.OL[2][2]: not a rational number: True"),
+    # a rational string is "p" or "p/q": no exponent, no decimal point
+    "integral basis coordinate in exponent notation":
+        (lambda doc: doc["integral_basis"][1].__setitem__(1, "1e9999999"),
+         "integral_basis[1][1]: not a rational number: '1e9999999'"),
+    "automorphism image in decimal notation":
+        (lambda doc: doc["field"]["automorphisms"]["s"].__setitem__(0, "1.5"),
+         "field.automorphisms.s[0]: not a rational number: '1.5'"),
     "asserted count given as true":
         (lambda doc: doc["assertions"].update(center_order={"value": True}),
          "assertions.center_order.value: a count must be an integer, not true"),
@@ -1054,6 +1090,20 @@ def test_an_integer_literal_past_the_digit_limit_is_a_validation_problem(
 
 @pytest.mark.parametrize("shape", [*MALFORMED, *UNREADABLE])
 def test_malformed_block_is_a_validation_problem(tmp_path, capsys, shape):
+    _validate_malformed(tmp_path, capsys, shape)
+
+
+def test_a_rational_in_exponent_notation_is_refused_at_once(tmp_path, capsys):
+    # Fraction("1e9999999") builds a ten-million-digit integer, tens of
+    # seconds of work; the parser refuses the string before any conversion
+    start = time.perf_counter()
+    _validate_malformed(tmp_path, capsys,
+                        "integral basis coordinate in exponent notation")
+    assert time.perf_counter() - start < 1
+
+
+def _validate_malformed(tmp_path, capsys, shape):
+    """validate on the planted shape: exit 2 naming its problem."""
     path = tmp_path / "bad.hgx"
     if shape in UNREADABLE:
         write, problem = UNREADABLE[shape]

@@ -615,6 +615,34 @@ def test_field_det_matches_gaussian_elimination(field_fixtures):
         x, t = _slot_edge_elements(field)[0], field.element([0, 1])
         matrix = [[x, field.zero()], [field.zero(), x * t]]
         assert _det_in_e(matrix) == det(matrix)
+        # the elimination finds no pivot where it first looks: a zero (0, 0)
+        # entry, and a leading 2 x 2 minor that is singular (its second row
+        # an integer multiple of the first) under a nonsingular whole
+        for m in (2, 3, 5):
+            matrix = _random_matrix(field, m, rng)
+            matrix[0][0] = field.zero()
+            assert _det_in_e(matrix) == det(matrix)
+            matrix = _random_matrix(field, m + 1, rng)
+            matrix[1][:2] = [x * field.element([-3]) for x in matrix[0][:2]]
+            assert det(matrix) and _det_in_e(matrix) == det(matrix)
+
+
+def test_field_det_is_one_int_det_and_no_other_elimination(c4quartic,
+                                                          monkeypatch):
+    # every elimination over Z runs through _eliminate; the mod-p test and
+    # the Hermite form have their own
+    calls = []
+    for name in ("int_det", "_eliminate", "nonsingular_mod_p", "hnf"):
+        def recording(*args, name=name, kernel=getattr(linalg, name),
+                      **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, recording)
+    rng = random.Random(28)
+    rows = [[[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+            for _ in range(4)]
+    assert any(_packed_det(rows, c4quartic.context.field.modulus))
+    assert calls == ["int_det", "_eliminate"]
 
 
 def test_field_det_at_the_size_bound_on_a_quartic_field(c4quartic):

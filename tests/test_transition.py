@@ -67,6 +67,16 @@ def test_form_values_match_term_by_term_evaluation(seed):
         assert values(p) == [evaluate(f, p, 1) for f in forms]
 
 
+def test_a_form_without_terms_evaluates_to_zero():
+    # each form sums over its own monomials: a form with none sums nothing,
+    # alone or beside forms that have terms
+    empty = IntPolynomial(2)
+    assert form_evaluator([empty])([3, 5]) == [0]
+    values = form_evaluator([empty, IntPolynomial(2, {(1, 1): 4}), empty,
+                             IntPolynomial(2, {(2, 0): -1, (1, 1): 2})])
+    assert values([3, 5]) == [0, 60, 0, 21]
+
+
 def test_form_values_of_no_forms_are_empty():
     # a fixture without tested structures has no forms to evaluate
     values = form_evaluator([])
