@@ -219,9 +219,15 @@ def verify_hopf_galois(algebra: DescendedAlgebra) -> bool:
 
 def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
     """Exact commutation of every pair of basis action matrices, on the
-    algebras' integer forms: (d A)(e B) = (e B)(d A) exactly when AB = BA."""
-    ints2 = a2.int_action_matrices
-    for r1 in a1.int_action_matrices:
+    algebras' integer forms: (d A)(e B) = (e B)(d A) exactly when AB = BA.
+    A scalar matrix commutes with every matrix, so it is compared with none:
+    the unit's, basis element 0 on every field fixture."""
+    def unscalar(mats):
+        return [a for a in mats if any(
+            x != (a[0][0] if i == j else 0)
+            for i, row in enumerate(a) for j, x in enumerate(row))]
+    ints2 = unscalar(a2.int_action_matrices)
+    for r1 in unscalar(a1.int_action_matrices):
         for r2 in ints2:
             if linalg.mat_mul(r1, r2) != linalg.mat_mul(r2, r1):
                 return False
@@ -231,19 +237,11 @@ def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
 def _residues(scaled, scale, field: NumberField) -> list[int] | None:
     """The residues under t -> r mod p, for the field's (p, r) =
     NumberField.reduction_root(), of the values with power-basis coordinates
-    scaled[k] / scale; None when p divides a reduced denominator.  With p^a
-    the power of p in scale, that is when p^a does not divide every integer;
-    otherwise each residue is the integers over p^a at r, times the inverse
-    of scale / p^a mod p (one pow per call)."""
+    scaled[k] / scale: the integers at r, times the inverse of scale mod p
+    (one pow per call); None when p divides scale."""
     p, r = field.reduction_root()
-    part = 1
-    while scale % p == 0:
-        scale //= p
-        part *= p
-    if part > 1:
-        if any(x % part for vec in scaled for x in vec):
-            return None
-        scaled = [[x // part for x in vec] for vec in scaled]
+    if scale % p == 0:
+        return None
     inv = pow(scale, -1, p)
     residues = []
     for vec in scaled:
@@ -259,12 +257,11 @@ class GeneratorSample:
     """A subfield element with what every generator test of it shares,
     whatever the structure: its subfield coordinates times a positive
     integer (an integer vector), the field's modulus and reduction prime p,
-    the residues mod p of its coset values (None when p divides a
-    denominator), and the coset values in integer form: the
-    value at coset k has power-basis coordinates scaled[k] / scale.
-    `scaled` is built by `vectors` on first read: only the exact fallback of
-    a generator test, det-specialization and the certificate's transfer
-    read it."""
+    the coset values in integer form (the value at coset k has power-basis
+    coordinates scaled[k] / scale) and their residues mod p, which exist
+    exactly when p does not divide scale (None otherwise).  `scaled` is
+    built by `vectors` on first read: only the exact determinant of a
+    generator test reads it."""
 
     coords: list[int]
     modulus: tuple[int, ...]
@@ -293,19 +290,13 @@ def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
     nonzero determinant over E.  Certified mod p first: t -> r is a ring map
     to F_p on the elements whose denominators are prime to p, so a matrix of
     residues invertible mod p (linalg.nonsingular_mod_p) proves the exact
-    determinant nonzero.  A matrix singular mod p, or a denominator
-    divisible by p (no residues), falls back to the exact determinant in
-    Z[t]/(f) of the transition matrix on the integer values (_packed_det,
-    int_det of the packed matrix), scale^m times the one over E."""
+    determinant nonzero.  A matrix singular mod p, or a sample without
+    residues, takes the exact determinant in Z[t]/(f) of the transition
+    matrix on the integer values (_packed_det, int_det of the packed
+    matrix), scale^m times the one over E."""
     if sample.residues is not None and linalg.nonsingular_mod_p(
             transition_matrix_of(n, sample.residues), sample.prime):
         return True
-    return _exact_det_nonzero(n, sample)
-
-
-def _exact_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
-    """Whether the exact determinant in Z[t]/(f) of the transition matrix on
-    the sample's integer values (_packed_det) is nonzero."""
     return any(_packed_det(transition_matrix_of(n, sample.scaled),
                            sample.modulus))
 
@@ -314,27 +305,22 @@ def generator_sample(subfield: Subfield, space: CosetSpace, c: int,
                      ints) -> GeneratorSample:
     """The sample of the subfield element with coordinates ints / c, for an
     integer vector ints and a positive integer c, in integer arithmetic on
-    the subfield's CosetImages.  The value at coset k is M_k ints / (D c):
-    one integer matrix-vector product, made only when the sample's vectors
-    are read.  When p does not divide D c, the residue at coset k is the
-    dot product of ints with the table's residue row k, times the inverse
-    of D c mod p; otherwise the residues are _residues of the vectors."""
+    the subfield's CosetImages, with scale D c.  The value at coset k is
+    M_k ints / (D c): one integer matrix-vector product, made only when the
+    sample's vectors are read.  When p does not divide D c, the residue at
+    coset k is the dot product of ints with the table's residue row k,
+    times the inverse of D c mod p; otherwise there are none."""
     table = subfield.coset_images(space.representatives)
     field = table.field
     p = field.reduction_root()[0]
     scale = table.denominator * c
-    scaled = None
-
-    def vectors():
-        return scaled or table.vectors(ints)
+    residues = None
     if scale % p:
         inv = pow(scale, -1, p)
         residues = [v * inv % p
                     for v in linalg.mat_vec(table.residue_rows, ints)]
-    else:
-        scaled = vectors()
-        residues = _residues(scaled, scale, field)
-    return GeneratorSample(ints, field.modulus, scale, p, residues, vectors)
+    return GeneratorSample(ints, field.modulus, scale, p, residues,
+                           lambda: table.vectors(ints))
 
 
 def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
@@ -366,18 +352,18 @@ def generator_verdicts(algebras, dets, samples) -> list[list[bool]]:
     the orbit's int_det as a polynomial in the integer coordinates c, built
     by det_symbolic on the rows of the A_k: the rank route is R(c) != 0.
     dets[i] is the canonical transition determinant Delta_N of algebras[i]'s
-    structure, +- the transition determinant.  When every Delta_N has at
-    most m^3 terms, the products of one m x m elimination, the determinant
-    route reads them as forms too, at the sample's residues: nonzero mod p
-    proves the exact determinant nonzero, and zero mod p sends the sample to
-    the exact determinant (_exact_det_nonzero).  Past m^3 terms (zeta16's
-    810-1,279 against 512), and for a sample without residues, the route is
-    transition_det_nonzero: elimination mod p, with the exact fallback.
-    The two routes must agree on every sample.  Two checks tie the forms to
-    the per-sample test, per algebra: one sample runs through generates
-    too, the first non-generator if there is one (a wrong zero or nonzero
-    of either of its kernels shows there) and the first sample otherwise;
-    and R at the first sample must equal the orbit's int_det."""
+    structure, +- the transition determinant.  The determinant route is one
+    chain for every sample: Delta_N at the sample's residues, nonzero mod p,
+    proves the exact determinant nonzero; every other sample goes to
+    transition_det_nonzero (elimination mod p, then the exact determinant).
+    Delta_N is read as a form only when every Delta_N has at most m^3 terms,
+    the products of one m x m elimination; past that (zeta16's 810-1,279
+    against 512), and for a sample without residues, the chain starts at
+    transition_det_nonzero.  The two routes must agree on every sample.
+    Two checks tie the forms to the per-sample test, per algebra: one sample
+    runs through generates too, the first generator if there is one and the
+    first sample otherwise; and R at the first sample must equal the orbit's
+    int_det."""
     ranks_at = form_evaluator([det_symbolic(a.int_action_matrices)
                                for a in algebras])
     dets_at = (form_evaluator(dets)
@@ -385,20 +371,19 @@ def generator_verdicts(algebras, dets, samples) -> list[list[bool]]:
     by_rank = [ranks_at(s.coords) for s in samples]
     verdicts = [[] for _ in algebras]
     for sample, ranks in zip(samples, by_rank):
-        values = (None if dets_at is None or sample.residues is None
+        values = ([0] * len(algebras)
+                  if dets_at is None or sample.residues is None
                   else dets_at(sample.residues))
         for i, (algebra, rank) in enumerate(zip(algebras, ranks)):
-            n = algebra.subgroup
-            nonzero = (transition_det_nonzero(n, sample) if values is None
-                       else values[i] % sample.prime != 0
-                       or _exact_det_nonzero(n, sample))
+            nonzero = (values[i] % sample.prime != 0
+                       or transition_det_nonzero(algebra.subgroup, sample))
             if nonzero != bool(rank):
                 raise ConsistencyError("orbit rank and transition determinant "
                                        "disagree on a generator test")
             verdicts[i].append(nonzero)
     first = samples[0].coords
     for algebra, rank, tested in zip(algebras, by_rank[0], verdicts):
-        k = tested.index(False) if False in tested else 0
+        k = tested.index(True) if True in tested else 0
         if generates(algebra, samples[k]) != tested[k] \
                 or rank != linalg.int_det(algebra.orbit(first)):
             raise ConsistencyError(

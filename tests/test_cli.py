@@ -212,8 +212,27 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     assert (max(len(d.terms) for d in dets) <= m ** 3) == forms
     assert evaluated[1:] == ([dets] if forms else [])
     # the per-sample test ties the forms to one sample per structure, and
-    # without the Delta_N forms each sample is eliminated too
+    # without the Delta_N forms each sample is eliminated too; with them,
+    # only a zero of Delta_N mod p is, and these 4 samples have none
     assert len(eliminated) == len(algebras) * (1 if forms else 1 + 4)
+
+
+def test_verify_generators_takes_each_exact_determinant_once(capsys,
+                                                            monkeypatch):
+    # v4biquad at seed 0: 4 spanning checks in descend and 30 exact zeros
+    # of the generator tests, each on its own matrix
+    from hopfgalois import descent
+    matrices = []
+    exact = descent._packed_det
+
+    def det(rows, modulus):
+        matrices.append(repr(rows))
+        return exact(rows, modulus)
+    monkeypatch.setattr(descent, "_packed_det", det)
+    code, _ = run(capsys, "--json", "--seed", "0", "verify", "generators",
+                  "v4biquad")
+    assert code == 0
+    assert len(matrices) == len(set(matrices)) == 4 + 30
 
 
 # sha256 and exit code of `--json` freeness and theorem11 reports on the
@@ -1449,6 +1468,41 @@ def test_theorem11_quadratic(capsys):
     code, out = run(capsys, "theorem11", "qi", "--ideal", "OL")
     assert code == 0
     assert "witness-transfer" in out
+
+
+def test_theorem11_with_the_reduction_prime_in_the_ideal_scale(
+        tmp_path, capsys, monkeypatch):
+    # (1/p) O_L for qi's reduction prime p: the certificate's witness has
+    # coordinates over p, so its generator sample has no residues and takes
+    # the exact determinant; the verdicts and the witness are those on O_L
+    from hopfgalois import integral
+    p = load_bundled("qi").context.field.reduction_root()[0]
+    assert p == 10009
+    doc = json.loads(bundled_path("qi").read_text(encoding="utf-8"))
+    doc["ideals"]["P"] = [[f"1/{p}", "0"], ["0", f"1/{p}"]]
+    path = tmp_path / "qi_over_p.hgx"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    samples = []
+    sample_of = integral.generator_sample
+
+    def recording(*args):
+        samples.append(sample_of(*args))
+        return samples[-1]
+    monkeypatch.setattr(integral, "generator_sample", recording)
+    reports, residues = {}, {}
+    for ideal in ("OL", "P"):
+        samples.clear()
+        code, out = run(capsys, "--json", "theorem11", str(path),
+                        "--ideal", ideal)
+        reports[ideal] = code, [
+            (c["name"].replace(f"[{ideal}]", ""), c["verdict"],
+             c.get("details")) for c in json.loads(out)["checks"]]
+        residues[ideal] = [s.residues is None for s in samples]
+    assert reports["P"] == reports["OL"]
+    code, checks = reports["OL"]
+    assert code == 0 and {verdict for _, verdict, _ in checks} == {"PASS"}
+    assert [d["witness"] for _, _, d in checks if d] == ["[-1, -1]"] * 2
+    assert residues == {"OL": [False], "P": [True]}
 
 
 def test_suite_group_only_fixture(capsys):

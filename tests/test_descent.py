@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from hopfgalois import descent, linalg
+from hopfgalois import cli, descent, linalg
 from hopfgalois.descent import (GeneratorSample, _residues, descend,
                                 generates, generator_sample,
                                 is_generator, is_separable,
@@ -23,7 +24,7 @@ from hopfgalois.transition import transition_matrix_of
 from .oracles import (GroupAlgebraElement, action_matrix_of,
                       conjugacy_classes, coords_of, descended_act,
                       descended_basis, descended_solver, det,
-                      element_from_coords, embed_in_map_algebra,
+                      element_from_coords, embed_in_map_algebra, evaluate,
                       flatten_coefficients, galois_act_on_map,
                       generates_fixed_map_algebra,
                       generates_map_algebra_over_group_algebra,
@@ -329,6 +330,41 @@ def test_commuting_keeps_each_denominator():
     assert not verify_commuting(a, Actions([[1, F(1, 4)], [F(1, 2), 1]]))
 
 
+def _is_scalar(mat):
+    return all(x == (mat[0][0] if i == j else 0)
+               for i, row in enumerate(mat) for j, x in enumerate(row))
+
+
+def test_commuting_compares_no_scalar_matrix(field_fixtures, s3sextic,
+                                             monkeypatch):
+    # the unit acts by a scalar matrix, basis element 0 on every field
+    # fixture, and commutes with everything: a commuting pair of s3sextic
+    # (m = 6) takes 2 (m - 1)^2 products, not 2 m^2
+    for fx in field_fixtures:
+        for i in range(len(fx.structures())):
+            mats = fx.algebra(i).int_action_matrices
+            assert [_is_scalar(a) for a in mats] == \
+                [True] + [False] * (len(mats) - 1), (fx.name, i)
+    i, j = next((i, j) for i in range(len(s3sextic.structures()))
+                if (j := _opposite_index(s3sextic, i)) != i)
+    a1, a2 = s3sextic.algebra(i), s3sextic.algebra(j)
+    products = []
+    mat_mul = linalg.mat_mul
+
+    def counting(a, b):
+        products.append((a, b))
+        return mat_mul(a, b)
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    assert verify_commuting(a1, a2)
+    assert len(products) == 2 * 5 ** 2
+    assert not any(_is_scalar(a) or _is_scalar(b) for a, b in products)
+    # a diagonal matrix that is not scalar is compared
+    diagonal = SimpleNamespace(int_action_matrices=[[[1, 0], [0, 2]]])
+    skew = SimpleNamespace(int_action_matrices=[[[0, 1], [0, 0]], [[3, 0],
+                                                                   [0, 3]]])
+    assert not verify_commuting(diagonal, skew)
+
+
 def test_separability_of_every_structure(field_fixtures):
     for fx in field_fixtures:
         for i in range(len(fx.structures())):
@@ -609,6 +645,81 @@ def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch):
     assert verdicts == [[generates(a, s) for s in samples] for a in algebras]
     assert any(s.residues is None for s in samples)
     assert {v for row in verdicts for v in row} == {False, True}
+
+
+def _recording_kernels(monkeypatch):
+    """The determinant kernels over E that generator tests call, in order:
+    ("mod p", matrix) for linalg.nonsingular_mod_p and ("exact", matrix) for
+    _packed_det."""
+    events = []
+    nonsingular, exact = linalg.nonsingular_mod_p, descent._packed_det
+
+    def mod_p(rows, p):
+        events.append(("mod p", rows))
+        return nonsingular(rows, p)
+
+    def det(rows, modulus):
+        events.append(("exact", rows))
+        return exact(rows, modulus)
+    monkeypatch.setattr(linalg, "nonsingular_mod_p", mod_p)
+    monkeypatch.setattr(descent, "_packed_det", det)
+    return events
+
+
+def _chain(algebras, dets, samples, verdicts):
+    """The kernel calls of generator_verdicts on samples with residues: a
+    sample whose Delta_N value is 0 mod p, or each sample when the Delta_N
+    are not read as forms, takes one elimination mod p, then the exact
+    determinant when its residue matrix is singular; then each structure's
+    first generator takes the same chain in generates."""
+    p = samples[0].prime
+    forms = all(len(d.terms) <= d.nvars ** 3 for d in dets)
+
+    def walk(n, sample):
+        residues = transition_matrix_of(n, sample.residues)
+        steps = [("mod p", residues)]
+        if linalg.int_det(residues) % p == 0:
+            steps.append(("exact", transition_matrix_of(n, sample.scaled)))
+        return steps
+    expected = []
+    for sample in samples:
+        for algebra, d in zip(algebras, dets):
+            if not forms or evaluate(d, sample.residues, 1) % p == 0:
+                expected += walk(algebra.subgroup, sample)
+    for algebra, tested in zip(algebras, verdicts):
+        expected += walk(algebra.subgroup, samples[tested.index(True)])
+    return expected
+
+
+def _cli_samples(fx, seed):
+    """The samples `verify generators` draws at this seed."""
+    sub, space, rng = fx.subfield(), fx.coset_space(), random.Random(seed)
+    return [generator_sample(sub, space, 1, sub.random_coords(rng))
+            for _ in range(cli.GENERATOR_SAMPLES)]
+
+
+@pytest.mark.parametrize("name, structures, zeros", [
+    pytest.param("v4biquad", None, 30, id="v4biquad"),
+    # zeta16 eliminates each sample: the two structures with the most
+    # non-generators at seed 0 and one with the fewest (811 in all 26)
+    pytest.param("zeta16", (8, 22, 25), 15 + 75 + 70, id="zeta16")])
+def test_generator_chain_takes_each_exact_determinant_once(
+        v4biquad, monkeypatch, name, structures, zeros):
+    # every sample walks one chain: Delta_N nonzero mod p proves a generator,
+    # and any other sample is eliminated mod p before its exact determinant;
+    # the tie runs on a generator, so no exact determinant is taken twice
+    fx = (v4biquad if name == "v4biquad"
+          else parse(Path(__file__).parent / "data" / "zeta16.hgx"))
+    structures = structures or range(len(fx.structures()))
+    algebras = [fx.algebra(i) for i in structures]
+    dets = [fx.transition_det(i)[0] for i in structures]
+    samples = _cli_samples(fx, 0)
+    events = _recording_kernels(monkeypatch)
+    verdicts = descent.generator_verdicts(algebras, dets, samples)
+    assert events == _chain(algebras, dets, samples, verdicts)
+    exact = [rows for kernel, rows in events if kernel == "exact"]
+    assert len(exact) == sum(row.count(False) for row in verdicts) == zeros
+    assert len({repr(rows) for rows in exact}) == zeros
 
 
 def test_generator_verdicts_without_algebras_are_empty(qcbrt2):
