@@ -11,6 +11,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 from . import integral, transition
@@ -22,9 +23,10 @@ from .descent import (descend, generator_sample, generator_verdicts,
 from .errors import (ConsistencyError, FixtureValidationError, HopfGaloisError,
                      TheoremViolationError)
 from .fixtures import _ASSERTED, BUNDLED, Fixture, bundled_path, parse
-from .numberfield import _packed_det, _packed_form_evaluator
+from .linalg import int_det
+from .numberfield import _pack, _slot_bytes
 from .perm import centralizer_bruteforce, right_translation_subgroup
-from .transition import transition_matrix_of
+from .transition import form_evaluator, transition_matrix_of
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -392,26 +394,31 @@ def cmd_suite(fx: Fixture, args, report: Report):
 
 def _specialization_checks(fx: Fixture, report: Report):
     """Symbolic determinant evaluated at coset-representative images must match
-    the numeric transition determinant (exactly: equality mod p proves
-    nothing).  Both sides are taken in Z[t]/(f) on the integer coset values
-    of random integer subfield coordinates (CosetImages.vectors), D times
-    the true ones: the determinant is homogeneous of degree m, so each side
-    is D^m times its value over E, and the two are compared after reduction
-    by f.  The symbolic side is the generator forms' evaluator on packed
-    points (numberfield._packed_form_evaluator), planned once per structure;
-    the numeric side is _packed_det (linalg.int_det on the packed matrix),
-    which shares only the packing, unpacking and reduction by f with it."""
+    the numeric transition determinant, exactly.  A point is the integer coset
+    values of random integer subfield coordinates (CosetImages.vectors), D
+    times the true ones, packed once at t = 2^(8 w), a ring map Z[t] -> Z.
+    The symbolic side is sign * Delta_N at the packed values
+    (transition.form_evaluator, planned once per structure), the numeric
+    side int_det of the transition matrix on them; the two integers are
+    compared as they are.  With S the sum of |coefficients| of Delta_N and L
+    the largest l1 norm of a vector, the sides' coefficients in Z[t] are at
+    most S L^m and m! L^m, so (S + m!) L^m < 2^(8 w - 1) bounds those of
+    their difference: equal integers are equal in Z[t], so in E.  Correct
+    code always passes, as det T(y) = sign * Delta_N(y) in Z[y]."""
     sub = fx.subfield()
     table = sub.coset_images(fx.coset_space().representatives)
-    modulus = fx.context.field.modulus
     for i, n in enumerate(fx.structures()):
         poly, sign = fx.transition_det(i)
-        symbolic = _packed_form_evaluator(poly, modulus)
+        symbolic = form_evaluator([poly])
+        size = sum(map(abs, poly.terms.values())) + factorial(poly.nvars)
         ok = True
         for _ in range(SPECIALIZATION_POINTS):
             ints = table.vectors(sub.random_coords(report.rng))
-            numeric = _packed_det(transition_matrix_of(n, ints), modulus)
-            if [sign * c for c in symbolic(ints)] != numeric:
+            largest = max(sum(map(abs, v)) for v in ints)
+            width = _slot_bytes(size * largest ** poly.nvars)
+            packed = [_pack(v, width) for v in ints]
+            (value,) = symbolic(packed)
+            if sign * value != int_det(transition_matrix_of(n, packed)):
                 ok = False
                 break
         report.add(f"det-specialization[{i}]", "PASS" if ok else "FAIL",

@@ -325,11 +325,13 @@ def parse_text(text: str) -> Fixture:
             problems.append(
                 "subgroup: its core in the group is nontrivial, so the field "
                 "is larger than the Galois closure of the fixed subfield")
-        min_poly = fblock.get("min_poly")
+        min_poly, degree = fblock.get("min_poly"), 0
         if isinstance(min_poly, list):
             min_poly = _parse_vector(min_poly, problems, "field.min_poly")
             if any(c.denominator != 1 for c in min_poly):
                 problems.append("field.min_poly: coefficients must be integers")
+            # the field's degree, that of the last nonzero coefficient
+            degree = max((i for i, c in enumerate(min_poly) if c), default=0)
         else:
             problems.append("field.min_poly: an array of integer coefficients "
                             "is required")
@@ -342,8 +344,10 @@ def parse_text(text: str) -> Fixture:
             if gname not in names:
                 problems.append(f"field.automorphisms: unknown generator {gname!r}")
                 continue
-            images[names[gname]] = _parse_vector(
-                coeffs, problems, f"field.automorphisms.{gname}")
+            where = f"field.automorphisms.{gname}"
+            images[names[gname]] = _parse_vector(coeffs, problems, where)
+            if degree and isinstance(coeffs, list) and len(coeffs) != degree:
+                problems.append(f"{where}: expected {degree} coordinates")
         missing = [g for g in names if names[g] in group.generators
                    and names[g] not in images]
         if missing:

@@ -12,7 +12,6 @@ from operator import mul
 from . import linalg
 from .errors import CapabilityError, ConsistencyError, DomainError, StructureError
 from .perm import ENUMERATION_BOUND, FiniteGroup
-from .transition import form_evaluator
 
 MAX_DEGREE = 12
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -242,32 +241,6 @@ def _packed_det(rows, modulus) -> list[int]:
     packed = {key: _pack(e, width) for key, e in distinct.items()}
     det = linalg.int_det([[packed[id(e)] for e in row] for row in rows])
     return _reduce_int(_unpack(det, m * (n - 1) + 1, width), modulus)
-
-
-def _packed_form_evaluator(form, modulus):
-    """The value of a homogeneous IntPolynomial as a function of the
-    elements of Z[t]/(f), f the monic modulus, given by their integer
-    coordinate vectors ints[k]: its coordinates in Z[t]/(f).  The form's
-    evaluator (transition.form_evaluator) is planned once.  Each point is
-    packed at t = 2^(8 w), a ring map Z[t] -> Z, so the evaluator's integer
-    sums and products give the packed value; it is unpacked and reduced by
-    f once.
-
-    Slot width: only the value is unpacked.  With L the largest l1 norm of
-    an element and d the degree, its coefficients are at most sum |c| L^d
-    in absolute value."""
-    evaluate = form_evaluator([form])
-    degree = max(map(sum, form.terms), default=0)
-    size = sum(map(abs, form.terms.values()))
-    n = len(modulus) - 1
-    slots = max(degree * (n - 1) + 1, n)
-
-    def value(ints):
-        largest = max(sum(map(abs, v)) for v in ints)
-        width = _slot_bytes(size * largest ** degree)
-        (packed,) = evaluate([_pack(v, width) for v in ints])
-        return _reduce_int(_unpack(packed, slots, width), modulus)
-    return value
 
 
 def _rational_roots(coeffs) -> list[int]:
@@ -638,8 +611,10 @@ class CosetImages:
     (d_k, M_k) and V the basis's integer vectors, put in integer form once.
     It is linear in the subfield coordinates, so an element's images are
     read off it (`vectors`), and so are their residues: `residue_rows[k]`,
-    built on first use, is matrices[k] at t -> r mod p, for the field's
-    (p, r) = NumberField.reduction_root()."""
+    built on first use, is matrices[k] at t -> r mod p times the inverse of
+    D mod p, for the field's (p, r) = NumberField.reduction_root(), so the
+    residue at coset k of the element with integer coordinates ints is
+    their dot product with row k; it is None when p divides D."""
 
     def __init__(self, subfield: Subfield, representatives):
         ctx = subfield.context
@@ -661,9 +636,12 @@ class CosetImages:
         return [linalg.mat_vec(m, ints) for m in self.matrices]
 
     @cached_property
-    def residue_rows(self) -> tuple[tuple[int, ...], ...]:
+    def residue_rows(self) -> tuple[tuple[int, ...], ...] | None:
         p, r = self.field.reduction_root()
-        powers = [pow(r, i, p) for i in range(self.field.degree)]
+        if self.denominator % p == 0:
+            return None
+        inv = pow(self.denominator, -1, p)
+        powers = [pow(r, i, p) * inv % p for i in range(self.field.degree)]
         return tuple(
             tuple(v % p for v in linalg.mat_vec(linalg.transpose(mat), powers))
             for mat in self.matrices)

@@ -11,9 +11,11 @@ from hopfgalois.errors import ConsistencyError, DomainError, StructureError
 from hopfgalois.integral import _flat_matrix, _transfer_rows
 from hopfgalois.numberfield import (REDUCTION_PRIME_MIN, FieldElement,
                                     _is_prime, _is_squarefree_p, _minus_x_p,
-                                    _poly_mod_p, _polygcd_p, _polypow_p)
+                                    _pack, _poly_mod_p, _polygcd_p, _polypow_p,
+                                    _reduce_int, _slot_bytes, _unpack)
 from hopfgalois.perm import FiniteGroup, Permutation, _close_tuples
-from hopfgalois.transition import IntPolynomial, transition_matrix_of
+from hopfgalois.transition import (IntPolynomial, form_evaluator,
+                                   transition_matrix_of)
 
 
 def compose(p, q):
@@ -593,6 +595,32 @@ def evaluate(poly, values, one):
     if total is None:
         return one - one
     return total
+
+
+def packed_form_evaluator(form, modulus):
+    """The value of a homogeneous IntPolynomial as a function of the
+    elements of Z[t]/(f), f the monic modulus, given by their integer
+    coordinate vectors ints[k]: its coordinates in Z[t]/(f).  The form's
+    evaluator (transition.form_evaluator) is planned once.  Each point is
+    packed at t = 2^(8 w), a ring map Z[t] -> Z, so the evaluator's integer
+    sums and products give the packed value; it is unpacked and reduced by
+    f once (the reference for evaluating a form over E at packed points).
+
+    Slot width: only the value is unpacked.  With L the largest l1 norm of
+    an element and d the degree, its coefficients are at most sum |c| L^d
+    in absolute value."""
+    evaluate = form_evaluator([form])
+    degree = max(map(sum, form.terms), default=0)
+    size = sum(map(abs, form.terms.values()))
+    n = len(modulus) - 1
+    slots = max(degree * (n - 1) + 1, n)
+
+    def value(ints):
+        largest = max(sum(map(abs, v)) for v in ints)
+        width = _slot_bytes(size * largest ** degree)
+        (packed,) = evaluate([_pack(v, width) for v in ints])
+        return _reduce_int(_unpack(packed, slots, width), modulus)
+    return value
 
 
 def first_free_witness(order, bound):

@@ -832,27 +832,41 @@ def _recorded_points(monkeypatch):
     return points
 
 
-def _planted_value_fault(fault, points):
-    """_packed_form_evaluator with one planted fault: a coefficient off by
-    one, the sign flipped, or a value scale^(d+1) times the true one in
-    place of scale^d, for scale that of the point last drawn (as if divided
-    by scale^(d-1) in place of scale^d)."""
-    from hopfgalois.numberfield import _packed_form_evaluator
-    from hopfgalois.transition import IntPolynomial
+def _recorded_widths(monkeypatch):
+    """Every slot width det-specialization packs a point at, in order."""
+    widths = []
+    slot_bytes = cli._slot_bytes
 
-    def planted(form, modulus):
+    def recording(bound):
+        widths.append(slot_bytes(bound))
+        return widths[-1]
+    monkeypatch.setattr(cli, "_slot_bytes", recording)
+    return widths
+
+
+def _planted_value_fault(fault, points):
+    """form_evaluator, as det-specialization plans the symbolic side, with
+    one planted fault: a coefficient off by one, the sign flipped, or a
+    value scale^(d+1) times the true one in place of scale^d, for scale that
+    of the point last drawn (as if divided by scale^(d-1) in place of
+    scale^d)."""
+    from hopfgalois.transition import IntPolynomial, form_evaluator
+
+    def planted(forms):
+        (form,) = forms
         if fault == "coefficient":
             exps = next(iter(form.terms))
             form = IntPolynomial(form.nvars,
                                  {**form.terms, exps: form.terms[exps] + 1})
-        value = _packed_form_evaluator(form, modulus)
+        evaluate = form_evaluator([form])
 
-        def faulty(ints):
+        def faulty(packed):
+            (value,) = evaluate(packed)
             if fault == "sign":
-                return [-c for c in value(ints)]
+                return [-value]
             if fault == "scale":
-                return [c * points[-1][0] for c in value(ints)]
-            return value(ints)
+                return [value * points[-1][0]]
+            return [value]
         return faulty
     return planted
 
@@ -860,7 +874,7 @@ def _planted_value_fault(fault, points):
 @pytest.mark.parametrize("fault", [None, "coefficient", "sign", "scale"])
 def test_det_specialization_fails_on_a_planted_fault(monkeypatch, fault):
     points = _recorded_points(monkeypatch)
-    monkeypatch.setattr(cli, "_packed_form_evaluator",
+    monkeypatch.setattr(cli, "form_evaluator",
                         _planted_value_fault(fault, points))
     # qcbrt2's coset values have denominators, so scale > 1 occurs
     fx = load_bundled("qcbrt2")
@@ -875,7 +889,7 @@ def test_det_specialization_draws_until_the_first_failing_point(monkeypatch):
     # every point passes: SPECIALIZATION_POINTS draws per structure; a
     # failing third point of structure 0 ends its draws there, and the
     # later structures draw on from the same seeded stream
-    from hopfgalois.numberfield import _packed_form_evaluator
+    from hopfgalois.transition import form_evaluator
     points = _recorded_points(monkeypatch)
     fx = load_bundled("c4quartic")
     count = len(fx.structures())
@@ -884,16 +898,89 @@ def test_det_specialization_draws_until_the_first_failing_point(monkeypatch):
     passing = list(points)
     assert len(passing) == cli.SPECIALIZATION_POINTS * count
 
-    def failing_at_the_third_point(form, modulus):
-        value = _packed_form_evaluator(form, modulus)
-        return lambda ints: [c + (len(points) == 3) for c in value(ints)]
-    monkeypatch.setattr(cli, "_packed_form_evaluator", failing_at_the_third_point)
+    def failing_at_the_third_point(forms):
+        evaluate = form_evaluator(forms)
+        return lambda packed: [v + (len(points) == 3) for v in evaluate(packed)]
+    monkeypatch.setattr(cli, "form_evaluator", failing_at_the_third_point)
     points.clear()
     report = cli.Report([], fx.name, 0)
     cli._specialization_checks(fx, report)
     assert len(points) == 3 + cli.SPECIALIZATION_POINTS * (count - 1)
     assert points == passing[:len(points)]
     assert [c["verdict"] for c in report.checks] == ["FAIL"] + ["PASS"] * (count - 1)
+
+
+def test_det_specialization_fails_on_a_value_equal_only_mod_f(
+        field_fixtures, monkeypatch):
+    # the symbolic value plus f at the slot base packs Delta_N + f: the same
+    # element of Z[t]/(f), so reducing both sides by f would pass it, but
+    # another polynomial in Z[t], which the integers tell apart
+    from hopfgalois.numberfield import _pack
+    from hopfgalois.transition import form_evaluator
+    widths = _recorded_widths(monkeypatch)
+
+    def plus_f(forms):
+        evaluate = form_evaluator(forms)
+        return lambda packed: [v + _pack(modulus, widths[-1])
+                               for v in evaluate(packed)]
+    monkeypatch.setattr(cli, "form_evaluator", plus_f)
+    for fx in field_fixtures:
+        modulus = fx.context.field.modulus
+        report = cli.Report(["suite", fx.name], fx.name, 0)
+        cli._specialization_checks(fx, report)
+        assert {c["verdict"] for c in report.checks} == {"FAIL"}, fx.name
+
+
+def _coords_up_to_a_million(subfield, rng):
+    """Seeded integer subfield coordinates up to 10^6 in absolute value."""
+    return [rng.randint(-10 ** 6, 10 ** 6) for _ in range(subfield.dim)]
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_det_specialization_slots_hold_both_sides_at_large_points(
+        field_fixtures, monkeypatch, planted):
+    # at coordinates up to 10^6, each side unpacked at the point's width and
+    # reduced by f is the value over E that an independent packing at its
+    # own width gives (_packed_det; the oracle's form evaluator), so the
+    # width holds every coefficient of both; +1 on the top slot of the
+    # symbolic side, that of t^(m (n - 1)), is a FAIL
+    from hopfgalois.numberfield import (Subfield, _packed_det, _reduce_int,
+                                        _unpack)
+    from .oracles import packed_form_evaluator
+    monkeypatch.setattr(Subfield, "random_coords", _coords_up_to_a_million)
+    widths = _recorded_widths(monkeypatch)
+    evaluator, int_det = cli.form_evaluator, cli.int_det
+
+    def read(value, slots):
+        """The packed value's coefficients, reduced by f."""
+        return _reduce_int(_unpack(value, slots, widths[-1]), modulus)
+
+    def checked_evaluator(forms):
+        (form,) = forms
+        evaluate, reference = evaluator(forms), packed_form_evaluator(
+            form, modulus)
+        slots = form.nvars * (n - 1) + 1
+
+        def value(packed):
+            (v,) = evaluate(packed)
+            assert read(v, slots) == reference([read(p, n) for p in packed])
+            return [v + (planted << 8 * widths[-1] * (slots - 1))]
+        return value
+
+    def checked_det(rows):
+        v = int_det(rows)
+        assert read(v, len(rows) * (n - 1) + 1) == _packed_det(
+            [[read(e, n) for e in row] for row in rows], modulus)
+        return v
+    monkeypatch.setattr(cli, "form_evaluator", checked_evaluator)
+    monkeypatch.setattr(cli, "int_det", checked_det)
+    for fx in field_fixtures:
+        modulus = fx.context.field.modulus
+        n = len(modulus) - 1
+        report = cli.Report(["suite", fx.name], fx.name, 0)
+        cli._specialization_checks(fx, report)
+        verdicts = {c["verdict"] for c in report.checks}
+        assert verdicts == ({"FAIL"} if planted else {"PASS"}), fx.name
 
 
 def _coords_over_2_3_6(subfield, rng):
@@ -903,15 +990,13 @@ def _coords_over_2_3_6(subfield, rng):
             for j in range(subfield.dim)]
 
 
-def _packed_det_times_the_scale(points):
-    """_packed_det with a planted fault: a determinant scale^(m+1) times the
-    true one in place of scale^m, for scale that of the point last drawn
-    (as if divided by scale^(m-1) in place of scale^m)."""
-    from hopfgalois.numberfield import _packed_det
-
-    def planted(rows, modulus):
-        return [c * points[-1][0] for c in _packed_det(rows, modulus)]
-    return planted
+def _int_det_times_the_scale(points):
+    """int_det, as det-specialization takes the numeric side, with a planted
+    fault: a determinant scale^(m+1) times the true one in place of
+    scale^m, for scale that of the point last drawn (as if divided by
+    scale^(m-1) in place of scale^m)."""
+    from hopfgalois.linalg import int_det
+    return lambda rows: int_det(rows) * points[-1][0]
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -925,7 +1010,7 @@ def test_det_specialization_divides_by_d_to_the_m_on_every_field_fixture(
     points = _recorded_points(monkeypatch)
     monkeypatch.setattr(Subfield, "random_coords", _coords_over_2_3_6)
     if planted:
-        monkeypatch.setattr(cli, "_packed_det", _packed_det_times_the_scale(points))
+        monkeypatch.setattr(cli, "int_det", _int_det_times_the_scale(points))
     for fx in field_fixtures:
         points.clear()
         report = cli.Report(["suite", fx.name], fx.name, 0)
@@ -982,6 +1067,14 @@ MALFORMED = {
     "ideal vector of the wrong length":
         (lambda doc: doc["ideals"]["OL"].__setitem__(2, ["0", "0", "1"]),
          "ideals.OL[2]: expected 4 coordinates"),
+    # an automorphism's image of t has n coordinates too: a longer one is
+    # not reduced by f, a shorter one is no root of f by the wrong count
+    "automorphism image longer than the degree":
+        (lambda doc: doc["field"]["automorphisms"]["s"].append("0"),
+         "field.automorphisms.s: expected 4 coordinates"),
+    "automorphism image shorter than the degree":
+        (lambda doc: doc["field"]["automorphisms"]["s"].pop(),
+         "field.automorphisms.s: expected 4 coordinates"),
     "ideal vector given as a string":
         (lambda doc: doc["ideals"]["OL"].__setitem__(0, "1"),
          "ideals.OL[0]: expected an array of rationals"),

@@ -11,16 +11,16 @@ from hopfgalois.errors import CapabilityError, DomainError, StructureError
 from hopfgalois.fixtures import load_bundled, parse
 from hopfgalois.numberfield import (RATIONAL_ROOT_BOUND, REDUCTION_PRIME_MIN,
                                     FieldElement, NumberField, _int_mul,
-                                    _packed_det, _packed_form_evaluator,
-                                    _poly_mod_p, _polydivmod_p, _polymul_p,
-                                    _reduction_root, check_irreducible,
-                                    fixed_subfield, load_field)
+                                    _packed_det, _poly_mod_p, _polydivmod_p,
+                                    _polymul_p, _reduction_root,
+                                    check_irreducible, fixed_subfield,
+                                    load_field)
 from hopfgalois.perm import ENUMERATION_BOUND, FiniteGroup, Permutation
 from hopfgalois.transition import IntPolynomial
 
 from .oracles import (FractionSolver, det, evaluate, fraction_product,
-                      multiplication_trace, reduction_root_by_gcd, residue,
-                      subfield_basis)
+                      multiplication_trace, packed_form_evaluator,
+                      reduction_root_by_gcd, residue, subfield_basis)
 
 F = Fraction
 
@@ -556,7 +556,7 @@ def _det_in_e(matrix):
 
 
 def _value_in_e(terms, values):
-    """The polynomial's value over E by _packed_form_evaluator: D^d times
+    """The polynomial's value over E by packed_form_evaluator: D^d times
     it, for d the top degree, on the values times D and one more variable
     of value D, which lifts each term to degree d (the form is
     homogeneous)."""
@@ -565,7 +565,7 @@ def _value_in_e(terms, values):
     top = max(map(sum, terms), default=0)
     form = IntPolynomial(len(values) + 1, {
         (*e, top - sum(e)): c for e, c in terms.items()})
-    value = _packed_form_evaluator(form, field.modulus)(ints + [[den]])
+    value = packed_form_evaluator(form, field.modulus)(ints + [[den]])
     return field.element(value) / den ** top
 
 
