@@ -11,7 +11,6 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 
 from . import integral, transition
@@ -24,7 +23,7 @@ from .errors import (ConsistencyError, FixtureValidationError, HopfGaloisError,
                      TheoremViolationError)
 from .fixtures import _ASSERTED, BUNDLED, Fixture, bundled_path, parse
 from .linalg import int_det
-from .numberfield import _pack, _slot_bytes
+from .numberfield import _pack_points
 from .perm import centralizer_bruteforce, right_translation_subgroup
 from .transition import form_evaluator, transition_matrix_of
 
@@ -400,23 +399,24 @@ def _specialization_checks(fx: Fixture, report: Report):
     The symbolic side is sign * Delta_N at the packed values
     (transition.form_evaluator, planned once per structure), the numeric
     side int_det of the transition matrix on them; the two integers are
-    compared as they are.  With S the sum of |coefficients| of Delta_N and L
-    the largest l1 norm of a vector, the sides' coefficients in Z[t] are at
-    most S L^m and m! L^m, so (S + m!) L^m < 2^(8 w - 1) bounds those of
-    their difference: equal integers are equal in Z[t], so in E.  Correct
-    code always passes, as det T(y) = sign * Delta_N(y) in Z[y]."""
+    compared as they are.  The width (numberfield._pack_points) holds every
+    coefficient in Z[t] of either side: with L the largest l1 norm of a
+    vector, the numeric side's are at most m! L^m, the symbolic side's at
+    most S L^m, S the sum of |coefficients| of Delta_N, a determinant in
+    unit forms, so S <= m! (and a faulty one up to 2 m! still fits).  An
+    integer has one expansion in base 2^(8 w) with digits less than
+    2^(8 w - 1) in absolute value, so equal integers are equal in Z[t], so
+    in E.  Correct code always passes, as det T(y) = sign * Delta_N(y) in
+    Z[y]."""
     sub = fx.subfield()
     table = sub.coset_images(fx.coset_space().representatives)
     for i, n in enumerate(fx.structures()):
         poly, sign = fx.transition_det(i)
         symbolic = form_evaluator([poly])
-        size = sum(map(abs, poly.terms.values())) + factorial(poly.nvars)
         ok = True
         for _ in range(SPECIALIZATION_POINTS):
             ints = table.vectors(sub.random_coords(report.rng))
-            largest = max(sum(map(abs, v)) for v in ints)
-            width = _slot_bytes(size * largest ** poly.nvars)
-            packed = [_pack(v, width) for v in ints]
+            packed, _ = _pack_points(ints, poly.nvars)
             (value,) = symbolic(packed)
             if sign * value != int_det(transition_matrix_of(n, packed)):
                 ok = False

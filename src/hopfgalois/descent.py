@@ -307,20 +307,20 @@ def generator_sample(subfield: Subfield, space: CosetSpace, c: int,
     integer vector ints and a positive integer c, in integer arithmetic on
     the subfield's CosetImages, with scale D c.  The value at coset k is
     M_k ints / (D c): one integer matrix-vector product, made only when the
-    sample's vectors are read.  When p divides neither D nor c, the residue
-    at coset k is the dot product of ints with the table's residue row k,
-    which carries the inverse of D mod p, times the inverse of c mod p (a
-    pow only when c != 1); otherwise there are none."""
+    sample's vectors are read.  When p does not divide D c, the residue at
+    coset k is the dot product of ints with the table's residue row k,
+    times the inverse of D c mod p; otherwise there are none."""
     table = subfield.coset_images(space.representatives)
     field = table.field
     p = field.reduction_root()[0]
-    rows = table.residue_rows
+    scale = table.denominator * c
     residues = None
-    if rows is not None and c % p:
-        inv = 1 if c == 1 else pow(c, -1, p)
-        residues = [v * inv % p for v in linalg.mat_vec(rows, ints)]
-    return GeneratorSample(ints, field.modulus, table.denominator * c, p,
-                           residues, lambda: table.vectors(ints))
+    if scale % p:
+        inv = pow(scale, -1, p)
+        residues = [v * inv % p
+                    for v in linalg.mat_vec(table.residue_rows, ints)]
+    return GeneratorSample(ints, field.modulus, scale, p, residues,
+                           lambda: table.vectors(ints))
 
 
 def generates(algebra: DescendedAlgebra, sample: GeneratorSample,

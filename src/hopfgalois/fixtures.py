@@ -330,8 +330,11 @@ def parse_text(text: str) -> Fixture:
             min_poly = _parse_vector(min_poly, problems, "field.min_poly")
             if any(c.denominator != 1 for c in min_poly):
                 problems.append("field.min_poly: coefficients must be integers")
-            # the field's degree, that of the last nonzero coefficient
-            degree = max((i for i, c in enumerate(min_poly) if c), default=0)
+            if min_poly and min_poly[-1] != 1:
+                problems.append("field.min_poly: the last coefficient must be "
+                                "1 (f is monic)")
+            else:
+                degree = len(min_poly) - 1
         else:
             problems.append("field.min_poly: an array of integer coefficients "
                             "is required")
@@ -346,7 +349,7 @@ def parse_text(text: str) -> Fixture:
                 continue
             where = f"field.automorphisms.{gname}"
             images[names[gname]] = _parse_vector(coeffs, problems, where)
-            if degree and isinstance(coeffs, list) and len(coeffs) != degree:
+            if degree > 0 and isinstance(coeffs, list) and len(coeffs) != degree:
                 problems.append(f"{where}: expected {degree} coordinates")
         missing = [g for g in names if names[g] in group.generators
                    and names[g] not in images]

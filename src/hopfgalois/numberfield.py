@@ -220,25 +220,33 @@ def _unpack(value: int, slots: int, width: int) -> list[int]:
             for i in range(0, slots * width, width)]
 
 
+def _pack_points(vectors, m: int) -> tuple[list[int], int]:
+    """The integer vectors packed at one slot width w, and w, for values of
+    degree m in them.  With L the largest l1 norm of a vector, w holds every
+    coefficient up to 2 m! L^m in absolute value: a determinant of an m x m
+    matrix of the vectors is a sum of m! products of m entries, so its
+    coefficients are at most m! L^m, and so are those of a degree-m form
+    whose coefficients sum to at most m! in absolute value (a determinant
+    in unit forms); a form summing to at most 2 m! still fits."""
+    largest = max(sum(map(abs, v)) for v in vectors)
+    width = _slot_bytes(2 * factorial(m) * largest ** m)
+    return [_pack(v, width) for v in vectors], width
+
+
 def _packed_det(rows, modulus) -> list[int]:
     """Coordinates of the determinant in Z[t]/(f), f the monic modulus, of a
     square matrix of integer coordinate vectors.  Each distinct entry (by
     identity) is packed once.  Packing is a ring map Z[t] -> Z, so the
     integer determinant of the packed matrix (linalg.int_det, fraction-free
     elimination, exact over any integral domain) is the packed determinant;
-    it is unpacked and reduced by f once.
-
-    Slot width: only the determinant is unpacked.  With L the largest l1
-    norm of an entry, it is a sum of m! products of m entries, so its
-    coefficients are at most m! L^m in absolute value."""
+    it is unpacked and reduced by f once (the slot width: _pack_points)."""
     m, n = len(rows), len(modulus) - 1
     if m > ENUMERATION_BOUND:
         raise CapabilityError(f"matrix size {m} exceeds the field determinant "
                               f"bound {ENUMERATION_BOUND}")
     distinct = {id(e): e for row in rows for e in row}
-    largest = max(sum(map(abs, e)) for e in distinct.values())
-    width = _slot_bytes(factorial(m) * largest ** m)
-    packed = {key: _pack(e, width) for key, e in distinct.items()}
+    values, width = _pack_points(list(distinct.values()), m)
+    packed = dict(zip(distinct, values))
     det = linalg.int_det([[packed[id(e)] for e in row] for row in rows])
     return _reduce_int(_unpack(det, m * (n - 1) + 1, width), modulus)
 
@@ -469,7 +477,6 @@ def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
     gen_forms = {}
     for g_index, image_coords in generator_images.items():
         e, (v,) = linalg._clear_denominators([image_coords])
-        v = _reduce_int(v + [0] * n, modulus)
         cols, power = [], [1] + [0] * (n - 1)
         for k in range(n):
             cols.append([e ** (n - 1 - k) * x for x in power])
@@ -611,10 +618,8 @@ class CosetImages:
     (d_k, M_k) and V the basis's integer vectors, put in integer form once.
     It is linear in the subfield coordinates, so an element's images are
     read off it (`vectors`), and so are their residues: `residue_rows[k]`,
-    built on first use, is matrices[k] at t -> r mod p times the inverse of
-    D mod p, for the field's (p, r) = NumberField.reduction_root(), so the
-    residue at coset k of the element with integer coordinates ints is
-    their dot product with row k; it is None when p divides D."""
+    built on first use, is matrices[k] at t -> r mod p, for the field's
+    (p, r) = NumberField.reduction_root()."""
 
     def __init__(self, subfield: Subfield, representatives):
         ctx = subfield.context
@@ -636,12 +641,9 @@ class CosetImages:
         return [linalg.mat_vec(m, ints) for m in self.matrices]
 
     @cached_property
-    def residue_rows(self) -> tuple[tuple[int, ...], ...] | None:
+    def residue_rows(self) -> tuple[tuple[int, ...], ...]:
         p, r = self.field.reduction_root()
-        if self.denominator % p == 0:
-            return None
-        inv = pow(self.denominator, -1, p)
-        powers = [pow(r, i, p) * inv % p for i in range(self.field.degree)]
+        powers = [pow(r, i, p) for i in range(self.field.degree)]
         return tuple(
             tuple(v % p for v in linalg.mat_vec(linalg.transpose(mat), powers))
             for mat in self.matrices)

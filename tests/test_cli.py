@@ -835,12 +835,13 @@ def _recorded_points(monkeypatch):
 def _recorded_widths(monkeypatch):
     """Every slot width det-specialization packs a point at, in order."""
     widths = []
-    slot_bytes = cli._slot_bytes
+    pack_points = cli._pack_points
 
-    def recording(bound):
-        widths.append(slot_bytes(bound))
-        return widths[-1]
-    monkeypatch.setattr(cli, "_slot_bytes", recording)
+    def recording(vectors, m):
+        packed, width = pack_points(vectors, m)
+        widths.append(width)
+        return packed, width
+    monkeypatch.setattr(cli, "_pack_points", recording)
     return widths
 
 
@@ -1033,6 +1034,13 @@ MALFORMED = {
         (lambda doc: doc["field"].pop("min_poly"), "field.min_poly: an array"),
     "min_poly given as a string":
         (lambda doc: doc["field"].update(min_poly="11111"), "field.min_poly: an array"),
+    # f is monic as written: a trailing 0 is not trimmed to a lower degree
+    "min_poly ending in 0":
+        (lambda doc: doc["field"]["min_poly"].append(0),
+         "field.min_poly: the last coefficient must be 1 (f is monic)"),
+    "min_poly not monic":
+        (lambda doc: doc["field"]["min_poly"].__setitem__(-1, 2),
+         "field.min_poly: the last coefficient must be 1 (f is monic)"),
     "assertions given as a list":
         (lambda doc: doc.update(assertions=["coset_count"]),
          "assertions: expected an object"),
