@@ -282,7 +282,7 @@ def _verify_generators(fx: Fixture, report: Report):
     the two structures of each opposite pair must give the same verdict on
     every sample.  One call to generator_verdicts tests every structure of
     a pair on every sample, at every m, both ways (orbit rank and
-    transition determinant)."""
+    transition determinant); it builds each Delta_N only when it reads it."""
     sub = fx.subfield()
     opposites = fx.opposite_indices()
     pairs = sorted({tuple(sorted((i, opposites[i])))
@@ -294,7 +294,7 @@ def _verify_generators(fx: Fixture, report: Report):
     # both sides of its pair
     tested = sorted({k for pair in pairs for k in pair})
     results = generator_verdicts([fx.algebra(i) for i in tested],
-                                 [fx.transition_det(i)[0] for i in tested],
+                                 (fx.transition_det(i)[0] for i in tested),
                                  samples)
     verdicts = dict(zip(tested, results))
     for i, j in pairs:

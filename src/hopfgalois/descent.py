@@ -351,23 +351,29 @@ def generator_verdicts(algebras, dets, samples) -> list[list[bool]]:
     The rank form R(c) = det[A_k c], for A_k the integer action matrices, is
     the orbit's int_det as a polynomial in the integer coordinates c, built
     by det_symbolic on the rows of the A_k: the rank route is R(c) != 0.
-    dets[i] is the canonical transition determinant Delta_N of algebras[i]'s
-    structure, +- the transition determinant.  The determinant route is one
-    chain for every sample: Delta_N at the sample's residues, nonzero mod p,
-    proves the exact determinant nonzero; every other sample goes to
-    transition_det_nonzero (elimination mod p, then the exact determinant).
-    Delta_N is read as a form only when every Delta_N has at most m^3 terms,
-    the products of one m x m elimination; past that (zeta16's 810-1,279
-    against 512), and for a sample without residues, the chain starts at
-    transition_det_nonzero.  The two routes must agree on every sample.
+    dets yields the canonical transition determinant Delta_N of each
+    algebra's structure, +- the transition determinant.  The determinant
+    route is one chain for every sample: Delta_N at the sample's residues,
+    nonzero mod p, proves the exact determinant nonzero; every other sample
+    goes to transition_det_nonzero (elimination mod p, then the exact
+    determinant).  Delta_N is read as a form only when every Delta_N has at
+    most m^3 terms, the products of one m x m elimination; past that
+    (zeta16's 810-1,279 against 512), and for a sample without residues, the
+    chain starts at transition_det_nonzero.  dets is read no further than
+    the first Delta_N past m^3.  The two routes must agree on every sample.
     Two checks tie the forms to the per-sample test, per algebra: one sample
     runs through generates too, the first generator if there is one and the
     first sample otherwise; and R at the first sample must equal the orbit's
     int_det."""
     ranks_at = form_evaluator([det_symbolic(a.int_action_matrices)
                                for a in algebras])
-    dets_at = (form_evaluator(dets)
-               if all(len(d.terms) <= d.nvars ** 3 for d in dets) else None)
+    forms, dets_at = [], None
+    for d in dets:
+        if len(d.terms) > d.nvars ** 3:
+            break
+        forms.append(d)
+    else:
+        dets_at = form_evaluator(forms)
     by_rank = [ranks_at(s.coords) for s in samples]
     verdicts = [[] for _ in algebras]
     for sample, ranks in zip(samples, by_rank):

@@ -217,7 +217,11 @@ def _unit_points(poly: IntPolynomial, bound: int):
     smaller).  Packing is Z-linear, so the head variables are fixed by
     nested substitution on packed coefficients: fixing y_0 leaves a
     polynomial in y_1 .., and so on down to one integer that holds poly at
-    every trailing point.
+    every trailing point.  A trailing monomial is packed as the product of
+    one block per tail variable i, its power's values at a stride of
+    (2B+1)^(k-1-i) slots (_packed): a tail point's slot index has the
+    variables' offsets as its base-(2B+1) digits, so the factors' slots
+    meet only there.
 
     Every |poly(v)| in the box, and every packed monomial, is at most
     M = sum |c| bound^deg < 2^(w-2).  So the slot digit poly(v) + 2^(w-1) + 1
@@ -256,18 +260,17 @@ def _unit_points(poly: IntPolynomial, bound: int):
     half = 1 << width - 1
     ones = int(("0" * (width - 1) + "1") * len(tails), 2)
     highs = ones << width - 1
-    digit, digits = f"0{width}b", f"0{width * len(tails)}b"
-
-    def pack(values):
-        # one binary string and one base-2 parse: linear in the slot count
-        return int("".join(format(v + half, digit)
-                           for v in reversed(values)), 2) - highs
-
+    digits = f"0{width * len(tails)}b"
+    # y_i^d for tail variable i, a value per point of [-bound, bound]
+    blocks = {(i, d): _packed([t ** d for t in points],
+                              width * len(points) ** (k - 1 - i))
+              for i, d in {(i, d) for e in poly.terms
+                           for i, d in enumerate(e[heads:])}}
     packed, coeffs = {}, {}
     for e, c in poly.terms.items():
         tail = e[heads:]
         if tail not in packed:
-            packed[tail] = pack([prod(map(pow, t, tail)) for t in tails])
+            packed[tail] = prod(blocks[i, d] for i, d in enumerate(tail))
         coeffs[e[:heads]] = coeffs.get(e[:heads], 0) + c * packed[tail]
     monomials, plans = list(coeffs), []
     for _ in range(heads - 1):
@@ -328,6 +331,17 @@ def _unit_points(poly: IntPolynomial, bound: int):
             children.append((level + 1, out, prefix + (t,), zero and not t,
                              r2, r3))
         stack.extend(reversed(children))
+
+
+def _packed(values: list[int], shift: int) -> int:
+    """sum values[j] 2^(shift j), signed values and all, by joining
+    neighbours pairwise: each round halves the count and doubles the shift,
+    so n values take n log n bit operations, not the n^2 of one sum."""
+    while len(values) > 1:
+        pairs = iter(values + [0] * (len(values) % 2))
+        values = [a + (b << shift) for a, b in zip(pairs, pairs)]
+        shift *= 2
+    return values[0]
 
 
 def _live_classes(poly: IntPolynomial, q: int, depth: int) -> list[bytearray]:

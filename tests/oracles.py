@@ -623,6 +623,18 @@ def packed_form_evaluator(form, modulus):
     return value
 
 
+def half_box_hits(poly, bound):
+    """The full box's unit points whose first nonzero coordinate is
+    negative, by evaluating the form at every point."""
+    hits = []
+    for v in itertools.product(range(-bound, bound + 1), repeat=poly.nvars):
+        if next((t for t in v if t), 0) < 0:
+            value = evaluate(poly, v, 1)
+            if value in (1, -1):
+                hits.append((v, value))
+    return hits
+
+
 def first_free_witness(order, bound):
     """The lexicographically first nonzero vector of sup-norm at most `bound`
     that passes is_free_witness, testing every candidate in turn; None when

@@ -181,14 +181,25 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     # the transition determinants Delta_N as forms only while each has at
     # most m^3 terms: s3sextic's have at most 146 (m^3 = 216), zeta16's
     # 810-1,279 (512), and there each sample is eliminated mod p
-    from hopfgalois import descent
-    calls, evaluated, eliminated = [], [], []
+    from hopfgalois import descent, fixtures
+    calls, evaluated, eliminated, built = [], [], [], []
     form_evaluator = descent.form_evaluator
     transition_det_nonzero = descent.transition_det_nonzero
+    signed_canonical_det = fixtures.signed_canonical_det
 
-    def verdicts(*args):
-        calls.append(args)
-        return descent.generator_verdicts(*args)
+    def verdicts(algebras, dets, samples):
+        read = []
+
+        def reading():
+            for d in dets:
+                read.append(d)
+                yield d
+        calls.append((algebras, read, samples))
+        return descent.generator_verdicts(algebras, reading(), samples)
+
+    def building(*args):
+        built.append(args)
+        return signed_canonical_det(*args)
 
     def planning(forms):
         evaluated.append(forms)
@@ -200,6 +211,7 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     monkeypatch.setattr(cli, "generator_verdicts", verdicts)
     monkeypatch.setattr(descent, "form_evaluator", planning)
     monkeypatch.setattr(descent, "transition_det_nonzero", eliminating)
+    monkeypatch.setattr(fixtures, "signed_canonical_det", building)
     monkeypatch.setattr(cli, "GENERATOR_SAMPLES", 4)
     code, out = run(capsys, "--json", "verify", "generators", fixture)
     checks = json.loads(out)["checks"]
@@ -211,6 +223,9 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     m = algebras[0].space.size
     assert (max(len(d.terms) for d in dets) <= m ** 3) == forms
     assert evaluated[1:] == ([dets] if forms else [])
+    # each Delta_N is built when the driver reads it, and it reads no
+    # further than the first past m^3: zeta16 builds 1 of its 26
+    assert len(built) == len(dets) == (len(algebras) if forms else 1)
     # the per-sample test ties the forms to one sample per structure, and
     # without the Delta_N forms each sample is eliminated too; with them,
     # only a zero of Delta_N mod p is, and these 4 samples have none

@@ -20,8 +20,8 @@ from hopfgalois.transition import IntPolynomial
 
 from .oracles import (basis_vectors, evaluate, first_free_witness,
                       fraction_associated_order, fraction_inverse,
-                      lattice_contains, multiply_coords, rational_lattice,
-                      transfer_element)
+                      half_box_hits, lattice_contains, multiply_coords,
+                      rational_lattice, transfer_element)
 
 F = Fraction
 
@@ -264,18 +264,6 @@ def test_action_matrices_beyond_64_bits_stay_exact():
             linalg.int_det(witness_matrix(order, list(v)))
 
 
-def _half_box_hits(poly, bound):
-    """The full box's unit points whose first nonzero coordinate is
-    negative, by evaluating the form at every point."""
-    hits = []
-    for v in itertools.product(range(-bound, bound + 1), repeat=poly.nvars):
-        if next((t for t in v if t), 0) < 0:
-            value = evaluate(poly, v, 1)
-            if value in (1, -1):
-                hits.append((v, value))
-    return hits
-
-
 def test_unit_points_scan_the_half_box_of_the_full_scan():
     rng = random.Random(11)
     forms = []
@@ -295,7 +283,7 @@ def test_unit_points_scan_the_half_box_of_the_full_scan():
     for poly in forms:
         for bound in (1, 2, 3):
             hits = list(integral._unit_points(poly, bound))
-            assert hits == _half_box_hits(poly, bound)
+            assert hits == half_box_hits(poly, bound)
             total += len(hits)
     assert list(integral._unit_points(forms[-1], 3)) == [((0, 0, -1), 1)]
     assert total > 100
@@ -304,7 +292,7 @@ def test_unit_points_scan_the_half_box_of_the_full_scan():
     for nvars, bound in ((1, 3), (3, 2)):
         one = IntPolynomial(nvars, {(0,) * nvars: 1})
         hits = list(integral._unit_points(one, bound))
-        assert hits == _half_box_hits(one, bound)
+        assert hits == half_box_hits(one, bound)
         assert len(hits) == ((2 * bound + 1) ** nvars - 1) // 2
 
 
@@ -322,7 +310,7 @@ def _random_forms(rng, nvars, count):
 
 def _assert_half_box_hits(poly, bounds):
     for bound in bounds:
-        assert list(integral._unit_points(poly, bound)) == _half_box_hits(poly, bound)
+        assert list(integral._unit_points(poly, bound)) == half_box_hits(poly, bound)
 
 
 def test_packed_scan_without_head_variables():
@@ -401,7 +389,7 @@ def test_packed_scan_at_a_large_bound(qi, c4quartic):
             start = time.perf_counter()
             hits = list(integral._unit_points(poly, bound))
             assert time.perf_counter() - start < 2.0
-            assert hits == _half_box_hits(poly, bound)
+            assert hits == half_box_hits(poly, bound)
             assert hits
 
 
