@@ -24,7 +24,7 @@ from .errors import (ConsistencyError, FixtureValidationError, HopfGaloisError,
 from .fixtures import _ASSERTED, BUNDLED, Fixture, bundled_path, parse
 from .linalg import int_det
 from .numberfield import _pack_points
-from .perm import centralizer_bruteforce, right_translation_subgroup
+from .perm import FiniteGroup, centralizer_bruteforce
 from .transition import form_evaluator, transition_matrix_of
 
 EXIT_PASS = 0
@@ -133,16 +133,19 @@ def _load(path_text: str) -> Fixture:
 
 def _classical_index(fx: Fixture) -> int:
     """The classical structure's index on a Galois fixture, else 0; a
-    fixture without structures has none, a usage error."""
-    if not fx.structures():
+    fixture without structures has none, a usage error.  rho(G) is the
+    opposite of lambda(G), a structure of every Galois fixture."""
+    structs = fx.structures()
+    if not structs:
         raise HopfGaloisError(
             f"fixture {fx.name!r} has 0 structure(s); theorem11 needs one")
-    if fx.stabilizer.order() == 1:
-        rho = right_translation_subgroup(fx.coset_space())
-        for i, n in enumerate(fx.structures()):
-            if n == rho:
-                return i
-    return 0
+    if fx.stabilizer.order() != 1:
+        return 0
+    lam = FiniteGroup(fx.coset_space().translations)
+    if lam not in structs:
+        raise ConsistencyError(
+            "the left translations are not among the structures")
+    return fx.opposite_indices()[structs.index(lam)]
 
 
 def _structure_index(fx: Fixture, n: int) -> int:
@@ -284,19 +287,17 @@ def _verify_generators(fx: Fixture, report: Report):
     a pair on every sample, at every m, both ways (orbit rank and
     transition determinant); it builds each Delta_N only when it reads it."""
     sub = fx.subfield()
-    opposites = fx.opposite_indices()
-    pairs = sorted({tuple(sorted((i, opposites[i])))
-                    for i in range(len(fx.structures()))})
+    pairs = sorted({tuple(sorted(pair))
+                    for pair in enumerate(fx.opposite_indices())})
     space = fx.coset_space()
     samples = [generator_sample(sub, space, 1, sub.random_coords(report.rng))
                for _ in range(GENERATOR_SAMPLES)]
-    # one test per structure and sample: a self-opposite structure is
-    # both sides of its pair
-    tested = sorted({k for pair in pairs for k in pair})
-    results = generator_verdicts([fx.algebra(i) for i in tested],
-                                 (fx.transition_det(i)[0] for i in tested),
-                                 samples)
-    verdicts = dict(zip(tested, results))
+    # one test per structure and sample: the pairs cover every structure,
+    # and a self-opposite structure is both sides of its pair
+    tested = range(len(fx.structures()))
+    verdicts = generator_verdicts([fx.algebra(i) for i in tested],
+                                  (fx.transition_det(i)[0] for i in tested),
+                                  samples)
     for i, j in pairs:
         agree = sum(a == b for a, b in zip(verdicts[i], verdicts[j]))
         report.add(f"generator-transfer[{i},{j}]",
@@ -314,19 +315,14 @@ def cmd_verify(fx: Fixture, args, report: Report):
 
 
 def cmd_assoc_order(fx: Fixture, args, report: Report):
-    algebra = fx.algebra(_structure_index(fx, args.n))
-    ideal = fx.ideal(args.ideal)
-    order = integral.associated_order(algebra, ideal)
+    order = fx.order(_structure_index(fx, args.n), args.ideal)
     report.add(f"assoc-order[{args.n},{args.ideal}]", "PASS", "computed",
                **lattice_block(order.lattice))
-    return order
 
 
 def cmd_freeness(fx: Fixture, args, report: Report):
-    algebra = fx.algebra(_structure_index(fx, args.n))
-    ideal = fx.ideal(args.ideal)
-    order = integral.associated_order(algebra, ideal)
-    result = integral.freeness_search(order, ideal, args.bound)
+    order = fx.order(_structure_index(fx, args.n), args.ideal)
+    result = integral.freeness_search(order, fx.ideal(args.ideal), args.bound)
     if result.free:
         den, ints = result.witness_subfield_coords
         report.add(f"freeness[{args.n},{args.ideal}]", "PASS", "computed",
@@ -339,15 +335,12 @@ def cmd_freeness(fx: Fixture, args, report: Report):
                    status="UNKNOWN", bound=args.bound)
 
 
-def cmd_theorem11(fx: Fixture, args, report: Report, order=None):
-    """`order`, when given, is the associated order of structure args.n."""
+def cmd_theorem11(fx: Fixture, args, report: Report):
     index = (_structure_index(fx, args.n) if args.n is not None
              else _classical_index(fx))
     partner = fx.opposite_indices()[index]
-    ideal = fx.ideal(args.ideal)
     try:
-        cert = integral.freeness_certificate(
-            fx.algebra(index), fx.algebra(partner), ideal, args.bound, order)
+        cert = fx.certificate(index, args.ideal, args.bound)
     except TheoremViolationError as err:
         report.add(f"theorem11[{index},{partner},{args.ideal}]", "FAIL",
                    "theorem", error=str(err))
@@ -387,8 +380,8 @@ def cmd_suite(fx: Fixture, args, report: Report):
         for ideal_name in sorted(fx.ideals):
             ideal_args = argparse.Namespace(n=index, ideal=ideal_name,
                                             bound=args.bound)
-            order = cmd_assoc_order(fx, ideal_args, report)
-            cmd_theorem11(fx, ideal_args, report, order)
+            cmd_assoc_order(fx, ideal_args, report)
+            cmd_theorem11(fx, ideal_args, report)
 
 
 def _specialization_checks(fx: Fixture, report: Report):

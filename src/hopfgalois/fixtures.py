@@ -18,7 +18,7 @@ from importlib import resources
 from math import lcm
 from pathlib import Path
 
-from . import linalg
+from . import descent, integral, linalg
 from .errors import (CapabilityError, FixtureValidationError, HopfGaloisError,
                      StructureError)
 from .integral import FractionalIdeal, Lattice, _combined
@@ -63,7 +63,11 @@ def _parse_vector(values, problems, where):
 
 
 class Fixture:
-    """A fully validated descriptor with lazily assembled derived data."""
+    """A fully validated descriptor.  Each derived fact is built on first use
+    into one store (`_once`): the coset space, the structures and their
+    opposites, and per structure its transition determinant, its algebra,
+    and per ideal lattice (not name: two names for one lattice share them)
+    its associated order and freeness certificate."""
 
     def __init__(self, name, group, generator_names, stabilizer, context,
                  subfield, integral_basis, ideals, assertions):
@@ -78,21 +82,21 @@ class Fixture:
         self.integral_basis: list[tuple] | None = integral_basis
         self.ideals: dict[str, FractionalIdeal] = ideals
         self.assertions = assertions
-        self._space = None
-        self._structures = None
-        self._opposites = None
-        self._opposite_indices = None
-        self._dets = {}
-        self._algebras = {}
+        self._facts = {}
+
+    def _once(self, key, build):
+        """The fact under `key`, built by `build()` on the first call."""
+        if key not in self._facts:
+            self._facts[key] = build()
+        return self._facts[key]
 
     @property
     def has_field(self) -> bool:
         return self.context is not None
 
     def coset_space(self) -> CosetSpace:
-        if self._space is None:
-            self._space = build_coset_space(self.group, self.stabilizer)
-        return self._space
+        return self._once("space", lambda: build_coset_space(
+            self.group, self.stabilizer))
 
     def subfield(self) -> Subfield:
         if self.context is None:
@@ -102,39 +106,47 @@ class Fixture:
         return self._subfield
 
     def structures(self):
-        if self._structures is None:
-            self._structures = enumerate_regular_normalized(self.coset_space())
-        return self._structures
+        return self._once("structures", lambda: enumerate_regular_normalized(
+            self.coset_space()))
 
     def opposites(self) -> list[FiniteGroup]:
-        """The opposite of each structure (perm.opposite), built once."""
-        if self._opposites is None:
-            space = self.coset_space()
-            self._opposites = [opposite(n, space) for n in self.structures()]
-        return self._opposites
+        """The opposite of each structure (perm.opposite)."""
+        return self._once("opposites", lambda: [
+            opposite(n, self.coset_space()) for n in self.structures()])
 
     def opposite_indices(self) -> list[int]:
         """Position in structures() of each structure's opposite."""
-        if self._opposite_indices is None:
-            self._opposite_indices = list(map(self.structures().index,
-                                              self.opposites()))
-        return self._opposite_indices
+        return self._once("opposite_indices", lambda: list(
+            map(self.structures().index, self.opposites())))
 
     def transition_det(self, index: int):
         """transition.signed_canonical_det of structures()[index]: the
         canonical determinant and the sign relating it to the transition
         matrix's determinant."""
-        if index not in self._dets:
-            self._dets[index] = signed_canonical_det(
-                self.structures()[index], self.coset_space())
-        return self._dets[index]
+        return self._once(("det", index), lambda: signed_canonical_det(
+            self.structures()[index], self.coset_space()))
 
     def algebra(self, index: int):
-        if index not in self._algebras:
-            from .descent import descend
-            self._algebras[index] = descend(
-                self.coset_space(), self.structures()[index], self.subfield())
-        return self._algebras[index]
+        return self._once(("algebra", index), lambda: descent.descend(
+            self.coset_space(), self.structures()[index], self.subfield()))
+
+    def order(self, index: int, name: str):
+        """integral.associated_order of structure `index` on the ideal."""
+        algebra = self.algebra(index)
+        ideal = self.ideal(name)
+        return self._once(("order", index, ideal.lattice),
+                          lambda: integral.associated_order(algebra, ideal))
+
+    def certificate(self, index: int, name: str, bound: int):
+        """integral.freeness_certificate of structure `index` and its
+        opposite on the ideal, searched to `bound`."""
+        partner = self.opposite_indices()[index]
+        ideal = self.ideal(name)
+        return self._once(
+            ("certificate", index, ideal.lattice, bound),
+            lambda: integral.freeness_certificate(
+                self.algebra(index), self.algebra(partner), ideal, bound,
+                self.order(index, name)))
 
     def ideal(self, name: str) -> FractionalIdeal:
         if name not in self.ideals:

@@ -114,7 +114,7 @@ class FiniteGroup:
     GROUP_ORDER_BOUND."""
 
     __slots__ = ("elements", "generators", "_index", "_inv", "_table", "degree",
-                 "_center")
+                 "_center", "_classes")
 
     def __init__(self, elements, generators=None):
         elems = sorted(set(elements))
@@ -146,6 +146,7 @@ class FiniteGroup:
         self.generators = tuple(index[g.images] if isinstance(g, Permutation) else g
                                 for g in generators)
         self._center = None
+        self._classes = None
 
     @classmethod
     def generated_by(cls, gens, limit: int | None = None) -> "FiniteGroup":
@@ -204,31 +205,29 @@ class FiniteGroup:
         return tuple(sorted(p.order() for p in self.elements))
 
     def is_abelian(self) -> bool:
-        table = self._table
-        return all(table[a][b] == table[b][a]
-                   for a in self.generators for b in self.generators)
+        """Every conjugacy class is one element."""
+        return len(self._class_indices()) == len(self.elements)
 
     def center(self) -> "FiniteGroup":
-        """The center, built on the first call."""
+        """The elements alone in their conjugacy class, built once."""
         if self._center is None:
-            table = self._table
-            indices = range(len(table))
-            self._center = FiniteGroup(
-                self.elements[i] for i in indices
-                if all(table[i][j] == table[j][i] for j in indices))
+            self._center = FiniteGroup(self.elements[i]
+                                       for cls in self._class_indices()
+                                       if len(cls) == 1 for i in cls)
         return self._center
 
     def _class_indices(self) -> list[frozenset[int]]:
-        table, inv = self._table, self._inv
-        seen = set()
-        classes = []
-        for p in range(len(self.elements)):
-            if p in seen:
-                continue
-            cls = frozenset(table[table[q][p]][inv[q]] for q in range(len(table)))
-            seen.update(cls)
-            classes.append(cls)
-        return classes
+        """The conjugacy classes as index sets, built once."""
+        if self._classes is None:
+            table, inv = self._table, self._inv
+            self._classes, seen = [], set()
+            for p in range(len(table)):
+                if p not in seen:
+                    cls = frozenset(table[table[q][p]][inv[q]]
+                                    for q in range(len(table)))
+                    seen.update(cls)
+                    self._classes.append(cls)
+        return self._classes
 
     def normal_subgroups(self) -> list["FiniteGroup"]:
         """Every normal subgroup, in the order of (order, element images).  A
@@ -406,21 +405,13 @@ def enumerate_regular_normalized(space: CosetSpace) -> list[FiniteGroup]:
 
 
 def right_translation_subgroup(space: CosetSpace) -> FiniteGroup:
-    """The image of right translation h -> h g^{-1}; defined on the coset
-    space only when the stabilizer is trivial (the classical structure)."""
+    """The image of right translation h -> h g^{-1}, the commuting partner
+    of the left translations; defined on the coset space only when the
+    stabilizer is trivial (the classical structure)."""
     if space.stabilizer.order() != 1:
         raise StructureError(
             "right translation needs a trivial stabilizer (a Galois fixture)")
-    group = space.group
-    perms = []
-    for g in range(group.order()):
-        ginv = group.inv(g)
-        perms.append(Permutation(
-            space.coset_of[group.mul(space.representatives[c], ginv)]
-            for c in range(space.size)))
-    rho = FiniteGroup(perms)
-    rho.point_map(space.base_point)  # must be simply transitive
-    return rho
+    return opposite(FiniteGroup(space.translations), space)
 
 
 def opposite(n: FiniteGroup, space: CosetSpace) -> FiniteGroup:

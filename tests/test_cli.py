@@ -499,6 +499,72 @@ def test_suite_builds_each_fixed_field_once(capsys, monkeypatch):
     assert len(forms) == len(set(forms)) == 4
 
 
+@pytest.mark.parametrize("name, calls", [("s3sextic", (2, 1, 2)),
+                                         ("c4quartic", (1, 1, 1))])
+def test_suite_builds_one_order_and_certificate_per_lattice(
+        capsys, monkeypatch, name, calls):
+    # s3sextic's ideals OE and OL are one lattice: its assoc-order and
+    # theorem11 records are built once and differ only in the ideal's name
+    # (4, 2 and 4 calls when each name built its own).  c4quartic's
+    # classical structure is self-opposite, so its certificate is one side
+    from hopfgalois import integral
+    counts = dict.fromkeys(("associated_order", "freeness_certificate",
+                            "freeness_search"), 0)
+
+    def counting(fn_name):
+        fn = getattr(integral, fn_name)
+
+        def wrapper(*args):
+            counts[fn_name] += 1
+            return fn(*args)
+        return wrapper
+    for fn_name in counts:
+        monkeypatch.setattr(integral, fn_name, counting(fn_name))
+    code, out = run(capsys, "--json", "suite", name)
+    assert code == 0
+    assert tuple(counts.values()) == calls
+    if name != "s3sextic":
+        return
+    # each ideal's records run from its assoc-order to the next one's
+    checks = json.loads(out)["checks"]
+    starts = [k for k, c in enumerate(checks)
+              if c["name"].startswith("assoc-order")]
+    assert len(starts) == 2
+    oe, ol = (json.dumps(checks[start:end]).replace(ideal, "I")
+              for start, end, ideal in ((starts[0], starts[1], "OE"),
+                                        (starts[1], len(checks), "OL")))
+    assert "theorem11:witness-transfer" in oe and oe == ol
+
+
+@pytest.mark.parametrize("fixture", ["qi", "qzeta3", "c4quartic", "v4biquad",
+                                     "s3sextic", str(DATA / "zeta16.hgx")])
+def test_classical_index_is_the_opposite_of_the_left_translations(fixture):
+    # rho(G) is the centralizer of lambda(G) in Sym(X), and the classical
+    # structure theorem11 defaults to
+    from hopfgalois.fixtures import parse
+    from hopfgalois.perm import (FiniteGroup, centralizer_bruteforce,
+                                 right_translation_subgroup)
+    fx = parse(fixture) if fixture.endswith(".hgx") else load_bundled(fixture)
+    space = fx.coset_space()
+    rho = right_translation_subgroup(space)
+    assert rho == FiniteGroup(centralizer_bruteforce(
+        FiniteGroup(space.translations), space))
+    assert fx.structures()[cli._classical_index(fx)] == rho
+
+
+def test_classical_index_needs_the_left_translations_among_the_structures(
+        monkeypatch):
+    from hopfgalois.errors import ConsistencyError
+    from hopfgalois.perm import FiniteGroup
+    fx = load_bundled("c4quartic")
+    lam = FiniteGroup(fx.coset_space().translations)
+    others = [n for n in fx.structures() if n != lam]
+    assert others
+    monkeypatch.setattr(fx, "structures", lambda: others)
+    with pytest.raises(ConsistencyError, match="left translations"):
+        cli._classical_index(fx)
+
+
 def _multiplication_tables(capsys, monkeypatch, *argv):
     """(reads, builds, matrices): the calls to
     Subfield.int_multiplication_matrices during a command, how many of them
