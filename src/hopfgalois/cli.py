@@ -289,8 +289,7 @@ def _verify_generators(fx: Fixture, report: Report):
     sub = fx.subfield()
     pairs = sorted({tuple(sorted(pair))
                     for pair in enumerate(fx.opposite_indices())})
-    space = fx.coset_space()
-    samples = [generator_sample(sub, space, 1, sub.random_coords(report.rng))
+    samples = [generator_sample(sub, 1, sub.random_coords(report.rng))
                for _ in range(GENERATOR_SAMPLES)]
     # one test per structure and sample: the pairs cover every structure,
     # and a self-opposite structure is both sides of its pair
@@ -402,7 +401,7 @@ def _specialization_checks(fx: Fixture, report: Report):
     in E.  Correct code always passes, as det T(y) = sign * Delta_N(y) in
     Z[y]."""
     sub = fx.subfield()
-    table = sub.coset_images(fx.coset_space().representatives)
+    table = sub.coset_images
     for i, n in enumerate(fx.structures()):
         poly, sign = fx.transition_det(i)
         symbolic = form_evaluator([poly])

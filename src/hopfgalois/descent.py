@@ -14,7 +14,7 @@ from . import linalg
 from .errors import ConsistencyError, StructureError
 from .numberfield import (FieldElement, NumberField, Subfield, _convolve_into,
                           _packed_det, _reduce_int)
-from .perm import CosetSpace, FiniteGroup
+from .perm import FiniteGroup
 from .transition import det_symbolic, form_evaluator, transition_matrix_of
 
 
@@ -25,9 +25,9 @@ class DescendedAlgebra:
     subfield and its structure constants (matrix i holds the coordinates of
     b_i * b_j in row j), each in integer form only: the set times one common
     denominator, which descend computes once.  A basis element has one block
-    of power-basis coordinates per element of the subgroup, in its order."""
+    of power-basis coordinates per element of the subgroup, in its order.
+    The coset space is the subfield's."""
 
-    space: CosetSpace
     subgroup: FiniteGroup
     subfield: Subfield
     basis_denominator: int
@@ -49,14 +49,14 @@ class DescendedAlgebra:
         return [linalg.mat_vec(a, x_coords) for a in self.int_action_matrices]
 
 
-def descend(space: CosetSpace, n: FiniteGroup,
-            subfield: Subfield) -> DescendedAlgebra:
+def descend(n: FiniteGroup, subfield: Subfield) -> DescendedAlgebra:
     """The fixed points E[N]^G of the simultaneous action (Galois on the
-    coefficients, conjugation by the translations on N) inside E[N], with
-    its integer action matrices on the subfield basis and integer structure
-    constants, for the Galois action of the subfield's context.  A
-    conjugate outside N in the table of the c_g below is a StructureError:
-    N does not descend unless the translations normalize it.
+    coefficients, conjugation by the translations of the subfield's coset
+    space on N) inside E[N], with its integer action matrices on the
+    subfield basis and integer structure constants, for the Galois action
+    of the subfield's context.  A conjugate outside N in the table of the
+    c_g below is a StructureError: N does not descend unless the
+    translations normalize it.
 
     sum_i v_i eta_i is fixed when v_{c_g(i)} = M_g v_i for every g, where
     eta_{c_g(i)} = lambda_g eta_i lambda_g^-1 and M_g is the matrix of g.
@@ -79,7 +79,8 @@ def descend(space: CosetSpace, n: FiniteGroup,
     Products are taken over Z[t]/(f) on the basis times its common
     denominator, and their coordinates, read off at the free columns, are
     checked by an integer recombination."""
-    group, context = space.group, subfield.context
+    space, context = subfield.space, subfield.context
+    group = space.group
     matrices, m, nf_degree = context.matrices, space.size, context.degree
     modulus = context.field.modulus
     conj = {}
@@ -149,7 +150,7 @@ def descend(space: CosetSpace, n: FiniteGroup,
 
     # b . l_j = sum_eta c_eta sigma(l_j), sigma the representative of the
     # coset eta^-1(base); over Z on the images times their denominator
-    images = subfield.coset_images(space.representatives)
+    images = subfield.coset_images
     columns = [linalg.transpose(mat) for mat in images.matrices]
     base = space.base_point
     acting = [columns[eta.inverse()(base)] for eta in n.elements]
@@ -196,7 +197,7 @@ def descend(space: CosetSpace, n: FiniteGroup,
         return d, tuple(tuple(map(tuple, rows[k:k + m]))
                         for k in range(0, len(rows), m))
     return DescendedAlgebra(
-        space, n, subfield, den, blocks, tuple(identity_coords),
+        n, subfield, den, blocks, tuple(identity_coords),
         *integer_matrices(den * images.denominator, action),
         *integer_matrices(den * den, structure))
 
@@ -256,17 +257,16 @@ def _residues(scaled, scale, field: NumberField) -> list[int] | None:
 class GeneratorSample:
     """A subfield element with what every generator test of it shares,
     whatever the structure: its subfield coordinates times a positive
-    integer (an integer vector), the field's modulus and reduction prime p,
-    the coset values in integer form (the value at coset k has power-basis
-    coordinates scaled[k] / scale) and their residues mod p, which exist
-    exactly when p does not divide scale (None otherwise).  `scaled` is
-    built by `vectors` on first read: only the exact determinant of a
+    integer (an integer vector), its field, the coset values in integer
+    form (the value at coset k has power-basis coordinates scaled[k] /
+    scale) and their residues mod the field's reduction prime p, which
+    exist exactly when p does not divide scale (None otherwise).  `scaled`
+    is built by `vectors` on first read: only the exact determinant of a
     generator test reads it."""
 
     coords: list[int]
-    modulus: tuple[int, ...]
+    field: NumberField
     scale: int
-    prime: int
     residues: list[int] | None
     vectors: Callable[[], list[list[int]]]
 
@@ -280,8 +280,7 @@ class GeneratorSample:
         the given integer coordinates."""
         field = values[0].field
         scale, scaled = linalg._clear_denominators([v.coords for v in values])
-        return cls(coords, field.modulus, scale,
-                   field.reduction_root()[0], _residues(scaled, scale, field),
+        return cls(coords, field, scale, _residues(scaled, scale, field),
                    lambda: scaled)
 
 
@@ -294,15 +293,16 @@ def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
     residues, takes the exact determinant in Z[t]/(f) of the transition
     matrix on the integer values (_packed_det, int_det of the packed
     matrix), scale^m times the one over E."""
+    field = sample.field
     if sample.residues is not None and linalg.nonsingular_mod_p(
-            transition_matrix_of(n, sample.residues), sample.prime):
+            transition_matrix_of(n, sample.residues),
+            field.reduction_root()[0]):
         return True
     return any(_packed_det(transition_matrix_of(n, sample.scaled),
-                           sample.modulus))
+                           field.modulus))
 
 
-def generator_sample(subfield: Subfield, space: CosetSpace, c: int,
-                     ints) -> GeneratorSample:
+def generator_sample(subfield: Subfield, c: int, ints) -> GeneratorSample:
     """The sample of the subfield element with coordinates ints / c, for an
     integer vector ints and a positive integer c, in integer arithmetic on
     the subfield's CosetImages, with scale D c.  The value at coset k is
@@ -310,7 +310,7 @@ def generator_sample(subfield: Subfield, space: CosetSpace, c: int,
     sample's vectors are read.  When p does not divide D c, the residue at
     coset k is the dot product of ints with the table's residue row k,
     times the inverse of D c mod p; otherwise there are none."""
-    table = subfield.coset_images(space.representatives)
+    table = subfield.coset_images
     field = table.field
     p = field.reduction_root()[0]
     scale = table.denominator * c
@@ -319,7 +319,7 @@ def generator_sample(subfield: Subfield, space: CosetSpace, c: int,
         inv = pow(scale, -1, p)
         residues = [v * inv % p
                     for v in linalg.mat_vec(table.residue_rows, ints)]
-    return GeneratorSample(ints, field.modulus, scale, p, residues,
+    return GeneratorSample(ints, field, scale, residues,
                            lambda: table.vectors(ints))
 
 
@@ -380,8 +380,9 @@ def generator_verdicts(algebras, dets, samples) -> list[list[bool]]:
         values = ([0] * len(algebras)
                   if dets_at is None or sample.residues is None
                   else dets_at(sample.residues))
+        p = sample.field.reduction_root()[0]
         for i, (algebra, rank) in enumerate(zip(algebras, ranks)):
-            nonzero = (values[i] % sample.prime != 0
+            nonzero = (values[i] % p != 0
                        or transition_det_nonzero(algebra.subgroup, sample))
             if nonzero != bool(rank):
                 raise ConsistencyError("orbit rank and transition determinant "
@@ -407,7 +408,7 @@ def is_generator(algebra: DescendedAlgebra, x: FieldElement) -> bool:
     orbit = linalg._clear_denominators(algebra.orbit(coords))[1]
     _, (ints,) = linalg._clear_denominators([coords])
     return generates(algebra, GeneratorSample.of_values(
-        ints, [sub.context.apply(g, x) for g in algebra.space.representatives]),
+        ints, [sub.context.apply(g, x) for g in sub.space.representatives]),
         orbit)
 
 

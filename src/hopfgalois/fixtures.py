@@ -63,23 +63,19 @@ def _parse_vector(values, problems, where):
 
 
 class Fixture:
-    """A fully validated descriptor.  Each derived fact is built on first use
-    into one store (`_once`): the coset space, the structures and their
-    opposites, and per structure its transition determinant, its algebra,
-    and per ideal lattice (not name: two names for one lattice share them)
-    its associated order and freeness certificate."""
+    """A fully validated descriptor, with its coset space, built at parse.
+    Each other derived fact is built on first use into one store (`_once`):
+    the structures and their opposites, and per structure its transition
+    determinant, its algebra, and per ideal lattice (not name: two names for
+    one lattice share them) its associated order and freeness certificate."""
 
-    def __init__(self, name, group, generator_names, stabilizer, context,
-                 subfield, integral_basis, ideals, assertions):
+    def __init__(self, name, space, context, subfield, ideals, assertions):
         self.name = name
-        self.group: FiniteGroup = group
-        self.generator_names: dict[str, int] = generator_names
-        self.stabilizer: FiniteGroup = stabilizer
+        self.group: FiniteGroup = space.group
+        self.stabilizer: FiniteGroup = space.stabilizer
+        self._space: CosetSpace = space
         self.context: GaloisContext | None = context
         self._subfield: Subfield | None = subfield
-        # the integral basis as its ring: each element's multiplication
-        # matrix on the subfield in integer form (d, Mz)
-        self.integral_basis: list[tuple] | None = integral_basis
         self.ideals: dict[str, FractionalIdeal] = ideals
         self.assertions = assertions
         self._facts = {}
@@ -95,8 +91,7 @@ class Fixture:
         return self.context is not None
 
     def coset_space(self) -> CosetSpace:
-        return self._once("space", lambda: build_coset_space(
-            self.group, self.stabilizer))
+        return self._space
 
     def subfield(self) -> Subfield:
         if self.context is None:
@@ -128,7 +123,7 @@ class Fixture:
 
     def algebra(self, index: int):
         return self._once(("algebra", index), lambda: descent.descend(
-            self.coset_space(), self.structures()[index], self.subfield()))
+            self.structures()[index], self.subfield()))
 
     def order(self, index: int, name: str):
         """integral.associated_order of structure `index` on the ideal."""
@@ -204,6 +199,12 @@ def _build_group(block, problems):
     if not isinstance(gens_block, dict) or not gens_block:
         problems.append("group.generators: a nonempty object is required")
         return None, {}
+    # a permutation of more points than the order bound is refused unbuilt
+    widest = max((len(v) for v in gens_block.values() if isinstance(v, list)),
+                 default=0)
+    if widest > GROUP_ORDER_BOUND:
+        raise CapabilityError(f"generator of degree {widest} exceeds the group "
+                              f"order bound {GROUP_ORDER_BOUND}")
     perms = {}
     degree = None
     for gname, images in gens_block.items():
@@ -321,10 +322,10 @@ def parse_text(text: str) -> Fixture:
     stabilizer = _build_stabilizer(raw.get("subgroup"), group, names, problems)
     if stabilizer is None:
         raise FixtureValidationError(problems)
+    space = build_coset_space(group, stabilizer)
 
     context = None
     sub = None
-    integral_basis = None
     ideals: dict[str, FractionalIdeal] = {}
     fblock = raw.get("field")
     if "field" in raw and not isinstance(fblock, dict):
@@ -360,7 +361,13 @@ def parse_text(text: str) -> Fixture:
                 problems.append(f"field.automorphisms: unknown generator {gname!r}")
                 continue
             where = f"field.automorphisms.{gname}"
-            images[names[gname]] = _parse_vector(coeffs, problems, where)
+            g, image = names[gname], _parse_vector(coeffs, problems, where)
+            # names of one permutation must carry one image
+            if images.setdefault(g, image) != image:
+                first = next(h for h in autos if names.get(h) == g)
+                problems.append(
+                    f"field.automorphisms: generators {first!r} and {gname!r} "
+                    "are one permutation but have different images")
             if degree > 0 and isinstance(coeffs, list) and len(coeffs) != degree:
                 problems.append(f"{where}: expected {degree} coordinates")
         missing = [g for g in names if names[g] in group.generators
@@ -377,11 +384,11 @@ def parse_text(text: str) -> Fixture:
                 context = load_field(
                     min_poly, group, images,
                     irreducible_asserted=irreducible == "asserted")
-                sub = fixed_subfield(context, stabilizer)
+                sub = fixed_subfield(context, space)
             except HopfGaloisError as err:
                 problems.append(f"field: {err}")
         if sub is not None:
-            integral_basis = _validate_integral_basis(
+            ring = _validate_integral_basis(
                 raw.get("integral_basis"), context, sub, problems)
             iblock = {} if raw.get("ideals") is None else raw["ideals"]
             if not isinstance(iblock, dict):
@@ -389,15 +396,14 @@ def parse_text(text: str) -> Fixture:
                 iblock = {}
             for iname, vectors in iblock.items():
                 ideal = _build_ideal(iname, vectors, context, sub,
-                                     integral_basis or (), problems)
+                                     ring or (), problems)
                 if ideal is not None:
                     ideals[iname] = ideal
 
     assertions = _validate_assertions(raw.get("assertions"), problems)
     if problems:
         raise FixtureValidationError(problems)
-    return Fixture(raw["name"], group, names, stabilizer, context, sub,
-                   integral_basis, ideals, assertions)
+    return Fixture(raw["name"], space, context, sub, ideals, assertions)
 
 
 def _subfield_rows(vectors, where, context, sub: Subfield, problems):

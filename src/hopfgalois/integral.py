@@ -18,7 +18,7 @@ from .errors import (CapabilityError, ConsistencyError, DomainError,
 from .descent import DescendedAlgebra, generates, generator_sample, is_generator
 from .transition import IntPolynomial, det_symbolic
 
-# the sup-norm bound of the freeness box scan when none is given
+# the sup-norm bound of the freeness box scan when the command line gives none
 DEFAULT_BOUND = 3
 # the box of DEFAULT_BOUND, 7^m candidates, at the size-8 limit
 FREENESS_BOX_BOUND = 7 ** 8
@@ -379,7 +379,7 @@ def _live_classes(poly: IntPolynomial, q: int, depth: int) -> list[bytearray]:
 
 
 def freeness_search(order: AssociatedOrder, ideal: FractionalIdeal,
-                    bound: int = DEFAULT_BOUND) -> FreenessResult:
+                    bound: int) -> FreenessResult:
     """Scan the integer box of ideal-coordinates for an element whose order
     orbit is exactly the ideal; the first (lexicographically smallest) witness
     wins.  An exhausted box is reported as UNKNOWN, never as a refutation.
@@ -426,7 +426,7 @@ def _transfer_rows(partner: DescendedAlgebra, c, xi, scale, images):
     the inverse share the partner's orbit of the integer xi, which is c d
     times the true one (d its action_denominator).  With O that orbit as columns and
     O^-1 = P/e, z = c d P image / (e scale)."""
-    sample = generator_sample(partner.subfield, partner.space, c, xi)
+    sample = generator_sample(partner.subfield, c, xi)
     orbit = partner.orbit(xi)  # c d times the true orbit, built once
     if not generates(partner, sample, orbit):
         raise DomainError("transfer needs the witness to generate over the partner")
@@ -463,7 +463,7 @@ class CertificateReport:
 
 
 def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
-                         ideal: FractionalIdeal, bound: int = DEFAULT_BOUND,
+                         ideal: FractionalIdeal, bound: int,
                          order_main: AssociatedOrder | None = None) -> CertificateReport:
     """Run the bounded search on both commuting structures and verify that a
     witness on either side is a witness on the other, that the transferred

@@ -11,7 +11,7 @@ from operator import mul
 
 from . import linalg
 from .errors import CapabilityError, ConsistencyError, DomainError, StructureError
-from .perm import ENUMERATION_BOUND, FiniteGroup
+from .perm import ENUMERATION_BOUND, CosetSpace, FiniteGroup
 
 MAX_DEGREE = 12
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -527,24 +527,28 @@ def load_field(modulus, group: FiniteGroup, generator_images: dict[int, list],
 
 
 class Subfield:
-    """A Q-basis of the subfield fixed by a subgroup, as linalg.fixed_space
-    returns it: integer vectors over one denominator, with their free
-    columns, so coordinates relative to it are read off rather than solved
-    for.  The basis and its multiplication table are kept over Z only."""
+    """A Q-basis of the subfield fixed by a coset space's stabilizer, as
+    linalg.fixed_space returns it: integer vectors over one denominator,
+    with their free columns, so coordinates relative to it are read off
+    rather than solved for.  It carries that coset space, whose cosets index
+    its embeddings, and builds its multiplication table and its CosetImages
+    on the space once, here; both are kept over Z only."""
 
-    __slots__ = ("context", "stabilizer", "dim", "_free",
-                 "_int_scale", "_int_vectors", "_int_multiplication",
-                 "_coset_images")
+    __slots__ = ("context", "space", "dim", "_free", "_int_scale",
+                 "_int_vectors", "_int_multiplication", "coset_images")
 
-    def __init__(self, context: GaloisContext, stabilizer: FiniteGroup,
+    def __init__(self, context: GaloisContext, space: CosetSpace,
                  denominator, vectors, free):
         self.context = context
-        self.stabilizer = stabilizer
+        self.space = space
         self.dim = len(vectors)
         self._free = free
         self._int_scale, self._int_vectors = denominator, vectors
-        self._int_multiplication = None
-        self._coset_images = None
+        modulus = context.field.modulus
+        self._int_multiplication = denominator ** 2, tuple(
+            linalg.transpose([self.int_coords(_int_mul(a, b, modulus))
+                              for b in vectors]) for a in vectors)
+        self.coset_images = CosetImages(self)
 
     def coords(self, x: FieldElement):
         if not self.contains(x):
@@ -582,25 +586,12 @@ class Subfield:
                  for entries in zip(*rows)] for rows in zip(*table)]
 
     def int_multiplication_matrices(self):
-        """The multiplication table over Z, built on the first call: (d, the
-        integer matrices M_k), M_k / d the multiplication matrix of basis
-        element k.  With the basis the integer vectors v_k over s, column j
-        of M_k is int_coords of the product v_k v_j in Z[t]/(f), which is s^2
-        times the product; so d = s^2."""
-        if self._int_multiplication is None:
-            vectors, modulus = self._int_vectors, self.context.field.modulus
-            self._int_multiplication = self._int_scale ** 2, tuple(
-                linalg.transpose([self.int_coords(_int_mul(a, b, modulus))
-                                  for b in vectors]) for a in vectors)
+        """The multiplication table over Z: (d, the integer matrices M_k),
+        M_k / d the multiplication matrix of basis element k.  With the
+        basis the integer vectors v_k over s, column j of M_k is int_coords
+        of the product v_k v_j in Z[t]/(f), which is s^2 times the product;
+        so d = s^2."""
         return self._int_multiplication
-
-    def coset_images(self, representatives) -> "CosetImages":
-        """CosetImages of the basis under the given automorphisms (a coset
-        space's representatives); built on the first call for them."""
-        table = self._coset_images
-        if table is None or table.representatives != representatives:
-            table = self._coset_images = CosetImages(self, representatives)
-        return table
 
     def random_coords(self, rng) -> list[int]:
         return [rng.randint(-9, 9) for _ in range(self.dim)]
@@ -610,8 +601,8 @@ class Subfield:
 
 
 class CosetImages:
-    """The images sigma_k(b_j) of a subfield basis under each automorphism k
-    of a list (a coset space's representatives), in the integer form that
+    """The images sigma_k(b_j) of a subfield basis under the representative
+    sigma_k of each coset k of the subfield's space, in the integer form that
     descents and generator samples read: `matrices[k]`, the n x d integer
     matrix whose column j is sigma_k(b_j) times the common denominator D of
     all of them: the integer products M_k V, for sigma_k in integer form
@@ -621,12 +612,11 @@ class CosetImages:
     built on first use, is matrices[k] at t -> r mod p, for the field's
     (p, r) = NumberField.reduction_root()."""
 
-    def __init__(self, subfield: Subfield, representatives):
+    def __init__(self, subfield: Subfield):
         ctx = subfield.context
         n = ctx.degree
         self.field = ctx.field
-        self.representatives = representatives
-        forms = [ctx.matrices[g] for g in representatives]
+        forms = [ctx.matrices[g] for g in subfield.space.representatives]
         common = lcm(*(d for d, _ in forms))
         basis = linalg.transpose(subfield._int_vectors)
         self.denominator, rows = linalg._integer_form(
@@ -649,13 +639,12 @@ class CosetImages:
             for mat in self.matrices)
 
 
-def fixed_subfield(context: GaloisContext, stabilizer: FiniteGroup) -> Subfield:
-    """The fixed space of the stabilizer's generators; its dimension must be
-    the index [G : G_L]."""
-    for p in stabilizer.elements:
-        if p not in context.group:
-            raise StructureError(
-                f"stabilizer element {p} does not belong to the group")
+def fixed_subfield(context: GaloisContext, space: CosetSpace) -> Subfield:
+    """The subfield fixed by the space's stabilizer: the fixed space of the
+    stabilizer's generators, whose dimension must be the index [G : G_L]."""
+    if space.group != context.group:
+        raise StructureError("the coset space is not of the field's group")
+    stabilizer = space.stabilizer
     d, vectors, free = context.fixed_space(tuple(sorted(
         {context.group.index_of(stabilizer.elements[g])
          for g in stabilizer.generators})))
@@ -664,4 +653,4 @@ def fixed_subfield(context: GaloisContext, stabilizer: FiniteGroup) -> Subfield:
         raise ConsistencyError(
             f"fixed subfield has dimension {len(vectors)}, expected {expected}; "
             "automorphism data is inconsistent")
-    return Subfield(context, stabilizer, d, vectors, free)
+    return Subfield(context, space, d, vectors, free)

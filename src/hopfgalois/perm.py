@@ -143,14 +143,16 @@ class FiniteGroup:
         self._inv = tuple(row.index(0) for row in self._table)
         if generators is None:
             generators = tuple(range(len(self.elements)))
-        self.generators = tuple(index[g.images] if isinstance(g, Permutation) else g
-                                for g in generators)
+        # each generator index once, in first-seen order
+        self.generators = tuple(dict.fromkeys(
+            index[g.images] if isinstance(g, Permutation) else g
+            for g in generators))
         self._center = None
         self._classes = None
 
     @classmethod
     def generated_by(cls, gens, limit: int | None = None) -> "FiniteGroup":
-        gens = list(gens)
+        gens = list(dict.fromkeys(gens))
         if not gens:
             raise StructureError("need at least one generator (or an explicit identity)")
         degree = gens[0].degree

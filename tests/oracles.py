@@ -903,14 +903,15 @@ def coords_of(algebra, element):
 def descended_act(algebra, h, x):
     """The descended action: sum of c_eta times (representative of
     eta^{-1}(base)) applied to x.  The result must land in the subfield."""
-    base, context = algebra.space.base_point, algebra.subfield.context
+    space, context = algebra.subfield.space, algebra.subfield.context
+    base = space.base_point
     total = context.field.zero()
     for eta, c in zip(algebra.subgroup.elements, h.coefficients):
         if not c:
             continue
         coset = eta.inverse()(base)
         total = total + c * context.apply(
-            algebra.space.representatives[coset], x)
+            space.representatives[coset], x)
     if not algebra.subfield.contains(total):
         raise ConsistencyError("action left the fixed subfield")
     return total

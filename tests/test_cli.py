@@ -220,7 +220,7 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     # one driver call; its rank forms are always planned, its Delta_N
     # only when they are small enough
     [(algebras, dets, samples)] = calls
-    m = algebras[0].space.size
+    m = algebras[0].subfield.space.size
     assert (max(len(d.terms) for d in dets) <= m ** 3) == forms
     assert evaluated[1:] == ([dets] if forms else [])
     # each Delta_N is built when the driver reads it, and it reads no
@@ -567,21 +567,26 @@ def test_classical_index_needs_the_left_translations_among_the_structures(
 
 def _multiplication_tables(capsys, monkeypatch, *argv):
     """(reads, builds, matrices): the calls to
-    Subfield.int_multiplication_matrices during a command, how many of them
-    built the table, and the matrices in the table."""
+    Subfield.int_multiplication_matrices during a command, how many tables
+    were built (one with each Subfield), and the matrices in the table."""
     from hopfgalois.numberfield import Subfield
     built, tables = [], []
     int_multiplication_matrices = Subfield.int_multiplication_matrices
+    build = Subfield.__init__
+
+    def building(self, *args):
+        build(self, *args)
+        built.append(self)
 
     def counting(self):
-        built.append(self._int_multiplication is None)
         tables.append(int_multiplication_matrices(self))
         return tables[-1]
+    monkeypatch.setattr(Subfield, "__init__", building)
     monkeypatch.setattr(Subfield, "int_multiplication_matrices", counting)
     code, _ = run(capsys, *argv)
     assert code == 0
     assert all(t is tables[0] for t in tables)
-    return len(built), sum(built), len(tables[0][1])
+    return len(tables), len(built), len(tables[0][1])
 
 
 @pytest.mark.parametrize("name, matrices",
@@ -1254,7 +1259,27 @@ MALFORMED = {
         (lambda doc: doc.update(group={"order": 4, "presentation": {
             "kind": "metacyclic", "r": 7, "q": 3, "d": 10 ** 30}}),
          "group.presentation: defines a group of order 21, declared 4"),
+    # two names of one permutation carry one image, whichever comes first:
+    # the image of the last name once replaced the other's unchecked
+    "a second name of the generator with another image, listed first":
+        (lambda doc: _second_name(doc, first=True),
+         "field.automorphisms: generators 'u' and 's' are one permutation "
+         "but have different images"),
+    "a second name of the generator with another image, listed last":
+        (lambda doc: _second_name(doc, first=False),
+         "field.automorphisms: generators 's' and 'u' are one permutation "
+         "but have different images"),
 }
+
+
+def _second_name(doc, first):
+    """c4quartic with u, a second name of its generator s, whose image is
+    t -> t, not s's t -> t^2, listed before or after s's."""
+    doc["group"]["generators"]["u"] = doc["group"]["generators"]["s"]
+    autos = doc["field"]["automorphisms"]
+    second = {"u": ["0", "1", "0", "0"]}
+    doc["field"]["automorphisms"] = ({**second, **autos} if first
+                                     else {**autos, **second})
 
 
 # files that are no JSON text to begin with
@@ -1438,6 +1463,43 @@ def test_oversize_group_exits_with_a_capability_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == \
         "error: group of order 400 exceeds the group order bound 120\n"
+
+
+def test_oversize_permutation_degree_exits_with_a_capability_error(
+        tmp_path, capsys):
+    # a transposition on 121 points: a group of order 2, but each product
+    # of its closure check is a 121-tuple; the degree is capped with the
+    # order, before any permutation is built
+    path = tmp_path / "wide.hgx"
+    path.write_text(json.dumps({"name": "wide", "group": {
+        "order": 2, "generators": {"s": [1, 0, *range(2, 121)]}}}),
+        encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: generator of degree 121 exceeds the " \
+        "group order bound 120\n"
+
+
+def test_redundant_generators_are_kept_once(tmp_path, capsys):
+    # an order-8 cyclic group given by 3,000 copies of its 8-cycle: the
+    # translations' conjugation in the enumeration once ran over every copy
+    # (4.4 s); one kept generator index makes it the one-generator report
+    cycle = [1, 2, 3, 4, 5, 6, 7, 0]
+    path = tmp_path / "c8.hgx"
+    reports = []
+    for copies in (1, 3000):
+        path.write_text(json.dumps({"name": "c8", "group": {
+            "order": 8, "generators": {f"g{k}": cycle
+                                       for k in range(copies)}}}),
+            encoding="utf-8")
+        start = time.perf_counter()
+        code, out = run(capsys, "--json", "enumerate", str(path))
+        assert code == 0
+        reports.append(out)
+    assert time.perf_counter() - start < 1
+    assert reports[1] == reports[0]
 
 
 def test_huge_constant_term_exits_at_the_rational_root_bound(tmp_path,

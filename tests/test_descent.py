@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hopfgalois.descent import (GeneratorSample, _residues, descend,
                                 verify_hopf_galois)
 from hopfgalois.errors import ConsistencyError, DomainError, StructureError
 from hopfgalois.fixtures import parse
-from hopfgalois.numberfield import GaloisContext, Subfield
+from hopfgalois.numberfield import GaloisContext
 from hopfgalois.perm import (FiniteGroup, Permutation, opposite,
                              right_translation_subgroup)
 from hopfgalois.transition import transition_matrix_of
@@ -147,7 +148,7 @@ def test_descend_rejects_unnormalized_subgroups(c4quartic):
          Permutation([3, 2, 1, 0]), Permutation([2, 0, 3, 1])])
     with pytest.raises(StructureError, match="^subgroup is not normalized by "
                        "the translation image; it does not descend$"):
-        descend(space, stray, c4quartic.subfield())
+        descend(stray, c4quartic.subfield())
     assert not is_normalized_by(stray, space)
 
 
@@ -171,7 +172,7 @@ def test_descend_matches_the_stacked_oracle(field_fixtures):
                     algebra.int_structure_constants) == structure
 
 
-def _tampered(sub, space, index, replacement):
+def _tampered(sub, index, replacement):
     """sub on its context with automorphism `index` replaced by another
     integer form (d, M), such as another automorphism's, as descend's fixed
     space reads it: the coset images, from which the action is read, stay
@@ -179,10 +180,9 @@ def _tampered(sub, space, index, replacement):
     ctx = sub.context
     matrices = list(ctx.matrices)
     matrices[index] = replacement
-    bad = Subfield(GaloisContext(ctx.field, ctx.group, tuple(matrices),
-                                 ctx.irreducibility),
-                   sub.stabilizer, sub._int_scale, sub._int_vectors, sub._free)
-    bad._coset_images = sub.coset_images(space.representatives)
+    bad = copy.copy(sub)
+    bad.context = GaloisContext(ctx.field, ctx.group, tuple(matrices),
+                                ctx.irreducibility)
     return bad
 
 
@@ -192,18 +192,16 @@ def test_planted_wrong_matrix_fails_the_fixedness_certificate(s3sextic,
     # formula, which the certificate checks against the generators' own
     ctx, space, sub = s3sextic.context, s3sextic.coset_space(), s3sextic.subfield()
     assert 4 not in space.group.generators
-    bad = _tampered(sub, space, 4, ctx.matrices[0])
+    bad = _tampered(sub, 4, ctx.matrices[0])
     with pytest.raises(ConsistencyError, match="not fixed by the Galois action"):
-        descend(space, s3sextic.structures()[2], bad)
+        descend(s3sextic.structures()[2], bad)
     # normalization is still checked first
     ctx = c4quartic.context
     stray = FiniteGroup(
         [Permutation([0, 1, 2, 3]), Permutation([1, 3, 0, 2]),
          Permutation([3, 2, 1, 0]), Permutation([2, 0, 3, 1])])
     with pytest.raises(StructureError, match="does not descend"):
-        descend(c4quartic.coset_space(), stray,
-                _tampered(c4quartic.subfield(), c4quartic.coset_space(), 2,
-                          ctx.matrices[0]))
+        descend(stray, _tampered(c4quartic.subfield(), 2, ctx.matrices[0]))
 
 
 def test_wrong_non_generator_matrices_never_pass_silently(s3sextic, v4biquad):
@@ -215,10 +213,10 @@ def test_wrong_non_generator_matrices_never_pass_silently(s3sextic, v4biquad):
             for other in ctx.matrices:
                 if other == ctx.matrices[h]:
                     continue
-                bad = _tampered(sub, space, h, other)
+                bad = _tampered(sub, h, other)
                 for i, n in enumerate(fx.structures()):
                     try:
-                        algebra = descend(space, n, bad)
+                        algebra = descend(n, bad)
                     except ConsistencyError:
                         continue
                     good = fx.algebra(i)
@@ -510,11 +508,11 @@ def test_denominator_divisible_by_p_takes_the_exact_route(qi, monkeypatch):
     assert len(calls) == 1
 
 
-def _sample(sub, space, coords):
+def _sample(sub, coords):
     """generator_sample of the subfield element with these coordinates,
     rational ones cleared first."""
     c, (ints,) = linalg._clear_denominators([coords])
-    return generator_sample(sub, space, c, ints)
+    return generator_sample(sub, c, ints)
 
 
 def _mixed_coords(rng, dim, p):
@@ -535,7 +533,7 @@ def test_coset_images_match_the_element_route(field_fixtures):
         for k in range(30):
             coords = ([rng.randint(-9, 9) for _ in range(sub.dim)] if k < 10
                       else _mixed_coords(rng, sub.dim, p))
-            sample = _sample(sub, space, coords)
+            sample = _sample(sub, coords)
             x = sub.from_coords(coords)
             values = [ctx.apply(g, x) for g in space.representatives]
             assert [tuple(F(v, sample.scale) for v in vec)
@@ -558,7 +556,7 @@ def test_table_samples_take_the_exact_determinant_only_when_needed(
     # transition matrix singular mod p, and the verdicts are is_generator's
     calls = _counting_exact_det(monkeypatch)
     for fx in field_fixtures:
-        ctx, space, sub = fx.context, fx.coset_space(), fx.subfield()
+        ctx, sub = fx.context, fx.subfield()
         field = ctx.field
         p, _ = field.reduction_root()
         rng = random.Random(12)
@@ -566,7 +564,7 @@ def test_table_samples_take_the_exact_determinant_only_when_needed(
         coords += [[rng.randint(-9, 9) for _ in range(sub.dim)]
                    for _ in range(10)]
         coords += [_mixed_coords(rng, sub.dim, p) for _ in range(20)]
-        samples = [_sample(sub, space, c) for c in coords]
+        samples = [_sample(sub, c) for c in coords]
         for sample in samples:
             assert sample.residues == _residues(sample.scaled, sample.scale,
                                                 field), (fx.name, sample.coords)
@@ -593,7 +591,7 @@ def test_generator_verdicts_match_the_per_sample_test(field_fixtures):
     # reduced denominator), and the non-generators 0 and 1.  Every Delta_N
     # here has at most m^3 terms, so both routes are read off forms
     for fx in field_fixtures:
-        space, sub = fx.coset_space(), fx.subfield()
+        sub = fx.subfield()
         p, _ = fx.context.field.reduction_root()
         count = len(fx.structures())
         algebras = [fx.algebra(i) for i in range(count)]
@@ -605,12 +603,12 @@ def test_generator_verdicts_match_the_per_sample_test(field_fixtures):
             coords = [sub.random_coords(rng) for _ in range(6)]
             coords += [_mixed_coords(rng, sub.dim, p) for _ in range(8)]
             coords += [[0] * sub.dim, sub.coords(fx.context.field.one())]
-            samples = [_sample(sub, space, c) for c in coords]
+            samples = [_sample(sub, c) for c in coords]
             expected = [[generates(a, s) for s in samples] for a in algebras]
             assert descent.generator_verdicts(algebras, dets, samples) == \
                 expected, (fx.name, seed)
-            scales |= {s.scale // sub.coset_images(
-                space.representatives).denominator for s in samples}
+            scales |= {s.scale // sub.coset_images.denominator
+                       for s in samples}
             no_residues += sum(s.residues is None for s in samples)
             verdicts |= {v for row in expected for v in row}
         assert max(scales) > 1 and no_residues and verdicts == {False, True}, \
@@ -632,7 +630,7 @@ def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch):
     coords = [sub.random_coords(rng) for _ in range(2)]
     coords += [_mixed_coords(rng, sub.dim, p) for _ in range(3)]
     coords += [[0] * sub.dim, sub.coords(fx.context.field.one())]
-    samples = [_sample(sub, space, c) for c in coords]
+    samples = [_sample(sub, c) for c in coords]
     planned = []
     form_evaluator = descent.form_evaluator
 
@@ -672,7 +670,7 @@ def _chain(algebras, dets, samples, verdicts):
     are not read as forms, takes one elimination mod p, then the exact
     determinant when its residue matrix is singular; then each structure's
     first generator takes the same chain in generates."""
-    p = samples[0].prime
+    p = samples[0].field.reduction_root()[0]
     forms = all(len(d.terms) <= d.nvars ** 3 for d in dets)
 
     def walk(n, sample):
@@ -693,8 +691,8 @@ def _chain(algebras, dets, samples, verdicts):
 
 def _cli_samples(fx, seed):
     """The samples `verify generators` draws at this seed."""
-    sub, space, rng = fx.subfield(), fx.coset_space(), random.Random(seed)
-    return [generator_sample(sub, space, 1, sub.random_coords(rng))
+    sub, rng = fx.subfield(), random.Random(seed)
+    return [generator_sample(sub, 1, sub.random_coords(rng))
             for _ in range(cli.GENERATOR_SAMPLES)]
 
 
@@ -725,8 +723,8 @@ def test_generator_chain_takes_each_exact_determinant_once(
 def test_generator_verdicts_without_algebras_are_empty(qcbrt2):
     # a field fixture may have no regular normalized structure, and so no
     # pair to test
-    space, sub = qcbrt2.coset_space(), qcbrt2.subfield()
-    samples = [_sample(sub, space, c) for c in ([1, 2, 3], [0, 1, 0])]
+    sub = qcbrt2.subfield()
+    samples = [_sample(sub, c) for c in ([1, 2, 3], [0, 1, 0])]
     assert descent.generator_verdicts([], [], samples) == []
 
 
@@ -735,9 +733,9 @@ def test_table_sample_falls_back_on_a_planted_zero_mod_p(qi, monkeypatch):
     # y0^2 - y1^2 = 4 p i, nonzero but zero mod p, so the test must take
     # the exact determinant and find x a generator
     calls = _counting_exact_det(monkeypatch)
-    field, space, sub = qi.context.field, qi.coset_space(), qi.subfield()
+    field, sub = qi.context.field, qi.subfield()
     p, _ = field.reduction_root()
-    sample = _sample(sub, space, sub.coords(field.element([p, 1])))
+    sample = _sample(sub, sub.coords(field.element([p, 1])))
     for i in range(len(qi.structures())):
         algebra = qi.algebra(i)
         residues = transition_matrix_of(algebra.subgroup, sample.residues)
@@ -747,23 +745,40 @@ def test_table_sample_falls_back_on_a_planted_zero_mod_p(qi, monkeypatch):
         assert len(calls) == 1
 
 
-def test_coset_images_are_built_once_per_subfield_and_space(s3sextic):
-    sub, space = s3sextic.subfield(), s3sextic.coset_space()
-    table = sub.coset_images(space.representatives)
-    assert sub.coset_images(space.representatives) is table
+def test_coset_images_are_built_once_per_subfield_and_space(monkeypatch):
+    # the load builds one subfield on the fixture's one coset space, and
+    # that subfield its one table of coset images; no descent or sample
+    # builds another
+    from hopfgalois import numberfield
+    from hopfgalois.fixtures import load_bundled
+    tables = []
+    build = numberfield.CosetImages
+
+    def recording(subfield):
+        tables.append(build(subfield))
+        return tables[-1]
+    monkeypatch.setattr(numberfield, "CosetImages", recording)
+    s3sextic = load_bundled("s3sextic")
+    sub = s3sextic.subfield()
+    assert tables == [sub.coset_images]
+    assert sub.space is s3sextic.coset_space()
+    for i in range(len(s3sextic.structures())):
+        assert s3sextic.algebra(i).subfield is sub
+    sample = generator_sample(sub, 1, [1] * sub.dim)
+    assert tables == [sub.coset_images]
     # s3sextic's subfield basis has non-integral images: D > 1 is exercised
-    assert table.denominator > 1
-    assert generator_sample(sub, space, 1, [1] * sub.dim).residues is not None
+    assert sub.coset_images.denominator > 1
+    assert sample.residues is not None
 
 
 def test_p_in_a_coordinate_denominator_takes_the_exact_route(field_fixtures,
                                                              monkeypatch):
     calls = _counting_exact_det(monkeypatch)
     for fx in field_fixtures:
-        space, sub = fx.coset_space(), fx.subfield()
+        sub = fx.subfield()
         p, _ = fx.context.field.reduction_root()
         coords = [F(k + 1, p) for k in range(sub.dim)]
-        sample = _sample(sub, space, coords)
+        sample = _sample(sub, coords)
         assert sample.residues is None
         x = sub.from_coords(coords)
         for i in range(len(fx.structures())):
@@ -832,10 +847,11 @@ def test_descended_coordinates_match_the_solver(field_fixtures):
                             group_algebra_product(bi, bj)))
 
 
-# the coset images over all descents of a freshly loaded fixture: one table
-# per load, shared by every structure, of one integer product per coset
-# representative (m of them), and no GaloisContext.apply.  It was m * dim L
-# apply calls per load (4, 4, 16, 16, 9, 36), and per structure before that
+# the coset images over a fresh load and all its descents: one table per
+# load, built with its subfield and shared by every structure, of one
+# integer product per coset representative (m of them), and no
+# GaloisContext.apply.  It was m * dim L apply calls per load (4, 4, 16, 16,
+# 9, 36), and per structure before that
 DESCENT_COSET_COUNTS = {"qi": 2, "qzeta3": 2, "c4quartic": 4, "v4biquad": 4,
                         "qcbrt2": 3, "s3sextic": 6}
 
@@ -846,8 +862,8 @@ def test_descent_applies_each_coset_once(field_fixtures, monkeypatch):
     tables, applied = [], []
     build = CosetImages.__init__
 
-    def recording(self, subfield, representatives):
-        build(self, subfield, representatives)
+    def recording(self, subfield):
+        build(self, subfield)
         tables.append(self)
 
     def apply(self, g_index, x):
@@ -856,10 +872,10 @@ def test_descent_applies_each_coset_once(field_fixtures, monkeypatch):
     monkeypatch.setattr(GaloisContext, "apply", apply)
     counts = {}
     for name in (fx.name for fx in field_fixtures):
-        fx = load_bundled(name)
         tables.clear()
+        fx = load_bundled(name)
         for n in fx.structures():
-            descend(fx.coset_space(), n, fx.subfield())
+            descend(n, fx.subfield())
         assert len(tables) == 1 and applied == []
         counts[fx.name] = len(tables[0].matrices)
     assert counts == DESCENT_COSET_COUNTS

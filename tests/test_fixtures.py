@@ -166,8 +166,8 @@ def test_group_order_bound_admits_its_own_order(form):
 
 @pytest.mark.parametrize("form, declared", [
     ("presentation", None), ("generators", None),
-    # the declared order is in range, but q * r is not
-    ("presentation", 20)])
+    # the declared order is in range, but q * r is not, nor the degree
+    ("presentation", 20), ("generators", 20)])
 def test_oversize_group_is_refused_before_it_is_built(form, declared):
     # building a group of order 400 takes seconds: its closure check alone
     # is 400^2 products

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from array import array
 import time
@@ -10,6 +11,7 @@ from hopfgalois import integral, linalg
 from hopfgalois.descent import DescendedAlgebra
 from hopfgalois.errors import (CapabilityError, ConsistencyError, DomainError,
                                StructureError)
+from hopfgalois.fixtures import _validate_integral_basis, bundled_path
 from hopfgalois.integral import (FREENESS_BOX_BOUND, FractionalIdeal,
                                  FreenessResult, Lattice, associated_order,
                                  freeness_certificate, freeness_search,
@@ -30,6 +32,14 @@ def _classical_algebra(fx):
     rho = right_translation_subgroup(fx.coset_space())
     index = next(i for i, n in enumerate(fx.structures()) if n == rho)
     return fx.algebra(index)
+
+
+def _ring(fx):
+    """The bundled fixture's integral basis as its ring, as the parser
+    checks it (each element's multiplication matrix in integer form)."""
+    doc = json.loads(bundled_path(fx.name).read_text(encoding="utf-8"))
+    return _validate_integral_basis(doc["integral_basis"], fx.context,
+                                    fx.subfield(), [])
 
 
 def _opposite_index(fx, i):
@@ -183,7 +193,7 @@ def test_witness_is_lexicographically_smallest(qzeta3):
 def test_ideal_stability_is_checked_over_the_integers(s3sextic, monkeypatch):
     # the rational check ran 36 Fraction mat_vec per s3sextic ideal; the
     # fixture keeps its integral basis as the ring, in integer form (d, Mz)
-    ring = s3sextic.integral_basis
+    ring = _ring(s3sextic)
     rational = []
     mat_vec = linalg.mat_vec
 
@@ -209,7 +219,7 @@ def test_planted_generator_is_rediscovered(qzeta3):
     # and is free over the order with the planted generator 2 + t
     algebra = _classical_algebra(qzeta3)
     planted = rational_lattice([[F(2), F(1)], [F(1), F(-1)]])
-    ideal = FractionalIdeal.build("planted", planted, qzeta3.integral_basis)
+    ideal = FractionalIdeal.build("planted", planted, _ring(qzeta3))
     order = associated_order(algebra, ideal)
     result = freeness_search(order, ideal, 3)
     assert result.free

@@ -164,7 +164,7 @@ def test_fixed_space_matches_the_rref_oracle(monkeypatch):
     for name in ("qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2", "s3sextic"):
         fx = load_bundled(name)
         for n in fx.structures():
-            descend(fx.coset_space(), n, fx.subfield())
+            descend(n, fx.subfield())
     # one subfield per fixture and one stabilizer system per orbit of G on
     # each N, each distinct system solved once per fixture, since the
     # descents share them (qi, qzeta3, c4quartic, v4biquad, qcbrt2,
