@@ -16,9 +16,8 @@ from pathlib import Path
 from . import integral, transition
 # descend and is_generator are unused here: perfbench/smoke.py checks that its
 # tracer wraps cli.descend and cli.is_generator
-from .descent import (descend, generator_sample, generator_verdicts,
-                      is_generator, is_separable, verify_commuting,
-                      verify_hopf_galois)
+from .descent import (descend, generator_verdicts, is_generator,
+                      is_separable, verify_commuting, verify_hopf_galois)
 from .errors import (ConsistencyError, FixtureValidationError, HopfGaloisError,
                      TheoremViolationError)
 from .fixtures import _ASSERTED, BUNDLED, Fixture, bundled_path, parse
@@ -285,23 +284,24 @@ def _verify_generators(fx: Fixture, report: Report):
     the two structures of each opposite pair must give the same verdict on
     every sample.  One call to generator_verdicts tests every structure of
     a pair on every sample, at every m, both ways (orbit rank and
-    transition determinant); it builds each Delta_N only when it reads it."""
+    transition determinant), all samples at once: each value is read mod p
+    as one batch, and only a zero mod p takes the exact route.  It builds
+    each Delta_N only when it reads it."""
     sub = fx.subfield()
     pairs = sorted({tuple(sorted(pair))
                     for pair in enumerate(fx.opposite_indices())})
-    samples = [generator_sample(sub, 1, sub.random_coords(report.rng))
-               for _ in range(GENERATOR_SAMPLES)]
+    coords = [sub.random_coords(report.rng) for _ in range(GENERATOR_SAMPLES)]
     # one test per structure and sample: the pairs cover every structure,
     # and a self-opposite structure is both sides of its pair
     tested = range(len(fx.structures()))
     verdicts = generator_verdicts([fx.algebra(i) for i in tested],
                                   (fx.transition_det(i)[0] for i in tested),
-                                  samples)
+                                  sub, coords)
     for i, j in pairs:
         agree = sum(a == b for a, b in zip(verdicts[i], verdicts[j]))
         report.add(f"generator-transfer[{i},{j}]",
-                   "PASS" if agree == len(samples) else "FAIL", "theorem",
-                   samples=len(samples), agreeing=agree)
+                   "PASS" if agree == len(coords) else "FAIL", "theorem",
+                   samples=len(coords), agreeing=agree)
 
 
 # the properties of `verify`, in the order `suite` checks them

@@ -7,15 +7,17 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
+from operator import attrgetter, mul
 
 from . import linalg
 from .errors import ConsistencyError, StructureError
 from .numberfield import (FieldElement, NumberField, Subfield, _convolve_into,
                           _packed_det, _reduce_int)
 from .perm import FiniteGroup
-from .transition import det_symbolic, form_evaluator, transition_matrix_of
+from .transition import (IntPolynomial, det_symbolic, form_evaluator,
+                         form_residues, transition_matrix_of)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,17 +224,39 @@ def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
     """Exact commutation of every pair of basis action matrices, on the
     algebras' integer forms: (d A)(e B) = (e B)(d A) exactly when AB = BA.
     A scalar matrix commutes with every matrix, so it is compared with none:
-    the unit's, basis element 0 on every field fixture."""
+    the unit's, basis element 0 on every field fixture.
+
+    One product pair comes first: X = sum_k r_k A_k and Y = sum_k s_k B_k
+    over the other matrices, with fixed weights r_k = k + 2 and s_k = k^2 + 3
+    (no draw, so the seeded stream is untouched).  If every A_k commutes
+    with every B_l, X commutes with Y, so XY != YX proves the pair does not
+    commute; only XY = YX runs the all-pairs check, which decides.  The
+    ratios r_k / s_k are distinct, so on a1 = a2 no commutator A_k A_l -
+    A_l A_k drops out of XY - YX, as it would with equal weights."""
     def unscalar(mats):
         return [a for a in mats if any(
             x != (a[0][0] if i == j else 0)
             for i, row in enumerate(a) for j, x in enumerate(row))]
+
+    def combination(mats, weights):
+        return [[sum(map(mul, weights, entries)) for entries in zip(*rows)]
+                for rows in zip(*mats)]
+    ints1 = unscalar(a1.int_action_matrices)
     ints2 = unscalar(a2.int_action_matrices)
-    for r1 in unscalar(a1.int_action_matrices):
+    if not (ints1 and ints2):
+        return True
+    x = combination(ints1, [k + 2 for k in range(len(ints1))])
+    y = combination(ints2, [k * k + 3 for k in range(len(ints2))])
+    if linalg.mat_mul(x, y) != linalg.mat_mul(y, x):
+        return False
+    for r1 in ints1:
         for r2 in ints2:
             if linalg.mat_mul(r1, r2) != linalg.mat_mul(r2, r1):
                 return False
     return True
+
+
+_denominator, _numerator = attrgetter("denominator"), attrgetter("numerator")
 
 
 def _residues(scaled, scale, field: NumberField) -> list[int] | None:
@@ -342,57 +366,97 @@ def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
     return by_rank
 
 
-def generator_verdicts(algebras, dets, samples) -> list[list[bool]]:
-    """[generates(a, s) for s in samples] for each algebra a, at every m,
-    with homogeneous forms of degree m evaluated at every sample on one
-    table of monomial values per sample (transition.form_evaluator, planned
-    once per set of forms).
+def generator_verdicts(algebras, dets, subfield: Subfield,
+                       coords) -> list[list[bool]]:
+    """[generates(a, generator_sample(subfield, c, ints)) for each sample]
+    for each algebra a, at every m, for the samples with subfield
+    coordinates coords[s] = ints / c (integer vectors, c = 1, or rational
+    ones), every sample read mod p in one batch (transition.form_residues)
+    for the field's reduction prime p.
 
     The rank form R(c) = det[A_k c], for A_k the integer action matrices, is
-    the orbit's int_det as a polynomial in the integer coordinates c, built
-    by det_symbolic on the rows of the A_k: the rank route is R(c) != 0.
+    the orbit's int_det as a polynomial in the integer coordinates, built
+    by det_symbolic on the rows of the A_k: the rank route is R(ints) != 0.
     dets yields the canonical transition determinant Delta_N of each
-    algebra's structure, +- the transition determinant.  The determinant
-    route is one chain for every sample: Delta_N at the sample's residues,
-    nonzero mod p, proves the exact determinant nonzero; every other sample
-    goes to transition_det_nonzero (elimination mod p, then the exact
-    determinant).  Delta_N is read as a form only when every Delta_N has at
-    most m^3 terms, the products of one m x m elimination; past that
-    (zeta16's 810-1,279 against 512), and for a sample without residues, the
-    chain starts at transition_det_nonzero.  dets is read no further than
-    the first Delta_N past m^3.  The two routes must agree on every sample.
-    Two checks tie the forms to the per-sample test, per algebra: one sample
-    runs through generates too, the first generator if there is one and the
-    first sample otherwise; and R at the first sample must equal the orbit's
-    int_det."""
-    ranks_at = form_evaluator([det_symbolic(a.int_action_matrices)
-                               for a in algebras])
-    forms, dets_at = [], None
+    algebra's structure, +- the transition determinant, a form in the coset
+    values.  The residues of every sample's coset values are one column
+    combination per coset (CosetImages.residue_rows, on the columns of the
+    integer coordinates) times (D c)^-1 mod p; a sample whose D c p divides
+    has none.  R is read mod p at the coordinates, and Delta_N at the
+    residues while every Delta_N has at most m^3 terms, the products of one
+    m x m elimination (zeta16's have 810-1,279 against 512); dets is read no
+    further than the first Delta_N past m^3.
+
+    Each residue is a certificate: nonzero mod p proves the value nonzero.
+    A zero sends that sample alone to the exact route: for the rank, the
+    exact value of R at the point (form_evaluator); for the determinant,
+    transition_det_nonzero on the sample (elimination mod p, then the exact
+    determinant), and so does every sample when Delta_N is not read as a
+    form or the sample has no residues.  The two routes must agree on every
+    sample.  Two checks tie the forms to the per-sample test, per algebra:
+    one sample runs through generates too, the first generator if there is
+    one and the first sample otherwise; and R at the first sample must equal
+    the orbit's int_det."""
+    table = subfield.coset_images
+    field = table.field
+    p = field.reduction_root()[0]
+    cs = [lcm(*map(_denominator, vec)) for vec in coords]
+    points = [linalg._clear_denominators([vec])[1][0] if c > 1
+              else list(map(_numerator, vec)) for c, vec in zip(cs, coords)]
+    scales = [table.denominator * c for c in cs]
+    # (D c)^-1 mod p, or 0 for a sample without residues
+    inverses = list(map({d: pow(d, -1, p) if d % p else 0
+                         for d in set(scales)}.__getitem__, scales))
+    columns = list(zip(*points))
+    unit = [tuple(int(j == k) for j in range(subfield.dim))
+            for k in range(subfield.dim)]
+    residues = [[v * inverse % p for v, inverse in zip(column, inverses)]
+                for column in form_residues(
+                    [IntPolynomial(subfield.dim, dict(zip(unit, row)))
+                     for row in table.residue_rows], columns, p)]
+    rank_forms = [det_symbolic(a.int_action_matrices) for a in algebras]
+    ranks = form_residues(rank_forms, columns, p)
+    ranks_at = form_evaluator(rank_forms)
+    forms = []
     for d in dets:
         if len(d.terms) > d.nvars ** 3:
+            by_det = [[0] * len(points)] * len(algebras)
             break
         forms.append(d)
     else:
-        dets_at = form_evaluator(forms)
-    by_rank = [ranks_at(s.coords) for s in samples]
-    verdicts = [[] for _ in algebras]
-    for sample, ranks in zip(samples, by_rank):
-        values = ([0] * len(algebras)
-                  if dets_at is None or sample.residues is None
-                  else dets_at(sample.residues))
-        p = sample.field.reduction_root()[0]
-        for i, (algebra, rank) in enumerate(zip(algebras, ranks)):
-            nonzero = (values[i] % p != 0
-                       or transition_det_nonzero(algebra.subgroup, sample))
-            if nonzero != bool(rank):
+        by_det = form_residues(forms, residues, p)
+
+    @cache
+    def sample(s):
+        ints = points[s]
+        return GeneratorSample(
+            ints, field, scales[s],
+            [r[s] for r in residues] if inverses[s] else None,
+            lambda: table.vectors(ints))
+
+    @cache
+    def exact_ranks(s):
+        return ranks_at(points[s])
+    # a sample with both residues nonzero is proved a generator both ways;
+    # every other (sample, structure) goes on, sample by sample
+    verdicts = [[True] * len(points) for _ in algebras]
+    pending = sorted({s for rank, det in zip(ranks, by_det)
+                      for s, both in enumerate(map(mul, rank, det)) if not both})
+    for s in pending:
+        for i, algebra in enumerate(algebras):
+            if ranks[i][s] and by_det[i][s]:
+                continue
+            rank = ranks[i][s] != 0 or exact_ranks(s)[i] != 0
+            nonzero = (by_det[i][s] != 0
+                       or transition_det_nonzero(algebra.subgroup, sample(s)))
+            if nonzero != rank:
                 raise ConsistencyError("orbit rank and transition determinant "
                                        "disagree on a generator test")
-            verdicts[i].append(nonzero)
-    first = samples[0].coords
-    for algebra, rank, tested in zip(algebras, by_rank[0], verdicts):
+            verdicts[i][s] = nonzero
+    for algebra, rank, tested in zip(algebras, exact_ranks(0), verdicts):
         k = tested.index(True) if True in tested else 0
-        if generates(algebra, samples[k]) != tested[k] \
-                or rank != linalg.int_det(algebra.orbit(first)):
+        if generates(algebra, sample(k)) != tested[k] \
+                or rank != linalg.int_det(algebra.orbit(points[0])):
             raise ConsistencyError(
                 "generator forms disagree with the per-sample test")
     return verdicts

@@ -270,6 +270,11 @@ def _build_stabilizer(block, group, names, problems):
     if not isinstance(entries, list):
         problems.append("subgroup.generators: expected an array")
         return None
+    # as for the group's generators: past the order bound, refused unbuilt
+    widest = max((len(e) for e in entries if isinstance(e, list)), default=0)
+    if widest > GROUP_ORDER_BOUND:
+        raise CapabilityError(f"subgroup generator of degree {widest} exceeds "
+                              f"the group order bound {GROUP_ORDER_BOUND}")
     for i, entry in enumerate(entries):
         where = f"subgroup.generators[{i}]"
         if isinstance(entry, str):
@@ -281,6 +286,11 @@ def _build_stabilizer(block, group, names, problems):
                 g = Permutation(entry)
             except (HopfGaloisError, TypeError) as err:
                 problems.append(f"{where}: {err}")
+                return None
+            if g.degree != group.degree:
+                problems.append(
+                    f"{where}: a permutation of degree {g.degree} is not an "
+                    f"element of the group, of degree {group.degree}")
                 return None
             if g not in group:
                 problems.append(

@@ -594,7 +594,17 @@ class Subfield:
         return self._int_multiplication
 
     def random_coords(self, rng) -> list[int]:
-        return [rng.randint(-9, 9) for _ in range(self.dim)]
+        """dim integers drawn uniformly from -9..9, as [rng.randint(-9, 9)
+        ...] draws them on CPython 3.10-3.13, from the same bits: 5 random
+        bits, drawn again while they are 19 or more, minus 9."""
+        draw = rng.getrandbits
+        coords = []
+        for _ in range(self.dim):
+            r = draw(5)
+            while r >= 19:
+                r = draw(5)
+            coords.append(r - 9)
+        return coords
 
     def random_element(self, rng) -> FieldElement:
         return self.from_coords(self.random_coords(rng))

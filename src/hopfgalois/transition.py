@@ -189,13 +189,10 @@ def _monomial_steps(wanted) -> list[tuple[Callable, Callable]]:
     return steps[::-1]
 
 
-def form_evaluator(forms) -> Callable[[list[int]], list[int]]:
-    """The values of homogeneous IntPolynomials of one degree, all in the
-    same variables, as a function of an integer point: one value per form.
-    The plan is made once: the monomials the forms have, and each form's
-    gather of its own monomials with its coefficients.  Each point then
-    costs one table of those monomials' values (_monomial_steps), shared by
-    the forms, and one sum of products per form over its own monomials."""
+def _plan(forms):
+    """The steps that build the table of the monomials the forms have
+    (_monomial_steps), and each form's gather of its own monomials from that
+    table with its coefficients."""
     # multiset of variables -> the monomial's slot in the shared table
     slots: dict[tuple[int, ...], int] = {}
     plans = []
@@ -204,7 +201,16 @@ def form_evaluator(forms) -> Callable[[list[int]], list[int]]:
             tuple(j for j, k in enumerate(e) for _ in range(k)), len(slots))
             for e in form.terms]
         plans.append((_gather(reads), tuple(form.terms.values())))
-    steps = _monomial_steps(list(slots))
+    return _monomial_steps(list(slots)), plans
+
+
+def form_evaluator(forms) -> Callable[[list[int]], list[int]]:
+    """The values of homogeneous IntPolynomials of one degree, all in the
+    same variables, as a function of an integer point: one value per form.
+    The plan is made once (_plan).  Each point then costs one table of the
+    monomials' values, shared by the forms, and one sum of products per form
+    over its own monomials."""
+    steps, plans = _plan(forms)
 
     def evaluate(point):
         table = (1,)
@@ -213,6 +219,36 @@ def form_evaluator(forms) -> Callable[[list[int]], list[int]]:
         return [sum(map(mul, coeffs, gather(table)))
                 for gather, coeffs in plans]
     return evaluate
+
+
+def form_residues(forms, columns, p: int) -> list[list[int]]:
+    """The values mod p of homogeneous IntPolynomials of one degree, all in
+    the same variables, at many integer points at once: columns[j] holds
+    variable j at every point, and the result holds one column of residues
+    per form.  The monomials' table is built as form_evaluator's, one column
+    per monomial, each product reduced mod p.  Each column is then packed in
+    one integer, one unsigned 64-bit slot per point, and each form is one
+    combination of its monomials' packed columns with its coefficients mod
+    p: no slot exceeds T p^2 for T terms, which must be below 2^63 (else
+    CapabilityError).  The slots are read back and reduced mod p."""
+    steps, plans = _plan(forms)
+    most = max((len(coeffs) for _, coeffs in plans), default=0)
+    if most * p * p >= _SLOT_LIMIT:
+        raise CapabilityError(f"{most} terms mod {p} overflow a 64-bit slot")
+    size = len(columns[0]) if columns else 0
+    table = [[1] * size]
+    for lower, variable in steps:
+        table = [[a * b % p for a, b in zip(x, y)]
+                 for x, y in zip(lower(table), variable(columns))]
+    order = sys.byteorder
+    packed = [int.from_bytes(array("Q", column).tobytes(), order)
+              for column in table]
+    residues = []
+    for gather, coeffs in plans:
+        value = sum(c % p * v for c, v in zip(coeffs, gather(packed)))
+        residues.append([x % p for x in array(
+            "Q", value.to_bytes(8 * size, order))])
+    return residues
 
 
 @cache

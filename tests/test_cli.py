@@ -180,36 +180,39 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     # every m takes generator_verdicts, which reads the rank forms always and
     # the transition determinants Delta_N as forms only while each has at
     # most m^3 terms: s3sextic's have at most 146 (m^3 = 216), zeta16's
-    # 810-1,279 (512), and there each sample is eliminated mod p
+    # 810-1,279 (512), and there each sample is eliminated mod p.  Forms
+    # are read mod p on every sample at once (descent.form_residues): the
+    # coset residues first, as one linear form per coset
     from hopfgalois import descent, fixtures
     calls, evaluated, eliminated, built = [], [], [], []
-    form_evaluator = descent.form_evaluator
+    form_residues = descent.form_residues
     transition_det_nonzero = descent.transition_det_nonzero
     signed_canonical_det = fixtures.signed_canonical_det
 
-    def verdicts(algebras, dets, samples):
+    def verdicts(algebras, dets, subfield, coords):
         read = []
 
         def reading():
             for d in dets:
                 read.append(d)
                 yield d
-        calls.append((algebras, read, samples))
-        return descent.generator_verdicts(algebras, reading(), samples)
+        calls.append((algebras, read, coords))
+        return descent.generator_verdicts(algebras, reading(), subfield,
+                                          coords)
 
     def building(*args):
         built.append(args)
         return signed_canonical_det(*args)
 
-    def planning(forms):
+    def planning(forms, columns, p):
         evaluated.append(forms)
-        return form_evaluator(forms)
+        return form_residues(forms, columns, p)
 
     def eliminating(n, sample):
         eliminated.append(n)
         return transition_det_nonzero(n, sample)
     monkeypatch.setattr(cli, "generator_verdicts", verdicts)
-    monkeypatch.setattr(descent, "form_evaluator", planning)
+    monkeypatch.setattr(descent, "form_residues", planning)
     monkeypatch.setattr(descent, "transition_det_nonzero", eliminating)
     monkeypatch.setattr(fixtures, "signed_canonical_det", building)
     monkeypatch.setattr(cli, "GENERATOR_SAMPLES", 4)
@@ -219,10 +222,11 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     assert all(c["verdict"] == "PASS" for c in checks)
     # one driver call; its rank forms are always planned, its Delta_N
     # only when they are small enough
-    [(algebras, dets, samples)] = calls
+    [(algebras, dets, coords)] = calls
     m = algebras[0].subfield.space.size
     assert (max(len(d.terms) for d in dets) <= m ** 3) == forms
-    assert evaluated[1:] == ([dets] if forms else [])
+    assert [len(f) for f in evaluated[:2]] == [m, len(algebras)]
+    assert evaluated[2:] == ([dets] if forms else [])
     # each Delta_N is built when the driver reads it, and it reads no
     # further than the first past m^3: zeta16 builds 1 of its 26
     assert len(built) == len(dets) == (len(algebras) if forms else 1)
@@ -1179,6 +1183,11 @@ MALFORMED = {
     "stabilizer permutation given as floats":
         (lambda doc: doc["subgroup"].update(generators=[[0.0, 1, 2, 3]]),
          "subgroup.generators[0]: not a bijection of 0..3: (0.0, 1, 2, 3)"),
+    # the problem names the degrees, not the images
+    "stabilizer permutation of another degree":
+        (lambda doc: doc["subgroup"].update(generators=[[0, 1, 2, 3, 4]]),
+         "subgroup.generators[0]: a permutation of degree 5 is not an "
+         "element of the group, of degree 4"),
     "presentation parameter given as a float":
         (lambda doc: doc.update(group={"order": 21, "presentation": {
             "kind": "metacyclic", "r": 7.5, "q": 3, "d": 2}}),
@@ -1480,6 +1489,26 @@ def test_oversize_permutation_degree_exits_with_a_capability_error(
     assert captured.out == ""
     assert captured.err == "error: generator of degree 121 exceeds the " \
         "group order bound 120\n"
+
+
+def test_oversize_subgroup_generator_exits_with_a_capability_error(
+        tmp_path, capsys):
+    # the identity on 1,000,000 points as the stabilizer's generator: it is
+    # refused before it is built, with the degree in place of its images
+    # (the whole array was echoed, a 7.9 MB message)
+    path = tmp_path / "wide.hgx"
+    path.write_text(json.dumps({
+        "name": "wide", "group": {"order": 2, "generators": {"s": [1, 0]}},
+        "subgroup": {"generators": [list(range(10 ** 6))]}}), encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["validate", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: subgroup generator of degree 1000000 " \
+        "exceeds the group order bound 120\n"
+    assert elapsed < 1
 
 
 def test_redundant_generators_are_kept_once(tmp_path, capsys):

@@ -333,6 +333,66 @@ def _is_scalar(mat):
                for i, row in enumerate(mat) for j, x in enumerate(row))
 
 
+def _commute_pairwise(a1, a2):
+    """The all-pairs oracle: every action matrix of a1, the scalar one too,
+    commutes with every one of a2."""
+    mul = linalg.mat_mul
+    return all(mul(a, b) == mul(b, a) for a in a1.int_action_matrices
+               for b in a2.int_action_matrices)
+
+
+def _zeta16():
+    return parse(Path(__file__).parent / "data" / "zeta16.hgx")
+
+
+def test_commuting_matches_the_all_pairs_oracle(field_fixtures):
+    # every ordered pair of structures of every field fixture and zeta16
+    # (26 structures, 4 distinct commuting pairs)
+    seen = set()
+    for fx in field_fixtures + [_zeta16()]:
+        count = len(fx.structures())
+        algebras = [fx.algebra(i) for i in range(count)]
+        verdicts = {(i, j): verify_commuting(algebras[i], algebras[j])
+                    for i in range(count) for j in range(count)}
+        assert verdicts == {
+            (i, j): _commute_pairwise(algebras[i], algebras[j])
+            for i in range(count) for j in range(count)}, fx.name
+        seen |= set(verdicts.values())
+    assert seen == {False, True}
+
+
+def test_commuting_runs_all_pairs_only_where_the_combinations_commute(
+        monkeypatch):
+    # on zeta16, XY != YX turns away every non-commuting pair, so of the 351
+    # unordered pairs only the 22 commuting ones (18 self-opposite
+    # structures with themselves, 4 distinct pairs) take more than the two
+    # products XY and YX
+    fx = _zeta16()
+    count = len(fx.structures())
+    algebras = [fx.algebra(i) for i in range(count)]
+    opposites = fx.opposite_indices()
+    products = []
+    mat_mul = linalg.mat_mul
+
+    def counting(a, b):
+        products.append(None)
+        return mat_mul(a, b)
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    reached = []
+    for i in range(count):
+        for j in range(i, count):
+            products.clear()
+            commute = verify_commuting(algebras[i], algebras[j])
+            assert commute == (opposites[i] == j)
+            assert len(products) >= 2
+            if len(products) > 2:
+                reached.append((i, j))
+    assert len(reached) == 22
+    assert reached == [(i, j) for i in range(count) for j in range(i, count)
+                       if opposites[i] == j]
+    assert sum(i != j for i, j in reached) == 4
+
+
 def test_commuting_compares_no_scalar_matrix(field_fixtures, s3sextic,
                                              monkeypatch):
     # the unit acts by a scalar matrix, basis element 0 on every field
@@ -354,7 +414,8 @@ def test_commuting_compares_no_scalar_matrix(field_fixtures, s3sextic,
         return mat_mul(a, b)
     monkeypatch.setattr(linalg, "mat_mul", counting)
     assert verify_commuting(a1, a2)
-    assert len(products) == 2 * 5 ** 2
+    # XY and YX for the fixed combinations, then the all-pairs check
+    assert len(products) == 2 + 2 * 5 ** 2
     assert not any(_is_scalar(a) or _is_scalar(b) for a, b in products)
     # a diagonal matrix that is not scalar is compared
     diagonal = SimpleNamespace(int_action_matrices=[[[1, 0], [0, 2]]])
@@ -584,12 +645,22 @@ def test_table_samples_take_the_exact_determinant_only_when_needed(
             assert verdicts[:2] == [False, False] and any(verdicts)
 
 
-def test_generator_verdicts_match_the_per_sample_test(field_fixtures):
+def test_generator_verdicts_match_the_per_sample_test(field_fixtures,
+                                                     monkeypatch):
     # the forms route gives generates' verdict for every structure and
     # sample, at seeds 0-4: seeded integer coordinates (c = 1) first, then
     # coordinates over 2, 3, 6 and p (c > 1; residues None when p divides a
     # reduced denominator), and the non-generators 0 and 1.  Every Delta_N
-    # here has at most m^3 terms, so both routes are read off forms
+    # here has at most m^3 terms, so both routes are read off forms.  Every
+    # sample the batch hands to the exact route carries generator_sample's
+    # scale and residues
+    handed = []
+    exact_route = descent.transition_det_nonzero
+
+    def recording(n, sample):
+        handed.append(sample)
+        return exact_route(n, sample)
+    monkeypatch.setattr(descent, "transition_det_nonzero", recording)
     for fx in field_fixtures:
         sub = fx.subfield()
         p, _ = fx.context.field.reduction_root()
@@ -605,8 +676,14 @@ def test_generator_verdicts_match_the_per_sample_test(field_fixtures):
             coords += [[0] * sub.dim, sub.coords(fx.context.field.one())]
             samples = [_sample(sub, c) for c in coords]
             expected = [[generates(a, s) for s in samples] for a in algebras]
-            assert descent.generator_verdicts(algebras, dets, samples) == \
-                expected, (fx.name, seed)
+            handed.clear()
+            assert descent.generator_verdicts(algebras, dets, sub, coords) \
+                == expected, (fx.name, seed)
+            reference = {tuple(s.coords): s for s in samples}
+            assert handed and all(
+                (s.scale, s.residues) == (reference[tuple(s.coords)].scale,
+                                          reference[tuple(s.coords)].residues)
+                for s in handed), (fx.name, seed)
             scales |= {s.scale // sub.coset_images.denominator
                        for s in samples}
             no_residues += sum(s.residues is None for s in samples)
@@ -631,15 +708,24 @@ def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch):
     coords += [_mixed_coords(rng, sub.dim, p) for _ in range(3)]
     coords += [[0] * sub.dim, sub.coords(fx.context.field.one())]
     samples = [_sample(sub, c) for c in coords]
-    planned = []
-    form_evaluator = descent.form_evaluator
+    planned, read = [], []
+    form_evaluator, form_residues = descent.form_evaluator, descent.form_residues
 
     def planning(forms):
         planned.append(forms)
         return form_evaluator(forms)
+
+    def reading(forms, columns, p):
+        read.append(forms)
+        return form_residues(forms, columns, p)
     monkeypatch.setattr(descent, "form_evaluator", planning)
-    verdicts = descent.generator_verdicts(algebras, dets, samples)
+    monkeypatch.setattr(descent, "form_residues", reading)
+    verdicts = descent.generator_verdicts(algebras, dets, sub, coords)
     assert len(planned) == 1 and len(planned[0]) == count
+    # read mod p: the coset residues (one linear form per coset) and the
+    # rank forms, no Delta_N
+    assert [len(forms) for forms in read] == [space.size, count]
+    assert read[1] == planned[0]
     assert verdicts == [[generates(a, s) for s in samples] for a in algebras]
     assert any(s.residues is None for s in samples)
     assert {v for row in verdicts for v in row} == {False, True}
@@ -713,7 +799,8 @@ def test_generator_chain_takes_each_exact_determinant_once(
     dets = [fx.transition_det(i)[0] for i in structures]
     samples = _cli_samples(fx, 0)
     events = _recording_kernels(monkeypatch)
-    verdicts = descent.generator_verdicts(algebras, dets, samples)
+    verdicts = descent.generator_verdicts(algebras, dets, fx.subfield(),
+                                          [s.coords for s in samples])
     assert events == _chain(algebras, dets, samples, verdicts)
     exact = [rows for kernel, rows in events if kernel == "exact"]
     assert len(exact) == sum(row.count(False) for row in verdicts) == zeros
@@ -724,8 +811,8 @@ def test_generator_verdicts_without_algebras_are_empty(qcbrt2):
     # a field fixture may have no regular normalized structure, and so no
     # pair to test
     sub = qcbrt2.subfield()
-    samples = [_sample(sub, c) for c in ([1, 2, 3], [0, 1, 0])]
-    assert descent.generator_verdicts([], [], samples) == []
+    coords = [[1, 2, 3], [0, 1, 0]]
+    assert descent.generator_verdicts([], [], sub, coords) == []
 
 
 def test_table_sample_falls_back_on_a_planted_zero_mod_p(qi, monkeypatch):

@@ -255,6 +255,20 @@ def test_stabilizer_fixes_the_subfield(qcbrt2):
             assert ctx.apply(ctx.group.index_of(s), x) == x
 
 
+def test_random_coords_draw_as_randint_does(field_fixtures):
+    # the draws of `verify generators` and det-specialization: the same
+    # integers as rng.randint(-9, 9), leaving the stream where randint
+    # leaves it, at seeds 0-99 and every subfield dimension (1-6)
+    for fx in field_fixtures:
+        sub = fx.subfield()
+        for seed in range(100):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert sub.random_coords(rng) == \
+                    [reference.randint(-9, 9) for _ in range(sub.dim)]
+            assert rng.getstate() == reference.getstate(), (fx.name, seed)
+
+
 def test_read_off_coordinates_match_the_solver(field_fixtures):
     rng = random.Random(6)
     for fx in field_fixtures:

@@ -83,6 +83,16 @@ def test_form_values_of_no_forms_are_empty():
     assert values([1, 2]) == values([0, 3]) == []
 
 
+def test_form_residues_refuse_a_slot_bound_past_64_bits():
+    # T p^2 for T = 2 terms reaches 2^63 at p > 2^31: refused before any
+    # column is packed; just below, the residues are the values mod p
+    form = IntPolynomial(2, {(1, 0): 1, (0, 1): -1})
+    with pytest.raises(CapabilityError):
+        transition.form_residues([form], [[1], [2]], 2 ** 31 + 1)
+    assert transition.form_residues([form], [[1], [2]], 2 ** 31 - 1) == \
+        [[2 ** 31 - 2]]
+
+
 # --- transition matrices
 
 def _symbolic(n, space):
