@@ -282,11 +282,11 @@ def _verify_separable(fx: Fixture, report: Report):
 def _verify_generators(fx: Fixture, report: Report):
     """The generator transfer on GENERATOR_SAMPLES seeded subfield elements:
     the two structures of each opposite pair must give the same verdict on
-    every sample.  One call to generator_verdicts tests every structure of
-    a pair on every sample, at every m, both ways (orbit rank and
-    transition determinant), all samples at once: each value is read mod p
-    as one batch, and only a zero mod p takes the exact route.  It builds
-    each Delta_N only when it reads it."""
+    every sample, integer coordinates drawn in report.rng order.  One call
+    to generator_verdicts tests every structure on every sample, at every
+    m, both ways (orbit rank and transition determinant): all at once mod
+    p, one certificate per (sample, structure), and only a zero takes the
+    exact route.  It builds each Delta_N only when it reads it."""
     sub = fx.subfield()
     pairs = sorted({tuple(sorted(pair))
                     for pair in enumerate(fx.opposite_indices())})

@@ -9,7 +9,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import lcm
-from operator import attrgetter, mul
 
 from . import linalg
 from .errors import ConsistencyError, StructureError
@@ -49,6 +48,20 @@ class DescendedAlgebra:
         the subfield coordinates of x, all times action_denominator: the
         integer form applied as it is, which keeps the orbit's rank."""
         return [linalg.mat_vec(a, x_coords) for a in self.int_action_matrices]
+
+    @cached_property
+    def non_scalar_actions(self):
+        """(the non-scalar integer action matrices A_k, sum_k r_k A_k, sum_k
+        s_k A_k) for verify_commuting's weights r_k = k + 2, s_k = k^2 + 3,
+        built once per algebra; ([], None, None) when every A_k is scalar."""
+        mats = [a for a in self.int_action_matrices if any(
+            x != (a[0][0] if i == j else 0)
+            for i, row in enumerate(a) for j, x in enumerate(row))]
+        if not mats:
+            return mats, None, None
+        ks = range(len(mats))
+        return mats, *linalg.combined(mats, [[k + 2 for k in ks],
+                                             [k * k + 3 for k in ks]])
 
 
 def descend(n: FiniteGroup, subfield: Subfield) -> DescendedAlgebra:
@@ -228,25 +241,15 @@ def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
 
     One product pair comes first: X = sum_k r_k A_k and Y = sum_k s_k B_k
     over the other matrices, with fixed weights r_k = k + 2 and s_k = k^2 + 3
-    (no draw, so the seeded stream is untouched).  If every A_k commutes
-    with every B_l, X commutes with Y, so XY != YX proves the pair does not
-    commute; only XY = YX runs the all-pairs check, which decides.  The
-    ratios r_k / s_k are distinct, so on a1 = a2 no commutator A_k A_l -
-    A_l A_k drops out of XY - YX, as it would with equal weights."""
-    def unscalar(mats):
-        return [a for a in mats if any(
-            x != (a[0][0] if i == j else 0)
-            for i, row in enumerate(a) for j, x in enumerate(row))]
-
-    def combination(mats, weights):
-        return [[sum(map(mul, weights, entries)) for entries in zip(*rows)]
-                for rows in zip(*mats)]
-    ints1 = unscalar(a1.int_action_matrices)
-    ints2 = unscalar(a2.int_action_matrices)
+    (no draw, so the seeded stream is untouched; non_scalar_actions).  If
+    every A_k commutes with every B_l, X commutes with Y, so XY != YX proves
+    the pair does not commute; only XY = YX runs the all-pairs check, which
+    decides.  The ratios r_k / s_k are distinct, so on a1 = a2 no commutator
+    A_k A_l - A_l A_k drops out of XY - YX, as it would with equal weights."""
+    ints1, x, _ = a1.non_scalar_actions
+    ints2, _, y = a2.non_scalar_actions
     if not (ints1 and ints2):
         return True
-    x = combination(ints1, [k + 2 for k in range(len(ints1))])
-    y = combination(ints2, [k * k + 3 for k in range(len(ints2))])
     if linalg.mat_mul(x, y) != linalg.mat_mul(y, x):
         return False
     for r1 in ints1:
@@ -254,9 +257,6 @@ def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
             if linalg.mat_mul(r1, r2) != linalg.mat_mul(r2, r1):
                 return False
     return True
-
-
-_denominator, _numerator = attrgetter("denominator"), attrgetter("numerator")
 
 
 def _residues(scaled, scale, field: NumberField) -> list[int] | None:
@@ -368,95 +368,90 @@ def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
 
 def generator_verdicts(algebras, dets, subfield: Subfield,
                        coords) -> list[list[bool]]:
-    """[generates(a, generator_sample(subfield, c, ints)) for each sample]
-    for each algebra a, at every m, for the samples with subfield
-    coordinates coords[s] = ints / c (integer vectors, c = 1, or rational
-    ones), every sample read mod p in one batch (transition.form_residues)
+    """[generates(a, generator_sample(subfield, 1, ints)) for each ints in
+    coords] for each algebra a, at every m, for integer coordinate vectors
+    coords, all samples read mod p in one batch (transition.form_residues)
     for the field's reduction prime p.
 
-    The rank form R(c) = det[A_k c], for A_k the integer action matrices, is
-    the orbit's int_det as a polynomial in the integer coordinates, built
-    by det_symbolic on the rows of the A_k: the rank route is R(ints) != 0.
-    dets yields the canonical transition determinant Delta_N of each
-    algebra's structure, +- the transition determinant, a form in the coset
-    values.  The residues of every sample's coset values are one column
-    combination per coset (CosetImages.residue_rows, on the columns of the
-    integer coordinates) times (D c)^-1 mod p; a sample whose D c p divides
-    has none.  R is read mod p at the coordinates, and Delta_N at the
-    residues while every Delta_N has at most m^3 terms, the products of one
-    m x m elimination (zeta16's have 810-1,279 against 512); dets is read no
-    further than the first Delta_N past m^3.
+    The rank route is R(ints) != 0 for the rank form R(c) = det[A_k c], the
+    orbit's int_det as a polynomial in the coordinates (det_symbolic on the
+    rows of the integer action matrices A_k).  The determinant route reads
+    one certificate per (sample, structure) on the sample's coset residues:
+    one column combination per coset (CosetImages.residue_rows) times D^-1
+    mod p, for the table's denominator D, the scale of every sample; when p
+    divides D, no sample has residues and every certificate is 0.  While
+    every Delta_N that dets yields (+- the transition determinant, a form in
+    the coset values) has at most m^3 terms, the products of one m x m
+    elimination (zeta16's have 810-1,279), the certificate is Delta_N at the
+    residues; dets is read no further than the first past m^3, and past it
+    the certificate is linalg.nonsingular_mod_p of the residue matrix.
 
-    Each residue is a certificate: nonzero mod p proves the value nonzero.
-    A zero sends that sample alone to the exact route: for the rank, the
-    exact value of R at the point (form_evaluator); for the determinant,
-    transition_det_nonzero on the sample (elimination mod p, then the exact
-    determinant), and so does every sample when Delta_N is not read as a
-    form or the sample has no residues.  The two routes must agree on every
-    sample.  Two checks tie the forms to the per-sample test, per algebra:
-    one sample runs through generates too, the first generator if there is
-    one and the first sample otherwise; and R at the first sample must equal
-    the orbit's int_det."""
+    A value nonzero mod p is proved nonzero; a zero takes the exact route: R
+    at the point (form_evaluator), or _packed_det on the sample's vectors
+    (CosetImages.vectors, built once per sample).  The routes must agree on
+    every (sample, structure).  Two checks tie the batch to the per-sample
+    test, per algebra: generates on the generator_sample of the first
+    generator (the first sample if there is none), and R at the first
+    sample against the orbit's int_det."""
     table = subfield.coset_images
     field = table.field
     p = field.reduction_root()[0]
-    cs = [lcm(*map(_denominator, vec)) for vec in coords]
-    points = [linalg._clear_denominators([vec])[1][0] if c > 1
-              else list(map(_numerator, vec)) for c, vec in zip(cs, coords)]
-    scales = [table.denominator * c for c in cs]
-    # (D c)^-1 mod p, or 0 for a sample without residues
-    inverses = list(map({d: pow(d, -1, p) if d % p else 0
-                         for d in set(scales)}.__getitem__, scales))
-    columns = list(zip(*points))
-    unit = [tuple(int(j == k) for j in range(subfield.dim))
-            for k in range(subfield.dim)]
-    residues = [[v * inverse % p for v, inverse in zip(column, inverses)]
-                for column in form_residues(
-                    [IntPolynomial(subfield.dim, dict(zip(unit, row)))
-                     for row in table.residue_rows], columns, p)]
+    columns = list(zip(*coords))
+    residues = None
+    if table.denominator % p:
+        inverse = pow(table.denominator, -1, p)
+        unit = [tuple(int(j == k) for j in range(subfield.dim))
+                for k in range(subfield.dim)]
+        residues = [[v * inverse % p for v in column]
+                    for column in form_residues(
+                        [IntPolynomial(subfield.dim, dict(zip(unit, row)))
+                         for row in table.residue_rows], columns, p)]
     rank_forms = [det_symbolic(a.int_action_matrices) for a in algebras]
     ranks = form_residues(rank_forms, columns, p)
     ranks_at = form_evaluator(rank_forms)
     forms = []
     for d in dets:
         if len(d.terms) > d.nvars ** 3:
-            by_det = [[0] * len(points)] * len(algebras)
+            forms = None
             break
         forms.append(d)
+    if residues is None:
+        certificates = [[0] * len(coords)] * len(algebras)
+    elif forms is None:
+        points = list(zip(*residues))
+        certificates = [[linalg.nonsingular_mod_p(
+            transition_matrix_of(a.subgroup, point), p) for point in points]
+            for a in algebras]
     else:
-        by_det = form_residues(forms, residues, p)
-
-    @cache
-    def sample(s):
-        ints = points[s]
-        return GeneratorSample(
-            ints, field, scales[s],
-            [r[s] for r in residues] if inverses[s] else None,
-            lambda: table.vectors(ints))
+        certificates = form_residues(forms, residues, p)
 
     @cache
     def exact_ranks(s):
-        return ranks_at(points[s])
-    # a sample with both residues nonzero is proved a generator both ways;
-    # every other (sample, structure) goes on, sample by sample
-    verdicts = [[True] * len(points) for _ in algebras]
-    pending = sorted({s for rank, det in zip(ranks, by_det)
-                      for s, both in enumerate(map(mul, rank, det)) if not both})
-    for s in pending:
+        return ranks_at(coords[s])
+
+    @cache
+    def vectors(s):
+        return table.vectors(coords[s])
+    # a (sample, structure) with both values nonzero mod p is proved a
+    # generator both ways; every other one takes the exact route
+    verdicts = [[True] * len(coords) for _ in algebras]
+    for s in range(len(coords)):
         for i, algebra in enumerate(algebras):
-            if ranks[i][s] and by_det[i][s]:
+            if ranks[i][s] and certificates[i][s]:
                 continue
             rank = ranks[i][s] != 0 or exact_ranks(s)[i] != 0
-            nonzero = (by_det[i][s] != 0
-                       or transition_det_nonzero(algebra.subgroup, sample(s)))
+            nonzero = certificates[i][s] != 0 or any(_packed_det(
+                transition_matrix_of(algebra.subgroup, vectors(s)),
+                field.modulus))
             if nonzero != rank:
                 raise ConsistencyError("orbit rank and transition determinant "
                                        "disagree on a generator test")
             verdicts[i][s] = nonzero
     for algebra, rank, tested in zip(algebras, exact_ranks(0), verdicts):
         k = tested.index(True) if True in tested else 0
-        if generates(algebra, sample(k)) != tested[k] \
-                or rank != linalg.int_det(algebra.orbit(points[0])):
+        if generates(algebra, generator_sample(subfield, 1, coords[k])) \
+                != tested[k] \
+                or rank != linalg.int_det(algebra.orbit(coords[0])):
             raise ConsistencyError(
                 "generator forms disagree with the per-sample test")
     return verdicts

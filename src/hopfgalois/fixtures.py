@@ -21,7 +21,7 @@ from pathlib import Path
 from . import descent, integral, linalg
 from .errors import (CapabilityError, FixtureValidationError, HopfGaloisError,
                      StructureError)
-from .integral import FractionalIdeal, Lattice, _combined
+from .integral import FractionalIdeal, Lattice
 from .numberfield import GaloisContext, Subfield, fixed_subfield, load_field
 from .perm import (GROUP_ORDER_BOUND, CosetSpace, FiniteGroup, Permutation,
                    build_coset_space, enumerate_regular_normalized,
@@ -465,7 +465,7 @@ def _validate_integral_basis(block, context, sub: Subfield, problems):
     if not lattice.contains(sub.int_coords([1] + [0] * (context.degree - 1))):
         problems.append("integral_basis: 1 is not an integer combination of the basis")
     s2, table = sub.int_multiplication_matrices()
-    ring = [(c * s2, mz) for mz in _combined(table, rows)]
+    ring = [(c * s2, mz) for mz in linalg.combined(table, rows)]
     for i, (d, mz) in enumerate(ring):
         for j, row in enumerate(rows):
             if not lattice._spans([lattice.denominator * v

@@ -151,7 +151,7 @@ def associated_order(algebra: DescendedAlgebra, ideal: FractionalIdeal) -> Assoc
     # basis element c/d_L acts on the ideal as sum_k c_k S_k / (d_L D)
     q = lattice.denominator * scale
     actions = []
-    for mat in _combined(scaled, lattice.rows):
+    for mat in linalg.combined(scaled, lattice.rows):
         if any(v % q for row in mat for v in row):
             raise ConsistencyError("order element does not stabilize the ideal")
         actions.append(_flat_matrix([[v // q for v in row] for row in mat]))
@@ -437,14 +437,6 @@ def _transfer_rows(partner: DescendedAlgebra, c, xi, scale, images):
         [factor * v for v in linalg.mat_vec(p, image)] for image in images])
 
 
-def _combined(mats, rows):
-    """For each integer coordinate row c, the integer matrix sum_k c_k M_k
-    over the given integer matrices M_k: over an algebra's integer action
-    matrices, the action of c times the action denominator."""
-    return [[[sum(map(mul, c, entries)) for entries in zip(*(a[i] for a in mats))]
-             for i in range(len(mats[0]))] for c in rows]
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     """Outcome of the two-sided freeness verification for a commuting pair."""
@@ -499,8 +491,8 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
         # over Z: x = xi/c, the order's basis is its rows over d_L, and an
         # algebra acts by its integer form over its action denominator
         c, xi = result.witness_subfield_coords
-        w_mats = _combined(side_here.int_action_matrices,
-                           order_here.lattice.rows)
+        w_mats = linalg.combined(side_here.int_action_matrices,
+                                 order_here.lattice.rows)
         w_of_x = [linalg.mat_vec(a, xi) for a in w_mats]
         scale = (order_here.lattice.denominator * side_here.action_denominator
                  * c)
@@ -513,7 +505,7 @@ def freeness_certificate(algebra: DescendedAlgebra, partner: DescendedAlgebra,
         # each side's scale is common to both products, so the transport
         # z (w x) = w (z x) holds exactly when it holds on the integer forms
         ok = True
-        for z_mat in _combined(side_there.int_action_matrices, z_rows):
+        for z_mat in linalg.combined(side_there.int_action_matrices, z_rows):
             z_of_x = linalg.mat_vec(z_mat, xi)
             for w_mat, wx in zip(w_mats, w_of_x):
                 if linalg.mat_vec(z_mat, wx) != linalg.mat_vec(w_mat, z_of_x):

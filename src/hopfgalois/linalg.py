@@ -10,6 +10,7 @@ with every entry (_integer_form)."""
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 
 def mat_mul(a, b):
@@ -39,6 +40,14 @@ def mat_vec(a, v):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def combined(mats, rows):
+    """For each integer coordinate row c, the integer matrix sum_k c_k M_k
+    over the given integer matrices M_k: over an algebra's integer action
+    matrices, the action of c times the action denominator."""
+    return [[[sum(map(mul, c, entries)) for entries in zip(*(a[i] for a in mats))]
+             for i in range(len(mats[0]))] for c in rows]
 
 
 def _clear_denominators(rows):

@@ -183,9 +183,10 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     # 810-1,279 (512), and there each sample is eliminated mod p.  Forms
     # are read mod p on every sample at once (descent.form_residues): the
     # coset residues first, as one linear form per coset
-    from hopfgalois import descent, fixtures
-    calls, evaluated, eliminated, built = [], [], [], []
+    from hopfgalois import descent, fixtures, linalg
+    calls, evaluated, eliminated, built, tied = [], [], [], [], []
     form_residues = descent.form_residues
+    nonsingular_mod_p = linalg.nonsingular_mod_p
     transition_det_nonzero = descent.transition_det_nonzero
     signed_canonical_det = fixtures.signed_canonical_det
 
@@ -208,12 +209,17 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
         evaluated.append(forms)
         return form_residues(forms, columns, p)
 
-    def eliminating(n, sample):
-        eliminated.append(n)
+    def eliminating(rows, p):
+        eliminated.append(rows)
+        return nonsingular_mod_p(rows, p)
+
+    def tying(n, sample):
+        tied.append(n)
         return transition_det_nonzero(n, sample)
     monkeypatch.setattr(cli, "generator_verdicts", verdicts)
     monkeypatch.setattr(descent, "form_residues", planning)
-    monkeypatch.setattr(descent, "transition_det_nonzero", eliminating)
+    monkeypatch.setattr(linalg, "nonsingular_mod_p", eliminating)
+    monkeypatch.setattr(descent, "transition_det_nonzero", tying)
     monkeypatch.setattr(fixtures, "signed_canonical_det", building)
     monkeypatch.setattr(cli, "GENERATOR_SAMPLES", 4)
     code, out = run(capsys, "--json", "verify", "generators", fixture)
@@ -230,9 +236,10 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     # each Delta_N is built when the driver reads it, and it reads no
     # further than the first past m^3: zeta16 builds 1 of its 26
     assert len(built) == len(dets) == (len(algebras) if forms else 1)
-    # the per-sample test ties the forms to one sample per structure, and
-    # without the Delta_N forms each sample is eliminated too; with them,
-    # only a zero of Delta_N mod p is, and these 4 samples have none
+    # the per-sample test ties the batch to one sample per structure, with
+    # one elimination each; without the Delta_N forms each (sample,
+    # structure) certificate is one elimination too, and with them none is
+    assert len(tied) == len(algebras)
     assert len(eliminated) == len(algebras) * (1 if forms else 1 + 4)
 
 
@@ -466,6 +473,27 @@ def test_verify_commuting_runs_once_per_unordered_pair(capsys, monkeypatch,
     assert len(pairs) == calls
     assert len({frozenset(map(id, p)) for p in pairs}) == calls
     assert len(json.loads(out)["checks"]) == structures ** 2
+
+
+def test_verify_commuting_builds_two_combinations_per_algebra(monkeypatch):
+    # verify commuting on zeta16 tests its 351 unordered pairs of 26
+    # structures; each algebra builds its two fixed combinations once, so
+    # 52 in all, not two per call
+    from hopfgalois import linalg
+    from hopfgalois.fixtures import parse
+    fx = parse(DATA / "zeta16.hgx")
+    built = []
+    combined = linalg.combined
+
+    def counting(mats, rows):
+        built.extend(rows)
+        return combined(mats, rows)
+    monkeypatch.setattr(linalg, "combined", counting)
+    report = cli.Report(["verify", "commuting", fx.name], fx.name, 0)
+    cli._verify_commuting(fx, report)
+    assert len(built) <= 2 * len(fx.structures()) == 52
+    assert len(report.checks) == 26 ** 2
+    assert {c["verdict"] for c in report.checks} == {"PASS"}
 
 
 def test_suite_builds_one_center_per_group(capsys, monkeypatch):
@@ -760,34 +788,48 @@ def test_eliminations_receive_only_integers(capsys, monkeypatch, name):
     assert bool(received) == has_field
 
 
-@pytest.mark.parametrize("kernel", ["int_det", "nonsingular_mod_p"])
-def test_a_flipped_generator_kernel_raises_consistency_error(capsys,
-                                                              monkeypatch,
-                                                              kernel):
+@pytest.mark.parametrize("kernel, fixture", [
+    pytest.param("int_det", "v4biquad", id="int_det"),
+    # the batch eliminates only past m^3 terms, so on zeta16
+    pytest.param("nonsingular_mod_p", str(DATA / "zeta16.hgx"),
+                 id="nonsingular_mod_p")])
+def test_a_flipped_generator_kernel_raises_consistency_error(
+        capsys, monkeypatch, v4biquad, kernel, fixture):
     # either route's kernel answering the wrong way must make the two routes
     # disagree on some sample, and main reports the ConsistencyError as an
     # internal fault.  A flipped mod-p answer is caught on the
     # non-generators: on a generator, its False only sends the test to the
     # exact determinant.  The kernel is flipped in descent only: the exact
-    # determinant over E is int_det too, on packed entries
+    # determinant over E is int_det too, on packed entries.  The per-sample
+    # test (generates) catches it on v4biquad's non-generators too
     from types import SimpleNamespace
 
     from hopfgalois import descent, linalg
+    from hopfgalois.errors import ConsistencyError
     exact = getattr(linalg, kernel)
 
     def flipped(*args):
         return not exact(*args)
     monkeypatch.setattr(descent, "linalg",
                         SimpleNamespace(**{**vars(linalg), kernel: flipped}))
-    code = main(["verify", "generators", "v4biquad"])
+    code = main(["verify", "generators", fixture])
     captured = capsys.readouterr()
     # a failed cross-check is an internal fault (exit 4), not a usage error
     assert code == EXIT_INTERNAL == 4
     assert captured.out == ""
     first, *trace = captured.err.splitlines()
-    assert first == ("internal error: ConsistencyError: orbit rank and "
-                     "transition determinant disagree on a generator test")
+    message = ("orbit rank and transition determinant disagree on a "
+               "generator test")
+    assert first == f"internal error: ConsistencyError: {message}"
     assert trace[0] == "Traceback (most recent call last):"
+    sub = v4biquad.subfield()
+    one = linalg._clear_denominators(
+        [sub.coords(v4biquad.context.field.one())])[1][0]
+    for ints in ([0] * sub.dim, one):
+        for i in range(len(v4biquad.structures())):
+            with pytest.raises(ConsistencyError, match=message):
+                descent.generates(v4biquad.algebra(i),
+                                  descent.generator_sample(sub, 1, ints))
 
 
 def test_a_flipped_int_det_everywhere_raises_consistency_error(capsys,

@@ -4,20 +4,19 @@ import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from hopfgalois import cli, descent, linalg
-from hopfgalois.descent import (GeneratorSample, _residues, descend,
-                                generates, generator_sample,
+from hopfgalois.descent import (DescendedAlgebra, GeneratorSample, _residues,
+                                descend, generates, generator_sample,
                                 is_generator, is_separable,
                                 trace_form_nondegenerate,
                                 transition_det_nonzero, verify_commuting,
                                 verify_hopf_galois)
 from hopfgalois.errors import ConsistencyError, DomainError, StructureError
-from hopfgalois.fixtures import parse
-from hopfgalois.numberfield import GaloisContext
+from hopfgalois.fixtures import load_bundled, parse
+from hopfgalois.numberfield import GaloisContext, NumberField
 from hopfgalois.perm import (FiniteGroup, Permutation, opposite,
                              right_translation_subgroup)
 from hopfgalois.transition import transition_matrix_of
@@ -312,20 +311,23 @@ def test_commutative_algebra_commutes_with_itself(qzeta3):
     assert verify_commuting(algebra, algebra)
 
 
+def _acting(d, mats):
+    """An algebra that carries only integer action matrices over d, all that
+    verify_commuting reads."""
+    return DescendedAlgebra(None, None, 1, (), (), d, tuple(mats), 1, ())
+
+
 def test_commuting_keeps_each_denominator():
     # [[a, b], [b, a]] commute; dropping the denominators would make the
     # last pair commute too
-    class Actions:
-        def __init__(self, *mats):
-            # the integer form over the least common denominator
-            d, rows = linalg._clear_denominators([r for m in mats for r in m])
-            self.action_denominator = d
-            self.int_action_matrices = [rows[k:k + 2]
-                                        for k in range(0, len(rows), 2)]
+    def actions(*mats):
+        # the integer form over the least common denominator
+        d, rows = linalg._clear_denominators([r for m in mats for r in m])
+        return _acting(d, [rows[k:k + 2] for k in range(0, len(rows), 2)])
 
-    a = Actions([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 2)]], [[1, 0], [0, 1]])
-    assert verify_commuting(a, Actions([[1, F(1, 4)], [F(1, 4), 1]]))
-    assert not verify_commuting(a, Actions([[1, F(1, 4)], [F(1, 2), 1]]))
+    a = actions([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 2)]], [[1, 0], [0, 1]])
+    assert verify_commuting(a, actions([[1, F(1, 4)], [F(1, 4), 1]]))
+    assert not verify_commuting(a, actions([[1, F(1, 4)], [F(1, 2), 1]]))
 
 
 def _is_scalar(mat):
@@ -418,9 +420,8 @@ def test_commuting_compares_no_scalar_matrix(field_fixtures, s3sextic,
     assert len(products) == 2 + 2 * 5 ** 2
     assert not any(_is_scalar(a) or _is_scalar(b) for a, b in products)
     # a diagonal matrix that is not scalar is compared
-    diagonal = SimpleNamespace(int_action_matrices=[[[1, 0], [0, 2]]])
-    skew = SimpleNamespace(int_action_matrices=[[[0, 1], [0, 0]], [[3, 0],
-                                                                   [0, 3]]])
+    diagonal = _acting(1, [[[1, 0], [0, 2]]])
+    skew = _acting(1, [[[0, 1], [0, 0]], [[3, 0], [0, 3]]])
     assert not verify_commuting(diagonal, skew)
 
 
@@ -645,71 +646,89 @@ def test_table_samples_take_the_exact_determinant_only_when_needed(
             assert verdicts[:2] == [False, False] and any(verdicts)
 
 
+def _integer_one(fx):
+    """Integer subfield coordinates of a nonzero rational, which generates
+    nothing: those of 1 with their denominators cleared."""
+    return linalg._clear_denominators(
+        [fx.subfield().coords(fx.context.field.one())])[1][0]
+
+
 def test_generator_verdicts_match_the_per_sample_test(field_fixtures,
                                                      monkeypatch):
-    # the forms route gives generates' verdict for every structure and
-    # sample, at seeds 0-4: seeded integer coordinates (c = 1) first, then
-    # coordinates over 2, 3, 6 and p (c > 1; residues None when p divides a
-    # reduced denominator), and the non-generators 0 and 1.  Every Delta_N
-    # here has at most m^3 terms, so both routes are read off forms.  Every
-    # sample the batch hands to the exact route carries generator_sample's
-    # scale and residues
-    handed = []
-    exact_route = descent.transition_det_nonzero
+    # the batch gives generates' verdict for every structure and sample, at
+    # seeds 0-4: seeded integer coordinates and the non-generators 0 and 1.
+    # Every Delta_N here has at most m^3 terms, so both routes are read off
+    # forms, and Delta_N is read at generator_sample's residues of every
+    # sample: a copy without the factor D^-1 gives the same verdicts (Delta_N
+    # is homogeneous) and fails here
+    read = []
+    form_residues = descent.form_residues
 
-    def recording(n, sample):
-        handed.append(sample)
-        return exact_route(n, sample)
-    monkeypatch.setattr(descent, "transition_det_nonzero", recording)
-    for fx in field_fixtures:
+    def recording(forms, columns, p):
+        read.append(columns)
+        return form_residues(forms, columns, p)
+    monkeypatch.setattr(descent, "form_residues", recording)
+
+    def check(fx, seeds):
         sub = fx.subfield()
-        p, _ = fx.context.field.reduction_root()
         count = len(fx.structures())
         algebras = [fx.algebra(i) for i in range(count)]
         dets = [fx.transition_det(i)[0] for i in range(count)]
-        scales, verdicts = set(), set()
-        no_residues = 0
-        for seed in range(5):
+        samples, verdicts = [], set()
+        for seed in seeds:
             rng = random.Random(seed)
             coords = [sub.random_coords(rng) for _ in range(6)]
-            coords += [_mixed_coords(rng, sub.dim, p) for _ in range(8)]
-            coords += [[0] * sub.dim, sub.coords(fx.context.field.one())]
-            samples = [_sample(sub, c) for c in coords]
+            coords += [[0] * sub.dim, _integer_one(fx)]
+            samples = [generator_sample(sub, 1, c) for c in coords]
             expected = [[generates(a, s) for s in samples] for a in algebras]
-            handed.clear()
+            read.clear()
             assert descent.generator_verdicts(algebras, dets, sub, coords) \
                 == expected, (fx.name, seed)
-            reference = {tuple(s.coords): s for s in samples}
-            assert handed and all(
-                (s.scale, s.residues) == (reference[tuple(s.coords)].scale,
-                                          reference[tuple(s.coords)].residues)
-                for s in handed), (fx.name, seed)
-            scales |= {s.scale // sub.coset_images.denominator
-                       for s in samples}
-            no_residues += sum(s.residues is None for s in samples)
+            if samples[0].residues is None:
+                # only the rank forms are read mod p
+                assert len(read) == 1, (fx.name, seed)
+            else:
+                # the coset residues, the rank forms, then Delta_N at the
+                # residues
+                assert [list(column) for column in read[2]] == [
+                    list(column)
+                    for column in zip(*(s.residues for s in samples))], \
+                    (fx.name, seed)
             verdicts |= {v for row in expected for v in row}
-        assert max(scales) > 1 and no_residues and verdicts == {False, True}, \
-            fx.name
+        assert verdicts == {False, True}, fx.name
+        return samples
+    for fx in field_fixtures:
+        assert check(fx, range(5))[0].residues is not None, fx.name
+    # a planted p dividing D (s3sextic's D = 6, qcbrt2's D = 2), on fixtures
+    # loaded fresh, since a subfield keeps its residue rows: no sample has
+    # residues, so every determinant is exact
+    for name, planted in [("s3sextic", (3, 0)), ("qcbrt2", (2, 0))]:
+        monkeypatch.setattr(NumberField, "reduction_root",
+                            lambda self, planted=planted: planted)
+        fx = load_bundled(name)
+        assert fx.subfield().coset_images.denominator % planted[0] == 0
+        assert all(s.residues is None for s in check(fx, range(2))), name
 
 
 def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch):
     # zeta16's Delta_N have 810-1,279 terms, past m^3 = 512: only the rank
-    # forms are planned, and each sample's determinant route is
-    # transition_det_nonzero, with the same verdicts as generates
+    # forms are planned, each (sample, structure) certificate is one
+    # elimination of its residue matrix mod p, and the verdicts are
+    # generates'
     fx = parse(Path(__file__).parent / "data" / "zeta16.hgx")
     space, sub = fx.coset_space(), fx.subfield()
-    p, _ = fx.context.field.reduction_root()
     count = len(fx.structures())
     algebras = [fx.algebra(i) for i in range(count)]
     dets = [fx.transition_det(i)[0] for i in range(count)]
     assert min(len(d.terms) for d in dets) > space.size ** 3
     rng = random.Random(0)
     coords = [sub.random_coords(rng) for _ in range(2)]
-    coords += [_mixed_coords(rng, sub.dim, p) for _ in range(3)]
-    coords += [[0] * sub.dim, sub.coords(fx.context.field.one())]
-    samples = [_sample(sub, c) for c in coords]
-    planned, read = [], []
+    coords += [[0] * sub.dim, _integer_one(fx)]
+    samples = [generator_sample(sub, 1, c) for c in coords]
+    expected = [[generates(a, s) for s in samples] for a in algebras]
+    planned, read, eliminated = [], [], []
     form_evaluator, form_residues = descent.form_evaluator, descent.form_residues
+    nonsingular_mod_p = linalg.nonsingular_mod_p
 
     def planning(forms):
         planned.append(forms)
@@ -718,16 +737,26 @@ def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch):
     def reading(forms, columns, p):
         read.append(forms)
         return form_residues(forms, columns, p)
+
+    def eliminating(rows, p):
+        eliminated.append(rows)
+        return nonsingular_mod_p(rows, p)
     monkeypatch.setattr(descent, "form_evaluator", planning)
     monkeypatch.setattr(descent, "form_residues", reading)
+    monkeypatch.setattr(linalg, "nonsingular_mod_p", eliminating)
     verdicts = descent.generator_verdicts(algebras, dets, sub, coords)
     assert len(planned) == 1 and len(planned[0]) == count
     # read mod p: the coset residues (one linear form per coset) and the
     # rank forms, no Delta_N
     assert [len(forms) for forms in read] == [space.size, count]
     assert read[1] == planned[0]
-    assert verdicts == [[generates(a, s) for s in samples] for a in algebras]
-    assert any(s.residues is None for s in samples)
+    # one elimination per (sample, structure), then one per structure in
+    # the tie
+    assert eliminated[:count * len(samples)] == [
+        transition_matrix_of(a.subgroup, s.residues)
+        for a in algebras for s in samples]
+    assert len(eliminated) == count * len(samples) + count
+    assert verdicts == expected
     assert {v for row in verdicts for v in row} == {False, True}
 
 
@@ -751,11 +780,13 @@ def _recording_kernels(monkeypatch):
 
 
 def _chain(algebras, dets, samples, verdicts):
-    """The kernel calls of generator_verdicts on samples with residues: a
-    sample whose Delta_N value is 0 mod p, or each sample when the Delta_N
-    are not read as forms, takes one elimination mod p, then the exact
-    determinant when its residue matrix is singular; then each structure's
-    first generator takes the same chain in generates."""
+    """The kernel calls of generator_verdicts on samples with residues: when
+    the Delta_N are not read as forms, one elimination mod p per structure
+    and sample, structure after structure, as its certificate; then the
+    exact determinant of each (sample, structure) whose certificate is 0,
+    sample after sample; then each structure's first generator takes
+    generates' chain, an elimination mod p and the exact determinant when
+    its residue matrix is singular."""
     p = samples[0].field.reduction_root()[0]
     forms = all(len(d.terms) <= d.nvars ** 3 for d in dets)
 
@@ -765,11 +796,21 @@ def _chain(algebras, dets, samples, verdicts):
         if linalg.int_det(residues) % p == 0:
             steps.append(("exact", transition_matrix_of(n, sample.scaled)))
         return steps
-    expected = []
-    for sample in samples:
-        for algebra, d in zip(algebras, dets):
-            if not forms or evaluate(d, sample.residues, 1) % p == 0:
-                expected += walk(algebra.subgroup, sample)
+    expected, certificates = [], []
+    for algebra, d in zip(algebras, dets):
+        row = []
+        for sample in samples:
+            if forms:
+                row.append(evaluate(d, sample.residues, 1) % p)
+            else:
+                residues = transition_matrix_of(algebra.subgroup,
+                                                sample.residues)
+                expected.append(("mod p", residues))
+                row.append(linalg.int_det(residues) % p)
+        certificates.append(row)
+    for s, sample in enumerate(samples):
+        expected += [("exact", transition_matrix_of(a.subgroup, sample.scaled))
+                     for a, row in zip(algebras, certificates) if row[s] == 0]
     for algebra, tested in zip(algebras, verdicts):
         expected += walk(algebra.subgroup, samples[tested.index(True)])
     return expected
@@ -789,9 +830,10 @@ def _cli_samples(fx, seed):
     pytest.param("zeta16", (8, 22, 25), 15 + 75 + 70, id="zeta16")])
 def test_generator_chain_takes_each_exact_determinant_once(
         v4biquad, monkeypatch, name, structures, zeros):
-    # every sample walks one chain: Delta_N nonzero mod p proves a generator,
-    # and any other sample is eliminated mod p before its exact determinant;
-    # the tie runs on a generator, so no exact determinant is taken twice
+    # each (sample, structure) has one certificate mod p: nonzero proves a
+    # generator, and 0 goes straight to the exact determinant, with no
+    # second elimination; the tie runs on a generator, so no exact
+    # determinant is taken twice
     fx = (v4biquad if name == "v4biquad"
           else parse(Path(__file__).parent / "data" / "zeta16.hgx"))
     structures = structures or range(len(fx.structures()))
