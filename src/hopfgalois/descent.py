@@ -15,8 +15,8 @@ from .errors import ConsistencyError, StructureError
 from .numberfield import (FieldElement, NumberField, Subfield, _convolve_into,
                           _packed_det, _reduce_int)
 from .perm import FiniteGroup
-from .transition import (IntPolynomial, det_symbolic, form_evaluator,
-                         form_residues, transition_matrix_of)
+from .transition import (IntPolynomial, det_symbolic, form_residues,
+                         transition_matrix_of)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,16 +281,13 @@ def _residues(scaled, scale, field: NumberField) -> list[int] | None:
 class GeneratorSample:
     """A subfield element with what every generator test of it shares,
     whatever the structure: its subfield coordinates times a positive
-    integer (an integer vector), its field, the coset values in integer
-    form (the value at coset k has power-basis coordinates scaled[k] /
-    scale) and their residues mod the field's reduction prime p, which
-    exist exactly when p does not divide scale (None otherwise).  `scaled`
-    is built by `vectors` on first read: only the exact determinant of a
-    generator test reads it."""
+    integer, its field, its coset values times a positive integer s, as
+    integer power-basis coordinates, and their residues mod the field's
+    reduction prime p, None when p divides s.  `scaled` is built by
+    `vectors` on first read: only an exact determinant reads it."""
 
     coords: list[int]
     field: NumberField
-    scale: int
     residues: list[int] | None
     vectors: Callable[[], list[list[int]]]
 
@@ -304,7 +301,7 @@ class GeneratorSample:
         the given integer coordinates."""
         field = values[0].field
         scale, scaled = linalg._clear_denominators([v.coords for v in values])
-        return cls(coords, field, scale, _residues(scaled, scale, field),
+        return cls(coords, field, _residues(scaled, scale, field),
                    lambda: scaled)
 
 
@@ -312,38 +309,32 @@ def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
     """Whether the transition matrix on the sample's coset values has a
     nonzero determinant over E.  Certified mod p first: t -> r is a ring map
     to F_p on the elements whose denominators are prime to p, so a matrix of
-    residues invertible mod p (linalg.nonsingular_mod_p) proves the exact
-    determinant nonzero.  A matrix singular mod p, or a sample without
-    residues, takes the exact determinant in Z[t]/(f) of the transition
-    matrix on the integer values (_packed_det, int_det of the packed
-    matrix), scale^m times the one over E."""
+    residues whose int_det is nonzero mod p proves the exact determinant
+    nonzero.  A matrix singular mod p, or a sample without residues, takes
+    the exact determinant in Z[t]/(f) of the transition matrix on the
+    integer values (_packed_det, int_det of the packed matrix), s^m times
+    the one over E."""
     field = sample.field
-    if sample.residues is not None and linalg.nonsingular_mod_p(
-            transition_matrix_of(n, sample.residues),
-            field.reduction_root()[0]):
+    if sample.residues is not None and linalg.int_det(transition_matrix_of(
+            n, sample.residues)) % field.reduction_root()[0]:
         return True
     return any(_packed_det(transition_matrix_of(n, sample.scaled),
                            field.modulus))
 
 
-def generator_sample(subfield: Subfield, c: int, ints) -> GeneratorSample:
-    """The sample of the subfield element with coordinates ints / c, for an
-    integer vector ints and a positive integer c, in integer arithmetic on
-    the subfield's CosetImages, with scale D c.  The value at coset k is
-    M_k ints / (D c): one integer matrix-vector product, made only when the
-    sample's vectors are read.  When p does not divide D c, the residue at
-    coset k is the dot product of ints with the table's residue row k,
-    times the inverse of D c mod p; otherwise there are none."""
+def generator_sample(subfield: Subfield, ints) -> GeneratorSample:
+    """The sample of the subfield element with integer coordinates ints, on
+    the subfield's CosetImages, of denominator D (s = D): the value at coset
+    k is M_k ints / D, built only when the sample's vectors are read, and,
+    when p does not divide D, its residue is ints . (residue row k) D^-1."""
     table = subfield.coset_images
-    field = table.field
-    p = field.reduction_root()[0]
-    scale = table.denominator * c
+    p = table.field.reduction_root()[0]
     residues = None
-    if scale % p:
-        inv = pow(scale, -1, p)
+    if table.denominator % p:
+        inv = pow(table.denominator, -1, p)
         residues = [v * inv % p
                     for v in linalg.mat_vec(table.residue_rows, ints)]
-    return GeneratorSample(ints, field, scale, residues,
+    return GeneratorSample(ints, table.field, residues,
                            lambda: table.vectors(ints))
 
 
@@ -368,31 +359,31 @@ def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
 
 def generator_verdicts(algebras, dets, subfield: Subfield,
                        coords) -> list[list[bool]]:
-    """[generates(a, generator_sample(subfield, 1, ints)) for each ints in
+    """[generates(a, generator_sample(subfield, ints)) for each ints in
     coords] for each algebra a, at every m, for integer coordinate vectors
     coords, all samples read mod p in one batch (transition.form_residues)
     for the field's reduction prime p.
 
-    The rank route is R(ints) != 0 for the rank form R(c) = det[A_k c], the
+    The rank route is R(ints) mod p for the rank form R(c) = det[A_k c], the
     orbit's int_det as a polynomial in the coordinates (det_symbolic on the
     rows of the integer action matrices A_k).  The determinant route reads
     one certificate per (sample, structure) on the sample's coset residues:
     one column combination per coset (CosetImages.residue_rows) times D^-1
-    mod p, for the table's denominator D, the scale of every sample; when p
-    divides D, no sample has residues and every certificate is 0.  While
-    every Delta_N that dets yields (+- the transition determinant, a form in
-    the coset values) has at most m^3 terms, the products of one m x m
-    elimination (zeta16's have 810-1,279), the certificate is Delta_N at the
-    residues; dets is read no further than the first past m^3, and past it
-    the certificate is linalg.nonsingular_mod_p of the residue matrix.
+    mod p, for the table's denominator D; when p divides D, no sample has
+    residues and every certificate is 0.  While every Delta_N that dets
+    yields (+- the transition determinant, a form in the coset values) has
+    at most m^3 terms, the products of one m x m elimination (zeta16's have
+    810-1,279), the certificate is Delta_N at the residues; dets is read no
+    further than the first past m^3, and past it the certificate is int_det
+    of the residue matrix, mod p.
 
-    A value nonzero mod p is proved nonzero; a zero takes the exact route: R
-    at the point (form_evaluator), or _packed_det on the sample's vectors
+    A value nonzero mod p is proved nonzero; a zero takes generates' exact
+    route: int_det of the orbit, or _packed_det on the sample's vectors
     (CosetImages.vectors, built once per sample).  The routes must agree on
     every (sample, structure).  Two checks tie the batch to the per-sample
     test, per algebra: generates on the generator_sample of the first
-    generator (the first sample if there is none), and R at the first
-    sample against the orbit's int_det."""
+    generator (the first sample if there is none), and R at the first sample
+    against the orbit's int_det, both mod p."""
     table = subfield.coset_images
     field = table.field
     p = field.reduction_root()[0]
@@ -406,9 +397,8 @@ def generator_verdicts(algebras, dets, subfield: Subfield,
                     for column in form_residues(
                         [IntPolynomial(subfield.dim, dict(zip(unit, row)))
                          for row in table.residue_rows], columns, p)]
-    rank_forms = [det_symbolic(a.int_action_matrices) for a in algebras]
-    ranks = form_residues(rank_forms, columns, p)
-    ranks_at = form_evaluator(rank_forms)
+    ranks = form_residues([det_symbolic(a.int_action_matrices)
+                           for a in algebras], columns, p)
     forms = []
     for d in dets:
         if len(d.terms) > d.nvars ** 3:
@@ -419,15 +409,10 @@ def generator_verdicts(algebras, dets, subfield: Subfield,
         certificates = [[0] * len(coords)] * len(algebras)
     elif forms is None:
         points = list(zip(*residues))
-        certificates = [[linalg.nonsingular_mod_p(
-            transition_matrix_of(a.subgroup, point), p) for point in points]
-            for a in algebras]
+        certificates = [[linalg.int_det(transition_matrix_of(
+            a.subgroup, point)) % p for point in points] for a in algebras]
     else:
         certificates = form_residues(forms, residues, p)
-
-    @cache
-    def exact_ranks(s):
-        return ranks_at(coords[s])
 
     @cache
     def vectors(s):
@@ -439,7 +424,8 @@ def generator_verdicts(algebras, dets, subfield: Subfield,
         for i, algebra in enumerate(algebras):
             if ranks[i][s] and certificates[i][s]:
                 continue
-            rank = ranks[i][s] != 0 or exact_ranks(s)[i] != 0
+            rank = ranks[i][s] != 0 or linalg.int_det(
+                algebra.orbit(coords[s])) != 0
             nonzero = certificates[i][s] != 0 or any(_packed_det(
                 transition_matrix_of(algebra.subgroup, vectors(s)),
                 field.modulus))
@@ -447,11 +433,11 @@ def generator_verdicts(algebras, dets, subfield: Subfield,
                 raise ConsistencyError("orbit rank and transition determinant "
                                        "disagree on a generator test")
             verdicts[i][s] = nonzero
-    for algebra, rank, tested in zip(algebras, exact_ranks(0), verdicts):
+    for algebra, rank, tested in zip(algebras, ranks, verdicts):
         k = tested.index(True) if True in tested else 0
-        if generates(algebra, generator_sample(subfield, 1, coords[k])) \
+        if generates(algebra, generator_sample(subfield, coords[k])) \
                 != tested[k] \
-                or rank != linalg.int_det(algebra.orbit(coords[0])):
+                or rank[0] != linalg.int_det(algebra.orbit(coords[0])) % p:
             raise ConsistencyError(
                 "generator forms disagree with the per-sample test")
     return verdicts

@@ -208,9 +208,13 @@ def _build_group(block, problems):
     perms = {}
     degree = None
     for gname, images in gens_block.items():
+        if not isinstance(images, list):
+            problems.append(f"group.generators.{gname}: expected an array of "
+                            "point images")
+            continue
         try:
             p = Permutation(images)
-        except (HopfGaloisError, TypeError) as err:
+        except HopfGaloisError as err:
             problems.append(f"group.generators.{gname}: {err}")
             continue
         if degree is None:
@@ -235,11 +239,13 @@ def _build_group(block, problems):
 
 
 def _evaluate_word(word: str, group: FiniteGroup, names, problems, where):
+    def quoted(text):  # at most 40 characters of a word or token, then ...
+        return repr(text[:40]) + "..." * (len(text) > 40)
     result = group.elements[group.identity_index]
     for token in word.split("*"):
         token = token.strip()
         if not token:
-            problems.append(f"{where}: empty factor in word {word!r}")
+            problems.append(f"{where}: empty factor in word {quoted(word)}")
             return None
         if "^" in token:
             base, _, exp = token.partition("^")
@@ -247,12 +253,13 @@ def _evaluate_word(word: str, group: FiniteGroup, names, problems, where):
             try:
                 power = int(exp)
             except ValueError:
-                problems.append(f"{where}: bad exponent in {token!r}")
+                problems.append(f"{where}: bad exponent in {quoted(token)}")
                 return None
         else:
             base, power = token, 1
         if base not in names:
-            problems.append(f"{where}: unknown generator {base!r} in word {word!r}")
+            problems.append(f"{where}: unknown generator {quoted(base)} in "
+                            f"word {quoted(word)}")
             return None
         g = group.elements[names[base]]
         # g^power = g^(power mod the order of g), for negative powers too
@@ -281,10 +288,14 @@ def _build_stabilizer(block, group, names, problems):
             g = _evaluate_word(entry, group, names, problems, where)
             if g is None:
                 return None
+        elif not isinstance(entry, list):
+            problems.append(f"{where}: expected a word or an array of point "
+                            "images")
+            return None
         else:
             try:
                 g = Permutation(entry)
-            except (HopfGaloisError, TypeError) as err:
+            except HopfGaloisError as err:
                 problems.append(f"{where}: {err}")
                 return None
             if g.degree != group.degree:

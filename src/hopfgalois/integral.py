@@ -422,11 +422,12 @@ def _transfer_rows(partner: DescendedAlgebra, c, xi, scale, images):
     inverse of the partner's orbit of x, shared by every a.  x is given by
     its coordinates xi/c in the subfield basis both algebras act on, as are
     all vectors here, for an integer vector xi and a positive integer c;
-    each a . x by an integer image, scale times it.  The generator test and
-    the inverse share the partner's orbit of the integer xi, which is c d
-    times the true one (d its action_denominator).  With O that orbit as columns and
-    O^-1 = P/e, z = c d P image / (e scale)."""
-    sample = generator_sample(partner.subfield, c, xi)
+    each a . x by an integer image, scale times it.  The generator test runs
+    on xi = c x, which generates exactly when x does, and shares with the
+    inverse the partner's orbit of xi, which is c d times the true one (d its
+    action_denominator).  With O that orbit as columns and O^-1 = P/e,
+    z = c d P image / (e scale)."""
+    sample = generator_sample(partner.subfield, xi)
     orbit = partner.orbit(xi)  # c d times the true orbit, built once
     if not generates(partner, sample, orbit):
         raise DomainError("transfer needs the witness to generate over the partner")

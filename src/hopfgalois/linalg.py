@@ -1,7 +1,7 @@
 """Exact linear algebra over Z: one fraction-free Gauss-Jordan elimination
 for kernels, inverses and solves, run forward only for ranks and integer
-determinants, invertibility modulo a prime by a forward elimination that
-stops at the first missing pivot, and the row Hermite normal form.  Every
+determinants (a determinant mod p is int_det of the residue matrix, reduced
+once), and the row Hermite normal form.  Every
 routine takes integer rows: a rational matrix is cleared once, where it is
 read (_clear_denominators), and a rational result is returned in one integer
 form (d, rows): integer rows over a denominator d > 0 that shares no factor
@@ -187,31 +187,6 @@ def invert(mat):
     except ValueError:
         return None
     return solver._denominator, solver._transform
-
-
-def nonsingular_mod_p(mat, p: int) -> bool:
-    """Whether a square matrix with entries reduced mod the prime p is
-    invertible mod p.  A division-free forward elimination: each row below
-    the pivot is scaled by the pivot before the pivot row is subtracted,
-    which multiplies the determinant by a unit, so no inverse is taken.  It
-    returns False at the first column without a pivot."""
-    rows = list(mat)
-    n = len(rows)
-    for c in range(n):
-        for k in range(c, n):
-            if rows[k][c]:
-                break
-        else:
-            return False
-        pivot = rows[k]
-        rows[k] = rows[c]
-        a = pivot[c]
-        for i in range(c + 1, n):
-            row = rows[i]
-            f = row[c]
-            if f:
-                rows[i] = [(a * x - f * y) % p for x, y in zip(row, pivot)]
-    return True
 
 
 def int_det(mat) -> int:

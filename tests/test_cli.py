@@ -176,17 +176,16 @@ DATA = Path(__file__).parent / "data"
     pytest.param("s3sextic", True, id="s3sextic"),
     pytest.param(str(DATA / "zeta16.hgx"), False, id="zeta16")])
 def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
-        capsys, monkeypatch, fixture, forms):
+        capsys, monkeypatch, generator_kernels, fixture, forms):
     # every m takes generator_verdicts, which reads the rank forms always and
     # the transition determinants Delta_N as forms only while each has at
     # most m^3 terms: s3sextic's have at most 146 (m^3 = 216), zeta16's
     # 810-1,279 (512), and there each sample is eliminated mod p.  Forms
     # are read mod p on every sample at once (descent.form_residues): the
     # coset residues first, as one linear form per coset
-    from hopfgalois import descent, fixtures, linalg
-    calls, evaluated, eliminated, built, tied = [], [], [], [], []
+    from hopfgalois import descent, fixtures
+    calls, evaluated, built, tied = [], [], [], []
     form_residues = descent.form_residues
-    nonsingular_mod_p = linalg.nonsingular_mod_p
     transition_det_nonzero = descent.transition_det_nonzero
     signed_canonical_det = fixtures.signed_canonical_det
 
@@ -209,16 +208,11 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
         evaluated.append(forms)
         return form_residues(forms, columns, p)
 
-    def eliminating(rows, p):
-        eliminated.append(rows)
-        return nonsingular_mod_p(rows, p)
-
     def tying(n, sample):
         tied.append(n)
         return transition_det_nonzero(n, sample)
     monkeypatch.setattr(cli, "generator_verdicts", verdicts)
     monkeypatch.setattr(descent, "form_residues", planning)
-    monkeypatch.setattr(linalg, "nonsingular_mod_p", eliminating)
     monkeypatch.setattr(descent, "transition_det_nonzero", tying)
     monkeypatch.setattr(fixtures, "signed_canonical_det", building)
     monkeypatch.setattr(cli, "GENERATOR_SAMPLES", 4)
@@ -240,6 +234,7 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     # one elimination each; without the Delta_N forms each (sample,
     # structure) certificate is one elimination too, and with them none is
     assert len(tied) == len(algebras)
+    eliminated = [rows for kind, rows in generator_kernels if kind == "mod p"]
     assert len(eliminated) == len(algebras) * (1 if forms else 1 + 4)
 
 
@@ -788,30 +783,32 @@ def test_eliminations_receive_only_integers(capsys, monkeypatch, name):
     assert bool(received) == has_field
 
 
-@pytest.mark.parametrize("kernel, fixture", [
-    pytest.param("int_det", "v4biquad", id="int_det"),
+@pytest.mark.parametrize("kind, fixture", [
+    pytest.param("orbit", "v4biquad", id="int_det"),
     # the batch eliminates only past m^3 terms, so on zeta16
-    pytest.param("nonsingular_mod_p", str(DATA / "zeta16.hgx"),
-                 id="nonsingular_mod_p")])
+    pytest.param("mod p", str(DATA / "zeta16.hgx"), id="int_det_mod_p")])
 def test_a_flipped_generator_kernel_raises_consistency_error(
-        capsys, monkeypatch, v4biquad, kernel, fixture):
-    # either route's kernel answering the wrong way must make the two routes
-    # disagree on some sample, and main reports the ConsistencyError as an
-    # internal fault.  A flipped mod-p answer is caught on the
-    # non-generators: on a generator, its False only sends the test to the
-    # exact determinant.  The kernel is flipped in descent only: the exact
-    # determinant over E is int_det too, on packed entries.  The per-sample
-    # test (generates) catches it on v4biquad's non-generators too
+        capsys, monkeypatch, generator_kernels, v4biquad, kind, fixture):
+    # descent's int_det answering the wrong way on either route, on the
+    # orbits (the exact rank) or on the residue matrices (the mod-p
+    # certificates), must make the two routes disagree on some sample, and
+    # main reports the ConsistencyError as an internal fault.  A flipped
+    # mod-p answer is caught on the non-generators: on a generator, its 0
+    # only sends the test to the exact determinant.  The kernel is flipped
+    # in descent only: the exact determinant over E is int_det too, on
+    # packed entries.  The per-sample test (generates) catches it on
+    # v4biquad's non-generators too
     from types import SimpleNamespace
 
     from hopfgalois import descent, linalg
     from hopfgalois.errors import ConsistencyError
-    exact = getattr(linalg, kernel)
+    recording = descent.linalg.int_det
 
-    def flipped(*args):
-        return not exact(*args)
-    monkeypatch.setattr(descent, "linalg",
-                        SimpleNamespace(**{**vars(linalg), kernel: flipped}))
+    def flipped(rows):
+        value = recording(rows)
+        return int(not value) if generator_kernels[-1][0] == kind else value
+    monkeypatch.setattr(descent, "linalg", SimpleNamespace(
+        **{**vars(descent.linalg), "int_det": flipped}))
     code = main(["verify", "generators", fixture])
     captured = capsys.readouterr()
     # a failed cross-check is an internal fault (exit 4), not a usage error
@@ -829,7 +826,7 @@ def test_a_flipped_generator_kernel_raises_consistency_error(
         for i in range(len(v4biquad.structures())):
             with pytest.raises(ConsistencyError, match=message):
                 descent.generates(v4biquad.algebra(i),
-                                  descent.generator_sample(sub, 1, ints))
+                                  descent.generator_sample(sub, ints))
 
 
 def test_a_flipped_int_det_everywhere_raises_consistency_error(capsys,
@@ -949,8 +946,8 @@ def test_suite_clears_no_denominators_after_the_load(monkeypatch, name):
 def _recorded_points(monkeypatch):
     """Every specialization point the command draws, in order, as (scale,
     vectors): its integer coset vectors, scale times the true values.  The
-    coordinates a / c are cleared first, as generator_sample clears them, so
-    rational coordinates reach scale = D c, D the table's denominator."""
+    coordinates a / c are cleared first, so rational coordinates reach
+    scale = D c, D the table's denominator."""
     from hopfgalois import linalg
     from hopfgalois.numberfield import CosetImages
     points = []
@@ -1230,6 +1227,36 @@ MALFORMED = {
         (lambda doc: doc["subgroup"].update(generators=[[0, 1, 2, 3, 4]]),
          "subgroup.generators[0]: a permutation of degree 5 is not an "
          "element of the group, of degree 4"),
+    # a generator value is type-checked before any permutation is built:
+    # Python's own error text, or the value read item by item, leaked
+    "generator given as a number":
+        (lambda doc: doc["group"]["generators"].update(s=5),
+         "group.generators.s: expected an array of point images"),
+    "generator given as an object":
+        (lambda doc: doc["group"]["generators"].update(s={"0": 1, "1": 2}),
+         "group.generators.s: expected an array of point images"),
+    "stabilizer generator given as null":
+        (lambda doc: doc["subgroup"].update(generators=[None]),
+         "subgroup.generators[0]: expected a word or an array of point "
+         "images"),
+    "stabilizer generator given as an object":
+        (lambda doc: doc["subgroup"].update(generators=[{"s": 1}]),
+         "subgroup.generators[0]: expected a word or an array of point "
+         "images"),
+    # a word's problems quote at most 40 characters of it
+    "stabilizer word with an empty factor":
+        (lambda doc: doc["subgroup"].update(generators=["s**s"]),
+         "subgroup.generators[0]: empty factor in word 's**s'"),
+    "stabilizer word with a bad exponent":
+        (lambda doc: doc["subgroup"].update(generators=["s * s^x"]),
+         "subgroup.generators[0]: bad exponent in 's^x'"),
+    "stabilizer word with an unknown generator":
+        (lambda doc: doc["subgroup"].update(generators=["s*u"]),
+         "subgroup.generators[0]: unknown generator 'u' in word 's*u'"),
+    "stabilizer word past 40 characters":
+        (lambda doc: doc["subgroup"].update(generators=["s*" * 20 + "u" * 41]),
+         f"subgroup.generators[0]: unknown generator '{'u' * 40}'... in word "
+         f"'{'s*' * 20}'..."),
     "presentation parameter given as a float":
         (lambda doc: doc.update(group={"order": 21, "presentation": {
             "kind": "metacyclic", "r": 7.5, "q": 3, "d": 2}}),
@@ -1553,6 +1580,33 @@ def test_oversize_subgroup_generator_exits_with_a_capability_error(
     assert elapsed < 1
 
 
+@pytest.mark.parametrize("group, subgroup", [
+    pytest.param({"s": "x" * 10 ** 6}, [], id="generator string"),
+    pytest.param({"s": [1, 0]}, ["s*" * 10 ** 5 + "u" * 8 * 10 ** 5],
+                 id="stabilizer word")])
+def test_an_oversize_string_gives_a_short_problem(tmp_path, capsys, group,
+                                                  subgroup):
+    # 1,000,000 characters: as a group generator it was read character by
+    # character (a 5 MB problem), as an unknown word quoted twice (2 MB)
+    path = tmp_path / "long.hgx"
+    path.write_text(json.dumps({"name": "long", "group": {
+        "order": 2, "generators": group},
+        "subgroup": {"generators": subgroup}}), encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["validate", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [problem] = [line for line in captured.err.splitlines()
+                 if line.startswith("  - ")]
+    assert problem.startswith("  - group.generators.s: expected an array"
+                              if isinstance(group["s"], str) else
+                              "  - subgroup.generators[0]: unknown generator")
+    assert len(captured.err) < 300
+    assert elapsed < 1
+
+
 def test_redundant_generators_are_kept_once(tmp_path, capsys):
     # an order-8 cyclic group given by 3,000 copies of its 8-cycle: the
     # translations' conjugation in the enumeration once ran over every copy
@@ -1788,8 +1842,9 @@ def test_theorem11_quadratic(capsys):
 def test_theorem11_with_the_reduction_prime_in_the_ideal_scale(
         tmp_path, capsys, monkeypatch):
     # (1/p) O_L for qi's reduction prime p: the certificate's witness has
-    # coordinates over p, so its generator sample has no residues and takes
-    # the exact determinant; the verdicts and the witness are those on O_L
+    # coordinates over p, and its generator sample is taken on their
+    # integer numerators, those of the witness on O_L, so it has the same
+    # residues; the verdicts and the witness are those on O_L
     from hopfgalois import integral
     p = load_bundled("qi").context.field.reduction_root()[0]
     assert p == 10009
@@ -1804,7 +1859,7 @@ def test_theorem11_with_the_reduction_prime_in_the_ideal_scale(
         samples.append(sample_of(*args))
         return samples[-1]
     monkeypatch.setattr(integral, "generator_sample", recording)
-    reports, residues = {}, {}
+    reports, sampled = {}, {}
     for ideal in ("OL", "P"):
         samples.clear()
         code, out = run(capsys, "--json", "theorem11", str(path),
@@ -1812,12 +1867,13 @@ def test_theorem11_with_the_reduction_prime_in_the_ideal_scale(
         reports[ideal] = code, [
             (c["name"].replace(f"[{ideal}]", ""), c["verdict"],
              c.get("details")) for c in json.loads(out)["checks"]]
-        residues[ideal] = [s.residues is None for s in samples]
+        sampled[ideal] = [(s.coords, s.residues) for s in samples]
     assert reports["P"] == reports["OL"]
     code, checks = reports["OL"]
     assert code == 0 and {verdict for _, verdict, _ in checks} == {"PASS"}
     assert [d["witness"] for _, _, d in checks if d] == ["[-1, -1]"] * 2
-    assert residues == {"OL": [False], "P": [True]}
+    [(coords, residues)] = sampled["OL"]
+    assert sampled["P"] == sampled["OL"] and residues is not None
 
 
 def test_suite_group_only_fixture(capsys):

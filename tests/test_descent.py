@@ -19,7 +19,7 @@ from hopfgalois.fixtures import load_bundled, parse
 from hopfgalois.numberfield import GaloisContext, NumberField
 from hopfgalois.perm import (FiniteGroup, Permutation, opposite,
                              right_translation_subgroup)
-from hopfgalois.transition import transition_matrix_of
+from hopfgalois.transition import det_symbolic, transition_matrix_of
 
 from .oracles import (GroupAlgebraElement, action_matrix_of,
                       conjugacy_classes, coords_of, descended_act,
@@ -571,10 +571,11 @@ def test_denominator_divisible_by_p_takes_the_exact_route(qi, monkeypatch):
 
 
 def _sample(sub, coords):
-    """generator_sample of the subfield element with these coordinates,
-    rational ones cleared first."""
+    """(generator_sample of c x, c) for the subfield element x with these
+    coordinates and c their least common denominator: the sample is taken
+    on the integer numerators, and c x generates exactly when x does."""
     c, (ints,) = linalg._clear_denominators([coords])
-    return generator_sample(sub, c, ints)
+    return generator_sample(sub, ints), c
 
 
 def _mixed_coords(rng, dim, p):
@@ -595,10 +596,11 @@ def test_coset_images_match_the_element_route(field_fixtures):
         for k in range(30):
             coords = ([rng.randint(-9, 9) for _ in range(sub.dim)] if k < 10
                       else _mixed_coords(rng, sub.dim, p))
-            sample = _sample(sub, coords)
+            sample, c = _sample(sub, coords)
+            scale = sub.coset_images.denominator
             x = sub.from_coords(coords)
-            values = [ctx.apply(g, x) for g in space.representatives]
-            assert [tuple(F(v, sample.scale) for v in vec)
+            values = [ctx.apply(g, x) * c for g in space.representatives]
+            assert [tuple(F(v, scale) for v in vec)
                     for vec in sample.scaled] == \
                 [v.coords for v in values], (fx.name, coords)
             expected = [residue(v, p, r) for v in values]
@@ -612,10 +614,12 @@ def test_coset_images_match_the_element_route(field_fixtures):
 def test_table_samples_take_the_exact_determinant_only_when_needed(
         field_fixtures, monkeypatch):
     # samples read off the coset table, at seeded integer coordinates and at
-    # coordinates over 2, 3, 6 and p, with the known non-generators 0 and 1
-    # among them: their residues are _residues of their vectors, the exact
-    # determinant runs for exactly the samples without residues or with a
-    # transition matrix singular mod p, and the verdicts are is_generator's
+    # coordinates over 2, 3, 6 and p (sampled on their numerators), with the
+    # known non-generators 0 and 1 among them: their residues are _residues
+    # of their vectors over the table's denominator D, which p does not
+    # divide, so every sample has them; the exact determinant runs for
+    # exactly the samples with a transition matrix singular mod p, and the
+    # verdicts are is_generator's
     calls = _counting_exact_det(monkeypatch)
     for fx in field_fixtures:
         ctx, sub = fx.context, fx.subfield()
@@ -626,11 +630,12 @@ def test_table_samples_take_the_exact_determinant_only_when_needed(
         coords += [[rng.randint(-9, 9) for _ in range(sub.dim)]
                    for _ in range(10)]
         coords += [_mixed_coords(rng, sub.dim, p) for _ in range(20)]
-        samples = [_sample(sub, c) for c in coords]
+        samples = [_sample(sub, c)[0] for c in coords]
+        scale = sub.coset_images.denominator
+        assert scale % p
         for sample in samples:
-            assert sample.residues == _residues(sample.scaled, sample.scale,
+            assert sample.residues == _residues(sample.scaled, scale,
                                                 field), (fx.name, sample.coords)
-        assert any(s.residues is None for s in samples), fx.name
         for i in range(len(fx.structures())):
             algebra = fx.algebra(i)
             n = algebra.subgroup
@@ -638,9 +643,8 @@ def test_table_samples_take_the_exact_determinant_only_when_needed(
             verdicts = [generates(algebra, s) for s in samples]
             assert calls == [
                 transition_matrix_of(n, s.scaled) for s in samples
-                if s.residues is None or linalg.int_det(
-                    transition_matrix_of(n, s.residues)) % p == 0], \
-                (fx.name, i)
+                if linalg.int_det(transition_matrix_of(n, s.residues)) % p
+                == 0], (fx.name, i)
             assert verdicts == [is_generator(algebra, sub.from_coords(c))
                                 for c in coords], (fx.name, i)
             assert verdicts[:2] == [False, False] and any(verdicts)
@@ -679,7 +683,7 @@ def test_generator_verdicts_match_the_per_sample_test(field_fixtures,
             rng = random.Random(seed)
             coords = [sub.random_coords(rng) for _ in range(6)]
             coords += [[0] * sub.dim, _integer_one(fx)]
-            samples = [generator_sample(sub, 1, c) for c in coords]
+            samples = [generator_sample(sub, c) for c in coords]
             expected = [[generates(a, s) for s in samples] for a in algebras]
             read.clear()
             assert descent.generator_verdicts(algebras, dets, sub, coords) \
@@ -710,9 +714,10 @@ def test_generator_verdicts_match_the_per_sample_test(field_fixtures,
         assert all(s.residues is None for s in check(fx, range(2))), name
 
 
-def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch):
+def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch,
+                                                        generator_kernels):
     # zeta16's Delta_N have 810-1,279 terms, past m^3 = 512: only the rank
-    # forms are planned, each (sample, structure) certificate is one
+    # forms are read, each (sample, structure) certificate is one
     # elimination of its residue matrix mod p, and the verdicts are
     # generates'
     fx = parse(Path(__file__).parent / "data" / "zeta16.hgx")
@@ -724,34 +729,24 @@ def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch):
     rng = random.Random(0)
     coords = [sub.random_coords(rng) for _ in range(2)]
     coords += [[0] * sub.dim, _integer_one(fx)]
-    samples = [generator_sample(sub, 1, c) for c in coords]
+    samples = [generator_sample(sub, c) for c in coords]
     expected = [[generates(a, s) for s in samples] for a in algebras]
-    planned, read, eliminated = [], [], []
-    form_evaluator, form_residues = descent.form_evaluator, descent.form_residues
-    nonsingular_mod_p = linalg.nonsingular_mod_p
-
-    def planning(forms):
-        planned.append(forms)
-        return form_evaluator(forms)
+    read = []
+    form_residues = descent.form_residues
 
     def reading(forms, columns, p):
         read.append(forms)
         return form_residues(forms, columns, p)
-
-    def eliminating(rows, p):
-        eliminated.append(rows)
-        return nonsingular_mod_p(rows, p)
-    monkeypatch.setattr(descent, "form_evaluator", planning)
     monkeypatch.setattr(descent, "form_residues", reading)
-    monkeypatch.setattr(linalg, "nonsingular_mod_p", eliminating)
+    generator_kernels.clear()
     verdicts = descent.generator_verdicts(algebras, dets, sub, coords)
-    assert len(planned) == 1 and len(planned[0]) == count
     # read mod p: the coset residues (one linear form per coset) and the
     # rank forms, no Delta_N
     assert [len(forms) for forms in read] == [space.size, count]
-    assert read[1] == planned[0]
+    assert read[1] == [det_symbolic(a.int_action_matrices) for a in algebras]
     # one elimination per (sample, structure), then one per structure in
     # the tie
+    eliminated = [rows for kind, rows in generator_kernels if kind == "mod p"]
     assert eliminated[:count * len(samples)] == [
         transition_matrix_of(a.subgroup, s.residues)
         for a in algebras for s in samples]
@@ -760,41 +755,26 @@ def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch):
     assert {v for row in verdicts for v in row} == {False, True}
 
 
-def _recording_kernels(monkeypatch):
-    """The determinant kernels over E that generator tests call, in order:
-    ("mod p", matrix) for linalg.nonsingular_mod_p and ("exact", matrix) for
-    _packed_det."""
-    events = []
-    nonsingular, exact = linalg.nonsingular_mod_p, descent._packed_det
-
-    def mod_p(rows, p):
-        events.append(("mod p", rows))
-        return nonsingular(rows, p)
-
-    def det(rows, modulus):
-        events.append(("exact", rows))
-        return exact(rows, modulus)
-    monkeypatch.setattr(linalg, "nonsingular_mod_p", mod_p)
-    monkeypatch.setattr(descent, "_packed_det", det)
-    return events
-
-
 def _chain(algebras, dets, samples, verdicts):
-    """The kernel calls of generator_verdicts on samples with residues: when
-    the Delta_N are not read as forms, one elimination mod p per structure
-    and sample, structure after structure, as its certificate; then the
-    exact determinant of each (sample, structure) whose certificate is 0,
-    sample after sample; then each structure's first generator takes
-    generates' chain, an elimination mod p and the exact determinant when
-    its residue matrix is singular."""
+    """The kernel calls of generator_verdicts on samples with residues, as
+    the generator_kernels fixture records them: when the Delta_N are not
+    read as forms, one elimination mod p per structure and sample,
+    structure after structure, as its certificate; then, sample after
+    sample, the orbit's int_det of each (sample, structure) whose rank form
+    is 0 mod p and the exact determinant of each whose certificate is 0;
+    then each structure's first generator takes generates' chain (the
+    orbit's int_det, an elimination mod p, and the exact determinant when
+    its residue matrix is singular), and the first sample's orbit its
+    int_det."""
     p = samples[0].field.reduction_root()[0]
     forms = all(len(d.terms) <= d.nvars ** 3 for d in dets)
 
-    def walk(n, sample):
-        residues = transition_matrix_of(n, sample.residues)
-        steps = [("mod p", residues)]
+    def walk(algebra, sample):
+        residues = transition_matrix_of(algebra.subgroup, sample.residues)
+        steps = [("orbit", algebra.orbit(sample.coords)), ("mod p", residues)]
         if linalg.int_det(residues) % p == 0:
-            steps.append(("exact", transition_matrix_of(n, sample.scaled)))
+            steps.append(("exact", transition_matrix_of(algebra.subgroup,
+                                                        sample.scaled)))
         return steps
     expected, certificates = [], []
     for algebra, d in zip(algebras, dets):
@@ -809,17 +789,23 @@ def _chain(algebras, dets, samples, verdicts):
                 row.append(linalg.int_det(residues) % p)
         certificates.append(row)
     for s, sample in enumerate(samples):
-        expected += [("exact", transition_matrix_of(a.subgroup, sample.scaled))
-                     for a, row in zip(algebras, certificates) if row[s] == 0]
+        for algebra, row in zip(algebras, certificates):
+            orbit = algebra.orbit(sample.coords)
+            if linalg.int_det(orbit) % p == 0:
+                expected.append(("orbit", orbit))
+            if row[s] == 0:
+                expected.append(("exact", transition_matrix_of(
+                    algebra.subgroup, sample.scaled)))
     for algebra, tested in zip(algebras, verdicts):
-        expected += walk(algebra.subgroup, samples[tested.index(True)])
+        expected += walk(algebra, samples[tested.index(True)])
+        expected.append(("orbit", algebra.orbit(samples[0].coords)))
     return expected
 
 
 def _cli_samples(fx, seed):
     """The samples `verify generators` draws at this seed."""
     sub, rng = fx.subfield(), random.Random(seed)
-    return [generator_sample(sub, 1, sub.random_coords(rng))
+    return [generator_sample(sub, sub.random_coords(rng))
             for _ in range(cli.GENERATOR_SAMPLES)]
 
 
@@ -829,7 +815,7 @@ def _cli_samples(fx, seed):
     # non-generators at seed 0 and one with the fewest (811 in all 26)
     pytest.param("zeta16", (8, 22, 25), 15 + 75 + 70, id="zeta16")])
 def test_generator_chain_takes_each_exact_determinant_once(
-        v4biquad, monkeypatch, name, structures, zeros):
+        v4biquad, generator_kernels, name, structures, zeros):
     # each (sample, structure) has one certificate mod p: nonzero proves a
     # generator, and 0 goes straight to the exact determinant, with no
     # second elimination; the tie runs on a generator, so no exact
@@ -840,7 +826,8 @@ def test_generator_chain_takes_each_exact_determinant_once(
     algebras = [fx.algebra(i) for i in structures]
     dets = [fx.transition_det(i)[0] for i in structures]
     samples = _cli_samples(fx, 0)
-    events = _recording_kernels(monkeypatch)
+    events = generator_kernels
+    events.clear()
     verdicts = descent.generator_verdicts(algebras, dets, fx.subfield(),
                                           [s.coords for s in samples])
     assert events == _chain(algebras, dets, samples, verdicts)
@@ -864,7 +851,7 @@ def test_table_sample_falls_back_on_a_planted_zero_mod_p(qi, monkeypatch):
     calls = _counting_exact_det(monkeypatch)
     field, sub = qi.context.field, qi.subfield()
     p, _ = field.reduction_root()
-    sample = _sample(sub, sub.coords(field.element([p, 1])))
+    sample, _ = _sample(sub, sub.coords(field.element([p, 1])))
     for i in range(len(qi.structures())):
         algebra = qi.algebra(i)
         residues = transition_matrix_of(algebra.subgroup, sample.residues)
@@ -893,27 +880,33 @@ def test_coset_images_are_built_once_per_subfield_and_space(monkeypatch):
     assert sub.space is s3sextic.coset_space()
     for i in range(len(s3sextic.structures())):
         assert s3sextic.algebra(i).subfield is sub
-    sample = generator_sample(sub, 1, [1] * sub.dim)
+    sample = generator_sample(sub, [1] * sub.dim)
     assert tables == [sub.coset_images]
     # s3sextic's subfield basis has non-integral images: D > 1 is exercised
     assert sub.coset_images.denominator > 1
     assert sample.residues is not None
 
 
-def test_p_in_a_coordinate_denominator_takes_the_exact_route(field_fixtures,
-                                                             monkeypatch):
+def test_p_in_a_coordinate_denominator_is_sampled_on_the_numerators(
+        field_fixtures, monkeypatch):
+    # coordinates over the reduction prime p: the sample is that of p x, on
+    # the integer numerators, so it has residues, and the exact determinant
+    # runs only where its residue matrix is singular mod p; the verdicts
+    # are x's
     calls = _counting_exact_det(monkeypatch)
     for fx in field_fixtures:
         sub = fx.subfield()
         p, _ = fx.context.field.reduction_root()
         coords = [F(k + 1, p) for k in range(sub.dim)]
-        sample = _sample(sub, coords)
-        assert sample.residues is None
+        sample, c = _sample(sub, coords)
+        assert c == p and sample.residues is not None
         x = sub.from_coords(coords)
         for i in range(len(fx.structures())):
+            residues = transition_matrix_of(fx.algebra(i).subgroup,
+                                            sample.residues)
             before = len(calls)
             verdict = generates(fx.algebra(i), sample)
-            assert len(calls) == before + 1
+            assert len(calls) == before + (linalg.int_det(residues) % p == 0)
             assert verdict == is_generator(fx.algebra(i), x)
 
 

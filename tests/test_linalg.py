@@ -336,21 +336,3 @@ def test_xgcd():
         x, y, g = linalg.xgcd(a, b)
         assert x * a + y * b == g
         assert g >= 0
-
-
-def test_det_mod_p_matches_int_det():
-    rng = random.Random(11)
-    p = 10007
-    for n in (1, 2, 3, 5, 7):
-        for _ in range(20):
-            mat = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
-            if n > 1 and rng.random() < 0.3:  # make it singular
-                mat[-1] = [3 * a for a in mat[0]]
-            # the kernel takes entries already reduced mod p
-            reduced = [[v % p for v in row] for row in mat]
-            assert linalg.nonsingular_mod_p(reduced, p) == \
-                bool(linalg.int_det(mat) % p)
-    # singular mod p only: the exact determinant is p
-    assert not linalg.nonsingular_mod_p([[0, 0], [0, 1]], p)
-    assert linalg.int_det([[p, 0], [0, 1]]) == p
-    assert linalg.nonsingular_mod_p([[0, 1], [1, 0]], 7)

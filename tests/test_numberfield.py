@@ -646,10 +646,10 @@ def test_field_det_matches_gaussian_elimination(field_fixtures):
 
 def test_field_det_is_one_int_det_and_no_other_elimination(c4quartic,
                                                           monkeypatch):
-    # every elimination over Z runs through _eliminate; the mod-p test and
-    # the Hermite form have their own
+    # every elimination over Z runs through _eliminate; the Hermite form has
+    # its own
     calls = []
-    for name in ("int_det", "_eliminate", "nonsingular_mod_p", "hnf"):
+    for name in ("int_det", "_eliminate", "hnf"):
         def recording(*args, name=name, kernel=getattr(linalg, name),
                       **kwargs):
             calls.append(name)

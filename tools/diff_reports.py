@@ -10,11 +10,15 @@ both checkouts.  The commands:
 - `--json --seed 0|1|2 suite`, `--json validate` and `--json enumerate` on
   the bundled fixtures, tests/data/c5quintic.hgx and tests/data/zeta16.hgx;
 - `--json --seed 0..4 verify generators` and `--json verify commuting` on
-  the field fixtures among them.
+  the field fixtures among them;
+- `--json theorem11 --ideal I`, with the default structure and with each
+  `--n`, for every ideal I of those field fixtures (THEOREM11, a fixed
+  table: the tool imports nothing from hopfgalois).
 
 Each differing command is printed with what differs, then one summary line.
-The exit code is 1 when some command differs, 0 otherwise.  Only the
-standard library is used.
+The exit code is 1 when some command differs, 2 when a directory is not a
+checkout (it has no src/hopfgalois/cli.py), 0 otherwise.  Only the standard
+library is used.
 """
 
 import os
@@ -27,6 +31,9 @@ FIELD_FIXTURES = ["qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2",
                   "tests/data/zeta16.hgx"]
 FIXTURES = FIELD_FIXTURES[:6] + ["metacyclic21", "d4", "q8"] + \
     FIELD_FIXTURES[6:]
+# each field fixture's structure count and ideals, in FIELD_FIXTURES order
+THEOREM11 = [(1, ["OL"]), (1, ["OL"]), (2, ["OL"]), (4, ["OL"]), (1, ["OL"]),
+             (5, ["OE", "OL"]), (1, ["OL"]), (26, ["OL"])]
 
 
 def commands():
@@ -41,6 +48,11 @@ def commands():
             yield ["--json", "--seed", str(seed), "verify", "generators",
                    fixture]
         yield ["--json", "verify", "commuting", fixture]
+    for fixture, (count, ideals) in zip(FIELD_FIXTURES, THEOREM11):
+        for ideal in ideals:
+            for index in [[], *(["--n", str(i)] for i in range(count))]:
+                yield ["--json", "theorem11", fixture, "--ideal", ideal,
+                       *index]
 
 
 def run(checkout: Path, argv):
@@ -59,6 +71,10 @@ def main(argv) -> int:
     parent = Path(argv[0]).resolve()
     child = Path(argv[1] if len(argv) == 2
                  else Path(__file__).parent.parent).resolve()
+    for checkout in (parent, child):
+        if not (checkout / "src" / "hopfgalois" / "cli.py").is_file():
+            print(f"not a hopfgalois checkout: {checkout}", file=sys.stderr)
+            return 2
     total = differing = 0
     for command in commands():
         total += 1
