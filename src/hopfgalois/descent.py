@@ -5,7 +5,6 @@ commuting actions, generators, separability).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import lcm
@@ -259,21 +258,17 @@ def verify_commuting(a1: DescendedAlgebra, a2: DescendedAlgebra) -> bool:
     return True
 
 
-def _residues(scaled, scale, field: NumberField) -> list[int] | None:
-    """The residues under t -> r mod p, for the field's (p, r) =
-    NumberField.reduction_root(), of the values with power-basis coordinates
-    scaled[k] / scale: the integers at r, times the inverse of scale mod p
-    (one pow per call); None when p divides scale."""
+def _residues(scaled, field: NumberField) -> list[int]:
+    """The images under t -> r mod p, for the field's (p, r) =
+    NumberField.reduction_root(), of the values with integer power-basis
+    coordinates scaled[k]: each vector evaluated at r mod p."""
     p, r = field.reduction_root()
-    if scale % p == 0:
-        return None
-    inv = pow(scale, -1, p)
     residues = []
     for vec in scaled:
         acc = 0
         for x in reversed(vec):
             acc = (acc * r + x) % p
-        residues.append(acc * inv % p)
+        residues.append(acc)
     return residues
 
 
@@ -283,40 +278,33 @@ class GeneratorSample:
     whatever the structure: its subfield coordinates times a positive
     integer, its field, its coset values times a positive integer s, as
     integer power-basis coordinates, and their residues mod the field's
-    reduction prime p, None when p divides s.  `scaled` is built by
-    `vectors` on first read: only an exact determinant reads it."""
+    reduction prime p (_residues)."""
 
     coords: list[int]
     field: NumberField
-    residues: list[int] | None
-    vectors: Callable[[], list[list[int]]]
-
-    @cached_property
-    def scaled(self) -> list[list[int]]:
-        return self.vectors()
+    scaled: list[list[int]]
+    residues: list[int]
 
     @classmethod
     def of_values(cls, coords, values) -> GeneratorSample:
         """The sample with the given coset values, as field elements, and
         the given integer coordinates."""
         field = values[0].field
-        scale, scaled = linalg._clear_denominators([v.coords for v in values])
-        return cls(coords, field, _residues(scaled, scale, field),
-                   lambda: scaled)
+        _, scaled = linalg._clear_denominators([v.coords for v in values])
+        return cls(coords, field, scaled, _residues(scaled, field))
 
 
 def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
     """Whether the transition matrix on the sample's coset values has a
-    nonzero determinant over E.  Certified mod p first: t -> r is a ring map
-    to F_p on the elements whose denominators are prime to p, so a matrix of
-    residues whose int_det is nonzero mod p proves the exact determinant
-    nonzero.  A matrix singular mod p, or a sample without residues, takes
-    the exact determinant in Z[t]/(f) of the transition matrix on the
-    integer values (_packed_det, int_det of the packed matrix), s^m times
-    the one over E."""
+    nonzero determinant over E.  The transition matrix T on the integer
+    values is s times the one over E, so det T is s^m times its determinant.
+    Certified mod p first: t -> r is a ring map Z[t]/(f) -> F_p, so a matrix
+    of residues whose int_det is nonzero mod p proves det T nonzero.  A
+    matrix singular mod p takes det T exactly in Z[t]/(f) (_packed_det,
+    int_det of the packed matrix)."""
     field = sample.field
-    if sample.residues is not None and linalg.int_det(transition_matrix_of(
-            n, sample.residues)) % field.reduction_root()[0]:
+    p = field.reduction_root()[0]
+    if linalg.int_det(transition_matrix_of(n, sample.residues)) % p:
         return True
     return any(_packed_det(transition_matrix_of(n, sample.scaled),
                            field.modulus))
@@ -325,17 +313,11 @@ def transition_det_nonzero(n: FiniteGroup, sample: GeneratorSample) -> bool:
 def generator_sample(subfield: Subfield, ints) -> GeneratorSample:
     """The sample of the subfield element with integer coordinates ints, on
     the subfield's CosetImages, of denominator D (s = D): the value at coset
-    k is M_k ints / D, built only when the sample's vectors are read, and,
-    when p does not divide D, its residue is ints . (residue row k) D^-1."""
+    k is M_k ints / D."""
     table = subfield.coset_images
-    p = table.field.reduction_root()[0]
-    residues = None
-    if table.denominator % p:
-        inv = pow(table.denominator, -1, p)
-        residues = [v * inv % p
-                    for v in linalg.mat_vec(table.residue_rows, ints)]
-    return GeneratorSample(ints, table.field, residues,
-                           lambda: table.vectors(ints))
+    scaled = table.vectors(ints)
+    return GeneratorSample(ints, table.field, scaled,
+                           _residues(scaled, table.field))
 
 
 def generates(algebra: DescendedAlgebra, sample: GeneratorSample,
@@ -367,12 +349,11 @@ def generator_verdicts(algebras, dets, subfield: Subfield,
     The rank route is R(ints) mod p for the rank form R(c) = det[A_k c], the
     orbit's int_det as a polynomial in the coordinates (det_symbolic on the
     rows of the integer action matrices A_k).  The determinant route reads
-    one certificate per (sample, structure) on the sample's coset residues:
-    one column combination per coset (CosetImages.residue_rows) times D^-1
-    mod p, for the table's denominator D; when p divides D, no sample has
-    residues and every certificate is 0.  While every Delta_N that dets
-    yields (+- the transition determinant, a form in the coset values) has
-    at most m^3 terms, the products of one m x m elimination (zeta16's have
+    one certificate per (sample, structure) on the sample's coset residues,
+    one column combination per coset (CosetImages.residue_rows): the images
+    of its integer coset vectors.  While every Delta_N that dets yields (+-
+    the transition determinant, a form in the coset values) has at most m^3
+    terms, the products of one m x m elimination (zeta16's have
     810-1,279), the certificate is Delta_N at the residues; dets is read no
     further than the first past m^3, and past it the certificate is int_det
     of the residue matrix, mod p.
@@ -388,15 +369,10 @@ def generator_verdicts(algebras, dets, subfield: Subfield,
     field = table.field
     p = field.reduction_root()[0]
     columns = list(zip(*coords))
-    residues = None
-    if table.denominator % p:
-        inverse = pow(table.denominator, -1, p)
-        unit = [tuple(int(j == k) for j in range(subfield.dim))
-                for k in range(subfield.dim)]
-        residues = [[v * inverse % p for v in column]
-                    for column in form_residues(
-                        [IntPolynomial(subfield.dim, dict(zip(unit, row)))
-                         for row in table.residue_rows], columns, p)]
+    unit = [tuple(int(j == k) for j in range(subfield.dim))
+            for k in range(subfield.dim)]
+    residues = form_residues([IntPolynomial(subfield.dim, dict(zip(unit, row)))
+                              for row in table.residue_rows], columns, p)
     ranks = form_residues([det_symbolic(a.int_action_matrices)
                            for a in algebras], columns, p)
     forms = []
@@ -405,9 +381,7 @@ def generator_verdicts(algebras, dets, subfield: Subfield,
             forms = None
             break
         forms.append(d)
-    if residues is None:
-        certificates = [[0] * len(coords)] * len(algebras)
-    elif forms is None:
+    if forms is None:
         points = list(zip(*residues))
         certificates = [[linalg.int_det(transition_matrix_of(
             a.subgroup, point)) % p for point in points] for a in algebras]

@@ -54,8 +54,11 @@ class NumberField:
     def reduction_root(self) -> tuple[int, int]:
         """A pair (p, r): p >= REDUCTION_PRIME_MIN the least prime at which
         the modulus is squarefree and has a root mod p, r its least root.
-        t -> r is a ring map from the elements whose denominators are prime
-        to p onto F_p (see descent._residues).  Computed once per modulus.
+        t -> r is a ring map Z[t]/(f) -> F_p, since f is monic and f(r) is
+        0 mod p.  It is the one map every generator certificate reads, on
+        integer power-basis vectors (descent._residues,
+        CosetImages.residue_rows): a determinant of images nonzero mod p
+        proves the integer one nonzero.  Computed once per modulus.
         The search ends: a degree-n polynomial has a root modulo a set of
         primes of density at least 1/n (Chebotarev)."""
         return _reduction_root(self.modulus)
@@ -619,8 +622,9 @@ class CosetImages:
     (d_k, M_k) and V the basis's integer vectors, put in integer form once.
     It is linear in the subfield coordinates, so an element's images are
     read off it (`vectors`), and so are their residues: `residue_rows[k]`,
-    built on first use, is matrices[k] at t -> r mod p, for the field's
-    (p, r) = NumberField.reduction_root()."""
+    built on first use, is matrices[k] at t -> r mod p, the ring map of
+    NumberField.reduction_root(), so its dot product with integer
+    coordinates is the residue of the integer vector M_k ints."""
 
     def __init__(self, subfield: Subfield):
         ctx = subfield.context

@@ -558,16 +558,21 @@ def test_planted_zero_mod_p_falls_back_to_the_exact_determinant(qi, monkeypatch)
     assert len(calls) == 2
 
 
-def test_denominator_divisible_by_p_takes_the_exact_route(qi, monkeypatch):
+def test_denominator_divisible_by_p_is_certified_on_the_numerators(
+        qi, monkeypatch):
+    # the values [1/p, 0] have no residues, but the sample holds their
+    # integer numerators [1, 0], p times them: [[y0, y1], [y1, y0]] there
+    # has determinant 1, nonzero mod p, so no exact determinant runs
     calls = _counting_exact_det(monkeypatch)
     field = qi.context.field
     p, r = field.reduction_root()
     n = qi.structures()[0]
     values = [field.element([F(1, p)]), field.zero()]
     sample = GeneratorSample.of_values(None, values)
-    assert residue(values[0], p, r) is None and sample.residues is None
+    assert residue(values[0], p, r) is None
+    assert sample.scaled == [[1, 0], [0, 0]] and sample.residues == [1, 0]
     assert transition_det_nonzero(n, sample)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def _sample(sub, coords):
@@ -603,9 +608,9 @@ def test_coset_images_match_the_element_route(field_fixtures):
             assert [tuple(F(v, scale) for v in vec)
                     for vec in sample.scaled] == \
                 [v.coords for v in values], (fx.name, coords)
-            expected = [residue(v, p, r) for v in values]
-            assert sample.residues == \
-                (None if None in expected else expected), (fx.name, coords)
+            # the residues are those of the integer vectors, D c x
+            assert sample.residues == [residue(v * scale, p, r)
+                                       for v in values], (fx.name, coords)
             for i in range(len(fx.structures())):
                 assert generates(fx.algebra(i), sample) == \
                     is_generator(fx.algebra(i), x)
@@ -616,10 +621,9 @@ def test_table_samples_take_the_exact_determinant_only_when_needed(
     # samples read off the coset table, at seeded integer coordinates and at
     # coordinates over 2, 3, 6 and p (sampled on their numerators), with the
     # known non-generators 0 and 1 among them: their residues are _residues
-    # of their vectors over the table's denominator D, which p does not
-    # divide, so every sample has them; the exact determinant runs for
-    # exactly the samples with a transition matrix singular mod p, and the
-    # verdicts are is_generator's
+    # of their integer vectors; the exact determinant runs for exactly the
+    # samples with a transition matrix singular mod p, and the verdicts are
+    # is_generator's
     calls = _counting_exact_det(monkeypatch)
     for fx in field_fixtures:
         ctx, sub = fx.context, fx.subfield()
@@ -631,11 +635,9 @@ def test_table_samples_take_the_exact_determinant_only_when_needed(
                    for _ in range(10)]
         coords += [_mixed_coords(rng, sub.dim, p) for _ in range(20)]
         samples = [_sample(sub, c)[0] for c in coords]
-        scale = sub.coset_images.denominator
-        assert scale % p
         for sample in samples:
-            assert sample.residues == _residues(sample.scaled, scale,
-                                                field), (fx.name, sample.coords)
+            assert sample.residues == _residues(sample.scaled, field), \
+                (fx.name, sample.coords)
         for i in range(len(fx.structures())):
             algebra = fx.algebra(i)
             n = algebra.subgroup
@@ -663,8 +665,7 @@ def test_generator_verdicts_match_the_per_sample_test(field_fixtures,
     # seeds 0-4: seeded integer coordinates and the non-generators 0 and 1.
     # Every Delta_N here has at most m^3 terms, so both routes are read off
     # forms, and Delta_N is read at generator_sample's residues of every
-    # sample: a copy without the factor D^-1 gives the same verdicts (Delta_N
-    # is homogeneous) and fails here
+    # sample, those of its integer coset vectors
     read = []
     form_residues = descent.form_residues
 
@@ -688,30 +689,32 @@ def test_generator_verdicts_match_the_per_sample_test(field_fixtures,
             read.clear()
             assert descent.generator_verdicts(algebras, dets, sub, coords) \
                 == expected, (fx.name, seed)
-            if samples[0].residues is None:
-                # only the rank forms are read mod p
-                assert len(read) == 1, (fx.name, seed)
-            else:
-                # the coset residues, the rank forms, then Delta_N at the
-                # residues
-                assert [list(column) for column in read[2]] == [
-                    list(column)
-                    for column in zip(*(s.residues for s in samples))], \
-                    (fx.name, seed)
+            # the coset residues, the rank forms, then Delta_N at the
+            # residues
+            assert [list(column) for column in read[2]] == [
+                list(column)
+                for column in zip(*(s.residues for s in samples))], \
+                (fx.name, seed)
             verdicts |= {v for row in expected for v in row}
         assert verdicts == {False, True}, fx.name
-        return samples
+        return algebras, samples
     for fx in field_fixtures:
-        assert check(fx, range(5))[0].residues is not None, fx.name
-    # a planted p dividing D (s3sextic's D = 6, qcbrt2's D = 2), on fixtures
-    # loaded fresh, since a subfield keeps its residue rows: no sample has
-    # residues, so every determinant is exact
-    for name, planted in [("s3sextic", (3, 0)), ("qcbrt2", (2, 0))]:
-        monkeypatch.setattr(NumberField, "reduction_root",
-                            lambda self, planted=planted: planted)
-        fx = load_bundled(name)
-        assert fx.subfield().coset_images.denominator % planted[0] == 0
-        assert all(s.residues is None for s in check(fx, range(2))), name
+        check(fx, range(5))
+    # a planted reduction (3, 1) on s3sextic, whose D = 6 is divisible by
+    # 3, on the fixture loaded fresh, since a subfield keeps its residue
+    # rows: 1 is a root of f mod 3, so the map is a ring map, and every
+    # certificate is 0 mod 3, so every (sample, structure) takes the exact
+    # route and the verdicts are still generates'
+    p, r = 3, 1
+    monkeypatch.setattr(NumberField, "reduction_root", lambda self: (p, r))
+    fx = load_bundled("s3sextic")
+    modulus = fx.context.field.modulus
+    assert sum(c * r ** k for k, c in enumerate(modulus)) % p == 0
+    assert fx.subfield().coset_images.denominator % p == 0
+    algebras, samples = check(fx, range(2))
+    assert not any(linalg.int_det(transition_matrix_of(a.subgroup,
+                                                       s.residues)) % p
+                   for a in algebras for s in samples)
 
 
 def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch,
@@ -880,26 +883,24 @@ def test_coset_images_are_built_once_per_subfield_and_space(monkeypatch):
     assert sub.space is s3sextic.coset_space()
     for i in range(len(s3sextic.structures())):
         assert s3sextic.algebra(i).subfield is sub
-    sample = generator_sample(sub, [1] * sub.dim)
+    generator_sample(sub, [1] * sub.dim)
     assert tables == [sub.coset_images]
     # s3sextic's subfield basis has non-integral images: D > 1 is exercised
     assert sub.coset_images.denominator > 1
-    assert sample.residues is not None
 
 
 def test_p_in_a_coordinate_denominator_is_sampled_on_the_numerators(
         field_fixtures, monkeypatch):
     # coordinates over the reduction prime p: the sample is that of p x, on
-    # the integer numerators, so it has residues, and the exact determinant
-    # runs only where its residue matrix is singular mod p; the verdicts
-    # are x's
+    # the integer numerators, and the exact determinant runs only where its
+    # residue matrix is singular mod p; the verdicts are x's
     calls = _counting_exact_det(monkeypatch)
     for fx in field_fixtures:
         sub = fx.subfield()
         p, _ = fx.context.field.reduction_root()
         coords = [F(k + 1, p) for k in range(sub.dim)]
         sample, c = _sample(sub, coords)
-        assert c == p and sample.residues is not None
+        assert c == p
         x = sub.from_coords(coords)
         for i in range(len(fx.structures())):
             residues = transition_matrix_of(fx.algebra(i).subgroup,

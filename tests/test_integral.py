@@ -4,6 +4,7 @@ import random
 from array import array
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,8 @@ from hopfgalois import integral, linalg
 from hopfgalois.descent import DescendedAlgebra
 from hopfgalois.errors import (CapabilityError, ConsistencyError, DomainError,
                                StructureError)
-from hopfgalois.fixtures import _validate_integral_basis, bundled_path
+from hopfgalois.fixtures import (_validate_integral_basis, bundled_path,
+                                 parse)
 from hopfgalois.integral import (FREENESS_BOX_BOUND, FractionalIdeal,
                                  FreenessResult, Lattice, associated_order,
                                  freeness_certificate, freeness_search,
@@ -620,6 +622,22 @@ def test_transferred_lattice_is_the_partner_order(s3sextic):
 
 
 # --- certificates
+
+def test_certificate_on_the_zeta16_commuting_pairs():
+    # the theorem11 certificate at m = 8: each of zeta16's four distinct
+    # commuting pairs of opposite structures is FREE on O_L on both sides at
+    # bound 1, and the witness transfer, the order identity and the
+    # transport all hold
+    fx = parse(Path(__file__).parent / "data" / "zeta16.hgx")
+    opposites = fx.opposite_indices()
+    for i, j in [(2, 4), (3, 5), (12, 14), (13, 15)]:
+        assert opposites[i] == j and opposites[j] == i
+        cert = fx.certificate(i, "OL", 1)
+        assert cert.verdict_main.free and cert.verdict_partner.free, (i, j)
+        assert cert.witness_transfers is True, (i, j)
+        assert cert.transferred_lattice_matches is True, (i, j)
+        assert cert.commuting_transport_holds is True, (i, j)
+
 
 def test_certificate_on_the_sextic_classical_pair(s3sextic):
     algebra = _classical_algebra(s3sextic)

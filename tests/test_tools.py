@@ -34,7 +34,10 @@ def test_the_theorem11_table_matches_the_field_fixtures():
 def test_every_listed_command_parses():
     commands = list(diff_reports.commands())
     theorem11 = [argv for argv in commands if "theorem11" in argv]
-    assert (len(commands), len(theorem11)) == (158, 55)
+    descend = [argv for argv in commands if "descend" in argv]
+    freeness = [argv for argv in commands if "freeness" in argv]
+    assert (len(commands), len(theorem11), len(descend), len(freeness)) == \
+        (245, 55, 41, 46)
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
@@ -42,6 +45,11 @@ def test_every_listed_command_parses():
     assert sum("--n" not in argv for argv in theorem11) == 9
     assert ["--json", "theorem11", "tests/data/zeta16.hgx", "--ideal", "OL",
             "--n", "25"] in theorem11
+    # every structure descended, and searched on each of its ideals
+    assert ["--json", "descend", "tests/data/zeta16.hgx", "--n", "25"] \
+        in descend
+    assert ["--json", "freeness", "s3sextic", "--n", "4", "--ideal", "OE"] \
+        in freeness
 
 
 @pytest.mark.parametrize("shape", ["missing", "empty", "no cli.py"])

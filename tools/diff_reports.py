@@ -13,7 +13,9 @@ both checkouts.  The commands:
   the field fixtures among them;
 - `--json theorem11 --ideal I`, with the default structure and with each
   `--n`, for every ideal I of those field fixtures (THEOREM11, a fixed
-  table: the tool imports nothing from hopfgalois).
+  table: the tool imports nothing from hopfgalois);
+- `--json descend --n i` for every structure i, and `--json freeness --n i
+  --ideal I` for every structure i and ideal I, of those field fixtures.
 
 Each differing command is printed with what differs, then one summary line.
 The exit code is 1 when some command differs, 2 when a directory is not a
@@ -31,7 +33,8 @@ FIELD_FIXTURES = ["qi", "qzeta3", "c4quartic", "v4biquad", "qcbrt2",
                   "tests/data/zeta16.hgx"]
 FIXTURES = FIELD_FIXTURES[:6] + ["metacyclic21", "d4", "q8"] + \
     FIELD_FIXTURES[6:]
-# each field fixture's structure count and ideals, in FIELD_FIXTURES order
+# each field fixture's structure count and ideals, in FIELD_FIXTURES order;
+# theorem11, descend and freeness read it
 THEOREM11 = [(1, ["OL"]), (1, ["OL"]), (2, ["OL"]), (4, ["OL"]), (1, ["OL"]),
              (5, ["OE", "OL"]), (1, ["OL"]), (26, ["OL"])]
 
@@ -53,6 +56,13 @@ def commands():
             for index in [[], *(["--n", str(i)] for i in range(count))]:
                 yield ["--json", "theorem11", fixture, "--ideal", ideal,
                        *index]
+    for fixture, (count, ideals) in zip(FIELD_FIXTURES, THEOREM11):
+        for i in range(count):
+            yield ["--json", "descend", fixture, "--n", str(i)]
+        for ideal in ideals:
+            for i in range(count):
+                yield ["--json", "freeness", fixture, "--n", str(i),
+                       "--ideal", ideal]
 
 
 def run(checkout: Path, argv):
