@@ -261,11 +261,12 @@ def _unit_points(poly: IntPolynomial, bound: int):
     ones = int(("0" * (width - 1) + "1") * len(tails), 2)
     highs = ones << width - 1
     digits = f"0{width * len(tails)}b"
-    # y_i^d for tail variable i, a value per point of [-bound, bound]
+    # y_i^d for tail variable i and every d <= top, a value per point of
+    # [-bound, bound]: k * (top + 1) small blocks cost less than collecting
+    # the (i, d) in use from every term
     blocks = {(i, d): _packed([t ** d for t in points],
                               width * len(points) ** (k - 1 - i))
-              for i, d in {(i, d) for e in poly.terms
-                           for i, d in enumerate(e[heads:])}}
+              for i in range(k) for d in range(top + 1)}
     packed, coeffs = {}, {}
     for e, c in poly.terms.items():
         tail = e[heads:]

@@ -249,9 +249,11 @@ class FiniteGroup:
                 [table[c] for c in cls], len(table)))
             found |= {frozenset(table[h][k] for h in sub for k in closure)
                       for sub in found if not closure <= sub}
-        # indices are sorted as the elements' images are
+        # indices are sorted as the elements' images are.  The whole group,
+        # last, is self: its table is not built again
         ordered = sorted((len(s), sorted(s)) for s in found)
-        return [FiniteGroup(map(self.elements.__getitem__, s)) for _, s in ordered]
+        return [FiniteGroup(map(self.elements.__getitem__, s))
+                for _, s in ordered[:-1]] + [self]
 
 
 @dataclass(frozen=True)
@@ -272,15 +274,18 @@ class CosetSpace:
     def translations(self) -> tuple[Permutation, ...]:
         """lambda: G-element index -> its left translation of the cosets,
         checked to be a transitive homomorphism G -> Perm(X).  Built on first
-        use: it takes |G|^2 products."""
+        use.  The check takes |gens| * |G| products, lambda(g h) = lambda(g)
+        lambda(h) for each generator g and every h.  At h = e it gives
+        lambda(e) = id, as lambda(g) is invertible; then, by induction on a
+        word w in the generators, lambda(w h) = lambda(w) lambda(h) for
+        every w."""
         group = self.group
         maps = tuple(Permutation(self.coset_of[group.mul(i, rep)]
                                  for rep in self.representatives)
                      for i in range(group.order()))
-        for i in range(group.order()):
-            for j in range(group.order()):
-                if maps[group.mul(i, j)] != maps[i] * maps[j]:
-                    raise StructureError("coset translation is not a homomorphism")
+        if any(maps[group.mul(g, h)] != maps[g] * maps[h]
+               for g in group.generators for h in range(group.order())):
+            raise StructureError("coset translation is not a homomorphism")
         if len({p(self.base_point) for p in maps}) != self.size:
             raise StructureError("coset translation image is not transitive")
         return maps
@@ -317,16 +322,24 @@ def build_coset_space(group: FiniteGroup, stabilizer: FiniteGroup) -> CosetSpace
                       coset_of[group.identity_index])
 
 
-def _power_free_candidates(size: int):
-    """Permutations whose cyclic group meets the base point freely: those whose
-    cycles all have one length (the identity, and the fixed-point-free ones
-    whose nontrivial powers are fixed-point-free), as image tuples in
-    lexicographic order.  Built cycle type by cycle type: for each divisor
-    d > 1 of size, every permutation made of d-cycles only."""
-    out = [tuple(range(size))]
+def _candidates_over(size: int, base: int, target: int):
+    """The permutations carrying base to target (target != base) whose cyclic
+    group meets the base point freely: those whose cycles all have one length
+    (the fixed-point-free ones whose nontrivial powers are fixed-point-free),
+    as image tuples in lexicographic order.  Built cycle type by cycle type:
+    for each divisor d > 1 of size, the d-cycle through the base point starts
+    base -> target, and `_fill_cycles` moves the other points in d-cycles."""
+    out = []
+    others = [x for x in range(size) if x not in (base, target)]
     for d in range(2, size + 1):
         if size % d == 0:
-            _fill_cycles(out, [0] * size, list(range(size)), d)
+            images = [0] * size
+            for tail in itertools.permutations(others, d - 2):
+                cycle = (base, target, *tail)
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    images[a] = b
+                _fill_cycles(out, images,
+                             [x for x in others if x not in tail], d)
     out.sort()
     return out
 
@@ -369,10 +382,8 @@ def enumerate_regular_normalized(space: CosetSpace) -> list[FiniteGroup]:
     lam_gens = [(g.images, g.inverse().images) for g in
                 map(space.translations.__getitem__, space.group.generators)]
 
+    # a target's candidates, built when the search first reaches it
     pool: dict[int, list[tuple[int, ...]]] = {}
-    for cand in _power_free_candidates(size):
-        if cand != identity:
-            pool.setdefault(cand[base], []).append(cand)
 
     def meets_base_once(perms):
         return len({p[base] for p in perms}) == len(perms)
@@ -387,7 +398,9 @@ def enumerate_regular_normalized(space: CosetSpace) -> list[FiniteGroup]:
             continue
         hits = {p[base] for p in group}
         target = min(c for c in range(size) if c not in hits)
-        for cand in pool.get(target, []):
+        if target not in pool:
+            pool[target] = _candidates_over(size, base, target)
+        for cand in pool[target]:
             # join the candidate's λ(G)-conjugation orbit to the group, as
             # long as no two of its elements agree at the base point
             gens, frontier = group | {cand}, [cand]
@@ -432,28 +445,54 @@ def opposite(n: FiniteGroup, space: CosetSpace) -> FiniteGroup:
 
 def centralizer_bruteforce(n: FiniteGroup,
                            space: CosetSpace) -> tuple[Permutation, ...]:
-    """Exact centralizer of N in the full symmetric group on X, by scanning
-    every permutation; the oracle for `opposite`."""
+    """Exact centralizer of N in the full symmetric group on X, sorted; the
+    oracle for `opposite`.  An exhaustive search of Sym(X) that reads only
+    the images of N's elements: the images sigma(0), sigma(1), .. are
+    assigned in turn, each to every unused point, and a partial assignment
+    is dropped as soon as an equation sigma(q(j)) = q(sigma(j)), for q in N,
+    has both sides assigned and fails.  Where q(j) = i > j, only the point
+    q(sigma(j)) is tried for sigma(i): every other fails that equation."""
     size = space.size
     if size > ENUMERATION_BOUND:
         raise CapabilityError(f"coset space of size {size} exceeds the "
                               f"brute-force bound {ENUMERATION_BOUND}")
-    # element 0, the identity, commutes with everything
-    members = [p.images for p in n.elements[1:]]
-    points = range(size)
+    # the equations decided once sigma(i) is assigned: max(j, q(j)) == i.
+    # One with q(j) == i > j pins sigma(i) to q(sigma(j)).  Element 0, the
+    # identity, commutes with everything
+    checks = [[] for _ in range(size)]
+    pins = [None] * size
+    for p in n.elements[1:]:
+        q = p.images
+        for j in range(size):
+            checks[max(j, q[j])].append((q, j, q[j]))
+            if q[j] > j:
+                pins[q[j]] = (q, j)
     out = []
-    for images in itertools.permutations(points):
-        # rejected at the first point where images * q and q * images differ
-        for q in members:
-            for i in points:
-                if images[q[i]] != q[images[i]]:
-                    break
-            else:
-                continue
-            break
+    _extend_commuting([], [False] * size, checks, pins, out)
+    return tuple(out)
+
+
+def _extend_commuting(images, used, checks, pins, out):
+    """Append to out every commuting completion of the partial images, in
+    lexicographic order; a module-level recursion, so that no closure holds
+    itself in a reference cycle."""
+    i = len(images)
+    if i == len(checks):
+        out.append(Permutation(images))
+        return
+    pin = pins[i]
+    for v in range(len(checks)) if pin is None else (pin[0][images[pin[1]]],):
+        if used[v]:
+            continue
+        images.append(v)
+        for q, j, qj in checks[i]:
+            if images[qj] != q[images[j]]:
+                break
         else:
-            out.append(Permutation(images))
-    return tuple(sorted(out))
+            used[v] = True
+            _extend_commuting(images, used, checks, pins, out)
+            used[v] = False
+        images.pop()
 
 
 def metacyclic_group(r: int, q: int, d: int) -> tuple[FiniteGroup, Permutation, Permutation]:

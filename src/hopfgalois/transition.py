@@ -15,19 +15,10 @@ from array import array
 from collections.abc import Callable
 from functools import cache
 from itertools import combinations_with_replacement
-from operator import itemgetter, mul
+from operator import getitem, itemgetter, mul
 
 from .errors import CapabilityError, ConsistencyError
 from .perm import ENUMERATION_BOUND, CosetSpace, FiniteGroup
-
-
-def _term_sort_key(term):
-    # printing order: total degree, concentration pattern (the exponents
-    # sorted downwards), then lex; all descending, by a reversed sort on
-    # this key, so y0^3 + y1^3 + y2^3 - 3*y0*y1*y2 prints in that order.
-    # No two terms tie: the key ends with the exponents
-    exponents = term[0]
-    return sum(exponents), sorted(exponents, reverse=True), exponents
 
 
 class IntPolynomial:
@@ -53,28 +44,37 @@ class IntPolynomial:
         return IntPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __str__(self):
+        # printing order: total degree, concentration pattern (the exponents
+        # sorted downwards), then lex; all descending, so y0^3 + y1^3 + y2^3
+        # - 3*y0*y1*y2 prints in that order.  Each term's (degree, pattern)
+        # is built once, as a group key: a determinant's hundreds of terms
+        # share a few dozen, and each group sorts on its exponents alone
         if not self.terms:
             return "0"
+        groups = {}
+        for exps in self.terms:
+            groups.setdefault((sum(exps), tuple(sorted(exps, reverse=True))),
+                              []).append(exps)
+        top = max(degree for degree, _ in groups)
+        # names[k][e] is "*y{k}^{e}", "*y{k}" at e = 1 and "" at e = 0
+        names = [["", f"*y{k}", *(f"*y{k}^{e}" for e in range(2, top + 1))]
+                 for k in range(self.nvars)]
         pieces = []
-        for exps, coeff in sorted(self.terms.items(), key=_term_sort_key,
-                                  reverse=True):
-            factors = []
-            for k, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"y{k}")
-                elif e > 1:
-                    factors.append(f"y{k}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        for key in sorted(groups, reverse=True):
+            for exps in sorted(groups[key], reverse=True):
+                coeff = self.terms[exps]
+                factors = "".join(map(getitem, names, exps))
+                mag = abs(coeff)
+                if not factors:
+                    body = str(mag)
+                elif mag == 1:
+                    body = factors[1:]
+                else:
+                    body = f"{mag}{factors}"
+                if not pieces:
+                    pieces.append(body if coeff > 0 else f"-{body}")
+                else:
+                    pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(pieces)
 
     def __repr__(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -8,9 +9,8 @@ import pytest
 from hopfgalois.cli import main
 from hopfgalois.errors import CapabilityError, StructureError
 from hopfgalois.fixtures import parse
-from hopfgalois.perm import (FiniteGroup, Permutation, _close_tuples,
-                             _power_free_candidates,
-                             build_coset_space, centralizer_bruteforce,
+from hopfgalois.perm import (FiniteGroup, Permutation, _candidates_over,
+                             _close_tuples, build_coset_space, centralizer_bruteforce,
                              enumerate_regular_normalized, metacyclic_group,
                              opposite, right_translation_subgroup)
 
@@ -157,6 +157,19 @@ def test_translation_image_abelian_case_equals_right_translations():
     space = build_coset_space(group, FiniteGroup.trivial(4))
     rho = right_translation_subgroup(space)
     assert set(space.translations) == set(rho.elements)
+
+
+def test_translations_reject_representatives_permuted_against_their_labels(
+        metacyclic21):
+    # rotating the representatives against the coset_of labels makes
+    # lambda(e) a 7-cycle, so lambda(g e) = lambda(g) lambda(e) fails for
+    # every generator g
+    space = metacyclic21.coset_space()
+    reps = space.representatives
+    planted = dataclasses.replace(space, representatives=reps[1:] + reps[:1])
+    with pytest.raises(StructureError,
+                       match="^coset translation is not a homomorphism$"):
+        planted.translations
 
 
 def test_translation_image_for_cubic_shape_is_full_s3():
@@ -431,6 +444,23 @@ def test_centralizer_matches_the_whole_product_scan(all_fixtures):
                 centralizer_by_whole_products(n, space), (fx.name, i)
 
 
+@pytest.mark.parametrize("gens", [
+    [[0, 1, 2, 3, 4, 5]],                       # trivial: all of Sym(6)
+    [[1, 0, 2, 3, 4, 5]],                       # a transposition
+    [[1, 2, 0, 4, 3, 5]],                       # (0 1 2)(3 4), a fixed point
+    [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5]],   # intransitive V4
+    [[0, 1, 2, 4, 5, 3], [0, 1, 2, 3, 5, 4]],   # S3 on three points
+    [[5, 4, 3, 2, 1, 0]],                       # pins point 5 from point 0
+])
+def test_centralizer_off_the_regular_case_matches_the_whole_product_scan(gens):
+    # the search drops an assignment only where an equation of N fails, so
+    # it finds every commuting permutation when N is not regular too
+    n = FiniteGroup.generated_by([Permutation(g) for g in gens])
+    space = build_coset_space(cyclic(6), FiniteGroup.trivial(6))
+    assert centralizer_bruteforce(n, space) == \
+        centralizer_by_whole_products(n, space)
+
+
 def test_centralizer_small_cases():
     group = s3()
     stab = FiniteGroup.generated_by([Permutation([0, 2, 1])])
@@ -568,6 +598,27 @@ def test_metacyclic_takes_int_parameters_only(params):
         metacyclic_group(*params)
 
 
-def test_power_free_candidates_match_the_power_walk():
+def test_candidates_over_match_the_power_walk():
     for size in range(1, 9):
-        assert _power_free_candidates(size) == power_free_candidates_by_powers(size)
+        walk = power_free_candidates_by_powers(size)
+        for base, target in itertools.permutations(range(size), 2):
+            assert _candidates_over(size, base, target) == \
+                [c for c in walk if c[base] == target], (size, base, target)
+
+
+def test_enumeration_builds_the_candidates_of_the_targets_it_reaches(
+        monkeypatch, metacyclic21, d4):
+    # metacyclic21's structures are generated over the base point's first
+    # target, d4's over two of its seven
+    from hopfgalois import perm
+    built = []
+
+    def recorded(size, base, target):
+        built.append(target)
+        return _candidates_over(size, base, target)
+    monkeypatch.setattr(perm, "_candidates_over", recorded)
+    for fx, targets in ((metacyclic21, [1]), (d4, [1, 2])):
+        structures = fx.structures()
+        built.clear()
+        assert enumerate_regular_normalized(fx.coset_space()) == structures
+        assert built == targets, fx.name
