@@ -285,8 +285,8 @@ def _verify_generators(fx: Fixture, report: Report):
     every sample, integer coordinates drawn in report.rng order.  One call
     to generator_verdicts tests every structure on every sample, at every
     m, both ways (orbit rank and transition determinant): all at once mod
-    p, one certificate per (sample, structure), and only a zero takes the
-    exact route.  It builds each Delta_N only when it reads it."""
+    p, Delta_N of every structure read as a form at every sample, and only
+    a zero takes the exact route."""
     sub = fx.subfield()
     pairs = sorted({tuple(sorted(pair))
                     for pair in enumerate(fx.opposite_indices())})
@@ -295,7 +295,7 @@ def _verify_generators(fx: Fixture, report: Report):
     # and a self-opposite structure is both sides of its pair
     tested = range(len(fx.structures()))
     verdicts = generator_verdicts([fx.algebra(i) for i in tested],
-                                  (fx.transition_det(i)[0] for i in tested),
+                                  [fx.transition_det(i)[0] for i in tested],
                                   sub, coords)
     for i, j in pairs:
         agree = sum(a == b for a, b in zip(verdicts[i], verdicts[j]))

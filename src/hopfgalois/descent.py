@@ -348,15 +348,12 @@ def generator_verdicts(algebras, dets, subfield: Subfield,
 
     The rank route is R(ints) mod p for the rank form R(c) = det[A_k c], the
     orbit's int_det as a polynomial in the coordinates (det_symbolic on the
-    rows of the integer action matrices A_k).  The determinant route reads
-    one certificate per (sample, structure) on the sample's coset residues,
-    one column combination per coset (CosetImages.residue_rows): the images
-    of its integer coset vectors.  While every Delta_N that dets yields (+-
-    the transition determinant, a form in the coset values) has at most m^3
-    terms, the products of one m x m elimination (zeta16's have
-    810-1,279), the certificate is Delta_N at the residues; dets is read no
-    further than the first past m^3, and past it the certificate is int_det
-    of the residue matrix, mod p.
+    rows of the integer action matrices A_k).  The determinant route is
+    Delta_N, one per algebra in dets (+- the transition determinant, a form
+    in the coset values), at the sample's coset residues, one column
+    combination per coset (CosetImages.residue_rows): the images of its
+    integer coset vectors.  det of the residue matrix is +-Delta_N there,
+    mod p, so this one reading serves at every m.
 
     A value nonzero mod p is proved nonzero; a zero takes generates' exact
     route: int_det of the orbit, or _packed_det on the sample's vectors
@@ -375,18 +372,7 @@ def generator_verdicts(algebras, dets, subfield: Subfield,
                               for row in table.residue_rows], columns, p)
     ranks = form_residues([det_symbolic(a.int_action_matrices)
                            for a in algebras], columns, p)
-    forms = []
-    for d in dets:
-        if len(d.terms) > d.nvars ** 3:
-            forms = None
-            break
-        forms.append(d)
-    if forms is None:
-        points = list(zip(*residues))
-        certificates = [[linalg.int_det(transition_matrix_of(
-            a.subgroup, point)) % p for point in points] for a in algebras]
-    else:
-        certificates = form_residues(forms, residues, p)
+    certificates = form_residues(dets, residues, p)
 
     @cache
     def vectors(s):

@@ -70,7 +70,9 @@ def all_fixtures(field_fixtures, metacyclic21, d4, q8):
 def generator_kernels(monkeypatch):
     """The determinant kernels generator tests call in descent, in order:
     ("mod p", matrix) for linalg.int_det on a transition matrix (one of
-    residues, the mod-p certificate), ("orbit", matrix) for linalg.int_det
+    residues: the mod-p certificate of the per-sample test,
+    transition_det_nonzero; the batch reads Delta_N as forms and
+    eliminates none), ("orbit", matrix) for linalg.int_det
     on any other matrix (an orbit, the exact rank) and ("exact", matrix)
     for _packed_det (the exact transition determinant over E)."""
     from types import SimpleNamespace

@@ -171,18 +171,18 @@ def test_generator_report_bytes_are_pinned(capsys, name, seed):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("fixture, forms", [
-    pytest.param(str(DATA / "c5quintic.hgx"), True, id="c5quintic"),
-    pytest.param("s3sextic", True, id="s3sextic"),
-    pytest.param(str(DATA / "zeta16.hgx"), False, id="zeta16")])
+@pytest.mark.parametrize("fixture, past_m_cubed, exact", [
+    pytest.param(str(DATA / "c5quintic.hgx"), False, 3, id="c5quintic"),
+    pytest.param("s3sextic", False, 27, id="s3sextic"),
+    pytest.param(str(DATA / "zeta16.hgx"), True, 837, id="zeta16")])
 def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
-        capsys, monkeypatch, generator_kernels, fixture, forms):
-    # every m takes generator_verdicts, which reads the rank forms always and
-    # the transition determinants Delta_N as forms only while each has at
-    # most m^3 terms: s3sextic's have at most 146 (m^3 = 216), zeta16's
-    # 810-1,279 (512), and there each sample is eliminated mod p.  Forms
-    # are read mod p on every sample at once (descent.form_residues): the
-    # coset residues first, as one linear form per coset
+        capsys, monkeypatch, generator_kernels, fixture, past_m_cubed, exact):
+    # every m takes generator_verdicts, which reads the rank forms and the
+    # transition determinants Delta_N as forms whatever their count of
+    # terms: s3sextic's have at most 146 (m^3 = 216), and zeta16's
+    # 810-1,279 are past m^3 = 512.  Forms are read mod p on every sample
+    # at once (descent.form_residues): the coset residues first, as one
+    # linear form per coset
     from hopfgalois import descent, fixtures
     calls, evaluated, built, tied = [], [], [], []
     form_residues = descent.form_residues
@@ -190,15 +190,8 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     signed_canonical_det = fixtures.signed_canonical_det
 
     def verdicts(algebras, dets, subfield, coords):
-        read = []
-
-        def reading():
-            for d in dets:
-                read.append(d)
-                yield d
-        calls.append((algebras, read, coords))
-        return descent.generator_verdicts(algebras, reading(), subfield,
-                                          coords)
+        calls.append((algebras, dets, coords))
+        return descent.generator_verdicts(algebras, dets, subfield, coords)
 
     def building(*args):
         built.append(args)
@@ -215,27 +208,29 @@ def test_generator_tests_read_delta_as_a_form_up_to_m_cubed_terms(
     monkeypatch.setattr(descent, "form_residues", planning)
     monkeypatch.setattr(descent, "transition_det_nonzero", tying)
     monkeypatch.setattr(fixtures, "signed_canonical_det", building)
-    monkeypatch.setattr(cli, "GENERATOR_SAMPLES", 4)
-    code, out = run(capsys, "--json", "verify", "generators", fixture)
+    code, out = run(capsys, "--json", "--seed", "0", "verify", "generators",
+                    fixture)
     checks = json.loads(out)["checks"]
     assert code == 0 and checks
     assert all(c["verdict"] == "PASS" for c in checks)
-    # one driver call; its rank forms are always planned, its Delta_N
-    # only when they are small enough
+    # one driver call, which plans the coset residues, the rank forms and
+    # every Delta_N, each built once
     [(algebras, dets, coords)] = calls
     m = algebras[0].subfield.space.size
-    assert (max(len(d.terms) for d in dets) <= m ** 3) == forms
-    assert [len(f) for f in evaluated[:2]] == [m, len(algebras)]
-    assert evaluated[2:] == ([dets] if forms else [])
-    # each Delta_N is built when the driver reads it, and it reads no
-    # further than the first past m^3: zeta16 builds 1 of its 26
-    assert len(built) == len(dets) == (len(algebras) if forms else 1)
+    assert (max(len(d.terms) for d in dets) > m ** 3) == past_m_cubed
+    assert [len(f) for f in evaluated] == [m, len(algebras), len(algebras)]
+    assert evaluated[2] == dets
+    assert len(built) == len(dets) == len(algebras)
     # the per-sample test ties the batch to one sample per structure, with
-    # one elimination each; without the Delta_N forms each (sample,
-    # structure) certificate is one elimination too, and with them none is
+    # one elimination mod p each; no (sample, structure) certificate is one
     assert len(tied) == len(algebras)
-    eliminated = [rows for kind, rows in generator_kernels if kind == "mod p"]
-    assert len(eliminated) == len(algebras) * (1 if forms else 1 + 4)
+    kinds = [kind for kind, _ in generator_kernels]
+    assert kinds.count("mod p") == len(algebras)
+    # each exact determinant over E is taken once: descend's spanning check
+    # of each structure, then one per zero of a certificate (811 of
+    # zeta16's 26 x 200)
+    taken = [repr(rows) for kind, rows in generator_kernels if kind == "exact"]
+    assert len(taken) == len(set(taken)) == exact
 
 
 def test_verify_generators_takes_each_exact_determinant_once(capsys,
@@ -785,23 +780,25 @@ def test_eliminations_receive_only_integers(capsys, monkeypatch, name):
 
 @pytest.mark.parametrize("kind, fixture", [
     pytest.param("orbit", "v4biquad", id="int_det"),
-    # the batch eliminates only past m^3 terms, so on zeta16
+    # the batch reads Delta_N as forms, so an elimination mod p runs only
+    # in the per-sample test: on zeta16 there
     pytest.param("mod p", str(DATA / "zeta16.hgx"), id="int_det_mod_p")])
 def test_a_flipped_generator_kernel_raises_consistency_error(
-        capsys, monkeypatch, generator_kernels, v4biquad, kind, fixture):
+        capsys, monkeypatch, generator_kernels, kind, fixture):
     # descent's int_det answering the wrong way on either route, on the
-    # orbits (the exact rank) or on the residue matrices (the mod-p
-    # certificates), must make the two routes disagree on some sample, and
-    # main reports the ConsistencyError as an internal fault.  A flipped
-    # mod-p answer is caught on the non-generators: on a generator, its 0
-    # only sends the test to the exact determinant.  The kernel is flipped
-    # in descent only: the exact determinant over E is int_det too, on
-    # packed entries.  The per-sample test (generates) catches it on
-    # v4biquad's non-generators too
+    # orbits (the exact rank) or on the residue matrices (generates' mod-p
+    # certificate), must make the two routes disagree on the
+    # non-generators 0 and 1: on a generator, a flipped mod-p 0 only sends
+    # the test to the exact determinant.  The kernel is flipped in descent
+    # only: the exact determinant over E is int_det too, on packed entries.
+    # On v4biquad the flipped rank also makes `verify generators` fail,
+    # and main reports the ConsistencyError as an internal fault
     from types import SimpleNamespace
 
     from hopfgalois import descent, linalg
     from hopfgalois.errors import ConsistencyError
+    fx = cli._load(fixture)
+    algebras = [fx.algebra(i) for i in range(len(fx.structures()))]
     recording = descent.linalg.int_det
 
     def flipped(rows):
@@ -809,24 +806,24 @@ def test_a_flipped_generator_kernel_raises_consistency_error(
         return int(not value) if generator_kernels[-1][0] == kind else value
     monkeypatch.setattr(descent, "linalg", SimpleNamespace(
         **{**vars(descent.linalg), "int_det": flipped}))
-    code = main(["verify", "generators", fixture])
-    captured = capsys.readouterr()
-    # a failed cross-check is an internal fault (exit 4), not a usage error
-    assert code == EXIT_INTERNAL == 4
-    assert captured.out == ""
-    first, *trace = captured.err.splitlines()
     message = ("orbit rank and transition determinant disagree on a "
                "generator test")
-    assert first == f"internal error: ConsistencyError: {message}"
-    assert trace[0] == "Traceback (most recent call last):"
-    sub = v4biquad.subfield()
-    one = linalg._clear_denominators(
-        [sub.coords(v4biquad.context.field.one())])[1][0]
+    if kind == "orbit":
+        code = main(["verify", "generators", fixture])
+        captured = capsys.readouterr()
+        # a failed cross-check is an internal fault (exit 4), not a usage
+        # error
+        assert code == EXIT_INTERNAL == 4
+        assert captured.out == ""
+        first, *trace = captured.err.splitlines()
+        assert first == f"internal error: ConsistencyError: {message}"
+        assert trace[0] == "Traceback (most recent call last):"
+    sub = fx.subfield()
+    one = linalg._clear_denominators([sub.coords(fx.context.field.one())])[1][0]
     for ints in ([0] * sub.dim, one):
-        for i in range(len(v4biquad.structures())):
+        for algebra in algebras:
             with pytest.raises(ConsistencyError, match=message):
-                descent.generates(v4biquad.algebra(i),
-                                  descent.generator_sample(sub, ints))
+                descent.generates(algebra, descent.generator_sample(sub, ints))
 
 
 def test_a_flipped_int_det_everywhere_raises_consistency_error(capsys,
@@ -870,8 +867,12 @@ def test_a_planted_rank_form_coefficient_raises_consistency_error(
         "determinant disagree on a generator test")
 
 
+@pytest.mark.parametrize("fixture", [
+    pytest.param("v4biquad", id="v4biquad"),
+    # past m^3 terms, read as forms all the same
+    pytest.param(str(DATA / "zeta16.hgx"), id="zeta16")])
 def test_a_flipped_transition_determinant_term_raises_consistency_error(
-        capsys, monkeypatch):
+        capsys, monkeypatch, fixture):
     # one term of each canonical determinant with its sign flipped: it no
     # longer vanishes mod p on the non-generators
     from hopfgalois.fixtures import Fixture
@@ -883,7 +884,7 @@ def test_a_flipped_transition_determinant_term_raises_consistency_error(
         e, c = next(iter(poly.terms.items()))
         return IntPolynomial(poly.nvars, {**poly.terms, e: -c}), sign
     monkeypatch.setattr(Fixture, "transition_det", flipped)
-    assert _internal_error(capsys, ["verify", "generators", "v4biquad"]) == (
+    assert _internal_error(capsys, ["verify", "generators", fixture]) == (
         "internal error: ConsistencyError: orbit rank and transition "
         "determinant disagree on a generator test")
 

@@ -663,9 +663,9 @@ def test_generator_verdicts_match_the_per_sample_test(field_fixtures,
                                                      monkeypatch):
     # the batch gives generates' verdict for every structure and sample, at
     # seeds 0-4: seeded integer coordinates and the non-generators 0 and 1.
-    # Every Delta_N here has at most m^3 terms, so both routes are read off
-    # forms, and Delta_N is read at generator_sample's residues of every
-    # sample, those of its integer coset vectors
+    # Both routes are read off forms, and Delta_N is read at
+    # generator_sample's residues of every sample, those of its integer
+    # coset vectors
     read = []
     form_residues = descent.form_residues
 
@@ -717,12 +717,11 @@ def test_generator_verdicts_match_the_per_sample_test(field_fixtures,
                    for a in algebras for s in samples)
 
 
-def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch,
-                                                        generator_kernels):
-    # zeta16's Delta_N have 810-1,279 terms, past m^3 = 512: only the rank
-    # forms are read, each (sample, structure) certificate is one
-    # elimination of its residue matrix mod p, and the verdicts are
-    # generates'
+def test_generator_verdicts_read_delta_as_forms_past_m_cubed_terms(
+        monkeypatch, generator_kernels):
+    # zeta16's Delta_N have 810-1,279 terms, past m^3 = 512, and are read
+    # as forms at the coset residues all the same: no (sample, structure)
+    # certificate is an elimination, and the verdicts are generates'
     fx = parse(Path(__file__).parent / "data" / "zeta16.hgx")
     space, sub = fx.coset_space(), fx.subfield()
     count = len(fx.structures())
@@ -738,39 +737,36 @@ def test_generator_verdicts_eliminate_past_m_cubed_terms(monkeypatch,
     form_residues = descent.form_residues
 
     def reading(forms, columns, p):
-        read.append(forms)
+        read.append((forms, columns))
         return form_residues(forms, columns, p)
     monkeypatch.setattr(descent, "form_residues", reading)
     generator_kernels.clear()
     verdicts = descent.generator_verdicts(algebras, dets, sub, coords)
-    # read mod p: the coset residues (one linear form per coset) and the
-    # rank forms, no Delta_N
-    assert [len(forms) for forms in read] == [space.size, count]
-    assert read[1] == [det_symbolic(a.int_action_matrices) for a in algebras]
-    # one elimination per (sample, structure), then one per structure in
-    # the tie
+    # read mod p: the coset residues (one linear form per coset), the rank
+    # forms, then every Delta_N at the samples' residues
+    assert [len(forms) for forms, _ in read] == [space.size, count, count]
+    assert read[1][0] == [det_symbolic(a.int_action_matrices)
+                          for a in algebras]
+    assert read[2][0] == dets
+    assert [list(column) for column in read[2][1]] == [
+        list(column) for column in zip(*(s.residues for s in samples))]
+    # one elimination mod p per structure, in the tie
     eliminated = [rows for kind, rows in generator_kernels if kind == "mod p"]
-    assert eliminated[:count * len(samples)] == [
-        transition_matrix_of(a.subgroup, s.residues)
-        for a in algebras for s in samples]
-    assert len(eliminated) == count * len(samples) + count
+    assert len(eliminated) == count
     assert verdicts == expected
     assert {v for row in verdicts for v in row} == {False, True}
 
 
 def _chain(algebras, dets, samples, verdicts):
     """The kernel calls of generator_verdicts on samples with residues, as
-    the generator_kernels fixture records them: when the Delta_N are not
-    read as forms, one elimination mod p per structure and sample,
-    structure after structure, as its certificate; then, sample after
-    sample, the orbit's int_det of each (sample, structure) whose rank form
-    is 0 mod p and the exact determinant of each whose certificate is 0;
-    then each structure's first generator takes generates' chain (the
-    orbit's int_det, an elimination mod p, and the exact determinant when
-    its residue matrix is singular), and the first sample's orbit its
-    int_det."""
+    the generator_kernels fixture records them: sample after sample, the
+    orbit's int_det of each (sample, structure) whose rank form is 0 mod p
+    and the exact determinant of each whose certificate, Delta_N at its
+    residues, is 0 mod p; then each structure's first generator takes
+    generates' chain (the orbit's int_det, an elimination mod p, and the
+    exact determinant when its residue matrix is singular), and the first
+    sample's orbit its int_det."""
     p = samples[0].field.reduction_root()[0]
-    forms = all(len(d.terms) <= d.nvars ** 3 for d in dets)
 
     def walk(algebra, sample):
         residues = transition_matrix_of(algebra.subgroup, sample.residues)
@@ -779,18 +775,9 @@ def _chain(algebras, dets, samples, verdicts):
             steps.append(("exact", transition_matrix_of(algebra.subgroup,
                                                         sample.scaled)))
         return steps
-    expected, certificates = [], []
-    for algebra, d in zip(algebras, dets):
-        row = []
-        for sample in samples:
-            if forms:
-                row.append(evaluate(d, sample.residues, 1) % p)
-            else:
-                residues = transition_matrix_of(algebra.subgroup,
-                                                sample.residues)
-                expected.append(("mod p", residues))
-                row.append(linalg.int_det(residues) % p)
-        certificates.append(row)
+    expected = []
+    certificates = [[evaluate(d, sample.residues, 1) % p for sample in samples]
+                    for d in dets]
     for s, sample in enumerate(samples):
         for algebra, row in zip(algebras, certificates):
             orbit = algebra.orbit(sample.coords)
@@ -814,15 +801,15 @@ def _cli_samples(fx, seed):
 
 @pytest.mark.parametrize("name, structures, zeros", [
     pytest.param("v4biquad", None, 30, id="v4biquad"),
-    # zeta16 eliminates each sample: the two structures with the most
-    # non-generators at seed 0 and one with the fewest (811 in all 26)
+    # zeta16, whose Delta_N are past m^3 terms: the two structures with the
+    # most non-generators at seed 0 and one with the fewest (811 in all 26)
     pytest.param("zeta16", (8, 22, 25), 15 + 75 + 70, id="zeta16")])
 def test_generator_chain_takes_each_exact_determinant_once(
         v4biquad, generator_kernels, name, structures, zeros):
-    # each (sample, structure) has one certificate mod p: nonzero proves a
-    # generator, and 0 goes straight to the exact determinant, with no
-    # second elimination; the tie runs on a generator, so no exact
-    # determinant is taken twice
+    # each (sample, structure) has one certificate mod p, Delta_N at its
+    # residues: nonzero proves a generator, and 0 goes straight to the
+    # exact determinant, with no elimination; the tie runs on a generator,
+    # so no exact determinant is taken twice
     fx = (v4biquad if name == "v4biquad"
           else parse(Path(__file__).parent / "data" / "zeta16.hgx"))
     structures = structures or range(len(fx.structures()))
